@@ -1101,7 +1101,7 @@ let obs () =
   Printf.printf "  tracing disabled %10.1f ns/span\n" ns_off;
   Printf.printf "  tracing enabled  %10.1f ns/span\n\n" ns_on;
   (* Same pricing for the windowed-metrics instruments the service
-     monitor records through: one counter bump plus one histogram
+     stats and monitor record through: one counter bump plus one histogram
      observation per iteration, with the registry disabled (a single
      load-and-branch) and enabled. *)
   let spin_metrics enabled =

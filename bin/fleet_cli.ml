@@ -1,11 +1,8 @@
-(* Device-fleet flags shared by reduce-explorer and tangramc.
-
-   Both binaries expose the same switches — --devices builds an N-slot
-   fleet and routes the serve path through it, --device-profile seeds
-   failure profiles on individual slots, --spares adds warm spares and
-   --hedge arms speculative re-dispatch — so the flags are declared once
-   here and each binary composes [term] into its own command line,
-   exactly like [Obs_cli] and [Overload_cli]. *)
+(* Device-fleet flags shared by tangramc's serve and monitor commands:
+   --devices builds an N-slot fleet and routes the serve path through
+   it, --device-profile seeds failure profiles on individual slots,
+   --spares adds warm spares and --hedge arms speculative re-dispatch.
+   Each command composes [term] into its own command line. *)
 
 open Cmdliner
 

@@ -1,11 +1,9 @@
-(* Observability flags shared by reduce-explorer and tangramc.
-
-   Both binaries expose the same switches — --log-level/--log-json for
-   the structured logger, --trace-out for Chrome trace export,
-   --metrics-out for a Prometheus dump, --stats-json for the
-   machine-readable report twin, --kernel-counters for per-request
-   profiling — so the flags are declared once here and each binary
-   composes [term] into its own command line. *)
+(* Observability flags shared by tangramc's serve and monitor commands:
+   --log-level/--log-json for the structured logger, --trace-out for
+   Chrome trace export, --metrics-out for a Prometheus dump,
+   --stats-json for the machine-readable report twin, --kernel-counters
+   for per-request profiling. Each command composes [term] into its own
+   command line. *)
 
 open Cmdliner
 
@@ -90,13 +88,13 @@ let save_trace (t : t) : unit =
         path
 
 (** Write the Prometheus exposition, if one was requested. A monitored
-    service's windowed time-series families append to the document. *)
-let write_metrics ?metrics (t : t) (stats : Tangram.Stats.t) : unit =
+    service's exposition carries its windowed families too. *)
+let write_metrics (t : t) (stats : Tangram.Stats.t) : unit =
   match t.metrics_out with
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      output_string oc (Tangram.Stats.to_prometheus ?metrics stats);
+      output_string oc (Tangram.Stats.to_prometheus stats);
       close_out oc;
       Printf.printf "wrote metrics to %s\n" path
 

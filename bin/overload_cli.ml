@@ -1,11 +1,7 @@
-(* Overload-resilience flags shared by reduce-explorer and tangramc.
-
-   Both binaries expose the same switches — --rate-rps turns the serve
-   path into an open-loop replay through the admission queue, and
+(* Overload-resilience flags of tangramc serve: --rate-rps turns the
+   serve path into an open-loop replay through the admission queue, and
    --deadline-us/--queue-cap/--shed-policy/--brownout configure the
-   protection valves — so the flags are declared once here and each
-   binary composes [term] into its own command line, exactly like
-   [Obs_cli]. *)
+   protection valves. *)
 
 open Cmdliner
 

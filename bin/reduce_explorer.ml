@@ -44,65 +44,6 @@ let tune_arg =
   let doc = "Sweep tunables for each version at this size (default: tuned at 16M)." in
   Arg.(value & flag & info [ "tune" ] ~doc)
 
-let service_arg =
-  let doc =
-    "Run as a reduction service: replay a synthetic mixed-size request trace \
-     (the paper's 64..268M sweep) through the plan cache and print the \
-     service metrics report."
-  in
-  Arg.(value & flag & info [ "service" ] ~doc)
-
-let requests_arg =
-  let doc = "Number of requests in the --service trace." in
-  Arg.(value & opt int 1000 & info [ "requests" ] ~doc)
-
-let seed_arg =
-  let doc = "Deterministic seed of the --service trace." in
-  Arg.(value & opt int 42 & info [ "trace-seed" ] ~doc)
-
-let batch_arg =
-  let doc = "Batch size of the --service replay (1 disables coalescing)." in
-  Arg.(value & opt int 64 & info [ "batch" ] ~doc)
-
-let cache_file_arg =
-  let doc =
-    "Plan-cache file for --service: loaded before the replay when it exists \
-     (warm start) and saved back afterwards."
-  in
-  Arg.(value & opt (some string) None & info [ "cache-file" ] ~doc ~docv:"FILE")
-
-let fault_rate_arg =
-  let doc =
-    "Fault-injection rate for --service (probability in [0,1] that a kernel \
-     run faults; 0 disables injection)."
-  in
-  Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~doc)
-
-let fault_seed_arg =
-  let doc = "Deterministic seed of the --service fault injector." in
-  Arg.(value & opt int 1 & info [ "fault-seed" ] ~doc)
-
-let retry_max_arg =
-  let doc = "Transient-fault retries per version before falling back." in
-  Arg.(value & opt int Tangram.Service.default_resilience.r_retry_max
-       & info [ "retry-max" ] ~doc)
-
-let bitflip_rate_arg =
-  let doc =
-    "Silent bit-flip injection rate for --service (probability in [0,1] that \
-     a kernel run suffers one memory/register bit flip; 0 disables it)."
-  in
-  Arg.(value & opt float 0.0 & info [ "bitflip-rate" ] ~doc)
-
-let verify_sample_arg =
-  let doc = "Stripes of the dense-input witness recomputation (--service)." in
-  Arg.(value & opt int Tangram.Guard.default.g_sample
-       & info [ "verify-sample" ] ~doc)
-
-let no_verify_arg =
-  let doc = "Disable witness verification of exact --service responses." in
-  Arg.(value & flag & info [ "no-verify" ] ~doc)
-
 let lookup_arch (s : string) : Tangram.Arch.t =
   match Tangram.Arch.by_name s with
   | Some a -> a
@@ -169,116 +110,8 @@ let run_saved_program ~arch ~n ~events path =
       in
       print_outcome ~events (Printf.sprintf "%s (saved program)" path) o
 
-(* usage errors (exit 2, like cmdliner's own) for flag values the parser
-   accepts but the service would reject *)
-let validate_service_flags ~requests ~batch ~fault_rate ~retry_max
-    ~bitflip_rate ~verify_sample =
-  let usage_error msg =
-    Printf.eprintf "reduce-explorer: %s\n" msg;
-    exit 2
-  in
-  if requests < 1 then usage_error "--requests must be at least 1";
-  if batch < 1 then usage_error "--batch must be at least 1";
-  if fault_rate < 0.0 || fault_rate > 1.0 || Float.is_nan fault_rate then
-    usage_error "--fault-rate must be within [0,1]";
-  if retry_max < 0 then usage_error "--retry-max must be non-negative";
-  if bitflip_rate < 0.0 || bitflip_rate > 1.0 || Float.is_nan bitflip_rate then
-    usage_error "--bitflip-rate must be within [0,1]";
-  if verify_sample < 1 then usage_error "--verify-sample must be at least 1"
-
-let run_service ~arch ~requests ~seed ~batch ~cache_file ~fault_rate ~fault_seed
-    ~retry_max ~bitflip_rate ~verify_sample ~no_verify ~(obs : Obs_cli.t)
-    ~(overload : Overload_cli.t) ~(fleet : Fleet_cli.t) =
-  validate_service_flags ~requests ~batch ~fault_rate ~retry_max ~bitflip_rate
-    ~verify_sample;
-  let plan = Tangram.plan (Tangram.create ()) in
-  (* a corrupt or truncated cache file is a warning, not a crash: the
-     service starts cold and overwrites it on save *)
-  let cache =
-    match cache_file with
-    | Some path when Sys.file_exists path -> (
-        match Tangram.Service.load_cache path with
-        | Ok c ->
-            Printf.printf "loaded %d cached plans from %s\n"
-              (Tangram.Plan_cache.length c) path;
-            Some c
-        | Error e ->
-            Tangram.Obs.Log.warn
-              ~fields:[ ("path", path) ]
-              "%s; starting with a cold cache"
-              (Tangram.Service.error_message e);
-            None)
-    | _ -> None
-  in
-  let fault =
-    if fault_rate > 0.0 || bitflip_rate > 0.0 then
-      Some
-        (Tangram.Fault.create
-           (Tangram.Fault.plan ~rate:fault_rate ~bitflip_rate ~seed:fault_seed
-              ()))
-    else None
-  in
-  let resilience =
-    { Tangram.Service.default_resilience with r_retry_max = retry_max }
-  in
-  let guard =
-    Tangram.Guard.config ~enabled:(not no_verify) ~sample:verify_sample ()
-  in
-  let svc = Tangram.Service.create ?cache ?fault ~resilience ~guard plan in
-  if obs.Obs_cli.kernel_counters then Tangram.Service.set_profiling svc true;
-  (* journal tuner verdicts between saves so a crash loses no tuning *)
-  (match cache_file with
-  | Some path ->
-      Tangram.Plan_cache.attach_journal (Tangram.Service.cache svc) path
-  | None -> ());
-  if fault_rate > 0.0 then
-    Printf.printf "fault injection armed: rate %.3f, seed %d, retry-max %d\n"
-      fault_rate fault_seed retry_max;
-  if bitflip_rate > 0.0 then
-    Printf.printf "bit-flip injection armed: rate %g, seed %d, verification %s\n"
-      bitflip_rate fault_seed
-      (if no_verify then "OFF" else "on");
-  ignore (Fleet_cli.attach ~exe:"reduce-explorer" fleet ~arch svc);
-  let spec = Tangram.Trace.default ~requests ~seed ~archs:[ arch ] () in
-  (match overload.Overload_cli.rate_rps with
-  | Some rate_rps ->
-      (* open-loop: timestamped Poisson arrivals through the admission
-         queue, deadline budgets and (optionally) the brownout ladder *)
-      Printf.printf "replaying %d mixed-size requests open-loop on %s...\n"
-        requests arch.Tangram.Arch.name;
-      ignore
-        (Overload_cli.run_open_loop ~exe:"reduce-explorer" overload ~rate_rps
-           ~dense_upto:4096 svc spec)
-  | None ->
-      let trace = Tangram.Trace.generate spec in
-      Printf.printf "replaying %d mixed-size requests on %s (batch %d)...\n"
-        requests arch.Tangram.Arch.name batch;
-      (* sizes <= 4096 replay as dense inputs: they run exact, so the SDC
-         guard witness-checks them *)
-      let summary =
-        Tangram.Trace.replay ~batch_size:batch ~dense_upto:4096 svc trace
-      in
-      Format.printf "%a@.@." Tangram.Trace.pp_summary summary);
-  print_string (Obs_cli.render_report obs (Tangram.Service.stats svc));
-  Obs_cli.save_trace obs;
-  Obs_cli.write_metrics obs (Tangram.Service.stats svc);
-  match cache_file with
-  | Some path ->
-      Tangram.Plan_cache.save (Tangram.Service.cache svc) path;
-      Printf.printf "\nsaved %d cached plans to %s\n"
-        (Tangram.Plan_cache.length (Tangram.Service.cache svc))
-        path
-  | None -> ()
-
-let run arch_name n version all baselines events tune program_file service
-    requests seed batch cache_file fault_rate fault_seed retry_max bitflip_rate
-    verify_sample no_verify obs overload fleet =
-  Obs_cli.setup ~exe:"reduce-explorer" obs;
+let run arch_name n version all baselines events tune program_file =
   let arch = lookup_arch arch_name in
-  if service then (
-    run_service ~arch ~requests ~seed ~batch ~cache_file ~fault_rate ~fault_seed
-      ~retry_max ~bitflip_rate ~verify_sample ~no_verify ~obs ~overload ~fleet;
-    exit 0);
   let ctx = Tangram.create () in
   let plan = Tangram.plan ctx in
   let opts = opts_for n and input = input_for n in
@@ -343,9 +176,6 @@ let () =
   let term =
     Term.(
       const run $ arch_arg $ n_arg $ version_arg $ all_arg $ baselines_arg
-      $ events_arg $ tune_arg $ program_arg $ service_arg $ requests_arg
-      $ seed_arg $ batch_arg $ cache_file_arg $ fault_rate_arg $ fault_seed_arg
-      $ retry_max_arg $ bitflip_rate_arg $ verify_sample_arg $ no_verify_arg
-      $ Obs_cli.term $ Overload_cli.term $ Fleet_cli.term)
+      $ events_arg $ tune_arg $ program_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

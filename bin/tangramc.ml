@@ -710,51 +710,51 @@ let monitor_cmd =
         let now = Tangram.Service.monitor_now_us svc in
         Printf.printf "\nvirtual clock: %.0f us over %d requests\n" now requests;
         (* --- windowed time series --- *)
-        (match Tangram.Service.monitor_metrics svc with
-        | None -> ()
-        | Some reg ->
-            let all = Tangram.Obs.Metrics.windows reg in
-            let total = List.length all in
-            let ws =
-              (* keep the trailing [windows_n] windows *)
-              let rec drop k l =
-                if k <= 0 then l
-                else match l with [] -> [] | _ :: r -> drop (k - 1) r
-              in
-              drop (total - windows_n) all
-            in
-            Printf.printf "\n=== windowed series (last %d of %d windows) ===\n"
-              (List.length ws) total;
+        let all =
+          Tangram.Obs.Metrics.windows
+            (Tangram.Stats.metrics (Tangram.Service.stats svc))
+        in
+        let total = List.length all in
+        let ws =
+          (* keep the trailing [windows_n] windows *)
+          let rec drop k l =
+            if k <= 0 then l
+            else match l with [] -> [] | _ :: r -> drop (k - 1) r
+          in
+          drop (total - windows_n) all
+        in
+        Printf.printf "\n=== windowed series (last %d of %d windows) ===\n"
+          (List.length ws) total;
+        List.iter
+          (fun (w : Tangram.Obs.Metrics.window) ->
+            Printf.printf "window [%.0f .. %.0f] us\n"
+              w.Tangram.Obs.Metrics.w_from_us w.Tangram.Obs.Metrics.w_to_us;
             List.iter
-              (fun (w : Tangram.Obs.Metrics.window) ->
-                Printf.printf "window [%.0f .. %.0f] us\n"
-                  w.Tangram.Obs.Metrics.w_from_us w.Tangram.Obs.Metrics.w_to_us;
-                List.iter
-                  (fun (r : Tangram.Obs.Metrics.window_row) ->
-                    let name =
-                      r.wr_name
-                      ^
-                      match r.wr_labels with
-                      | [] -> ""
-                      | ls ->
-                          "{"
-                          ^ String.concat ","
-                              (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-                          ^ "}"
-                    in
-                    match r.wr_kind with
-                    | Tangram.Obs.Metrics.Histogram ->
-                        if r.wr_value > 0.0 then
-                          Printf.printf
-                            "  %-48s %9.0f samples   p50 %10.1f   p95 %10.1f\n"
-                            name r.wr_value r.wr_p50 r.wr_p95
-                    | Tangram.Obs.Metrics.Counter ->
-                        if r.wr_value > 0.0 then
-                          Printf.printf "  %-48s %9.0f\n" name r.wr_value
-                    | Tangram.Obs.Metrics.Gauge ->
-                        Printf.printf "  %-48s %9.1f\n" name r.wr_value)
-                  w.Tangram.Obs.Metrics.w_rows)
-              ws);
+              (fun (r : Tangram.Obs.Metrics.window_row) ->
+                let name =
+                  r.wr_name
+                  ^
+                  match r.wr_labels with
+                  | [] -> ""
+                  | ls ->
+                      "{"
+                      ^ String.concat ","
+                          (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
+                      ^ "}"
+                in
+                match r.wr_kind with
+                | Tangram.Obs.Metrics.Histogram ->
+                    if r.wr_value > 0.0 then
+                      Printf.printf
+                        "  %-48s %9.0f samples   p50 %10.1f   p95 %10.1f\n"
+                        name r.wr_value r.wr_p50 r.wr_p95
+                | Tangram.Obs.Metrics.Counter ->
+                    if r.wr_value > 0.0 then
+                      Printf.printf "  %-48s %9.0f\n" name r.wr_value
+                | Tangram.Obs.Metrics.Gauge ->
+                    Printf.printf "  %-48s %9.1f\n" name r.wr_value)
+              w.Tangram.Obs.Metrics.w_rows)
+          ws;
         (* --- SLO states --- *)
         let burn v =
           if Float.is_finite v then Printf.sprintf "%8.2f" v else "     inf"
@@ -795,10 +795,7 @@ let monitor_cmd =
         print_newline ();
         print_string (Obs_cli.render_report obs (Tangram.Service.stats svc));
         Obs_cli.save_trace obs;
-        Obs_cli.write_metrics
-          ?metrics:(Tangram.Service.monitor_metrics svc)
-          obs
-          (Tangram.Service.stats svc))
+        Obs_cli.write_metrics obs (Tangram.Service.stats svc))
   in
   Cmd.v
     (Cmd.info "monitor"

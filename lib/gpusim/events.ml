@@ -269,6 +269,30 @@ let totals_fields (t : totals) : (string * float) list =
     ("max_heat", t.t_max_heat);
   ]
 
+(* The inverse of [totals_fields], reading each field by its name. *)
+let totals_of_fields (field : string -> float) : totals =
+  {
+    t_launches = int_of_float (field "launches");
+    t_warp_insts = field "warp_insts";
+    t_alu_insts = field "alu_insts";
+    t_gld_warp_ops = field "gld_warp_ops";
+    t_gld_trans = field "gld_trans";
+    t_gst_trans = field "gst_trans";
+    t_bytes_dram = field "bytes_dram";
+    t_shared_ops = field "shared_ops";
+    t_shared_serial = field "shared_serial";
+    t_shfl_insts = field "shfl_insts";
+    t_syncs = field "syncs";
+    t_branches = field "branches";
+    t_divergent_branches = field "divergent_branches";
+    t_atomic_global_ops = field "atomic_global_ops";
+    t_atomic_global_trans = field "atomic_global_trans";
+    t_atomic_shared_ops = field "atomic_shared_ops";
+    t_atomic_shared_serial = field "atomic_shared_serial";
+    t_vec_load_ops = field "vec_load_ops";
+    t_max_heat = field "max_heat";
+  }
+
 let pp fmt (t : t) =
   Format.fprintf fmt
     "@[<v>warp insts     %.0f@,alu            %.0f@,gld ops/trans  %.0f / %.0f@,\

@@ -100,3 +100,7 @@ val totals_of_list : t list -> totals
 (** The canonical (name, value) view in stable order — the single source
     of counter field names for every machine-readable artifact. *)
 val totals_fields : totals -> (string * float) list
+
+(** The inverse of {!totals_fields}: rebuild totals from a reader of
+    each named field. *)
+val totals_of_fields : (string -> float) -> totals

@@ -1,8 +1,8 @@
 (* Windowed time-series instruments on the virtual clock.
 
-   A registry owns a flat list of instruments — counters, gauges and
-   HDR-style log-bucketed histograms, each keyed by (name, label set) —
-   plus a fixed-capacity ring of snapshots. Recording never touches a
+   A registry owns instruments — counters, gauges and HDR-style
+   log-bucketed histograms, each indexed by (name, label set) — plus a
+   fixed-capacity ring of snapshots. Recording never touches a
    clock: windows exist only because somebody calls [snapshot ~now_us]
    at the virtual times they care about, and [windows] then diffs
    adjacent snapshots into per-window deltas and quantiles. That keeps
@@ -121,6 +121,7 @@ and snapshot = {
 and t = {
   mutable enabled : bool;
   mutable insts : instrument list;  (** newest first *)
+  index : (string * (string * string) list, instrument) Hashtbl.t;
   snaps : snapshot option array;
   mutable snap_head : int;  (** next write position *)
   mutable snap_size : int;
@@ -138,6 +139,7 @@ let create ?(snapshots = default_snapshots) ?(enabled = true) () : t =
   {
     enabled;
     insts = [];
+    index = Hashtbl.create 64;
     snaps = Array.make snapshots None;
     snap_head = 0;
     snap_size = 0;
@@ -148,21 +150,20 @@ let enabled (t : t) : bool = t.enabled
 
 let instruments (t : t) : instrument list = List.rev t.insts
 
+let rec sorted_labels = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a <= b && sorted_labels rest
+  | _ -> true
+
+(* label sets are keyed in name order; callers that already pass them
+   sorted skip the sort, so a lookup costs one hash of (name, labels) *)
+let canonical labels =
+  if sorted_labels labels then labels
+  else List.sort (fun (a, _) (b, _) -> compare a b) labels
+
 let register (t : t) (kind : kind) ~(help : string)
     ~(labels : (string * string) list) (name : string) : instrument =
-  if not (valid_metric_name name) then
-    invalid_arg (Printf.sprintf "Metrics: illegal metric name %S" name);
-  List.iter
-    (fun (k, _) ->
-      if not (valid_label_name k) then
-        invalid_arg (Printf.sprintf "Metrics: illegal label name %S" k))
-    labels;
-  let labels = List.sort (fun (a, _) (b, _) -> compare a b) labels in
-  match
-    List.find_opt
-      (fun i -> i.i_name = name && i.i_labels = labels)
-      t.insts
-  with
+  let labels = canonical labels in
+  match Hashtbl.find_opt t.index (name, labels) with
   | Some i ->
       if i.i_kind <> kind then
         invalid_arg
@@ -170,6 +171,13 @@ let register (t : t) (kind : kind) ~(help : string)
              (kind_name i.i_kind));
       i
   | None ->
+      if not (valid_metric_name name) then
+        invalid_arg (Printf.sprintf "Metrics: illegal metric name %S" name);
+      List.iter
+        (fun (k, _) ->
+          if not (valid_label_name k) then
+            invalid_arg (Printf.sprintf "Metrics: illegal label name %S" k))
+        labels;
       let state =
         match kind with
         | Counter -> Scounter { c = 0.0 }
@@ -185,8 +193,17 @@ let register (t : t) (kind : kind) ~(help : string)
       in
       let i = { i_name = name; i_help = help; i_labels = labels; i_kind = kind;
                 i_state = state; i_reg = t } in
+      Hashtbl.add t.index (name, labels) i;
       t.insts <- i :: t.insts;
       i
+
+let remove (t : t) ?(labels = []) (name : string) : unit =
+  let labels = canonical labels in
+  match Hashtbl.find_opt t.index (name, labels) with
+  | None -> ()
+  | Some i ->
+      Hashtbl.remove t.index (name, labels);
+      t.insts <- List.filter (fun j -> j != i) t.insts
 
 let counter (t : t) ?(help = "") ?(labels = []) (name : string) : counter =
   register t Counter ~help ~labels name
@@ -267,6 +284,20 @@ let quantile (h : histogram) (p : float) : float =
   match h.i_state with
   | Shist s -> quantile_of_buckets ~maxv:s.h_max s.h_buckets s.h_count p
   | _ -> assert false
+
+let family (t : t) (name : string) : ((string * string) list * float) list =
+  List.filter_map
+    (fun i ->
+      if i.i_name <> name then None
+      else
+        Some
+          ( i.i_labels,
+            match i.i_state with
+            | Scounter s -> s.c
+            | Sgauge s -> s.g
+            | Shist s -> float_of_int s.h_count ))
+    t.insts
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and windows                                               *)
@@ -411,7 +442,11 @@ let render_number (v : float) : string =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-let to_prometheus ?(windows : bool = true) (t : t) : string =
+(* instrument values keep 12 significant digits: simulated-backoff sums
+   and health scores are not round numbers *)
+let render_value = Json.number_to_string
+
+let to_prometheus ?windows:(with_windows = true) (t : t) : string =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let insts =
@@ -435,10 +470,10 @@ let to_prometheus ?(windows : bool = true) (t : t) : string =
       match i.i_state with
       | Scounter s ->
           header i.i_name "counter" i.i_help;
-          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_number s.c)
+          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_value s.c)
       | Sgauge s ->
           header i.i_name "gauge" i.i_help;
-          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_number s.g)
+          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_value s.g)
       | Shist s ->
           header i.i_name "histogram" i.i_help;
           (* cumulative buckets; only occupied le bounds are emitted,
@@ -459,17 +494,10 @@ let to_prometheus ?(windows : bool = true) (t : t) : string =
             (render_labels (i.i_labels @ [ ("le", "+Inf") ]))
             s.h_count;
           pr "%s_sum%s %s\n" i.i_name (render_labels i.i_labels)
-            (render_number s.h_sum);
+            (render_value s.h_sum);
           pr "%s_count%s %d\n" i.i_name (render_labels i.i_labels) s.h_count)
     insts;
-  if windows then begin
-    let ws =
-      let rec pairs = function
-        | a :: (b :: _ as rest) -> diff_snaps a b :: pairs rest
-        | _ -> []
-      in
-      pairs (snapshots t)
-    in
+  if with_windows then
     List.iteri
       (fun k (w : window) ->
         List.iter
@@ -495,6 +523,5 @@ let to_prometheus ?(windows : bool = true) (t : t) : string =
                 wl "_p50" r.wr_p50;
                 wl "_p95" r.wr_p95)
           w.w_rows)
-      ws
-  end;
+      (windows t);
   Buffer.contents buf

@@ -36,14 +36,19 @@ val enabled : t -> bool
 
 (** {1 Registration}
 
-    Re-registering the same (name, labels) returns the existing
-    instrument. Metric and label names must satisfy the Prometheus
-    grammar ([[a-zA-Z_:][a-zA-Z0-9_:]*] and [[a-zA-Z_][a-zA-Z0-9_]*]).
+    Instruments are indexed by (name, labels): re-registering the same
+    pair is a hash lookup that returns the existing instrument. Metric
+    and label names must satisfy the Prometheus grammar
+    ([[a-zA-Z_:][a-zA-Z0-9_:]*] and [[a-zA-Z_][a-zA-Z0-9_]*]).
     @raise Invalid_argument on an illegal name or a kind clash. *)
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 val histogram : t -> ?help:string -> ?labels:(string * string) list -> string -> histogram
+
+(** Drop one series (e.g. a gauge whose label set moved); a no-op when
+    it is not registered. *)
+val remove : t -> ?labels:(string * string) list -> string -> unit
 
 (** {1 Recording} *)
 
@@ -68,6 +73,11 @@ val hist_sum : histogram -> float
 (** Nearest-rank percentile ([p] in 0..100) over the bucket counts;
     0 when empty. *)
 val quantile : histogram -> float -> float
+
+(** Every registered series of family [name] as (label set, value),
+    sorted by label set; a histogram's value is its sample count.
+    Reading registers nothing. *)
+val family : t -> string -> ((string * string) list * float) list
 
 (** {1 Snapshots and windows} *)
 

@@ -344,7 +344,6 @@ let replay ?(config = default) ?(dense_upto = 0) (svc : Service.t)
   let shed_one (victim : item) ~(why : string) : unit =
     incr shed;
     Stats.shed_request stats ~interactive:(victim.i_prio = Interactive);
-    Service.monitor_shed svc;
     Obs.Log.warn
       ~fields:
         [
@@ -379,7 +378,6 @@ let replay ?(config = default) ?(dense_upto = 0) (svc : Service.t)
     end
     else begin
       Stats.queue_wait_us stats (start -. it.i_arrival);
-      Service.monitor_queue_wait svc (start -. it.i_arrival);
       let remaining = it.i_deadline_at -. start in
       let deadline_us =
         if config.a_enforce_deadline then Some (Float.max 1.0 remaining)

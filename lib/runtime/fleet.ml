@@ -191,8 +191,8 @@ let set_stats (t : t) (stats : Stats.t) : unit =
      slots included *)
   Array.iter
     (fun d ->
-      Stats.fleet_state stats ~device:(label d) (state_name d.d_state);
-      Stats.fleet_health stats ~device:(label d) d.d_health)
+      Stats.fleet_state stats ~device:(label d) ~health:d.d_health
+        (state_name d.d_state))
     t.all
 
 let set_hedging (t : t) (b : bool) : unit = t.hedging <- b
@@ -223,20 +223,21 @@ let event (t : t) (d : device) ~(code : string) ~(mark : string) fmt =
 
 let set_state (t : t) (d : device) (s : state) : unit =
   d.d_state <- s;
-  st t (fun x -> Stats.fleet_state x ~device:(label d) (state_name s))
+  st t (fun x ->
+      Stats.fleet_state x ~device:(label d) ~health:d.d_health (state_name s))
 
 let promote_spare (t : t) : unit =
   match Array.find_opt (fun d -> d.d_state = Spare) t.all with
   | None -> ()
   | Some sp ->
       set_state t sp Active;
-      st t (fun x -> Stats.fleet_promote x ~device:(label sp));
+      st t Stats.fleet_promote;
       event t sp ~code:"TFLT006" ~mark:"fleet.promote"
         "warm spare %s promoted into the serving pool" (label sp)
 
 let mark_dead (t : t) (d : device) : unit =
   set_state t d Dead;
-  st t (fun x -> Stats.fleet_dead x ~device:(label d));
+  st t Stats.fleet_dead;
   event t d ~code:"TFLT001" ~mark:"fleet.dead"
     "device %s fail-stopped at dispatch %d; marked dead" (label d)
     (d.d_dispatches + 1);
@@ -266,7 +267,7 @@ let drain (t : t) (id : int) : unit =
       | Dead | Draining | Drained -> ()
       | Spare | Active | Ejected ->
           set_state t d (if d.d_inflight = 0 then Drained else Draining);
-          st t (fun x -> Stats.fleet_drain x ~device:(label d));
+          st t Stats.fleet_drain;
           event t d ~code:"TFLT005" ~mark:"fleet.drain"
             "device %s draining: %d in flight, taking no new work" (label d)
             d.d_inflight;
@@ -283,7 +284,6 @@ let activate (t : t) (id : int) : unit =
       | Active | Draining -> ()
       | Spare | Drained | Ejected ->
           d.d_health <- 1.0;
-          st t (fun x -> Stats.fleet_health x ~device:(label d) d.d_health);
           set_state t d Active)
 
 (* ------------------------------------------------------------------ *)
@@ -404,7 +404,9 @@ let observe (t : t) (d : device) ~(ratio : float) : unit =
   let r = Float.max 0.0 (Float.min 2.0 ratio) in
   let a = t.cfg.fl_alpha in
   d.d_health <- ((1.0 -. a) *. d.d_health) +. (a *. r);
-  st t (fun x -> Stats.fleet_health x ~device:(label d) d.d_health);
+  st t (fun x ->
+      Stats.fleet_health x ~device:(label d) ~state:(state_name d.d_state)
+        d.d_health);
   match d.d_state with
   | Active | Draining ->
       if d.d_state = Active && d.d_health < t.cfg.fl_eject_below then eject t d

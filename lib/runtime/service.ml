@@ -99,12 +99,11 @@ type breaker = {
   mutable br_open_until : int;  (* service tick; 0 = closed *)
 }
 
-(* The service monitor: windowed metrics, burn-rate SLOs and the
-   flight recorder, driven by a serialized virtual clock that advances
-   by each request's observed virtual latency. Optional — a service
-   without one behaves (and reports) exactly as before. *)
+(* The service monitor: windows over the stats registry, burn-rate SLOs
+   and the flight recorder, driven by a serialized virtual clock that
+   advances by each request's observed virtual latency. Optional — a
+   service without one behaves (and reports) exactly as before. *)
 type monitor = {
-  m_metrics : Obs.Metrics.t;
   m_recorder : Recorder.t;
   m_latency_slo : Obs.Slo.t;
   m_sdc_slo : Obs.Slo.t;
@@ -121,19 +120,15 @@ type monitor = {
       (* corruption verdicts land mid-request, before the recorder notes
          it; deferred so the bundle's trigger request is the right one *)
   mutable m_pending_eject : string list;  (* same deferral for ejections *)
+  (* what the stats lack: outcomes, virtual latency by class, and the
+     brownout, queue-depth and fleet-active gauges *)
   m_req_ok : Obs.Metrics.counter;
   m_req_err : Obs.Metrics.counter;
   m_lat_interactive : Obs.Metrics.histogram;
   m_lat_batch : Obs.Metrics.histogram;
-  m_sdc_checks : Obs.Metrics.counter;
-  m_sdc_caught : Obs.Metrics.counter;
-  m_alerts : Obs.Metrics.counter;
-  m_incidents : Obs.Metrics.counter;
   m_brownout_g : Obs.Metrics.gauge;
   m_queue_depth : Obs.Metrics.gauge;
   m_fleet_healthy : Obs.Metrics.gauge;
-  m_queue_wait : Obs.Metrics.histogram;
-  m_sheds : Obs.Metrics.counter;
 }
 
 type t = {
@@ -722,7 +717,6 @@ let verify_and_serve ?(budget : budget option) (t : t) (req : request)
     @@ fun () ->
     let t0 = now_us () in
     Stats.sdc_check t.stats;
-    mon t (fun m -> Obs.Metrics.inc m.m_sdc_checks);
     (* brownout level 3 sheds witness sampling density: the check still
        runs, but at the cheapest sample count *)
     let sample =
@@ -765,9 +759,7 @@ let verify_and_serve ?(budget : budget option) (t : t) (req : request)
       let confirm_sdc (r : Plan_cache.rung) =
         let vname = V.name r.Plan_cache.r_version in
         Stats.sdc_catch t.stats;
-        mon t (fun m ->
-            Obs.Metrics.inc m.m_sdc_caught;
-            m.m_pending_sdc <- m.m_pending_sdc + 1);
+        mon t (fun m -> m.m_pending_sdc <- m.m_pending_sdc + 1);
         Stats.fault t.stats ~version:vname;
         Obs.Log.info
           ~fields:[ ("arch", arch); ("version", vname) ]
@@ -1184,10 +1176,9 @@ let submit_fleet ?(budget : budget option) (t : t) (fl : Fleet.t)
 let attach_monitor ?(latency_mult = 3.0) ?(interactive_max = 65536)
     ?(snapshot_every = 32) ?(capacity = 128) ?(latency_target = 0.97)
     ?(goodput_target = 0.95) (t : t) : unit =
-  let reg = Obs.Metrics.create () in
+  let reg = Stats.metrics t.stats in
   let m =
     {
-      m_metrics = reg;
       m_recorder = Recorder.create ~capacity ();
       m_latency_slo =
         Obs.Slo.create
@@ -1229,19 +1220,6 @@ let attach_monitor ?(latency_mult = 3.0) ?(interactive_max = 65536)
         Obs.Metrics.histogram reg
           ~labels:[ ("class", "batch") ]
           "tangram_monitor_latency_us";
-      m_sdc_checks =
-        Obs.Metrics.counter reg ~help:"witness checks run"
-          "tangram_monitor_sdc_checks_total";
-      m_sdc_caught =
-        Obs.Metrics.counter reg ~help:"silent corruptions confirmed"
-          "tangram_monitor_sdc_caught_total";
-      m_alerts =
-        Obs.Metrics.counter reg ~help:"SLO burn-rate alerts fired"
-          "tangram_monitor_alerts_total";
-      m_incidents =
-        Obs.Metrics.counter reg
-          ~help:"flight-recorder incident bundles dumped"
-          "tangram_monitor_incidents_total";
       m_brownout_g =
         Obs.Metrics.gauge reg ~help:"active brownout level"
           "tangram_monitor_brownout_level";
@@ -1251,12 +1229,6 @@ let attach_monitor ?(latency_mult = 3.0) ?(interactive_max = 65536)
       m_fleet_healthy =
         Obs.Metrics.gauge reg ~help:"devices actively serving"
           "tangram_monitor_fleet_active";
-      m_queue_wait =
-        Obs.Metrics.histogram reg ~help:"virtual queue wait"
-          "tangram_monitor_queue_wait_us";
-      m_sheds =
-        Obs.Metrics.counter reg ~help:"requests shed at admission"
-          "tangram_monitor_shed_total";
     }
   in
   t.monitor <- Some m;
@@ -1324,13 +1296,13 @@ let window_json (w : Obs.Metrics.window) : Obs.Json.t =
     ]
 
 let dump_incident (t : t) (m : monitor) (trigger : Recorder.trigger) : unit =
-  Obs.Metrics.inc m.m_incidents;
   Stats.incident t.stats ~kind:(Recorder.trigger_kind trigger);
   (* freeze a window boundary so the bundle's metrics run up to the
      trigger *)
-  Obs.Metrics.snapshot m.m_metrics ~now_us:m.m_now_us;
+  let reg = Stats.metrics t.stats in
+  Obs.Metrics.snapshot reg ~now_us:m.m_now_us;
   let metrics =
-    match List.rev (Obs.Metrics.windows m.m_metrics) with
+    match List.rev (Obs.Metrics.windows reg) with
     | w :: _ -> window_json w
     | [] -> Obs.Json.Null
   in
@@ -1435,7 +1407,6 @@ let monitor_note (t : t) (req : request) (result : (response, error) result) :
         (fun (name, slo) ->
           match Obs.Slo.evaluate slo ~now_us:m.m_now_us with
           | Some (Obs.Slo.Fired burn) ->
-              Obs.Metrics.inc m.m_alerts;
               Stats.alert t.stats ~slo:name;
               Obs.Trace.mark ~attrs:[ ("slo", name) ] "slo.fired";
               Obs.Log.warn
@@ -1460,10 +1431,7 @@ let monitor_note (t : t) (req : request) (result : (response, error) result) :
         (List.rev m.m_pending_eject);
       m.m_pending_eject <- [];
       if m.m_requests mod m.m_snapshot_every = 0 then
-        Obs.Metrics.snapshot m.m_metrics ~now_us:m.m_now_us
-
-let monitor_metrics (t : t) : Obs.Metrics.t option =
-  Option.map (fun m -> m.m_metrics) t.monitor
+        Obs.Metrics.snapshot (Stats.metrics t.stats) ~now_us:m.m_now_us
 
 let monitor_recorder (t : t) : Recorder.t option =
   Option.map (fun m -> m.m_recorder) t.monitor
@@ -1475,17 +1443,13 @@ let monitor_now_us (t : t) : float =
   match t.monitor with Some m -> m.m_now_us | None -> 0.0
 
 let monitor_snapshot (t : t) : unit =
-  mon t (fun m -> Obs.Metrics.snapshot m.m_metrics ~now_us:m.m_now_us)
+  mon t (fun m ->
+      Obs.Metrics.snapshot (Stats.metrics t.stats) ~now_us:m.m_now_us)
 
-(* admission feeds: the queue lives above the service, but the monitor
-   owns the instruments *)
+(* the admission queue lives above the service; the monitor owns its
+   depth gauge *)
 let monitor_queue_depth (t : t) (depth : int) : unit =
   mon t (fun m -> Obs.Metrics.set m.m_queue_depth (float_of_int depth))
-
-let monitor_queue_wait (t : t) (us : float) : unit =
-  mon t (fun m -> Obs.Metrics.observe m.m_queue_wait us)
-
-let monitor_shed (t : t) : unit = mon t (fun m -> Obs.Metrics.inc m.m_sheds)
 
 (* reduce of nothing is the combining operation's identity, served off the
    host without touching the simulator *)

@@ -186,10 +186,12 @@ val detach_fleet : t -> unit
 
     An attached monitor drives three layers off a serialized virtual
     clock (advanced by each request's observed virtual latency):
-    windowed {!Obs.Metrics} instruments, multi-window burn-rate SLOs
-    ({!Obs.Slo}) and the black-box {!Recorder}. When an SLO alert
-    fires, a corruption is confirmed or a device is ejected, the
-    recorder freezes the last requests plus the SLO/fleet/metric
+    windows over the service's one {!Stats.metrics} registry, to which
+    it adds request outcomes, virtual latency by class and the
+    brownout, queue-depth and fleet-active gauges; multi-window
+    burn-rate SLOs ({!Obs.Slo}); and the black-box {!Recorder}. When an
+    SLO alert fires, a corruption is confirmed or a device is ejected,
+    the recorder freezes the last requests plus the SLO/fleet/metric
     context into a self-contained incident bundle. A service without a
     monitor behaves — and reports — exactly as before. *)
 
@@ -214,10 +216,6 @@ val attach_monitor :
 val detach_monitor : t -> unit
 val monitor_attached : t -> bool
 
-(** The monitor's metrics registry, e.g. for
-    [Stats.to_prometheus ?metrics]. *)
-val monitor_metrics : t -> Obs.Metrics.t option
-
 val monitor_recorder : t -> Recorder.t option
 
 (** The monitor's SLOs as (name, state) rows — empty without a
@@ -231,12 +229,9 @@ val monitor_now_us : t -> float
     replay drivers call this once at the end of a run). *)
 val monitor_snapshot : t -> unit
 
-(** {2 Admission feeds} — the queue lives above the service, but the
-    monitor owns the instruments; no-ops without a monitor. *)
-
+(** Admission feed: the queue lives above the service, but the monitor
+    owns its depth gauge; a no-op without a monitor. *)
 val monitor_queue_depth : t -> int -> unit
-val monitor_queue_wait : t -> float -> unit
-val monitor_shed : t -> unit
 
 (** The deepest brownout ladder step (4: host path only). *)
 val max_brownout : int

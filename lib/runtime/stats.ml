@@ -1,6 +1,18 @@
 (* Service metrics: cache hit/miss counts per bucket, plan/tune/run
-   latency distributions (p50/p95/max over growable sample buffers),
-   eviction and batching counters, and a winning-version histogram. *)
+   latency histograms, eviction and batching counters, a
+   winning-version histogram, and the fault, SDC, overload, fleet,
+   monitoring and kernel-profile series.
+
+   One always-on [Obs.Metrics] registry is the only store: every
+   recorder updates an instrument in it, and the text report, its JSON
+   twin and the Prometheus exposition all read it back. Labelled series
+   (per bucket, version, device, kernel) register on their first event,
+   and so do the families of the gated fleet and monitoring sections,
+   so a service that never fires them exposes and reports exactly what
+   it always did. *)
+
+module M = Obs.Metrics
+module J = Obs.Json
 
 type series = {
   count : int;
@@ -10,504 +22,404 @@ type series = {
   max : float;
 }
 
-(* growable sample buffer; percentiles are computed at report time *)
-type samples = { mutable data : float array; mutable len : int }
-
-let samples_create () = { data = Array.make 64 0.0; len = 0 }
-
-let sample (s : samples) (x : float) : unit =
-  if s.len = Array.length s.data then begin
-    let bigger = Array.make (2 * s.len) 0.0 in
-    Array.blit s.data 0 bigger 0 s.len;
-    s.data <- bigger
-  end;
-  s.data.(s.len) <- x;
-  s.len <- s.len + 1
-
-let percentile (sorted : float array) (p : float) : float =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) idx))
-
-let summarize (s : samples) : series =
-  if s.len = 0 then { count = 0; mean = 0.0; p50 = 0.0; p95 = 0.0; max = 0.0 }
-  else begin
-    let sorted = Array.sub s.data 0 s.len in
-    Array.sort compare sorted;
-    let total = Array.fold_left ( +. ) 0.0 sorted in
-    {
-      count = s.len;
-      mean = total /. float_of_int s.len;
-      p50 = percentile sorted 0.50;
-      p95 = percentile sorted 0.95;
-      max = sorted.(s.len - 1);
-    }
-  end
-
-type counters = { mutable c_hits : int; mutable c_misses : int }
-
-(* per-(arch, version) kernel-counter aggregation: one cell per pair,
-   populated only when the service has profiling on *)
-type kernel_cell = {
-  mutable k_requests : int;
-  mutable k_totals : Gpusim.Events.totals;
-}
-
-(* per-device fleet cell: populated only when a fleet is attached, so
-   the fleet report section stays absent on single-device services *)
-type fleet_cell = {
-  mutable f_dispatches : int;
-  mutable f_hedge_wins : int;
-  mutable f_ejects : int;
-  mutable f_readmits : int;
-  mutable f_health : float;  (* last reported health score *)
-  mutable f_state : string;  (* last reported lifecycle state *)
-}
-
-type fleet_row = {
-  fd_dispatches : int;
-  fd_hedge_wins : int;
-  fd_ejects : int;
-  fd_readmits : int;
-  fd_health : float;
-  fd_state : string;
-}
-
 type t = {
-  buckets : (string, counters) Hashtbl.t;
-  winners : (string, int) Hashtbl.t;
-  version_faults : (string, int) Hashtbl.t;
-  kernels : (string * string, kernel_cell) Hashtbl.t;
-  brownout_shed_work : (string, int) Hashtbl.t;
-  plan : samples;
-  tune : samples;
-  run : samples;
-  verify : samples;
-  queue_wait : samples;
-  mutable total_hits : int;
-  mutable total_misses : int;
-  mutable total_evictions : int;
-  mutable total_batches : int;
-  mutable total_coalesced : int;
-  mutable total_retries : int;
-  mutable total_faults : int;
-  mutable total_quarantines : int;
-  mutable total_fallbacks : int;
-  mutable total_degraded : int;
-  mutable total_bad_requests : int;
-  mutable backoff_total_us : float;
-  mutable total_sdc_checks : int;
-  mutable total_sdc_catches : int;
-  mutable total_sdc_false_alarms : int;
-  mutable total_sdc_reexecs : int;
-  (* overload-resilience counters: all stay zero unless the admission
-     layer or a deadline budget actually fires, keeping the quiet-path
-     report byte-identical *)
-  mutable total_admitted_interactive : int;
-  mutable total_admitted_batch : int;
-  mutable total_shed_interactive : int;
-  mutable total_shed_batch : int;
-  mutable total_deadline_expiries : int;
-  mutable total_deadline_witness_serves : int;
-  mutable total_brownout_transitions : int;
-  mutable brownout_max : int;
-  (* fleet counters: all stay zero (and the device table empty) unless a
-     fleet is attached, keeping the fleet-less report byte-identical *)
-  fleet_devices : (string, fleet_cell) Hashtbl.t;
-  mutable total_fleet_dispatches : int;
-  mutable total_fleet_reroutes : int;
-  mutable total_fleet_hedges_fired : int;
-  mutable total_fleet_hedges_won : int;
-  mutable total_fleet_ejects : int;
-  mutable total_fleet_readmits : int;
-  mutable total_fleet_deaths : int;
-  mutable total_fleet_drains : int;
-  mutable total_fleet_promotions : int;
-  (* monitoring counters: all stay zero unless an SLO alert fires or
-     the flight recorder dumps an incident, keeping the quiet-path
-     report byte-identical *)
-  mutable total_alerts : int;
-  alerts_by_slo : (string, int) Hashtbl.t;
-  mutable total_incidents : int;
-  incidents_by_kind : (string, int) Hashtbl.t;
+  reg : M.t;
+  fleet : unit Lazy.t;
+      (* registers the fleet section's families; forced by any fleet
+         event *)
+  monitoring : unit Lazy.t;  (* the same for the first alert or incident *)
 }
 
 let create () : t =
+  let reg = M.create () in
+  let counters =
+    List.iter (fun (name, labels) -> ignore (M.counter reg ~labels name))
+  in
+  let plain = List.map (fun name -> (name, [])) in
+  let per_class name =
+    [ (name, [ ("class", "interactive") ]); (name, [ ("class", "batch") ]) ]
+  in
+  counters
+    (plain
+       [
+         "tangram_cache_hits_total"; "tangram_cache_misses_total";
+         "tangram_cache_evictions_total"; "tangram_batches_total";
+         "tangram_coalesced_requests_total"; "tangram_retries_total";
+         "tangram_faults_total"; "tangram_quarantines_total";
+         "tangram_fallback_serves_total"; "tangram_degraded_serves_total";
+         "tangram_bad_requests_total"; "tangram_backoff_simulated_us_total";
+         "tangram_sdc_checks_total"; "tangram_sdc_catches_total";
+         "tangram_sdc_reexecs_total"; "tangram_sdc_false_alarms_total";
+         "tangram_deadline_expiries_total";
+         "tangram_deadline_witness_serves_total";
+         "tangram_brownout_transitions_total";
+       ]
+    @ per_class "tangram_admitted_total"
+    @ per_class "tangram_shed_total");
+  ignore (M.gauge reg "tangram_brownout_max_level");
+  List.iter
+    (fun stage ->
+      ignore
+        (M.histogram reg ~labels:[ ("stage", stage) ] "tangram_latency_us"))
+    [ "plan"; "tune"; "run"; "verify"; "queue_wait" ];
+  let section families = lazy (counters families) in
   {
-    buckets = Hashtbl.create 32;
-    winners = Hashtbl.create 32;
-    version_faults = Hashtbl.create 32;
-    kernels = Hashtbl.create 32;
-    brownout_shed_work = Hashtbl.create 8;
-    plan = samples_create ();
-    tune = samples_create ();
-    run = samples_create ();
-    verify = samples_create ();
-    queue_wait = samples_create ();
-    total_hits = 0;
-    total_misses = 0;
-    total_evictions = 0;
-    total_batches = 0;
-    total_coalesced = 0;
-    total_retries = 0;
-    total_faults = 0;
-    total_quarantines = 0;
-    total_fallbacks = 0;
-    total_degraded = 0;
-    total_bad_requests = 0;
-    backoff_total_us = 0.0;
-    total_sdc_checks = 0;
-    total_sdc_catches = 0;
-    total_sdc_false_alarms = 0;
-    total_sdc_reexecs = 0;
-    total_admitted_interactive = 0;
-    total_admitted_batch = 0;
-    total_shed_interactive = 0;
-    total_shed_batch = 0;
-    total_deadline_expiries = 0;
-    total_deadline_witness_serves = 0;
-    total_brownout_transitions = 0;
-    brownout_max = 0;
-    fleet_devices = Hashtbl.create 8;
-    total_fleet_dispatches = 0;
-    total_fleet_reroutes = 0;
-    total_fleet_hedges_fired = 0;
-    total_fleet_hedges_won = 0;
-    total_fleet_ejects = 0;
-    total_fleet_readmits = 0;
-    total_fleet_deaths = 0;
-    total_fleet_drains = 0;
-    total_fleet_promotions = 0;
-    total_alerts = 0;
-    alerts_by_slo = Hashtbl.create 4;
-    total_incidents = 0;
-    incidents_by_kind = Hashtbl.create 4;
+    reg;
+    fleet =
+      section
+        (plain
+           [
+             "tangram_fleet_dispatches_total";
+             "tangram_fleet_reroutes_total";
+             "tangram_fleet_ejections_total";
+             "tangram_fleet_readmissions_total";
+             "tangram_fleet_dead_total";
+             "tangram_fleet_drains_total";
+             "tangram_fleet_promotions_total";
+           ]
+        @ [
+            ("tangram_fleet_hedges_total", [ ("outcome", "fired") ]);
+            ("tangram_fleet_hedges_total", [ ("outcome", "won") ]);
+          ]);
+    monitoring =
+      section (plain [ "tangram_slo_alerts_total"; "tangram_incidents_total" ]);
   }
 
-let counters_for (t : t) (bucket : string) : counters =
-  match Hashtbl.find_opt t.buckets bucket with
-  | Some c -> c
-  | None ->
-      let c = { c_hits = 0; c_misses = 0 } in
-      Hashtbl.add t.buckets bucket c;
-      c
+let metrics (t : t) : M.t = t.reg
 
-let hit (t : t) ~bucket =
-  let c = counters_for t bucket in
-  c.c_hits <- c.c_hits + 1;
-  t.total_hits <- t.total_hits + 1
+let inc ?labels ?by (t : t) (name : string) : unit =
+  M.inc ?by (M.counter t.reg ?labels name)
 
-let miss (t : t) ~bucket =
-  let c = counters_for t bucket in
-  c.c_misses <- c.c_misses + 1;
-  t.total_misses <- t.total_misses + 1
+(* readers register nothing: a series that never fired reads 0 *)
+let read ?(labels = []) (t : t) (name : string) : float =
+  Option.value ~default:0.0 (List.assoc_opt labels (M.family t.reg name))
 
-let eviction (t : t) = t.total_evictions <- t.total_evictions + 1
+let value ?labels t name = int_of_float (read ?labels t name)
 
-let winner (t : t) (version : string) : unit =
-  Hashtbl.replace t.winners version
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.winners version))
+(* (label value, count) rows of a family's one-label series, sorted by
+   the label value *)
+let rows (t : t) (name : string) : (string * int) list =
+  List.filter_map
+    (function [ (_, l) ], v -> Some (l, int_of_float v) | _ -> None)
+    (M.family t.reg name)
 
-let plan_us (t : t) (x : float) = sample t.plan x
-let tune_us (t : t) (x : float) = sample t.tune x
-let run_us (t : t) (x : float) = sample t.run x
+let most_first rows =
+  List.sort (fun (va, a) (vb, b) -> compare (b, va) (a, vb)) rows
 
-let batch (t : t) ~size:_ ~coalesced =
-  t.total_batches <- t.total_batches + 1;
-  t.total_coalesced <- t.total_coalesced + coalesced
+let latency (t : t) (stage : string) : M.histogram =
+  M.histogram t.reg ~labels:[ ("stage", stage) ] "tangram_latency_us"
 
-let retry (t : t) = t.total_retries <- t.total_retries + 1
+let cls interactive =
+  [ ("class", if interactive then "interactive" else "batch") ]
 
-let fault (t : t) ~(version : string) : unit =
-  t.total_faults <- t.total_faults + 1;
-  Hashtbl.replace t.version_faults version
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.version_faults version))
+let dev device = [ ("device", device) ]
 
-let quarantine (t : t) = t.total_quarantines <- t.total_quarantines + 1
-let fallback (t : t) = t.total_fallbacks <- t.total_fallbacks + 1
-let degrade (t : t) = t.total_degraded <- t.total_degraded + 1
-let bad_request (t : t) = t.total_bad_requests <- t.total_bad_requests + 1
-let backoff_us (t : t) (x : float) = t.backoff_total_us <- t.backoff_total_us +. x
-let sdc_check (t : t) = t.total_sdc_checks <- t.total_sdc_checks + 1
-let sdc_catch (t : t) = t.total_sdc_catches <- t.total_sdc_catches + 1
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let sdc_false_alarm (t : t) =
-  t.total_sdc_false_alarms <- t.total_sdc_false_alarms + 1
+(* a bucket's hit and miss series appear together: they are one report
+   row *)
+let lookup (t : t) ~(bucket : string) ~(hit : bool) : unit =
+  let series result =
+    M.counter t.reg
+      ~labels:[ ("bucket", bucket); ("result", result) ]
+      "tangram_bucket_lookups_total"
+  in
+  let h = series "hit" and m = series "miss" in
+  M.inc (if hit then h else m)
 
-let sdc_reexec (t : t) = t.total_sdc_reexecs <- t.total_sdc_reexecs + 1
-let verify_us (t : t) (x : float) = sample t.verify x
+let hit t ~bucket =
+  inc t "tangram_cache_hits_total";
+  lookup t ~bucket ~hit:true
 
-let admit (t : t) ~(interactive : bool) : unit =
-  if interactive then
-    t.total_admitted_interactive <- t.total_admitted_interactive + 1
-  else t.total_admitted_batch <- t.total_admitted_batch + 1
+let miss t ~bucket =
+  inc t "tangram_cache_misses_total";
+  lookup t ~bucket ~hit:false
 
-let shed_request (t : t) ~(interactive : bool) : unit =
-  if interactive then t.total_shed_interactive <- t.total_shed_interactive + 1
-  else t.total_shed_batch <- t.total_shed_batch + 1
+let eviction t = inc t "tangram_cache_evictions_total"
 
-let deadline_expire (t : t) =
-  t.total_deadline_expiries <- t.total_deadline_expiries + 1
+let winner t version =
+  inc t ~labels:[ ("version", version) ] "tangram_requests_served_total"
 
-let deadline_witness_serve (t : t) =
-  t.total_deadline_witness_serves <- t.total_deadline_witness_serves + 1
+let plan_us t x = M.observe (latency t "plan") x
+let tune_us t x = M.observe (latency t "tune") x
+let run_us t x = M.observe (latency t "run") x
 
-let brownout_transition (t : t) ~(level : int) : unit =
-  t.total_brownout_transitions <- t.total_brownout_transitions + 1;
-  if level > t.brownout_max then t.brownout_max <- level
+let batch t ~size:_ ~coalesced =
+  inc t "tangram_batches_total";
+  inc t ~by:(float_of_int coalesced) "tangram_coalesced_requests_total"
 
-let brownout_shed (t : t) ~(what : string) : unit =
-  Hashtbl.replace t.brownout_shed_work what
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.brownout_shed_work what))
+let retry t = inc t "tangram_retries_total"
 
-let queue_wait_us (t : t) (x : float) = sample t.queue_wait x
+let fault t ~version =
+  inc t "tangram_faults_total";
+  inc t ~labels:[ ("version", version) ] "tangram_version_faults_total"
 
-let fleet_cell_for (t : t) (device : string) : fleet_cell =
-  match Hashtbl.find_opt t.fleet_devices device with
-  | Some c -> c
-  | None ->
+let quarantine t = inc t "tangram_quarantines_total"
+let fallback t = inc t "tangram_fallback_serves_total"
+let degrade t = inc t "tangram_degraded_serves_total"
+let bad_request t = inc t "tangram_bad_requests_total"
+let backoff_us t x = inc t ~by:x "tangram_backoff_simulated_us_total"
+let sdc_check t = inc t "tangram_sdc_checks_total"
+let sdc_catch t = inc t "tangram_sdc_catches_total"
+let sdc_false_alarm t = inc t "tangram_sdc_false_alarms_total"
+let sdc_reexec t = inc t "tangram_sdc_reexecs_total"
+let verify_us t x = M.observe (latency t "verify") x
+
+let admit t ~interactive =
+  inc t ~labels:(cls interactive) "tangram_admitted_total"
+
+let shed_request t ~interactive =
+  inc t ~labels:(cls interactive) "tangram_shed_total"
+
+let deadline_expire t = inc t "tangram_deadline_expiries_total"
+let deadline_witness_serve t = inc t "tangram_deadline_witness_serves_total"
+
+let brownout_transition t ~level =
+  inc t "tangram_brownout_transitions_total";
+  let peak = M.gauge t.reg "tangram_brownout_max_level" in
+  if float_of_int level > M.gauge_value peak then
+    M.set peak (float_of_int level)
+
+let brownout_shed t ~what =
+  inc t ~labels:[ ("work", what) ] "tangram_brownout_shed_total"
+
+let queue_wait_us t x = M.observe (latency t "queue_wait") x
+
+let fleet_inc ?labels t name =
+  Lazy.force t.fleet;
+  inc ?labels t name
+
+let health_name = "tangram_fleet_device_health"
+
+(* a device's report row is its health gauge plus its dispatch counter *)
+let fleet_health t ~device ~state health =
+  Lazy.force t.fleet;
+  ignore
+    (M.counter t.reg ~labels:(dev device)
+       "tangram_fleet_device_dispatches_total");
+  M.set
+    (M.gauge t.reg ~labels:[ ("device", device); ("state", state) ] health_name)
+    health
+
+(* the health gauge carries the state as a label: a transition moves
+   the device's series to the new label set *)
+let fleet_state t ~device ~health state =
+  List.iter
+    (fun (labels, _) ->
+      if List.assoc "device" labels = device then
+        M.remove t.reg ~labels health_name)
+    (M.family t.reg health_name);
+  fleet_health t ~device ~state health
+
+let fleet_dispatch t ~device =
+  fleet_inc t "tangram_fleet_dispatches_total";
+  fleet_inc t ~labels:(dev device) "tangram_fleet_device_dispatches_total"
+
+let fleet_eject t ~device =
+  fleet_inc t "tangram_fleet_ejections_total";
+  fleet_inc t ~labels:(dev device) "tangram_fleet_device_ejections_total"
+
+let fleet_readmit t ~device =
+  fleet_inc t "tangram_fleet_readmissions_total";
+  fleet_inc t ~labels:(dev device) "tangram_fleet_device_readmissions_total"
+
+let fleet_dead t = fleet_inc t "tangram_fleet_dead_total"
+let fleet_drain t = fleet_inc t "tangram_fleet_drains_total"
+let fleet_promote t = fleet_inc t "tangram_fleet_promotions_total"
+let fleet_reroute t = fleet_inc t "tangram_fleet_reroutes_total"
+
+let fleet_hedge_fired t =
+  fleet_inc t ~labels:[ ("outcome", "fired") ] "tangram_fleet_hedges_total"
+
+let fleet_hedge_won t ~device =
+  fleet_inc t ~labels:[ ("outcome", "won") ] "tangram_fleet_hedges_total";
+  fleet_inc t ~labels:(dev device) "tangram_fleet_device_hedge_wins_total"
+
+let monitoring_inc t ~label name =
+  Lazy.force t.monitoring;
+  inc t name;
+  inc t ~labels:[ label ] name
+
+let alert t ~slo =
+  monitoring_inc t ~label:("slo", slo) "tangram_slo_alerts_total"
+
+let incident t ~kind =
+  monitoring_inc t ~label:("trigger", kind) "tangram_incidents_total"
+
+let kernel t ~arch ~version (totals : Gpusim.Events.totals) =
+  inc t
+    ~labels:[ ("arch", arch); ("version", version) ]
+    "tangram_kernel_requests_total";
+  List.iter
+    (fun (name, v) ->
       let c =
-        {
-          f_dispatches = 0;
-          f_hedge_wins = 0;
-          f_ejects = 0;
-          f_readmits = 0;
-          f_health = 1.0;
-          f_state = "active";
-        }
+        M.counter t.reg
+          ~labels:[ ("arch", arch); ("counter", name); ("version", version) ]
+          "tangram_kernel_counter_total"
       in
-      Hashtbl.add t.fleet_devices device c;
-      c
+      (* max_heat keeps the worst launch, so its counter rises with the
+         running max instead of summing *)
+      M.inc ~by:(if name = "max_heat" then v -. M.counter_value c else v) c)
+    (Gpusim.Events.totals_fields totals)
 
-let fleet_dispatch (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_dispatches <- c.f_dispatches + 1;
-  t.total_fleet_dispatches <- t.total_fleet_dispatches + 1
+(* ------------------------------------------------------------------ *)
+(* Reading                                                             *)
+(* ------------------------------------------------------------------ *)
 
-let fleet_health (t : t) ~(device : string) (health : float) : unit =
-  (fleet_cell_for t device).f_health <- health
+let hits t = value t "tangram_cache_hits_total"
+let misses t = value t "tangram_cache_misses_total"
+let evictions t = value t "tangram_cache_evictions_total"
+let batches t = value t "tangram_batches_total"
+let coalesced t = value t "tangram_coalesced_requests_total"
+let retries t = value t "tangram_retries_total"
+let faults t = value t "tangram_faults_total"
+let quarantines t = value t "tangram_quarantines_total"
+let fallbacks t = value t "tangram_fallback_serves_total"
+let degraded t = value t "tangram_degraded_serves_total"
+let bad_requests t = value t "tangram_bad_requests_total"
+let backoff_total_us t = read t "tangram_backoff_simulated_us_total"
+let sdc_checks t = value t "tangram_sdc_checks_total"
+let sdc_catches t = value t "tangram_sdc_catches_total"
+let sdc_false_alarms t = value t "tangram_sdc_false_alarms_total"
+let sdc_reexecs t = value t "tangram_sdc_reexecs_total"
 
-let fleet_state (t : t) ~(device : string) (state : string) : unit =
-  (fleet_cell_for t device).f_state <- state
+let admitted t ~interactive =
+  value t ~labels:(cls interactive) "tangram_admitted_total"
 
-let fleet_eject (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_ejects <- c.f_ejects + 1;
-  t.total_fleet_ejects <- t.total_fleet_ejects + 1
-
-let fleet_readmit (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_readmits <- c.f_readmits + 1;
-  t.total_fleet_readmits <- t.total_fleet_readmits + 1
-
-let fleet_dead (t : t) ~(device : string) : unit =
-  ignore (fleet_cell_for t device);
-  t.total_fleet_deaths <- t.total_fleet_deaths + 1
-
-let fleet_drain (t : t) ~(device : string) : unit =
-  ignore (fleet_cell_for t device);
-  t.total_fleet_drains <- t.total_fleet_drains + 1
-
-let fleet_promote (t : t) ~(device : string) : unit =
-  ignore (fleet_cell_for t device);
-  t.total_fleet_promotions <- t.total_fleet_promotions + 1
-
-let fleet_reroute (t : t) = t.total_fleet_reroutes <- t.total_fleet_reroutes + 1
-
-let fleet_hedge_fired (t : t) =
-  t.total_fleet_hedges_fired <- t.total_fleet_hedges_fired + 1
-
-let fleet_hedge_won (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_hedge_wins <- c.f_hedge_wins + 1;
-  t.total_fleet_hedges_won <- t.total_fleet_hedges_won + 1
-
-let alert (t : t) ~(slo : string) : unit =
-  t.total_alerts <- t.total_alerts + 1;
-  Hashtbl.replace t.alerts_by_slo slo
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.alerts_by_slo slo))
-
-let incident (t : t) ~(kind : string) : unit =
-  t.total_incidents <- t.total_incidents + 1;
-  Hashtbl.replace t.incidents_by_kind kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.incidents_by_kind kind))
-
-let kernel (t : t) ~(arch : string) ~(version : string)
-    (totals : Gpusim.Events.totals) : unit =
-  let key = (arch, version) in
-  match Hashtbl.find_opt t.kernels key with
-  | Some cell ->
-      cell.k_requests <- cell.k_requests + 1;
-      cell.k_totals <- Gpusim.Events.add_totals cell.k_totals totals
-  | None ->
-      Hashtbl.add t.kernels key { k_requests = 1; k_totals = totals }
-
-let hits t = t.total_hits
-let misses t = t.total_misses
-let evictions t = t.total_evictions
-let batches t = t.total_batches
-let coalesced t = t.total_coalesced
-let retries t = t.total_retries
-let faults t = t.total_faults
-let quarantines t = t.total_quarantines
-let fallbacks t = t.total_fallbacks
-let degraded t = t.total_degraded
-let bad_requests t = t.total_bad_requests
-let backoff_total_us t = t.backoff_total_us
-let sdc_checks t = t.total_sdc_checks
-let sdc_catches t = t.total_sdc_catches
-let sdc_false_alarms t = t.total_sdc_false_alarms
-let sdc_reexecs t = t.total_sdc_reexecs
-let admitted t = t.total_admitted_interactive + t.total_admitted_batch
-let admitted_interactive t = t.total_admitted_interactive
-let admitted_batch t = t.total_admitted_batch
-let sheds t = t.total_shed_interactive + t.total_shed_batch
-let sheds_interactive t = t.total_shed_interactive
-let sheds_batch t = t.total_shed_batch
-let deadline_expiries t = t.total_deadline_expiries
-let deadline_witness_serves t = t.total_deadline_witness_serves
-let brownout_transitions t = t.total_brownout_transitions
-let brownout_max_level t = t.brownout_max
-
-let brownout_sheds (t : t) : (string * int) list =
-  Hashtbl.fold (fun w n acc -> (w, n) :: acc) t.brownout_shed_work []
-  |> List.sort compare
-
-let fleet_dispatches t = t.total_fleet_dispatches
-let fleet_reroutes t = t.total_fleet_reroutes
-let fleet_hedges_fired t = t.total_fleet_hedges_fired
-let fleet_hedges_won t = t.total_fleet_hedges_won
-let fleet_ejects t = t.total_fleet_ejects
-let fleet_readmits t = t.total_fleet_readmits
-let fleet_deaths t = t.total_fleet_deaths
-let fleet_drains t = t.total_fleet_drains
-let fleet_promotions t = t.total_fleet_promotions
-
-let fleet_rows (t : t) : (string * fleet_row) list =
-  Hashtbl.fold
-    (fun device c acc ->
-      ( device,
-        {
-          fd_dispatches = c.f_dispatches;
-          fd_hedge_wins = c.f_hedge_wins;
-          fd_ejects = c.f_ejects;
-          fd_readmits = c.f_readmits;
-          fd_health = c.f_health;
-          fd_state = c.f_state;
-        } )
-      :: acc)
-    t.fleet_devices []
-  |> List.sort compare
-
-(* the gate of the report's fleet section: any fleet traffic or
-   lifecycle event — a service with no fleet attached never records
-   either, so its report is byte-identical to the fleet-less one *)
-let fleet_fired (t : t) : bool =
-  t.total_fleet_dispatches + t.total_fleet_reroutes
-  + t.total_fleet_hedges_fired + t.total_fleet_ejects
-  + t.total_fleet_readmits + t.total_fleet_deaths + t.total_fleet_drains
-  + t.total_fleet_promotions
-  > 0
-  || Hashtbl.length t.fleet_devices > 0
-
-let alerts t = t.total_alerts
-let incidents t = t.total_incidents
-
-let alert_rows (t : t) : (string * int) list =
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) t.alerts_by_slo []
-  |> List.sort compare
-
-let incident_rows (t : t) : (string * int) list =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.incidents_by_kind []
-  |> List.sort compare
-
-(* the gate of the report's monitoring section: an attached-but-quiet
-   monitor records nothing here, so its report stays byte-identical *)
-let monitoring_fired (t : t) : bool =
-  t.total_alerts + t.total_incidents > 0
+let sheds_interactive t = value t ~labels:(cls true) "tangram_shed_total"
+let sheds_batch t = value t ~labels:(cls false) "tangram_shed_total"
+let deadline_expiries t = value t "tangram_deadline_expiries_total"
+let deadline_witness_serves t = value t "tangram_deadline_witness_serves_total"
+let brownout_transitions t = value t "tangram_brownout_transitions_total"
+let brownout_max_level t = value t "tangram_brownout_max_level"
+let brownout_sheds t = rows t "tangram_brownout_shed_total"
 
 (* the gate of the report's overload section: admission alone (requests
    flowing through the queue at zero load) is not an overload event *)
-let overload_fired (t : t) : bool =
-  t.total_shed_interactive + t.total_shed_batch + t.total_deadline_expiries
-  + t.total_deadline_witness_serves + t.total_brownout_transitions
+let overload_fired t =
+  sheds_interactive t + sheds_batch t + deadline_expiries t
+  + deadline_witness_serves t + brownout_transitions t
   > 0
 
-let fault_histogram (t : t) : (string * int) list =
-  Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.version_faults []
-  |> List.sort (fun (va, a) (vb, b) -> compare (b, va) (a, vb))
+let fleet_dispatches t = value t "tangram_fleet_dispatches_total"
+let fleet_reroutes t = value t "tangram_fleet_reroutes_total"
 
-let bucket_counts (t : t) : (string * (int * int)) list =
-  Hashtbl.fold (fun b c acc -> (b, (c.c_hits, c.c_misses)) :: acc) t.buckets []
-  |> List.sort compare
+let fleet_hedges_fired t =
+  value t ~labels:[ ("outcome", "fired") ] "tangram_fleet_hedges_total"
 
-let winner_histogram (t : t) : (string * int) list =
-  Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.winners []
-  |> List.sort (fun (va, a) (vb, b) -> compare (b, va) (a, vb))
+let fleet_hedges_won t =
+  value t ~labels:[ ("outcome", "won") ] "tangram_fleet_hedges_total"
 
-let plan_series t = summarize t.plan
-let tune_series t = summarize t.tune
-let run_series t = summarize t.run
-let verify_series t = summarize t.verify
-let queue_wait_series t = summarize t.queue_wait
+let fleet_ejects t = value t "tangram_fleet_ejections_total"
+let fleet_readmits t = value t "tangram_fleet_readmissions_total"
+let fleet_deaths t = value t "tangram_fleet_dead_total"
+let fleet_promotions t = value t "tangram_fleet_promotions_total"
 
-(** Aggregated kernel counters as ((arch, version), (requests, totals)),
-    sorted by (arch, version). *)
-let kernel_rows (t : t) :
-    ((string * string) * (int * Gpusim.Events.totals)) list =
-  Hashtbl.fold
-    (fun key cell acc -> (key, (cell.k_requests, cell.k_totals)) :: acc)
-    t.kernels []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* the gate of the report's fleet section: a service with no fleet
+   attached never records a fleet event *)
+let fleet_fired t = Lazy.is_val t.fleet
+
+(* per-device rows (device, state, health, per-device counter reader),
+   sorted by device *)
+let fleet_rows t =
+  List.map
+    (fun (labels, health) ->
+      let device = List.assoc "device" labels in
+      let per name = value t ~labels:(dev device) name in
+      (device, List.assoc "state" labels, health, per))
+    (M.family t.reg health_name)
+
+let incidents t = value t "tangram_incidents_total"
+let winner_histogram t = most_first (rows t "tangram_requests_served_total")
+
+(* p50/p95 read the log buckets (relative error <= 2^(1/8) - 1); the
+   max is exact *)
+let series_of t stage : series =
+  let h = latency t stage in
+  match M.hist_count h with
+  | 0 -> { count = 0; mean = 0.0; p50 = 0.0; p95 = 0.0; max = 0.0 }
+  | count ->
+      {
+        count;
+        mean = M.hist_sum h /. float_of_int count;
+        p50 = M.quantile h 50.0;
+        p95 = M.quantile h 95.0;
+        max = M.quantile h 100.0;
+      }
+
+let verify_series t = series_of t "verify"
+
+let kernel_rows t =
+  let counters = M.family t.reg "tangram_kernel_counter_total" in
+  List.map
+    (fun (labels, requests) ->
+      let arch = List.assoc "arch" labels in
+      let version = List.assoc "version" labels in
+      let field name =
+        List.assoc
+          [ ("arch", arch); ("counter", name); ("version", version) ]
+          counters
+      in
+      ( (arch, version),
+        (int_of_float requests, Gpusim.Events.totals_of_fields field) ))
+    (M.family t.reg "tangram_kernel_requests_total")
+
+(* each bucket's hit row sorts right before its miss row *)
+let bucket_counts t =
+  let rec pairs = function
+    | ([ (_, bucket); _ ], h) :: (_, m) :: rest ->
+        (bucket, (int_of_float h, int_of_float m)) :: pairs rest
+    | _ -> []
+  in
+  pairs (M.family t.reg "tangram_bucket_lookups_total")
 
 let report (t : t) : string =
   let b = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pr "=== service metrics ===\n";
-  let lookups = t.total_hits + t.total_misses in
+  let hits = hits t and misses = misses t in
+  let lookups = hits + misses in
   pr "cache: %d lookups, %d hits, %d misses (%.1f%% hit rate), %d evictions\n"
-    lookups t.total_hits t.total_misses
+    lookups hits misses
     (if lookups = 0 then 0.0
-     else 100.0 *. float_of_int t.total_hits /. float_of_int lookups)
-    t.total_evictions;
-  if t.total_batches > 0 then
-    pr "batching: %d batches dispatched, %d requests coalesced\n" t.total_batches
-      t.total_coalesced;
+     else 100.0 *. float_of_int hits /. float_of_int lookups)
+    (evictions t);
+  if batches t > 0 then
+    pr "batching: %d batches dispatched, %d requests coalesced\n" (batches t)
+      (coalesced t);
   pr "\nper-bucket lookups (hits/misses):\n";
   List.iter
     (fun (bucket, (h, m)) -> pr "  %-40s %6d / %d\n" bucket h m)
     (bucket_counts t);
   (* a bucket with no samples renders "-", not a misleading 0.0 *)
-  let series name (s : series) =
+  let line stage =
+    let s = series_of t stage in
     if s.count > 0 then
       pr "  %-6s %6d samples   p50 %10.1f us   p95 %10.1f us   max %10.1f us\n"
-        name s.count s.p50 s.p95 s.max
+        stage s.count s.p50 s.p95 s.max
     else
-      pr "  %-6s %6d samples   p50 %10s us   p95 %10s us   max %10s us\n" name 0
-        "-" "-" "-"
+      pr "  %-6s %6d samples   p50 %10s us   p95 %10s us   max %10s us\n" stage
+        0 "-" "-" "-"
   in
   pr "\nlatencies (host wall clock):\n";
-  series "plan" (plan_series t);
-  series "tune" (tune_series t);
-  series "run" (run_series t);
+  List.iter line [ "plan"; "tune"; "run" ];
   pr "\nwinning versions (requests served):\n";
   List.iter (fun (v, n) -> pr "  %-34s %6d\n" v n) (winner_histogram t);
   (* the fault-tolerance section appears only once something failed, so a
      fault-free service prints exactly the report it always did *)
   if
-    t.total_faults + t.total_retries + t.total_quarantines + t.total_fallbacks
-    + t.total_degraded + t.total_bad_requests
+    faults t + retries t + quarantines t + fallbacks t + degraded t
+    + bad_requests t
     > 0
   then begin
     pr "\nfault tolerance:\n";
-    pr "  faults %d   retries %d   backoff (simulated) %.1f us\n" t.total_faults
-      t.total_retries t.backoff_total_us;
+    pr "  faults %d   retries %d   backoff (simulated) %.1f us\n" (faults t)
+      (retries t) (backoff_total_us t);
     pr "  quarantine events %d   fallback serves %d   degraded serves %d   bad requests %d\n"
-      t.total_quarantines t.total_fallbacks t.total_degraded
-      t.total_bad_requests;
-    match fault_histogram t with
+      (quarantines t) (fallbacks t) (degraded t) (bad_requests t);
+    match most_first (rows t "tangram_version_faults_total") with
     | [] -> ()
     | hist ->
         pr "  faults by version:\n";
@@ -516,18 +428,16 @@ let report (t : t) : string =
   (* like the fault section, the guard section appears only once a check
      actually tripped (catch, false alarm or re-execution) — a clean run
      prints exactly the report it always did, even with the guard on *)
-  if t.total_sdc_catches + t.total_sdc_false_alarms + t.total_sdc_reexecs > 0
-  then begin
+  if sdc_catches t + sdc_false_alarms t + sdc_reexecs t > 0 then begin
     pr "\nsilent-data-corruption guard:\n";
     pr "  checks %d   caught %d   re-executions %d   false alarms %d (%.2f%% of checks)\n"
-      t.total_sdc_checks t.total_sdc_catches t.total_sdc_reexecs
-      t.total_sdc_false_alarms
-      (if t.total_sdc_checks = 0 then 0.0
+      (sdc_checks t) (sdc_catches t) (sdc_reexecs t) (sdc_false_alarms t)
+      (if sdc_checks t = 0 then 0.0
        else
          100.0
-         *. float_of_int t.total_sdc_false_alarms
-         /. float_of_int t.total_sdc_checks);
-    let v = summarize t.verify in
+         *. float_of_int (sdc_false_alarms t)
+         /. float_of_int (sdc_checks t));
+    let v = verify_series t in
     if v.count > 0 then
       pr "  verify overhead: p50 %.1f us   p95 %.1f us   max %.1f us\n" v.p50
         v.p95 v.max
@@ -537,20 +447,23 @@ let report (t : t) : string =
      queue at zero load (no overload machinery firing) prints exactly
      the report it always did *)
   if overload_fired t then begin
+    let ai = admitted t ~interactive:true in
+    let ab = admitted t ~interactive:false in
     pr "\noverload resilience:\n";
     pr "  admitted %d (interactive %d, batch %d)   shed %d (interactive %d, batch %d)\n"
-      (admitted t) t.total_admitted_interactive t.total_admitted_batch (sheds t)
-      t.total_shed_interactive t.total_shed_batch;
+      (ai + ab) ai ab
+      (sheds_interactive t + sheds_batch t)
+      (sheds_interactive t) (sheds_batch t);
     pr "  deadline expiries %d   degraded witness serves %d\n"
-      t.total_deadline_expiries t.total_deadline_witness_serves;
-    pr "  brownout transitions %d   max level %d\n" t.total_brownout_transitions
-      t.brownout_max;
+      (deadline_expiries t) (deadline_witness_serves t);
+    pr "  brownout transitions %d   max level %d\n" (brownout_transitions t)
+      (brownout_max_level t);
     (match brownout_sheds t with
     | [] -> ()
     | sheds ->
         pr "  work shed under brownout:\n";
         List.iter (fun (w, n) -> pr "    %-32s %6d\n" w n) sheds);
-    let q = summarize t.queue_wait in
+    let q = series_of t "queue_wait" in
     if q.count > 0 then
       pr "  queue wait (virtual): p50 %.1f us   p95 %.1f us   max %.1f us\n"
         q.p50 q.p95 q.max
@@ -561,34 +474,39 @@ let report (t : t) : string =
   if fleet_fired t then begin
     pr "\ndevice fleet:\n";
     pr "  dispatches %d   rerouted off dying devices %d   hedges fired %d / won %d\n"
-      t.total_fleet_dispatches t.total_fleet_reroutes
-      t.total_fleet_hedges_fired t.total_fleet_hedges_won;
+      (fleet_dispatches t) (fleet_reroutes t) (fleet_hedges_fired t)
+      (fleet_hedges_won t);
     pr "  ejections %d   readmissions %d   dead %d   drains %d   spare promotions %d\n"
-      t.total_fleet_ejects t.total_fleet_readmits t.total_fleet_deaths
-      t.total_fleet_drains t.total_fleet_promotions;
+      (fleet_ejects t) (fleet_readmits t) (fleet_deaths t)
+      (value t "tangram_fleet_drains_total")
+      (fleet_promotions t);
     match fleet_rows t with
     | [] -> ()
     | rows ->
         pr "  per-device:\n";
         List.iter
-          (fun (device, r) ->
+          (fun (device, state, health, per) ->
             pr "    %-24s %-8s dispatches %6d   hedge wins %4d   health %.2f\n"
-              device r.fd_state r.fd_dispatches r.fd_hedge_wins r.fd_health)
+              device state
+              (per "tangram_fleet_device_dispatches_total")
+              (per "tangram_fleet_device_hedge_wins_total")
+              health)
           rows
   end;
   (* the monitoring section appears only once an SLO alert fired or the
      flight recorder dumped — an attached-but-healthy monitor prints
      exactly the report it always did *)
-  if monitoring_fired t then begin
+  if Lazy.is_val t.monitoring then begin
     pr "\nmonitoring:\n";
-    pr "  slo alerts %d   incident bundles %d\n" t.total_alerts
-      t.total_incidents;
-    (match alert_rows t with
+    pr "  slo alerts %d   incident bundles %d\n"
+      (value t "tangram_slo_alerts_total")
+      (incidents t);
+    (match rows t "tangram_slo_alerts_total" with
     | [] -> ()
     | rows ->
         pr "  alerts by slo:\n";
         List.iter (fun (s, n) -> pr "    %-32s %6d\n" s n) rows);
-    match incident_rows t with
+    match rows t "tangram_incidents_total" with
     | [] -> ()
     | rows ->
         pr "  incidents by trigger:\n";
@@ -618,8 +536,6 @@ let report (t : t) : string =
 (* Machine-readable twins of the report                                *)
 (* ------------------------------------------------------------------ *)
 
-module J = Obs.Json
-
 let series_json (s : series) : J.t =
   J.Obj
     [
@@ -634,135 +550,119 @@ let series_json (s : series) : J.t =
     emitting it twice from the same stats yields identical strings. *)
 let to_json (t : t) : string =
   let int n = J.Num (float_of_int n) in
+  let pairs key label rows =
+    J.Arr
+      (List.map (fun (l, n) -> J.Obj [ (key, J.Str l); (label, int n) ]) rows)
+  in
   J.to_string
     (J.Obj
        [
          ( "cache",
            J.Obj
              [
-               ("lookups", int (t.total_hits + t.total_misses));
-               ("hits", int t.total_hits);
-               ("misses", int t.total_misses);
-               ("evictions", int t.total_evictions);
+               ("lookups", int (hits t + misses t));
+               ("hits", int (hits t));
+               ("misses", int (misses t));
+               ("evictions", int (evictions t));
              ] );
          ( "batching",
            J.Obj
-             [
-               ("batches", int t.total_batches);
-               ("coalesced", int t.total_coalesced);
-             ] );
+             [ ("batches", int (batches t)); ("coalesced", int (coalesced t)) ]
+         );
          ( "buckets",
            J.Arr
              (List.map
                 (fun (bucket, (h, m)) ->
                   J.Obj
                     [
-                      ("bucket", J.Str bucket); ("hits", int h); ("misses", int m);
+                      ("bucket", J.Str bucket);
+                      ("hits", int h);
+                      ("misses", int m);
                     ])
                 (bucket_counts t)) );
          ( "latencies_us",
            J.Obj
-             [
-               ("plan", series_json (plan_series t));
-               ("tune", series_json (tune_series t));
-               ("run", series_json (run_series t));
-               ("verify", series_json (verify_series t));
-             ] );
-         ( "winners",
-           J.Arr
              (List.map
-                (fun (v, n) -> J.Obj [ ("version", J.Str v); ("served", int n) ])
-                (winner_histogram t)) );
+                (fun stage -> (stage, series_json (series_of t stage)))
+                [ "plan"; "tune"; "run"; "verify" ]) );
+         ("winners", pairs "version" "served" (winner_histogram t));
          ( "fault_tolerance",
            J.Obj
              [
-               ("faults", int t.total_faults);
-               ("retries", int t.total_retries);
-               ("backoff_us", J.Num t.backoff_total_us);
-               ("quarantines", int t.total_quarantines);
-               ("fallbacks", int t.total_fallbacks);
-               ("degraded", int t.total_degraded);
-               ("bad_requests", int t.total_bad_requests);
+               ("faults", int (faults t));
+               ("retries", int (retries t));
+               ("backoff_us", J.Num (backoff_total_us t));
+               ("quarantines", int (quarantines t));
+               ("fallbacks", int (fallbacks t));
+               ("degraded", int (degraded t));
+               ("bad_requests", int (bad_requests t));
                ( "by_version",
-                 J.Arr
-                   (List.map
-                      (fun (v, n) ->
-                        J.Obj [ ("version", J.Str v); ("faults", int n) ])
-                      (fault_histogram t)) );
+                 pairs "version" "faults"
+                   (most_first (rows t "tangram_version_faults_total")) );
              ] );
          ( "sdc",
            J.Obj
              [
-               ("checks", int t.total_sdc_checks);
-               ("catches", int t.total_sdc_catches);
-               ("reexecs", int t.total_sdc_reexecs);
-               ("false_alarms", int t.total_sdc_false_alarms);
+               ("checks", int (sdc_checks t));
+               ("catches", int (sdc_catches t));
+               ("reexecs", int (sdc_reexecs t));
+               ("false_alarms", int (sdc_false_alarms t));
              ] );
          ( "overload",
            J.Obj
              [
-               ("admitted_interactive", int t.total_admitted_interactive);
-               ("admitted_batch", int t.total_admitted_batch);
-               ("shed_interactive", int t.total_shed_interactive);
-               ("shed_batch", int t.total_shed_batch);
-               ("deadline_expiries", int t.total_deadline_expiries);
-               ( "deadline_witness_serves",
-                 int t.total_deadline_witness_serves );
-               ("brownout_transitions", int t.total_brownout_transitions);
-               ("brownout_max_level", int t.brownout_max);
-               ( "brownout_sheds",
-                 J.Arr
-                   (List.map
-                      (fun (w, n) ->
-                        J.Obj [ ("work", J.Str w); ("shed", int n) ])
-                      (brownout_sheds t)) );
-               ("queue_wait_us", series_json (queue_wait_series t));
+               ("admitted_interactive", int (admitted t ~interactive:true));
+               ("admitted_batch", int (admitted t ~interactive:false));
+               ("shed_interactive", int (sheds_interactive t));
+               ("shed_batch", int (sheds_batch t));
+               ("deadline_expiries", int (deadline_expiries t));
+               ("deadline_witness_serves", int (deadline_witness_serves t));
+               ("brownout_transitions", int (brownout_transitions t));
+               ("brownout_max_level", int (brownout_max_level t));
+               ("brownout_sheds", pairs "work" "shed" (brownout_sheds t));
+               ("queue_wait_us", series_json (series_of t "queue_wait"));
              ] );
          ( "fleet",
            J.Obj
              [
-               ("dispatches", int t.total_fleet_dispatches);
-               ("reroutes", int t.total_fleet_reroutes);
-               ("hedges_fired", int t.total_fleet_hedges_fired);
-               ("hedges_won", int t.total_fleet_hedges_won);
-               ("ejections", int t.total_fleet_ejects);
-               ("readmissions", int t.total_fleet_readmits);
-               ("dead", int t.total_fleet_deaths);
-               ("drains", int t.total_fleet_drains);
-               ("promotions", int t.total_fleet_promotions);
+               ("dispatches", int (fleet_dispatches t));
+               ("reroutes", int (fleet_reroutes t));
+               ("hedges_fired", int (fleet_hedges_fired t));
+               ("hedges_won", int (fleet_hedges_won t));
+               ("ejections", int (fleet_ejects t));
+               ("readmissions", int (fleet_readmits t));
+               ("dead", int (fleet_deaths t));
+               ("drains", int (value t "tangram_fleet_drains_total"));
+               ("promotions", int (fleet_promotions t));
                ( "devices",
                  J.Arr
                    (List.map
-                      (fun (device, r) ->
+                      (fun (device, state, health, per) ->
+                        let per name =
+                          int (per ("tangram_fleet_device_" ^ name ^ "_total"))
+                        in
                         J.Obj
                           [
                             ("device", J.Str device);
-                            ("state", J.Str r.fd_state);
-                            ("dispatches", int r.fd_dispatches);
-                            ("hedge_wins", int r.fd_hedge_wins);
-                            ("ejections", int r.fd_ejects);
-                            ("readmissions", int r.fd_readmits);
-                            ("health", J.Num r.fd_health);
+                            ("state", J.Str state);
+                            ("dispatches", per "dispatches");
+                            ("hedge_wins", per "hedge_wins");
+                            ("ejections", per "ejections");
+                            ("readmissions", per "readmissions");
+                            ("health", J.Num health);
                           ])
                       (fleet_rows t)) );
              ] );
          ( "monitoring",
            J.Obj
              [
-               ("alerts", int t.total_alerts);
-               ("incidents", int t.total_incidents);
+               ("alerts", int (value t "tangram_slo_alerts_total"));
+               ("incidents", int (incidents t));
                ( "by_slo",
-                 J.Arr
-                   (List.map
-                      (fun (s, n) ->
-                        J.Obj [ ("slo", J.Str s); ("alerts", int n) ])
-                      (alert_rows t)) );
+                 pairs "slo" "alerts" (rows t "tangram_slo_alerts_total") );
                ( "by_trigger",
-                 J.Arr
-                   (List.map
-                      (fun (k, n) ->
-                        J.Obj [ ("trigger", J.Str k); ("incidents", int n) ])
-                      (incident_rows t)) );
+                 pairs "trigger" "incidents" (rows t "tangram_incidents_total")
+               );
              ] );
          ( "kernels",
            J.Arr
@@ -777,233 +677,4 @@ let to_json (t : t) : string =
                 (kernel_rows t)) );
        ])
 
-(* Prometheus text exposition. Counter families end in _total; the
-   latency series render as summaries (quantile labels + _sum/_count).
-   Label values escape backslash, quote and newline per the format. *)
-let prom_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_prometheus ?(metrics : Obs.Metrics.t option) (t : t) : string =
-  let b = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let number = J.number_to_string in
-  let counter name ?(labels = []) (v : float) =
-    match labels with
-    | [] -> pr "%s %s\n" name (number v)
-    | labels ->
-        pr "%s{%s} %s\n" name
-          (String.concat ","
-             (List.map
-                (fun (k, value) -> Printf.sprintf "%s=\"%s\"" k (prom_escape value))
-                labels))
-          (number v)
-  in
-  let typ name kind = pr "# TYPE %s %s\n" name kind in
-  let i = float_of_int in
-  typ "tangram_cache_hits_total" "counter";
-  counter "tangram_cache_hits_total" (i t.total_hits);
-  typ "tangram_cache_misses_total" "counter";
-  counter "tangram_cache_misses_total" (i t.total_misses);
-  typ "tangram_cache_evictions_total" "counter";
-  counter "tangram_cache_evictions_total" (i t.total_evictions);
-  typ "tangram_batches_total" "counter";
-  counter "tangram_batches_total" (i t.total_batches);
-  typ "tangram_coalesced_requests_total" "counter";
-  counter "tangram_coalesced_requests_total" (i t.total_coalesced);
-  typ "tangram_retries_total" "counter";
-  counter "tangram_retries_total" (i t.total_retries);
-  typ "tangram_faults_total" "counter";
-  counter "tangram_faults_total" (i t.total_faults);
-  typ "tangram_quarantines_total" "counter";
-  counter "tangram_quarantines_total" (i t.total_quarantines);
-  typ "tangram_fallback_serves_total" "counter";
-  counter "tangram_fallback_serves_total" (i t.total_fallbacks);
-  typ "tangram_degraded_serves_total" "counter";
-  counter "tangram_degraded_serves_total" (i t.total_degraded);
-  typ "tangram_bad_requests_total" "counter";
-  counter "tangram_bad_requests_total" (i t.total_bad_requests);
-  typ "tangram_backoff_simulated_us_total" "counter";
-  counter "tangram_backoff_simulated_us_total" t.backoff_total_us;
-  typ "tangram_sdc_checks_total" "counter";
-  counter "tangram_sdc_checks_total" (i t.total_sdc_checks);
-  typ "tangram_sdc_catches_total" "counter";
-  counter "tangram_sdc_catches_total" (i t.total_sdc_catches);
-  typ "tangram_sdc_reexecs_total" "counter";
-  counter "tangram_sdc_reexecs_total" (i t.total_sdc_reexecs);
-  typ "tangram_sdc_false_alarms_total" "counter";
-  counter "tangram_sdc_false_alarms_total" (i t.total_sdc_false_alarms);
-  typ "tangram_admitted_total" "counter";
-  counter "tangram_admitted_total"
-    ~labels:[ ("class", "interactive") ]
-    (i t.total_admitted_interactive);
-  counter "tangram_admitted_total"
-    ~labels:[ ("class", "batch") ]
-    (i t.total_admitted_batch);
-  typ "tangram_shed_total" "counter";
-  counter "tangram_shed_total"
-    ~labels:[ ("class", "interactive") ]
-    (i t.total_shed_interactive);
-  counter "tangram_shed_total"
-    ~labels:[ ("class", "batch") ]
-    (i t.total_shed_batch);
-  typ "tangram_deadline_expiries_total" "counter";
-  counter "tangram_deadline_expiries_total" (i t.total_deadline_expiries);
-  typ "tangram_deadline_witness_serves_total" "counter";
-  counter "tangram_deadline_witness_serves_total"
-    (i t.total_deadline_witness_serves);
-  typ "tangram_brownout_transitions_total" "counter";
-  counter "tangram_brownout_transitions_total" (i t.total_brownout_transitions);
-  typ "tangram_brownout_max_level" "gauge";
-  counter "tangram_brownout_max_level" (i t.brownout_max);
-  (match brownout_sheds t with
-  | [] -> ()
-  | sheds ->
-      typ "tangram_brownout_shed_total" "counter";
-      List.iter
-        (fun (w, n) ->
-          counter "tangram_brownout_shed_total" ~labels:[ ("work", w) ] (i n))
-        sheds);
-  (match bucket_counts t with
-  | [] -> ()
-  | buckets ->
-      typ "tangram_bucket_lookups_total" "counter";
-      List.iter
-        (fun (bucket, (h, m)) ->
-          counter "tangram_bucket_lookups_total"
-            ~labels:[ ("bucket", bucket); ("result", "hit") ]
-            (i h);
-          counter "tangram_bucket_lookups_total"
-            ~labels:[ ("bucket", bucket); ("result", "miss") ]
-            (i m))
-        buckets);
-  (match winner_histogram t with
-  | [] -> ()
-  | winners ->
-      typ "tangram_requests_served_total" "counter";
-      List.iter
-        (fun (v, n) ->
-          counter "tangram_requests_served_total"
-            ~labels:[ ("version", v) ]
-            (i n))
-        winners);
-  (match fault_histogram t with
-  | [] -> ()
-  | hist ->
-      typ "tangram_version_faults_total" "counter";
-      List.iter
-        (fun (v, n) ->
-          counter "tangram_version_faults_total" ~labels:[ ("version", v) ] (i n))
-        hist);
-  typ "tangram_latency_us" "summary";
-  List.iter
-    (fun (stage, s) ->
-      counter "tangram_latency_us"
-        ~labels:[ ("stage", stage); ("quantile", "0.5") ]
-        s.p50;
-      counter "tangram_latency_us"
-        ~labels:[ ("stage", stage); ("quantile", "0.95") ]
-        s.p95;
-      counter "tangram_latency_us_sum"
-        ~labels:[ ("stage", stage) ]
-        (s.mean *. i s.count);
-      counter "tangram_latency_us_count" ~labels:[ ("stage", stage) ] (i s.count))
-    [
-      ("plan", plan_series t);
-      ("tune", tune_series t);
-      ("run", run_series t);
-      ("verify", verify_series t);
-      ("queue_wait", queue_wait_series t);
-    ];
-  (* fleet families render only once a fleet fired, mirroring the text
-     report's gate *)
-  if fleet_fired t then begin
-    typ "tangram_fleet_dispatches_total" "counter";
-    counter "tangram_fleet_dispatches_total" (i t.total_fleet_dispatches);
-    typ "tangram_fleet_reroutes_total" "counter";
-    counter "tangram_fleet_reroutes_total" (i t.total_fleet_reroutes);
-    typ "tangram_fleet_hedges_total" "counter";
-    counter "tangram_fleet_hedges_total"
-      ~labels:[ ("outcome", "fired") ]
-      (i t.total_fleet_hedges_fired);
-    counter "tangram_fleet_hedges_total"
-      ~labels:[ ("outcome", "won") ]
-      (i t.total_fleet_hedges_won);
-    typ "tangram_fleet_ejections_total" "counter";
-    counter "tangram_fleet_ejections_total" (i t.total_fleet_ejects);
-    typ "tangram_fleet_readmissions_total" "counter";
-    counter "tangram_fleet_readmissions_total" (i t.total_fleet_readmits);
-    typ "tangram_fleet_dead_total" "counter";
-    counter "tangram_fleet_dead_total" (i t.total_fleet_deaths);
-    typ "tangram_fleet_drains_total" "counter";
-    counter "tangram_fleet_drains_total" (i t.total_fleet_drains);
-    typ "tangram_fleet_promotions_total" "counter";
-    counter "tangram_fleet_promotions_total" (i t.total_fleet_promotions);
-    match fleet_rows t with
-    | [] -> ()
-    | rows ->
-        typ "tangram_fleet_device_dispatches_total" "counter";
-        List.iter
-          (fun (device, r) ->
-            counter "tangram_fleet_device_dispatches_total"
-              ~labels:[ ("device", device) ]
-              (i r.fd_dispatches))
-          rows;
-        typ "tangram_fleet_device_health" "gauge";
-        List.iter
-          (fun (device, r) ->
-            counter "tangram_fleet_device_health"
-              ~labels:[ ("device", device); ("state", r.fd_state) ]
-              r.fd_health)
-          rows
-  end;
-  (match kernel_rows t with
-  | [] -> ()
-  | rows ->
-      typ "tangram_kernel_requests_total" "counter";
-      List.iter
-        (fun ((arch, version), (requests, _)) ->
-          counter "tangram_kernel_requests_total"
-            ~labels:[ ("arch", arch); ("version", version) ]
-            (i requests))
-        rows;
-      typ "tangram_kernel_counter_total" "counter";
-      List.iter
-        (fun ((arch, version), (_, tot)) ->
-          List.iter
-            (fun (name, v) ->
-              counter "tangram_kernel_counter_total"
-                ~labels:[ ("arch", arch); ("version", version); ("counter", name) ]
-                v)
-            (Gpusim.Events.totals_fields tot))
-        rows);
-  (* monitoring families render only once an alert or incident fired,
-     mirroring the text report's gate *)
-  if monitoring_fired t then begin
-    typ "tangram_slo_alerts_total" "counter";
-    counter "tangram_slo_alerts_total" (i t.total_alerts);
-    List.iter
-      (fun (s, n) ->
-        counter "tangram_slo_alerts_total" ~labels:[ ("slo", s) ] (i n))
-      (alert_rows t);
-    typ "tangram_incidents_total" "counter";
-    counter "tangram_incidents_total" (i t.total_incidents);
-    List.iter
-      (fun (k, n) ->
-        counter "tangram_incidents_total" ~labels:[ ("trigger", k) ] (i n))
-      (incident_rows t)
-  end;
-  (* the monitor's windowed time-series document rides at the end: the
-     instrument families carry their own HELP/TYPE headers *)
-  (match metrics with
-  | Some m -> Buffer.add_string b (Obs.Metrics.to_prometheus m)
-  | None -> ());
-  Buffer.contents b
+let to_prometheus (t : t) : string = M.to_prometheus t.reg

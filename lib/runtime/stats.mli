@@ -1,9 +1,12 @@
 (** Service metrics: cache effectiveness, latency distributions and
     winning-version histograms, dumpable as a text report.
 
-    All counters are in-memory and monotone; recording is O(1) amortized
-    (latency samples append to growable buffers, percentiles are computed
-    at report time). *)
+    Every recorder updates an instrument of one always-on
+    {!Obs.Metrics} registry, the only store of service metrics: the
+    report, its JSON twin and the Prometheus exposition read it back.
+    Recording is O(1) in fixed memory; latencies are log-bucketed
+    histograms, so percentiles carry a relative error of at most
+    [2^(1/8) - 1] (about 9%) while the max stays exact. *)
 
 type t
 
@@ -17,6 +20,10 @@ type series = {
 }
 
 val create : unit -> t
+
+(** The registry behind the stats. A monitor registers its own
+    instruments here and snapshots it into windows. *)
+val metrics : t -> Obs.Metrics.t
 
 (** {1 Recording} *)
 
@@ -120,11 +127,13 @@ val queue_wait_us : t -> float -> unit
 (** One request (or hedge) dispatched to [device]. *)
 val fleet_dispatch : t -> device:string -> unit
 
-(** Latest health score of [device] (gauge, not a counter). *)
-val fleet_health : t -> device:string -> float -> unit
+(** Latest health score of [device], in lifecycle [state] (a gauge
+    labelled by device and state). *)
+val fleet_health : t -> device:string -> state:string -> float -> unit
 
-(** Latest lifecycle state of [device] (gauge, not a counter). *)
-val fleet_state : t -> device:string -> string -> unit
+(** [device] moved to lifecycle [state]; its health gauge moves to the
+    new label set, keeping [health]. *)
+val fleet_state : t -> device:string -> health:float -> string -> unit
 
 (** The health scorer ejected [device]. *)
 val fleet_eject : t -> device:string -> unit
@@ -132,14 +141,14 @@ val fleet_eject : t -> device:string -> unit
 (** An ejected [device] passed its probes and was readmitted. *)
 val fleet_readmit : t -> device:string -> unit
 
-(** [device] fail-stopped and was marked dead. *)
-val fleet_dead : t -> device:string -> unit
+(** A device fail-stopped and was marked dead. *)
+val fleet_dead : t -> unit
 
-(** [device] was marked to drain. *)
-val fleet_drain : t -> device:string -> unit
+(** A device was marked to drain. *)
+val fleet_drain : t -> unit
 
-(** Warm spare [device] was promoted into the serving pool. *)
-val fleet_promote : t -> device:string -> unit
+(** A warm spare was promoted into the serving pool. *)
+val fleet_promote : t -> unit
 
 (** One dispatch bounced off a dying device and was rerouted (the
     request was not lost). *)
@@ -188,10 +197,6 @@ val sdc_checks : t -> int
 val sdc_catches : t -> int
 val sdc_false_alarms : t -> int
 val sdc_reexecs : t -> int
-val admitted : t -> int
-val admitted_interactive : t -> int
-val admitted_batch : t -> int
-val sheds : t -> int
 val sheds_interactive : t -> int
 val sheds_batch : t -> int
 val deadline_expiries : t -> int
@@ -220,23 +225,7 @@ val fleet_hedges_won : t -> int
 val fleet_ejects : t -> int
 val fleet_readmits : t -> int
 val fleet_deaths : t -> int
-val fleet_drains : t -> int
 val fleet_promotions : t -> int
-
-(** One device's aggregates: dispatch/hedge-win/eject/readmit counters
-    plus the last health score and lifecycle state reported for it. *)
-type fleet_row = {
-  fd_dispatches : int;
-  fd_hedge_wins : int;
-  fd_ejects : int;
-  fd_readmits : int;
-  fd_health : float;
-  fd_state : string;
-}
-
-(** Per-device rows sorted by device label; empty unless a fleet was
-    attached. *)
-val fleet_rows : t -> (string * fleet_row) list
 
 (** Did any fleet machinery fire (a dispatch, reroute, hedge or
     lifecycle event)? False on every fleet-less service, which gates
@@ -245,60 +234,32 @@ val fleet_fired : t -> bool
 
 (** {2 Monitoring reading} *)
 
-val alerts : t -> int
 val incidents : t -> int
-
-(** Alert counts per SLO name, sorted by name; empty unless an alert
-    fired. *)
-val alert_rows : t -> (string * int) list
-
-(** Incident counts per trigger kind, sorted by kind; empty unless the
-    recorder dumped. *)
-val incident_rows : t -> (string * int) list
-
-(** Did any SLO alert fire or incident dump happen? False on every
-    unmonitored (or healthy) service, which gates the report's
-    monitoring section off. *)
-val monitoring_fired : t -> bool
-
-(** Fault counts per version, most-faulting first. *)
-val fault_histogram : t -> (string * int) list
-
-(** Per-bucket (hits, misses), sorted by bucket label. *)
-val bucket_counts : t -> (string * (int * int)) list
 
 (** Serve counts per winning version, most-served first. *)
 val winner_histogram : t -> (string * int) list
 
-(** Empty series report as all-zero. *)
-val plan_series : t -> series
-
-val tune_series : t -> series
-val run_series : t -> series
-
-(** Witness-check overhead per checked response. *)
+(** Witness-check overhead per checked response; an empty series
+    reports as all-zero. *)
 val verify_series : t -> series
-
-(** Virtual-time queue wait of admitted requests. *)
-val queue_wait_series : t -> series
 
 (** Aggregated kernel counters as ((arch, version), (requests, totals)),
     sorted by (arch, version); empty unless profiling was on. *)
 val kernel_rows :
   t -> ((string * string) * (int * Gpusim.Events.totals)) list
 
-(** The text report printed by [reduce-explorer --service] and
-    [tangramc serve]. Sections gated on activity (fault tolerance, SDC
-    guard, kernel counters) are omitted when their counters are all
-    zero, so a default run's report is byte-stable across releases. *)
+(** The text report printed by [tangramc serve]. Sections gated on
+    activity (fault tolerance, SDC guard, overload, fleet, monitoring,
+    kernel counters) are omitted when nothing fired, so a default run's
+    report is byte-stable across releases. *)
 val report : t -> string
 
 (** One JSON object mirroring {!report} with a stable key order —
     emitting it twice from the same stats yields identical strings. *)
 val to_json : t -> string
 
-(** Prometheus text exposition of every counter and latency summary,
-    including per-bucket, per-version and per-(arch, version) kernel
-    series. When a monitor's [metrics] registry is supplied, its
-    windowed time-series families are appended to the document. *)
-val to_prometheus : ?metrics:Obs.Metrics.t -> t -> string
+(** Prometheus text exposition of the registry: every counter and
+    gauge, the [tangram_latency_us{stage}] histograms, the per-bucket,
+    per-version, per-device and per-(arch, version) kernel series, and
+    — once a monitor snapshots the registry — its windowed families. *)
+val to_prometheus : t -> string

@@ -2,9 +2,8 @@
 
    Traces are deterministic (a splitmix-style LCG seeded explicitly);
    the replay submits batches through the service and reports throughput
-   plus the cache hit/miss delta, which is what `reduce-explorer
-   --service`, `tangramc serve` and the bench `service` subcommand
-   print. *)
+   plus the cache hit/miss delta, which is what `tangramc serve` and the
+   bench `service` subcommand print. *)
 
 module R = Gpusim.Runner
 

@@ -348,8 +348,9 @@ let voting_tests =
         serve_all off;
         (* host wall-clock samples differ run to run; masking numbers
            leaves the report's shape — sections, lines, labels. Each
-           number collapses to one '#': under load a sample can gain a
-           digit ("9.8" vs "10.2"), which must not change the shape *)
+           number collapses to one '#' together with the padding before
+           it: under load a sample can gain a digit ("   9.8" vs
+           "  10.2"), which must not change the shape *)
         let mask s =
           let b = Buffer.create (String.length s) in
           let in_num = ref false in
@@ -357,7 +358,17 @@ let voting_tests =
             (fun c ->
               if (c >= '0' && c <= '9') || ((c = '.' || c = ',') && !in_num)
               then (
-                if not !in_num then Buffer.add_char b '#';
+                if not !in_num then begin
+                  let pad = ref (Buffer.length b) in
+                  while !pad > 0 && Buffer.nth b (!pad - 1) = ' ' do
+                    decr pad
+                  done;
+                  if !pad < Buffer.length b then begin
+                    Buffer.truncate b !pad;
+                    Buffer.add_char b ' '
+                  end;
+                  Buffer.add_char b '#'
+                end;
                 in_num := true)
               else (
                 in_num := false;
