@@ -11,6 +11,15 @@
      dune exec bin/tangramc.exe -- emit -v m -t ptx > test/golden/version_m.ptx
      dune exec bin/tangramc.exe -- emit -v n -t ptx > test/golden/version_n.ptx
      dune exec bin/tangramc.exe -- emit -v a --vectorize > test/golden/version_a_vectorized.cu
+   v}
+
+   The two lint goldens pin every sanitizer and perf-lint warning, with
+   its code, kernel and location, over the whole search space (the int
+   and min spectra print byte-identical copies of them):
+
+   {v
+     dune exec bin/tangramc.exe -- lint --all-variants --spectrum sum > test/golden/lint_sum.txt
+     dune exec bin/tangramc.exe -- lint --all-variants --spectrum max > test/golden/lint_max.txt
    v} *)
 
 let read_file path =
@@ -32,6 +41,23 @@ let ptx label =
 let vectorized_cuda label =
   let p = Synthesis.Planner.program (Lazy.force plan) (Synthesis.Version.of_figure6 label) in
   Device_ir.Cuda.emit_program (fst (Device_ir.Vectorize.program p))
+
+(* [tangramc lint --all-variants]'s text output for one spectrum *)
+let lint_all planner =
+  let versions = Synthesis.Version.enumerate () in
+  let diags =
+    List.concat_map
+      (fun v ->
+        List.map
+          (fun (d : Device_ir.Diag.t) ->
+            { d with Device_ir.Diag.kernel =
+                Synthesis.Version.name v ^ "/" ^ d.Device_ir.Diag.kernel })
+          (Synthesis.Planner.lint planner v))
+      versions
+  in
+  (if diags = [] then "" else Device_ir.Diag.render diags ^ "\n")
+  ^ Printf.sprintf "%d version(s) linted: %s\n" (List.length versions)
+      (Device_ir.Diag.summary diags)
 
 (* show the first diverging line, not a wall of text *)
 let check_golden name path generated =
@@ -70,5 +96,12 @@ let () =
           check_golden "version n, PTX" "golden/version_n.ptx" (ptx "n");
           check_golden "version a vectorized, CUDA" "golden/version_a_vectorized.cu"
             (vectorized_cuda "a");
+        ] );
+      ( "lint",
+        [
+          check_golden "every sum version, lint text" "golden/lint_sum.txt"
+            (lint_all (Lazy.force plan));
+          check_golden "every max version, lint text" "golden/lint_max.txt"
+            (lint_all (Synthesis.Planner.max_reduction ()));
         ] );
     ]
