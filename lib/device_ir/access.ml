@@ -2,58 +2,81 @@
    the device IR.
 
    The analyzer executes each kernel one warp at a time. Every value is
-   either a 32-wide lane vector (the exact pointwise concretization of
-   the lane-affine normal form base + s_lane*lane + s_tid*tid + s_loop*i:
+   a 32-wide lane vector (the exact pointwise concretization of the
+   lane-affine normal form base + s_lane*lane + s_tid*tid + s_loop*i:
    tid folds to warp_base + 1*lane, loop iterators to their concrete
-   per-iteration values) or Top for anything data-dependent — memory
-   loads, shuffle results, atomic return values. Address expressions in
-   the paper's reduction corpus are pure lane geometry, so they stay
-   exact; the affine *fit* over the lane vector recovers (base, stride)
-   for classification and rendering.
+   per-iteration values) whose lanes may individually be unknown (⊤)
+   when data-dependent — memory loads, shuffle results, atomic return
+   values. Address expressions in the paper's reduction corpus are pure
+   lane geometry, so they stay exact; the affine *fit* over the lane
+   vector recovers (base, stride) for classification and rendering.
 
    Two invariants keep the static predictions comparable with observed
    {!Gpusim.Events} counters:
 
-   - the segment rule (128-byte transactions: distinct [idx lsr 5] among
-     active lanes) and the bank rule (32 banks: worst per-bank distinct
-     address count of [idx land 31]) are copied from the interpreter
-     verbatim;
+   - the segment, bank and atomic-conflict rules are {!Lanes}', the
+     same ones the interpreter charges;
    - event counting mirrors the interpreter's charging points statement
      for statement, including the block-level/warp-level split for
      statements that contain a barrier.
 
-   Divergence is exact when the branch condition is a lane vector: the
-   two arms run sequentially under complementary lane masks, and
-   register assignment merges per lane, which is precisely the SIMT
-   reconvergence semantics. Only a Top condition forces the
-   snapshot-and-join fallback (and sets the [approx] flag). *)
+   Divergence is exact per lane: the lanes whose branch condition is
+   known run their arm under complementary masks, and register
+   assignment merges per lane, which is precisely the SIMT
+   reconvergence semantics. Lanes whose condition is unknown run both
+   arms from the same entry state and join (and set the [approx] flag).
+
+   The same walk is the race sanitizer's dynamic phase ({!trace_kernel}):
+   there it reports every warp access instead of pricing it, tracks
+   which loaded cells each register derives from, and widens each loop
+   after {!sanitizer_loop_fuel} iterations. *)
 
 module SM = Analysis.SM
 
-let warp_lanes = 32
+let warp_lanes = Lanes.warp_size
 
-type config = { sample_n : int; fuel : int }
+(* the lint entry point's model input size *)
+let sample_n = 4096
 
-let default_config = { sample_n = 4096; fuel = 1 lsl 16 }
+(* loop iterations one analyzed block may run before its loops widen *)
+let block_fuel = 1 lsl 16
+
+(* the sanitizer's walk widens each loop after this many iterations *)
+let sanitizer_loop_fuel = 256
 
 (* ------------------------------------------------------------------ *)
-(* Abstract values: exact lane vectors, or Top                         *)
+(* Abstract values: lane vectors with per-lane unknowns                *)
 (* ------------------------------------------------------------------ *)
 
-type aval = Vec of int array | Top
+(* one value per lane; bit [l] of [unk] marks lane [l] unknown *)
+type aval = { v : int array; unk : int }
 
-let const n = Vec (Array.make warp_lanes n)
+let all_unknown = (1 lsl warp_lanes) - 1
+let top = { v = Array.make warp_lanes 0; unk = all_unknown }
+let const n = { v = Array.make warp_lanes n; unk = 0 }
+let known (a : aval) (l : int) : bool = a.unk land (1 lsl l) = 0
 
-let uniform_of = function
-  | Top -> None
-  | Vec a ->
-      let v = a.(0) in
-      if Array.for_all (fun x -> x = v) a then Some v else None
+let lane_idx (a : aval) (l : int) : int option =
+  if known a l then Some a.v.(l) else None
 
-let int_of_float_exact f =
-  if Float.is_integer f && Float.abs f < 1073741824.0 then
-    Some (int_of_float f)
-  else None
+let bits_of (mask : bool array) (lanes : int) : int =
+  let b = ref 0 in
+  for l = 0 to lanes - 1 do
+    if mask.(l) then b := !b lor (1 lsl l)
+  done;
+  !b
+
+(* every active lane known *)
+let known_on (a : aval) (mask : bool array) (lanes : int) : bool =
+  a.unk land bits_of mask lanes = 0
+
+let uniform_of (a : aval) (lanes : int) : int option =
+  let x = a.v.(0) in
+  let ok = ref true in
+  for l = 0 to lanes - 1 do
+    if (not (known a l)) || a.v.(l) <> x then ok := false
+  done;
+  if !ok then Some x else None
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
@@ -87,50 +110,6 @@ let kind_name = function
   | St -> "store"
   | At -> "atomic"
   | Vl -> "vec-load"
-
-(* the interpreter's 128-byte segment rule (4-byte elements) *)
-let segment_of_index i = i lsr 5
-
-let count_segments (idxs : int array) (mask : bool array) (lanes : int) : int =
-  let segs = ref [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then begin
-      let s = segment_of_index idxs.(l) in
-      if not (List.mem s !segs) then segs := s :: !segs
-    end
-  done;
-  List.length !segs
-
-(* the interpreter's 32-bank rule: same-address lanes broadcast, distinct
-   addresses on one bank serialise *)
-let bank_conflict_degree (idxs : int array) (mask : bool array) (lanes : int) : int =
-  let banks = Array.make 32 [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then begin
-      let b = idxs.(l) land 31 in
-      if not (List.mem idxs.(l) banks.(b)) then banks.(b) <- idxs.(l) :: banks.(b)
-    end
-  done;
-  let worst = Array.fold_left (fun acc g -> max acc (List.length g)) 0 banks in
-  max worst 1
-
-let atomic_conflicts (idxs : int array) (mask : bool array) (lanes : int) :
-    int * int =
-  let groups = ref [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then
-      match List.assoc_opt idxs.(l) !groups with
-      | Some r -> incr r
-      | None -> groups := (idxs.(l), ref 1) :: !groups
-  done;
-  (List.length !groups, List.fold_left (fun acc (_, r) -> max acc !r) 0 !groups)
-
-let active_count mask lanes =
-  let n = ref 0 in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then incr n
-  done;
-  !n
 
 (* fit the lane-affine normal form over the active lanes: addresses
    [base + stride*lane] for some integers, or None when the vector is
@@ -172,15 +151,12 @@ type site = {
   s_space : Ir.space;
   s_arr : string;
   s_kind : akind;
-  mutable s_ops : int;
   mutable s_trans : int;
   mutable s_serial : int;
   mutable s_worst_trans : int;
   mutable s_worst_degree : int;
   mutable s_class : coalescing;
   mutable s_non_affine : bool;
-  mutable s_first_epoch : int;
-  mutable s_last_epoch : int;
   mutable s_form : string;
   mutable s_lanes : int array option;
 }
@@ -194,7 +170,7 @@ let new_site_table () = { tbl = Hashtbl.create 32; order = [] }
 
 let sites_in_order (t : site_table) : site list = List.rev t.order
 
-let find_site t ~kernel ~loc ~space ~arr ~kind ~epoch =
+let find_site t ~kernel ~loc ~space ~arr ~kind =
   let key = (kernel, loc) in
   match Hashtbl.find_opt t.tbl key with
   | Some s -> s
@@ -206,15 +182,12 @@ let find_site t ~kernel ~loc ~space ~arr ~kind ~epoch =
           s_space = space;
           s_arr = arr;
           s_kind = kind;
-          s_ops = 0;
           s_trans = 0;
           s_serial = 0;
           s_worst_trans = 0;
           s_worst_degree = 0;
           s_class = Broadcast;
           s_non_affine = false;
-          s_first_epoch = epoch;
-          s_last_epoch = epoch;
           s_form = "";
           s_lanes = None;
         }
@@ -222,14 +195,6 @@ let find_site t ~kernel ~loc ~space ~arr ~kind ~epoch =
       Hashtbl.add t.tbl key s;
       t.order <- s :: t.order;
       s
-
-let describe_site (s : site) : string =
-  Printf.sprintf "%s %s %s[%s] %s: %s, worst %d trans, %d-way banks"
-    s.s_kernel s.s_loc
-    (match s.s_space with Ir.Global -> "global" | Ir.Shared -> "shared")
-    s.s_arr (kind_name s.s_kind)
-    (coalescing_name s.s_class)
-    s.s_worst_trans s.s_worst_degree
 
 (* ------------------------------------------------------------------ *)
 (* Event counts (mirrors Gpusim.Events charging)                       *)
@@ -276,56 +241,67 @@ let zero_counts () =
     c_atomic_shared_serial = 0.0;
   }
 
-let add_counts (dst : counts) (src : counts) : unit =
-  dst.c_warp_insts <- dst.c_warp_insts +. src.c_warp_insts;
-  dst.c_alu <- dst.c_alu +. src.c_alu;
-  dst.c_branches <- dst.c_branches +. src.c_branches;
-  dst.c_blk_branches <- dst.c_blk_branches +. src.c_blk_branches;
-  dst.c_divergent <- dst.c_divergent +. src.c_divergent;
-  dst.c_gld_ops <- dst.c_gld_ops +. src.c_gld_ops;
-  dst.c_gld_trans <- dst.c_gld_trans +. src.c_gld_trans;
-  dst.c_gst_trans <- dst.c_gst_trans +. src.c_gst_trans;
-  dst.c_shared_ops <- dst.c_shared_ops +. src.c_shared_ops;
-  dst.c_shared_serial <- dst.c_shared_serial +. src.c_shared_serial;
-  dst.c_shfl <- dst.c_shfl +. src.c_shfl;
-  dst.c_vec_ops <- dst.c_vec_ops +. src.c_vec_ops;
-  dst.c_syncs <- dst.c_syncs +. src.c_syncs;
-  dst.c_atomic_global_ops <- dst.c_atomic_global_ops +. src.c_atomic_global_ops;
-  dst.c_atomic_global_trans <-
-    dst.c_atomic_global_trans +. src.c_atomic_global_trans;
-  dst.c_atomic_shared_ops <- dst.c_atomic_shared_ops +. src.c_atomic_shared_ops;
-  dst.c_atomic_shared_serial <-
-    dst.c_atomic_shared_serial +. src.c_atomic_shared_serial
-
-let scale_counts (c : counts) (f : float) : counts =
-  {
-    c_warp_insts = c.c_warp_insts *. f;
-    c_alu = c.c_alu *. f;
-    c_branches = c.c_branches *. f;
-    c_blk_branches = c.c_blk_branches *. f;
-    c_divergent = c.c_divergent *. f;
-    c_gld_ops = c.c_gld_ops *. f;
-    c_gld_trans = c.c_gld_trans *. f;
-    c_gst_trans = c.c_gst_trans *. f;
-    c_shared_ops = c.c_shared_ops *. f;
-    c_shared_serial = c.c_shared_serial *. f;
-    c_shfl = c.c_shfl *. f;
-    c_vec_ops = c.c_vec_ops *. f;
-    c_syncs = c.c_syncs *. f;
-    c_atomic_global_ops = c.c_atomic_global_ops *. f;
-    c_atomic_global_trans = c.c_atomic_global_trans *. f;
-    c_atomic_shared_ops = c.c_atomic_shared_ops *. f;
-    c_atomic_shared_serial = c.c_atomic_shared_serial *. f;
-  }
+let add_counts ?(scale = 1.0) (dst : counts) (src : counts) : unit =
+  let add d x = d +. (x *. scale) in
+  dst.c_warp_insts <- add dst.c_warp_insts src.c_warp_insts;
+  dst.c_alu <- add dst.c_alu src.c_alu;
+  dst.c_branches <- add dst.c_branches src.c_branches;
+  dst.c_blk_branches <- add dst.c_blk_branches src.c_blk_branches;
+  dst.c_divergent <- add dst.c_divergent src.c_divergent;
+  dst.c_gld_ops <- add dst.c_gld_ops src.c_gld_ops;
+  dst.c_gld_trans <- add dst.c_gld_trans src.c_gld_trans;
+  dst.c_gst_trans <- add dst.c_gst_trans src.c_gst_trans;
+  dst.c_shared_ops <- add dst.c_shared_ops src.c_shared_ops;
+  dst.c_shared_serial <- add dst.c_shared_serial src.c_shared_serial;
+  dst.c_shfl <- add dst.c_shfl src.c_shfl;
+  dst.c_vec_ops <- add dst.c_vec_ops src.c_vec_ops;
+  dst.c_syncs <- add dst.c_syncs src.c_syncs;
+  dst.c_atomic_global_ops <- add dst.c_atomic_global_ops src.c_atomic_global_ops;
+  dst.c_atomic_global_trans <- add dst.c_atomic_global_trans src.c_atomic_global_trans;
+  dst.c_atomic_shared_ops <- add dst.c_atomic_shared_ops src.c_atomic_shared_ops;
+  dst.c_atomic_shared_serial <- add dst.c_atomic_shared_serial src.c_atomic_shared_serial
 
 (* ------------------------------------------------------------------ *)
 (* Block context                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type wstate = { mutable regs : aval SM.t }
+(* a loaded cell a register's value derives from: space, array, index
+   (unknown when data-dependent) and the barrier epoch of the load *)
+type origin = Ir.space * string * int option * int
+
+type wstate = {
+  mutable regs : aval SM.t;
+  mutable orig : origin list option array SM.t;
+      (* sanitizer walk only: per lane, the cells the register derives
+         from; [None] where it holds no load-derived value at all (loop
+         iterators, atomic and shuffle results), which a join keeps *)
+}
+
+let snapshot (st : wstate) : wstate = { regs = st.regs; orig = st.orig }
+
+let restore (st : wstate) (s : wstate) : unit =
+  st.regs <- s.regs;
+  st.orig <- s.orig
+
+type access = {
+  a_bid : int;
+  a_warp : int;
+  a_epoch : int;
+  a_loc : string;
+  a_space : Ir.space;
+  a_arr : string;
+  a_kind : akind;
+  a_width : int;
+  a_active : int;
+  a_idx : aval;
+  a_rmw : int;
+}
+
+(* what the sanitizer's walk collects, newest first: every access, and
+   block 0's barriers *)
+type trace = { mutable accesses : access list; mutable barriers : string list }
 
 type bctx = {
-  cfg : config;
   kernel : Ir.kernel;
   bid : int;
   bdim : int;
@@ -339,218 +315,250 @@ type bctx = {
   tot : counts;
   heat : (string * int * Ir.scope, float ref) Hashtbl.t;
   sites : site_table;
-  mutable fuel : int;
+  mutable fuel : int;  (* loop iterations left to the whole block *)
+  loop_fuel : int;  (* iterations one loop runs before it widens *)
+  trace : trace option;  (* the sanitizer's walk *)
   mutable approx : bool;
 }
 
-let warp_lane_count (c : bctx) (w : int) : int =
-  min warp_lanes (c.bdim - (w * warp_lanes))
+let lanes_of (c : bctx) (w : int) : int = Lanes.lanes_in_warp ~nthreads:c.bdim w
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation (per warp)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let lift1 f = function Top -> Top | Vec a -> Vec (Array.map f a)
+let binop (op : Ir.binop) (a : aval) (b : aval) : aval =
+  if a.unk = all_unknown && b.unk = all_unknown then top
+  else begin
+    let out = Array.make warp_lanes 0 and unk = ref 0 in
+    for l = 0 to warp_lanes - 1 do
+      let ka = known a l and kb = known b l in
+      let x = a.v.(l) and y = b.v.(l) in
+      match op with
+      (* short-circuits that survive one unknown side *)
+      | (Ir.Land | Ir.Mul) when (ka && x = 0) || (kb && y = 0) -> ()
+      | Ir.Lor when (ka && x <> 0) || (kb && y <> 0) -> out.(l) <- 1
+      | (Ir.Div | Ir.Rem) when y = 0 -> unk := !unk lor (1 lsl l)
+      | _ ->
+          if ka && kb then out.(l) <- Ir.eval_binop op x y
+          else unk := !unk lor (1 lsl l)
+    done;
+    { v = out; unk = !unk }
+  end
+
+(* per lane: a known condition picks its side, an unknown one keeps only
+   what both sides agree on *)
+let select (cv : aval) (a : aval) (b : aval) : aval =
+  let out = Array.make warp_lanes 0 and unk = ref 0 in
+  for l = 0 to warp_lanes - 1 do
+    if known cv l then begin
+      let s = if cv.v.(l) <> 0 then a else b in
+      if known s l then out.(l) <- s.v.(l) else unk := !unk lor (1 lsl l)
+    end
+    else if known a l && known b l && a.v.(l) = b.v.(l) then out.(l) <- a.v.(l)
+    else unk := !unk lor (1 lsl l)
+  done;
+  { v = out; unk = !unk }
 
 let rec ev (c : bctx) (w : int) (e : Ir.exp) : aval =
-  let st = c.warps.(w) in
   match e with
   | Ir.Int n -> const n
-  | Ir.Float f -> (
-      match int_of_float_exact f with Some n -> const n | None -> Top)
+  | Ir.Float f ->
+      if Float.is_integer f && Float.abs f < 1073741824.0 then const (int_of_float f)
+      else top
   | Ir.Bool b -> const (if b then 1 else 0)
-  | Ir.Reg r -> ( match SM.find_opt r st.regs with Some v -> v | None -> Top)
+  | Ir.Reg r -> ( match SM.find_opt r c.warps.(w).regs with Some v -> v | None -> top)
   | Ir.Param p -> (
-      match SM.find_opt p c.params with Some v -> const v | None -> Top)
+      match SM.find_opt p c.params with Some v -> const v | None -> top)
   | Ir.Special s -> (
       let wbase = w * warp_lanes in
       match s with
-      | Ir.Thread_idx -> Vec (Array.init warp_lanes (fun l -> wbase + l))
+      | Ir.Thread_idx -> { v = Array.init warp_lanes (fun l -> wbase + l); unk = 0 }
       | Ir.Block_idx -> const c.bid
       | Ir.Block_dim -> const c.bdim
       | Ir.Grid_dim -> const c.gdim
       | Ir.Warp_size -> const warp_lanes
-      | Ir.Lane_id -> Vec (Array.init warp_lanes (fun l -> l))
+      | Ir.Lane_id -> { v = Array.init warp_lanes (fun l -> l); unk = 0 }
       | Ir.Warp_id -> const w)
-  | Ir.Unop (op, a) -> (
-      match op with
-      | Ir.Neg -> lift1 (fun v -> -v) (ev c w a)
-      | Ir.Bnot -> lift1 lnot (ev c w a)
-      | Ir.Lnot -> lift1 (fun v -> if v = 0 then 1 else 0) (ev c w a))
-  | Ir.Binop (op, a, b) -> ev_binop op (ev c w a) (ev c w b)
-  | Ir.Select (cnd, a, b) -> (
-      match ev c w cnd with
-      | Vec cv -> (
-          match uniform_of (Vec cv) with
-          | Some 0 -> ev c w b
-          | Some _ -> ev c w a
-          | None -> (
-              match (ev c w a, ev c w b) with
-              | Vec av, Vec bv ->
-                  Vec
-                    (Array.init warp_lanes (fun l ->
-                         if cv.(l) <> 0 then av.(l) else bv.(l)))
-              | _ -> Top))
-      | Top -> (
-          match (ev c w a, ev c w b) with
-          | Vec av, Vec bv when av = bv -> Vec av
-          | _ -> Top))
-
-and ev_binop (op : Ir.binop) (va : aval) (vb : aval) : aval =
-  let all_zero = function Vec a -> Array.for_all (fun x -> x = 0) a | Top -> false in
-  let all_nonzero = function
-    | Vec a -> Array.for_all (fun x -> x <> 0) a
-    | Top -> false
-  in
-  match (op, va, vb) with
-  (* short-circuits that survive one Top side *)
-  | Ir.Land, x, _ when all_zero x -> const 0
-  | Ir.Land, _, x when all_zero x -> const 0
-  | Ir.Lor, x, _ when all_nonzero x -> const 1
-  | Ir.Lor, _, x when all_nonzero x -> const 1
-  | Ir.Mul, x, _ when all_zero x -> const 0
-  | Ir.Mul, _, x when all_zero x -> const 0
-  | _, Top, _ | _, _, Top -> Top
-  | op, Vec a, Vec b ->
-      let bool_ p = if p then 1 else 0 in
+  | Ir.Unop (op, a) ->
+      let a = ev c w a in
       let f =
         match op with
-        | Ir.Add -> fun x y -> Some (x + y)
-        | Ir.Sub -> fun x y -> Some (x - y)
-        | Ir.Mul -> fun x y -> Some (x * y)
-        | Ir.Div -> fun x y -> if y = 0 then None else Some (x / y)
-        | Ir.Rem -> fun x y -> if y = 0 then None else Some (x mod y)
-        | Ir.Min -> fun x y -> Some (min x y)
-        | Ir.Max -> fun x y -> Some (max x y)
-        | Ir.And -> fun x y -> Some (x land y)
-        | Ir.Or -> fun x y -> Some (x lor y)
-        | Ir.Xor -> fun x y -> Some (x lxor y)
-        | Ir.Shl -> fun x y -> Some (x lsl y)
-        | Ir.Shr -> fun x y -> Some (x asr y)
-        | Ir.Eq -> fun x y -> Some (bool_ (x = y))
-        | Ir.Ne -> fun x y -> Some (bool_ (x <> y))
-        | Ir.Lt -> fun x y -> Some (bool_ (x < y))
-        | Ir.Le -> fun x y -> Some (bool_ (x <= y))
-        | Ir.Gt -> fun x y -> Some (bool_ (x > y))
-        | Ir.Ge -> fun x y -> Some (bool_ (x >= y))
-        | Ir.Land -> fun x y -> Some (bool_ (x <> 0 && y <> 0))
-        | Ir.Lor -> fun x y -> Some (bool_ (x <> 0 || y <> 0))
+        | Ir.Neg -> fun v -> -v
+        | Ir.Bnot -> lnot
+        | Ir.Lnot -> fun v -> if v = 0 then 1 else 0
       in
-      let out = Array.make warp_lanes 0 in
-      let ok = ref true in
-      for l = 0 to warp_lanes - 1 do
-        match f a.(l) b.(l) with
-        | Some v -> out.(l) <- v
-        | None -> ok := false
-      done;
-      if !ok then Vec out else Top
+      if a.unk = all_unknown then top else { a with v = Array.map f a.v }
+  | Ir.Binop (op, a, b) -> binop op (ev c w a) (ev c w b)
+  | Ir.Select (cnd, a, b) -> select (ev c w cnd) (ev c w a) (ev c w b)
 
-(* assignment under a lane mask: per-lane merge with the previous value
-   (exact SIMT reconvergence for concrete vectors) *)
+(* assignment under a lane mask: active lanes take [v], the others keep
+   their value (unknown when the register had none) — exact SIMT
+   reconvergence *)
 let assign (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : string)
     (v : aval) : unit =
   let st = c.warps.(w) in
-  let full = active_count mask lanes = lanes in
   let nv =
-    if full then v
+    if Lanes.active mask lanes = lanes then v
     else
-      match (SM.find_opt r st.regs, v) with
-      | (None | Some Top), Vec _ -> (
-          match SM.find_opt r st.regs with
-          | None -> v  (* unmasked lanes only ever read it under this mask *)
-          | Some _ -> Top)
-      | Some (Vec o), Vec n ->
-          Vec
-            (Array.init warp_lanes (fun l -> if mask.(l) then n.(l) else o.(l)))
-      | _, Top -> Top
+      let o = match SM.find_opt r st.regs with Some o -> o | None -> top in
+      let out = Array.copy o.v and unk = ref o.unk in
+      for l = 0 to lanes - 1 do
+        if mask.(l) then begin
+          out.(l) <- v.v.(l);
+          unk := if known v l then !unk land lnot (1 lsl l) else !unk lor (1 lsl l)
+        end
+      done;
+      { v = out; unk = !unk }
   in
   st.regs <- SM.add r nv st.regs
+
+(* ------------------------------------------------------------------ *)
+(* Load origins (the sanitizer's walk only)                            *)
+(* ------------------------------------------------------------------ *)
+
+(* first occurrences, at most 8: long accumulation chains only ever
+   re-derive the same few cells *)
+let dedup_origins (os : origin list) : origin list =
+  let rec go seen = function
+    | [] -> List.rev seen
+    | o :: tl -> if List.mem o seen then go seen tl else go (o :: seen) tl
+  in
+  let os = go [] os in
+  if List.length os > 8 then List.filteri (fun i _ -> i < 8) os else os
+
+let set_origins (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : string)
+    (f : int -> origin list option) : unit =
+  if c.trace <> None then begin
+    let st = c.warps.(w) in
+    let a =
+      match SM.find_opt r st.orig with
+      | Some a -> Array.copy a
+      | None -> Array.make warp_lanes None
+    in
+    for l = 0 to lanes - 1 do
+      if mask.(l) then a.(l) <- f l
+    done;
+    st.orig <- SM.add r a st.orig
+  end
+
+let clear_origins c w mask lanes r = set_origins c w mask lanes r (fun _ -> None)
+
+(* the origin arrays of the registers [e] reads, highest name first *)
+let origin_sources (c : bctx) (w : int) (e : Ir.exp) : origin list option array list =
+  let orig = c.warps.(w).orig in
+  Analysis.SS.fold
+    (fun r acc -> match SM.find_opt r orig with Some a -> a :: acc | None -> acc)
+    (Analysis.exp_uses e) []
+
+let lane_origins srcs l =
+  List.concat_map (fun a -> match a.(l) with Some os -> os | None -> []) srcs
+
+let let_origins c w mask lanes r e =
+  if c.trace <> None then
+    match origin_sources c w e with
+    | [] -> set_origins c w mask lanes r (fun _ -> Some [])
+    | srcs ->
+        set_origins c w mask lanes r (fun l -> Some (dedup_origins (lane_origins srcs l)))
+
+(* bit l: lane l stores a value derived from a same-epoch load of the
+   cell it stores to — a lost update when it races *)
+let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : Ir.exp) : int =
+  if c.trace = None then 0
+  else begin
+    let srcs = origin_sources c w v in
+    let rmw = ref 0 in
+    for l = 0 to lanes - 1 do
+      if mask.(l) then begin
+        let ix = lane_idx idx l in
+        if
+          List.exists
+            (fun (sp, ar, i, ep) -> sp = space && ar = arr && ep = c.epoch && i = ix)
+            (lane_origins srcs l)
+        then rmw := !rmw lor (1 lsl l)
+      end
+    done;
+    !rmw
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Access recording                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* returns (transactions, conflict degree) so the caller can charge the
-   interpreter-identical event counts *)
+(* the analyzer prices the access into its site and returns
+   (transactions, conflict degree) for the interpreter-identical event
+   counts; the sanitizer's walk reports it instead *)
 let record (c : bctx) (w : int) ~loc ~space ~arr ~kind ~(idx : aval)
-    ~(mask : bool array) ~(lanes : int) ~(width : int) : int * int =
-  let s =
-    find_site c.sites ~kernel:c.kernel.Ir.k_name ~loc ~space ~arr ~kind
-      ~epoch:c.epoch
-  in
-  let n_active = active_count mask lanes in
-  let trans, degree, fit, lanes_out =
-    match idx with
-    | Top ->
-        c.approx <- true;
-        s.s_non_affine <- true;
-        (* worst case: every lane its own segment / its own address on a
-           shared bank *)
-        (n_active, max 1 (min n_active 32), None, None)
-    | Vec a ->
-        if width = 1 then
+    ~(mask : bool array) ~(lanes : int) ~(width : int) ~(rmw : int) : int * int =
+  match c.trace with
+  | Some t ->
+      t.accesses <-
+        {
+          a_bid = c.bid;
+          a_warp = w;
+          a_epoch = c.epoch;
+          a_loc = loc;
+          a_space = space;
+          a_arr = arr;
+          a_kind = kind;
+          a_width = width;
+          a_active = bits_of mask lanes;
+          a_idx = idx;
+          a_rmw = rmw;
+        }
+        :: t.accesses;
+      (0, 1)
+  | None ->
+      let s =
+        find_site c.sites ~kernel:c.kernel.Ir.k_name ~loc ~space ~arr ~kind
+      in
+      let n_active = Lanes.active mask lanes in
+      let exact = known_on idx mask lanes in
+      let trans, degree, fit =
+        if not exact then begin
+          c.approx <- true;
+          s.s_non_affine <- true;
+          (* worst case: every lane its own segment / its own address on a
+             shared bank *)
+          (n_active, max 1 (min n_active 32), None)
+        end
+        else
+          let a = idx.v in
           let trans =
             match space with
-            | Ir.Global -> count_segments a mask lanes
+            | Ir.Global -> Lanes.vec_segments a mask lanes ~width
             | Ir.Shared -> 0
           in
           let degree =
             match space with
-            | Ir.Shared -> bank_conflict_degree a mask lanes
+            | Ir.Shared -> Lanes.bank_degree a mask lanes
             | Ir.Global -> 1
           in
-          (trans, degree, affine_fit a mask lanes, Some (Array.copy a))
-        else begin
-          (* vectorized load: each lane touches [base .. base+width-1] *)
-          let segs = ref [] in
-          for l = 0 to lanes - 1 do
-            if mask.(l) then
-              for j = 0 to width - 1 do
-                let sg = segment_of_index (a.(l) + j) in
-                if not (List.mem sg !segs) then segs := sg :: !segs
-              done
-          done;
-          (List.length !segs, 1, affine_fit a mask lanes, Some (Array.copy a))
-        end
-  in
-  let cls =
-    match idx with
-    | Top -> Non_affine
-    | Vec _ -> (
-        match fit with
-        | Some (_, 0) -> Broadcast
-        | Some (_, s) when abs s = 1 -> Coalesced
-        | Some (_, s) -> Strided s
-        | None -> Scattered)
-  in
-  s.s_ops <- s.s_ops + 1;
-  s.s_trans <- s.s_trans + trans;
-  s.s_serial <- s.s_serial + degree;
-  s.s_worst_trans <- max s.s_worst_trans trans;
-  s.s_worst_degree <- max s.s_worst_degree degree;
-  s.s_class <- class_join s.s_class cls;
-  s.s_first_epoch <- min s.s_first_epoch c.epoch;
-  s.s_last_epoch <- max s.s_last_epoch c.epoch;
-  if s.s_form = "" then
-    s.s_form <- (match idx with Top -> "(data-dependent)" | Vec _ -> render_form fit);
-  (if s.s_lanes = None && c.bid >= 0 && w = 0 then
-     match lanes_out with
-     | Some a -> s.s_lanes <- Some (Array.sub a 0 lanes)
-     | None -> ());
-  (trans, degree)
+          (trans, degree, affine_fit a mask lanes)
+      in
+      let cls =
+        if not exact then Non_affine
+        else
+          match fit with
+          | Some (_, 0) -> Broadcast
+          | Some (_, s) when abs s = 1 -> Coalesced
+          | Some (_, s) -> Strided s
+          | None -> Scattered
+      in
+      s.s_trans <- s.s_trans + trans;
+      s.s_serial <- s.s_serial + degree;
+      s.s_worst_trans <- max s.s_worst_trans trans;
+      s.s_worst_degree <- max s.s_worst_degree degree;
+      s.s_class <- class_join s.s_class cls;
+      if s.s_form = "" then
+        s.s_form <- (if exact then render_form fit else "(data-dependent)");
+      if exact && s.s_lanes = None && w = 0 then
+        s.s_lanes <- Some (Array.sub idx.v 0 lanes);
+      (trans, degree)
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let rec has_sync (s : Ir.stmt) : bool =
-  match s with
-  | Ir.Sync -> true
-  | Ir.If (_, t, e) -> List.exists has_sync t || List.exists has_sync e
-  | Ir.For { body; _ } | Ir.While (_, body) -> List.exists has_sync body
-  | Ir.Let _ | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _ | Ir.Shfl _
-  | Ir.Comment _ ->
-      false
 
 let full_mask = Array.make warp_lanes true
 
@@ -560,78 +568,131 @@ let chg (c : bctx) (w : int) (f : counts -> unit) : unit =
   f c.cur.(w);
   f c.tot
 
-let barrier (c : bctx) : unit =
+(* a shared load or store: one warp instruction, replayed [degree] times *)
+let chg_shared (c : bctx) (w : int) (degree : int) : unit =
+  chg c w (fun k ->
+      k.c_warp_insts <- k.c_warp_insts +. 1.0;
+      k.c_shared_ops <- k.c_shared_ops +. 1.0;
+      k.c_shared_serial <- k.c_shared_serial +. float_of_int degree)
+
+let barrier (c : bctx) (loc : string) : unit =
   c.epochs <- c.cur :: c.epochs;
   c.cur <- Array.init c.nwarps (fun _ -> zero_counts ());
   c.tot.c_syncs <- c.tot.c_syncs +. float_of_int c.nwarps;
   c.tot.c_warp_insts <- c.tot.c_warp_insts +. float_of_int c.nwarps;
-  c.epoch <- c.epoch + 1
+  c.epoch <- c.epoch + 1;
+  match c.trace with
+  | Some t when c.bid = 0 -> t.barriers <- loc :: t.barriers
+  | _ -> ()
+
+(* after both arms of an unknown branch ran from the same entry state:
+   the lanes of [umask] keep what the arms agree on, the others are
+   untouched by either arm *)
+let join_arms (st : wstate) ~(arm : wstate) (umask : bool array) (lanes : int) : unit =
+  let join_val x y =
+    if x == y then x
+    else begin
+      let out = Array.copy y.v and unk = ref y.unk in
+      for l = 0 to lanes - 1 do
+        if umask.(l) then
+          if known x l && known y l && x.v.(l) = y.v.(l) then ()
+          else unk := !unk lor (1 lsl l)
+      done;
+      { v = out; unk = !unk }
+    end
+  in
+  let join_orig x y =
+    if x == y then x
+    else
+      Array.init warp_lanes (fun l ->
+          if l < lanes && umask.(l) then
+            match (x.(l), y.(l)) with
+            | Some a, Some b -> Some (dedup_origins (a @ b))
+            | _ -> None
+          else y.(l))
+  in
+  st.regs <-
+    SM.merge
+      (fun _ a b ->
+        match (a, b) with Some x, Some y -> Some (join_val x y) | _ -> Some top)
+      arm.regs st.regs;
+  st.orig <-
+    SM.merge
+      (fun _ a b ->
+        match (a, b) with Some x, Some y -> Some (join_orig x y) | _ -> None)
+      arm.orig st.orig
 
 let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
     (s : Ir.stmt) : unit =
-  let lanes = warp_lane_count c w in
+  let lanes = lanes_of c w in
   match s with
   | Ir.Comment _ -> ()
   | Ir.Let (r, e) ->
       assign c w mask lanes r (ev c w e);
+      let_origins c w mask lanes r e;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_alu <- k.c_alu +. 1.0)
   | Ir.Load { dst; space; arr; idx } -> (
       let idxv = ev c w idx in
       let trans, degree =
-        record c w ~loc ~space ~arr ~kind:Ld ~idx:idxv ~mask ~lanes ~width:1
+        record c w ~loc ~space ~arr ~kind:Ld ~idx:idxv ~mask ~lanes ~width:1 ~rmw:0
       in
-      assign c w mask lanes dst Top;
+      assign c w mask lanes dst top;
+      set_origins c w mask lanes dst (fun l ->
+          Some [ (space, arr, lane_idx idxv l, c.epoch) ]);
       match space with
       | Ir.Global ->
           chg c w (fun k ->
               k.c_warp_insts <- k.c_warp_insts +. 1.0;
               k.c_gld_ops <- k.c_gld_ops +. 1.0;
               k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
-      | Ir.Shared ->
-          chg c w (fun k ->
-              k.c_warp_insts <- k.c_warp_insts +. 1.0;
-              k.c_shared_ops <- k.c_shared_ops +. 1.0;
-              k.c_shared_serial <- k.c_shared_serial +. float_of_int degree))
+      | Ir.Shared -> chg_shared c w degree)
   | Ir.Vec_load { dsts; arr; base } ->
       let width = List.length dsts in
       let basev = ev c w base in
       let trans, _ =
         record c w ~loc ~space:Ir.Global ~arr ~kind:Vl ~idx:basev ~mask ~lanes
-          ~width
+          ~width ~rmw:0
       in
-      List.iter (fun d -> assign c w mask lanes d Top) dsts;
+      List.iteri
+        (fun j d ->
+          assign c w mask lanes d top;
+          set_origins c w mask lanes d (fun l ->
+              Some
+                [ (Ir.Global, arr, Option.map (( + ) j) (lane_idx basev l), c.epoch) ]))
+        dsts;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_vec_ops <- k.c_vec_ops +. 1.0;
           k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
   | Ir.Store { space; arr; idx; v } -> (
       let idxv = ev c w idx in
-      ignore (ev c w v);
+      let rmw = store_rmw c w mask lanes ~space ~arr ~idx:idxv v in
       let trans, degree =
-        record c w ~loc ~space ~arr ~kind:St ~idx:idxv ~mask ~lanes ~width:1
+        record c w ~loc ~space ~arr ~kind:St ~idx:idxv ~mask ~lanes ~width:1 ~rmw
       in
       match space with
       | Ir.Global ->
           chg c w (fun k ->
               k.c_warp_insts <- k.c_warp_insts +. 1.0;
               k.c_gst_trans <- k.c_gst_trans +. float_of_int trans)
-      | Ir.Shared ->
-          chg c w (fun k ->
-              k.c_warp_insts <- k.c_warp_insts +. 1.0;
-              k.c_shared_ops <- k.c_shared_ops +. 1.0;
-              k.c_shared_serial <- k.c_shared_serial +. float_of_int degree))
+      | Ir.Shared -> chg_shared c w degree)
   | Ir.Atomic { dst; space; arr; idx; scope; _ } -> (
       let idxv = ev c w idx in
-      ignore (record c w ~loc ~space ~arr ~kind:At ~idx:idxv ~mask ~lanes ~width:1);
-      (match dst with Some d -> assign c w mask lanes d Top | None -> ());
-      let n_active = active_count mask lanes in
+      ignore
+        (record c w ~loc ~space ~arr ~kind:At ~idx:idxv ~mask ~lanes ~width:1 ~rmw:0);
+      (match dst with
+      | Some d ->
+          assign c w mask lanes d top;
+          clear_origins c w mask lanes d
+      | None -> ());
+      let n_active = Lanes.active mask lanes in
+      let exact = known_on idxv mask lanes in
       if n_active > 0 then
         let distinct, worst =
-          match idxv with
-          | Vec a -> atomic_conflicts a mask lanes
-          | Top -> (n_active, n_active)  (* worst both ways *)
+          if exact then Lanes.atomic_conflicts idxv.v mask lanes
+          else (n_active, n_active)  (* worst both ways *)
         in
         match space with
         | Ir.Shared ->
@@ -648,131 +709,132 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
                   k.c_atomic_global_ops +. float_of_int n_active;
                 k.c_atomic_global_trans <-
                   k.c_atomic_global_trans +. float_of_int distinct);
-            (match idxv with
-            | Vec a ->
-                for l = 0 to lanes - 1 do
-                  if mask.(l) then begin
-                    let key = (arr, a.(l), scope) in
-                    match Hashtbl.find_opt c.heat key with
-                    | Some r -> r := !r +. 1.0
-                    | None -> Hashtbl.add c.heat key (ref 1.0)
-                  end
-                done
-            | Top -> c.approx <- true))
+            if not exact then c.approx <- true
+            else if c.trace = None then
+              for l = 0 to lanes - 1 do
+                if mask.(l) then begin
+                  let key = (arr, idxv.v.(l), scope) in
+                  match Hashtbl.find_opt c.heat key with
+                  | Some r -> r := !r +. 1.0
+                  | None -> Hashtbl.add c.heat key (ref 1.0)
+                end
+              done)
   | Ir.Shfl { dst; _ } ->
-      assign c w mask lanes dst Top;
+      assign c w mask lanes dst top;
+      clear_origins c w mask lanes dst;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_shfl <- k.c_shfl +. 1.0)
   | Ir.Sync ->
       (* only reachable through divergent control, which the race
-         sanitizer reports; treat as a plain barrier so the epoch count
-         stays sane *)
+         sanitizer reports *)
       c.approx <- true
-  | Ir.If (cnd, t, e) -> (
+  | Ir.If (cnd, t, e) ->
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_branches <- k.c_branches +. 1.0);
-      match ev c w cnd with
-      | Vec cv ->
-          let tmask = Array.make warp_lanes false in
-          let emask = Array.make warp_lanes false in
-          let n_t = ref 0 and n_e = ref 0 in
-          for l = 0 to lanes - 1 do
-            if mask.(l) then
-              if cv.(l) <> 0 then begin
-                tmask.(l) <- true;
-                incr n_t
-              end
-              else begin
-                emask.(l) <- true;
-                incr n_e
-              end
-          done;
-          if !n_t > 0 && !n_e > 0 then
-            chg c w (fun k -> k.c_divergent <- k.c_divergent +. 1.0);
-          if !n_t > 0 then exec_warp_stmts c w tmask (loc ^ ".then") t;
-          if !n_e > 0 then exec_warp_stmts c w emask (loc ^ ".else") e
-      | Top ->
-          (* data-dependent branch: run both arms from the same entry
-             state and join register-wise *)
-          c.approx <- true;
-          chg c w (fun k -> k.c_divergent <- k.c_divergent +. 1.0);
-          let st = c.warps.(w) in
-          let regs0 = st.regs in
-          exec_warp_stmts c w mask (loc ^ ".then") t;
-          let regs_t = st.regs in
-          st.regs <- regs0;
-          exec_warp_stmts c w mask (loc ^ ".else") e;
-          st.regs <-
-            SM.merge
-              (fun _ a b ->
-                match (a, b) with
-                | Some (Vec x), Some (Vec y) when x = y -> Some (Vec x)
-                | Some _, Some _ -> Some Top
-                | _ -> Some Top)
-              regs_t st.regs)
+      let cv = ev c w cnd in
+      let tmask = Array.make warp_lanes false in
+      let emask = Array.make warp_lanes false in
+      let umask = Array.make warp_lanes false in
+      let n_t = ref 0 and n_e = ref 0 and n_u = ref 0 in
+      for l = 0 to lanes - 1 do
+        if mask.(l) then
+          if not (known cv l) then begin
+            umask.(l) <- true;
+            incr n_u
+          end
+          else if cv.v.(l) <> 0 then begin
+            tmask.(l) <- true;
+            incr n_t
+          end
+          else begin
+            emask.(l) <- true;
+            incr n_e
+          end
+      done;
+      if (!n_t > 0 && !n_e > 0) || !n_u > 0 then
+        chg c w (fun k -> k.c_divergent <- k.c_divergent +. 1.0);
+      if !n_u > 0 then begin
+        (* data-dependent branch: those lanes run both arms from the same
+           entry state and join *)
+        c.approx <- true;
+        let st = c.warps.(w) in
+        let entry = snapshot st in
+        exec_warp_stmts c w umask (loc ^ ".then") t;
+        let arm = snapshot st in
+        restore st entry;
+        exec_warp_stmts c w umask (loc ^ ".else") e;
+        join_arms st ~arm umask lanes
+      end;
+      if !n_t > 0 then exec_warp_stmts c w tmask (loc ^ ".then") t;
+      if !n_e > 0 then exec_warp_stmts c w emask (loc ^ ".else") e
   | Ir.For { var; init; cond; step; body } ->
       assign c w mask lanes var (ev c w init);
+      clear_origins c w mask lanes var;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_alu <- k.c_alu +. 1.0);
-      let live = Array.copy mask in
-      let widen () =
-        c.approx <- true;
-        assign c w live lanes var Top;
-        exec_warp_stmts c w live (loc ^ ".body") body;
-        exec_warp_stmts c w live (loc ^ ".body") body
-      in
-      let rec go () =
-        chg c w (fun k -> k.c_branches <- k.c_branches +. 1.0);
-        match ev c w cond with
-        | Top -> widen ()
-        | Vec cv ->
-            let n_live = ref 0 in
-            for l = 0 to lanes - 1 do
-              if live.(l) then
-                if cv.(l) <> 0 then incr n_live else live.(l) <- false
-            done;
-            if !n_live > 0 then
-              if c.fuel <= 0 then widen ()
-              else begin
-                c.fuel <- c.fuel - 1;
-                exec_warp_stmts c w live (loc ^ ".body") body;
-                assign c w live lanes var (ev c w step);
-                chg c w (fun k ->
-                    k.c_warp_insts <- k.c_warp_insts +. 1.0;
-                    k.c_alu <- k.c_alu +. 1.0);
-                go ()
-              end
-      in
-      go ()
+      let step_unknown = Array.make warp_lanes false in
+      warp_loop c w mask lanes (loc ^ ".body") body ~cond ~step_unknown
+        ~widen:(fun wide ->
+          assign c w wide lanes var top;
+          clear_origins c w wide lanes var)
+        ~step:(fun live ->
+          let sv = ev c w step in
+          assign c w live lanes var sv;
+          chg c w (fun k ->
+              k.c_warp_insts <- k.c_warp_insts +. 1.0;
+              k.c_alu <- k.c_alu +. 1.0);
+          for l = 0 to lanes - 1 do
+            if live.(l) && not (known sv l) then step_unknown.(l) <- true
+          done)
   | Ir.While (cnd, body) ->
-      let live = Array.copy mask in
-      let widen () =
-        c.approx <- true;
-        exec_warp_stmts c w live (loc ^ ".body") body;
-        exec_warp_stmts c w live (loc ^ ".body") body
-      in
-      let rec go () =
-        chg c w (fun k -> k.c_branches <- k.c_branches +. 1.0);
-        match ev c w cnd with
-        | Top -> widen ()
-        | Vec cv ->
-            let n_live = ref 0 in
-            for l = 0 to lanes - 1 do
-              if live.(l) then
-                if cv.(l) <> 0 then incr n_live else live.(l) <- false
-            done;
-            if !n_live > 0 then
-              if c.fuel <= 0 then widen ()
-              else begin
-                c.fuel <- c.fuel - 1;
-                exec_warp_stmts c w live (loc ^ ".body") body;
-                go ()
-              end
-      in
-      go ()
+      warp_loop c w mask lanes (loc ^ ".body") body ~cond:cnd
+        ~step_unknown:(Array.make warp_lanes false)
+        ~widen:(fun _ -> ())
+        ~step:(fun _ -> ())
+
+(* a loop at warp level: each live lane leaves when its condition is
+   known false; a lane whose condition (or last iterator step) is
+   unknown, or every live lane once the fuel is spent, widens — its
+   iterator becomes unknown and the body runs twice more, exposing
+   intra- and cross-iteration pairs *)
+and warp_loop c w mask lanes body_loc body ~cond ~step_unknown ~widen ~step =
+  let live = Array.copy mask in
+  let wide = Array.make warp_lanes false in
+  let iters = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    chg c w (fun k -> k.c_branches <- k.c_branches +. 1.0);
+    let cv = ev c w cond in
+    let spent = !iters >= c.loop_fuel || c.fuel <= 0 in
+    let n_live = ref 0 and n_wide = ref 0 in
+    for l = 0 to lanes - 1 do
+      if live.(l) then
+        if step_unknown.(l) || (not (known cv l)) || (cv.v.(l) <> 0 && spent) then begin
+          live.(l) <- false;
+          wide.(l) <- true;
+          incr n_wide
+        end
+        else if cv.v.(l) = 0 then live.(l) <- false
+        else incr n_live
+    done;
+    if !n_wide > 0 then begin
+      c.approx <- true;
+      widen wide;
+      exec_warp_stmts c w wide body_loc body;
+      exec_warp_stmts c w wide body_loc body;
+      Array.fill wide 0 warp_lanes false
+    end;
+    if !n_live = 0 then continue_ := false
+    else begin
+      incr iters;
+      c.fuel <- c.fuel - 1;
+      exec_warp_stmts c w live body_loc body;
+      step live
+    end
+  done
 
 and exec_warp_stmts (c : bctx) (w : int) (mask : bool array) (path : string)
     (body : Ir.stmt list) : unit =
@@ -780,28 +842,30 @@ and exec_warp_stmts (c : bctx) (w : int) (mask : bool array) (path : string)
     (fun i s -> exec_warp c w mask (Printf.sprintf "%s[%d]" path i) s)
     body
 
-(* a block-uniform value: the same constant in every lane of every warp *)
+(* a block-uniform value: the same known constant in every lane of every
+   warp *)
 let uniform_across (c : bctx) (e : Ir.exp) : int option =
-  let rec go w acc =
-    if w >= c.nwarps then acc
-    else
-      match (uniform_of (ev c w e), acc) with
-      | Some v, None -> go (w + 1) (Some v)
-      | Some v, Some u when v = u -> go (w + 1) acc
-      | _ -> None
-  in
-  go 0 None
+  match List.init c.nwarps (fun w -> uniform_of (ev c w e) (lanes_of c w)) with
+  | (Some _ as v) :: rest when List.for_all (( = ) v) rest -> v
+  | _ -> None
+
+let each_warp (c : bctx) (f : int -> int -> unit) : unit =
+  for w = 0 to c.nwarps - 1 do
+    f w (lanes_of c w)
+  done
 
 (* block-level execution: statements containing a barrier follow the
-   interpreter's uniform-control path (and its sparser event counting) *)
+   interpreter's uniform-control path (and its sparser event counting);
+   a condition that is not uniformly known runs both arms, a loop whose
+   condition is not uniformly known (or whose fuel is spent) widens *)
 let rec exec_block_stmt (c : bctx) (loc : string) (s : Ir.stmt) : unit =
-  if not (has_sync s) then
+  if not (Analysis.contains_sync s) then
     for w = 0 to c.nwarps - 1 do
       exec_warp c w full_mask loc s
     done
   else
     match s with
-    | Ir.Sync -> barrier c
+    | Ir.Sync -> barrier c loc
     | Ir.If (cnd, t, e) -> (
         c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
         match uniform_across c cnd with
@@ -809,53 +873,56 @@ let rec exec_block_stmt (c : bctx) (loc : string) (s : Ir.stmt) : unit =
             if v <> 0 then exec_block_stmts c (loc ^ ".then") t
             else exec_block_stmts c (loc ^ ".else") e
         | None ->
-            (* non-uniform barrier guard: the sanitizer owns this error;
-               analyze the then-branch so downstream sites still exist *)
             c.approx <- true;
-            exec_block_stmts c (loc ^ ".then") t)
+            let entry = Array.map snapshot c.warps in
+            exec_block_stmts c (loc ^ ".then") t;
+            let arm = Array.map snapshot c.warps in
+            Array.iter2 restore c.warps entry;
+            exec_block_stmts c (loc ^ ".else") e;
+            each_warp c (fun w lanes ->
+                join_arms c.warps.(w) ~arm:arm.(w) full_mask lanes))
     | Ir.For { var; init; cond; step; body } ->
-        for w = 0 to c.nwarps - 1 do
-          assign c w full_mask (warp_lane_count c w) var (ev c w init)
-        done;
-        let rec go () =
-          match uniform_across c cond with
-          | Some v when v <> 0 ->
-              if c.fuel <= 0 then c.approx <- true
-              else begin
-                c.fuel <- c.fuel - 1;
-                exec_block_stmts c (loc ^ ".body") body;
-                for w = 0 to c.nwarps - 1 do
-                  assign c w full_mask (warp_lane_count c w) var (ev c w step)
-                done;
-                c.tot.c_blk_branches <-
-                  c.tot.c_blk_branches +. float_of_int c.nwarps;
-                go ()
-              end
-          | Some _ -> ()
-          | None ->
-              c.approx <- true;
-              exec_block_stmts c (loc ^ ".body") body
+        let set_var f =
+          each_warp c (fun w lanes ->
+              assign c w full_mask lanes var (f w);
+              clear_origins c w full_mask lanes var)
         in
-        go ()
+        set_var (fun w -> ev c w init);
+        block_loop c loc body ~cond
+          ~widen:(fun () -> set_var (fun _ -> top))
+          ~step:(fun () ->
+            let stepped = ref true in
+            each_warp c (fun w lanes ->
+                let sv = ev c w step in
+                if not (known_on sv full_mask lanes) then stepped := false;
+                assign c w full_mask lanes var sv);
+            c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
+            !stepped)
     | Ir.While (cnd, body) ->
-        let rec go () =
-          match uniform_across c cnd with
-          | Some v when v <> 0 ->
-              if c.fuel <= 0 then c.approx <- true
-              else begin
-                c.fuel <- c.fuel - 1;
-                exec_block_stmts c (loc ^ ".body") body;
-                go ()
-              end
-          | Some _ -> ()
-          | None ->
-              c.approx <- true;
-              exec_block_stmts c (loc ^ ".body") body
-        in
-        go ()
+        block_loop c loc body ~cond:cnd ~widen:ignore ~step:(fun () -> true)
     | Ir.Let _ | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _
     | Ir.Shfl _ | Ir.Comment _ ->
         assert false
+
+(* a loop at block level runs while its condition is uniformly known
+   true; an unknown condition or iterator step, or spent fuel, widens *)
+and block_loop c loc body ~cond ~widen ~step =
+  let run () = exec_block_stmts c (loc ^ ".body") body in
+  let rec go iters =
+    match uniform_across c cond with
+    | Some 0 -> ()
+    | Some _ when iters < c.loop_fuel && c.fuel > 0 ->
+        c.fuel <- c.fuel - 1;
+        run ();
+        if step () then go (iters + 1) else wide ()
+    | _ -> wide ()
+  and wide () =
+    c.approx <- true;
+    widen ();
+    run ();
+    run ()
+  in
+  go 0
 
 and exec_block_stmts (c : bctx) (path : string) (body : Ir.stmt list) : unit =
   List.iteri
@@ -874,40 +941,54 @@ type block_profile = {
   bp_heat : ((string * int * Ir.scope) * float) list;
 }
 
-let analyze_block ~(cfg : config) ~(sites : site_table) ~(params : int SM.t)
-    ~(bdim : int) ~(gdim : int) ~(bid : int) (k : Ir.kernel) : block_profile * bool =
+let new_block ~trace ~sites ~params ~bdim ~gdim ~bid (k : Ir.kernel) : bctx =
   let nwarps = (bdim + warp_lanes - 1) / warp_lanes in
-  let c =
-    {
-      cfg;
-      kernel = k;
-      bid;
-      bdim;
-      gdim;
-      params;
-      nwarps;
-      warps = Array.init nwarps (fun _ -> { regs = SM.empty });
-      epoch = 0;
-      epochs = [];
-      cur = Array.init nwarps (fun _ -> zero_counts ());
-      tot = zero_counts ();
-      heat = Hashtbl.create 8;
-      sites;
-      fuel = cfg.fuel;
-      approx = false;
-    }
-  in
+  {
+    kernel = k;
+    bid;
+    bdim;
+    gdim;
+    params;
+    nwarps;
+    warps = Array.init nwarps (fun _ -> { regs = SM.empty; orig = SM.empty });
+    epoch = 0;
+    epochs = [];
+    cur = Array.init nwarps (fun _ -> zero_counts ());
+    tot = zero_counts ();
+    heat = Hashtbl.create 8;
+    sites;
+    fuel = (if trace = None then block_fuel else max_int);
+    loop_fuel = (if trace = None then max_int else sanitizer_loop_fuel);
+    trace;
+    approx = false;
+  }
+
+let analyze_block ~(sites : site_table) ~(params : int SM.t) ~(bdim : int)
+    ~(gdim : int) ~(bid : int) (k : Ir.kernel) : block_profile * bool =
+  let c = new_block ~trace:None ~sites ~params ~bdim ~gdim ~bid k in
   exec_block_stmts c "body" k.Ir.k_body;
   c.epochs <- c.cur :: c.epochs;
   let heat = Hashtbl.fold (fun key r acc -> (key, !r) :: acc) c.heat [] in
   ( {
       bp_bid = bid;
-      bp_warps = nwarps;
+      bp_warps = c.nwarps;
       bp_epochs = List.rev c.epochs;
       bp_tot = c.tot;
       bp_heat = List.sort compare heat;
     },
     c.approx )
+
+let trace_kernel ~(params : (string * int) list) ~(block : int) ~(grid : int)
+    (k : Ir.kernel) : access list * string list =
+  let params = List.fold_left (fun m (p, v) -> SM.add p v m) SM.empty params in
+  let sites = new_site_table () in
+  let t = { accesses = []; barriers = [] } in
+  for bid = 0 to grid - 1 do
+    exec_block_stmts
+      (new_block ~trace:(Some t) ~sites ~params ~bdim:block ~gdim:grid ~bid k)
+      "body" k.Ir.k_body
+  done;
+  (List.rev t.accesses, List.rev t.barriers)
 
 type launch_pred = {
   lp_kernel : string;
@@ -975,15 +1056,10 @@ let site_diags (sites : site list) : Diag.t list =
     sites;
   List.rev !out
 
-let default_tunables (p : Ir.program) : (string * int) list =
-  List.filter_map
-    (fun (t, cands) -> match cands with v :: _ -> Some (t, v) | [] -> None)
-    p.Ir.p_tunables
-
-let analyze ?(cfg = default_config) ?n ?tunables (p : Ir.program) : analysis =
-  let n = match n with Some v -> max 1 v | None -> cfg.sample_n in
+let analyze ?n ?tunables (p : Ir.program) : analysis =
+  let n = match n with Some v -> max 1 v | None -> sample_n in
   let tunables =
-    match tunables with Some t -> t | None -> default_tunables p
+    match tunables with Some t -> t | None -> fst (Ir.tunable_extremes p)
   in
   let eval h = Ir.eval_hexp ~n ~tunables h in
   let sites = new_site_table () in
@@ -1004,23 +1080,10 @@ let analyze ?(cfg = default_config) ?n ?tunables (p : Ir.program) : analysis =
             | grid, block, shared_elems ->
                 let grid = max 1 grid in
                 let block = max 1 (min block 1024) in
-                let scalars =
-                  List.filter_map
-                    (function
-                      | Ir.Arg_scalar h -> Some h | Ir.Arg_buffer _ -> None)
-                    ln.Ir.ln_args
-                in
                 let params =
-                  List.fold_left
-                    (fun (m, i) (name, _) ->
-                      match List.nth_opt scalars i with
-                      | Some h -> (
-                          match eval h with
-                          | v -> (SM.add name v m, i + 1)
-                          | exception _ -> (m, i + 1))
-                      | None -> (m, i + 1))
-                    (SM.empty, 0) k.Ir.k_params
-                  |> fst
+                  Ir.launch_params k ln (fun h ->
+                      match eval h with v -> Some v | exception _ -> None)
+                  |> List.fold_left (fun m (p, v) -> SM.add p v m) SM.empty
                 in
                 let shared_bytes =
                   4
@@ -1033,27 +1096,25 @@ let analyze ?(cfg = default_config) ?n ?tunables (p : Ir.program) : analysis =
                       0 k.Ir.k_shared
                 in
                 let first, a1 =
-                  analyze_block ~cfg ~sites ~params ~bdim:block ~gdim:grid
+                  analyze_block ~sites ~params ~bdim:block ~gdim:grid
                     ~bid:0 k
                 in
                 let last, a2 =
                   if grid > 1 then
                     let bp, a =
-                      analyze_block ~cfg ~sites ~params ~bdim:block ~gdim:grid
+                      analyze_block ~sites ~params ~bdim:block ~gdim:grid
                         ~bid:(grid - 1) k
                     in
                     (Some bp, a)
                   else (None, false)
                 in
                 if a1 || a2 then approx := true;
-                let totals =
-                  match last with
-                  | None -> scale_counts first.bp_tot 1.0
-                  | Some l ->
-                      let t = scale_counts first.bp_tot (float_of_int (grid - 1)) in
-                      add_counts t l.bp_tot;
-                      t
-                in
+                let totals = zero_counts () in
+                (match last with
+                | None -> add_counts totals first.bp_tot
+                | Some l ->
+                    add_counts ~scale:(float_of_int (grid - 1)) totals first.bp_tot;
+                    add_counts totals l.bp_tot);
                 (* per-address heat over the whole grid: middle blocks
                    behave like block 0. An address the last block ALSO
                    heats is block-invariant (every block piles onto it:
@@ -1109,30 +1170,12 @@ let analyze ?(cfg = default_config) ?n ?tunables (p : Ir.program) : analysis =
     an_approx = !approx;
   }
 
-let dedup_diags (ds : Diag.t list) : Diag.t list =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (d : Diag.t) ->
-      let key = (d.Diag.code, d.Diag.kernel, d.Diag.loc) in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    ds
-
-let check_program ?(cfg = default_config) (p : Ir.program) : Diag.t list =
-  let pick f =
-    List.filter_map
-      (fun (t, cands) -> match cands with [] -> None | l -> Some (t, f l))
-      p.Ir.p_tunables
-  in
-  let lo = pick List.hd in
-  let hi = pick (fun l -> List.nth l (List.length l - 1)) in
+let check_program (p : Ir.program) : Diag.t list =
+  let lo, hi = Ir.tunable_extremes p in
   let run tunables =
-    match analyze ~cfg ~n:cfg.sample_n ~tunables p with
+    match analyze ~n:sample_n ~tunables p with
     | a -> a.an_diags
     | exception _ -> []
   in
   let diags = run lo @ if hi = lo then [] else run hi in
-  Diag.sort (dedup_diags diags)
+  Diag.sort (Diag.dedup diags)

@@ -18,14 +18,14 @@
     the affine domain: [tid] folds to [warp_base + 1·lane], loop
     iterators to their concrete per-iteration values), so every
     geometry-derived index stays exact while anything data-dependent
-    (memory loads, shuffle results, atomic return values) becomes ⊤.
-    Classification reuses the interpreter's arithmetic
-    ({!Gpusim.Interp}'s segment and bank rules), which is what makes the
-    static transaction/replay predictions comparable with observed
+    (memory loads, shuffle results, atomic return values) becomes ⊤ in
+    the lanes it reaches. Classification uses the interpreter's
+    arithmetic ({!Lanes}' segment and bank rules), which is what makes
+    the static transaction/replay predictions comparable with observed
     {!Gpusim.Events} counters — the calibration harness behind
     [tangramc access].
 
-    Three consumers:
+    Four consumers:
     + {!check_program} emits warn-severity diagnostics ([TPERF010]
       uncoalesced global access, [TPERF011] n-way bank conflict,
       [TPERF012] non-affine index escape) for [Planner.lint] and
@@ -34,15 +34,8 @@
       [Gpusim.Cost.of_static] prices into a wall-clock estimate without
       running the kernel;
     + the per-site classifications themselves ({!site}), for reports and
-      tests. *)
-
-type config = {
-  sample_n : int;  (** model input size for the lint entry point *)
-  fuel : int;  (** loop-iteration budget per analyzed block before the
-                   analysis widens the iterator to ⊤ *)
-}
-
-val default_config : config
+      tests;
+    + {!Race}, whose grid model is this walk ({!trace_kernel}). *)
 
 (** Global-memory coalescing class of an access site, worst over every
     visit (warp × barrier epoch × loop iteration). *)
@@ -67,15 +60,12 @@ type site = {
   s_space : Ir.space;
   s_arr : string;
   s_kind : akind;
-  mutable s_ops : int;  (** warp-level accesses observed at this site *)
   mutable s_trans : int;  (** global 128-byte transactions, summed *)
   mutable s_serial : int;  (** shared replay: summed conflict degrees *)
   mutable s_worst_trans : int;  (** worst transactions of a single access *)
   mutable s_worst_degree : int;  (** worst bank-conflict degree (1 = free) *)
   mutable s_class : coalescing;  (** worst coalescing class seen *)
   mutable s_non_affine : bool;  (** some visit had a ⊤ index *)
-  mutable s_first_epoch : int;
-  mutable s_last_epoch : int;
   mutable s_form : string;  (** rendered normal form of the first visit *)
   mutable s_lanes : int array option;
       (** per-lane addresses of the first visit (warp 0 of block 0) —
@@ -108,8 +98,10 @@ type counts = {
 }
 
 val zero_counts : unit -> counts
-val add_counts : counts -> counts -> unit
-val scale_counts : counts -> float -> counts
+
+(** [add_counts ~scale dst src] adds [scale] (default 1) times [src] to
+    [dst]. *)
+val add_counts : ?scale:float -> counts -> counts -> unit
 
 (** Execution profile of one analyzed block: per-warp counts split at
     barrier epochs (the cost model folds these into a critical path:
@@ -156,18 +148,47 @@ type analysis = {
 }
 
 (** Analyze a whole program at a concrete geometry. [n] defaults to
-    [cfg.sample_n]; [tunables] default to each tunable's first
-    candidate. Launches whose geometry cannot be evaluated are
-    skipped. *)
-val analyze :
-  ?cfg:config -> ?n:int -> ?tunables:(string * int) list -> Ir.program -> analysis
+    4096 elements; [tunables] default to each tunable's first candidate.
+    Launches whose geometry cannot be evaluated are skipped. *)
+val analyze : ?n:int -> ?tunables:(string * int) list -> Ir.program -> analysis
 
 (** The lint entry point: run {!analyze} at both tunable extremes (the
     smallest and largest candidate of every tunable, mirroring
     {!Race.check_program}'s worst-case geometry rule) and return the
     deduplicated TPERF diagnostics. Never raises on a bad variant. *)
-val check_program : ?cfg:config -> Ir.program -> Diag.t list
+val check_program : Ir.program -> Diag.t list
 
-(** Render one site as a table row fragment (class, worst degree,
-    transactions), for the CLI. *)
-val describe_site : site -> string
+(** {2 The race sanitizer's walk} *)
+
+(** A lane vector: one value per lane of a warp, each possibly unknown. *)
+type aval
+
+(** Lane [l]'s value, [None] when data-dependent. *)
+val lane_idx : aval -> int -> int option
+
+(** One warp-level shared/global access. *)
+type access = {
+  a_bid : int;
+  a_warp : int;
+  a_epoch : int;  (** barriers the block passed before the access *)
+  a_loc : string;
+  a_space : Ir.space;
+  a_arr : string;
+  a_kind : akind;
+  a_width : int;  (** elements per lane: more than 1 for a vector load *)
+  a_active : int;  (** bit [l]: lane [l] is active *)
+  a_idx : aval;  (** per-lane index (a vector load's first element) *)
+  a_rmw : int;
+      (** bit [l]: lane [l] stores a value derived from a same-epoch
+          load of the cell it stores to *)
+}
+
+(** Walk every block [0 .. grid-1] of a [block]-thread launch with the
+    given scalar parameters (unbound ones are unknown), the way the race
+    sanitizer models the grid: unknowns stay per lane, each register
+    tracks the cells it was loaded from, and each loop widens after 256
+    iterations. Returns every access in walk order and block 0's
+    barrier locations in the order it passed them. *)
+val trace_kernel :
+  params:(string * int) list -> block:int -> grid:int -> Ir.kernel ->
+  access list * string list

@@ -5,7 +5,7 @@
    - barrier placement ([contains_sync]), used by the simulator to decide
      whether a statement must be executed block-wide or can be run
      warp-by-warp;
-   - a thread-uniformity taint analysis ([uniform_exp]): an expression is
+   - a thread-uniformity taint analysis ([exp_level]): an expression is
      block-uniform when its value is provably identical for every thread of
      a block. Barriers are only legal under block-uniform control flow;
    - def/use scans used by the validator. *)
@@ -60,11 +60,6 @@ let rec exp_level ~(tainted : level SM.t) (e : Ir.exp) : level =
       join_level (exp_level ~tainted c)
         (join_level (exp_level ~tainted a) (exp_level ~tainted b))
 
-(** Backward-compatible boolean view: block-uniformity. *)
-let uniform_exp ~(tainted : SS.t) (e : Ir.exp) : bool =
-  let m = SS.fold (fun r acc -> SM.add r Divergent acc) tainted SM.empty in
-  exp_level ~tainted:m e = Block_uniform
-
 let raise_to (l : level) (r : string) (m : level SM.t) : level SM.t =
   match SM.find_opt r m with
   | Some l' -> SM.add r (join_level l l') m
@@ -113,14 +108,6 @@ let level_stmts (init : level SM.t) (body : Ir.stmt list) : level SM.t =
         List.fold_left (go ~ctrl:ctrl') t1 body
   in
   List.fold_left (go ~ctrl:Block_uniform) init body
-
-(** Backward-compatible set view of {!level_stmts}: non-block-uniform
-    registers. *)
-let taint_stmts (init : SS.t) (body : Ir.stmt list) : SS.t =
-  let m = SS.fold (fun r acc -> SM.add r Divergent acc) init SM.empty in
-  SM.fold
-    (fun r l acc -> if l = Block_uniform then acc else SS.add r acc)
-    (level_stmts m body) SS.empty
 
 (* ------------------------------------------------------------------ *)
 (* Def / use scans                                                     *)

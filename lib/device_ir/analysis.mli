@@ -26,18 +26,11 @@ module SM : Map.S with type key = string
     registers are block-uniform). *)
 val exp_level : tainted:level SM.t -> Ir.exp -> level
 
-(** Boolean view of {!exp_level}: block-uniformity given a set of
-    divergent registers. *)
-val uniform_exp : tainted:SS.t -> Ir.exp -> bool
-
 (** Propagate divergence levels through a statement list: a register
     assigned from an expression of level L under control of level C gets
     [join L C]; registers loaded from memory are conservatively
     divergent. *)
 val level_stmts : level SM.t -> Ir.stmt list -> level SM.t
-
-(** Set view of {!level_stmts}: the non-block-uniform registers. *)
-val taint_stmts : SS.t -> Ir.stmt list -> SS.t
 
 val exp_uses : Ir.exp -> SS.t
 val stmt_defs : Ir.stmt -> string list

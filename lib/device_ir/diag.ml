@@ -63,6 +63,18 @@ let compare_t a b =
 
 let sort ds = List.stable_sort compare_t ds
 
+let dedup ds =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun d ->
+      let key = (d.code, d.kernel, d.loc) in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
+    ds
+
 (* ------------------------------------------------------------------ *)
 (* Code registry                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -62,6 +62,9 @@ val has_errors : t list -> bool
 (** Errors before warnings, then by code, kernel, location. *)
 val sort : t list -> t list
 
+(** Keep the first diagnostic of each (code, kernel, location). *)
+val dedup : t list -> t list
+
 (** One registry row: a stable code, the severity it is always emitted
     at, the checker that owns it, and a one-line meaning. *)
 type info = {

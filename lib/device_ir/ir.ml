@@ -265,6 +265,33 @@ let hsize = H_input_size
 let htun s = H_tunable s
 let hceil a b = H_ceil_div (a, b)
 
+(** Integer semantics of a binary operator (comparisons and logical
+    connectives yield 0/1). [Div] and [Rem] raise [Division_by_zero] on a
+    zero divisor. *)
+let eval_binop (op : binop) (x : int) (y : int) : int =
+  let bool_ p = if p then 1 else 0 in
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> x / y
+  | Rem -> x mod y
+  | Min -> min x y
+  | Max -> max x y
+  | And -> x land y
+  | Or -> x lor y
+  | Xor -> x lxor y
+  | Shl -> x lsl y
+  | Shr -> x asr y
+  | Eq -> bool_ (x = y)
+  | Ne -> bool_ (x <> y)
+  | Lt -> bool_ (x < y)
+  | Le -> bool_ (x <= y)
+  | Gt -> bool_ (x > y)
+  | Ge -> bool_ (x >= y)
+  | Land -> bool_ (x <> 0 && y <> 0)
+  | Lor -> bool_ (x <> 0 || y <> 0)
+
 (** Evaluate a host expression given the input size and tunable bindings.
     Raises [Invalid_argument] on an unbound tunable. *)
 let rec eval_hexp ~n ~tunables : hexp -> int = function
@@ -283,6 +310,35 @@ let rec eval_hexp ~n ~tunables : hexp -> int = function
       (a + b - 1) / b
   | H_min (a, b) -> min (eval_hexp ~n ~tunables a) (eval_hexp ~n ~tunables b)
   | H_max (a, b) -> max (eval_hexp ~n ~tunables a) (eval_hexp ~n ~tunables b)
+
+(** The first and the last candidate of every tunable with candidates:
+    the two geometry extremes the static checkers model. *)
+let tunable_extremes (p : program) : (string * int) list * (string * int) list =
+  let pick f =
+    List.filter_map
+      (fun (t, cands) -> match cands with [] -> None | l -> Some (t, f l))
+      p.p_tunables
+  in
+  (pick List.hd, pick (fun l -> List.nth l (List.length l - 1)))
+
+(** A launch's scalar parameter bindings: the i-th scalar argument feeds
+    the kernel's i-th parameter (the composer's convention: buffers
+    first, then scalars). A parameter whose argument is missing or that
+    [eval] cannot evaluate stays unbound. *)
+let launch_params (k : kernel) (ln : launch) (eval : hexp -> int option) :
+    (string * int) list =
+  let scalars =
+    List.filter_map
+      (function Arg_scalar h -> Some h | Arg_buffer _ -> None)
+      ln.ln_args
+  in
+  List.concat
+    (List.mapi
+       (fun i (name, _) ->
+         match Option.bind (List.nth_opt scalars i) eval with
+         | Some v -> [ (name, v) ]
+         | None -> [])
+       k.k_params)
 
 let find_kernel (p : program) (name : string) : kernel =
   match List.find_opt (fun k -> k.k_name = name) p.p_kernels with

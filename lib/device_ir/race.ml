@@ -7,13 +7,14 @@
      barriers under divergent control (TSAN004) and malformed or
      out-of-warp shuffles (TSAN005);
 
-   - a bounded concrete/symbolic execution of the thread grid that
-     records every shared/global access with its barrier phase, then
-     compares accesses pairwise. Values derived from thread coordinates,
-     parameters bound from the host launch, and compile-time constants
-     stay concrete; anything data-dependent (memory loads, shuffles,
-     unbound parameters) becomes [Unknown], which conservatively overlaps
-     every index.
+   - a bounded run of the thread grid on {!Access}'s warp walk
+     ({!Access.trace_kernel}), whose every shared/global access carries
+     its barrier phase; each warp access becomes one event per thread,
+     and the events are compared pairwise. Values derived from thread
+     coordinates, parameters bound from the host launch, and
+     compile-time constants stay concrete; anything data-dependent
+     (memory loads, shuffles, unbound parameters) is unknown in the
+     lanes it reaches, which conservatively overlaps every index.
 
    The grid model is deliberately small — [model_block] threads in
    [model_grid] blocks — because the access patterns of the paper's
@@ -26,35 +27,14 @@
 
 module SM = Analysis.SM
 
-type config = {
-  model_block : int;
-  model_grid : int;
-  loop_fuel : int;
-  sample_n : int;
-}
+let model_block = 64
+let model_grid = 2
 
-let default_config =
-  { model_block = 64; model_grid = 2; loop_fuel = 256; sample_n = 4096 }
+(* the input size host expressions are evaluated at *)
+let sample_n = 4096
 
-(* ------------------------------------------------------------------ *)
-(* Symbolic values                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type sval = Known of int | Unknown
-
-let sv_join a b =
-  match (a, b) with Known x, Known y when x = y -> a | _ -> Unknown
-
-(* may the two indices denote the same location? *)
-let sv_may_eq a b =
-  match (a, b) with Known x, Known y -> x = y | _ -> true
-
-(* do the two index values certainly denote the same location (used only
-   to refine a store into a read-modify-write of the same cell)? Both
-   being [Unknown] counts as a match when they come from the same
-   registers, which is the only way the corpus produces it. *)
-let sv_same_loc a b =
-  match (a, b) with Known x, Known y -> x = y | Unknown, Unknown -> true | _ -> false
+(* may the two indices ([None]: data-dependent) denote the same location? *)
+let may_alias a b = match (a, b) with Some x, Some y -> x = y | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Access events                                                       *)
@@ -62,266 +42,70 @@ let sv_same_loc a b =
 
 type akind = Ld | St | At
 
+let kind_name = function Ld -> "load" | St -> "store" | At -> "atomic"
+
+(* one thread's access; a vector load is one [Ld] per element *)
 type event = {
   ev_bid : int;
   ev_tid : int;
   ev_phase : int;
   ev_space : Ir.space;
   ev_arr : string;
-  ev_idx : sval;
+  ev_idx : int option;
   ev_kind : akind;
   ev_loc : string;
   ev_rmw : bool;  (* store whose value derives from a same-phase load of
                      the same cell: a lost update when it races *)
 }
 
-(* origin of a register value: the cell it was loaded from, and in which
-   phase — used to recognise load/combine/store sequences *)
-type origin = Ir.space * string * sval * int
-
-type tctx = {
-  cfg : config;
-  k_bdim : int;
-  k_gdim : int;
-  params : sval SM.t;
-  tid : int;
-  bid : int;
-  mutable regs : sval SM.t;
-  mutable orig : origin list SM.t;
-  mutable phase : int;
-  mutable access_since_sync : bool;
-  mutable sync_seen : bool;
-  (* in execution order: barrier location and whether any memory access
-     happened since the previous barrier *)
-  mutable syncs : (string * bool) list;
-  events : event list ref;
-}
-
 let warp_of tid = tid / 32
 
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
-(* ------------------------------------------------------------------ *)
-
-let int_of_float_exact f =
-  if Float.is_integer f && Float.abs f < 1073741824.0 then
-    Known (int_of_float f)
-  else Unknown
-
-let rec ev (c : tctx) (e : Ir.exp) : sval =
-  match e with
-  | Ir.Int n -> Known n
-  | Ir.Float f -> int_of_float_exact f
-  | Ir.Bool b -> Known (if b then 1 else 0)
-  | Ir.Reg r -> ( match SM.find_opt r c.regs with Some v -> v | None -> Unknown)
-  | Ir.Param p -> ( match SM.find_opt p c.params with Some v -> v | None -> Unknown)
-  | Ir.Special s -> (
-      match s with
-      | Ir.Thread_idx -> Known c.tid
-      | Ir.Block_idx -> Known c.bid
-      | Ir.Block_dim -> Known c.k_bdim
-      | Ir.Grid_dim -> Known c.k_gdim
-      | Ir.Warp_size -> Known 32
-      | Ir.Lane_id -> Known (c.tid mod 32)
-      | Ir.Warp_id -> Known (c.tid / 32))
-  | Ir.Unop (op, a) -> (
-      match (op, ev c a) with
-      | _, Unknown -> Unknown
-      | Ir.Neg, Known v -> Known (-v)
-      | Ir.Bnot, Known v -> Known (lnot v)
-      | Ir.Lnot, Known v -> Known (if v = 0 then 1 else 0))
-  | Ir.Binop (op, a, b) -> ev_binop c op (ev c a) (ev c b)
-  | Ir.Select (cnd, a, b) -> (
-      match ev c cnd with
-      | Known 0 -> ev c b
-      | Known _ -> ev c a
-      | Unknown -> sv_join (ev c a) (ev c b))
-
-and ev_binop _c op va vb =
-  let bool_ p = Known (if p then 1 else 0) in
-  match (op, va, vb) with
-  (* short-circuits that survive one unknown side *)
-  | Ir.Land, Known 0, _ | Ir.Land, _, Known 0 -> Known 0
-  | Ir.Lor, Known v, _ when v <> 0 -> Known 1
-  | Ir.Lor, _, Known v when v <> 0 -> Known 1
-  | Ir.Mul, Known 0, _ | Ir.Mul, _, Known 0 -> Known 0
-  | _, Unknown, _ | _, _, Unknown -> Unknown
-  | op, Known x, Known y -> (
-      match op with
-      | Ir.Add -> Known (x + y)
-      | Ir.Sub -> Known (x - y)
-      | Ir.Mul -> Known (x * y)
-      | Ir.Div -> if y = 0 then Unknown else Known (x / y)
-      | Ir.Rem -> if y = 0 then Unknown else Known (x mod y)
-      | Ir.Min -> Known (min x y)
-      | Ir.Max -> Known (max x y)
-      | Ir.And -> Known (x land y)
-      | Ir.Or -> Known (x lor y)
-      | Ir.Xor -> Known (x lxor y)
-      | Ir.Shl -> Known (x lsl y)
-      | Ir.Shr -> Known (x asr y)
-      | Ir.Eq -> bool_ (x = y)
-      | Ir.Ne -> bool_ (x <> y)
-      | Ir.Lt -> bool_ (x < y)
-      | Ir.Le -> bool_ (x <= y)
-      | Ir.Gt -> bool_ (x > y)
-      | Ir.Ge -> bool_ (x >= y)
-      | Ir.Land -> bool_ (x <> 0 && y <> 0)
-      | Ir.Lor -> bool_ (x <> 0 || y <> 0))
-
-(* ------------------------------------------------------------------ *)
-(* Thread execution                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let origins_of_exp (c : tctx) (e : Ir.exp) : origin list =
-  Analysis.SS.fold
-    (fun r acc ->
-      match SM.find_opt r c.orig with Some os -> os @ acc | None -> acc)
-    (Analysis.exp_uses e) []
-
-let dedup_origins (os : origin list) : origin list =
-  let rec go seen = function
-    | [] -> List.rev seen
-    | o :: tl -> if List.mem o seen then go seen tl else go (o :: seen) tl
-  in
-  (* cap the per-register origin set; long accumulation chains only ever
-     re-derive the same few cells *)
-  let os = go [] os in
-  if List.length os > 8 then List.filteri (fun i _ -> i < 8) os else os
-
-let emit (c : tctx) ~loc ~space ~arr ~idx ~kind ~rmw =
-  c.access_since_sync <- true;
-  c.events :=
-    {
-      ev_bid = c.bid;
-      ev_tid = c.tid;
-      ev_phase = c.phase;
-      ev_space = space;
-      ev_arr = arr;
-      ev_idx = idx;
-      ev_kind = kind;
-      ev_loc = loc;
-      ev_rmw = rmw;
-    }
-    :: !(c.events)
-
-let merge_regs (a : sval SM.t) (b : sval SM.t) : sval SM.t =
-  SM.merge
-    (fun _ va vb ->
-      match (va, vb) with
-      | Some x, Some y -> Some (sv_join x y)
-      | _ -> Some Unknown)
-    a b
-
-let merge_orig (a : origin list SM.t) (b : origin list SM.t) : origin list SM.t =
-  SM.merge
-    (fun _ oa ob ->
-      match (oa, ob) with
-      | Some x, Some y -> Some (dedup_origins (x @ y))
-      | _ -> None)
-    a b
-
-let rec exec_stmts (c : tctx) (path : string) (body : Ir.stmt list) : unit =
-  List.iteri (fun i s -> exec_stmt c (Printf.sprintf "%s[%d]" path i) s) body
-
-and exec_stmt (c : tctx) (loc : string) (s : Ir.stmt) : unit =
-  match s with
-  | Ir.Comment _ -> ()
-  | Ir.Let (r, e) ->
-      c.regs <- SM.add r (ev c e) c.regs;
-      c.orig <- SM.add r (dedup_origins (origins_of_exp c e)) c.orig
-  | Ir.Load { dst; space; arr; idx } ->
-      let idxv = ev c idx in
-      emit c ~loc ~space ~arr ~idx:idxv ~kind:Ld ~rmw:false;
-      c.regs <- SM.add dst Unknown c.regs;
-      c.orig <- SM.add dst [ (space, arr, idxv, c.phase) ] c.orig
-  | Ir.Vec_load { dsts; arr; base } ->
-      let basev = ev c base in
-      List.iteri
-        (fun k dst ->
-          let idxv =
-            match basev with Known b -> Known (b + k) | Unknown -> Unknown
-          in
-          emit c ~loc ~space:Ir.Global ~arr ~idx:idxv ~kind:Ld ~rmw:false;
-          c.regs <- SM.add dst Unknown c.regs;
-          c.orig <- SM.add dst [ (Ir.Global, arr, idxv, c.phase) ] c.orig)
-        dsts
-  | Ir.Store { space; arr; idx; v } ->
-      let idxv = ev c idx in
-      let rmw =
-        List.exists
-          (fun (sp, ar, ix, ph) ->
-            sp = space && ar = arr && ph = c.phase && sv_same_loc ix idxv)
-          (origins_of_exp c v)
-      in
-      emit c ~loc ~space ~arr ~idx:idxv ~kind:St ~rmw
-  | Ir.Atomic { dst; space; arr; idx; _ } -> (
-      emit c ~loc ~space ~arr ~idx:(ev c idx) ~kind:At ~rmw:false;
-      match dst with
-      | Some d ->
-          c.regs <- SM.add d Unknown c.regs;
-          c.orig <- SM.remove d c.orig
-      | None -> ())
-  | Ir.Shfl { dst; _ } ->
-      c.regs <- SM.add dst Unknown c.regs;
-      c.orig <- SM.remove dst c.orig
-  | Ir.Sync ->
-      c.syncs <- (loc, c.access_since_sync) :: c.syncs;
-      c.sync_seen <- true;
-      c.access_since_sync <- false;
-      c.phase <- c.phase + 1
-  | Ir.If (cnd, t, e) -> (
-      match ev c cnd with
-      | Known 0 -> exec_stmts c (loc ^ ".else") e
-      | Known _ -> exec_stmts c (loc ^ ".then") t
-      | Unknown ->
-          (* run both arms from the same entry state and join *)
-          let regs0 = c.regs and orig0 = c.orig in
-          exec_stmts c (loc ^ ".then") t;
-          let regs_t = c.regs and orig_t = c.orig in
-          c.regs <- regs0;
-          c.orig <- orig0;
-          exec_stmts c (loc ^ ".else") e;
-          c.regs <- merge_regs regs_t c.regs;
-          c.orig <- merge_orig orig_t c.orig)
-  | Ir.For { var; init; cond; step; body } ->
-      let body_loc = loc ^ ".body" in
-      (* when the trip count is data-dependent, two widened passes with an
-         unknown iterator expose both intra- and cross-iteration pairs *)
-      let widen () =
-        c.regs <- SM.add var Unknown c.regs;
-        c.orig <- SM.remove var c.orig;
-        exec_stmts c body_loc body;
-        exec_stmts c body_loc body
-      in
-      c.regs <- SM.add var (ev c init) c.regs;
-      c.orig <- SM.remove var c.orig;
-      let rec go fuel =
-        match ev c cond with
-        | Known 0 -> ()
-        | Known _ when fuel > 0 -> (
-            exec_stmts c body_loc body;
-            match ev c step with
-            | Known _ as nv ->
-                c.regs <- SM.add var nv c.regs;
-                go (fuel - 1)
-            | Unknown -> widen ())
-        | _ -> widen ()
-      in
-      go c.cfg.loop_fuel
-  | Ir.While (cnd, body) ->
-      let body_loc = loc ^ ".body" in
-      let rec go fuel =
-        match ev c cnd with
-        | Known 0 -> ()
-        | Known _ when fuel > 0 ->
-            exec_stmts c body_loc body;
-            go (fuel - 1)
-        | _ ->
-            exec_stmts c body_loc body;
-            exec_stmts c body_loc body
-      in
-      go c.cfg.loop_fuel
+(* the walk's warp accesses as per-thread events, ordered as a
+   thread-by-thread run would emit them — by block, thread and program
+   order, newest first — which fixes the witness pair each diagnostic
+   names *)
+let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
+    event list =
+  let nwarps = (block + 31) / 32 in
+  (* each warp's accesses, oldest first *)
+  let by_warp = Array.make (grid * nwarps) [] in
+  List.iter
+    (fun (a : Access.access) ->
+      let i = (a.Access.a_bid * nwarps) + a.Access.a_warp in
+      by_warp.(i) <- a :: by_warp.(i))
+    (List.rev accesses);
+  let evs = ref [] in
+  for bid = 0 to grid - 1 do
+    for tid = 0 to block - 1 do
+      List.iter
+        (fun { Access.a_epoch; a_loc; a_space; a_arr; a_kind; a_width; a_active;
+               a_idx; a_rmw; _ } ->
+          let l = tid mod 32 in
+          if a_active land (1 lsl l) <> 0 then
+            let base = Access.lane_idx a_idx l in
+            for j = 0 to a_width - 1 do
+              evs :=
+                {
+                  ev_bid = bid;
+                  ev_tid = tid;
+                  ev_phase = a_epoch;
+                  ev_space = a_space;
+                  ev_arr = a_arr;
+                  ev_idx = Option.map (( + ) j) base;
+                  ev_kind =
+                    (match a_kind with
+                    | Access.Ld | Access.Vl -> Ld
+                    | Access.St -> St
+                    | Access.At -> At);
+                  ev_loc = a_loc;
+                  ev_rmw = a_rmw land (1 lsl l) <> 0;
+                }
+                :: !evs
+            done)
+        by_warp.((bid * nwarps) + (tid / 32))
+    done
+  done;
+  !evs
 
 (* ------------------------------------------------------------------ *)
 (* Static checks: divergent barriers, malformed shuffles               *)
@@ -394,11 +178,9 @@ let static_diags (k : Ir.kernel) : Diag.t list =
 (* Pairwise race detection over the recorded events                    *)
 (* ------------------------------------------------------------------ *)
 
-let kind_name = function Ld -> "load" | St -> "store" | At -> "atomic"
-
 let idx_name = function
-  | Known i -> Printf.sprintf "index %d" i
-  | Unknown -> "a data-dependent index"
+  | Some i -> Printf.sprintf "index %d" i
+  | None -> "a data-dependent index"
 
 (* same warp of the same block: ordered by warp-synchronous execution *)
 let same_warp a b = a.ev_bid = b.ev_bid && warp_of a.ev_tid = warp_of b.ev_tid
@@ -495,7 +277,7 @@ let race_diags (k : Ir.kernel) (events : event list) : Diag.t list =
               (* canonical order so each unordered pair is visited once
                  when both sides are writes *)
               if (b.ev_kind = Ld || i < j) && concurrent a b
-                 && sv_may_eq a.ev_idx b.ev_idx
+                 && may_alias a.ev_idx b.ev_idx
               then
                 match classify a b with
                 | Some (code, detail) -> report code detail a b
@@ -546,7 +328,7 @@ let lint_diags (k : Ir.kernel) (events : event list)
               if
                 a.ev_arr = b.ev_arr && a.ev_space = b.ev_space
                 && (a.ev_kind <> Ld || b.ev_kind <> Ld)
-                && sv_may_eq a.ev_idx b.ev_idx
+                && may_alias a.ev_idx b.ev_idx
               then pairs := (a, b) :: !pairs)
             after)
         before;
@@ -573,7 +355,7 @@ let lint_diags (k : Ir.kernel) (events : event list)
     (fun (space, arr) group ->
       let evs = !group in
       let all_known =
-        List.for_all (fun e -> match e.ev_idx with Known _ -> true | _ -> false) evs
+        List.for_all (fun e -> e.ev_idx <> None) evs
       in
       let contended =
         List.exists
@@ -584,7 +366,7 @@ let lint_diags (k : Ir.kernel) (events : event list)
                 && (match space with
                    | Ir.Shared -> a.ev_bid = b.ev_bid
                    | Ir.Global -> true)
-                && sv_may_eq a.ev_idx b.ev_idx)
+                && may_alias a.ev_idx b.ev_idx)
               evs)
           evs
       in
@@ -607,93 +389,53 @@ let lint_diags (k : Ir.kernel) (events : event list)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let dedup_diags (ds : Diag.t list) : Diag.t list =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (d : Diag.t) ->
-      let key = (d.Diag.code, d.Diag.kernel, d.Diag.loc) in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    ds
-
-let check_kernel ?(cfg = default_config) ?(params = []) ?block ?grid
-    (k : Ir.kernel) : Diag.t list =
-  let bdim = max 1 (match block with Some b -> b | None -> cfg.model_block) in
-  let gdim = max 1 (match grid with Some g -> g | None -> cfg.model_grid) in
+let check_kernel ?(params = []) ?block ?grid (k : Ir.kernel) : Diag.t list =
+  let block = max 1 (match block with Some b -> b | None -> model_block) in
+  let grid = max 1 (match grid with Some g -> g | None -> model_grid) in
   let statics = static_diags k in
   (* a divergent barrier desynchronises the phase counters: phase-based
      race detection is meaningless until it is fixed *)
   if List.exists (fun (d : Diag.t) -> d.Diag.code = "TSAN004") statics then
-    Diag.sort (dedup_diags statics)
+    Diag.sort (Diag.dedup statics)
   else begin
-    let params_map =
-      List.fold_left (fun m (p, v) -> SM.add p (Known v) m) SM.empty params
+    let accesses, barriers = Access.trace_kernel ~params ~block ~grid k in
+    let evs = events_of ~block ~grid accesses in
+    (* thread (0,0)'s barrier trace, oldest first: each barrier and
+       whether the thread accessed memory since the previous one *)
+    let t00 = List.filter (fun e -> e.ev_bid = 0 && e.ev_tid = 0) evs in
+    let syncs =
+      List.mapi
+        (fun i loc -> (loc, List.exists (fun e -> e.ev_phase = i) t00))
+        barriers
     in
-    let events = ref [] in
-    let t00_syncs = ref [] in
-    for bid = 0 to gdim - 1 do
-      for tid = 0 to bdim - 1 do
-        let c =
-          {
-            cfg;
-            k_bdim = bdim;
-            k_gdim = gdim;
-            params = params_map;
-            tid;
-            bid;
-            regs = SM.empty;
-            orig = SM.empty;
-            phase = 0;
-            access_since_sync = false;
-            sync_seen = false;
-            syncs = [];
-            events;
-          }
-        in
-        exec_stmts c "body" k.Ir.k_body;
-        if bid = 0 && tid = 0 then t00_syncs := List.rev c.syncs
-      done
-    done;
-    let evs = !events in
-    let diags =
-      statics @ race_diags k evs @ lint_diags k evs !t00_syncs
-    in
-    Diag.sort (dedup_diags diags)
+    let diags = statics @ race_diags k evs @ lint_diags k evs syncs in
+    Diag.sort (Diag.dedup diags)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Program-level driver                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* evaluate a host expression at the model input size; worst-case over
-   the first and last candidate of every tunable (block sizes grow with
-   the candidate list, trip counts shrink — taking the max over both
-   extremes captures the largest geometry the tuner can pick) *)
-let eval_h ~cfg ~(tunables : (string * int list) list) ~(pick : int list -> int)
-    (h : Ir.hexp) : int option =
-  let bind = List.map (fun (t, cands) -> (t, pick cands)) tunables in
-  match Ir.eval_hexp ~n:cfg.sample_n ~tunables:bind h with
-  | v -> Some v
-  | exception _ -> None
-
-let eval_h_max ~cfg ~tunables h =
-  let lo = eval_h ~cfg ~tunables ~pick:List.hd h in
-  let hi =
-    eval_h ~cfg ~tunables
-      ~pick:(fun cands -> List.nth cands (List.length cands - 1))
-      h
+let check_program (p : Ir.program) : Diag.t list =
+  (* host expressions at the model input size, worst case over the first
+     and last candidate of every tunable: block sizes grow with the
+     candidate list, trip counts shrink, so the max over both extremes
+     is the largest geometry the tuner can pick *)
+  let lo, hi = Ir.tunable_extremes p in
+  let eval_max h =
+    match
+      List.filter_map
+        (fun tunables ->
+          match Ir.eval_hexp ~n:sample_n ~tunables h with
+          | v -> Some v
+          | exception _ -> None)
+        [ lo; hi ]
+    with
+    | [] -> None
+    | vs -> Some (List.fold_left max min_int vs)
   in
-  match (lo, hi) with
-  | Some a, Some b -> Some (max a b)
-  | (Some _ as v), None | None, (Some _ as v) -> v
-  | None, None -> None
-
-let check_program ?(cfg = default_config) (p : Ir.program) : Diag.t list =
-  let tunables =
-    List.filter (fun (_, cands) -> cands <> []) p.Ir.p_tunables
+  let capped model h =
+    match eval_max h with Some v -> min model (max 1 v) | None -> model
   in
   let diags =
     List.concat_map
@@ -703,40 +445,18 @@ let check_program ?(cfg = default_config) (p : Ir.program) : Diag.t list =
         with
         | None -> []
         | Some k ->
-            let block =
-              match eval_h_max ~cfg ~tunables ln.Ir.ln_block with
-              | Some b -> min cfg.model_block (max 1 b)
-              | None -> cfg.model_block
-            in
-            let grid =
-              match eval_h_max ~cfg ~tunables ln.Ir.ln_grid with
-              | Some g -> min cfg.model_grid (max 1 g)
-              | None -> cfg.model_grid
-            in
-            (* positional binding: the i-th scalar launch argument feeds
-               the i-th kernel parameter (the compose convention: buffers
-               first, then scalars) *)
-            let scalars =
-              List.filter_map
-                (function Ir.Arg_scalar h -> Some h | Ir.Arg_buffer _ -> None)
-                ln.Ir.ln_args
-            in
             (* parameters are bound worst-case too: a tile of 32 keeps the
                whole tree inside one warp where every barrier is
                legitimately removable — the model must see the widest
                geometry the tuner can pick *)
-            let params =
-              List.filteri (fun i _ -> i < List.length scalars) k.Ir.k_params
-              |> List.mapi (fun i (name, _) ->
-                     match eval_h_max ~cfg ~tunables (List.nth scalars i) with
-                     | Some v -> [ (name, v) ]
-                     | None -> [])
-              |> List.concat
-            in
-            check_kernel ~cfg ~params ~block ~grid k)
+            check_kernel
+              ~params:(Ir.launch_params k ln eval_max)
+              ~block:(capped model_block ln.Ir.ln_block)
+              ~grid:(capped model_grid ln.Ir.ln_grid)
+              k)
       p.Ir.p_launches
   in
-  Diag.sort (dedup_diags diags)
+  Diag.sort (Diag.dedup diags)
 
 exception Racy of Diag.t list
 
@@ -746,6 +466,6 @@ let () =
         Some (Printf.sprintf "Race.Racy (%s)\n%s" (Diag.summary ds) (Diag.render ds))
     | _ -> None)
 
-let check_program_exn ?cfg (p : Ir.program) : unit =
-  let diags = check_program ?cfg p in
+let check_program_exn (p : Ir.program) : unit =
+  let diags = check_program p in
   if Diag.has_errors diags then raise (Racy diags)

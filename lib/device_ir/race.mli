@@ -3,14 +3,14 @@
     The checker proves (up to a bounded thread/block model) that a kernel
     is free of shared/global memory races, then lints for wasted
     synchronization. It splits each kernel into barrier-delimited phases
-    by executing a small model of the thread grid — every thread of a
-    model block, over a couple of model blocks — with concrete values for
-    anything derived from thread/block coordinates and compile-time
-    constants, and an explicit [Unknown] for data-dependent values (memory
-    loads, unbound parameters). Two accesses conflict when they touch the
-    same array in the same barrier phase from different threads with
-    possibly-equal indices and at least one of them is a non-atomic
-    write.
+    by running a small model of the thread grid — every thread of a
+    model block of 64, over 2 model blocks — on {!Access}'s warp walk,
+    with concrete values for anything derived from thread/block
+    coordinates and compile-time constants, and unknown lanes for
+    data-dependent values (memory loads, unbound parameters). Two
+    accesses conflict when they touch the same array in the same barrier
+    phase from different threads with possibly-equal indices and at
+    least one of them is a non-atomic write.
 
     Threads of the same warp are exempt from intra-phase conflicts: the
     paper's codelets rely on the pre-Volta warp-synchronous execution
@@ -37,21 +37,11 @@
       remove it);
     - [TLINT003] — atomic on a provably single-writer location. *)
 
-type config = {
-  model_block : int;  (** threads per modeled block (capped; default 64) *)
-  model_grid : int;   (** modeled blocks (default 2) *)
-  loop_fuel : int;    (** concrete loop iterations before widening *)
-  sample_n : int;     (** input size used to evaluate host expressions *)
-}
-
-val default_config : config
-
 (** Sanitize one kernel. [params] binds scalar parameters to concrete
     values (unbound parameters are treated as unknown); [block]/[grid]
     override the modeled geometry (e.g. a single-thread cleanup kernel
     should be checked with [~block:1 ~grid:1]). *)
 val check_kernel :
-  ?cfg:config ->
   ?params:(string * int) list ->
   ?block:int ->
   ?grid:int ->
@@ -59,13 +49,13 @@ val check_kernel :
   Diag.t list
 
 (** Sanitize every launch of a program. Launch geometry and scalar
-    parameters are evaluated from the host expressions (at
-    [cfg.sample_n] input elements, worst-case over the declared tunable
-    candidates for the block size) and capped to the model size. *)
-val check_program : ?cfg:config -> Ir.program -> Diag.t list
+    parameters are evaluated from the host expressions (at 4096 input
+    elements, worst-case over the first and last candidate of every
+    tunable) and capped to the model size. *)
+val check_program : Ir.program -> Diag.t list
 
 exception Racy of Diag.t list
 
 (** @raise Racy when {!check_program} reports any error-severity
     diagnostic. Lint warnings never raise. *)
-val check_program_exn : ?cfg:config -> Ir.program -> unit
+val check_program_exn : Ir.program -> unit

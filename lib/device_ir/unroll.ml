@@ -28,12 +28,8 @@ let rec const_int (e : Ir.exp) : int =
   | Ir.Binop (op, a, b) -> (
       let a = const_int a and b = const_int b in
       match op with
-      | Ir.Add -> a + b
-      | Ir.Sub -> a - b
-      | Ir.Mul -> a * b
-      | Ir.Div -> if b = 0 then raise Not_constant else a / b
-      | Ir.Shl -> a lsl b
-      | Ir.Shr -> a asr b
+      | Ir.Div when b = 0 -> raise Not_constant
+      | Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Shl | Ir.Shr -> Ir.eval_binop op a b
       | _ -> raise Not_constant)
   | Ir.Float _ | Ir.Bool _ | Ir.Reg _ | Ir.Param _ | Ir.Special _
   | Ir.Unop (_, _) | Ir.Select _ ->
@@ -51,24 +47,9 @@ let rec eval_with (var : string) (value : int) (e : Ir.exp) : int =
   | Ir.Binop (op, a, b) -> (
       let a = eval_with var value a and b = eval_with var value b in
       match op with
-      | Ir.Add -> a + b
-      | Ir.Sub -> a - b
-      | Ir.Mul -> a * b
-      | Ir.Div -> if b = 0 then raise Not_constant else a / b
-      | Ir.Rem -> if b = 0 then raise Not_constant else a mod b
-      | Ir.Shl -> a lsl b
-      | Ir.Shr -> a asr b
-      | Ir.Lt -> if a < b then 1 else 0
-      | Ir.Le -> if a <= b then 1 else 0
-      | Ir.Gt -> if a > b then 1 else 0
-      | Ir.Ge -> if a >= b then 1 else 0
-      | Ir.Eq -> if a = b then 1 else 0
-      | Ir.Ne -> if a <> b then 1 else 0
-      | Ir.Land -> if a <> 0 && b <> 0 then 1 else 0
-      | Ir.Lor -> if a <> 0 || b <> 0 then 1 else 0
-      | Ir.Min -> min a b
-      | Ir.Max -> max a b
-      | Ir.And | Ir.Or | Ir.Xor -> raise Not_constant)
+      | (Ir.Div | Ir.Rem) when b = 0 -> raise Not_constant
+      | Ir.And | Ir.Or | Ir.Xor -> raise Not_constant
+      | op -> Ir.eval_binop op a b)
   | Ir.Float _ | Ir.Reg _ | Ir.Param _ | Ir.Special _ | Ir.Unop (Ir.Bnot, _)
   | Ir.Select _ ->
       raise Not_constant

@@ -57,34 +57,23 @@ let stream_efficiency (arch : Arch.t) = function
   | Vector_loads -> arch.Arch.vector_stream_efficiency
   | Staged_loads -> arch.Arch.staged_stream_efficiency
 
-(** Cost one launch. [style] defaults to vectorized iff the kernel issued
-    vector loads; baselines that stage through L2 pass [Staged_loads]
-    explicitly. *)
-let of_launch ?(style : stream_style option) (arch : Arch.t)
-    (lr : Interp.launch_result) : t =
-  let ev = lr.Interp.lr_events in
-  let style =
-    match style with
-    | Some s -> s
-    | None -> if ev.Events.vec_load_ops > 0.0 then Vector_loads else Scalar_loads
-  in
-  let resident = occupancy arch ~block:lr.Interp.lr_block ~shared_bytes:lr.Interp.lr_shared_bytes in
+(* the four-term model, whatever measured or predicted its inputs *)
+let price (arch : Arch.t) ~(style : stream_style) ~(grid : int) ~(block : int)
+    ~(shared_bytes : int) ~(block_cp : float) ~(warp_insts : float)
+    ~(bytes_dram : float) ~(max_heat : float) : t =
+  let resident = occupancy arch ~block ~shared_bytes in
   let concurrent = arch.Arch.sms * resident in
-  let waves = (lr.Interp.lr_grid + concurrent - 1) / concurrent in
+  let waves = (grid + concurrent - 1) / concurrent in
   let cycles_to_us c = c /. (arch.Arch.clock_ghz *. 1000.0) in
-  let critical_path_us =
-    cycles_to_us (float_of_int waves *. lr.Interp.lr_block_cp)
-  in
-  let busy_sms = min arch.Arch.sms lr.Interp.lr_grid in
+  let critical_path_us = cycles_to_us (float_of_int waves *. block_cp) in
+  let busy_sms = min arch.Arch.sms grid in
   let issue_us =
-    cycles_to_us
-      (ev.Events.warp_insts /. (arch.Arch.issue_rate *. float_of_int busy_sms))
+    cycles_to_us (warp_insts /. (arch.Arch.issue_rate *. float_of_int busy_sms))
   in
   let dram_us =
-    ev.Events.bytes_dram
-    /. (arch.Arch.dram_bw_gbs *. stream_efficiency arch style *. 1000.0)
+    bytes_dram /. (arch.Arch.dram_bw_gbs *. stream_efficiency arch style *. 1000.0)
   in
-  let atomic_us = Events.max_heat ev *. arch.Arch.global_atomic_ns /. 1000.0 in
+  let atomic_us = max_heat *. arch.Arch.global_atomic_ns /. 1000.0 in
   let launch_us = arch.Arch.launch_overhead_us in
   let body =
     [
@@ -107,6 +96,25 @@ let of_launch ?(style : stream_style option) (arch : Arch.t)
     occupancy_blocks_per_sm = resident;
     waves;
   }
+
+(* vectorized iff the kernel issued vector loads, unless the caller says *)
+let style_of (style : stream_style option) ~(vec_ops : float) : stream_style =
+  match style with
+  | Some s -> s
+  | None -> if vec_ops > 0.0 then Vector_loads else Scalar_loads
+
+(** Cost one launch. [style] defaults to vectorized iff the kernel issued
+    vector loads; baselines that stage through L2 pass [Staged_loads]
+    explicitly. *)
+let of_launch ?(style : stream_style option) (arch : Arch.t)
+    (lr : Interp.launch_result) : t =
+  let ev = lr.Interp.lr_events in
+  price arch
+    ~style:(style_of style ~vec_ops:ev.Events.vec_load_ops)
+    ~grid:lr.Interp.lr_grid ~block:lr.Interp.lr_block
+    ~shared_bytes:lr.Interp.lr_shared_bytes ~block_cp:lr.Interp.lr_block_cp
+    ~warp_insts:ev.Events.warp_insts ~bytes_dram:ev.Events.bytes_dram
+    ~max_heat:(Events.max_heat ev)
 
 (** Cost a whole program execution: per-launch costs, plus the dependent
     kernel gap between consecutive launches and a host-side initialisation
@@ -160,19 +168,7 @@ let static_block_cp (arch : Arch.t) (bp : Access.block_profile) : float =
 let of_static ?(style : stream_style option) (arch : Arch.t)
     (lp : Access.launch_pred) : t =
   let tot = lp.Access.lp_totals in
-  let style =
-    match style with
-    | Some s -> s
-    | None -> if tot.Access.c_vec_ops > 0.0 then Vector_loads else Scalar_loads
-  in
-  let resident =
-    occupancy arch ~block:lp.Access.lp_block
-      ~shared_bytes:lp.Access.lp_shared_bytes
-  in
-  let concurrent = arch.Arch.sms * resident in
   let grid = lp.Access.lp_grid in
-  let waves = (grid + concurrent - 1) / concurrent in
-  let cycles_to_us c = c /. (arch.Arch.clock_ghz *. 1000.0) in
   let cp_first = static_block_cp arch lp.Access.lp_first in
   let block_cp =
     match lp.Access.lp_last with
@@ -181,43 +177,14 @@ let of_static ?(style : stream_style option) (arch : Arch.t)
         ((cp_first *. float_of_int (grid - 1)) +. static_block_cp arch last)
         /. float_of_int grid
   in
-  let critical_path_us = cycles_to_us (float_of_int waves *. block_cp) in
-  let busy_sms = min arch.Arch.sms grid in
-  let issue_us =
-    cycles_to_us
-      (tot.Access.c_warp_insts /. (arch.Arch.issue_rate *. float_of_int busy_sms))
-  in
-  let bytes_dram = 128.0 *. (tot.Access.c_gld_trans +. tot.Access.c_gst_trans) in
-  let dram_us =
-    bytes_dram /. (arch.Arch.dram_bw_gbs *. stream_efficiency arch style *. 1000.0)
-  in
-  let max_heat =
-    if arch.Arch.has_scoped_atomics then lp.Access.lp_max_heat_scoped
-    else lp.Access.lp_max_heat
-  in
-  let atomic_us = max_heat *. arch.Arch.global_atomic_ns /. 1000.0 in
-  let launch_us = arch.Arch.launch_overhead_us in
-  let body =
-    [
-      ("cp", critical_path_us);
-      ("issue", issue_us);
-      ("dram", dram_us);
-      ("atomic", atomic_us);
-    ]
-  in
-  let bound, body_us =
-    List.fold_left
-      (fun ((_, bv) as b) ((_, v) as x) -> if v > bv then x else b)
-      ("cp", critical_path_us) body
-  in
-  let bound = if launch_us > body_us then "launch" else bound in
-  {
-    time_us = launch_us +. body_us;
-    bound;
-    detail = { launch_us; critical_path_us; issue_us; dram_us; atomic_us };
-    occupancy_blocks_per_sm = resident;
-    waves;
-  }
+  price arch
+    ~style:(style_of style ~vec_ops:tot.Access.c_vec_ops)
+    ~grid ~block:lp.Access.lp_block ~shared_bytes:lp.Access.lp_shared_bytes
+    ~block_cp ~warp_insts:tot.Access.c_warp_insts
+    ~bytes_dram:(128.0 *. (tot.Access.c_gld_trans +. tot.Access.c_gst_trans))
+    ~max_heat:
+      (if arch.Arch.has_scoped_atomics then lp.Access.lp_max_heat_scoped
+       else lp.Access.lp_max_heat)
 
 (** Price a whole statically-analyzed program: {!of_static} per launch
     folded through the same gap/init charges as {!of_program}. *)

@@ -34,6 +34,7 @@
    for timing, which is why {!exact} is the default. *)
 
 module Ir = Device_ir.Ir
+module Lanes = Device_ir.Lanes
 module C = Compiled
 
 exception Sim_error of string
@@ -158,67 +159,12 @@ let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : Value.t) : unit =
       ctx.k.C.ck_name ctx.k.C.ck_shared.(slot).Ir.sh_name i (Array.length a)
   else a.(i) <- Value.to_float v
 
-(* 128-byte segments of 4-byte elements *)
-let segment_of_index (i : int) : int = i lsr 5
-
-(* Count distinct 128-byte segments among the active lanes' indices.
-   [idxs] is dense over lanes; [mask] selects active lanes. *)
-let count_segments (idxs : int array) (mask : bool array) (lanes : int) : int =
-  let segs = ref [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then begin
-      let s = segment_of_index idxs.(l) in
-      if not (List.mem s !segs) then segs := s :: !segs
-    end
-  done;
-  List.length !segs
-
-(* Bank-conflict degree: max over banks of the number of distinct addresses
-   hitting the bank (same-address broadcast is conflict free). *)
-let bank_conflict_degree (idxs : int array) (mask : bool array) (lanes : int) : int =
-  let per_bank : int list array = Array.make 32 [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then begin
-      let bank = idxs.(l) land 31 in
-      if not (List.mem idxs.(l) per_bank.(bank)) then
-        per_bank.(bank) <- idxs.(l) :: per_bank.(bank)
-    end
-  done;
-  Array.fold_left (fun acc l -> max acc (List.length l)) 1 per_bank
-
-(* Same-address conflict statistics for an atomic executed by a warp:
-   (number of distinct addresses, max same-address multiplicity). *)
-let atomic_conflicts (idxs : int array) (mask : bool array) (lanes : int) :
-    int * int =
-  let groups : (int * int ref) list ref = ref [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then
-      match List.assoc_opt idxs.(l) !groups with
-      | Some r -> incr r
-      | None -> groups := (idxs.(l), ref 1) :: !groups
-  done;
-  let distinct = List.length !groups in
-  let worst = List.fold_left (fun acc (_, r) -> max acc !r) 0 !groups in
-  (distinct, worst)
-
 (* ------------------------------------------------------------------ *)
 (* Per-warp execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let charge (ctx : block_ctx) (w : int) (cycles : float) : unit =
   ctx.wcycles.(w) <- ctx.wcycles.(w) +. cycles
-
-let active_count (mask : bool array) (lanes : int) : int =
-  let n = ref 0 in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then incr n
-  done;
-  !n
-
-(* lanes in warp [w]: [w*32 .. w*32 + lanes-1]; the last warp of a block may
-   have fewer lanes than 32 *)
-let warp_lanes_count (ctx : block_ctx) (w : int) : int =
-  min warp_lanes (ctx.nthreads - (w * warp_lanes))
 
 let apply_atomic (ctx : block_ctx) ~(space : Ir.space) ~(slot : int)
     (op : Ir.atomic_op) (i : int) (v : Value.t) : Value.t =
@@ -241,7 +187,7 @@ let scratch_val : Value.t array = Array.make warp_lanes Value.zero
 
 let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) :
     unit =
-  let lanes = warp_lanes_count ctx w in
+  let lanes = Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   let a = ctx.arch in
   match s with
@@ -263,7 +209,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
             if mask.(l) then
               ctx.regs.(base + l).(l_dst) <- buffer_get b scratch_idx.(l)
           done;
-          let trans = count_segments scratch_idx mask lanes in
+          let trans = Lanes.segments scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
           ctx.ev.Events.gld_warp_ops <- ctx.ev.Events.gld_warp_ops +. 1.0;
           ctx.ev.Events.gld_trans <- ctx.ev.Events.gld_trans +. float_of_int trans;
@@ -275,7 +221,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
             if mask.(l) then
               ctx.regs.(base + l).(l_dst) <- shared_get ctx l_arr.C.a_slot scratch_idx.(l)
           done;
-          let degree = bank_conflict_degree scratch_idx mask lanes in
+          let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
           ctx.ev.Events.shared_ops <- ctx.ev.Events.shared_ops +. 1.0;
           ctx.ev.Events.shared_serial <-
@@ -294,7 +240,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
           for l = 0 to lanes - 1 do
             if mask.(l) then buffer_set b scratch_idx.(l) scratch_val.(l)
           done;
-          let trans = count_segments scratch_idx mask lanes in
+          let trans = Lanes.segments scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
           ctx.ev.Events.gst_trans <- ctx.ev.Events.gst_trans +. float_of_int trans;
           ctx.ev.Events.bytes_dram <-
@@ -304,7 +250,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
           for l = 0 to lanes - 1 do
             if mask.(l) then shared_set ctx st_arr.C.a_slot scratch_idx.(l) scratch_val.(l)
           done;
-          let degree = bank_conflict_degree scratch_idx mask lanes in
+          let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
           ctx.ev.Events.shared_ops <- ctx.ev.Events.shared_ops +. 1.0;
           ctx.ev.Events.shared_serial <-
@@ -313,22 +259,19 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CVec_load { vl_dsts; vl_arr; vl_base } ->
       let b = ctx.globals.(vl_arr) in
       let width = Array.length vl_dsts in
-      let segs = ref [] in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let base_i = eval_int ctx (base + l) vl_base in
           if base_i mod width <> 0 then
             sim_error "%s: misaligned vector load at element %d (width %d)"
               ctx.k.C.ck_name base_i width;
+          scratch_idx.(l) <- base_i;
           Array.iteri
-            (fun j dst ->
-              ctx.regs.(base + l).(dst) <- buffer_get b (base_i + j);
-              let s = segment_of_index (base_i + j) in
-              if not (List.mem s !segs) then segs := s :: !segs)
+            (fun j dst -> ctx.regs.(base + l).(dst) <- buffer_get b (base_i + j))
             vl_dsts
         end
       done;
-      let trans = List.length !segs in
+      let trans = Lanes.vec_segments scratch_idx mask lanes ~width in
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.vec_load_ops <- ctx.ev.Events.vec_load_ops +. 1.0;
       ctx.ev.Events.gld_trans <- ctx.ev.Events.gld_trans +. float_of_int trans;
@@ -352,9 +295,9 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
           if at_dst >= 0 then ctx.regs.(base + l).(at_dst) <- old
         end
       done;
-      let n_active = active_count mask lanes in
+      let n_active = Lanes.active mask lanes in
       if n_active > 0 then
-        let distinct, worst = atomic_conflicts scratch_idx mask lanes in
+        let distinct, worst = Lanes.atomic_conflicts scratch_idx mask lanes in
         match at_arr.C.a_space with
         | Ir.Shared -> (
             ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -401,16 +344,12 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let delta = eval_int ctx (base + l) sh_lane in
-          let sub = l - (l mod width) in
-          let src =
-            match sh_mode with
-            | Ir.Shfl_down -> if (l mod width) + delta < width then l + delta else l
-            | Ir.Shfl_up -> if (l mod width) - delta >= 0 then l - delta else l
-            | Ir.Shfl_xor ->
-                let p = l lxor delta in
-                if p - sub < width && p < warp_lanes then p else l
-            | Ir.Shfl_idx -> sub + (delta mod width)
-          in
+          let src = Lanes.shfl_src sh_mode ~lane:l ~delta ~width in
+          if src = Lanes.out_of_warp then
+            sim_error "%s: lane %d of a %s shuffle (lane operand %d, width %d) \
+                       reads outside the %d-lane warp"
+              ctx.k.C.ck_name l (Ir.show_shuffle_mode sh_mode) delta width
+              warp_lanes;
           ctx.regs.(base + l).(sh_dst) <- scratch_val.(src)
         end
       done;

@@ -253,9 +253,6 @@ let eval_bool (ctx : ctx) (tid : int) ~(what : string) (e : Ir.exp) : bool =
 (* Per-warp execution (mirrors Interp.exec_warp)                       *)
 (* ------------------------------------------------------------------ *)
 
-let warp_lanes_count (ctx : ctx) (w : int) : int =
-  min warp_lanes (ctx.nthreads - (w * warp_lanes))
-
 (* branches executed speculatively for a data-dependent condition must
    not touch memory (or communicate across lanes): their effects cannot
    be predicated on a symbolic condition *)
@@ -287,7 +284,7 @@ let restore_regs (ctx : ctx) (snap : (string * Term.t array) list) : unit =
     ctx.regs
 
 let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit =
-  let lanes = warp_lanes_count ctx w in
+  let lanes = Device_ir.Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   match s with
   | Ir.Comment _ -> ()
@@ -401,23 +398,14 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let delta = eval_int ctx (base + l) ~what:"a shuffle lane operand" lane in
-          let sub = l - (l mod width) in
-          let src =
-            match mode with
-            | Ir.Shfl_down -> if (l mod width) + delta < width then l + delta else l
-            | Ir.Shfl_up -> if (l mod width) - delta >= 0 then l - delta else l
-            | Ir.Shfl_xor ->
-                let p = l lxor delta in
-                if p - sub < width && p < warp_lanes then p else l
-            | Ir.Shfl_idx -> sub + (delta mod width)
-          in
-          if src < 0 || src >= warp_lanes then
+          let src = Device_ir.Lanes.shfl_src mode ~lane:l ~delta ~width in
+          if src = Device_ir.Lanes.out_of_warp then
             abort "TSYM004"
-              "%s: lane %d of a %s shuffle sources lane %d, outside the \
-               %d-lane warp"
+              "%s: lane %d of a %s shuffle (lane operand %d, width %d) \
+               sources a lane outside the %d-lane warp"
               ctx.kname l
               (Ir.show_shuffle_mode mode)
-              src warp_lanes;
+              delta width warp_lanes;
           set_reg ctx (base + l) dst publish.(src)
         end
       done
@@ -513,7 +501,7 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
    shuffle cannot be speculated and abort. *)
 and join_branches (ctx : ctx) (w : int) (smask : bool array) (cond : Ir.exp)
     (then_ : Ir.stmt list) (else_ : Ir.stmt list) : unit =
-  let lanes = warp_lanes_count ctx w in
+  let lanes = Device_ir.Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   if List.exists stmt_writes_memory then_ || List.exists stmt_writes_memory else_
   then
@@ -580,16 +568,6 @@ and join_branches (ctx : ctx) (w : int) (smask : bool array) (cond : Ir.exp)
 
 let full_mask = Array.make warp_lanes true
 
-let rec stmt_has_sync (s : Ir.stmt) : bool =
-  match s with
-  | Ir.Sync -> true
-  | Ir.If (_, t, e) -> List.exists stmt_has_sync t || List.exists stmt_has_sync e
-  | Ir.For { body; _ } -> List.exists stmt_has_sync body
-  | Ir.While (_, body) -> List.exists stmt_has_sync body
-  | Ir.Let _ | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _ | Ir.Shfl _
-  | Ir.Comment _ ->
-      false
-
 let barrier (ctx : ctx) : unit = ctx.epoch <- ctx.epoch + 1
 
 (* a condition guarding a barrier must be block-uniform, or the barrier
@@ -607,7 +585,7 @@ let check_uniform_cond (ctx : ctx) (e : Ir.exp) : bool =
   v0
 
 let rec exec_block_stmt (ctx : ctx) (s : Ir.stmt) : unit =
-  if not (stmt_has_sync s) then
+  if not (Device_ir.Analysis.contains_sync s) then
     for w = 0 to ctx.nwarps - 1 do
       exec_warp ctx w full_mask s
     done

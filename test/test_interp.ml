@@ -170,6 +170,17 @@ let shuffle_tests =
     Alcotest.test_case "shfl idx broadcasts" `Quick (fun () ->
         let out, _ = run ~block:32 ~out_size:32 (shfl_kernel Ir.Shfl_idx ~width:32 ~delta:7) in
         Array.iter (fun v -> Alcotest.(check (float 0.0)) "bcast" 7.0 v) out);
+    Alcotest.test_case "a source lane outside the warp is a Sim_error" `Quick
+      (fun () ->
+        List.iter
+          (fun mode ->
+            let k = shfl_kernel mode ~width:32 ~delta:(-1) in
+            Alcotest.(check int) "validates" 0
+              (List.length (Device_ir.Validate.check_kernel k));
+            match run ~block:32 ~out_size:32 k with
+            | _ -> Alcotest.failf "%s: expected Sim_error" (Ir.show_shuffle_mode mode)
+            | exception I.Sim_error _ -> ())
+          [ Ir.Shfl_down; Ir.Shfl_up; Ir.Shfl_xor; Ir.Shfl_idx ]);
     Alcotest.test_case "warp shuffle tree reduces" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("out", Ir.F32) ]
