@@ -20,7 +20,15 @@
    after a cooldown and one probe either closes it or re-opens it. When
    every rung of a bucket's ladder is down, the service degrades to the
    planner's host-side reference instead of failing, flagging the
-   response [resp_degraded]. *)
+   response [resp_degraded].
+
+   A request moves through explicit stages over one per-request record
+   ([req_state]): validate → shed (brownout level 4) → acquire a device
+   (fleet only) → plan ([ensure]) → ladder → verify → account. The
+   single-device and fleet paths share the dispatch (plan, then ladder)
+   and its conclusion; the fleet adds only device acquisition and the
+   hedge race. [account] is the one place that builds a response,
+   records the outcome stats and notes the request to the monitor. *)
 
 module V = Synthesis.Version
 module P = Synthesis.Planner
@@ -116,10 +124,9 @@ type monitor = {
   m_snapshot_every : int;  (* metric-snapshot cadence, in requests *)
   mutable m_now_us : float;  (* serialized virtual clock *)
   mutable m_requests : int;
-  mutable m_pending_sdc : int;
-      (* corruption verdicts land mid-request, before the recorder notes
-         it; deferred so the bundle's trigger request is the right one *)
-  mutable m_pending_eject : string list;  (* same deferral for ejections *)
+  mutable m_pending_eject : string list;
+      (* ejections land mid-request, before the recorder notes it;
+         deferred so the bundle's trigger request is the right one *)
   (* what the stats lack: outcomes, virtual latency by class, and the
      brownout, queue-depth and fleet-active gauges *)
   m_req_ok : Obs.Metrics.counter;
@@ -201,12 +208,10 @@ let create ?capacity ?cache ?candidates ?(exact_threshold = 1 lsl 17)
 let planner t = t.planner
 let cache t = t.cache
 let stats t = t.stats
-let guard t = t.guard
 let fault t = t.fault
 let set_fault t f = t.fault <- f
 let profiling t = t.profile
 let set_profiling t b = t.profile <- b
-let fleet t = t.fleet
 
 let mon (t : t) (f : monitor -> unit) : unit =
   match t.monitor with Some m -> f m | None -> ()
@@ -398,7 +403,9 @@ let breaker_success (b : breaker) : unit =
   b.br_faults <- 0;
   b.br_open_until <- 0
 
+(* count one fault of [version] and charge it to the version's breaker *)
 let breaker_fault (t : t) ~(arch : string) ~(version : string) : unit =
+  Stats.fault t.stats ~version;
   let b = breaker_for t arch version in
   b.br_faults <- b.br_faults + 1;
   if b.br_faults >= t.resilience.r_quarantine_threshold then begin
@@ -442,25 +449,43 @@ let backoff_delay_us (t : t) (attempt : int) : float =
 (* Per-request deadline budget, measured in simulated microseconds so
    expiry is deterministic under replay: kernel time, retry backoff and
    redundant executions all charge against it. Checks happen before new
-   work starts — an answer already computed is never thrown away. *)
+   work starts — an answer already computed is never thrown away. A
+   request without a deadline has an infinite budget. *)
 type budget = { b_total_us : float; mutable b_spent_us : float }
 
-let budget_of_deadline : float option -> budget option = function
-  | None -> None
+let budget_of_deadline (deadline_us : float option) : budget =
+  match deadline_us with
+  | None -> { b_total_us = Float.infinity; b_spent_us = 0.0 }
   | Some d ->
       if Float.is_nan d || d <= 0.0 then
         invalid_arg "Service.submit: deadline_us must be positive";
-      Some { b_total_us = d; b_spent_us = 0.0 }
+      { b_total_us = d; b_spent_us = 0.0 }
 
-let budget_charge (b : budget option) (us : float) : unit =
-  match b with Some b -> b.b_spent_us <- b.b_spent_us +. us | None -> ()
+let budget_charge (b : budget) (us : float) : unit =
+  b.b_spent_us <- b.b_spent_us +. us
 
-let budget_exhausted : budget option -> bool = function
-  | None -> false
-  | Some b -> b.b_spent_us >= b.b_total_us
+let budget_exhausted (b : budget) : bool = b.b_spent_us >= b.b_total_us
 
-let budget_would_exhaust (b : budget option) (us : float) : bool =
-  match b with None -> false | Some b -> b.b_spent_us +. us > b.b_total_us
+let budget_would_exhaust (b : budget) (us : float) : bool =
+  b.b_spent_us +. us > b.b_total_us
+
+(* One request on its way through the stages. On a fleet every device
+   dispatch works on its own copy, re-targeted at the device's arch and
+   fault stream; the copy that serves goes on to verification and
+   accounting. *)
+type req_state = {
+  req : request;  (* as submitted: the monitor notes this one *)
+  target : request;  (* [req] re-targeted at the dispatch's device *)
+  fault : Fault.t option;  (* the stream the dispatch's runs draw from *)
+  budget : budget;  (* one per request, shared by every copy *)
+  started_us : float;
+  mutable entry : Plan_cache.entry option;  (* set by the plan stage *)
+  mutable hit : bool;
+  mutable sdc_confirmed : int;
+      (* corruptions verification confirmed; the monitor settles them
+         after noting the request, so the bundle's trigger request is
+         this one *)
+}
 
 type attempt_failure =
   | Af_transient of string
@@ -472,9 +497,9 @@ type attempt_failure =
 (* One rung: run with bounded exponential-backoff retries over transient
    simulator errors. Backoff is charged to simulated time (the simulator
    has no wall clock of its own) and to the stats. *)
-let attempt_rung ?(budget : budget option) (t : t) (req : request)
+let attempt_rung (t : t) (r : req_state) ~(fault : Fault.t option)
     (rung : Plan_cache.rung) :
-    ((R.outcome * int * float), attempt_failure) result =
+    (R.outcome * int * float, attempt_failure) result =
   let vname = V.name rung.Plan_cache.r_version in
   match P.prove t.planner rung.Plan_cache.r_version with
   | Symbolic.Prove.Refuted failures ->
@@ -500,6 +525,7 @@ let attempt_rung ?(budget : budget option) (t : t) (req : request)
            (Printf.sprintf "%s rejected by the race sanitizer: %s" vname
               (Device_ir.Diag.render (Device_ir.Diag.errors diags))))
   | cp ->
+      let req = r.target in
       let opts = opts_for t req.req_input in
       (* each try is its own "attempt" span (exceptions caught inside, so
          the span also times aborted runs), and each transient retry is a
@@ -510,7 +536,7 @@ let attempt_rung ?(budget : budget option) (t : t) (req : request)
           ~name:"attempt"
         @@ fun () ->
         match
-          R.run_compiled ~opts ?fault:t.fault ~fault_version:vname
+          R.run_compiled ~opts ?fault ~fault_version:vname
             ~arch:req.req_arch ~tunables:rung.Plan_cache.r_tunables
             ~input:req.req_input cp
         with
@@ -524,7 +550,7 @@ let attempt_rung ?(budget : budget option) (t : t) (req : request)
         | `Done o when Float.is_nan o.R.result ->
             Error (Af_fault (Printf.sprintf "%s returned a corrupted (NaN) result" vname))
         | `Done o ->
-            budget_charge budget o.R.time_us;
+            budget_charge r.budget o.R.time_us;
             Ok (o, retries, backoff_us)
         | `Transient msg ->
             if attempt <= t.resilience.r_retry_max then begin
@@ -532,7 +558,7 @@ let attempt_rung ?(budget : budget option) (t : t) (req : request)
               (* the budget check happens before the sleep: a request
                  whose deadline dies during backoff stops here, without
                  spending the delay or charging the breaker *)
-              if budget_would_exhaust budget delay then
+              if budget_would_exhaust r.budget delay then
                 Error
                   (Af_deadline
                      (Printf.sprintf
@@ -546,7 +572,7 @@ let attempt_rung ?(budget : budget option) (t : t) (req : request)
                   ~fields:[ ("version", vname) ]
                   "transient fault, retrying (attempt %d): %s" attempt msg;
                 Stats.backoff_us t.stats delay;
-                budget_charge budget delay;
+                budget_charge r.budget delay;
                 go (attempt + 1) (retries + 1) (backoff_us +. delay)
               end
             end
@@ -560,157 +586,266 @@ let attempt_rung ?(budget : budget option) (t : t) (req : request)
       in
       go 1 0 0.0)
 
-let response_of_outcome (t : t) (req : request) (rung : Plan_cache.rung)
-    ~(hit : bool) ~(fallback : int) ~(retries : int) ~(backoff_us : float)
-    ~(started_us : float) (o : R.outcome) : response =
-  Stats.winner t.stats (V.name rung.Plan_cache.r_version);
-  if fallback > 0 then Stats.fallback t.stats;
-  (* profiling is the first rung of the brownout ladder: the cheapest
-     work to shed, and invisible to the answer *)
-  if t.profile && t.brownout >= 1 then Stats.brownout_shed t.stats ~what:"profile";
-  if t.profile && t.brownout < 1 then
-    Stats.kernel t.stats ~arch:req.req_arch.Gpusim.Arch.name
-      ~version:(V.name rung.Plan_cache.r_version)
-      (Gpusim.Events.totals_of_list
-         (List.map
-            (fun (lr : Gpusim.Interp.launch_result) -> lr.Gpusim.Interp.lr_events)
-            o.R.launch_results));
-  {
-    resp_value = o.R.result;
-    resp_exact = o.R.exact;
-    resp_sim_us = o.R.time_us +. backoff_us;
-    resp_version = rung.Plan_cache.r_version;
-    resp_tunables = rung.Plan_cache.r_tunables;
-    resp_hit = hit;
-    resp_bucket = Plan_cache.bucket_of_size (R.input_size req.req_input);
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = false;
-    resp_retries = retries;
-    resp_fallback = fallback;
-  }
+(* The rung a ladder walk served from: its outcome, retry and backoff
+   accounting, the rungs below it (verification votes down them) and
+   the host time the walk took. *)
+type executed = {
+  ex_idx : int;
+  ex_rung : Plan_cache.rung;
+  ex_below : Plan_cache.rung list;
+  ex_outcome : R.outcome;
+  ex_retries : int;
+  ex_backoff_us : float;
+  ex_run_us : float;
+}
 
-(* The degraded path: when every rung of the ladder is quarantined or
-   faulting, compute the answer on the host via the planner's reference
-   and say so, rather than failing the request. *)
-let degraded_response (t : t) (req : request) (e : Plan_cache.entry)
-    ~(hit : bool) ~(started_us : float) : response =
-  Stats.degrade t.stats;
-  Stats.winner t.stats "host-reference (degraded)";
-  Obs.Trace.mark "degraded";
-  Obs.Log.info "every rung down; serving the host reference (degraded)";
-  {
-    resp_value = P.reference_input t.planner req.req_input;
-    resp_exact = true;
-    resp_sim_us = 0.0;
-    resp_version = e.Plan_cache.e_version;
-    resp_tunables = [];
-    resp_hit = hit;
-    resp_bucket = Plan_cache.bucket_of_size (R.input_size req.req_input);
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = true;
-    resp_retries = 0;
-    resp_fallback = List.length (Plan_cache.ladder e);
-  }
+(* What one dispatch (plan, then the ladder walk) produced. A served
+   outcome is not yet verified: the fleet verifies only the hedge
+   race's winner, so a cancelled loser never charges a response to the
+   stats. *)
+type dispatch =
+  | Served of executed
+  | Expired of string  (* the budget died before any answer was in hand *)
+  | Down of attempt_failure option  (* every rung down; the last failure *)
+  | Unplanned of error  (* planning failed; not the device's doing *)
+  | No_device  (* nothing in the fleet is routable *)
 
-(* Brownout level 4, the last ladder step: the device path itself is
-   shed — no planning, no tuning, no simulation — and the host reference
-   answers every request until the controller lowers the level. *)
-let brownout_degraded_response (t : t) (req : request) ~(started_us : float) :
-    response =
-  Stats.degrade t.stats;
-  Stats.winner t.stats "host-reference (brownout)";
-  Obs.Trace.mark "degraded";
-  Obs.Log.warn "brownout level 4: serving the host reference (degraded)";
-  {
-    resp_value = P.reference_input t.planner req.req_input;
-    resp_exact = true;
-    resp_sim_us = 0.0;
-    resp_version = List.hd t.candidates;
-    resp_tunables = [];
-    resp_hit = false;
-    resp_bucket = Plan_cache.bucket_of_size (R.input_size req.req_input);
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = true;
-    resp_retries = 0;
-    resp_fallback = 0;
-  }
+let ladder (t : t) (r : req_state) (e : Plan_cache.entry) : dispatch =
+  t.tick <- t.tick + 1;
+  let t0 = now_us () in
+  let arch = r.target.req_arch.Gpusim.Arch.name in
+  let rec walk idx last_failure = function
+    | [] -> Down last_failure
+    | rung :: rest -> (
+        let vname = V.name rung.Plan_cache.r_version in
+        if budget_exhausted r.budget then
+          Expired
+            (Printf.sprintf
+               "deadline budget exhausted before rung %d (%s) could run" idx
+               vname)
+        else
+          let br = breaker_for t arch vname in
+          match availability t br with
+          | Av_open ->
+              Obs.Trace.mark
+                ~attrs:[ ("version", vname); ("rung", string_of_int idx) ]
+                "rung.quarantined";
+              walk (idx + 1) last_failure rest
+          | (Av_closed | Av_half_open) as avail -> (
+              match
+                Obs.Trace.span
+                  ~attrs:[ ("version", vname); ("rung", string_of_int idx) ]
+                  ~name:"rung"
+                  (fun () -> attempt_rung t r ~fault:r.fault rung)
+              with
+              | Ok (o, retries, backoff_us) ->
+                  (* faults accumulate across successes while the breaker is
+                     closed (a lightly-faulting version must still trip it
+                     eventually); only a successful half-open probe earns a
+                     clean slate *)
+                  if avail = Av_half_open then breaker_success br;
+                  Served
+                    {
+                      ex_idx = idx;
+                      ex_rung = rung;
+                      ex_below = rest;
+                      ex_outcome = o;
+                      ex_retries = retries;
+                      ex_backoff_us = backoff_us;
+                      ex_run_us = now_us () -. t0;
+                    }
+              | Error (Af_deadline msg) ->
+                  (* the client stopped waiting, the version did nothing
+                     wrong: no fault, no breaker charge, no further rungs *)
+                  Expired msg
+              | Error failure ->
+                  breaker_fault t ~arch ~version:vname;
+                  walk (idx + 1) (Some failure) rest))
+  in
+  walk 0 None (Plan_cache.ladder e)
+
+(* plan, then the ladder: the dispatch both paths share *)
+let dispatch (t : t) (r : req_state) : dispatch =
+  match ensure t r.target.req_arch (R.input_size r.target.req_input) with
+  | Error e -> Unplanned e
+  | Ok (e, hit) ->
+      r.entry <- Some e;
+      r.hit <- hit;
+      ladder t r e
 
 (* ------------------------------------------------------------------ *)
-(* The SDC guard: witness verification and redundant-execution voting  *)
+(* Fleet dispatch: device acquisition and the hedge race               *)
 (* ------------------------------------------------------------------ *)
 
-(* Serving path of last resort for a confirmed corruption: no execution
-   agreed with the witness, so the witness itself (host recompute,
-   trusted) answers, flagged degraded like the quarantine-exhausted
-   path. *)
-let sdc_degraded_response (t : t) (req : request) (rung : Plan_cache.rung)
-    ~(hit : bool) ~(fallback : int) ~(started_us : float) (value : float) :
-    response =
-  Stats.degrade t.stats;
-  Stats.winner t.stats "host-reference (sdc)";
-  Obs.Trace.mark "degraded";
-  Obs.Log.info
-    "confirmed corruption with no in-tolerance execution; serving the witness \
-     value (degraded)";
-  {
-    resp_value = value;
-    resp_exact = true;
-    resp_sim_us = 0.0;
-    resp_version = rung.Plan_cache.r_version;
-    resp_tunables = [];
-    resp_hit = hit;
-    resp_bucket = Plan_cache.bucket_of_size (R.input_size req.req_input);
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = true;
-    resp_retries = 0;
-    resp_fallback = fallback;
-  }
+(* What the static cost model says a rung should take on this arch at
+   this size, computed without executing anything and memoized per
+   (arch, version, n, tunables): the health scorer's baseline and the
+   monitor's latency envelope. [None] when the analyzer cannot produce
+   one. *)
+let predicted_us (t : t) (arch : Gpusim.Arch.t) (version : V.t)
+    ~(tunables : (string * int) list) ~(n : int) : float option =
+  let key = (arch.Gpusim.Arch.name, V.name version, n, tunables) in
+  let p =
+    match Hashtbl.find_opt t.predicted_cache key with
+    | Some p -> p
+    | None ->
+        let p =
+          match P.static_cost ~n ~tunables arch t.planner version with
+          | p -> p
+          | exception _ -> Float.nan
+        in
+        Hashtbl.replace t.predicted_cache key p;
+        p
+  in
+  if Float.is_finite p && p > 0.0 then Some p else None
 
-(* A witness already in hand serves the request when re-execution is off
-   the table — the deadline budget died, or the brownout ladder shed
-   redundant execution. No breaker is charged on either path: no
-   corruption was confirmed, the service just stopped double-checking. *)
-let witness_degraded_response (t : t) (req : request) (rung : Plan_cache.rung)
-    ~(winner : string) ~(hit : bool) ~(fallback : int) ~(started_us : float)
-    (value : float) : response =
-  Stats.degrade t.stats;
-  Stats.winner t.stats winner;
-  Obs.Trace.mark "degraded";
-  {
-    resp_value = value;
-    resp_exact = true;
-    resp_sim_us = 0.0;
-    resp_version = rung.Plan_cache.r_version;
-    resp_tunables = [];
-    resp_hit = hit;
-    resp_bucket = Plan_cache.bucket_of_size (R.input_size req.req_input);
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = true;
-    resp_retries = 0;
-    resp_fallback = fallback;
-  }
+(* Route around devices that fail-stop at the moment of dispatch: the
+   death is detected, the device marked dead, and the request bounces
+   to the next choice — never lost. *)
+let rec acquire (fl : Fleet.t) : Fleet.device option =
+  match Fleet.route fl with
+  | Some d when Fleet.next_dispatch_kills d ->
+      Fleet.mark_dead fl d;
+      Fleet.reroute fl;
+      acquire fl
+  | found -> found
+
+(* Dispatch one request to one device: the request is re-targeted at
+   the device's arch (the one plan cache serves the whole heterogeneous
+   fleet) and its runs draw from the device's private fault stream, the
+   fail-slow profile inflates the observed time, and the health scorer
+   is fed the predicted/observed ratio. A prediction the analyzer
+   cannot produce scores 1.0 — the device is neither credited nor
+   blamed for it. *)
+let dispatch_on (t : t) (fl : Fleet.t) (r : req_state) (d : Fleet.device) :
+    req_state * dispatch =
+  Fleet.begin_dispatch fl d;
+  let arch = Fleet.arch d in
+  let r =
+    {
+      r with
+      target = { r.req with req_arch = arch };
+      fault =
+        (match Fleet.fault_stream d with Some _ as f -> f | None -> t.fault);
+    }
+  in
+  let result =
+    Obs.Trace.span
+      ~attrs:
+        [ ("device", Fleet.label d); ("arch", arch.Gpusim.Arch.name) ]
+      ~name:"device"
+    @@ fun () ->
+    match dispatch t r with
+    | Served ex ->
+        let slow = Fleet.slowdown d in
+        let observed = ex.ex_outcome.R.time_us *. slow in
+        (* the straggler's inflation is real time the client waits
+           through: charge the deadline budget for it and let the
+           response's simulated latency carry it *)
+        let ex =
+          if slow > 1.0 then begin
+            budget_charge r.budget (observed -. ex.ex_outcome.R.time_us);
+            { ex with ex_outcome = { ex.ex_outcome with R.time_us = observed } }
+          end
+          else ex
+        in
+        Fleet.charge_busy d observed;
+        let rung = ex.ex_rung in
+        Fleet.observe fl d
+          ~ratio:
+            (match
+               predicted_us t arch rung.Plan_cache.r_version
+                 ~tunables:rung.Plan_cache.r_tunables
+                 ~n:(R.input_size r.req.req_input)
+             with
+            | Some p when observed > 0.0 -> p /. observed
+            | _ -> 1.0);
+        Served ex
+    | Down _ as down ->
+        Fleet.observe_failure fl d;
+        down
+    | other -> other
+  in
+  Fleet.end_dispatch fl d;
+  (r, result)
+
+(* The fleet's dispatch: acquire a device and dispatch to it; past the
+   p95-based hedge deadline, speculate on a second device. The first
+   answer in virtual time wins, and the loser is dropped before
+   verification, charging nothing. *)
+let dispatch_fleet (t : t) (fl : Fleet.t) (r : req_state) :
+    req_state * dispatch =
+  match acquire fl with
+  | None -> (r, No_device)
+  | Some d -> (
+      match dispatch_on t fl r d with
+      | (_, Served ex) as primary ->
+          let observed = ex.ex_outcome.R.time_us in
+          let hedge =
+            match Fleet.hedge_deadline_us fl with
+            | Some dl when observed > dl -> (
+                Fleet.hedge_fired fl d ~deadline_us:dl ~observed_us:observed;
+                match Fleet.route ~excluding:d ~probe:false fl with
+                | None -> None
+                | Some d2 -> (
+                    (* the hedge launched at the deadline: it wins only
+                       if deadline + its own latency beats the primary's
+                       completion *)
+                    match dispatch_on t fl r d2 with
+                    | (_, Served ex2) as won
+                      when dl +. ex2.ex_outcome.R.time_us < observed ->
+                        Fleet.hedge_won fl d2;
+                        Some (won, dl +. ex2.ex_outcome.R.time_us)
+                    | _ -> None))
+            | Some _ | None -> None
+          in
+          let winner, completion_us =
+            match hedge with Some h -> h | None -> (primary, observed)
+          in
+          Fleet.note_latency fl completion_us;
+          winner
+      | lost -> lost)
+
+(* ------------------------------------------------------------------ *)
+(* Verification: witness check and redundant-execution voting          *)
+(* ------------------------------------------------------------------ *)
+
+(* Why the host answered instead of a device: the empty input's
+   identity, or a degradation — every rung down, brownout shedding, a
+   confirmed corruption nothing repaired, a deadline that died with the
+   witness in hand, no routable fleet device. *)
+type degradation = [ `Degraded | `Brownout | `Sdc | `Deadline | `Fleet_down ]
+type reason = [ `Empty | degradation ]
+
+(* How a request ends. *)
+type verdict =
+  | Device of executed  (* a device answer, verified where the guard runs *)
+  | Witness of degradation * executed * float
+      (* the witness value stands in for the rung's rejected answer *)
+  | Reference of reason  (* the planner's host reference answers *)
+  | Failed of error
 
 (* Every exact result is checked against the witness before it leaves
    the service. A rejected result is re-executed on its own rung first
    (dual-modular: a one-off flip cannot reproduce — the simulator is
    deterministic modulo injection), then down the ladder within the vote
    budget; the first execution the witness accepts serves the request.
-   Each confirmed corruption charges an [Sdc] fault to its version's
-   breaker — enough of them quarantine the version exactly like loud
-   faults do. A deviation that reproduces bit-for-bit on its own rung is
-   a false alarm (charged to the tolerance model, not the version).
-   When nothing the ladder produces is acceptable, the witness value
-   itself serves (degraded), or [Error (Sdc _)] when degraded mode is
-   off: an out-of-tolerance answer is never returned. *)
-let verify_and_serve ?(budget : budget option) (t : t) (req : request)
-    (e : Plan_cache.entry) ~(hit : bool) ~(started_us : float) (idx : int)
-    (rung : Plan_cache.rung) (o : R.outcome) (retries : int)
-    (backoff_us : float) : (response, error) result =
-  if not (t.guard.Guard.g_enabled && o.R.exact) then
-    Ok
-      (response_of_outcome t req rung ~hit ~fallback:idx ~retries ~backoff_us
-         ~started_us o)
-  else begin
+   Re-executions draw from the service's fault stream, not the
+   device's. Each confirmed corruption charges an [Sdc] fault to its
+   version's breaker — enough of them quarantine the version exactly
+   like loud faults do. A deviation that reproduces bit-for-bit on its
+   own rung is a false alarm (charged to the tolerance model, not the
+   version). When nothing the ladder produces is acceptable, the
+   witness value itself serves (degraded), or [Error (Sdc _)] when
+   degraded mode is off: an out-of-tolerance answer is never returned.
+   With the witness in hand, a dead deadline budget or brownout level 2
+   (which sheds redundant execution) serves the witness value without
+   re-running, and charges no breaker: no corruption was confirmed, the
+   service just stopped double-checking. *)
+let verify (t : t) (r : req_state) (ex : executed) : verdict =
+  let rung = ex.ex_rung and o = ex.ex_outcome in
+  if not (t.guard.Guard.g_enabled && o.R.exact) then Device ex
+  else
     Obs.Trace.span
       ~attrs:[ ("version", V.name rung.Plan_cache.r_version) ]
       ~name:"verify"
@@ -729,128 +864,97 @@ let verify_and_serve ?(budget : budget option) (t : t) (req : request)
     let ck =
       Obs.Trace.span ~name:"witness" @@ fun () ->
       Guard.make ~planner:t.planner ~version:rung.Plan_cache.r_version
-        ~input:req.req_input ~sample ()
+        ~input:r.target.req_input ~sample ()
     in
-    let finish idx rung o retries backoff_us =
-      Stats.verify_us t.stats (now_us () -. t0);
-      Ok
-        (response_of_outcome t req rung ~hit ~fallback:idx ~retries ~backoff_us
-           ~started_us o)
+    let arch = r.target.req_arch.Gpusim.Arch.name in
+    let witness reason = Witness (reason, ex, Guard.expected ck) in
+    let deadline_witness () =
+      Stats.deadline_witness_serve t.stats;
+      witness `Deadline
     in
-    if Guard.acceptable ck ~got:o.R.result then finish idx rung o retries backoff_us
-    else begin
-      let arch = req.req_arch.Gpusim.Arch.name in
-      (* the witness value is in hand: the deadline/brownout paths below
-         serve it directly instead of erroring, and charge no breaker *)
-      let serve_witness winner =
-        Stats.verify_us t.stats (now_us () -. t0);
-        Ok
-          (witness_degraded_response t req rung ~winner ~hit ~fallback:idx
-             ~started_us (Guard.expected ck))
-      in
-      let deadline_witness () =
-        Stats.deadline_witness_serve t.stats;
-        Obs.Log.warn
-          ~fields:[ ("version", V.name rung.Plan_cache.r_version) ]
-          "deadline budget died before redundant execution; serving the \
-           witness value (degraded)";
-        serve_witness "host-reference (deadline)"
-      in
-      let confirm_sdc (r : Plan_cache.rung) =
-        let vname = V.name r.Plan_cache.r_version in
-        Stats.sdc_catch t.stats;
-        mon t (fun m -> m.m_pending_sdc <- m.m_pending_sdc + 1);
-        Stats.fault t.stats ~version:vname;
-        Obs.Log.info
-          ~fields:[ ("arch", arch); ("version", vname) ]
-          "silent data corruption confirmed";
-        breaker_fault t ~arch ~version:vname
-      in
-      if t.brownout >= 2 then begin
-        (* brownout level 2 sheds redundant execution: the witness value
-           serves, and no corruption verdict is reached — the breaker is
-           only ever charged on evidence the service actually gathered *)
+    let confirm_sdc (c : Plan_cache.rung) =
+      let vname = V.name c.Plan_cache.r_version in
+      Stats.sdc_catch t.stats;
+      r.sdc_confirmed <- r.sdc_confirmed + 1;
+      Obs.Log.info
+        ~fields:[ ("arch", arch); ("version", vname) ]
+        "silent data corruption confirmed";
+      breaker_fault t ~arch ~version:vname
+    in
+    let reexec name c =
+      Stats.sdc_reexec t.stats;
+      Obs.Trace.span
+        ~attrs:[ ("version", V.name c.Plan_cache.r_version) ]
+        ~name
+        (fun () -> attempt_rung t r ~fault:t.fault c)
+    in
+    (* vote down the rungs below the suspect *)
+    let rec vote votes idx rungs =
+      if votes <= 0 then `Spent
+      else if budget_exhausted r.budget then `Deadline
+      else
+        match rungs with
+        | [] -> `Spent
+        | (c : Plan_cache.rung) :: more -> (
+            let vname = V.name c.Plan_cache.r_version in
+            if quarantined t ~arch ~version:vname then vote votes (idx + 1) more
+            else
+              match reexec "vote" c with
+              | Ok (o2, r2, b2) when Guard.acceptable ck ~got:o2.R.result ->
+                  `Agree
+                    {
+                      ex with
+                      ex_idx = idx;
+                      ex_rung = c;
+                      ex_outcome = o2;
+                      ex_retries = r2;
+                      ex_backoff_us = b2;
+                    }
+              | Ok _ ->
+                  confirm_sdc c;
+                  vote (votes - 1) (idx + 1) more
+              | Error (Af_deadline _) -> `Deadline
+              | Error _ ->
+                  breaker_fault t ~arch ~version:vname;
+                  vote (votes - 1) (idx + 1) more)
+    in
+    let verdict =
+      if Guard.acceptable ck ~got:o.R.result then Device ex
+      else if t.brownout >= 2 then begin
+        (* brownout level 2 sheds redundant execution: no corruption
+           verdict is reached — the breaker is only ever charged on
+           evidence the service actually gathered *)
         Stats.brownout_shed t.stats ~what:"reexec";
-        Obs.Log.warn
-          ~fields:[ ("version", V.name rung.Plan_cache.r_version) ]
-          "witness rejected a result under brownout; redundant execution \
-           shed, serving the witness value (degraded)";
-        serve_witness "host-reference (brownout)"
+        witness `Brownout
       end
-      else if budget_exhausted budget then deadline_witness ()
-      else begin
+      else if budget_exhausted r.budget then deadline_witness ()
+      else
         (* 1. dual-modular re-execution on the suspect's own rung *)
-        Stats.sdc_reexec t.stats;
-        let same =
-          Obs.Trace.span
-            ~attrs:[ ("version", V.name rung.Plan_cache.r_version) ]
-            ~name:"reexec"
-            (fun () -> attempt_rung ?budget t req rung)
-        in
-        match same with
+        match reexec "reexec" rung with
         | Ok (o2, r2, b2) when Guard.acceptable ck ~got:o2.R.result ->
             (* the deviation vanished on re-run: one-off corruption *)
             confirm_sdc rung;
-            finish idx rung o2 (retries + r2) (backoff_us +. b2)
+            Device
+              {
+                ex with
+                ex_outcome = o2;
+                ex_retries = ex.ex_retries + r2;
+                ex_backoff_us = ex.ex_backoff_us +. b2;
+              }
         | Error (Af_deadline _) -> deadline_witness ()
-        | _ ->
-            let reproduced =
-              match same with
-              | Ok (o2, _, _) -> Guard.agree ck o2.R.result o.R.result
-              | Error _ -> false
-            in
-            if reproduced then Stats.sdc_false_alarm t.stats
-            else confirm_sdc rung;
+        | same -> (
+            (match same with
+            | Ok (o2, _, _) when Guard.agree ck o2.R.result o.R.result ->
+                Stats.sdc_false_alarm t.stats
+            | _ -> confirm_sdc rung);
             (* 2. vote down the remaining rungs *)
-            let rec drop n l =
-              if n <= 0 then l
-              else match l with [] -> [] | _ :: rest -> drop (n - 1) rest
-            in
-            let rec vote votes cidx rungs =
-              if votes <= 0 then `Spent
-              else if budget_exhausted budget then `Deadline
-              else
-                match rungs with
-                | [] -> `Spent
-                | (c : Plan_cache.rung) :: more ->
-                    let vname = V.name c.Plan_cache.r_version in
-                    if quarantined t ~arch ~version:vname then
-                      vote votes (cidx + 1) more
-                    else begin
-                      Stats.sdc_reexec t.stats;
-                      match
-                        Obs.Trace.span
-                          ~attrs:[ ("version", vname) ]
-                          ~name:"vote"
-                          (fun () -> attempt_rung ?budget t req c)
-                      with
-                      | Ok (o2, r2, b2)
-                        when Guard.acceptable ck ~got:o2.R.result ->
-                          `Agree (cidx, c, o2, r2, b2)
-                      | Ok _ ->
-                          confirm_sdc c;
-                          vote (votes - 1) (cidx + 1) more
-                      | Error (Af_deadline _) -> `Deadline
-                      | Error _ ->
-                          Stats.fault t.stats ~version:vname;
-                          breaker_fault t ~arch ~version:vname;
-                          vote (votes - 1) (cidx + 1) more
-                    end
-            in
-            (match
-               vote (t.guard.Guard.g_votes - 1) (idx + 1)
-                 (drop (idx + 1) (Plan_cache.ladder e))
-             with
-            | `Agree (cidx, c, o2, r2, b2) -> finish cidx c o2 r2 b2
+            match vote (t.guard.Guard.g_votes - 1) (ex.ex_idx + 1) ex.ex_below with
+            | `Agree ex2 -> Device ex2
             | `Deadline -> deadline_witness ()
             | `Spent ->
-                Stats.verify_us t.stats (now_us () -. t0);
-                if t.resilience.r_allow_degraded then
-                  Ok
-                    (sdc_degraded_response t req rung ~hit ~fallback:idx
-                       ~started_us (Guard.expected ck))
+                if t.resilience.r_allow_degraded then witness `Sdc
                 else
-                  Error
+                  Failed
                     (Sdc
                        (Printf.sprintf
                           "%s returned %.9g, witness expected %.9g (%s); no \
@@ -858,316 +962,40 @@ let verify_and_serve ?(budget : budget option) (t : t) (req : request)
                           (V.name rung.Plan_cache.r_version)
                           o.R.result (Guard.expected ck)
                           (Tolerance.describe (Guard.tolerance ck)))))
-      end
-    end
-  end
+    in
+    Stats.verify_us t.stats (now_us () -. t0);
+    verdict
 
-(* One ladder execution, stopped before verification: the walk below
-   yields the first rung that produced an outcome (plus its retry and
-   backoff accounting), a deadline verdict, or "every rung down". The
-   single-device path verifies the outcome immediately; the fleet path
-   runs one walk per dispatched device and verifies only the winner, so
-   a cancelled hedge loser never charges a response to the stats. *)
-type executed = {
-  ex_idx : int;
-  ex_rung : Plan_cache.rung;
-  ex_outcome : R.outcome;
-  ex_retries : int;
-  ex_backoff_us : float;
-}
-
-type exec_result =
-  | Ex_served of executed
-  | Ex_deadline of string
-  | Ex_down of attempt_failure option
-
-let execute_ladder ?(budget : budget option) (t : t) (req : request)
-    (e : Plan_cache.entry) : exec_result =
-  t.tick <- t.tick + 1;
-  let arch = req.req_arch.Gpusim.Arch.name in
-  let last_failure = ref None in
-  let deadline = ref None in
-  let rec walk idx = function
-    | [] -> None
-    | rung :: rest -> (
-        let vname = V.name rung.Plan_cache.r_version in
-        if budget_exhausted budget then begin
-          deadline :=
-            Some
-              (Printf.sprintf
-                 "deadline budget exhausted before rung %d (%s) could run" idx
-                 vname);
-          None
-        end
-        else
-          let br = breaker_for t arch vname in
-          match availability t br with
-          | Av_open ->
-              Obs.Trace.mark
-                ~attrs:[ ("version", vname); ("rung", string_of_int idx) ]
-                "rung.quarantined";
-              walk (idx + 1) rest
-          | (Av_closed | Av_half_open) as avail -> (
-              match
-                Obs.Trace.span
-                  ~attrs:[ ("version", vname); ("rung", string_of_int idx) ]
-                  ~name:"rung"
-                  (fun () -> attempt_rung ?budget t req rung)
-              with
-              | Ok (o, retries, backoff_us) ->
-                  (* faults accumulate across successes while the breaker is
-                     closed (a lightly-faulting version must still trip it
-                     eventually); only a successful half-open probe earns a
-                     clean slate *)
-                  if avail = Av_half_open then breaker_success br;
-                  Some (idx, rung, o, retries, backoff_us)
-              | Error (Af_deadline msg) ->
-                  (* the client stopped waiting, the version did nothing
-                     wrong: no fault, no breaker charge, no further rungs *)
-                  deadline := Some msg;
-                  None
-              | Error failure ->
-                  Stats.fault t.stats ~version:vname;
-                  breaker_fault t ~arch ~version:vname;
-                  last_failure := Some failure;
-                  walk (idx + 1) rest))
-  in
-  match walk 0 (Plan_cache.ladder e) with
-  | Some (idx, rung, o, retries, backoff_us) ->
-      Ex_served
-        {
-          ex_idx = idx;
-          ex_rung = rung;
-          ex_outcome = o;
-          ex_retries = retries;
-          ex_backoff_us = backoff_us;
-        }
-  | None -> (
-      match !deadline with
-      | Some msg -> Ex_deadline msg
-      | None -> Ex_down !last_failure)
-
-let deadline_error (t : t) ~(arch : string) (msg : string) :
-    (response, error) result =
-  Stats.deadline_expire t.stats;
-  Obs.Trace.mark "deadline";
-  Obs.Log.warn ~fields:[ ("arch", arch) ] "deadline exceeded: %s" msg;
-  Error (Deadline_exceeded msg)
-
-(* every rung down: degraded host-reference serve, or the last failure *)
-let down_result (t : t) (req : request) (e : Plan_cache.entry) ~(hit : bool)
-    ~(started_us : float) (last_failure : attempt_failure option) :
-    (response, error) result =
-  if t.resilience.r_allow_degraded then
-    Ok (degraded_response t req e ~hit ~started_us)
-  else
-    Error
-      (match last_failure with
-      | Some (Af_transient msg) -> Transient msg
-      | Some (Af_fault msg) -> Version_fault msg
-      | Some (Af_deadline _) | None ->
-          Version_fault
-            (Printf.sprintf "every version of %s is quarantined"
-               (Plan_cache.key_name
-                  (key_of t req.req_arch (R.input_size req.req_input)))))
-
-let serve ?(budget : budget option) (t : t) (req : request)
-    (e : Plan_cache.entry) (hit : bool) (started_us : float) :
-    (response, error) result =
-  let arch = req.req_arch.Gpusim.Arch.name in
-  let run_started = now_us () in
-  match execute_ladder ?budget t req e with
-  | Ex_served ex ->
-      Stats.run_us t.stats (now_us () -. run_started);
-      verify_and_serve ?budget t req e ~hit ~started_us ex.ex_idx ex.ex_rung
-        ex.ex_outcome ex.ex_retries ex.ex_backoff_us
-  | Ex_deadline msg -> deadline_error t ~arch msg
-  | Ex_down last -> down_result t req e ~hit ~started_us last
-
-(* ------------------------------------------------------------------ *)
-(* Fleet serving: routing, per-device dispatch, hedging                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The health scorer's baseline: what the static cost model says this
-   rung should take on this arch at this size, computed without
-   executing anything and memoized per (arch, version, n, tunables).
-   A prediction the analyzer cannot produce degrades to ratio 1.0 —
-   the device is neither credited nor blamed for it. *)
-let predicted_cost (t : t) (arch : Gpusim.Arch.t) (version : V.t)
-    ~(tunables : (string * int) list) ~(n : int) : float option =
-  let key = (arch.Gpusim.Arch.name, V.name version, n, tunables) in
-  match Hashtbl.find_opt t.predicted_cache key with
-  | Some p -> if Float.is_finite p && p > 0.0 then Some p else None
-  | None ->
-      let p =
-        match P.static_cost ~n ~tunables arch t.planner version with
-        | p -> p
-        | exception _ -> Float.nan
-      in
-      Hashtbl.replace t.predicted_cache key p;
-      if Float.is_finite p && p > 0.0 then Some p else None
-
-let predicted_us (t : t) (arch : Gpusim.Arch.t) (rung : Plan_cache.rung)
-    ~(n : int) : float option =
-  predicted_cost t arch rung.Plan_cache.r_version
-    ~tunables:rung.Plan_cache.r_tunables ~n
-
-let health_ratio (t : t) (arch : Gpusim.Arch.t) (ex : executed) ~(n : int)
-    ~(observed_us : float) : float =
-  match predicted_us t arch ex.ex_rung ~n with
-  | Some p when observed_us > 0.0 -> p /. observed_us
-  | _ -> 1.0
-
-(* the whole fleet is out: the host reference answers — a dead fleet
-   degrades, it does not lose requests *)
-let fleet_degraded_response (t : t) (req : request) ~(started_us : float) :
-    response =
-  Stats.degrade t.stats;
-  Stats.winner t.stats "host-reference (fleet-down)";
-  Obs.Trace.mark "degraded";
-  Obs.Log.warn "no routable fleet device; serving the host reference (degraded)";
-  {
-    resp_value = P.reference_input t.planner req.req_input;
-    resp_exact = true;
-    resp_sim_us = 0.0;
-    resp_version = List.hd t.candidates;
-    resp_tunables = [];
-    resp_hit = false;
-    resp_bucket = Plan_cache.bucket_of_size (R.input_size req.req_input);
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = true;
-    resp_retries = 0;
-    resp_fallback = 0;
-  }
-
-(* one attempt on one device *)
-type fleet_exec =
-  | Fx_served of Plan_cache.entry * bool * executed * float
-      (* entry, cache hit, winning execution, observed (slowdown-inflated) us *)
-  | Fx_deadline of string
-  | Fx_down of Plan_cache.entry * bool * attempt_failure option
-  | Fx_error of error  (* planning failed; not the device's doing *)
-
-(* Dispatch one request to one device: the request is re-targeted at
-   the device's arch (the one plan cache serves the whole heterogeneous
-   fleet), the device's private fault stream is armed for the duration,
-   the fail-slow profile inflates the observed time, and the health
-   scorer is fed the predicted/observed ratio. Verification is NOT run
-   here — the hedging layer above picks a winner first. *)
-let dispatch_on ?(budget : budget option) (t : t) (fl : Fleet.t)
-    (req : request) (d : Fleet.device) : fleet_exec =
-  Fleet.begin_dispatch fl d;
-  let arch = Fleet.arch d in
-  let req = { req with req_arch = arch } in
-  let n = R.input_size req.req_input in
-  let saved_fault = t.fault in
-  (match Fleet.fault_stream d with Some f -> t.fault <- Some f | None -> ());
-  let result =
-    Obs.Trace.span
-      ~attrs:
-        [ ("device", Fleet.label d); ("arch", arch.Gpusim.Arch.name) ]
-      ~name:"device"
-    @@ fun () ->
-    match ensure t arch n with
-    | Error e -> Fx_error e
-    | Ok (entry, hit) -> (
-        match execute_ladder ?budget t req entry with
-        | Ex_served ex ->
-            let slow = Fleet.slowdown d in
-            let observed = ex.ex_outcome.R.time_us *. slow in
-            (* the straggler's inflation is real time the client waits
-               through: charge the deadline budget for it and let the
-               response's simulated latency carry it *)
-            let ex =
-              if slow > 1.0 then begin
-                budget_charge budget (observed -. ex.ex_outcome.R.time_us);
-                { ex with ex_outcome = { ex.ex_outcome with R.time_us = observed } }
-              end
-              else ex
-            in
-            Fleet.charge_busy d observed;
-            Fleet.observe fl d
-              ~ratio:(health_ratio t arch ex ~n ~observed_us:observed);
-            Fx_served (entry, hit, ex, observed)
-        | Ex_deadline msg -> Fx_deadline msg
-        | Ex_down last ->
-            Fleet.observe_failure fl d;
-            Fx_down (entry, hit, last))
-  in
-  t.fault <- saved_fault;
-  Fleet.end_dispatch fl d;
-  result
-
-let submit_fleet ?(budget : budget option) (t : t) (fl : Fleet.t)
-    (req : request) ~(started_us : float) : (response, error) result =
-  let run_started = now_us () in
-  (* route around devices that fail-stop at the moment of dispatch: the
-     death is detected, the device marked dead, and the request bounces
-     to the next choice — never lost *)
-  let rec acquire () =
-    match Fleet.route fl with
-    | None -> None
-    | Some d ->
-        if Fleet.next_dispatch_kills d then begin
-          Fleet.mark_dead fl d;
-          Fleet.reroute fl;
-          acquire ()
-        end
-        else Some d
-  in
-  match acquire () with
-  | None -> Ok (fleet_degraded_response t req ~started_us)
-  | Some d -> (
-      match dispatch_on ?budget t fl req d with
-      | Fx_error e -> Error e
-      | Fx_deadline msg ->
-          deadline_error t ~arch:(Fleet.arch d).Gpusim.Arch.name msg
-      | Fx_down (entry, hit, last) ->
-          (* breakers are per (arch, version) and shared fleet-wide: a
-             ladder that is down on this device is down on every device
-             of the same arch — degrade like the single-device path *)
-          down_result t
-            { req with req_arch = Fleet.arch d }
-            entry ~hit ~started_us last
-      | Fx_served (entry, hit, ex, observed) -> (
-          (* hedged execution: past the p95-based deadline, speculate on
-             a second device; first answer in virtual time wins and the
-             loser is cancelled before verification, charging nothing *)
-          let hedged =
-            match Fleet.hedge_deadline_us fl with
-            | Some dl when observed > dl -> (
-                Fleet.hedge_fired fl d ~deadline_us:dl ~observed_us:observed;
-                match Fleet.route ~excluding:d ~probe:false fl with
-                | None -> None
-                | Some d2 -> (
-                    match dispatch_on ?budget t fl req d2 with
-                    | Fx_served (entry2, hit2, ex2, observed2) ->
-                        (* the hedge launched at the deadline: it wins
-                           only if deadline + its own latency beats the
-                           primary's completion *)
-                        let completion2 = dl +. observed2 in
-                        if completion2 < observed then begin
-                          Fleet.hedge_won fl d2;
-                          Some (d2, entry2, hit2, ex2, completion2)
-                        end
-                        else None
-                    | Fx_deadline _ | Fx_down _ | Fx_error _ -> None))
-            | Some _ | None -> None
-          in
-          let dev, entry, hit, ex, completion_us =
-            match hedged with
-            | Some (d2, e2, h2, ex2, c2) -> (d2, e2, h2, ex2, c2)
-            | None -> (d, entry, hit, ex, observed)
-          in
-          Fleet.note_latency fl completion_us;
-          Stats.run_us t.stats (now_us () -. run_started);
-          let req = { req with req_arch = Fleet.arch dev } in
-          match
-            verify_and_serve ?budget t req entry ~hit ~started_us ex.ex_idx
-              ex.ex_rung ex.ex_outcome ex.ex_retries ex.ex_backoff_us
-          with
-          | Ok r -> Ok r
-          | Error e -> Error e))
+(* The conclusion both paths share: a served outcome is verified, a
+   dead budget is [Deadline_exceeded], and every rung down degrades to
+   the host reference or surfaces the last failure. *)
+let conclude (t : t) (r : req_state) (d : dispatch) : verdict =
+  match d with
+  | Served ex ->
+      Stats.run_us t.stats ex.ex_run_us;
+      verify t r ex
+  | Expired msg ->
+      Stats.deadline_expire t.stats;
+      Obs.Trace.mark "deadline";
+      Obs.Log.warn
+        ~fields:[ ("arch", r.target.req_arch.Gpusim.Arch.name) ]
+        "deadline exceeded: %s" msg;
+      Failed (Deadline_exceeded msg)
+  | Down last ->
+      if t.resilience.r_allow_degraded then Reference `Degraded
+      else
+        Failed
+          (match last with
+          | Some (Af_transient msg) -> Transient msg
+          | Some (Af_fault msg) -> Version_fault msg
+          | Some (Af_deadline _) | None ->
+              Version_fault
+                (Printf.sprintf "every version of %s is quarantined"
+                   (Plan_cache.key_name
+                      (key_of t r.target.req_arch
+                         (R.input_size r.target.req_input)))))
+  | Unplanned e -> Failed e
+  | No_device -> Reference `Fleet_down
 
 (* ------------------------------------------------------------------ *)
 (* Monitoring: windowed metrics, SLO burn rates, flight recorder        *)
@@ -1202,7 +1030,6 @@ let attach_monitor ?(latency_mult = 3.0) ?(interactive_max = 65536)
       m_snapshot_every = max 1 snapshot_every;
       m_now_us = 0.0;
       m_requests = 0;
-      m_pending_sdc = 0;
       m_pending_eject = [];
       m_req_ok =
         Obs.Metrics.counter reg ~help:"requests answered"
@@ -1335,20 +1162,21 @@ let error_kind : error -> string = function
    (so the recorder captures the right trace id): note the record,
    settle deferred corruption/ejection verdicts, feed the SLOs, step
    the alert state machines and snapshot on cadence. *)
-let monitor_note (t : t) (req : request) (result : (response, error) result) :
-    unit =
+let monitor_note (t : t) (rs : req_state) (result : (response, error) result)
+    : unit =
   match t.monitor with
   | None -> ()
   | Some m ->
+      let req = rs.req in
       let n = R.input_size req.req_input in
       let arch = req.req_arch.Gpusim.Arch.name in
-      let caught_sdc = m.m_pending_sdc > 0 in
+      let caught_sdc = rs.sdc_confirmed > 0 in
       let latency_us, predicted, outcome =
         match result with
         | Ok r ->
             let predicted =
               match
-                predicted_cost t req.req_arch r.resp_version
+                predicted_us t req.req_arch r.resp_version
                   ~tunables:r.resp_tunables ~n
               with
               | Some p -> p
@@ -1369,10 +1197,9 @@ let monitor_note (t : t) (req : request) (result : (response, error) result) :
       (* corruption verdicts were deferred to here so the record above
          is the bundle's trigger request *)
       if caught_sdc then begin
-        for _ = 1 to m.m_pending_sdc do
+        for _ = 1 to rs.sdc_confirmed do
           Obs.Slo.observe m.m_sdc_slo ~now_us:m.m_now_us ~good:false
         done;
-        m.m_pending_sdc <- 0;
         dump_incident t m Recorder.Sdc
       end
       else Obs.Slo.observe m.m_sdc_slo ~now_us:m.m_now_us ~good:true;
@@ -1451,22 +1278,123 @@ let monitor_snapshot (t : t) : unit =
 let monitor_queue_depth (t : t) (depth : int) : unit =
   mon t (fun m -> Obs.Metrics.set m.m_queue_depth (float_of_int depth))
 
-(* reduce of nothing is the combining operation's identity, served off the
-   host without touching the simulator *)
-let empty_response (t : t) (req : request) ~(started_us : float) : response =
-  {
-    resp_value = P.reference_input t.planner req.req_input;
-    resp_exact = true;
-    resp_sim_us = 0.0;
-    resp_version = List.hd t.candidates;
-    resp_tunables = [];
-    resp_hit = false;
-    resp_bucket = 0;
-    resp_service_us = now_us () -. started_us;
-    resp_degraded = false;
-    resp_retries = 0;
-    resp_fallback = 0;
-  }
+
+(* ------------------------------------------------------------------ *)
+(* Accounting and the request entry points                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A degraded answer's log line, and the winner label it counts under *)
+let host_winner (reason : degradation) ~(witness : V.t option) : string =
+  let fields =
+    match witness with Some v -> [ ("version", V.name v) ] | None -> []
+  in
+  match reason with
+  | `Degraded ->
+      Obs.Log.info "every rung down; serving the host reference (degraded)";
+      "host-reference (degraded)"
+  | `Brownout ->
+      (match witness with
+      | Some _ ->
+          Obs.Log.warn ~fields
+            "witness rejected a result under brownout; redundant execution \
+             shed, serving the witness value (degraded)"
+      | None ->
+          Obs.Log.warn "brownout level 4: serving the host reference (degraded)");
+      "host-reference (brownout)"
+  | `Sdc ->
+      Obs.Log.info
+        "confirmed corruption with no in-tolerance execution; serving the \
+         witness value (degraded)";
+      "host-reference (sdc)"
+  | `Deadline ->
+      Obs.Log.warn ~fields
+        "deadline budget died before redundant execution; serving the \
+         witness value (degraded)";
+      "host-reference (deadline)"
+  | `Fleet_down ->
+      Obs.Log.warn
+        "no routable fleet device; serving the host reference (degraded)";
+      "host-reference (fleet-down)"
+
+(* The one accounting point: build the response, record the outcome
+   stats (degradation, winner, fallback, the kernel profile) and note
+   the request to the monitor. An empty input's identity is not a
+   degradation and records nothing. *)
+let account (t : t) (r : req_state) (v : verdict) : (response, error) result =
+  let respond ~value ~exact ~sim_us ~version ~tunables ~degraded ~retries
+      ~fallback =
+    Ok
+      {
+        resp_value = value;
+        resp_exact = exact;
+        resp_sim_us = sim_us;
+        resp_version = version;
+        resp_tunables = tunables;
+        resp_hit = r.hit;
+        resp_bucket = Plan_cache.bucket_of_size (R.input_size r.req.req_input);
+        resp_service_us = now_us () -. r.started_us;
+        resp_degraded = degraded;
+        resp_retries = retries;
+        resp_fallback = fallback;
+      }
+  in
+  let host ~value ~version ~fallback ~degraded =
+    respond ~value ~exact:true ~sim_us:0.0 ~version ~tunables:[] ~degraded
+      ~retries:0 ~fallback
+  in
+  let degrade reason ~witness =
+    Stats.degrade t.stats;
+    Obs.Trace.mark "degraded";
+    Some (host_winner reason ~witness)
+  in
+  let winner, result =
+    match v with
+    | Failed e -> (None, Error e)
+    | Device ex ->
+        let rung = ex.ex_rung and o = ex.ex_outcome in
+        ( Some (V.name rung.Plan_cache.r_version),
+          respond ~value:o.R.result ~exact:o.R.exact
+            ~sim_us:(o.R.time_us +. ex.ex_backoff_us)
+            ~version:rung.Plan_cache.r_version
+            ~tunables:rung.Plan_cache.r_tunables ~degraded:false
+            ~retries:ex.ex_retries ~fallback:ex.ex_idx )
+    | Witness (reason, ex, value) ->
+        let version = ex.ex_rung.Plan_cache.r_version in
+        ( degrade reason ~witness:(Some version),
+          host ~value ~version ~fallback:ex.ex_idx ~degraded:true )
+    | Reference reason ->
+        (* the ladder the request planned, if it got that far *)
+        let version, fallback =
+          match r.entry with
+          | Some e -> (e.Plan_cache.e_version, List.length (Plan_cache.ladder e))
+          | None -> (List.hd t.candidates, 0)
+        in
+        ( (match reason with
+          | `Empty -> None
+          | #degradation as reason -> degrade reason ~witness:None),
+          host
+            ~value:(P.reference_input t.planner r.req.req_input)
+            ~version ~fallback ~degraded:(reason <> `Empty) )
+  in
+  Option.iter (Stats.winner t.stats) winner;
+  (match v with
+  | Device ex ->
+      if ex.ex_idx > 0 then Stats.fallback t.stats;
+      (* profiling is the first rung of the brownout ladder: the
+         cheapest work to shed, and invisible to the answer *)
+      if t.profile then
+        if t.brownout >= 1 then Stats.brownout_shed t.stats ~what:"profile"
+        else
+          Stats.kernel t.stats ~arch:r.target.req_arch.Gpusim.Arch.name
+            ~version:(V.name ex.ex_rung.Plan_cache.r_version)
+            (Gpusim.Events.totals_of_list
+               (List.map
+                  (fun (lr : Gpusim.Interp.launch_result) ->
+                    lr.Gpusim.Interp.lr_events)
+                  ex.ex_outcome.R.launch_results))
+  | Witness _ | Reference _ | Failed _ -> ());
+  monitor_note t r result;
+  result
 
 let validate (req : request) : (unit, error) result =
   match req.req_input with
@@ -1485,44 +1413,55 @@ let validate (req : request) : (unit, error) result =
                   plen))
         else Ok ()
 
+(* validate → shed (brownout level 4) → on a fleet, acquire a device →
+   plan → ladder → verify; the returned copy is the one that served *)
+let stages (t : t) (r : req_state) : req_state * verdict =
+  match validate r.req with
+  | Error e ->
+      Stats.bad_request t.stats;
+      (r, Failed e)
+  | Ok () ->
+      if R.input_size r.req.req_input = 0 then (r, Reference `Empty)
+      else if t.brownout >= 4 then begin
+        (* the host path sheds everything device-side, the cold
+           plan/tune path included — answer before even touching the
+           cache *)
+        Stats.brownout_shed t.stats ~what:"host-path";
+        (r, Reference `Brownout)
+      end
+      else
+        let r, d =
+          match t.fleet with
+          | Some fl -> dispatch_fleet t fl r
+          | None -> (r, dispatch t r)
+        in
+        (r, conclude t r d)
+
 let submit_result ?deadline_us (t : t) (req : request) :
     (response, error) result =
   let budget = budget_of_deadline deadline_us in
+  (* the request is accounted inside its root span, so the flight
+     recorder captures this request's trace id *)
   let body () =
-    let started_us = now_us () in
-    match validate req with
-    | Error e ->
-        Stats.bad_request t.stats;
-        Error e
-    | Ok () ->
-        if R.input_size req.req_input = 0 then
-          Ok (empty_response t req ~started_us)
-        else if t.brownout >= 4 then begin
-          (* the host path sheds everything device-side, the cold
-             plan/tune path included — answer before even touching the
-             cache *)
-          Stats.brownout_shed t.stats ~what:"host-path";
-          Ok (brownout_degraded_response t req ~started_us)
-        end
-        else (
-          match t.fleet with
-          | Some fl -> submit_fleet ?budget t fl req ~started_us
-          | None -> (
-              match ensure t req.req_arch (R.input_size req.req_input) with
-              | Error e -> Error e
-              | Ok (entry, hit) -> serve ?budget t req entry hit started_us))
-  in
-  (* the monitor notes the result inside the request's root span, so
-     the flight recorder captures this request's trace id *)
-  let monitored () =
-    let result = body () in
-    monitor_note t req result;
-    result
+    let r, v =
+      stages t
+        {
+          req;
+          target = req;
+          fault = t.fault;
+          budget;
+          started_us = now_us ();
+          entry = None;
+          hit = false;
+          sdc_confirmed = 0;
+        }
+    in
+    account t r v
   in
   (* one root span per request under a fresh trace id: every span the
      stack records below (lookup, plan, tune, rungs, attempts, verify...)
      lands on this request's track in the exported trace *)
-  if not (Obs.Trace.enabled ()) then monitored ()
+  if not (Obs.Trace.enabled ()) then body ()
   else
     Obs.Trace.with_request
       ~attrs:
@@ -1530,7 +1469,7 @@ let submit_result ?deadline_us (t : t) (req : request) :
           ("arch", req.req_arch.Gpusim.Arch.name);
           ("n", string_of_int (R.input_size req.req_input));
         ]
-      ~name:"request" monitored
+      ~name:"request" body
 
 let submit ?deadline_us (t : t) (req : request) : response =
   match submit_result ?deadline_us t req with
@@ -1564,8 +1503,7 @@ let submit_batch_result ?deadline_us (t : t) (reqs : request list) :
           | None -> groups := !groups @ [ (req, ref [ i ]) ])
         reqs;
       let n_reqs = List.length reqs in
-      Stats.batch t.stats ~size:n_reqs
-        ~coalesced:(n_reqs - List.length !groups);
+      Stats.batch t.stats ~coalesced:(n_reqs - List.length !groups);
       let responses = Array.make n_reqs None in
       List.iter
         (fun (rep, idxs) ->

@@ -10,6 +10,16 @@
     coalesces same-shape requests (equal architecture and input) into a
     single simulation.
 
+    A request moves through fixed stages: validate → shed (brownout
+    level 4 answers from the host) → acquire a device (fleet only; the
+    hedge acquires the same way) → plan (cache lookup, or plan and tune
+    on a miss) → ladder (the ranked versions, with retries and circuit
+    breakers) → verify (the SDC guard) → account. Accounting is the one
+    point that builds the response, records its outcome in {!Stats}
+    (winner, fallback, degradation, kernel profile) and notes it to the
+    monitor; events — cache hits and misses, retries, faults,
+    quarantines, SDC checks — are recorded where they happen.
+
     The service is fault tolerant. Transient simulator errors are
     retried under bounded exponential backoff with jitter (charged to
     simulated time). Versions that keep faulting trip a per-(architecture,
@@ -149,9 +159,6 @@ val planner : t -> Synthesis.Planner.t
 val cache : t -> Plan_cache.t
 val stats : t -> Stats.t
 
-(** The active silent-data-corruption verification policy. *)
-val guard : t -> Guard.config
-
 (** The armed fault-injection plan, if any. *)
 val fault : t -> Gpusim.Fault.t option
 
@@ -166,9 +173,6 @@ val profiling : t -> bool
     [Stats.kernel_rows]); when off (the default) nothing is recorded and
     the text report is unchanged. *)
 val set_profiling : t -> bool -> unit
-
-(** The attached device fleet, if any. *)
-val fleet : t -> Fleet.t option
 
 (** Route every subsequent request through [fleet]: the router picks a
     device (health-aware, least-loaded), the request executes against

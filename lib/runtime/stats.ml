@@ -146,7 +146,7 @@ let plan_us t x = M.observe (latency t "plan") x
 let tune_us t x = M.observe (latency t "tune") x
 let run_us t x = M.observe (latency t "run") x
 
-let batch t ~size:_ ~coalesced =
+let batch t ~coalesced =
   inc t "tangram_batches_total";
   inc t ~by:(float_of_int coalesced) "tangram_coalesced_requests_total"
 

@@ -38,9 +38,9 @@ val plan_us : t -> float -> unit
 val tune_us : t -> float -> unit
 val run_us : t -> float -> unit
 
-(** Record one dispatched batch: its request count and how many requests
-    were coalesced into another request's simulation. *)
-val batch : t -> size:int -> coalesced:int -> unit
+(** Record one dispatched batch and how many of its requests were
+    coalesced into another request's simulation. *)
+val batch : t -> coalesced:int -> unit
 
 (** {2 Failure recording} *)
 
