@@ -64,12 +64,7 @@ let term : t Term.t =
     const mk $ devices_arg $ profiles_arg $ spares_arg $ hedge_arg
     $ fleet_seed_arg)
 
-let usage_error ~exe fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "%s: %s\n" exe msg;
-      exit 2)
-    fmt
+let usage_error = Obs_cli.usage_error
 
 (** [IDX=SPEC] -> (index, profile); exits with a usage error (2) on a
     malformed assignment, matching cmdliner's own convention. *)

@@ -54,16 +54,24 @@ let term : t Term.t =
     const mk $ log_level_arg $ log_json_arg $ trace_out_arg $ metrics_out_arg
     $ stats_json_arg $ kernel_counters_arg)
 
+(** Print ["EXE: message"] and exit with a usage error (2), matching
+    cmdliner's own convention; every tangramc flag check reports
+    through this. *)
+let usage_error ~(exe : string) fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" exe msg;
+      exit 2)
+    fmt
+
 (** Configure the logger and tracer from the parsed flags. Exits with a
-    usage error (2) on an unknown log level, matching cmdliner's own
-    convention. *)
+    usage error on an unknown log level. *)
 let setup ~(exe : string) (t : t) : unit =
   (match Tangram.Obs.Log.level_of_string t.log_level with
   | Some l -> Tangram.Obs.Log.set_level l
   | None ->
-      Printf.eprintf "%s: unknown log level %S (error|warn|info|debug)\n" exe
-        t.log_level;
-      exit 2);
+      usage_error ~exe "unknown log level %S (error|warn|info|debug)"
+        t.log_level);
   Tangram.Obs.Log.set_json t.log_json;
   if t.trace_out <> None then Tangram.Obs.Trace.set_enabled true
 

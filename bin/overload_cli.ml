@@ -80,19 +80,13 @@ let config ~(exe : string) (t : t) : Tangram.Admission.config =
     match Tangram.Admission.shed_policy_of_string t.shed_policy with
     | Some p -> p
     | None ->
-        Printf.eprintf
-          "%s: unknown shed policy %S (reject-newest|reject-oldest|cost-aware)\n"
-          exe t.shed_policy;
-        exit 2
+        Obs_cli.usage_error ~exe
+          "unknown shed policy %S (reject-newest|reject-oldest|cost-aware)"
+          t.shed_policy
   in
-  if t.deadline_us <= 0.0 then begin
-    Printf.eprintf "%s: --deadline-us must be positive\n" exe;
-    exit 2
-  end;
-  if t.queue_cap < 1 then begin
-    Printf.eprintf "%s: --queue-cap must be positive\n" exe;
-    exit 2
-  end;
+  if t.deadline_us <= 0.0 then
+    Obs_cli.usage_error ~exe "--deadline-us must be positive";
+  if t.queue_cap < 1 then Obs_cli.usage_error ~exe "--queue-cap must be positive";
   {
     Tangram.Admission.default with
     Tangram.Admission.a_queue_cap = t.queue_cap;
@@ -107,10 +101,7 @@ let config ~(exe : string) (t : t) : Tangram.Admission.config =
 let run_open_loop ~(exe : string) (t : t) ~(rate_rps : float)
     ?(dense_upto = 0) (svc : Tangram.Service.t) (spec : Tangram.Trace.spec) :
     Tangram.Admission.summary =
-  if rate_rps <= 0.0 then begin
-    Printf.eprintf "%s: --rate-rps must be positive\n" exe;
-    exit 2
-  end;
+  if rate_rps <= 0.0 then Obs_cli.usage_error ~exe "--rate-rps must be positive";
   let config = config ~exe t in
   let arrivals = Tangram.Trace.arrivals ~rate_rps spec in
   let summary = Tangram.Admission.replay ~config ~dense_upto svc arrivals in

@@ -46,6 +46,11 @@ let load_unit spectrum source =
       | `Min -> Tangram.Builtins.min_unit ()
       | `Int -> Tangram.Builtins.int_sum_unit ())
 
+(* the codelet unit, planned over the spectrum's element type *)
+let load_planner spectrum source =
+  let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
+  Tangram.Planner.create ~elem (load_unit spectrum source)
+
 let handle_frontend_errors f =
   try f () with
   | Tangram.Lexer.Lex_error (pos, msg) ->
@@ -106,11 +111,7 @@ let resolve_version (spec : string) : Tangram.Version.t =
 let emit_cmd =
   let run spectrum source version sync_shuffles unroll vectorize target =
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem =
-          if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32
-        in
-        let plan = Tangram.Planner.create ~elem unit_info in
+        let plan = load_planner spectrum source in
         let options =
           { Tangram.Cuda.default_options with Tangram.Cuda.sync_shuffles } in
         let program = Tangram.Planner.program plan (resolve_version version) in
@@ -247,9 +248,7 @@ let lint_cmd =
   in
   let run spectrum source json all_variants =
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
+        let plan = load_planner spectrum source in
         let versions =
           if all_variants then Tangram.all_versions ()
           else Tangram.pruned_versions ()
@@ -299,9 +298,7 @@ let prove_cmd =
   in
   let run spectrum source json all_variants =
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
+        let plan = load_planner spectrum source in
         let versions =
           if all_variants then Tangram.all_versions ()
           else Tangram.pruned_versions ()
@@ -376,9 +373,7 @@ let prove_cmd =
 let synth_cmd =
   let run spectrum source =
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
+        let plan = load_planner spectrum source in
         let r = Tangram.Planner.synthesize plan in
         List.iter
           (fun (v, verdict) ->
@@ -403,10 +398,19 @@ let synth_cmd =
     Term.(const run $ spectrum_arg $ source_arg)
 
 (* ------------------------------------------------------------------ *)
-(* serve                                                               *)
+(* The trace and fault flags serve and monitor share                   *)
 (* ------------------------------------------------------------------ *)
 
-let serve_cmd =
+type replay = {
+  requests : int;
+  trace_seed : int;
+  arch_name : string option;
+  fault_rate : float;
+  fault_seed : int;
+  bitflip_rate : float;
+}
+
+let replay_term : replay Term.t =
   let requests_arg =
     let doc = "Number of requests in the synthetic trace." in
     Arg.(value & opt int 1000 & info [ "requests" ] ~doc)
@@ -415,23 +419,12 @@ let serve_cmd =
     let doc = "Deterministic trace seed." in
     Arg.(value & opt int 42 & info [ "trace-seed" ] ~doc)
   in
-  let batch_arg =
-    let doc = "Replay batch size (1 disables same-shape coalescing)." in
-    Arg.(value & opt int 64 & info [ "batch" ] ~doc)
-  in
   let arch_arg =
     let doc =
       "Serve only this architecture (kepler|maxwell|pascal|volta); default: \
        the three paper testbeds, mixed."
     in
     Arg.(value & opt (some string) None & info [ "arch"; "a" ] ~doc)
-  in
-  let cache_file_arg =
-    let doc =
-      "Plan-cache file: loaded before the replay when it exists (warm start) \
-       and saved back afterwards, so a warmed cache persists across runs."
-    in
-    Arg.(value & opt (some string) None & info [ "cache-file" ] ~doc ~docv:"FILE")
   in
   let fault_rate_arg =
     let doc =
@@ -444,17 +437,76 @@ let serve_cmd =
     let doc = "Deterministic seed of the fault injector." in
     Arg.(value & opt int 1 & info [ "fault-seed" ] ~doc)
   in
-  let retry_max_arg =
-    let doc = "Transient-fault retries per version before falling back." in
-    Arg.(value & opt int Tangram.Service.default_resilience.r_retry_max
-         & info [ "retry-max" ] ~doc)
-  in
   let bitflip_rate_arg =
     let doc =
       "Silent bit-flip injection rate (probability in [0,1] that a kernel run \
        suffers one memory/register bit flip; 0 disables injection)."
     in
     Arg.(value & opt float 0.0 & info [ "bitflip-rate" ] ~doc)
+  in
+  let mk requests trace_seed arch_name fault_rate fault_seed bitflip_rate =
+    { requests; trace_seed; arch_name; fault_rate; fault_seed; bitflip_rate }
+  in
+  Term.(
+    const mk $ requests_arg $ seed_arg $ arch_arg $ fault_rate_arg
+    $ fault_seed_arg $ bitflip_rate_arg)
+
+let usage_error = Obs_cli.usage_error
+
+let check_replay ~exe (rp : replay) : unit =
+  let probability x = x >= 0.0 && x <= 1.0 in
+  if rp.requests < 1 then usage_error ~exe "--requests must be at least 1";
+  if not (probability rp.fault_rate) then
+    usage_error ~exe "--fault-rate must be within [0,1]";
+  if not (probability rp.bitflip_rate) then
+    usage_error ~exe "--bitflip-rate must be within [0,1]"
+
+let replay_archs (rp : replay) : Tangram.Arch.t list =
+  match rp.arch_name with
+  | None -> Tangram.Arch.presets
+  | Some name -> (
+      match Tangram.Arch.by_name name with
+      | Some a -> [ a ]
+      | None ->
+          Printf.eprintf "unknown architecture %S\n" name;
+          exit 1)
+
+(* The service both commands replay through: the fault injector armed
+   from the shared flags, kernel profiling from --kernel-counters. *)
+let replay_service ?cache ?resilience ?guard (rp : replay) (obs : Obs_cli.t)
+    plan : Tangram.Service.t =
+  let fault =
+    if rp.fault_rate > 0.0 || rp.bitflip_rate > 0.0 then
+      Some
+        (Tangram.Fault.create
+           (Tangram.Fault.plan ~rate:rp.fault_rate
+              ~bitflip_rate:rp.bitflip_rate ~seed:rp.fault_seed ()))
+    else None
+  in
+  let svc = Tangram.Service.create ?cache ?fault ?resilience ?guard plan in
+  Tangram.Service.set_profiling svc obs.Obs_cli.kernel_counters;
+  svc
+
+(* ------------------------------------------------------------------ *)
+(* serve                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let serve_cmd =
+  let batch_arg =
+    let doc = "Replay batch size (1 disables same-shape coalescing)." in
+    Arg.(value & opt int 64 & info [ "batch" ] ~doc)
+  in
+  let cache_file_arg =
+    let doc =
+      "Plan-cache file: loaded before the replay when it exists (warm start) \
+       and saved back afterwards, so a warmed cache persists across runs."
+    in
+    Arg.(value & opt (some string) None & info [ "cache-file" ] ~doc ~docv:"FILE")
+  in
+  let retry_max_arg =
+    let doc = "Transient-fault retries per version before falling back." in
+    Arg.(value & opt int Tangram.Service.default_resilience.r_retry_max
+         & info [ "retry-max" ] ~doc)
   in
   let verify_sample_arg =
     let doc = "Stripes of the dense-input witness recomputation." in
@@ -465,36 +517,18 @@ let serve_cmd =
     let doc = "Disable witness verification of exact responses." in
     Arg.(value & flag & info [ "no-verify" ] ~doc)
   in
-  let run spectrum source requests seed batch arch_name cache_file fault_rate
-      fault_seed retry_max bitflip_rate verify_sample no_verify obs overload
-      fleet =
-    Obs_cli.setup ~exe:"tangramc serve" obs;
-    let usage_error msg =
-      Printf.eprintf "tangramc serve: %s\n" msg;
-      exit 2
-    in
-    if requests < 1 then usage_error "--requests must be at least 1";
-    if batch < 1 then usage_error "--batch must be at least 1";
-    if fault_rate < 0.0 || fault_rate > 1.0 || Float.is_nan fault_rate then
-      usage_error "--fault-rate must be within [0,1]";
-    if retry_max < 0 then usage_error "--retry-max must be non-negative";
-    if bitflip_rate < 0.0 || bitflip_rate > 1.0 || Float.is_nan bitflip_rate
-    then usage_error "--bitflip-rate must be within [0,1]";
-    if verify_sample < 1 then usage_error "--verify-sample must be at least 1";
+  let run spectrum source rp batch cache_file retry_max verify_sample no_verify
+      obs overload fleet =
+    let exe = "tangramc serve" in
+    Obs_cli.setup ~exe obs;
+    check_replay ~exe rp;
+    if batch < 1 then usage_error ~exe "--batch must be at least 1";
+    if retry_max < 0 then usage_error ~exe "--retry-max must be non-negative";
+    if verify_sample < 1 then
+      usage_error ~exe "--verify-sample must be at least 1";
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
-        let archs =
-          match arch_name with
-          | None -> Tangram.Arch.presets
-          | Some name -> (
-              match Tangram.Arch.by_name name with
-              | Some a -> [ a ]
-              | None ->
-                  Printf.eprintf "unknown architecture %S\n" name;
-                  exit 1)
-        in
+        let plan = load_planner spectrum source in
+        let archs = replay_archs rp in
         (* a corrupt cache file warns and starts cold (it is overwritten
            on save) rather than killing the server *)
         let cache =
@@ -513,42 +547,34 @@ let serve_cmd =
                   None)
           | _ -> None
         in
-        let fault =
-          if fault_rate > 0.0 || bitflip_rate > 0.0 then
-            Some
-              (Tangram.Fault.create
-                 (Tangram.Fault.plan ~rate:fault_rate ~bitflip_rate
-                    ~seed:fault_seed ()))
-          else None
-        in
         let resilience =
           { Tangram.Service.default_resilience with r_retry_max = retry_max }
         in
         let guard =
           Tangram.Guard.config ~enabled:(not no_verify) ~sample:verify_sample ()
         in
-        let svc = Tangram.Service.create ?cache ?fault ~resilience ~guard plan in
-        if obs.Obs_cli.kernel_counters then Tangram.Service.set_profiling svc true;
+        let svc = replay_service ?cache ~resilience ~guard rp obs plan in
         (* tuner verdicts journal to FILE.journal between saves, so a
            crash mid-replay loses no tuning work *)
         (match cache_file with
         | Some path ->
             Tangram.Plan_cache.attach_journal (Tangram.Service.cache svc) path
         | None -> ());
-        if fault_rate > 0.0 then
+        if rp.fault_rate > 0.0 then
           Printf.printf "fault injection armed: rate %.3f, seed %d, retry-max %d\n"
-            fault_rate fault_seed retry_max;
-        if bitflip_rate > 0.0 then
+            rp.fault_rate rp.fault_seed retry_max;
+        if rp.bitflip_rate > 0.0 then
           Printf.printf
             "bit-flip injection armed: rate %g, seed %d, verification %s\n"
-            bitflip_rate fault_seed
+            rp.bitflip_rate rp.fault_seed
             (if no_verify then "OFF" else "on");
         (* the fleet is homogeneous on the first requested arch; a
            multi-arch serve keeps per-request arch routing instead *)
-        ignore
-          (Fleet_cli.attach ~exe:"tangramc serve" fleet ~arch:(List.hd archs)
-             svc);
-        let spec = Tangram.Trace.default ~requests ~seed ~archs () in
+        ignore (Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc);
+        let spec =
+          Tangram.Trace.default ~requests:rp.requests ~seed:rp.trace_seed ~archs
+            ()
+        in
         (match overload.Overload_cli.rate_rps with
         | Some rate_rps ->
             (* open-loop: timestamped Poisson arrivals through the
@@ -557,15 +583,15 @@ let serve_cmd =
             Printf.printf
               "replaying %d mixed-size requests open-loop over %d \
                architecture(s)...\n"
-              requests (List.length archs);
+              rp.requests (List.length archs);
             ignore
-              (Overload_cli.run_open_loop ~exe:"tangramc serve" overload
+              (Overload_cli.run_open_loop ~exe overload
                  ~rate_rps ~dense_upto:4096 svc spec)
         | None ->
             let trace = Tangram.Trace.generate spec in
             Printf.printf
               "replaying %d mixed-size requests over %d architecture(s)...\n"
-              requests (List.length archs);
+              rp.requests (List.length archs);
             (* sizes <= 4096 replay as dense inputs: they run exact, so
                the SDC guard witness-checks them *)
             let summary =
@@ -589,9 +615,8 @@ let serve_cmd =
          "Run the reduction service: replay a synthetic mixed-size request \
           trace through the plan cache and report service metrics")
     Term.(
-      const run $ spectrum_arg $ source_arg $ requests_arg $ seed_arg $ batch_arg
-      $ arch_arg $ cache_file_arg $ fault_rate_arg $ fault_seed_arg
-      $ retry_max_arg $ bitflip_rate_arg $ verify_sample_arg $ no_verify_arg
+      const run $ spectrum_arg $ source_arg $ replay_term $ batch_arg
+      $ cache_file_arg $ retry_max_arg $ verify_sample_arg $ no_verify_arg
       $ Obs_cli.term $ Overload_cli.term $ Fleet_cli.term)
 
 (* ------------------------------------------------------------------ *)
@@ -599,33 +624,6 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let monitor_cmd =
-  let requests_arg =
-    let doc = "Number of requests in the synthetic trace." in
-    Arg.(value & opt int 1000 & info [ "requests" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Deterministic trace seed." in
-    Arg.(value & opt int 42 & info [ "trace-seed" ] ~doc)
-  in
-  let arch_arg =
-    let doc =
-      "Serve only this architecture (kepler|maxwell|pascal|volta); default: \
-       the three paper testbeds, mixed."
-    in
-    Arg.(value & opt (some string) None & info [ "arch"; "a" ] ~doc)
-  in
-  let fault_rate_arg =
-    let doc = "Fault-injection rate (probability in [0,1]; 0 disables)." in
-    Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~doc)
-  in
-  let fault_seed_arg =
-    let doc = "Deterministic seed of the fault injector." in
-    Arg.(value & opt int 1 & info [ "fault-seed" ] ~doc)
-  in
-  let bitflip_rate_arg =
-    let doc = "Silent bit-flip injection rate (probability in [0,1])." in
-    Arg.(value & opt float 0.0 & info [ "bitflip-rate" ] ~doc)
-  in
   let incident_dir_arg =
     let doc = "Write every retained incident bundle into $(docv)." in
     Arg.(
@@ -650,65 +648,41 @@ let monitor_cmd =
     let doc = "Good fraction the latency SLO demands (error budget 1-T)." in
     Arg.(value & opt float 0.97 & info [ "latency-target" ] ~doc ~docv:"T")
   in
-  let run spectrum source requests seed arch_name fault_rate fault_seed
-      bitflip_rate incident_dir snapshot_every windows_n latency_mult
-      latency_target obs fleet =
-    Obs_cli.setup ~exe:"tangramc monitor" obs;
-    let usage_error msg =
-      Printf.eprintf "tangramc monitor: %s\n" msg;
-      exit 2
-    in
-    if requests < 1 then usage_error "--requests must be at least 1";
-    if snapshot_every < 1 then usage_error "--snapshot-every must be at least 1";
-    if windows_n < 1 then usage_error "--windows must be at least 1";
+  let run spectrum source rp incident_dir snapshot_every windows_n
+      latency_mult latency_target obs fleet =
+    let exe = "tangramc monitor" in
+    Obs_cli.setup ~exe obs;
+    check_replay ~exe rp;
+    if snapshot_every < 1 then
+      usage_error ~exe "--snapshot-every must be at least 1";
+    if windows_n < 1 then usage_error ~exe "--windows must be at least 1";
     if latency_mult <= 0.0 || Float.is_nan latency_mult then
-      usage_error "--latency-mult must be positive";
+      usage_error ~exe "--latency-mult must be positive";
     if latency_target <= 0.0 || latency_target > 1.0 || Float.is_nan latency_target
-    then usage_error "--latency-target must be within (0,1]";
-    if fault_rate < 0.0 || fault_rate > 1.0 || Float.is_nan fault_rate then
-      usage_error "--fault-rate must be within [0,1]";
-    if bitflip_rate < 0.0 || bitflip_rate > 1.0 || Float.is_nan bitflip_rate
-    then usage_error "--bitflip-rate must be within [0,1]";
+    then usage_error ~exe "--latency-target must be within (0,1]";
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
-        let archs =
-          match arch_name with
-          | None -> Tangram.Arch.presets
-          | Some name -> (
-              match Tangram.Arch.by_name name with
-              | Some a -> [ a ]
-              | None ->
-                  Printf.eprintf "unknown architecture %S\n" name;
-                  exit 1)
-        in
-        let fault =
-          if fault_rate > 0.0 || bitflip_rate > 0.0 then
-            Some
-              (Tangram.Fault.create
-                 (Tangram.Fault.plan ~rate:fault_rate ~bitflip_rate
-                    ~seed:fault_seed ()))
-          else None
-        in
-        let svc = Tangram.Service.create ?fault plan in
-        ignore
-          (Fleet_cli.attach ~exe:"tangramc monitor" fleet
-             ~arch:(List.hd archs) svc);
+        let plan = load_planner spectrum source in
+        let archs = replay_archs rp in
+        let svc = replay_service rp obs plan in
+        ignore (Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc);
         Tangram.Service.attach_monitor ~snapshot_every
           ~latency_mult ~latency_target svc;
-        let spec = Tangram.Trace.default ~requests ~seed ~archs () in
+        let spec =
+          Tangram.Trace.default ~requests:rp.requests ~seed:rp.trace_seed ~archs
+            ()
+        in
         let trace = Tangram.Trace.generate spec in
         Printf.printf
           "replaying %d mixed-size requests under the monitor over %d \
            architecture(s)...\n"
-          requests (List.length archs);
+          rp.requests (List.length archs);
         (* batch size 1: one request = one monitoring step, so the
            dashboard's request counts match --requests *)
         ignore (Tangram.Trace.replay ~batch_size:1 ~dense_upto:4096 svc trace);
         Tangram.Service.monitor_snapshot svc;
         let now = Tangram.Service.monitor_now_us svc in
-        Printf.printf "\nvirtual clock: %.0f us over %d requests\n" now requests;
+        Printf.printf "\nvirtual clock: %.0f us over %d requests\n" now
+          rp.requests;
         (* --- windowed time series --- *)
         let all =
           Tangram.Obs.Metrics.windows
@@ -804,10 +778,9 @@ let monitor_cmd =
           text dashboard: windowed time series, SLO burn rates and the \
           flight recorder's incident bundles")
     Term.(
-      const run $ spectrum_arg $ source_arg $ requests_arg $ seed_arg
-      $ arch_arg $ fault_rate_arg $ fault_seed_arg $ bitflip_rate_arg
-      $ incident_dir_arg $ snapshot_every_arg $ windows_arg
-      $ latency_mult_arg $ latency_target_arg $ Obs_cli.term $ Fleet_cli.term)
+      const run $ spectrum_arg $ source_arg $ replay_term $ incident_dir_arg
+      $ snapshot_every_arg $ windows_arg $ latency_mult_arg $ latency_target_arg
+      $ Obs_cli.term $ Fleet_cli.term)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -846,14 +819,9 @@ let profile_cmd =
             arch_name;
           exit 1
     in
-    if n < 1 then begin
-      Printf.eprintf "tangramc profile: --size must be at least 1\n";
-      exit 2
-    end;
+    if n < 1 then usage_error ~exe:"tangramc profile" "--size must be at least 1";
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
+        let plan = load_planner spectrum source in
         let versions =
           if all_variants then Tangram.all_versions ()
           else Tangram.pruned_versions ()
@@ -1007,14 +975,9 @@ let access_cmd =
               arch_name;
             exit 1
     in
-    if n < 1 then begin
-      Printf.eprintf "tangramc access: --size must be at least 1\n";
-      exit 2
-    end;
+    if n < 1 then usage_error ~exe:"tangramc access" "--size must be at least 1";
     handle_frontend_errors (fun () ->
-        let unit_info = load_unit spectrum source in
-        let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-        let plan = Tangram.Planner.create ~elem unit_info in
+        let plan = load_planner spectrum source in
         let versions =
           if all_variants then Tangram.all_versions ()
           else Tangram.pruned_versions ()
