@@ -699,15 +699,16 @@ let predicted_us (t : t) (arch : Gpusim.Arch.t) (version : V.t)
   in
   if Float.is_finite p && p > 0.0 then Some p else None
 
-(* Route around devices that fail-stop at the moment of dispatch: the
-   death is detected, the device marked dead, and the request bounces
-   to the next choice — never lost. *)
-let rec acquire (fl : Fleet.t) : Fleet.device option =
-  match Fleet.route fl with
+(* The one place the router is asked for a device, by the primary and
+   the hedge alike. Route around devices that fail-stop at the moment
+   of dispatch: the death is detected, the device marked dead, and the
+   request bounces to the next choice — never lost. *)
+let rec acquire ?excluding ?probe (fl : Fleet.t) : Fleet.device option =
+  match Fleet.route ?excluding ?probe fl with
   | Some d when Fleet.next_dispatch_kills d ->
       Fleet.mark_dead fl d;
       Fleet.reroute fl;
-      acquire fl
+      acquire ?excluding ?probe fl
   | found -> found
 
 (* Dispatch one request to one device: the request is re-targeted at
@@ -785,7 +786,7 @@ let dispatch_fleet (t : t) (fl : Fleet.t) (r : req_state) :
             match Fleet.hedge_deadline_us fl with
             | Some dl when observed > dl -> (
                 Fleet.hedge_fired fl d ~deadline_us:dl ~observed_us:observed;
-                match Fleet.route ~excluding:d ~probe:false fl with
+                match acquire ~excluding:d ~probe:false fl with
                 | None -> None
                 | Some d2 -> (
                     (* the hedge launched at the deadline: it wins only

@@ -508,6 +508,34 @@ let hedge_tests =
           (Stats.fleet_hedges_fired stats > 0);
         Alcotest.(check bool) "hedges won off the slow primary" true
           (Stats.fleet_hedges_won stats > 0));
+    (* d0 turns 10x slow at its 17th dispatch, so hedges start firing
+       just as d1 reaches the dispatch that kills it: the hedge must
+       bounce off the dying device exactly like a primary does *)
+    Alcotest.test_case "a hedge never lands on a device at its fail-stop"
+      `Quick (fun () ->
+        let svc = service () in
+        let fl =
+          attach svc ~hedging:true
+            [
+              active_spec
+                ~profile:
+                  (Fault.Fail_slow
+                     { sl_onset = 17; sl_ramp = 1; sl_factor = 10.0 })
+                ();
+              active_spec ~profile:(Fault.Fail_stop 17) ();
+            ]
+        in
+        let ok, lost = replay svc (List.init 40 (fun _ -> 4096)) in
+        Alcotest.(check int) "all served" 40 ok;
+        Alcotest.(check int) "none lost" 0 lost;
+        let d1 = List.nth (F.devices fl) 1 in
+        Alcotest.(check bool)
+          (Printf.sprintf "d1 stopped short of its death (%d dispatches)"
+             (F.dispatches d1))
+          true
+          (F.dispatches d1 < 17);
+        Alcotest.(check string) "d1 dead" "dead"
+          (F.state_name (F.dev_state d1)));
   ]
 
 (* -------------------------------------------------------------- *)
