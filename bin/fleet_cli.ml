@@ -82,11 +82,10 @@ let parse_profile ~(exe : string) (s : string) : int * Tangram.Fault.profile =
           | Ok p -> (idx, p)
           | Error msg -> usage_error ~exe "--device-profile %S: %s" s msg))
 
-(** Build the fleet the flags describe and route [svc] through it; [None]
-    (and no change to [svc]) when [--devices] was 0. All devices share
-    [arch]. *)
+(** Build the fleet the flags describe and route [svc] through it; no
+    change to [svc] when [--devices] was 0. All devices share [arch]. *)
 let attach ~(exe : string) (t : t) ~(arch : Tangram.Arch.t)
-    (svc : Tangram.Service.t) : Tangram.Fleet.t option =
+    (svc : Tangram.Service.t) : unit =
   if t.devices < 0 then usage_error ~exe "--devices must be non-negative";
   if t.spares < 0 then usage_error ~exe "--spares must be non-negative";
   (match t.hedge with
@@ -96,8 +95,7 @@ let attach ~(exe : string) (t : t) ~(arch : Tangram.Arch.t)
     if t.profiles <> [] then
       usage_error ~exe "--device-profile needs --devices";
     if t.spares > 0 then usage_error ~exe "--spares needs --devices";
-    if t.hedge <> None then usage_error ~exe "--hedge needs --devices";
-    None
+    if t.hedge <> None then usage_error ~exe "--hedge needs --devices"
   end
   else begin
     let profiles = Array.make t.devices Tangram.Fault.Healthy in
@@ -140,6 +138,5 @@ let attach ~(exe : string) (t : t) ~(arch : Tangram.Arch.t)
                 (fun s ->
                   let idx, p = parse_profile ~exe s in
                   Printf.sprintf "d%d=%s" idx (Tangram.Fault.profile_name p))
-                t.profiles));
-    Some fleet
+                t.profiles))
   end

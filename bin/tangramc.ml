@@ -570,7 +570,7 @@ let serve_cmd =
             (if no_verify then "OFF" else "on");
         (* the fleet is homogeneous on the first requested arch; a
            multi-arch serve keeps per-request arch routing instead *)
-        ignore (Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc);
+        Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc;
         let spec =
           Tangram.Trace.default ~requests:rp.requests ~seed:rp.trace_seed ~archs
             ()
@@ -664,7 +664,7 @@ let monitor_cmd =
         let plan = load_planner spectrum source in
         let archs = replay_archs rp in
         let svc = replay_service rp obs plan in
-        ignore (Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc);
+        Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc;
         Tangram.Service.attach_monitor ~snapshot_every
           ~latency_mult ~latency_target svc;
         let spec =

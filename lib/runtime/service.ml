@@ -527,32 +527,25 @@ let attempt_rung (t : t) (r : req_state) ~(fault : Fault.t option)
   | cp ->
       let req = r.target in
       let opts = opts_for t req.req_input in
-      (* each try is its own "attempt" span (exceptions caught inside, so
-         the span also times aborted runs), and each transient retry is a
-         "retry" mark — a trace accounts for the full retry schedule *)
-      let try_once attempt =
-        Obs.Trace.span
-          ~attrs:[ ("version", vname); ("attempt", string_of_int attempt) ]
-          ~name:"attempt"
-        @@ fun () ->
-        match
-          R.run_compiled ~opts ?fault ~fault_version:vname
-            ~arch:req.req_arch ~tunables:rung.Plan_cache.r_tunables
-            ~input:req.req_input cp
-        with
-        | o -> `Done o
-        | exception Gpusim.Interp.Sim_error msg -> `Transient msg
-        | exception Fault.Injected (_, msg) -> `Injected msg
-        | exception Invalid_argument msg -> `Invalid msg
-      in
+      (* each try is its own "attempt" span (it closes on an aborted run
+         too), and each transient retry is a "retry" mark — a trace
+         accounts for the full retry schedule *)
       let rec go attempt retries backoff_us =
-        match try_once attempt with
-        | `Done o when Float.is_nan o.R.result ->
+        match
+          Obs.Trace.span
+            ~attrs:[ ("version", vname); ("attempt", string_of_int attempt) ]
+            ~name:"attempt"
+            (fun () ->
+              R.run_compiled ~opts ?fault ~fault_version:vname
+                ~arch:req.req_arch ~tunables:rung.Plan_cache.r_tunables
+                ~input:req.req_input cp)
+        with
+        | o when Float.is_nan o.R.result ->
             Error (Af_fault (Printf.sprintf "%s returned a corrupted (NaN) result" vname))
-        | `Done o ->
+        | o ->
             budget_charge r.budget o.R.time_us;
             Ok (o, retries, backoff_us)
-        | `Transient msg ->
+        | exception Gpusim.Interp.Sim_error msg ->
             if attempt <= t.resilience.r_retry_max then begin
               let delay = backoff_delay_us t attempt in
               (* the budget check happens before the sleep: a request
@@ -581,8 +574,9 @@ let attempt_rung (t : t) (r : req_state) ~(fault : Fault.t option)
                 (Af_transient
                    (Printf.sprintf "%s: transient retries exhausted (%s)" vname
                       msg))
-        | `Injected msg -> Error (Af_fault msg)
-        | `Invalid msg -> Error (Af_fault (Printf.sprintf "%s: %s" vname msg))
+        | exception Fault.Injected (_, msg) -> Error (Af_fault msg)
+        | exception Invalid_argument msg ->
+            Error (Af_fault (Printf.sprintf "%s: %s" vname msg))
       in
       go 1 0 0.0)
 
@@ -815,15 +809,14 @@ let dispatch_fleet (t : t) (fl : Fleet.t) (r : req_state) :
    identity, or a degradation — every rung down, brownout shedding, a
    confirmed corruption nothing repaired, a deadline that died with the
    witness in hand, no routable fleet device. *)
-type degradation = [ `Degraded | `Brownout | `Sdc | `Deadline | `Fleet_down ]
-type reason = [ `Empty | degradation ]
+type reason = [ `Empty | `Degraded | `Brownout | `Sdc | `Deadline | `Fleet_down ]
 
 (* How a request ends. *)
 type verdict =
   | Device of executed  (* a device answer, verified where the guard runs *)
-  | Witness of degradation * executed * float
-      (* the witness value stands in for the rung's rejected answer *)
-  | Reference of reason  (* the planner's host reference answers *)
+  | Host of reason * (executed * float) option
+      (* the host answers: the witness value standing in for the rung's
+         rejected answer, or else the planner's reference *)
   | Failed of error
 
 (* Every exact result is checked against the witness before it leaves
@@ -868,7 +861,7 @@ let verify (t : t) (r : req_state) (ex : executed) : verdict =
         ~input:r.target.req_input ~sample ()
     in
     let arch = r.target.req_arch.Gpusim.Arch.name in
-    let witness reason = Witness (reason, ex, Guard.expected ck) in
+    let witness reason = Host (reason, Some (ex, Guard.expected ck)) in
     let deadline_witness () =
       Stats.deadline_witness_serve t.stats;
       witness `Deadline
@@ -983,7 +976,7 @@ let conclude (t : t) (r : req_state) (d : dispatch) : verdict =
         "deadline exceeded: %s" msg;
       Failed (Deadline_exceeded msg)
   | Down last ->
-      if t.resilience.r_allow_degraded then Reference `Degraded
+      if t.resilience.r_allow_degraded then Host (`Degraded, None)
       else
         Failed
           (match last with
@@ -996,7 +989,7 @@ let conclude (t : t) (r : req_state) (d : dispatch) : verdict =
                       (key_of t r.target.req_arch
                          (R.input_size r.target.req_input)))))
   | Unplanned e -> Failed e
-  | No_device -> Reference `Fleet_down
+  | No_device -> Host (`Fleet_down, None)
 
 (* ------------------------------------------------------------------ *)
 (* Monitoring: windowed metrics, SLO burn rates, flight recorder        *)
@@ -1284,15 +1277,17 @@ let monitor_queue_depth (t : t) (depth : int) : unit =
 (* Accounting and the request entry points                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A degraded answer's log line, and the winner label it counts under *)
-let host_winner (reason : degradation) ~(witness : V.t option) : string =
+(* A host answer's log line, and the winner label a degraded one counts
+   under; the empty input's identity is no degradation *)
+let host_winner (reason : reason) ~(witness : V.t option) : string option =
   let fields =
     match witness with Some v -> [ ("version", V.name v) ] | None -> []
   in
   match reason with
+  | `Empty -> None
   | `Degraded ->
       Obs.Log.info "every rung down; serving the host reference (degraded)";
-      "host-reference (degraded)"
+      Some "host-reference (degraded)"
   | `Brownout ->
       (match witness with
       | Some _ ->
@@ -1301,26 +1296,25 @@ let host_winner (reason : degradation) ~(witness : V.t option) : string =
              shed, serving the witness value (degraded)"
       | None ->
           Obs.Log.warn "brownout level 4: serving the host reference (degraded)");
-      "host-reference (brownout)"
+      Some "host-reference (brownout)"
   | `Sdc ->
       Obs.Log.info
         "confirmed corruption with no in-tolerance execution; serving the \
          witness value (degraded)";
-      "host-reference (sdc)"
+      Some "host-reference (sdc)"
   | `Deadline ->
       Obs.Log.warn ~fields
         "deadline budget died before redundant execution; serving the \
          witness value (degraded)";
-      "host-reference (deadline)"
+      Some "host-reference (deadline)"
   | `Fleet_down ->
       Obs.Log.warn
         "no routable fleet device; serving the host reference (degraded)";
-      "host-reference (fleet-down)"
+      Some "host-reference (fleet-down)"
 
 (* The one accounting point: build the response, record the outcome
    stats (degradation, winner, fallback, the kernel profile) and note
-   the request to the monitor. An empty input's identity is not a
-   degradation and records nothing. *)
+   the request to the monitor. *)
 let account (t : t) (r : req_state) (v : verdict) : (response, error) result =
   let respond ~value ~exact ~sim_us ~version ~tunables ~degraded ~retries
       ~fallback =
@@ -1339,15 +1333,6 @@ let account (t : t) (r : req_state) (v : verdict) : (response, error) result =
         resp_fallback = fallback;
       }
   in
-  let host ~value ~version ~fallback ~degraded =
-    respond ~value ~exact:true ~sim_us:0.0 ~version ~tunables:[] ~degraded
-      ~retries:0 ~fallback
-  in
-  let degrade reason ~witness =
-    Stats.degrade t.stats;
-    Obs.Trace.mark "degraded";
-    Some (host_winner reason ~witness)
-  in
   let winner, result =
     match v with
     | Failed e -> (None, Error e)
@@ -1359,23 +1344,30 @@ let account (t : t) (r : req_state) (v : verdict) : (response, error) result =
             ~version:rung.Plan_cache.r_version
             ~tunables:rung.Plan_cache.r_tunables ~degraded:false
             ~retries:ex.ex_retries ~fallback:ex.ex_idx )
-    | Witness (reason, ex, value) ->
-        let version = ex.ex_rung.Plan_cache.r_version in
-        ( degrade reason ~witness:(Some version),
-          host ~value ~version ~fallback:ex.ex_idx ~degraded:true )
-    | Reference reason ->
-        (* the ladder the request planned, if it got that far *)
-        let version, fallback =
-          match r.entry with
-          | Some e -> (e.Plan_cache.e_version, List.length (Plan_cache.ladder e))
-          | None -> (List.hd t.candidates, 0)
+    | Host (reason, witness) ->
+        (* a witness stands in for its rung; the reference for the
+           ladder the request planned, if it got that far *)
+        let value, version, fallback =
+          match (witness, r.entry) with
+          | Some (ex, value), _ ->
+              (value, ex.ex_rung.Plan_cache.r_version, ex.ex_idx)
+          | None, Some e ->
+              ( P.reference_input t.planner r.req.req_input,
+                e.Plan_cache.e_version,
+                List.length (Plan_cache.ladder e) )
+          | None, None ->
+              (P.reference_input t.planner r.req.req_input, List.hd t.candidates, 0)
         in
-        ( (match reason with
-          | `Empty -> None
-          | #degradation as reason -> degrade reason ~witness:None),
-          host
-            ~value:(P.reference_input t.planner r.req.req_input)
-            ~version ~fallback ~degraded:(reason <> `Empty) )
+        let winner =
+          host_winner reason ~witness:(Option.map (fun _ -> version) witness)
+        in
+        if winner <> None then begin
+          Stats.degrade t.stats;
+          Obs.Trace.mark "degraded"
+        end;
+        ( winner,
+          respond ~value ~exact:true ~sim_us:0.0 ~version ~tunables:[]
+            ~degraded:(winner <> None) ~retries:0 ~fallback )
   in
   Option.iter (Stats.winner t.stats) winner;
   (match v with
@@ -1393,7 +1385,7 @@ let account (t : t) (r : req_state) (v : verdict) : (response, error) result =
                   (fun (lr : Gpusim.Interp.launch_result) ->
                     lr.Gpusim.Interp.lr_events)
                   ex.ex_outcome.R.launch_results))
-  | Witness _ | Reference _ | Failed _ -> ());
+  | Host _ | Failed _ -> ());
   monitor_note t r result;
   result
 
@@ -1422,13 +1414,13 @@ let stages (t : t) (r : req_state) : req_state * verdict =
       Stats.bad_request t.stats;
       (r, Failed e)
   | Ok () ->
-      if R.input_size r.req.req_input = 0 then (r, Reference `Empty)
+      if R.input_size r.req.req_input = 0 then (r, Host (`Empty, None))
       else if t.brownout >= 4 then begin
         (* the host path sheds everything device-side, the cold
            plan/tune path included — answer before even touching the
            cache *)
         Stats.brownout_shed t.stats ~what:"host-path";
-        (r, Reference `Brownout)
+        (r, Host (`Brownout, None))
       end
       else
         let r, d =
