@@ -20,15 +20,8 @@
    after a cooldown and one probe either closes it or re-opens it. When
    every rung of a bucket's ladder is down, the service degrades to the
    planner's host-side reference instead of failing, flagging the
-   response [resp_degraded].
-
-   A request moves through explicit stages over one per-request record
-   ([req_state]): validate → shed (brownout level 4) → acquire a device
-   (fleet only) → plan ([ensure]) → ladder → verify → account. The
-   single-device and fleet paths share the dispatch (plan, then ladder)
-   and its conclusion; the fleet adds only device acquisition and the
-   hedge race. [account] is the one place that builds a response,
-   records the outcome stats and notes the request to the monitor. *)
+   response [resp_degraded]. The stages a request moves through are
+   listed in service.mli. *)
 
 module V = Synthesis.Version
 module P = Synthesis.Planner
@@ -811,7 +804,6 @@ let dispatch_fleet (t : t) (fl : Fleet.t) (r : req_state) :
    witness in hand, no routable fleet device. *)
 type reason = [ `Empty | `Degraded | `Brownout | `Sdc | `Deadline | `Fleet_down ]
 
-(* How a request ends. *)
 type verdict =
   | Device of executed  (* a device answer, verified where the guard runs *)
   | Host of reason * (executed * float) option
@@ -1487,26 +1479,24 @@ let submit_batch_result ?deadline_us (t : t) (reqs : request list) :
   | [] -> []
   | [ req ] -> [ submit_result ?deadline_us t req ]
   | _ ->
-      (* group indices by shape, preserving first-seen group order *)
-      let groups : (request * int list ref) list ref = ref [] in
-      List.iteri
-        (fun i req ->
-          match List.find_opt (fun (rep, _) -> same_shape rep req) !groups with
-          | Some (_, idxs) -> idxs := i :: !idxs
-          | None -> groups := !groups @ [ (req, ref [ i ]) ])
-        reqs;
-      let n_reqs = List.length reqs in
-      Stats.batch t.stats ~coalesced:(n_reqs - List.length !groups);
-      let responses = Array.make n_reqs None in
-      List.iter
-        (fun (rep, idxs) ->
-          (* each coalesced group gets a fresh budget: the deadline is
-             per-request, and coalesced requests share one execution *)
-          let r = submit_result ?deadline_us t rep in
-          List.iter (fun i -> responses.(i) <- Some r) !idxs)
-        !groups;
-      Array.to_list responses
-      |> List.map (function Some r -> r | None -> assert false)
+      (* one representative per shape, in first-seen order *)
+      let reps =
+        List.fold_left
+          (fun reps req ->
+            if List.exists (fun rep -> same_shape rep req) reps then reps
+            else req :: reps)
+          [] reqs
+        |> List.rev
+      in
+      Stats.batch t.stats ~coalesced:(List.length reqs - List.length reps);
+      (* each coalesced group gets a fresh budget: the deadline is
+         per-request, and coalesced requests share one execution *)
+      let served =
+        List.map (fun rep -> (rep, submit_result ?deadline_us t rep)) reps
+      in
+      List.map
+        (fun req -> snd (List.find (fun (rep, _) -> same_shape rep req) served))
+        reqs
 
 let submit_batch ?deadline_us (t : t) (reqs : request list) : response list =
   List.map
