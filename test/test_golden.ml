@@ -32,6 +32,14 @@
 
    {v
      dune exec test/test_golden.exe -- --print-service > test/golden/service_scenarios.txt
+   v}
+
+   The tuner golden pins the sampled-mode simulated time of every
+   configuration the tuner runs, and each version's pick, for the 30
+   pruned [sum] versions at three keys. Regenerate with
+
+   {v
+     dune exec test/test_golden.exe -- --print-tuner > test/golden/tuner_sweeps.txt
    v} *)
 
 let read_file path =
@@ -321,9 +329,50 @@ let service_coverage =
           Alcotest.(check bool) needle true (contains ~needle text))
         [ "bad-request"; "transient"; "version-fault"; "sdc"; "deadline" ])
 
+(* ------------------------------------------------------------------ *)
+(* The tuner's sampled-mode sweeps                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* (K40c, 128) and (P100, 2048) fit in the sampled block budget; the
+   GTX 980 key samples blocks, caps loops and spreads global atomics
+   over per-block addresses *)
+let tuner_keys =
+  [ (kepler, 128); (Gpusim.Arch.pascal_p100, 2048); (maxwell, 4096) ]
+
+let render_assignment a =
+  String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) a)
+
+let tuner_sweeps () : string =
+  let buf = Buffer.create 65536 in
+  let planner = Lazy.force plan in
+  List.iter
+    (fun (arch, n) ->
+      Printf.bprintf buf "=== %s n=%d ===\n" arch.Gpusim.Arch.name n;
+      List.iter
+        (fun v ->
+          let name = Synthesis.Version.name v in
+          match Synthesis.Tuner.tune ~arch ~n (Synthesis.Planner.compiled planner v) with
+          | o ->
+              List.iter
+                (fun (a, t) ->
+                  Printf.bprintf buf "%s [%s] %.17g\n" name (render_assignment a) t)
+                o.Synthesis.Tuner.sweep;
+              Printf.bprintf buf "%s best [%s] %.17g\n" name
+                (render_assignment o.Synthesis.Tuner.best)
+                o.Synthesis.Tuner.best_time_us
+          | exception e ->
+              Printf.bprintf buf "%s error %s\n" name (Printexc.to_string e))
+        (Synthesis.Version.enumerate_pruned ()))
+    tuner_keys;
+  Buffer.contents buf
+
 let () =
   if Array.exists (String.equal "--print-service") Sys.argv then begin
     print_string (Lazy.force service_golden);
+    exit 0
+  end;
+  if Array.exists (String.equal "--print-tuner") Sys.argv then begin
+    print_string (tuner_sweeps ());
     exit 0
   end
 
@@ -355,5 +404,10 @@ let () =
           check_golden "every request path, deterministic output"
             "golden/service_scenarios.txt" (Lazy.force service_golden);
           service_coverage;
+        ] );
+      ( "tuner",
+        [
+          check_golden "every pruned sum version's sweep at three keys"
+            "golden/tuner_sweeps.txt" (tuner_sweeps ());
         ] );
     ]
