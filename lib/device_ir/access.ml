@@ -690,12 +690,12 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
       let n_active = Lanes.active mask lanes in
       let exact = known_on idxv mask lanes in
       if n_active > 0 then
-        let distinct, worst =
-          if exact then Lanes.atomic_conflicts idxv.v mask lanes
-          else (n_active, n_active)  (* worst both ways *)
-        in
+        (* unknown addresses count worst both ways *)
         match space with
         | Ir.Shared ->
+            let worst =
+              if exact then Lanes.atomic_worst idxv.v mask lanes else n_active
+            in
             chg c w (fun k ->
                 k.c_warp_insts <- k.c_warp_insts +. 1.0;
                 k.c_atomic_shared_ops <-
@@ -703,6 +703,9 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
                 k.c_atomic_shared_serial <-
                   k.c_atomic_shared_serial +. float_of_int worst)
         | Ir.Global ->
+            let distinct =
+              if exact then Lanes.atomic_distinct idxv.v mask lanes else n_active
+            in
             chg c w (fun k ->
                 k.c_warp_insts <- k.c_warp_insts +. 1.0;
                 k.c_atomic_global_ops <-

@@ -15,45 +15,80 @@ let active (mask : bool array) (lanes : int) : int =
   done;
   !n
 
+(* The rules below sort the active lanes' keys into [sorted] and count
+   runs of equal keys: monomorphic int loops with no allocation. Lane
+   keys mostly rise with the lane, so the insertion sort is linear in
+   the common case. A vector load's lanes give up to 4 keys each. *)
+let sorted = Array.make (warp_size * 4) 0
+
+(* insert [v] into [sorted.(0 .. n-1)]; the new length *)
+let insert (n : int) (v : int) : int =
+  let i = ref n in
+  while !i > 0 && sorted.(!i - 1) > v do
+    sorted.(!i) <- sorted.(!i - 1);
+    decr i
+  done;
+  sorted.(!i) <- v;
+  n + 1
+
+(* the distinct keys in [sorted.(0 .. n-1)] *)
+let distinct_sorted (n : int) : int =
+  let d = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || sorted.(i) <> sorted.(i - 1) then incr d
+  done;
+  !d
+
+let sort_active (idxs : int array) (mask : bool array) (lanes : int) : int =
+  let n = ref 0 in
+  for l = 0 to lanes - 1 do
+    if mask.(l) then n := insert !n idxs.(l)
+  done;
+  !n
+
 (* distinct 128-byte segments (32 four-byte elements) among the active
    lanes' [idx .. idx+width-1] *)
 let vec_segments (idxs : int array) (mask : bool array) (lanes : int)
     ~(width : int) : int =
-  let segs = ref [] in
+  let n = ref 0 in
   for l = 0 to lanes - 1 do
     if mask.(l) then
       for j = 0 to width - 1 do
-        let s = (idxs.(l) + j) lsr 5 in
-        if not (List.mem s !segs) then segs := s :: !segs
+        n := insert !n ((idxs.(l) + j) lsr 5)
       done
   done;
-  List.length !segs
+  distinct_sorted !n
 
 let segments idxs mask lanes = vec_segments idxs mask lanes ~width:1
 
 (* max over the 32 banks of the distinct addresses hitting the bank
    (same-address lanes broadcast) *)
+let per_bank = Array.make 32 0
+
 let bank_degree (idxs : int array) (mask : bool array) (lanes : int) : int =
-  let per_bank = Array.make 32 [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then begin
-      let bank = idxs.(l) land 31 in
-      if not (List.mem idxs.(l) per_bank.(bank)) then
-        per_bank.(bank) <- idxs.(l) :: per_bank.(bank)
+  let n = sort_active idxs mask lanes in
+  Array.fill per_bank 0 32 0;
+  let degree = ref 1 in
+  for i = 0 to n - 1 do
+    if i = 0 || sorted.(i) <> sorted.(i - 1) then begin
+      let bank = sorted.(i) land 31 in
+      per_bank.(bank) <- per_bank.(bank) + 1;
+      if per_bank.(bank) > !degree then degree := per_bank.(bank)
     end
   done;
-  Array.fold_left (fun acc l -> max acc (List.length l)) 1 per_bank
+  !degree
 
-let atomic_conflicts (idxs : int array) (mask : bool array) (lanes : int) :
-    int * int =
-  let groups = ref [] in
-  for l = 0 to lanes - 1 do
-    if mask.(l) then
-      match List.assoc_opt idxs.(l) !groups with
-      | Some r -> incr r
-      | None -> groups := (idxs.(l), ref 1) :: !groups
+let atomic_distinct (idxs : int array) (mask : bool array) (lanes : int) : int =
+  distinct_sorted (sort_active idxs mask lanes)
+
+let atomic_worst (idxs : int array) (mask : bool array) (lanes : int) : int =
+  let n = sort_active idxs mask lanes in
+  let worst = ref 0 and run = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || sorted.(i) <> sorted.(i - 1) then run := 1 else incr run;
+    if !run > !worst then worst := !run
   done;
-  (List.length !groups, List.fold_left (fun acc (_, r) -> max acc !r) 0 !groups)
+  !worst
 
 let out_of_warp = -1
 

@@ -297,9 +297,9 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       done;
       let n_active = Lanes.active mask lanes in
       if n_active > 0 then
-        let distinct, worst = Lanes.atomic_conflicts scratch_idx mask lanes in
         match at_arr.C.a_space with
         | Ir.Shared -> (
+            let worst = Lanes.atomic_worst scratch_idx mask lanes in
             ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
             ctx.ev.Events.atomic_shared_ops <-
               ctx.ev.Events.atomic_shared_ops +. float_of_int n_active;
@@ -316,6 +316,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
             | Arch.Native ->
                 charge ctx w (a.Arch.cyc_shared_atomic *. float_of_int worst))
         | Ir.Global ->
+            let distinct = Lanes.atomic_distinct scratch_idx mask lanes in
             ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
             ctx.ev.Events.atomic_global_ops <-
               ctx.ev.Events.atomic_global_ops +. float_of_int n_active;

@@ -10,6 +10,8 @@
      invariant of the index calculation);
    - reduction correctness on random data across versions/architectures;
    - warp-shuffle tree reduction equals the lane sum for random values;
+   - the warp rules of [Device_ir.Lanes] agree with their list-based
+     definitions;
    - cost-model monotonicity in the input size. *)
 
 let seed = [| 0xC60 |]  (* deterministic runs *)
@@ -354,6 +356,104 @@ let monotonicity_tests =
       QCheck.(pair (QCheck.make QCheck.Gen.(int_bound 29)) (QCheck.make QCheck.Gen.(int_range 1024 100_000)));
   ]
 
+(* -------------------------------------------------------------- *)
+(* Lanes rules vs their list-based definitions                     *)
+(* -------------------------------------------------------------- *)
+
+(* The warp rules as first written: membership in growing lists. The
+   int loops of [Device_ir.Lanes] must give the same counts. *)
+module Lanes_ref = struct
+  let vec_segments idxs mask lanes ~width =
+    let segs = ref [] in
+    for l = 0 to lanes - 1 do
+      if mask.(l) then
+        for j = 0 to width - 1 do
+          let s = (idxs.(l) + j) lsr 5 in
+          if not (List.mem s !segs) then segs := s :: !segs
+        done
+    done;
+    List.length !segs
+
+  let bank_degree idxs mask lanes =
+    let per_bank = Array.make 32 [] in
+    for l = 0 to lanes - 1 do
+      if mask.(l) then begin
+        let bank = idxs.(l) land 31 in
+        if not (List.mem idxs.(l) per_bank.(bank)) then
+          per_bank.(bank) <- idxs.(l) :: per_bank.(bank)
+      end
+    done;
+    Array.fold_left (fun acc l -> max acc (List.length l)) 1 per_bank
+
+  let atomic_conflicts idxs mask lanes =
+    let groups = ref [] in
+    for l = 0 to lanes - 1 do
+      if mask.(l) then
+        match List.assoc_opt idxs.(l) !groups with
+        | Some r -> incr r
+        | None -> groups := (idxs.(l), ref 1) :: !groups
+    done;
+    (List.length !groups, List.fold_left (fun acc (_, r) -> max acc !r) 0 !groups)
+end
+
+(* one warp access: lane count 1-32, a vector width, a mask and indices
+   mixing runs, duplicates, negatives and large strides *)
+let warp_access =
+  let open QCheck.Gen in
+  let index =
+    frequency
+      [
+        (4, int_range (-64) 256);
+        (2, map (fun k -> k * 32) (int_range (-4) 8));
+        (1, map (fun k -> k * 4099) (int_range (-1000) 1000));
+        (1, int_range (-1_000_000_000) 1_000_000_000);
+      ]
+  in
+  let lanes_gen =
+    int_range 1 32 >>= fun lanes ->
+    oneofl [ 1; 2; 4 ] >>= fun width ->
+    array_repeat 32 bool >>= fun mask ->
+    oneof
+      [
+        array_repeat 32 index;
+        (* strided runs: a base plus lane * stride *)
+        map2
+          (fun base stride -> Array.init 32 (fun l -> base + (l * stride)))
+          index
+          (oneofl [ 0; 1; 2; 3; 4; 32; 33; 1024; -1 ]);
+        (* few distinct values: heavy duplication *)
+        map2 (fun pool picks -> Array.map (fun p -> pool.(p)) picks)
+          (array_repeat 3 index) (array_repeat 32 (int_bound 2));
+      ]
+    >|= fun idxs -> (lanes, width, mask, idxs)
+  in
+  QCheck.make
+    ~print:(fun (lanes, width, mask, idxs) ->
+      Printf.sprintf "lanes=%d width=%d mask=[%s] idxs=[%s]" lanes width
+        (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
+        (String.concat ";" (Array.to_list (Array.map string_of_int idxs))))
+    lanes_gen
+
+let lanes_tests =
+  let module L = Device_ir.Lanes in
+  [
+    to_alcotest ~count:2000 "segments and vector segments match the list rules"
+      (fun (lanes, width, mask, idxs) ->
+        L.vec_segments idxs mask lanes ~width
+        = Lanes_ref.vec_segments idxs mask lanes ~width
+        && L.segments idxs mask lanes = Lanes_ref.vec_segments idxs mask lanes ~width:1)
+      warp_access;
+    to_alcotest ~count:2000 "bank degree matches the list rule"
+      (fun (lanes, _, mask, idxs) ->
+        L.bank_degree idxs mask lanes = Lanes_ref.bank_degree idxs mask lanes)
+      warp_access;
+    to_alcotest ~count:2000 "atomic conflicts match the list rule"
+      (fun (lanes, _, mask, idxs) ->
+        (L.atomic_distinct idxs mask lanes, L.atomic_worst idxs mask lanes)
+        = Lanes_ref.atomic_conflicts idxs mask lanes)
+      warp_access;
+  ]
+
 let () =
   ignore seed;
   Alcotest.run "properties"
@@ -365,5 +465,6 @@ let () =
       ("coverage and correctness", coverage_tests);
       ("front-end robustness", robustness_tests);
       ("warp shuffles", shuffle_tests);
+      ("warp rules", lanes_tests);
       ("cost monotonicity", monotonicity_tests);
     ]
