@@ -1,24 +1,149 @@
 (* Compilation of named device IR into a slot-indexed form.
 
-   The interpreter executes every statement once per warp per block; name
-   lookups would dominate its running time. This pass resolves register,
-   parameter and array names to dense integer slots, pre-computes which
-   structured statements contain a barrier (they must then be executed
-   block-wide rather than warp-by-warp), and recognises affine loops whose
-   trip count can be extrapolated under sampled execution. *)
+   The interpreter executes every statement once per warp per block and
+   every expression once per lane; name lookups and a tree walk would
+   dominate its running time. This pass resolves register, parameter and
+   array names to dense integer slots, compiles every expression once
+   into a closure, pre-computes which structured statements contain a
+   barrier (they must then be executed block-wide rather than
+   warp-by-warp), and recognises affine loops whose trip count can be
+   extrapolated under sampled execution. *)
 
 module Ir = Device_ir.Ir
 
-type cexp =
-  | CInt of int
-  | CFloat of float
-  | CBool of bool
-  | CReg of int
-  | CParam of int
-  | CSpecial of Ir.special
-  | CUnop of Ir.unop * cexp
-  | CBinop of Ir.binop * cexp * cexp
-  | CSelect of cexp * cexp * cexp
+(* The state an expression reads: every thread's registers, the scalar
+   parameters and the block geometry, boxed once per launch or block. *)
+type frame = {
+  regs : Value.t array array;  (** [thread][slot] *)
+  params : Value.t array;
+  block_dim : Value.t;
+  grid_dim : Value.t;
+  mutable block_idx : Value.t;
+}
+
+type cexp = frame -> int -> Value.t
+
+(* Value.norm32, repeated so that the fast paths below inline it *)
+let wrap32 (x : int) : int =
+  let y = x land 0xFFFFFFFF in
+  if y land 0x80000000 <> 0 then y - 0x100000000 else y
+
+(* Thread, lane and warp indices, loop counters and truth values are
+   boxed once: results in range share these instead of allocating. *)
+let small_ints = Array.init 1024 (fun i -> Value.VI i)
+
+let vint (i : int) : Value.t =
+  if i >= 0 && i < 1024 then small_ints.(i) else Value.VI i
+
+let vtrue = Value.VB true
+let vfalse = Value.VB false
+let vbool (b : bool) : Value.t = if b then vtrue else vfalse
+
+let truth (v : Value.t) : bool =
+  match v with Value.VB b -> b | v -> Value.to_bool v
+
+let special (s : Ir.special) : cexp =
+  match s with
+  | Ir.Thread_idx -> fun _ tid -> vint tid
+  | Ir.Block_idx -> fun fr _ -> fr.block_idx
+  | Ir.Block_dim -> fun fr _ -> fr.block_dim
+  | Ir.Grid_dim -> fun fr _ -> fr.grid_dim
+  | Ir.Warp_size ->
+      let v = Value.VI 32 in
+      fun _ _ -> v
+  | Ir.Lane_id -> fun _ tid -> vint (tid land 31)
+  | Ir.Warp_id -> fun _ tid -> vint (tid lsr 5)
+
+(* The common operators get int and float fast paths; other operators,
+   mixed and boolean operands and traps go through Value.binop. As in
+   the tree walk these closures replaced, the right operand is evaluated
+   before the left. *)
+let binop (op : Ir.binop) (a : cexp) (b : cexp) : cexp =
+  let open Value in
+  match op with
+  | Ir.Add -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vint (wrap32 (x + y))
+        | VF x, VF y -> VF (x +. y)
+        | x, y -> Value.binop op x y)
+  | Ir.Sub -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vint (wrap32 (x - y))
+        | VF x, VF y -> VF (x -. y)
+        | x, y -> Value.binop op x y)
+  | Ir.Mul -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vint (wrap32 (x * y))
+        | VF x, VF y -> VF (x *. y)
+        | x, y -> Value.binop op x y)
+  | Ir.Div -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y when y <> 0 -> vint (x / y)
+        | x, y -> Value.binop op x y)
+  | Ir.Rem -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y when y <> 0 -> vint (x mod y)
+        | x, y -> Value.binop op x y)
+  | Ir.Lt -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vbool (x < y)
+        | VF x, VF y -> vbool (x < y)
+        | x, y -> Value.binop op x y)
+  | Ir.Le -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vbool (x <= y)
+        | VF x, VF y -> vbool (x <= y)
+        | x, y -> Value.binop op x y)
+  | Ir.Gt -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vbool (x > y)
+        | VF x, VF y -> vbool (x > y)
+        | x, y -> Value.binop op x y)
+  | Ir.Ge -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vbool (x >= y)
+        | VF x, VF y -> vbool (x >= y)
+        | x, y -> Value.binop op x y)
+  | Ir.Eq -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vbool (x = y)
+        | x, y -> Value.binop op x y)
+  | Ir.Ne -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VI x, VI y -> vbool (x <> y)
+        | x, y -> Value.binop op x y)
+  | Ir.Land -> (
+      fun fr tid ->
+        let y = b fr tid in
+        match (a fr tid, y) with
+        | VB x, VB y -> vbool (x && y)
+        | x, y -> Value.binop op x y)
+  | Ir.Min | Ir.Max | Ir.And | Ir.Or | Ir.Xor | Ir.Shl | Ir.Shr | Ir.Lor ->
+      fun fr tid ->
+        let y = b fr tid in
+        Value.binop op (a fr tid) y
 
 type array_ref = { a_space : Ir.space; a_slot : int }
 
@@ -124,17 +249,38 @@ let compile (k : Ir.kernel) : t =
     | Ir.Global -> { a_space = Ir.Global; a_slot = find_slot "global array" arrays name }
     | Ir.Shared -> { a_space = Ir.Shared; a_slot = shared_slot name }
   in
+  (* operands compile right to left, the order register slots have
+     always been numbered in (a register bit flip picks its slot) *)
   let rec cexp (e : Ir.exp) : cexp =
     match e with
-    | Ir.Int n -> CInt n
-    | Ir.Float f -> CFloat f
-    | Ir.Bool b -> CBool b
-    | Ir.Reg r -> CReg (reg r)
-    | Ir.Param p -> CParam (find_slot "parameter" params p)
-    | Ir.Special s -> CSpecial s
-    | Ir.Unop (op, a) -> CUnop (op, cexp a)
-    | Ir.Binop (op, a, b) -> CBinop (op, cexp a, cexp b)
-    | Ir.Select (c, a, b) -> CSelect (cexp c, cexp a, cexp b)
+    | Ir.Int n ->
+        let v = Value.VI n in
+        fun _ _ -> v
+    | Ir.Float f ->
+        let v = Value.VF f in
+        fun _ _ -> v
+    | Ir.Bool b ->
+        let v = Value.VB b in
+        fun _ _ -> v
+    | Ir.Reg r ->
+        let slot = reg r in
+        fun fr tid -> fr.regs.(tid).(slot)
+    | Ir.Param p ->
+        let slot = find_slot "parameter" params p in
+        fun fr _ -> fr.params.(slot)
+    | Ir.Special s -> special s
+    | Ir.Unop (op, a) ->
+        let a = cexp a in
+        fun fr tid -> Value.unop op (a fr tid)
+    | Ir.Binop (op, a, b) ->
+        let b = cexp b in
+        let a = cexp a in
+        binop op a b
+    | Ir.Select (c, a, b) ->
+        let b = cexp b in
+        let a = cexp a in
+        let c = cexp c in
+        fun fr tid -> if truth (c fr tid) then a fr tid else b fr tid
   in
   (* loop-invariance of the bound: no register assigned inside the body
      occurs in it (the iterator itself included) *)

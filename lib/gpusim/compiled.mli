@@ -1,21 +1,33 @@
 (** Compilation of named device IR into a slot-indexed form.
 
-    The interpreter executes every statement once per warp per block; name
-    lookups would dominate its running time. This pass resolves register,
-    parameter and array names to dense integer slots, pre-computes which
-    structured statements contain a barrier, and recognises affine loops
-    whose trip count can be extrapolated under sampled execution. *)
+    The interpreter executes every statement once per warp per block and
+    every expression once per lane; name lookups and a tree walk would
+    dominate its running time. This pass resolves register, parameter
+    and array names to dense integer slots, compiles every expression
+    once into a closure, pre-computes which structured statements contain
+    a barrier, and recognises affine loops whose trip count can be
+    extrapolated under sampled execution. *)
 
-type cexp =
-  | CInt of int
-  | CFloat of float
-  | CBool of bool
-  | CReg of int
-  | CParam of int
-  | CSpecial of Device_ir.Ir.special
-  | CUnop of Device_ir.Ir.unop * cexp
-  | CBinop of Device_ir.Ir.binop * cexp * cexp
-  | CSelect of cexp * cexp * cexp
+(** The state an expression reads: every thread's registers, the scalar
+    parameters and the block geometry. *)
+type frame = {
+  regs : Value.t array array;  (** [thread][slot] *)
+  params : Value.t array;
+  block_dim : Value.t;
+  grid_dim : Value.t;
+  mutable block_idx : Value.t;
+}
+
+(** A compiled expression: its value in thread [tid] of the frame's
+    block. Values follow {!Value.binop}/{!Value.unop} exactly; the right
+    operand of a binary operator is evaluated before the left. *)
+type cexp = frame -> int -> Value.t
+
+(** The boxed value of an int: shared for [0 .. 1023], fresh otherwise. *)
+val vint : int -> Value.t
+
+(** {!Value.to_bool}, with the boolean case first. *)
+val truth : Value.t -> bool
 
 type array_ref = { a_space : Device_ir.Ir.space; a_slot : int }
 

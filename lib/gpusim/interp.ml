@@ -84,47 +84,27 @@ type block_ctx = {
   opts : options;
   ev : Events.t;
   k : C.t;
-  params : Value.t array;
+  fr : C.frame;  (** registers, parameters and geometry expressions read *)
   globals : buffer array;
   shared : float array array;
-  regs : Value.t array array;  (** [thread][slot] *)
   wcycles : float array;  (** per-warp accumulated pipelined cycles *)
   nthreads : int;
   nwarps : int;
-  mutable block_idx : int;
-  grid_dim : int;
 }
 
-let warp_bits = 5
 let warp_lanes = 32
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec eval (ctx : block_ctx) (tid : int) (e : C.cexp) : Value.t =
-  match e with
-  | C.CInt n -> Value.VI n
-  | C.CFloat f -> Value.VF f
-  | C.CBool b -> Value.VB b
-  | C.CReg slot -> ctx.regs.(tid).(slot)
-  | C.CParam slot -> ctx.params.(slot)
-  | C.CSpecial s -> (
-      match s with
-      | Ir.Thread_idx -> Value.VI tid
-      | Ir.Block_idx -> Value.VI ctx.block_idx
-      | Ir.Block_dim -> Value.VI ctx.nthreads
-      | Ir.Grid_dim -> Value.VI ctx.grid_dim
-      | Ir.Warp_size -> Value.VI warp_lanes
-      | Ir.Lane_id -> Value.VI (tid land (warp_lanes - 1))
-      | Ir.Warp_id -> Value.VI (tid lsr warp_bits))
-  | C.CUnop (op, a) -> Value.unop op (eval ctx tid a)
-  | C.CBinop (op, a, b) -> Value.binop op (eval ctx tid a) (eval ctx tid b)
-  | C.CSelect (c, a, b) ->
-      if Value.to_bool (eval ctx tid c) then eval ctx tid a else eval ctx tid b
+(* Expressions are closures compiled once per kernel ({!Compiled}); an
+   index or a condition unboxes the value here. *)
+let eval_int (fr : C.frame) (tid : int) (e : C.cexp) : int =
+  match e fr tid with Value.VI i -> i | v -> Value.to_int v
 
-let eval_int ctx tid e = Value.to_int (eval ctx tid e)
-let eval_bool ctx tid e = Value.to_bool (eval ctx tid e)
+let eval_bool (fr : C.frame) (tid : int) (e : C.cexp) : bool =
+  C.truth (e fr tid)
 
 (* ------------------------------------------------------------------ *)
 (* Memory helpers                                                      *)
@@ -190,24 +170,25 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   let lanes = Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   let a = ctx.arch in
+  let fr = ctx.fr in
   match s with
   | C.CLet (slot, e) ->
       for l = 0 to lanes - 1 do
-        if mask.(l) then ctx.regs.(base + l).(slot) <- eval ctx (base + l) e
+        if mask.(l) then fr.C.regs.(base + l).(slot) <- e fr (base + l)
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
       charge ctx w a.Arch.cyc_alu
   | C.CLoad { l_arr; l_dst; l_idx } -> (
       for l = 0 to lanes - 1 do
-        if mask.(l) then scratch_idx.(l) <- eval_int ctx (base + l) l_idx
+        if mask.(l) then scratch_idx.(l) <- eval_int fr (base + l) l_idx
       done;
       match l_arr.C.a_space with
       | Ir.Global ->
           let b = ctx.globals.(l_arr.C.a_slot) in
           for l = 0 to lanes - 1 do
             if mask.(l) then
-              ctx.regs.(base + l).(l_dst) <- buffer_get b scratch_idx.(l)
+              fr.C.regs.(base + l).(l_dst) <- buffer_get b scratch_idx.(l)
           done;
           let trans = Lanes.segments scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -219,7 +200,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       | Ir.Shared ->
           for l = 0 to lanes - 1 do
             if mask.(l) then
-              ctx.regs.(base + l).(l_dst) <- shared_get ctx l_arr.C.a_slot scratch_idx.(l)
+              fr.C.regs.(base + l).(l_dst) <-
+                shared_get ctx l_arr.C.a_slot scratch_idx.(l)
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -230,8 +212,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CStore { st_arr; st_idx; st_v } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          scratch_idx.(l) <- eval_int ctx (base + l) st_idx;
-          scratch_val.(l) <- eval ctx (base + l) st_v
+          scratch_idx.(l) <- eval_int fr (base + l) st_idx;
+          scratch_val.(l) <- st_v fr (base + l)
         end
       done;
       match st_arr.C.a_space with
@@ -261,13 +243,13 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       let width = Array.length vl_dsts in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let base_i = eval_int ctx (base + l) vl_base in
+          let base_i = eval_int fr (base + l) vl_base in
           if base_i mod width <> 0 then
             sim_error "%s: misaligned vector load at element %d (width %d)"
               ctx.k.C.ck_name base_i width;
           scratch_idx.(l) <- base_i;
           Array.iteri
-            (fun j dst -> ctx.regs.(base + l).(dst) <- buffer_get b (base_i + j))
+            (fun j dst -> fr.C.regs.(base + l).(dst) <- buffer_get b (base_i + j))
             vl_dsts
         end
       done;
@@ -281,8 +263,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CAtomic { at_dst; at_arr; at_op; at_scope; at_idx; at_v } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          scratch_idx.(l) <- eval_int ctx (base + l) at_idx;
-          scratch_val.(l) <- eval ctx (base + l) at_v
+          scratch_idx.(l) <- eval_int fr (base + l) at_idx;
+          scratch_val.(l) <- at_v fr (base + l)
         end
       done;
       (* lanes apply in lane order: deterministic serialisation *)
@@ -292,7 +274,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
             apply_atomic ctx ~space:at_arr.C.a_space ~slot:at_arr.C.a_slot at_op
               scratch_idx.(l) scratch_val.(l)
           in
-          if at_dst >= 0 then ctx.regs.(base + l).(at_dst) <- old
+          if at_dst >= 0 then fr.C.regs.(base + l).(at_dst) <- old
         end
       done;
       let n_active = Lanes.active mask lanes in
@@ -340,18 +322,18 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       let width = sh_width in
       for l = 0 to warp_lanes - 1 do
         scratch_val.(l) <-
-          (if l < lanes then eval ctx (base + l) sh_v else Value.zero)
+          (if l < lanes then sh_v fr (base + l) else Value.zero)
       done;
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let delta = eval_int ctx (base + l) sh_lane in
+          let delta = eval_int fr (base + l) sh_lane in
           let src = Lanes.shfl_src sh_mode ~lane:l ~delta ~width in
           if src = Lanes.out_of_warp then
             sim_error "%s: lane %d of a %s shuffle (lane operand %d, width %d) \
                        reads outside the %d-lane warp"
               ctx.k.C.ck_name l (Ir.show_shuffle_mode sh_mode) delta width
               warp_lanes;
-          ctx.regs.(base + l).(sh_dst) <- scratch_val.(src)
+          fr.C.regs.(base + l).(sh_dst) <- scratch_val.(src)
         end
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -366,7 +348,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       let n_t = ref 0 and n_e = ref 0 in
       for l = 0 to lanes - 1 do
         if mask.(l) then
-          if eval_bool ctx (base + l) if_cond then begin
+          if eval_bool fr (base + l) if_cond then begin
             tmask.(l) <- true;
             incr n_t
           end
@@ -388,7 +370,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       if f_sync then
         sim_error "%s: barrier inside thread-divergent loop" ctx.k.C.ck_name;
       for l = 0 to lanes - 1 do
-        if mask.(l) then ctx.regs.(base + l).(f_var) <- eval ctx (base + l) f_init
+        if mask.(l) then fr.C.regs.(base + l).(f_var) <- f_init fr (base + l)
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
@@ -400,7 +382,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
         let n_live = ref 0 in
         for l = 0 to lanes - 1 do
           if live.(l) then
-            if eval_bool ctx (base + l) f_cond then incr n_live else live.(l) <- false
+            if eval_bool fr (base + l) f_cond then incr n_live else live.(l) <- false
         done;
         ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
         charge ctx w a.Arch.cyc_branch;
@@ -413,8 +395,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
               let remaining = ref 1 in
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
-                  let v = Value.to_int (ctx.regs.(base + l).(f_var)) in
-                  let b = eval_int ctx (base + l) af_bound in
+                  let v = Value.to_int (fr.C.regs.(base + l).(f_var)) in
+                  let b = eval_int fr (base + l) af_bound in
                   let r = (b - v + af_stride - 1) / af_stride in
                   if r > !remaining then remaining := r
                 end
@@ -435,8 +417,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
               (* jump the iterator past the bound so the loop exits *)
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
-                  let v = Value.to_int (ctx.regs.(base + l).(f_var)) in
-                  ctx.regs.(base + l).(f_var) <-
+                  let v = Value.to_int (fr.C.regs.(base + l).(f_var)) in
+                  fr.C.regs.(base + l).(f_var) <-
                     Value.VI (v + (af_stride * !remaining))
                 end
               done
@@ -444,7 +426,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
               Array.iter (exec_warp ctx w live) f_body;
               for l = 0 to lanes - 1 do
                 if live.(l) then
-                  ctx.regs.(base + l).(f_var) <- eval ctx (base + l) f_step
+                  fr.C.regs.(base + l).(f_var) <- f_step fr (base + l)
               done;
               ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
               ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
@@ -464,7 +446,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
         let n_live = ref 0 in
         for l = 0 to lanes - 1 do
           if live.(l) then
-            if eval_bool ctx (base + l) w_cond then incr n_live else live.(l) <- false
+            if eval_bool fr (base + l) w_cond then incr n_live else live.(l) <- false
         done;
         ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
         charge ctx w a.Arch.cyc_branch;
@@ -493,10 +475,11 @@ let barrier (ctx : block_ctx) : unit =
     ctx.ev.Events.warp_insts +. float_of_int ctx.nwarps
 
 let check_uniform_cond (ctx : block_ctx) (e : C.cexp) : bool =
-  let v0 = eval_bool ctx 0 e in
+  let fr = ctx.fr in
+  let v0 = eval_bool fr 0 e in
   if ctx.opts.check_uniform then
     for t = 1 to ctx.nthreads - 1 do
-      if eval_bool ctx t e <> v0 then
+      if eval_bool fr t e <> v0 then
         sim_error "%s: non-uniform condition guards a barrier (thread %d disagrees)"
           ctx.k.C.ck_name t
     done;
@@ -524,15 +507,16 @@ let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
         if check_uniform_cond ctx if_cond then Array.iter (exec_block_stmt ctx) if_then
         else Array.iter (exec_block_stmt ctx) if_else
     | C.CFor { f_var; f_init; f_cond; f_step; f_body; _ } ->
+        let fr = ctx.fr in
         for t = 0 to ctx.nthreads - 1 do
-          ctx.regs.(t).(f_var) <- eval ctx t f_init
+          fr.C.regs.(t).(f_var) <- f_init fr t
         done;
         let continue_ = ref true in
         while !continue_ do
           if check_uniform_cond ctx f_cond then begin
             Array.iter (exec_block_stmt ctx) f_body;
             for t = 0 to ctx.nthreads - 1 do
-              ctx.regs.(t).(f_var) <- eval ctx t f_step
+              fr.C.regs.(t).(f_var) <- f_step fr t
             done;
             ctx.ev.Events.branches <-
               ctx.ev.Events.branches +. float_of_int ctx.nwarps
@@ -574,11 +558,12 @@ let apply_flip (ctx : block_ctx) (fl : Fault.flip) : unit =
         a.(!idx) <- Fault.flip_value ty ~bit:fl.Fault.fl_bit a.(!idx)
       end
   | Fault.Register ->
-      let nregs = Array.length ctx.regs.(0) in
+      let regs = ctx.fr.C.regs in
+      let nregs = Array.length regs.(0) in
       let t = fl.Fault.fl_target mod ctx.nthreads in
       let slot = fl.Fault.fl_target / ctx.nthreads mod nregs in
-      ctx.regs.(t).(slot) <-
-        (match ctx.regs.(t).(slot) with
+      regs.(t).(slot) <-
+        (match regs.(t).(slot) with
         | Value.VF f -> Value.VF (Fault.flip_value Ir.F32 ~bit:fl.Fault.fl_bit f)
         | Value.VI i ->
             Value.of_float Ir.I32
@@ -637,15 +622,20 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
       opts;
       ev;
       k;
-      params;
+      fr =
+        {
+          C.regs =
+            Array.init block (fun _ -> Array.make (max k.C.ck_nregs 1) Value.zero);
+          params;
+          block_dim = Value.VI block;
+          grid_dim = Value.VI grid;
+          block_idx = Value.zero;
+        };
       globals;
       shared = Array.map (fun n -> Array.make (max n 1) 0.0) shared_sizes;
-      regs = Array.init block (fun _ -> Array.make (max k.C.ck_nregs 1) Value.zero);
       wcycles = Array.make nwarps 0.0;
       nthreads = block;
       nwarps;
-      block_idx = 0;
-      grid_dim = grid;
     }
   in
   let simulate =
@@ -673,11 +663,11 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
   (try
      Array.iteri
        (fun pos b ->
-         ctx.block_idx <- b;
+         ctx.fr.C.block_idx <- Value.VI b;
          Array.iter (fun sh -> Array.fill sh 0 (Array.length sh) 0.0) ctx.shared;
          Array.iter
            (fun r -> Array.fill r 0 (Array.length r) Value.zero)
-           ctx.regs;
+           ctx.fr.C.regs;
          Array.fill ctx.wcycles 0 nwarps 0.0;
          if pos = flip_block then
            Array.iteri
