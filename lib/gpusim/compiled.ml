@@ -12,19 +12,22 @@
 module Ir = Device_ir.Ir
 
 (* The state an expression reads: every thread's registers, the scalar
-   parameters and the block geometry, boxed once per launch or block. *)
+   parameters and the block geometry, boxed once per launch or block,
+   and the thread evaluating. A closure of one argument is called
+   directly, where one of two would go through caml_apply2. *)
 type frame = {
   regs : Value.t array array;  (** [thread][slot] *)
   params : Value.t array;
   block_dim : Value.t;
   grid_dim : Value.t;
   mutable block_idx : Value.t;
+  mutable tid : int;
 }
 
-type cexp = frame -> int -> Value.t
+type cexp = frame -> Value.t
 
 (* Value.norm32, repeated so that the fast paths below inline it *)
-let wrap32 (x : int) : int =
+let[@inline] wrap32 (x : int) : int =
   let y = x land 0xFFFFFFFF in
   if y land 0x80000000 <> 0 then y - 0x100000000 else y
 
@@ -32,27 +35,27 @@ let wrap32 (x : int) : int =
    boxed once: results in range share these instead of allocating. *)
 let small_ints = Array.init 1024 (fun i -> Value.VI i)
 
-let vint (i : int) : Value.t =
+let[@inline] vint (i : int) : Value.t =
   if i >= 0 && i < 1024 then small_ints.(i) else Value.VI i
 
 let vtrue = Value.VB true
 let vfalse = Value.VB false
-let vbool (b : bool) : Value.t = if b then vtrue else vfalse
+let[@inline] vbool (b : bool) : Value.t = if b then vtrue else vfalse
 
 let truth (v : Value.t) : bool =
   match v with Value.VB b -> b | v -> Value.to_bool v
 
 let special (s : Ir.special) : cexp =
   match s with
-  | Ir.Thread_idx -> fun _ tid -> vint tid
-  | Ir.Block_idx -> fun fr _ -> fr.block_idx
-  | Ir.Block_dim -> fun fr _ -> fr.block_dim
-  | Ir.Grid_dim -> fun fr _ -> fr.grid_dim
+  | Ir.Thread_idx -> fun fr -> vint fr.tid
+  | Ir.Block_idx -> fun fr -> fr.block_idx
+  | Ir.Block_dim -> fun fr -> fr.block_dim
+  | Ir.Grid_dim -> fun fr -> fr.grid_dim
   | Ir.Warp_size ->
       let v = Value.VI 32 in
-      fun _ _ -> v
-  | Ir.Lane_id -> fun _ tid -> vint (tid land 31)
-  | Ir.Warp_id -> fun _ tid -> vint (tid lsr 5)
+      fun _ -> v
+  | Ir.Lane_id -> fun fr -> vint (fr.tid land 31)
+  | Ir.Warp_id -> fun fr -> vint (fr.tid lsr 5)
 
 (* The common operators get int and float fast paths; other operators,
    mixed and boolean operands and traps go through Value.binop. As in
@@ -62,88 +65,88 @@ let binop (op : Ir.binop) (a : cexp) (b : cexp) : cexp =
   let open Value in
   match op with
   | Ir.Add -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vint (wrap32 (x + y))
         | VF x, VF y -> VF (x +. y)
         | x, y -> Value.binop op x y)
   | Ir.Sub -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vint (wrap32 (x - y))
         | VF x, VF y -> VF (x -. y)
         | x, y -> Value.binop op x y)
   | Ir.Mul -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vint (wrap32 (x * y))
         | VF x, VF y -> VF (x *. y)
         | x, y -> Value.binop op x y)
   | Ir.Div -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y when y <> 0 -> vint (x / y)
         | x, y -> Value.binop op x y)
   | Ir.Rem -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y when y <> 0 -> vint (x mod y)
         | x, y -> Value.binop op x y)
   | Ir.Lt -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vbool (x < y)
         | VF x, VF y -> vbool (x < y)
         | x, y -> Value.binop op x y)
   | Ir.Le -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vbool (x <= y)
         | VF x, VF y -> vbool (x <= y)
         | x, y -> Value.binop op x y)
   | Ir.Gt -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vbool (x > y)
         | VF x, VF y -> vbool (x > y)
         | x, y -> Value.binop op x y)
   | Ir.Ge -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vbool (x >= y)
         | VF x, VF y -> vbool (x >= y)
         | x, y -> Value.binop op x y)
   | Ir.Eq -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vbool (x = y)
         | x, y -> Value.binop op x y)
   | Ir.Ne -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VI x, VI y -> vbool (x <> y)
         | x, y -> Value.binop op x y)
   | Ir.Land -> (
-      fun fr tid ->
-        let y = b fr tid in
-        match (a fr tid, y) with
+      fun fr ->
+        let y = b fr in
+        match (a fr, y) with
         | VB x, VB y -> vbool (x && y)
         | x, y -> Value.binop op x y)
   | Ir.Min | Ir.Max | Ir.And | Ir.Or | Ir.Xor | Ir.Shl | Ir.Shr | Ir.Lor ->
-      fun fr tid ->
-        let y = b fr tid in
-        Value.binop op (a fr tid) y
+      fun fr ->
+        let y = b fr in
+        Value.binop op (a fr) y
 
 type array_ref = { a_space : Ir.space; a_slot : int }
 
@@ -255,23 +258,23 @@ let compile (k : Ir.kernel) : t =
     match e with
     | Ir.Int n ->
         let v = Value.VI n in
-        fun _ _ -> v
+        fun _ -> v
     | Ir.Float f ->
         let v = Value.VF f in
-        fun _ _ -> v
+        fun _ -> v
     | Ir.Bool b ->
         let v = Value.VB b in
-        fun _ _ -> v
+        fun _ -> v
     | Ir.Reg r ->
         let slot = reg r in
-        fun fr tid -> fr.regs.(tid).(slot)
+        fun fr -> fr.regs.(fr.tid).(slot)
     | Ir.Param p ->
         let slot = find_slot "parameter" params p in
-        fun fr _ -> fr.params.(slot)
+        fun fr -> fr.params.(slot)
     | Ir.Special s -> special s
     | Ir.Unop (op, a) ->
         let a = cexp a in
-        fun fr tid -> Value.unop op (a fr tid)
+        fun fr -> Value.unop op (a fr)
     | Ir.Binop (op, a, b) ->
         let b = cexp b in
         let a = cexp a in
@@ -280,7 +283,7 @@ let compile (k : Ir.kernel) : t =
         let b = cexp b in
         let a = cexp a in
         let c = cexp c in
-        fun fr tid -> if truth (c fr tid) then a fr tid else b fr tid
+        fun fr -> if truth (c fr) then a fr else b fr
   in
   (* loop-invariance of the bound: no register assigned inside the body
      occurs in it (the iterator itself included) *)

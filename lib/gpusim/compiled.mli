@@ -9,25 +9,20 @@
     extrapolated under sampled execution. *)
 
 (** The state an expression reads: every thread's registers, the scalar
-    parameters and the block geometry. *)
+    parameters, the block geometry and the thread evaluating. *)
 type frame = {
   regs : Value.t array array;  (** [thread][slot] *)
   params : Value.t array;
   block_dim : Value.t;
   grid_dim : Value.t;
   mutable block_idx : Value.t;
+  mutable tid : int;  (** the thread an expression is evaluated for *)
 }
 
-(** A compiled expression: its value in thread [tid] of the frame's
-    block. Values follow {!Value.binop}/{!Value.unop} exactly; the right
-    operand of a binary operator is evaluated before the left. *)
-type cexp = frame -> int -> Value.t
-
-(** The boxed value of an int: shared for [0 .. 1023], fresh otherwise. *)
-val vint : int -> Value.t
-
-(** {!Value.to_bool}, with the boolean case first. *)
-val truth : Value.t -> bool
+(** A compiled expression: its value in the frame's thread [tid]. Values
+    follow {!Value.binop}/{!Value.unop} exactly; the right operand of a
+    binary operator is evaluated before the left. *)
+type cexp = frame -> Value.t
 
 type array_ref = { a_space : Device_ir.Ir.space; a_slot : int }
 

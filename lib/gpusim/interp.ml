@@ -98,13 +98,20 @@ let warp_lanes = 32
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Expressions are closures compiled once per kernel ({!Compiled}); an
-   index or a condition unboxes the value here. *)
-let eval_int (fr : C.frame) (tid : int) (e : C.cexp) : int =
-  match e fr tid with Value.VI i -> i | v -> Value.to_int v
+(* Expressions are closures compiled once per kernel ({!Compiled}),
+   evaluated for the frame's current thread; an index or a condition
+   unboxes the value here. *)
+let[@inline] lane_value (fr : C.frame) (tid : int) (e : C.cexp) : Value.t =
+  fr.C.tid <- tid;
+  e fr
 
-let eval_bool (fr : C.frame) (tid : int) (e : C.cexp) : bool =
-  C.truth (e fr tid)
+let[@inline] lane_int (fr : C.frame) (tid : int) (e : C.cexp) : int =
+  fr.C.tid <- tid;
+  match e fr with Value.VI i -> i | v -> Value.to_int v
+
+let[@inline] lane_bool (fr : C.frame) (tid : int) (e : C.cexp) : bool =
+  fr.C.tid <- tid;
+  match e fr with Value.VB b -> b | v -> Value.to_bool v
 
 (* ------------------------------------------------------------------ *)
 (* Memory helpers                                                      *)
@@ -118,12 +125,12 @@ let buffer_get (b : buffer) (i : int) : Value.t =
     sim_error "global array #%d: index %d out of bounds (size %d)" b.b_id i b.b_size
   else Value.of_float b.b_ty b.data.(buffer_phys b i)
 
-let buffer_set (b : buffer) (i : int) (v : Value.t) : unit =
+let buffer_set (b : buffer) (i : int) (v : float) : unit =
   if b.b_read_only then sim_error "global array #%d: write to read-only buffer" b.b_id
   else if i < 0 || i >= b.b_size then
     sim_error "global array #%d: store index %d out of bounds (size %d)" b.b_id i
       b.b_size
-  else b.data.(buffer_phys b i) <- Value.to_float v
+  else b.data.(buffer_phys b i) <- v
 
 let shared_get (ctx : block_ctx) (slot : int) (i : int) : Value.t =
   let a = ctx.shared.(slot) in
@@ -132,12 +139,12 @@ let shared_get (ctx : block_ctx) (slot : int) (i : int) : Value.t =
       ctx.k.C.ck_shared.(slot).Ir.sh_name i (Array.length a)
   else Value.of_float ctx.k.C.ck_shared.(slot).Ir.sh_ty a.(i)
 
-let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : Value.t) : unit =
+let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : float) : unit =
   let a = ctx.shared.(slot) in
   if i < 0 || i >= Array.length a then
     sim_error "%s: shared array %s: store index %d out of bounds (size %d)"
       ctx.k.C.ck_name ctx.k.C.ck_shared.(slot).Ir.sh_name i (Array.length a)
-  else a.(i) <- Value.to_float v
+  else a.(i) <- v
 
 (* ------------------------------------------------------------------ *)
 (* Per-warp execution                                                  *)
@@ -146,27 +153,49 @@ let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : Value.t) : unit =
 let charge (ctx : block_ctx) (w : int) (cycles : float) : unit =
   ctx.wcycles.(w) <- ctx.wcycles.(w) +. cycles
 
+(* a stored value as the float a cell holds *)
+let[@inline] to_float (v : Value.t) : float =
+  match v with Value.VF f -> f | v -> Value.to_float v
+
 let apply_atomic (ctx : block_ctx) ~(space : Ir.space) ~(slot : int)
-    (op : Ir.atomic_op) (i : int) (v : Value.t) : Value.t =
+    (op : Ir.atomic_op) (i : int) (v : float) : Value.t =
   match space with
   | Ir.Global ->
       let b = ctx.globals.(slot) in
       let old = buffer_get b i in
       buffer_set b i
-        (Value.of_float b.b_ty (Ir.combine op (Value.to_float old) (Value.to_float v)));
+        (to_float (Value.of_float b.b_ty (Ir.combine op (to_float old) v)));
       old
   | Ir.Shared ->
       let old = shared_get ctx slot i in
       shared_set ctx slot i
-        (Value.of_float ctx.k.C.ck_shared.(slot).Ir.sh_ty
-           (Ir.combine op (Value.to_float old) (Value.to_float v)));
+        (to_float
+           (Value.of_float ctx.k.C.ck_shared.(slot).Ir.sh_ty
+              (Ir.combine op (to_float old) v)));
       old
 
+(* per-lane operands of one warp statement: indices, stored values (as
+   the floats memory holds, so no boxed write) and shuffle sources *)
 let scratch_idx = Array.make warp_lanes 0
+let scratch_f = Array.make warp_lanes 0.0
 let scratch_val : Value.t array = Array.make warp_lanes Value.zero
 
-let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) :
-    unit =
+(* Lane masks of the structured statements, reused rather than allocated
+   per warp: a conditional at nesting depth [d] splits its lanes into
+   masks [2d] and [2d+1], a loop keeps its live lanes in mask [2d]. *)
+let mask_pool : bool array array ref = ref [||]
+
+let pool_mask (i : int) : bool array =
+  let pool = !mask_pool in
+  if i >= Array.length pool then
+    mask_pool :=
+      Array.init (2 * (i + 1)) (fun j ->
+          if j < Array.length pool then pool.(j) else Array.make warp_lanes false);
+  !mask_pool.(i)
+
+(* [s] runs at nesting depth [d] under [mask] *)
+let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
+    (s : C.cstmt) : unit =
   let lanes = Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   let a = ctx.arch in
@@ -174,14 +203,15 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   match s with
   | C.CLet (slot, e) ->
       for l = 0 to lanes - 1 do
-        if mask.(l) then fr.C.regs.(base + l).(slot) <- e fr (base + l)
+        if mask.(l) then
+          fr.C.regs.(base + l).(slot) <- lane_value fr (base + l) e
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
       charge ctx w a.Arch.cyc_alu
   | C.CLoad { l_arr; l_dst; l_idx } -> (
       for l = 0 to lanes - 1 do
-        if mask.(l) then scratch_idx.(l) <- eval_int fr (base + l) l_idx
+        if mask.(l) then scratch_idx.(l) <- lane_int fr (base + l) l_idx
       done;
       match l_arr.C.a_space with
       | Ir.Global ->
@@ -212,15 +242,15 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CStore { st_arr; st_idx; st_v } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          scratch_idx.(l) <- eval_int fr (base + l) st_idx;
-          scratch_val.(l) <- st_v fr (base + l)
+          scratch_idx.(l) <- lane_int fr (base + l) st_idx;
+          scratch_f.(l) <- to_float (lane_value fr (base + l) st_v)
         end
       done;
       match st_arr.C.a_space with
       | Ir.Global ->
           let b = ctx.globals.(st_arr.C.a_slot) in
           for l = 0 to lanes - 1 do
-            if mask.(l) then buffer_set b scratch_idx.(l) scratch_val.(l)
+            if mask.(l) then buffer_set b scratch_idx.(l) scratch_f.(l)
           done;
           let trans = Lanes.segments scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -230,7 +260,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
           charge ctx w (a.Arch.cyc_global *. float_of_int trans)
       | Ir.Shared ->
           for l = 0 to lanes - 1 do
-            if mask.(l) then shared_set ctx st_arr.C.a_slot scratch_idx.(l) scratch_val.(l)
+            if mask.(l) then
+              shared_set ctx st_arr.C.a_slot scratch_idx.(l) scratch_f.(l)
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -243,14 +274,14 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       let width = Array.length vl_dsts in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let base_i = eval_int fr (base + l) vl_base in
+          let base_i = lane_int fr (base + l) vl_base in
           if base_i mod width <> 0 then
             sim_error "%s: misaligned vector load at element %d (width %d)"
               ctx.k.C.ck_name base_i width;
           scratch_idx.(l) <- base_i;
-          Array.iteri
-            (fun j dst -> fr.C.regs.(base + l).(dst) <- buffer_get b (base_i + j))
-            vl_dsts
+          for j = 0 to width - 1 do
+            fr.C.regs.(base + l).(vl_dsts.(j)) <- buffer_get b (base_i + j)
+          done
         end
       done;
       let trans = Lanes.vec_segments scratch_idx mask lanes ~width in
@@ -263,8 +294,8 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CAtomic { at_dst; at_arr; at_op; at_scope; at_idx; at_v } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          scratch_idx.(l) <- eval_int fr (base + l) at_idx;
-          scratch_val.(l) <- at_v fr (base + l)
+          scratch_idx.(l) <- lane_int fr (base + l) at_idx;
+          scratch_f.(l) <- to_float (lane_value fr (base + l) at_v)
         end
       done;
       (* lanes apply in lane order: deterministic serialisation *)
@@ -272,7 +303,7 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
         if mask.(l) then begin
           let old =
             apply_atomic ctx ~space:at_arr.C.a_space ~slot:at_arr.C.a_slot at_op
-              scratch_idx.(l) scratch_val.(l)
+              scratch_idx.(l) scratch_f.(l)
           in
           if at_dst >= 0 then fr.C.regs.(base + l).(at_dst) <- old
         end
@@ -322,11 +353,11 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
       let width = sh_width in
       for l = 0 to warp_lanes - 1 do
         scratch_val.(l) <-
-          (if l < lanes then sh_v fr (base + l) else Value.zero)
+          (if l < lanes then lane_value fr (base + l) sh_v else Value.zero)
       done;
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let delta = eval_int fr (base + l) sh_lane in
+          let delta = lane_int fr (base + l) sh_lane in
           let src = Lanes.shfl_src sh_mode ~lane:l ~delta ~width in
           if src = Lanes.out_of_warp then
             sim_error "%s: lane %d of a %s shuffle (lane operand %d, width %d) \
@@ -343,19 +374,13 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CIf { if_cond; if_then; if_else; if_sync } ->
       if if_sync then
         sim_error "%s: barrier inside thread-divergent conditional" ctx.k.C.ck_name;
-      let tmask = Array.make warp_lanes false in
-      let emask = Array.make warp_lanes false in
+      let tmask = pool_mask (2 * d) and emask = pool_mask ((2 * d) + 1) in
       let n_t = ref 0 and n_e = ref 0 in
       for l = 0 to lanes - 1 do
-        if mask.(l) then
-          if eval_bool fr (base + l) if_cond then begin
-            tmask.(l) <- true;
-            incr n_t
-          end
-          else begin
-            emask.(l) <- true;
-            incr n_e
-          end
+        let t = mask.(l) && lane_bool fr (base + l) if_cond in
+        tmask.(l) <- t;
+        emask.(l) <- mask.(l) && not t;
+        if t then incr n_t else if mask.(l) then incr n_e
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
@@ -364,25 +389,27 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
         ctx.ev.Events.divergent_branches <- ctx.ev.Events.divergent_branches +. 1.0;
         charge ctx w a.Arch.cyc_divergence
       end;
-      if !n_t > 0 then Array.iter (exec_warp ctx w tmask) if_then;
-      if !n_e > 0 then Array.iter (exec_warp ctx w emask) if_else
+      if !n_t > 0 then exec_body ctx (d + 1) w tmask if_then;
+      if !n_e > 0 then exec_body ctx (d + 1) w emask if_else
   | C.CFor { f_var; f_init; f_cond; f_step; f_body; f_sync; f_affine } ->
       if f_sync then
         sim_error "%s: barrier inside thread-divergent loop" ctx.k.C.ck_name;
       for l = 0 to lanes - 1 do
-        if mask.(l) then fr.C.regs.(base + l).(f_var) <- f_init fr (base + l)
+        if mask.(l) then
+          fr.C.regs.(base + l).(f_var) <- lane_value fr (base + l) f_init
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
       charge ctx w a.Arch.cyc_alu;
-      let live = Array.copy mask in
+      let live = pool_mask (2 * d) in
+      Array.blit mask 0 live 0 lanes;
       let iter = ref 0 in
       let continue_ = ref true in
       while !continue_ do
         let n_live = ref 0 in
         for l = 0 to lanes - 1 do
           if live.(l) then
-            if eval_bool fr (base + l) f_cond then incr n_live else live.(l) <- false
+            if lane_bool fr (base + l) f_cond then incr n_live else live.(l) <- false
         done;
         ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
         charge ctx w a.Arch.cyc_branch;
@@ -396,14 +423,14 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
                   let v = Value.to_int (fr.C.regs.(base + l).(f_var)) in
-                  let b = eval_int fr (base + l) af_bound in
+                  let b = lane_int fr (base + l) af_bound in
                   let r = (b - v + af_stride - 1) / af_stride in
                   if r > !remaining then remaining := r
                 end
               done;
               let snap = Events.snapshot ctx.ev in
               let cyc0 = ctx.wcycles.(w) in
-              Array.iter (exec_warp ctx w live) f_body;
+              exec_body ctx (d + 1) w live f_body;
               let factor = float_of_int !remaining in
               Events.scale_from ctx.ev snap ~factor;
               ctx.wcycles.(w) <- cyc0 +. ((ctx.wcycles.(w) -. cyc0) *. factor);
@@ -423,10 +450,10 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
                 end
               done
           | _ ->
-              Array.iter (exec_warp ctx w live) f_body;
+              exec_body ctx (d + 1) w live f_body;
               for l = 0 to lanes - 1 do
                 if live.(l) then
-                  fr.C.regs.(base + l).(f_var) <- f_step fr (base + l)
+                  fr.C.regs.(base + l).(f_var) <- lane_value fr (base + l) f_step
               done;
               ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
               ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
@@ -439,25 +466,31 @@ let rec exec_warp (ctx : block_ctx) (w : int) (mask : bool array) (s : C.cstmt) 
   | C.CWhile { w_cond; w_body; w_sync } ->
       if w_sync then
         sim_error "%s: barrier inside thread-divergent loop" ctx.k.C.ck_name;
-      let live = Array.copy mask in
+      let live = pool_mask (2 * d) in
+      Array.blit mask 0 live 0 lanes;
       let continue_ = ref true in
       let iter = ref 0 in
       while !continue_ do
         let n_live = ref 0 in
         for l = 0 to lanes - 1 do
           if live.(l) then
-            if eval_bool fr (base + l) w_cond then incr n_live else live.(l) <- false
+            if lane_bool fr (base + l) w_cond then incr n_live else live.(l) <- false
         done;
         ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
         charge ctx w a.Arch.cyc_branch;
         if !n_live = 0 then continue_ := false
         else begin
-          Array.iter (exec_warp ctx w live) w_body;
+          exec_body ctx (d + 1) w live w_body;
           incr iter;
           if !iter > 100_000_000 then
             sim_error "%s: while loop exceeded 1e8 iterations" ctx.k.C.ck_name
         end
       done
+
+and exec_body ctx d w mask (body : C.cstmt array) : unit =
+  for i = 0 to Array.length body - 1 do
+    exec_warp ctx d w mask body.(i)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Block-wide execution (barrier-aware)                                *)
@@ -476,10 +509,10 @@ let barrier (ctx : block_ctx) : unit =
 
 let check_uniform_cond (ctx : block_ctx) (e : C.cexp) : bool =
   let fr = ctx.fr in
-  let v0 = eval_bool fr 0 e in
+  let v0 = lane_bool fr 0 e in
   if ctx.opts.check_uniform then
     for t = 1 to ctx.nthreads - 1 do
-      if eval_bool fr t e <> v0 then
+      if lane_bool fr t e <> v0 then
         sim_error "%s: non-uniform condition guards a barrier (thread %d disagrees)"
           ctx.k.C.ck_name t
     done;
@@ -497,7 +530,7 @@ let stmt_has_sync (s : C.cstmt) : bool =
 let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
   if not (stmt_has_sync s) then
     for w = 0 to ctx.nwarps - 1 do
-      exec_warp ctx w full_mask s
+      exec_warp ctx 0 w full_mask s
     done
   else
     match s with
@@ -509,14 +542,14 @@ let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
     | C.CFor { f_var; f_init; f_cond; f_step; f_body; _ } ->
         let fr = ctx.fr in
         for t = 0 to ctx.nthreads - 1 do
-          fr.C.regs.(t).(f_var) <- f_init fr t
+          fr.C.regs.(t).(f_var) <- lane_value fr t f_init
         done;
         let continue_ = ref true in
         while !continue_ do
           if check_uniform_cond ctx f_cond then begin
             Array.iter (exec_block_stmt ctx) f_body;
             for t = 0 to ctx.nthreads - 1 do
-              fr.C.regs.(t).(f_var) <- f_step fr t
+              fr.C.regs.(t).(f_var) <- lane_value fr t f_step
             done;
             ctx.ev.Events.branches <-
               ctx.ev.Events.branches +. float_of_int ctx.nwarps
@@ -630,6 +663,7 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
           block_dim = Value.VI block;
           grid_dim = Value.VI grid;
           block_idx = Value.zero;
+          tid = 0;
         };
       globals;
       shared = Array.map (fun n -> Array.make (max n 1) 0.0) shared_sizes;
