@@ -3,6 +3,11 @@
    Counters are floats because sampled runs (see {!Interp.options}) scale
    partially-observed sections by their replication factor. *)
 
+(* One address's pressure: its atomic operations, and how many simulated
+   blocks issued them ([h_last] is the block that last did, so each block
+   counts once). *)
+type heat = { mutable h_ops : float; mutable h_blocks : int; mutable h_last : int }
+
 type t = {
   mutable warp_insts : float;  (** total issued warp instructions *)
   mutable alu_insts : float;
@@ -26,10 +31,11 @@ type t = {
   mutable vec_load_ops : float;
   (* Device-wide same-address pressure on the L2 atomic units. Keyed by
      (buffer id, element index); the cost model uses the hottest address. *)
-  addr_heat : (int * int, float ref) Hashtbl.t;
+  addr_heat : (int * int, heat) Hashtbl.t;
   mutable launched_blocks : int;
   mutable simulated_blocks : int;
 }
+
 
 let create () : t =
   {
@@ -55,13 +61,22 @@ let create () : t =
     simulated_blocks = 0;
   }
 
+let begin_block (t : t) : unit = t.simulated_blocks <- t.simulated_blocks + 1
+
 let heat (t : t) ~(buffer : int) ~(index : int) ~(by : float) : unit =
   match Hashtbl.find_opt t.addr_heat (buffer, index) with
-  | Some r -> r := !r +. by
-  | None -> Hashtbl.add t.addr_heat (buffer, index) (ref by)
+  | Some h ->
+      h.h_ops <- h.h_ops +. by;
+      if h.h_last <> t.simulated_blocks then begin
+        h.h_last <- t.simulated_blocks;
+        h.h_blocks <- h.h_blocks + 1
+      end
+  | None ->
+      Hashtbl.add t.addr_heat (buffer, index)
+        { h_ops = by; h_blocks = 1; h_last = t.simulated_blocks }
 
 let max_heat (t : t) : float =
-  Hashtbl.fold (fun _ r acc -> Float.max !r acc) t.addr_heat 0.0
+  Hashtbl.fold (fun _ h acc -> Float.max h.h_ops acc) t.addr_heat 0.0
 
 (** Snapshot of the scalar counters, used to scale a partially-executed
     loop section by its replication factor. Address heat is scaled at
@@ -137,11 +152,16 @@ let scale_from (t : t) (s : snapshot) ~(factor : float) : unit =
   t.vec_load_ops <- t.vec_load_ops +. (f *. (t.vec_load_ops -. s.s_vec_load_ops))
 
 (** Scale all counters (used to extrapolate from a sampled subset of blocks
-    to the whole grid). Address heat scales uniformly too. *)
+    to the whole grid). An address every simulated block heated is shared
+    by the grid and its heat scales too; one fewer blocks heated is
+    block-private ([partial[bid]]-style) and keeps its heat, the rule
+    {!Device_ir.Access} applies to block-invariant addresses. *)
 let scale_all (t : t) ~(factor : float) : unit =
   let dummy = snapshot (create ()) in
   scale_from t dummy ~factor;
-  Hashtbl.iter (fun _ r -> r := !r *. factor) t.addr_heat
+  Hashtbl.iter
+    (fun _ h -> if h.h_blocks >= t.simulated_blocks then h.h_ops <- h.h_ops *. factor)
+    t.addr_heat
 
 (* ------------------------------------------------------------------ *)
 (* Immutable totals (the profiler's currency)                          *)

@@ -4,6 +4,10 @@
     Counters are floats because sampled runs (see {!Interp.options}) scale
     partially-observed sections by their replication factor. *)
 
+(** One address's pressure: its atomic operations, and how many of the
+    simulated blocks issued them. *)
+type heat
+
 type t = {
   mutable warp_insts : float;  (** total issued warp instructions *)
   mutable alu_insts : float;
@@ -25,14 +29,19 @@ type t = {
   mutable atomic_shared_serial : float;
       (** sum over warp atomics of the same-address conflict degree *)
   mutable vec_load_ops : float;
-  addr_heat : (int * int, float ref) Hashtbl.t;
+  addr_heat : (int * int, heat) Hashtbl.t;
       (** device-wide same-address pressure on the L2 atomic units, keyed
           by (buffer id, element index) *)
   mutable launched_blocks : int;
   mutable simulated_blocks : int;
+      (** blocks simulated so far: {!begin_block} counts them *)
 }
 
 val create : unit -> t
+
+(** Start simulating one more block: heat recorded from now on is
+    attributed to it. *)
+val begin_block : t -> unit
 
 (** Record [by] atomic operations against one global address. *)
 val heat : t -> buffer:int -> index:int -> by:float -> unit
@@ -52,8 +61,10 @@ val snapshot : t -> snapshot
     affected). *)
 val scale_from : t -> snapshot -> factor:float -> unit
 
-(** Scale all counters, including address heat (extrapolation from a
-    sampled subset of blocks to the whole grid). *)
+(** Scale all counters (extrapolation from the simulated blocks to the
+    whole grid). Address heat scales only where every simulated block
+    heated the address: the grid shares such an address, while one that
+    fewer blocks heated is block-private and keeps its simulated heat. *)
 val scale_all : t -> factor:float -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -28,7 +28,9 @@
    Sampling
    --------
    With [options.max_blocks] set, only a sample of blocks executes and
-   counters are extrapolated; with [options.loop_cap] set, affine loops are
+   counters are extrapolated (an atomic address's heat only when every
+   sampled block heated it: a block-private address keeps one block's
+   heat, see {!Events.scale_all}); with [options.loop_cap] set, affine loops are
    cut short and their remaining iterations extrapolated from the last
    executed one. Sampled runs produce meaningless data values and are only
    for timing, which is why {!exact} is the default. *)
@@ -697,6 +699,7 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
   (try
      Array.iteri
        (fun pos b ->
+         Events.begin_block ev;
          ctx.fr.C.block_idx <- Value.VI b;
          Array.iter (fun sh -> Array.fill sh 0 (Array.length sh) 0.0) ctx.shared;
          Array.iter
@@ -714,7 +717,6 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
        block_ids
    with Value.Trap msg -> sim_error "%s: %s" k.C.ck_name msg);
   ev.Events.launched_blocks <- grid;
-  ev.Events.simulated_blocks <- simulate;
   if simulate < grid then
     Events.scale_all ev ~factor:(float_of_int grid /. float_of_int simulate);
   {

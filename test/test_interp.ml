@@ -531,6 +531,29 @@ let sampling_tests =
         let ratio = s.Gpusim.Events.gld_trans /. e.Gpusim.Events.gld_trans in
         Alcotest.(check bool) "within 2%" true (ratio > 0.98 && ratio < 1.02);
         Alcotest.(check int) "simulated a subset" 16 s.Gpusim.Events.simulated_blocks);
+    Alcotest.test_case "block sampling scales only grid-shared atomic heat" `Quick
+      (fun () ->
+        let max_heat opts idx =
+          let k =
+            kernel ~arrays:[ ("out", Ir.F32) ]
+              [ Ir.atomic ~space:Ir.Global ~op:Ir.A_add "out" idx (Ir.Float 1.0) ]
+          in
+          let lr =
+            I.run_kernel ~arch ~opts (Gpusim.Compiled.compile k) ~grid:64 ~block:32
+              ~shared_elems:0
+              ~globals:[| I.make_buffer ~ty:Ir.F32 ~id:0 (Array.make 64 0.0) |]
+              ~params:[||]
+          in
+          Gpusim.Events.max_heat lr.I.lr_events
+        in
+        let sampled = { I.max_blocks = Some 8; loop_cap = None; check_uniform = false } in
+        (* every block piles onto out[0]: its heat scales with the grid *)
+        Alcotest.(check (float 0.0)) "shared, exact" 2048.0 (max_heat I.exact (Ir.Int 0));
+        Alcotest.(check (float 0.0)) "shared, sampled" 2048.0 (max_heat sampled (Ir.Int 0));
+        (* each block its own out[bid]: the hottest address stays one block's *)
+        Alcotest.(check (float 0.0)) "block-private, exact" 32.0 (max_heat I.exact Ir.bid);
+        Alcotest.(check (float 0.0)) "block-private, sampled" 32.0
+          (max_heat sampled Ir.bid));
     Alcotest.test_case "affine loop extrapolation matches exact cycles" `Quick
       (fun () ->
         let k =
