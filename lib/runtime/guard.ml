@@ -45,23 +45,29 @@ let witness ~(planner : P.t) ~(sample : int) (input : R.input) : float =
       if n = 0 then P.reference_input planner input
       else begin
         let parts = max 1 (min sample n) in
+        (* each stripe folds in place: copying it out would put n
+           floats of garbage on the major heap per witness *)
         let stripes fold =
-          Array.init parts (fun i ->
-              let lo = i * n / parts and hi = (i + 1) * n / parts in
-              fold (Array.sub a lo (hi - lo)))
+          Array.init parts (fun i -> fold ~lo:(i * n / parts) ~hi:((i + 1) * n / parts))
         in
         match planner.P.op with
         | Tir.Ast.At_min | Tir.Ast.At_max ->
             (* Associative (and idempotent): refolding stripe partials
                with the op itself is a legal re-association. *)
-            P.reference planner (stripes (P.reference planner))
+            P.reference planner (stripes (fun ~lo ~hi -> P.reference ~lo ~hi planner a))
         | Tir.Ast.At_add | Tir.Ast.At_sub ->
             (* Subtraction is not associative: each stripe partial is
                -(stripe sum), and refolding those with subtract would
                flip the sign back to +sum. Mirror reference_synthetic:
                fold stripes with add semantics, negate once at the end. *)
-            let sum arr = Array.fold_left ( +. ) 0.0 arr in
-            let total = sum (stripes sum) in
+            let sum ~lo ~hi =
+              let s = ref 0.0 in
+              for j = lo to hi - 1 do
+                s := !s +. a.(j)
+              done;
+              !s
+            in
+            let total = Array.fold_left ( +. ) 0.0 (stripes sum) in
             if planner.P.op = Tir.Ast.At_sub then -.total else total
       end
 

@@ -177,11 +177,14 @@ let cuda_source ?(options = Device_ir.Cuda.default_options) (t : t) (v : Version
   Device_ir.Cuda.emit_program ~options (program t v)
 
 (** Reference result computed on the host, for checking simulated runs. *)
-let reference (t : t) (input : float array) : float =
+let reference ?(lo = 0) ?hi (t : t) (input : float array) : float =
+  let hi = Option.value hi ~default:(Array.length input) in
   let op = Lower.ir_atomic_op t.op in
-  Array.fold_left
-    (fun acc x -> Ir.combine op acc x)
-    (Ir.identity_value op t.elem) input
+  let acc = ref (Ir.identity_value op t.elem) in
+  for i = lo to hi - 1 do
+    acc := Ir.combine op !acc input.(i)
+  done;
+  !acc
 
 (** Host reference over a synthetic input of logical size [n] repeating
     [pattern], in closed form (no multi-hundred-megabyte fold): sums scale

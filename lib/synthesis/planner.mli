@@ -78,8 +78,9 @@ val elem_name : t -> string
 (** The CUDA C rendering of a version (the paper's output path). *)
 val cuda_source : ?options:Device_ir.Cuda.options -> t -> Version.t -> string
 
-(** Host-side reference reduction, for checking simulated runs. *)
-val reference : t -> float array -> float
+(** Host-side reference reduction, for checking simulated runs: a left
+    fold of the elements [lo .. hi-1] (the whole array by default). *)
+val reference : ?lo:int -> ?hi:int -> t -> float array -> float
 
 (** Host reference over a synthetic input (logical size [n] repeating
     [pattern]) in closed form — sums scale by the cycle count, min/max
