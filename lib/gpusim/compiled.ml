@@ -58,9 +58,9 @@ let special (s : Ir.special) : cexp =
   | Ir.Warp_id -> fun fr -> vint (fr.tid lsr 5)
 
 (* The common operators get int and float fast paths; other operators,
-   mixed and boolean operands and traps go through Value.binop. As in
-   the tree walk these closures replaced, the right operand is evaluated
-   before the left. *)
+   mixed and boolean operands and traps go through Value.binop. The
+   right operand is evaluated before the left: when both trap, the
+   right one's message is the one reported. *)
 let binop (op : Ir.binop) (a : cexp) (b : cexp) : cexp =
   let open Value in
   match op with
@@ -252,8 +252,8 @@ let compile (k : Ir.kernel) : t =
     | Ir.Global -> { a_space = Ir.Global; a_slot = find_slot "global array" arrays name }
     | Ir.Shared -> { a_space = Ir.Shared; a_slot = shared_slot name }
   in
-  (* operands compile right to left, the order register slots have
-     always been numbered in (a register bit flip picks its slot) *)
+  (* operands compile right to left: registers get their slots in this
+     order, and a register bit flip picks its target by slot *)
   let rec cexp (e : Ir.exp) : cexp =
     match e with
     | Ir.Int n ->
