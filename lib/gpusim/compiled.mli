@@ -21,7 +21,8 @@ type frame = {
 
 (** A compiled expression: its value in the frame's thread [tid]. Values
     follow {!Value.binop}/{!Value.unop} exactly; the right operand of a
-    binary operator is evaluated before the left. *)
+    binary operator is evaluated before the left, and a select evaluates
+    only the arm it takes. *)
 type cexp = frame -> Value.t
 
 type array_ref = { a_space : Device_ir.Ir.space; a_slot : int }
