@@ -16,7 +16,10 @@
    - [synth]    sweep the shuffle exchange space and register the
                 proof-checked survivors;
    - [serve]    run the reduction service against a synthetic request
-                trace and print the plan-cache metrics report. *)
+                trace and print the plan-cache metrics report;
+   - [profile]  rank the versions for one shape with their kernel
+                counters, optionally beside the CUB, Kokkos and OpenMP
+                baselines. *)
 
 open Cmdliner
 
@@ -65,6 +68,15 @@ let handle_frontend_errors f =
       Printf.eprintf "semantic error: %s\n" msg;
       exit 1
 
+(* the one architecture lookup every subcommand shares *)
+let lookup_arch (name : string) : Tangram.Arch.t =
+  match Tangram.Arch.by_name name with
+  | Some a -> a
+  | None ->
+      Printf.eprintf "unknown architecture %S (kepler|maxwell|pascal|volta)\n"
+        name;
+      exit 1
+
 (* ------------------------------------------------------------------ *)
 (* emit                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -89,10 +101,10 @@ let vectorize_arg =
   Arg.(value & flag & info [ "vectorize" ] ~doc)
 
 let target_arg =
-  let doc = "Output language: 'cuda' (default), 'ptx' or 'ir' (s-expression)." in
+  let doc = "Output language: 'cuda' (default) or 'ptx'." in
   Arg.(
     value
-    & opt (enum [ ("cuda", `Cuda); ("ptx", `Ptx); ("ir", `Ir) ]) `Cuda
+    & opt (enum [ ("cuda", `Cuda); ("ptx", `Ptx) ]) `Cuda
     & info [ "target"; "t" ] ~doc)
 
 let resolve_version (spec : string) : Tangram.Version.t =
@@ -123,10 +135,7 @@ let emit_cmd =
         in
         match target with
         | `Cuda -> print_string (Tangram.Cuda.emit_program ~options program)
-        | `Ptx -> print_string (Tangram.Ptx.emit_program program)
-        | `Ir ->
-            print_string (Tangram.Serialize.program_to_string program);
-            print_newline ())
+        | `Ptx -> print_string (Tangram.Ptx.emit_program program))
   in
   Cmd.v
     (Cmd.info "emit"
@@ -464,12 +473,7 @@ let check_replay ~exe (rp : replay) : unit =
 let replay_archs (rp : replay) : Tangram.Arch.t list =
   match rp.arch_name with
   | None -> Tangram.Arch.presets
-  | Some name -> (
-      match Tangram.Arch.by_name name with
-      | Some a -> [ a ]
-      | None ->
-          Printf.eprintf "unknown architecture %S\n" name;
-          exit 1)
+  | Some name -> [ lookup_arch name ]
 
 (* The service both commands replay through: the fault injector armed
    from the shared flags, kernel profiling from --kernel-counters. *)
@@ -665,8 +669,11 @@ let monitor_cmd =
         let archs = replay_archs rp in
         let svc = replay_service rp obs plan in
         Fleet_cli.attach ~exe fleet ~arch:(List.hd archs) svc;
-        Tangram.Service.attach_monitor ~snapshot_every
-          ~latency_mult ~latency_target svc;
+        let mon =
+          Tangram.Monitor.create ~snapshot_every ~latency_mult ~latency_target
+            (Tangram.Service.stats svc)
+        in
+        Tangram.Service.set_monitor svc (Some mon);
         let spec =
           Tangram.Trace.default ~requests:rp.requests ~seed:rp.trace_seed ~archs
             ()
@@ -679,8 +686,8 @@ let monitor_cmd =
         (* batch size 1: one request = one monitoring step, so the
            dashboard's request counts match --requests *)
         ignore (Tangram.Trace.replay ~batch_size:1 ~dense_upto:4096 svc trace);
-        Tangram.Service.monitor_snapshot svc;
-        let now = Tangram.Service.monitor_now_us svc in
+        Tangram.Monitor.snapshot mon;
+        let now = Tangram.Monitor.now_us mon in
         Printf.printf "\nvirtual clock: %.0f us over %d requests\n" now
           rp.requests;
         (* --- windowed time series --- *)
@@ -745,27 +752,25 @@ let monitor_cmd =
               (burn b.Tangram.Obs.Slo.br_slow)
               (if Tangram.Obs.Slo.firing slo then "FIRING" else "ok")
               (Tangram.Obs.Slo.fired_count slo))
-          (Tangram.Service.monitor_slos svc);
+          (Tangram.Monitor.slos mon);
         (* --- incidents --- *)
-        (match Tangram.Service.monitor_recorder svc with
-        | None -> ()
-        | Some recorder ->
-            let incs = Tangram.Recorder.incidents recorder in
-            Printf.printf "\n=== incidents (%d dumped, %d retained) ===\n"
-              (Tangram.Recorder.incidents_dumped recorder)
-              (List.length incs);
+        let recorder = Tangram.Monitor.recorder mon in
+        let incs = Tangram.Recorder.incidents recorder in
+        Printf.printf "\n=== incidents (%d dumped, %d retained) ===\n"
+          (Tangram.Recorder.incidents_dumped recorder)
+          (List.length incs);
+        List.iter
+          (fun (inc : Tangram.Recorder.incident) ->
+            Printf.printf "  #%04d at %12.0f us   trigger %s\n"
+              inc.Tangram.Recorder.in_seq inc.Tangram.Recorder.in_now_us
+              (Tangram.Recorder.trigger_kind inc.Tangram.Recorder.in_trigger))
+          incs;
+        (match incident_dir with
+        | Some dir ->
             List.iter
-              (fun (inc : Tangram.Recorder.incident) ->
-                Printf.printf "  #%04d at %12.0f us   trigger %s\n"
-                  inc.Tangram.Recorder.in_seq inc.Tangram.Recorder.in_now_us
-                  (Tangram.Recorder.trigger_kind inc.Tangram.Recorder.in_trigger))
-              incs;
-            match incident_dir with
-            | Some dir ->
-                List.iter
-                  (fun p -> Printf.printf "wrote %s\n" p)
-                  (Tangram.Recorder.save_all recorder dir)
-            | None -> ());
+              (fun p -> Printf.printf "wrote %s\n" p)
+              (Tangram.Recorder.save_all recorder dir)
+        | None -> ());
         print_newline ();
         print_string (Obs_cli.render_report obs (Tangram.Service.stats svc));
         Obs_cli.save_trace obs;
@@ -788,7 +793,8 @@ let monitor_cmd =
 
 (* The nvprof-table analogue: run versions for one shape and print each
    one's aggregated simulator counters (the same [Gpusim.Events] totals
-   the service aggregates under --kernel-counters), fastest first. *)
+   the service aggregates under --kernel-counters), fastest first; with
+   --baselines the paper's CUB, Kokkos and OpenMP rows follow. *)
 let profile_cmd =
   let arch_arg =
     let doc = "Simulated architecture: kepler, maxwell, pascal or volta." in
@@ -810,15 +816,12 @@ let profile_cmd =
     let doc = "Print the table as a JSON array instead of text." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run spectrum source arch_name n tune all_variants json =
-    let arch =
-      match Tangram.Arch.by_name arch_name with
-      | Some a -> a
-      | None ->
-          Printf.eprintf "unknown architecture %S (kepler|maxwell|pascal|volta)\n"
-            arch_name;
-          exit 1
-    in
+  let baselines_arg =
+    let doc = "Also run the CUB, Kokkos and OpenMP baselines on the same input." in
+    Arg.(value & flag & info [ "baselines" ] ~doc)
+  in
+  let run spectrum source arch_name n tune all_variants json baselines =
+    let arch = lookup_arch arch_name in
     if n < 1 then usage_error ~exe:"tangramc profile" "--size must be at least 1";
     handle_frontend_errors (fun () ->
         let plan = load_planner spectrum source in
@@ -839,6 +842,18 @@ let profile_cmd =
             Tangram.Runner.Synthetic
               { n; pattern = Array.init 1024 (fun i -> float_of_int (i land 7)) }
         in
+        (* a row: label, simulated time, kernel counters (none for the
+           CPU baseline) *)
+        let gpu_row label (o : Tangram.Runner.outcome) =
+          ( label,
+            o.Tangram.Runner.time_us,
+            Some
+              (Tangram.Events.totals_of_list
+                 (List.map
+                    (fun (lr : Tangram.Interp.launch_result) ->
+                      lr.Tangram.Interp.lr_events)
+                    o.Tangram.Runner.launch_results)) )
+        in
         let rows =
           List.filter_map
             (fun v ->
@@ -851,39 +866,43 @@ let profile_cmd =
                 in
                 Tangram.Runner.run_compiled ~opts ~arch ?tunables ~input cp
               with
-              | o ->
-                  let totals =
-                    Tangram.Events.totals_of_list
-                      (List.map
-                         (fun (lr : Tangram.Interp.launch_result) ->
-                           lr.Tangram.Interp.lr_events)
-                         o.Tangram.Runner.launch_results)
-                  in
-                  Some (v, o, totals)
+              | o -> Some (gpu_row (Tangram.Version.name v) o)
               | exception Tangram.Interp.Sim_error _ -> None
               | exception Tangram.Validate.Invalid _ -> None
               | exception Tangram.Race.Racy _ -> None
               | exception Invalid_argument _ -> None)
             versions
         in
-        let rows =
-          List.sort
-            (fun (_, (a : Tangram.Runner.outcome), _) (_, b, _) ->
-              compare a.Tangram.Runner.time_us b.Tangram.Runner.time_us)
-            rows
+        let rows = List.sort (fun (_, a, _) (_, b, _) -> compare a b) rows in
+        let baseline_rows =
+          if not baselines then []
+          else
+            [
+              gpu_row "CUB 1.8.0 (hand-written)" (Tangram.Cub.run ~opts ~arch input);
+              gpu_row "Kokkos (GPU backend)" (Tangram.Kokkos.run ~opts ~arch input);
+              ( "OpenMP (2x POWER8+)",
+                (Tangram.Openmp.run input).Tangram.Openmp.time_us,
+                None );
+            ]
         in
         if json then begin
-          let row_json (v, (o : Tangram.Runner.outcome), totals) =
+          let row_json key (label, time_us, totals) =
             Tangram.Obs.Json.Obj
-              (("version", Tangram.Obs.Json.Str (Tangram.Version.name v))
-              :: ("time_us", Tangram.Obs.Json.Num o.Tangram.Runner.time_us)
-              :: List.map
-                   (fun (k, x) -> (k, Tangram.Obs.Json.Num x))
-                   (Tangram.Events.totals_fields totals))
+              ((key, Tangram.Obs.Json.Str label)
+              :: ("time_us", Tangram.Obs.Json.Num time_us)
+              ::
+              (match totals with
+              | Some t ->
+                  List.map
+                    (fun (k, x) -> (k, Tangram.Obs.Json.Num x))
+                    (Tangram.Events.totals_fields t)
+              | None -> []))
           in
           print_endline
             (Tangram.Obs.Json.to_string
-               (Tangram.Obs.Json.Arr (List.map row_json rows)))
+               (Tangram.Obs.Json.Arr
+                  (List.map (row_json "version") rows
+                  @ List.map (row_json "baseline") baseline_rows)))
         end
         else begin
           Printf.printf "profiling %d version(s) on %s, n = %d%s\n\n"
@@ -892,26 +911,35 @@ let profile_cmd =
           Printf.printf "%-34s %12s %12s %10s %12s %12s %10s %14s\n" "version"
             "time us" "warp insts" "shfl" "shared ser" "glb atomics" "max heat"
             "dram bytes";
-          List.iter
-            (fun (v, (o : Tangram.Runner.outcome), t) ->
-              Printf.printf
-                "%-34s %12.2f %12.0f %10.0f %12.0f %12.0f %10.0f %14.0f\n"
-                (Tangram.Version.name v) o.Tangram.Runner.time_us
-                t.Tangram.Events.t_warp_insts t.Tangram.Events.t_shfl_insts
-                t.Tangram.Events.t_shared_serial
-                t.Tangram.Events.t_atomic_global_ops t.Tangram.Events.t_max_heat
-                t.Tangram.Events.t_bytes_dram)
-            rows
+          let print_row (label, time_us, totals) =
+            match totals with
+            | Some t ->
+                Printf.printf
+                  "%-34s %12.2f %12.0f %10.0f %12.0f %12.0f %10.0f %14.0f\n"
+                  label time_us t.Tangram.Events.t_warp_insts
+                  t.Tangram.Events.t_shfl_insts t.Tangram.Events.t_shared_serial
+                  t.Tangram.Events.t_atomic_global_ops
+                  t.Tangram.Events.t_max_heat t.Tangram.Events.t_bytes_dram
+            | None ->
+                Printf.printf "%-34s %12.2f %12s %10s %12s %12s %10s %14s\n"
+                  label time_us "-" "-" "-" "-" "-" "-"
+          in
+          List.iter print_row rows;
+          if baseline_rows <> [] then begin
+            print_newline ();
+            List.iter print_row baseline_rows
+          end
         end)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Run code versions for one shape and print their per-version \
-          simulator kernel counters (the nvprof-table analogue)")
+          simulator kernel counters (the nvprof-table analogue), optionally \
+          next to the CUB, Kokkos and OpenMP baselines")
     Term.(
       const run $ spectrum_arg $ source_arg $ arch_arg $ n_arg $ tune_arg
-      $ all_variants_arg $ json_arg)
+      $ all_variants_arg $ json_arg $ baselines_arg)
 
 (* ------------------------------------------------------------------ *)
 (* access                                                              *)
@@ -966,14 +994,7 @@ let access_cmd =
     let archs =
       if String.lowercase_ascii arch_name = "all" then
         Tangram.Arch.presets @ [ Tangram.Arch.volta_v100 ]
-      else
-        match Tangram.Arch.by_name arch_name with
-        | Some a -> [ a ]
-        | None ->
-            Printf.eprintf
-              "unknown architecture %S (kepler|maxwell|pascal|volta|all)\n"
-              arch_name;
-            exit 1
+      else [ lookup_arch arch_name ]
     in
     if n < 1 then usage_error ~exe:"tangramc access" "--size must be at least 1";
     handle_frontend_errors (fun () ->

@@ -4,7 +4,6 @@
     heavily, exposing the Kepler (lock-update-unlock) vs Maxwell (native)
     gap. *)
 
-val bins : int
 val block : int
 val kernel : Device_ir.Ir.kernel
 

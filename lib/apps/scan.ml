@@ -135,8 +135,8 @@ let compiled =
 type outcome = { scanned : float array; time_us : float }
 
 (** Inclusive prefix sum of [input] on the simulated [arch]. *)
-let inclusive ?(opts = I.exact) ~(arch : Gpusim.Arch.t) (input : float array) :
-    outcome =
+let inclusive ~(arch : Gpusim.Arch.t) (input : float array) : outcome =
+  let opts = I.exact in
   List.iter Device_ir.Validate.check_kernel_exn
     [ scan_block_kernel; scan_sums_kernel; add_offsets_kernel ];
   (* the cleanup kernel runs one thread of one block; checking it at the
@@ -170,8 +170,8 @@ let inclusive ?(opts = I.exact) ~(arch : Gpusim.Arch.t) (input : float array) :
   { scanned = scanned.I.data; time_us = Gpusim.Cost.of_program arch ~n_inits:0 costs }
 
 (** Exclusive scan, derived by shifting the inclusive result. *)
-let exclusive ?opts ~arch (input : float array) : outcome =
-  let o = inclusive ?opts ~arch input in
+let exclusive ~arch (input : float array) : outcome =
+  let o = inclusive ~arch input in
   let n = Array.length input in
   let shifted = Array.make n 0.0 in
   for i = 1 to n - 1 do

@@ -8,24 +8,14 @@
 
 val block : int
 
-(** Kogge-Stone inclusive scan of register [x] within each warp. [t] and
-    [d] name the scratch and iterator registers. *)
-val warp_scan : string -> t:string -> d:string -> Device_ir.Ir.stmt list
-
-val scan_block_kernel : Device_ir.Ir.kernel
-val scan_sums_kernel : Device_ir.Ir.kernel
-val add_offsets_kernel : Device_ir.Ir.kernel
-
 type outcome = { scanned : float array; time_us : float }
 
 (** Inclusive prefix sum of [input]. @raise Invalid_argument on empty
     input. *)
-val inclusive :
-  ?opts:Gpusim.Interp.options -> arch:Gpusim.Arch.t -> float array -> outcome
+val inclusive : arch:Gpusim.Arch.t -> float array -> outcome
 
 (** Exclusive scan, derived by shifting the inclusive result. *)
-val exclusive :
-  ?opts:Gpusim.Interp.options -> arch:Gpusim.Arch.t -> float array -> outcome
+val exclusive : arch:Gpusim.Arch.t -> float array -> outcome
 
 (** Host reference (inclusive). *)
 val reference : float array -> float array

@@ -1,9 +1,5 @@
 (** Shared device-IR building blocks for the hand-written baselines. *)
 
-(** Warp-level shuffle reduction of register [acc]:
-    [for off = 16..1: acc += __shfl_down(acc, off)]. *)
-val warp_shfl_tree : fresh:(string -> string) -> string -> Device_ir.Ir.stmt list
-
 (** CUB-style BlockReduce over per-thread partials in [acc]: shuffle tree
     per warp, lane-0 partials through shared memory, first warp reduces
     them. After this, thread 0's [acc] holds the block total. Returns the

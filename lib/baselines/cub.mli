@@ -14,15 +14,8 @@ val vec : int
 (** The even-share grid size as a host expression over the input size. *)
 val grid_hexp : Gpusim.Arch.t -> Device_ir.Ir.hexp
 
-val upsweep_kernel : unit -> Device_ir.Ir.kernel
-val downsweep_kernel : unit -> Device_ir.Ir.kernel
-
 (** The whole two-kernel program for one architecture. *)
 val program : Gpusim.Arch.t -> Device_ir.Ir.program
-
-(** Host-side overhead of the two-phase [cub::DeviceReduce] API (size
-    query + temp-storage allocation). *)
-val api_overhead_us : Gpusim.Arch.t -> float
 
 val compiled : Gpusim.Arch.t -> Gpusim.Runner.compiled_program
 

@@ -9,9 +9,6 @@
 
 val block : int
 val grid_hexp : Gpusim.Arch.t -> Device_ir.Ir.hexp
-val setup_kernel : unit -> Device_ir.Ir.kernel
-val main_kernel : unit -> Device_ir.Ir.kernel
-val final_kernel : unit -> Device_ir.Ir.kernel
 val program : Gpusim.Arch.t -> Device_ir.Ir.program
 val compiled : Gpusim.Arch.t -> Gpusim.Runner.compiled_program
 

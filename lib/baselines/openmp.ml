@@ -49,7 +49,7 @@ let time_us (cpu : cpu) ~(n : int) : float =
   in
   cpu.fork_join_us +. Float.max bw_us compute_us
 
-let run ?(cpu = power8_minsky) (input : Gpusim.Runner.input) : outcome =
+let run (input : Gpusim.Runner.input) : outcome =
   let n = Gpusim.Runner.input_size input in
   let result =
     match input with
@@ -65,4 +65,4 @@ let run ?(cpu = power8_minsky) (input : Gpusim.Runner.input) : outcome =
         done;
         (float_of_int full *. pat_sum) +. !tail
   in
-  { result; time_us = time_us cpu ~n }
+  { result; time_us = time_us power8_minsky ~n }

@@ -23,5 +23,6 @@ type outcome = { result : float; time_us : float }
 (** The model's time for [n] 32-bit elements. *)
 val time_us : cpu -> n:int -> float
 
-(** Reduce [input] (exactly) and estimate the wall clock. *)
-val run : ?cpu:cpu -> Gpusim.Runner.input -> outcome
+(** Reduce [input] (exactly) and estimate the wall clock on
+    {!power8_minsky}. *)
+val run : Gpusim.Runner.input -> outcome

@@ -66,6 +66,7 @@ module Trace = Runtime.Trace
 module Tolerance = Runtime.Tolerance
 module Guard = Runtime.Guard
 module Recorder = Runtime.Recorder
+module Monitor = Runtime.Monitor
 (* the whole observability layer ([Obs.Trace], [Obs.Log], [Obs.Json]);
    [Trace] above is the request-trace replayer, a different thing *)
 module Obs = Obs

@@ -72,8 +72,12 @@ module Tolerance = Runtime.Tolerance
 module Guard = Runtime.Guard
 
 (** The black-box flight recorder: per-request ring plus incident
-    bundles ({!Service.attach_monitor}). *)
+    bundles ({!Monitor}). *)
 module Recorder = Runtime.Recorder
+
+(** The service monitor: windowed metrics, SLO burn rates and the flight
+    recorder ({!Service.set_monitor}). *)
+module Monitor = Runtime.Monitor
 
 (** The observability layer ({!Obs.Trace}, {!Obs.Log}, {!Obs.Json},
     {!Obs.Metrics}, {!Obs.Slo}); {!Trace} above is the request-trace

@@ -181,40 +181,3 @@ let rec arrays_used (body : Ir.stmt list) : (string * Ir.space) list =
     | Ir.Let _ | Ir.Shfl _ | Ir.Sync | Ir.Comment _ -> acc
   in
   List.sort_uniq compare (List.fold_left one [] body)
-
-(* ------------------------------------------------------------------ *)
-(* Static instruction statistics (used in tests and reports)           *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  n_stmts : int;
-  n_shfl : int;
-  n_atomic_shared : int;
-  n_atomic_global : int;
-  n_sync : int;
-  n_loads : int;
-  n_stores : int;
-}
-
-let stats_of_kernel (k : Ir.kernel) : stats =
-  let z = ref { n_stmts = 0; n_shfl = 0; n_atomic_shared = 0; n_atomic_global = 0;
-                n_sync = 0; n_loads = 0; n_stores = 0 }
-  in
-  let bump f = z := f !z in
-  let rec go (s : Ir.stmt) =
-    bump (fun st -> { st with n_stmts = st.n_stmts + 1 });
-    match s with
-    | Ir.Shfl _ -> bump (fun st -> { st with n_shfl = st.n_shfl + 1 })
-    | Ir.Atomic { space = Ir.Shared; _ } ->
-        bump (fun st -> { st with n_atomic_shared = st.n_atomic_shared + 1 })
-    | Ir.Atomic { space = Ir.Global; _ } ->
-        bump (fun st -> { st with n_atomic_global = st.n_atomic_global + 1 })
-    | Ir.Sync -> bump (fun st -> { st with n_sync = st.n_sync + 1 })
-    | Ir.Load _ | Ir.Vec_load _ -> bump (fun st -> { st with n_loads = st.n_loads + 1 })
-    | Ir.Store _ -> bump (fun st -> { st with n_stores = st.n_stores + 1 })
-    | Ir.If (_, t, e) -> List.iter go t; List.iter go e
-    | Ir.For { body; _ } | Ir.While (_, body) -> List.iter go body
-    | Ir.Let _ | Ir.Comment _ -> ()
-  in
-  List.iter go k.Ir.k_body;
-  !z

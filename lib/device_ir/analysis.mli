@@ -33,7 +33,6 @@ val exp_level : tainted:level SM.t -> Ir.exp -> level
 val level_stmts : level SM.t -> Ir.stmt list -> level SM.t
 
 val exp_uses : Ir.exp -> SS.t
-val stmt_defs : Ir.stmt -> string list
 
 (** All registers defined anywhere in a statement list, including loop
     iterators and nested definitions. *)
@@ -45,15 +44,3 @@ val all_uses : Ir.stmt list -> SS.t
 (** Global / shared array names referenced by a statement list. *)
 val arrays_used : Ir.stmt list -> (string * Ir.space) list
 
-type stats = {
-  n_stmts : int;
-  n_shfl : int;
-  n_atomic_shared : int;
-  n_atomic_global : int;
-  n_sync : int;
-  n_loads : int;
-  n_stores : int;
-}
-
-(** Static instruction statistics of a kernel (tests and reports). *)
-val stats_of_kernel : Ir.kernel -> stats

@@ -11,20 +11,9 @@ type options = {
 
 val default_options : options
 
-val scalar_c : Ir.scalar -> string
-val special_c : Ir.special -> string
-val exp_c : Ir.exp -> string
-
-(** The CUDA intrinsic name of an atomic operation at a scope;
-    shared-memory atomics never carry a scope suffix. *)
-val atomic_name : Ir.atomic_op -> Ir.scope -> shared:bool -> string
-
 (** Render one kernel as a [__global__] function. [elem] types the value
     registers. *)
 val emit_kernel : ?options:options -> elem:Ir.scalar -> Ir.kernel -> string
-
-(** Render a host expression as C++ over [n] and the tunable macros. *)
-val hexp_cpp : Ir.hexp -> string
 
 (** Render a whole program as one .cu translation unit: tunable macros,
     the kernels, and a host entry point performing the allocations,

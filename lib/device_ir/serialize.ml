@@ -1,11 +1,4 @@
-(* S-expression (de)serialization of device-IR programs.
-
-   Lowered programs can be written to disk ([tangramc emit --target ir])
-   and executed later ([reduce-explorer --program file.sexp]), decoupling
-   synthesis from simulation. The format is a plain S-expression mirroring
-   the IR constructors; every program round-trips bit-exactly
-   ([program_of_string (program_to_string p) = p] is a test-suite property
-   over the whole 88-version search space).
+(* S-expressions: the plan cache's on-disk format.
 
    The reader/printer is self-contained (sexplib0 ships only the type, not
    a parser): atoms are bare words or quoted strings with the usual
@@ -143,413 +136,3 @@ let parse_sexp (src : string) : sexp =
   skip_ws ();
   if !pos <> n then fail "trailing input after the s-expression";
   result
-
-(* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let a s = Atom s
-let int_s i = Atom (string_of_int i)
-
-let float_s (f : float) : sexp =
-  (* hex floats round-trip exactly *)
-  Atom (Printf.sprintf "%h" f)
-
-let scalar_s (t : Ir.scalar) : sexp =
-  a (match t with Ir.I32 -> "i32" | Ir.U32 -> "u32" | Ir.F32 -> "f32" | Ir.Pred -> "pred")
-
-let binop_name (op : Ir.binop) : string =
-  match op with
-  | Ir.Add -> "add" | Ir.Sub -> "sub" | Ir.Mul -> "mul" | Ir.Div -> "div"
-  | Ir.Rem -> "rem" | Ir.Min -> "min" | Ir.Max -> "max"
-  | Ir.And -> "and" | Ir.Or -> "or" | Ir.Xor -> "xor" | Ir.Shl -> "shl" | Ir.Shr -> "shr"
-  | Ir.Eq -> "eq" | Ir.Ne -> "ne" | Ir.Lt -> "lt" | Ir.Le -> "le" | Ir.Gt -> "gt"
-  | Ir.Ge -> "ge" | Ir.Land -> "land" | Ir.Lor -> "lor"
-
-let special_name (s : Ir.special) : string =
-  match s with
-  | Ir.Thread_idx -> "tid" | Ir.Block_idx -> "bid" | Ir.Block_dim -> "bdim"
-  | Ir.Grid_dim -> "gdim" | Ir.Warp_size -> "warpsize" | Ir.Lane_id -> "lane"
-  | Ir.Warp_id -> "warp"
-
-let atomic_op_name (op : Ir.atomic_op) : string =
-  match op with Ir.A_add -> "add" | Ir.A_sub -> "sub" | Ir.A_min -> "min" | Ir.A_max -> "max"
-
-let scope_name (s : Ir.scope) : string =
-  match s with Ir.Scope_block -> "block" | Ir.Scope_device -> "device" | Ir.Scope_system -> "system"
-
-let shuffle_name (m : Ir.shuffle_mode) : string =
-  match m with Ir.Shfl_down -> "down" | Ir.Shfl_up -> "up" | Ir.Shfl_xor -> "xor" | Ir.Shfl_idx -> "idx"
-
-let space_name (s : Ir.space) : string =
-  match s with Ir.Global -> "global" | Ir.Shared -> "shared"
-
-let rec exp_s (e : Ir.exp) : sexp =
-  match e with
-  | Ir.Int n -> List [ a "int"; int_s n ]
-  | Ir.Float f -> List [ a "float"; float_s f ]
-  | Ir.Bool b -> List [ a "bool"; a (string_of_bool b) ]
-  | Ir.Reg r -> List [ a "reg"; a r ]
-  | Ir.Param p -> List [ a "param"; a p ]
-  | Ir.Special s -> List [ a "special"; a (special_name s) ]
-  | Ir.Unop (op, x) ->
-      List [ a "unop"; a (match op with Ir.Neg -> "neg" | Ir.Bnot -> "bnot" | Ir.Lnot -> "lnot"); exp_s x ]
-  | Ir.Binop (op, x, y) -> List [ a "binop"; a (binop_name op); exp_s x; exp_s y ]
-  | Ir.Select (c, x, y) -> List [ a "select"; exp_s c; exp_s x; exp_s y ]
-
-let rec stmt_s (s : Ir.stmt) : sexp =
-  match s with
-  | Ir.Let (r, e) -> List [ a "let"; a r; exp_s e ]
-  | Ir.Load { dst; space; arr; idx } ->
-      List [ a "load"; a dst; a (space_name space); a arr; exp_s idx ]
-  | Ir.Store { space; arr; idx; v } ->
-      List [ a "store"; a (space_name space); a arr; exp_s idx; exp_s v ]
-  | Ir.Vec_load { dsts; arr; base } ->
-      List [ a "vecload"; List (List.map a dsts); a arr; exp_s base ]
-  | Ir.Atomic { dst; space; op; scope; arr; idx; v } ->
-      List
-        [
-          a "atomic";
-          (match dst with Some d -> List [ a "dst"; a d ] | None -> a "nodst");
-          a (space_name space);
-          a (atomic_op_name op);
-          a (scope_name scope);
-          a arr;
-          exp_s idx;
-          exp_s v;
-        ]
-  | Ir.Shfl { dst; mode; v; lane; width } ->
-      List [ a "shfl"; a dst; a (shuffle_name mode); exp_s v; exp_s lane; int_s width ]
-  | Ir.Sync -> a "sync"
-  | Ir.Comment c -> List [ a "comment"; a c ]
-  | Ir.If (c, t, e) ->
-      List [ a "if"; exp_s c; List (List.map stmt_s t); List (List.map stmt_s e) ]
-  | Ir.For { var; init; cond; step; body } ->
-      List [ a "for"; a var; exp_s init; exp_s cond; exp_s step; List (List.map stmt_s body) ]
-  | Ir.While (c, body) -> List [ a "while"; exp_s c; List (List.map stmt_s body) ]
-
-let shared_decl_s (d : Ir.shared_decl) : sexp =
-  List
-    [
-      a d.Ir.sh_name;
-      scalar_s d.Ir.sh_ty;
-      (match d.Ir.sh_size with
-      | Ir.Static_size n -> List [ a "static"; int_s n ]
-      | Ir.Dynamic_size -> a "dynamic");
-    ]
-
-let kernel_s (k : Ir.kernel) : sexp =
-  List
-    [
-      a "kernel";
-      a k.Ir.k_name;
-      List [ a "params"; List (List.map (fun (n, t) -> List [ a n; scalar_s t ]) k.Ir.k_params) ];
-      List [ a "arrays"; List (List.map (fun (n, t) -> List [ a n; scalar_s t ]) k.Ir.k_arrays) ];
-      List [ a "shared"; List (List.map shared_decl_s k.Ir.k_shared) ];
-      List [ a "body"; List (List.map stmt_s k.Ir.k_body) ];
-    ]
-
-let rec hexp_s (h : Ir.hexp) : sexp =
-  match h with
-  | Ir.H_int n -> List [ a "int"; int_s n ]
-  | Ir.H_input_size -> a "n"
-  | Ir.H_tunable t -> List [ a "tunable"; a t ]
-  | Ir.H_add (x, y) -> List [ a "add"; hexp_s x; hexp_s y ]
-  | Ir.H_sub (x, y) -> List [ a "sub"; hexp_s x; hexp_s y ]
-  | Ir.H_mul (x, y) -> List [ a "mul"; hexp_s x; hexp_s y ]
-  | Ir.H_div (x, y) -> List [ a "div"; hexp_s x; hexp_s y ]
-  | Ir.H_ceil_div (x, y) -> List [ a "ceildiv"; hexp_s x; hexp_s y ]
-  | Ir.H_min (x, y) -> List [ a "min"; hexp_s x; hexp_s y ]
-  | Ir.H_max (x, y) -> List [ a "max"; hexp_s x; hexp_s y ]
-
-let harg_s (x : Ir.harg) : sexp =
-  match x with
-  | Ir.Arg_buffer b -> List [ a "buffer"; a b ]
-  | Ir.Arg_scalar h -> List [ a "scalar"; hexp_s h ]
-
-let buffer_s (b : Ir.buffer) : sexp =
-  List
-    [
-      a b.Ir.buf_name;
-      scalar_s b.Ir.buf_ty;
-      hexp_s b.Ir.buf_size;
-      (match b.Ir.buf_init with None -> a "noinit" | Some f -> List [ a "init"; float_s f ]);
-    ]
-
-let launch_s (l : Ir.launch) : sexp =
-  List
-    [
-      a "launch";
-      a l.Ir.ln_kernel;
-      hexp_s l.Ir.ln_grid;
-      hexp_s l.Ir.ln_block;
-      hexp_s l.Ir.ln_shared_elems;
-      List (List.map harg_s l.Ir.ln_args);
-    ]
-
-let program_s (p : Ir.program) : sexp =
-  List
-    [
-      a "program";
-      a p.Ir.p_name;
-      scalar_s p.Ir.p_elem;
-      List [ a "kernels"; List (List.map kernel_s p.Ir.p_kernels) ];
-      List [ a "buffers"; List (List.map buffer_s p.Ir.p_buffers) ];
-      List [ a "launches"; List (List.map launch_s p.Ir.p_launches) ];
-      List
-        [
-          a "tunables";
-          List
-            (List.map
-               (fun (n, cs) -> List (a n :: List.map int_s cs))
-               p.Ir.p_tunables);
-        ];
-      List [ a "result"; a p.Ir.p_result ];
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let expect_atom = function Atom s -> s | List _ -> fail "expected an atom"
-
-let int_of = function
-  | Atom s -> ( match int_of_string_opt s with Some i -> i | None -> fail "bad int %S" s)
-  | List _ -> fail "expected an integer atom"
-
-let float_of = function
-  | Atom s -> (
-      match float_of_string_opt s with Some f -> f | None -> fail "bad float %S" s)
-  | List _ -> fail "expected a float atom"
-
-let scalar_of s =
-  match expect_atom s with
-  | "i32" -> Ir.I32
-  | "u32" -> Ir.U32
-  | "f32" -> Ir.F32
-  | "pred" -> Ir.Pred
-  | other -> fail "unknown scalar type %S" other
-
-let binop_of (s : string) : Ir.binop =
-  match s with
-  | "add" -> Ir.Add | "sub" -> Ir.Sub | "mul" -> Ir.Mul | "div" -> Ir.Div
-  | "rem" -> Ir.Rem | "min" -> Ir.Min | "max" -> Ir.Max
-  | "and" -> Ir.And | "or" -> Ir.Or | "xor" -> Ir.Xor | "shl" -> Ir.Shl | "shr" -> Ir.Shr
-  | "eq" -> Ir.Eq | "ne" -> Ir.Ne | "lt" -> Ir.Lt | "le" -> Ir.Le | "gt" -> Ir.Gt
-  | "ge" -> Ir.Ge | "land" -> Ir.Land | "lor" -> Ir.Lor
-  | other -> fail "unknown binop %S" other
-
-let special_of (s : string) : Ir.special =
-  match s with
-  | "tid" -> Ir.Thread_idx | "bid" -> Ir.Block_idx | "bdim" -> Ir.Block_dim
-  | "gdim" -> Ir.Grid_dim | "warpsize" -> Ir.Warp_size | "lane" -> Ir.Lane_id
-  | "warp" -> Ir.Warp_id
-  | other -> fail "unknown special %S" other
-
-let space_of (s : string) : Ir.space =
-  match s with
-  | "global" -> Ir.Global
-  | "shared" -> Ir.Shared
-  | other -> fail "unknown space %S" other
-
-let atomic_op_of (s : string) : Ir.atomic_op =
-  match s with
-  | "add" -> Ir.A_add | "sub" -> Ir.A_sub | "min" -> Ir.A_min | "max" -> Ir.A_max
-  | other -> fail "unknown atomic op %S" other
-
-let scope_of (s : string) : Ir.scope =
-  match s with
-  | "block" -> Ir.Scope_block | "device" -> Ir.Scope_device | "system" -> Ir.Scope_system
-  | other -> fail "unknown scope %S" other
-
-let shuffle_of (s : string) : Ir.shuffle_mode =
-  match s with
-  | "down" -> Ir.Shfl_down | "up" -> Ir.Shfl_up | "xor" -> Ir.Shfl_xor | "idx" -> Ir.Shfl_idx
-  | other -> fail "unknown shuffle mode %S" other
-
-let rec exp_of (s : sexp) : Ir.exp =
-  match s with
-  | List [ Atom "int"; n ] -> Ir.Int (int_of n)
-  | List [ Atom "float"; f ] -> Ir.Float (float_of f)
-  | List [ Atom "bool"; b ] -> Ir.Bool (expect_atom b = "true")
-  | List [ Atom "reg"; r ] -> Ir.Reg (expect_atom r)
-  | List [ Atom "param"; p ] -> Ir.Param (expect_atom p)
-  | List [ Atom "special"; sp ] -> Ir.Special (special_of (expect_atom sp))
-  | List [ Atom "unop"; op; x ] ->
-      let op =
-        match expect_atom op with
-        | "neg" -> Ir.Neg
-        | "bnot" -> Ir.Bnot
-        | "lnot" -> Ir.Lnot
-        | other -> fail "unknown unop %S" other
-      in
-      Ir.Unop (op, exp_of x)
-  | List [ Atom "binop"; op; x; y ] ->
-      Ir.Binop (binop_of (expect_atom op), exp_of x, exp_of y)
-  | List [ Atom "select"; c; x; y ] -> Ir.Select (exp_of c, exp_of x, exp_of y)
-  | _ -> fail "malformed expression"
-
-let rec stmt_of (s : sexp) : Ir.stmt =
-  match s with
-  | List [ Atom "let"; r; e ] -> Ir.Let (expect_atom r, exp_of e)
-  | List [ Atom "load"; dst; sp; arr; idx ] ->
-      Ir.Load
-        { dst = expect_atom dst; space = space_of (expect_atom sp);
-          arr = expect_atom arr; idx = exp_of idx }
-  | List [ Atom "store"; sp; arr; idx; v ] ->
-      Ir.Store
-        { space = space_of (expect_atom sp); arr = expect_atom arr; idx = exp_of idx;
-          v = exp_of v }
-  | List [ Atom "vecload"; List dsts; arr; base ] ->
-      Ir.Vec_load
-        { dsts = List.map expect_atom dsts; arr = expect_atom arr; base = exp_of base }
-  | List [ Atom "atomic"; dst; sp; op; scope; arr; idx; v ] ->
-      let dst =
-        match dst with
-        | Atom "nodst" -> None
-        | List [ Atom "dst"; d ] -> Some (expect_atom d)
-        | _ -> fail "malformed atomic destination"
-      in
-      Ir.Atomic
-        { dst; space = space_of (expect_atom sp); op = atomic_op_of (expect_atom op);
-          scope = scope_of (expect_atom scope); arr = expect_atom arr;
-          idx = exp_of idx; v = exp_of v }
-  | List [ Atom "shfl"; dst; mode; v; lane; width ] ->
-      Ir.Shfl
-        { dst = expect_atom dst; mode = shuffle_of (expect_atom mode); v = exp_of v;
-          lane = exp_of lane; width = int_of width }
-  | Atom "sync" -> Ir.Sync
-  | List [ Atom "comment"; c ] -> Ir.Comment (expect_atom c)
-  | List [ Atom "if"; c; List t; List e ] ->
-      Ir.If (exp_of c, List.map stmt_of t, List.map stmt_of e)
-  | List [ Atom "for"; var; init; cond; step; List body ] ->
-      Ir.For
-        { var = expect_atom var; init = exp_of init; cond = exp_of cond;
-          step = exp_of step; body = List.map stmt_of body }
-  | List [ Atom "while"; c; List body ] -> Ir.While (exp_of c, List.map stmt_of body)
-  | _ -> fail "malformed statement"
-
-let shared_decl_of (s : sexp) : Ir.shared_decl =
-  match s with
-  | List [ name; ty; size ] ->
-      {
-        Ir.sh_name = expect_atom name;
-        sh_ty = scalar_of ty;
-        sh_size =
-          (match size with
-          | Atom "dynamic" -> Ir.Dynamic_size
-          | List [ Atom "static"; n ] -> Ir.Static_size (int_of n)
-          | _ -> fail "malformed shared size");
-      }
-  | _ -> fail "malformed shared declaration"
-
-let typed_name_of (s : sexp) : string * Ir.scalar =
-  match s with
-  | List [ n; t ] -> (expect_atom n, scalar_of t)
-  | _ -> fail "malformed typed name"
-
-let kernel_of (s : sexp) : Ir.kernel =
-  match s with
-  | List
-      [
-        Atom "kernel"; name;
-        List [ Atom "params"; List params ];
-        List [ Atom "arrays"; List arrays ];
-        List [ Atom "shared"; List shared ];
-        List [ Atom "body"; List body ];
-      ] ->
-      {
-        Ir.k_name = expect_atom name;
-        k_params = List.map typed_name_of params;
-        k_arrays = List.map typed_name_of arrays;
-        k_shared = List.map shared_decl_of shared;
-        k_body = List.map stmt_of body;
-      }
-  | _ -> fail "malformed kernel"
-
-let rec hexp_of (s : sexp) : Ir.hexp =
-  match s with
-  | List [ Atom "int"; n ] -> Ir.H_int (int_of n)
-  | Atom "n" -> Ir.H_input_size
-  | List [ Atom "tunable"; t ] -> Ir.H_tunable (expect_atom t)
-  | List [ Atom "add"; x; y ] -> Ir.H_add (hexp_of x, hexp_of y)
-  | List [ Atom "sub"; x; y ] -> Ir.H_sub (hexp_of x, hexp_of y)
-  | List [ Atom "mul"; x; y ] -> Ir.H_mul (hexp_of x, hexp_of y)
-  | List [ Atom "div"; x; y ] -> Ir.H_div (hexp_of x, hexp_of y)
-  | List [ Atom "ceildiv"; x; y ] -> Ir.H_ceil_div (hexp_of x, hexp_of y)
-  | List [ Atom "min"; x; y ] -> Ir.H_min (hexp_of x, hexp_of y)
-  | List [ Atom "max"; x; y ] -> Ir.H_max (hexp_of x, hexp_of y)
-  | _ -> fail "malformed host expression"
-
-let harg_of (s : sexp) : Ir.harg =
-  match s with
-  | List [ Atom "buffer"; b ] -> Ir.Arg_buffer (expect_atom b)
-  | List [ Atom "scalar"; h ] -> Ir.Arg_scalar (hexp_of h)
-  | _ -> fail "malformed launch argument"
-
-let buffer_of (s : sexp) : Ir.buffer =
-  match s with
-  | List [ name; ty; size; init ] ->
-      {
-        Ir.buf_name = expect_atom name;
-        buf_ty = scalar_of ty;
-        buf_size = hexp_of size;
-        buf_init =
-          (match init with
-          | Atom "noinit" -> None
-          | List [ Atom "init"; f ] -> Some (float_of f)
-          | _ -> fail "malformed buffer init");
-      }
-  | _ -> fail "malformed buffer"
-
-let launch_of (s : sexp) : Ir.launch =
-  match s with
-  | List [ Atom "launch"; kernel; grid; block; shared; List args ] ->
-      {
-        Ir.ln_kernel = expect_atom kernel;
-        ln_grid = hexp_of grid;
-        ln_block = hexp_of block;
-        ln_shared_elems = hexp_of shared;
-        ln_args = List.map harg_of args;
-      }
-  | _ -> fail "malformed launch"
-
-let program_of (s : sexp) : Ir.program =
-  match s with
-  | List
-      [
-        Atom "program"; name; elem;
-        List [ Atom "kernels"; List kernels ];
-        List [ Atom "buffers"; List buffers ];
-        List [ Atom "launches"; List launches ];
-        List [ Atom "tunables"; List tunables ];
-        List [ Atom "result"; result ];
-      ] ->
-      {
-        Ir.p_name = expect_atom name;
-        p_elem = scalar_of elem;
-        p_kernels = List.map kernel_of kernels;
-        p_buffers = List.map buffer_of buffers;
-        p_launches = List.map launch_of launches;
-        p_tunables =
-          List.map
-            (fun t ->
-              match t with
-              | List (n :: cs) -> (expect_atom n, List.map int_of cs)
-              | _ -> fail "malformed tunable")
-            tunables;
-        p_result = expect_atom result;
-      }
-  | _ -> fail "malformed program"
-
-(* ------------------------------------------------------------------ *)
-(* Public entry points                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let program_to_string (p : Ir.program) : string = sexp_to_string (program_s p)
-
-let program_of_string (s : string) : Ir.program = program_of (parse_sexp s)
-
-let kernel_to_string (k : Ir.kernel) : string = sexp_to_string (kernel_s k)
-
-let kernel_of_string (s : string) : Ir.kernel = kernel_of (parse_sexp s)

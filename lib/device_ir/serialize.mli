@@ -1,9 +1,5 @@
-(** S-expression (de)serialization of device-IR programs.
-
-    Lowered programs can be written to disk ([tangramc emit --target ir])
-    and executed later ([reduce-explorer --program file.sexp]); every
-    program round-trips bit-exactly (a test-suite property over the whole
-    search space). The reader accepts [;]-comments and quoted atoms. *)
+(** S-expressions: the reader and printer behind the plan cache's
+    on-disk format. The reader accepts [;]-comments and quoted atoms. *)
 
 type sexp = Atom of string | List of sexp list
 
@@ -13,13 +9,3 @@ val sexp_to_string : sexp -> string
 
 (** @raise Parse_error on malformed input. *)
 val parse_sexp : string -> sexp
-
-val program_to_string : Ir.program -> string
-
-(** @raise Parse_error on malformed input. *)
-val program_of_string : string -> Ir.program
-
-val kernel_to_string : Ir.kernel -> string
-
-(** @raise Parse_error on malformed input. *)
-val kernel_of_string : string -> Ir.kernel

@@ -13,7 +13,6 @@ val error_to_string : error -> string
 exception Invalid of error list
 
 val valid_shfl_width : int -> bool
-val valid_vec_arity : int -> bool
 
 (** Validator errors as structured diagnostics (code [TVAL001], error
     severity, kernel name as the location). *)

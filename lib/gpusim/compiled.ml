@@ -199,18 +199,6 @@ type t = {
   ck_body : cstmt array;
 }
 
-(** Whether any statement of [body] is (or contains) a barrier; such bodies
-    must execute block-wide. *)
-let stmts_have_sync (body : cstmt array) : bool =
-  Array.exists
-    (function
-      | CSync -> true
-      | CIf { if_sync; _ } -> if_sync
-      | CFor { f_sync; _ } -> f_sync
-      | CWhile { w_sync; _ } -> w_sync
-      | CLet _ | CLoad _ | CStore _ | CVec_load _ | CAtomic _ | CShfl _ -> false)
-    body
-
 exception Compile_error of string
 
 let compile (k : Ir.kernel) : t =

@@ -79,9 +79,6 @@ type t = {
   ck_body : cstmt array;
 }
 
-(** Whether any statement of [body] is (or contains) a barrier. *)
-val stmts_have_sync : cstmt array -> bool
-
 exception Compile_error of string
 
 val compile : Device_ir.Ir.kernel -> t

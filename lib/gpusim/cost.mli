@@ -31,8 +31,6 @@ type stream_style = Scalar_loads | Vector_loads | Staged_loads
     block slots, warps, shared memory); at least 1. *)
 val occupancy : Arch.t -> block:int -> shared_bytes:int -> int
 
-val stream_efficiency : Arch.t -> stream_style -> float
-
 (** Cost one launch. [style] defaults to vectorized iff the kernel issued
     vector loads; baselines that stage through the L2 pass [Staged_loads]
     explicitly. *)
@@ -48,15 +46,6 @@ val of_program : Arch.t -> n_inits:int -> t list -> float
     The same four-term model fed by {!Device_ir.Access} predictions
     instead of an executed launch — planning can price transactions and
     replays without running the kernel. *)
-
-(** Arch-independent event counts priced into per-warp pipelined cycles
-    with the interpreter's charging coefficients (the shared-atomic term
-    selects the lock-loop vs native-unit cost). *)
-val static_cycles : Arch.t -> Device_ir.Access.counts -> float
-
-(** Predicted per-block critical path in cycles: per-epoch max over
-    warps, barriers raising every warp to the slowest plus [cyc_sync]. *)
-val static_block_cp : Arch.t -> Device_ir.Access.block_profile -> float
 
 (** Price one launch from a static prediction. [style] defaults to
     vectorized iff the analyzer saw vector loads. *)

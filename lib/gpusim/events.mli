@@ -97,15 +97,6 @@ type totals = {
   t_max_heat : float;
 }
 
-val zero_totals : totals
-
-(** Freeze one launch's counters ([t_launches] = 1). *)
-val totals_of : t -> totals
-
-(** Pointwise sum; [t_max_heat] takes the max (each launch serialises on
-    its own hottest address). *)
-val add_totals : totals -> totals -> totals
-
 val totals_of_list : t list -> totals
 
 (** The canonical (name, value) view in stable order — the single source

@@ -40,18 +40,12 @@ type flip_record = {
   fr_flip : flip;
 }
 
-let pp_flip fmt (fl : flip) =
-  Format.fprintf fmt "%s bit %d launch %d site %d target %d"
-    (space_name fl.fl_space) fl.fl_bit fl.fl_launch fl.fl_site fl.fl_target
-
 type plan = {
   f_seed : int;
   f_rate : float;
   f_version_rates : (string * float) list;
-  f_arch_rates : (string * float) list;
   f_mix : (kind * float) list;
-  f_stall_factor : float;
-  f_bitflip_rates : (space * float) list;
+  f_bitflip_rate : float;
 }
 
 let default_mix =
@@ -63,32 +57,14 @@ let check_rate what r =
 
 let spaces = [ Global_mem; Shared_mem; Register ]
 
-let plan ?(rate = 0.0) ?(version_rates = []) ?(arch_rates = [])
-    ?(mix = default_mix) ?(stall_factor = 8.0) ?(bitflip_rate = 0.0)
-    ?bitflip_space_rates ~seed () : plan =
+let plan ?(rate = 0.0) ?(version_rates = []) ?(mix = default_mix)
+    ?(bitflip_rate = 0.0) ~seed () : plan =
   check_rate "rate" rate;
   check_rate "bitflip_rate" bitflip_rate;
-  let bitflip_rates =
-    match bitflip_space_rates with
-    | Some l ->
-        List.iter
-          (fun (s, r) -> check_rate ("bit-flip rate of space " ^ space_name s) r)
-          l;
-        List.map
-          (fun s -> (s, Option.value ~default:0.0 (List.assoc_opt s l)))
-          spaces
-    | None -> List.map (fun s -> (s, bitflip_rate)) spaces
-  in
   if List.mem_assoc Bit_flip mix then
     invalid_arg
       "Fault.plan: Bit_flip is driven by bitflip_rate, not the kind mix";
   List.iter (fun (v, r) -> check_rate ("rate of version " ^ v) r) version_rates;
-  List.iter
-    (fun (a, m) ->
-      if m < 0.0 then
-        invalid_arg
-          (Printf.sprintf "Fault.plan: negative multiplier %g for arch %s" m a))
-    arch_rates;
   List.iter
     (fun (k, w) ->
       if w < 0.0 then
@@ -98,16 +74,12 @@ let plan ?(rate = 0.0) ?(version_rates = []) ?(arch_rates = [])
     mix;
   if List.fold_left (fun acc (_, w) -> acc +. w) 0.0 mix <= 0.0 then
     invalid_arg "Fault.plan: the kind mix has no positive weight";
-  if stall_factor < 1.0 then
-    invalid_arg "Fault.plan: stall_factor must be at least 1";
   {
     f_seed = seed;
     f_rate = rate;
     f_version_rates = version_rates;
-    f_arch_rates = arch_rates;
     f_mix = mix;
-    f_stall_factor = stall_factor;
-    f_bitflip_rates = bitflip_rates;
+    f_bitflip_rate = bitflip_rate;
   }
 
 type t = {
@@ -149,16 +121,12 @@ let create (p : plan) : t =
   }
 
 let seed t = t.t_plan.f_seed
-let stall_factor t = t.t_plan.f_stall_factor
+let stall_factor = 8.0
 
 type verdict = Pass | Fault of kind
 
-let effective_rate (p : plan) ~arch ~version : float =
-  let base =
-    Option.value ~default:p.f_rate (List.assoc_opt version p.f_version_rates)
-  in
-  let mult = Option.value ~default:1.0 (List.assoc_opt arch p.f_arch_rates) in
-  Float.min 1.0 (Float.max 0.0 (base *. mult))
+let effective_rate (p : plan) ~version : float =
+  Option.value ~default:p.f_rate (List.assoc_opt version p.f_version_rates)
 
 let draw_kind (p : plan) (u : float) : kind =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 p.f_mix in
@@ -169,12 +137,12 @@ let draw_kind (p : plan) (u : float) : kind =
   in
   go 0.0 p.f_mix
 
-let roll (t : t) ~(arch : string) ~(version : string) : verdict =
+let roll (t : t) ~(version : string) : verdict =
   let s1 = lcg t.state in
   let s2 = lcg s1 in
   t.state <- s2;
   t.n_rolls <- t.n_rolls + 1;
-  if uniform s1 >= effective_rate t.t_plan ~arch ~version then Pass
+  if uniform s1 >= effective_rate t.t_plan ~version then Pass
   else begin
     let k = draw_kind t.t_plan (uniform s2) in
     (match k with
@@ -200,9 +168,7 @@ let roll_flip (t : t) : flip option =
   let fired =
     List.filter_map
       (fun space ->
-        let u = uniform (draw ()) in
-        let r = Option.value ~default:0.0 (List.assoc_opt space p.f_bitflip_rates) in
-        if u < r then Some space else None)
+        if uniform (draw ()) < p.f_bitflip_rate then Some space else None)
       spaces
   in
   let s_bit = draw () and s_place = draw () in

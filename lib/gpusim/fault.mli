@@ -54,50 +54,35 @@ type flip_record = {
   fr_flip : flip;
 }
 
-val pp_flip : Format.formatter -> flip -> unit
-
 (** Raised by {!Runner.run_compiled} for injected {!Timeout} faults
     (injected {!Transient} faults raise {!Interp.Sim_error} so they travel
     the same path as organic simulator errors). *)
 exception Injected of kind * string
 
 (** An immutable fault plan. Effective fault probability for a run of
-    [version] on [arch] is [(version override | rate) * (arch multiplier
-    | 1.0)], clamped to [0, 1]; the faulting kind is then drawn from the
-    [mix] weights. *)
+    [version] is its override, or else [rate]; the faulting kind is then
+    drawn from the [mix] weights. *)
 type plan = {
   f_seed : int;
   f_rate : float;  (** base per-run fault probability, in [0, 1] *)
   f_version_rates : (string * float) list;
       (** per-version overrides of [f_rate], by {!Synthesis.Version.name} *)
-  f_arch_rates : (string * float) list;
-      (** per-architecture multipliers (default 1.0), by {!Arch.t} name *)
   f_mix : (kind * float) list;  (** relative kind weights *)
-  f_stall_factor : float;  (** simulated-time multiplier of {!Stall} *)
-  f_bitflip_rates : (space * float) list;
-      (** per-space bit-flip probability per run, in [0, 1] *)
+  f_bitflip_rate : float;
+      (** bit-flip probability per run and memory space, in [0, 1] *)
 }
 
-(** The default kind mix: transient-heavy
-    ([Transient 0.5; Timeout 0.2; Corrupt 0.2; Stall 0.1]). *)
-val default_mix : (kind * float) list
-
-(** Build a plan. Defaults: [rate] 0.0, no per-version or per-arch
-    overrides, {!default_mix}, [stall_factor] 8.0, [bitflip_rate] 0.0.
-    [bitflip_rate] applies to all three spaces unless
-    [bitflip_space_rates] overrides them individually (spaces absent from
-    the override list get rate 0).
+(** Build a plan. Defaults: [rate] 0.0, no per-version overrides,
+    {!default_mix}, [bitflip_rate] 0.0 (applied to each of the three
+    spaces).
     @raise Invalid_argument when a rate lies outside [0, 1], a mix weight
-    is negative, the mix has no positive weight or contains {!Bit_flip},
-    or [stall_factor] < 1. *)
+    is negative, the mix has no positive weight or contains
+    {!Bit_flip}. *)
 val plan :
   ?rate:float ->
   ?version_rates:(string * float) list ->
-  ?arch_rates:(string * float) list ->
   ?mix:(kind * float) list ->
-  ?stall_factor:float ->
   ?bitflip_rate:float ->
-  ?bitflip_space_rates:(space * float) list ->
   seed:int ->
   unit ->
   plan
@@ -108,14 +93,16 @@ type t
 
 val create : plan -> t
 val seed : t -> int
-val stall_factor : t -> float
+
+(** Simulated-time multiplier of a {!Stall}. *)
+val stall_factor : float
 
 type verdict = Pass | Fault of kind
 
 (** Advance the stream one step and decide the fate of one run of
-    [version] on [arch]. Deterministic: a fresh {!t} over the same plan
-    replays the same verdict sequence for the same label sequence. *)
-val roll : t -> arch:string -> version:string -> verdict
+    [version]. Deterministic: a fresh {!t} over the same plan replays
+    the same verdict sequence for the same label sequence. *)
+val roll : t -> version:string -> verdict
 
 (** Decide whether this run suffers a bit flip, and where. Draws from a
     dedicated LCG stream, so enabling bit flips never perturbs the

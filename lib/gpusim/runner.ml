@@ -196,7 +196,7 @@ let run_compiled ?opts ?(fault : Fault.t option)
   let verdict =
     match fault with
     | None -> Fault.Pass
-    | Some f -> Fault.roll f ~arch:arch.Arch.name ~version
+    | Some f -> Fault.roll f ~version
   in
   (* Always drawn, even for runs a loud verdict will abort, so the flip
      stream position stays independent of the loud-fault rates. *)
@@ -218,8 +218,8 @@ let run_compiled ?opts ?(fault : Fault.t option)
       | _ -> ());
       let o = run_compiled_raw ?opts ?flip ~arch ?tunables ~input cp in
       match (verdict, fault) with
-      | Fault.Fault Fault.Stall, Some f ->
-          { o with time_us = o.time_us *. Fault.stall_factor f }
+      | Fault.Fault Fault.Stall, Some _ ->
+          { o with time_us = o.time_us *. Fault.stall_factor }
       | Fault.Fault Fault.Corrupt, _ -> { o with result = nan; exact = false }
       | _ -> o)
   in

@@ -31,9 +31,6 @@ type compiled_program = {
     inputs, tunables and architectures. *)
 val compile : Device_ir.Ir.program -> compiled_program
 
-(** First candidate of every tunable. *)
-val default_tunables : Device_ir.Ir.program -> (string * int) list
-
 (** [fault] injects deterministic faults into this run (see {!Fault}):
     an injected transient fault raises {!Interp.Sim_error}, an injected
     timeout raises {!Fault.Injected}, a stall multiplies [time_us] by the

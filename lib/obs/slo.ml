@@ -60,7 +60,6 @@ type t = {
   buckets : bucket array;  (** covers the slow window plus one bucket *)
   mutable firing : bool;
   mutable fired_count : int;  (** lifetime alert transitions into firing *)
-  mutable last_change_us : float;
 }
 
 let create (obj : objective) : t =
@@ -72,14 +71,12 @@ let create (obj : objective) : t =
     buckets = Array.init n (fun _ -> { b_epoch = -1; b_good = 0; b_bad = 0 });
     firing = false;
     fired_count = 0;
-    last_change_us = 0.0;
   }
 
 let objective_of (t : t) : objective = t.obj
 let name (t : t) : string = t.obj.o_name
 let firing (t : t) : bool = t.firing
 let fired_count (t : t) : int = t.fired_count
-let last_change_us (t : t) : float = t.last_change_us
 
 let epoch_of (t : t) (now_us : float) : int =
   int_of_float (Float.floor (Float.max 0.0 now_us /. t.bucket_us))
@@ -146,7 +143,6 @@ let evaluate (t : t) ~(now_us : float) : event option =
   then begin
     t.firing <- true;
     t.fired_count <- t.fired_count + 1;
-    t.last_change_us <- now_us;
     Some (Fired b)
   end
   else if
@@ -155,7 +151,6 @@ let evaluate (t : t) ~(now_us : float) : event option =
     && b.br_slow < t.obj.o_resolve_burn
   then begin
     t.firing <- false;
-    t.last_change_us <- now_us;
     Some (Resolved b)
   end
   else None

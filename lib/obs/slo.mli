@@ -70,9 +70,6 @@ val firing : t -> bool
 (** Lifetime count of transitions into firing. *)
 val fired_count : t -> int
 
-(** Virtual time of the last firing/resolve transition (0 before any). *)
-val last_change_us : t -> float
-
 (** Current state as a JSON object (name, target, firing, burns) —
     the monitor dashboard's and incident bundle's SLO table row. *)
 val state_json : t -> now_us:float -> Json.t

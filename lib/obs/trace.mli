@@ -89,10 +89,6 @@ val to_chrome_json : unit -> string
 
 val save : string -> unit
 
-(** The [droppedEvents] marker of an exported document (0 when absent:
-    the trace is complete). *)
-val chrome_dropped : string -> int
-
 val chrome_dropped_file : string -> int
 
 (** Validate a Chrome trace-event document the way the CI job does:

@@ -8,10 +8,6 @@
 
 type report = { aggregated : int }
 
-(** The lane-wise aggregation operator matching an atomic kind
-    (subtrahends aggregate by addition). *)
-val shfl_op_of_atomic : Tir.Ast.atomic_kind -> Tir.Ast.assign_op
-
 (** Rewrite every qualifying atomic write; [None] when nothing qualifies
     (no Vector handle, or no all-lanes atomic at block-uniform level). *)
 val apply :

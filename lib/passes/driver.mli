@@ -30,13 +30,6 @@ val has_shuffle : variant -> bool
 val has_shared_atomic : variant -> bool
 val has_map_atomic : variant -> bool
 
-(** Expand one checked codelet into its code variants. [unit_info] is the
-    whole checked unit (the atomic-Map same-computation check needs it). *)
-val variants_of_codelet :
-  unit_info:(Tir.Ast.codelet * Tir.Check.info) list ->
-  Tir.Ast.codelet * Tir.Check.info ->
-  variant list
-
 (** All variants of a checked unit, in stable order; iterates the pass
     pipeline to its fixed point. *)
 val all_variants : (Tir.Ast.codelet * Tir.Check.info) list -> variant list

@@ -4,5 +4,4 @@
     left in place (it is a runtime trap, not the folder's business). *)
 
 val fold_expr : Tir.Ast.expr -> Tir.Ast.expr
-val fold_stmt : Tir.Ast.stmt -> Tir.Ast.stmt
 val fold_codelet : Tir.Ast.codelet -> Tir.Ast.codelet

@@ -436,7 +436,9 @@ let replay ?(config = default) ?(dense_upto = 0) (svc : Service.t)
           | None -> ()
       in
       catch_up ();
-      Service.monitor_queue_depth svc (depth q);
+      Option.iter
+        (fun m -> Monitor.queue_depth m (depth q))
+        (Service.monitor svc);
       let prio = priority_of config n in
       let it =
         {

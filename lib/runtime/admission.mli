@@ -63,8 +63,6 @@ val default : config
     baseline that collapses past saturation. *)
 val unprotected : config -> config
 
-val priority_of : config -> int -> priority
-
 type summary = {
   a_offered : int;  (** arrivals presented to the queue *)
   a_admitted : int;  (** entered the queue (including later-displaced) *)

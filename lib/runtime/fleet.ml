@@ -70,15 +70,10 @@ let default_config =
     fl_hedge_min_samples = 16;
   }
 
-type spec = {
-  sp_arch : Gpusim.Arch.t;
-  sp_profile : Fault.profile;
-  sp_fault_plan : Fault.plan option;
-  sp_spare : bool;
-}
+type spec = { sp_arch : Gpusim.Arch.t; sp_profile : Fault.profile; sp_spare : bool }
 
-let spec ?(profile = Fault.Healthy) ?fault_plan ?(spare = false) arch =
-  { sp_arch = arch; sp_profile = profile; sp_fault_plan = fault_plan; sp_spare = spare }
+let spec ?(profile = Fault.Healthy) ?(spare = false) arch =
+  { sp_arch = arch; sp_profile = profile; sp_spare = spare }
 
 (* recent observed completion latencies, for the p95 the hedge deadline
    prices against *)
@@ -143,20 +138,17 @@ let create ?(config = default_config) ?(seed = 0) (specs : spec list) : t =
          (fun i s ->
            Fault.check_profile s.sp_profile;
            let fault =
-             match s.sp_fault_plan with
-             | Some p -> Some (Fault.create p)
-             | None ->
-                 let rate = Fault.profile_fault_rate s.sp_profile in
-                 if rate > 0.0 then
-                   (* flaky devices inject retryable transients from a
-                      private stream, decorrelated per slot *)
-                   Some
-                     (Fault.create
-                        (Fault.plan ~rate
-                           ~mix:[ (Fault.Transient, 1.0) ]
-                           ~seed:(seed + (7919 * (i + 1)))
-                           ()))
-                 else None
+             let rate = Fault.profile_fault_rate s.sp_profile in
+             if rate > 0.0 then
+               (* flaky devices inject retryable transients from a
+                  private stream, decorrelated per slot *)
+               Some
+                 (Fault.create
+                    (Fault.plan ~rate
+                       ~mix:[ (Fault.Transient, 1.0) ]
+                       ~seed:(seed + (7919 * (i + 1)))
+                       ()))
+             else None
            in
            {
              d_id = i;
@@ -474,7 +466,6 @@ let hedge_won (t : t) (d : device) : unit =
 (* ------------------------------------------------------------------ *)
 
 let devices (t : t) : device list = Array.to_list t.all
-let n_devices (t : t) : int = Array.length t.all
 let find (t : t) (id : int) : device option =
   Array.find_opt (fun d -> d.d_id = id) t.all
 
@@ -484,15 +475,8 @@ let profile (d : device) = d.d_profile
 let dev_state (d : device) = d.d_state
 let health (d : device) = d.d_health
 let dispatches (d : device) = d.d_dispatches
-let inflight (d : device) = d.d_inflight
 let busy_us (d : device) = d.d_busy_us
 let hedge_wins (d : device) = d.d_hedge_wins
-let total_dispatches (t : t) = t.total
-
-(* virtual makespan: the busiest device's accumulated kernel time — the
-   fleet's parallel completion time, which goodput divides by *)
-let makespan_us (t : t) : float =
-  Array.fold_left (fun acc d -> Float.max acc d.d_busy_us) 0.0 t.all
 
 (* injected-faulty devices the scorer has not yet taken out of the
    serving pool — the bench's acceptance gate requires this empty *)

@@ -70,22 +70,13 @@ type config = {
 val default_config : config
 
 (** One slot's specification. *)
-type spec = {
-  sp_arch : Gpusim.Arch.t;
-  sp_profile : Fault.profile;
-  sp_fault_plan : Fault.plan option;
-      (** explicit private fault plan; when [None], a {!Fault.Flaky}
-          profile gets a seeded transient-only injector and every other
-          profile gets no private stream *)
-  sp_spare : bool;
-}
+type spec
 
-val spec :
-  ?profile:Fault.profile ->
-  ?fault_plan:Fault.plan ->
-  ?spare:bool ->
-  Gpusim.Arch.t ->
-  spec
+(** A slot of [arch] with a failure [profile] (default healthy); a
+    {!Fault.Flaky} profile gets a seeded transient-only injector, every
+    other profile no private fault stream. [spare] slots wait outside
+    the serving pool until promoted. *)
+val spec : ?profile:Fault.profile -> ?spare:bool -> Gpusim.Arch.t -> spec
 
 type t
 
@@ -162,8 +153,6 @@ val observe_failure : t -> device -> unit
 (** Record one request's observed completion latency (virtual us). *)
 val note_latency : t -> float -> unit
 
-val observed_p95_us : t -> float option
-
 (** The speculative re-dispatch deadline; [None] until hedging is on
     and [fl_hedge_min_samples] latencies have been observed. *)
 val hedge_deadline_us : t -> float option
@@ -189,7 +178,6 @@ val activate : t -> int -> unit
 (** {1 Reading} *)
 
 val devices : t -> device list
-val n_devices : t -> int
 val find : t -> int -> device option
 val id : device -> int
 val arch : device -> Gpusim.Arch.t
@@ -197,18 +185,11 @@ val profile : device -> Fault.profile
 val dev_state : device -> state
 val health : device -> float
 val dispatches : device -> int
-val inflight : device -> int
 val busy_us : device -> float
 val hedge_wins : device -> int
 
 (** Stable device label, ["d0:kepler-k40c"]. *)
 val label : device -> string
-
-val total_dispatches : t -> int
-
-(** Virtual makespan: the busiest device's accumulated kernel time —
-    what fleet goodput divides by. *)
-val makespan_us : t -> float
 
 (** Injected-faulty devices (fail-stop, fail-slow or flaky profile)
     the scorer has not yet taken out of the serving pool. The fleet

@@ -288,19 +288,14 @@ let entry_of_sexp (sexp : S.sexp) : key * entry =
       (k, e)
   | _ -> fail "plan-cache: expected an (entry ...) form"
 
-let of_string ?capacity (src : string) : t =
+let of_string (src : string) : t =
   match S.parse_sexp src with
   | S.List (S.Atom "plan-cache" :: fields) ->
-      let saved_cap =
-        match field fields "capacity" with
-        | Some [ S.Atom a ] -> int_of_string_opt a
-        | _ -> None
-      in
       let capacity =
-        match (capacity, saved_cap) with
-        | Some c, _ -> c
-        | None, Some c -> c
-        | None, None -> default_capacity
+        match field fields "capacity" with
+        | Some [ S.Atom a ] ->
+            Option.value ~default:default_capacity (int_of_string_opt a)
+        | _ -> default_capacity
       in
       let t = create ~capacity () in
       List.iter
@@ -411,8 +406,6 @@ let detach_journal (t : t) : unit =
       close_out oc;
       t.journal <- None
 
-let journaling (t : t) : bool = t.journal <> None
-
 (* Replay journal records on top of a loaded snapshot. Each record is
    independently checksummed: a corrupt one is skipped with a warning
    (torn tail writes after a crash are expected), never fatal. A record
@@ -486,7 +479,7 @@ let save (t : t) (path : string) : unit =
       t.journal <- Some (jpath, open_journal jpath)
   | _ -> remove_if_exists (journal_file path)
 
-let load ?capacity (path : string) : t =
+let load (path : string) : t =
   (* a leftover temp file is a save that never reached its commit
      point — stale by definition, removed so it cannot be mistaken for
      state *)
@@ -495,7 +488,7 @@ let load ?capacity (path : string) : t =
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  let t = of_string ?capacity (verify_snapshot src) in
+  let t = of_string (verify_snapshot src) in
   let jpath = journal_file path in
   if Sys.file_exists jpath then ignore (replay_journal t jpath);
   t
@@ -505,14 +498,14 @@ let load ?capacity (path : string) : t =
 (* a service to a cold start, not kill it                               *)
 (* ------------------------------------------------------------------ *)
 
-let of_string_result ?capacity (src : string) : (t, string) result =
-  match of_string ?capacity src with
+let of_string_result (src : string) : (t, string) result =
+  match of_string src with
   | t -> Ok t
   | exception S.Parse_error msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
-let load_result ?capacity (path : string) : (t, string) result =
-  match load ?capacity path with
+let load_result (path : string) : (t, string) result =
+  match load path with
   | t -> Ok t
   | exception S.Parse_error msg -> Error (path ^ ": " ^ msg)
   | exception Sys_error msg -> Error msg

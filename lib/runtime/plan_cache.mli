@@ -107,9 +107,10 @@ val entries : t -> (key * entry) list
     stable {!Synthesis.Version.name}; compiled programs are dropped). *)
 val to_string : t -> string
 
-(** Parse a saved cache. Unknown version names fail loudly.
+(** Parse a saved cache, at its saved capacity. Unknown version names
+    fail loudly.
     @raise Device_ir.Serialize.Parse_error on malformed input. *)
-val of_string : ?capacity:int -> string -> t
+val of_string : string -> t
 
 (** Crash-safe snapshot: the rendering of {!to_string} is prefixed with
     a CRC-32 header, written to [path ^ ".tmp"], fsynced, and renamed
@@ -125,15 +126,15 @@ val save : t -> string -> unit
     on stderr, never fatal.
     @raise Device_ir.Serialize.Parse_error on malformed or
     checksum-failing input, [Sys_error] on an unreadable file. *)
-val load : ?capacity:int -> string -> t
+val load : string -> t
 
 (** Like {!of_string}, but a malformed cache comes back as [Error]
     instead of an exception. *)
-val of_string_result : ?capacity:int -> string -> (t, string) result
+val of_string_result : string -> (t, string) result
 
 (** Like {!load}, but corrupt, truncated or unreadable files come back
     as [Error] — callers warn and start cold instead of dying. *)
-val load_result : ?capacity:int -> string -> (t, string) result
+val load_result : string -> (t, string) result
 
 (** {1 Crash safety} *)
 
@@ -154,6 +155,3 @@ val attach_journal : t -> string -> unit
 
 (** Close the attached journal, if any. *)
 val detach_journal : t -> unit
-
-(** Is a verdict journal currently attached? *)
-val journaling : t -> bool

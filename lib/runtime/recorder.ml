@@ -31,7 +31,6 @@ type record = {
   rc_predicted_us : float;
   rc_latency_us : float;
   rc_outcome : string;
-  rc_device : string option;
 }
 
 type trigger = Alert of string | Sdc | Eject of string
@@ -77,13 +76,12 @@ let create ?(capacity = default_capacity) ?(keep_incidents = default_keep) ()
 let capacity (t : t) : int = Array.length t.ring
 
 let note (t : t) ~(now_us : float) ~(arch : string) ~(n : int)
-    ~(predicted_us : float) ~(latency_us : float) ~(outcome : string)
-    ?(device : string option) () : record =
+    ~(predicted_us : float) ~(latency_us : float) ~(outcome : string) : record =
   t.seq <- t.seq + 1;
   let r =
     { rc_seq = t.seq; rc_now_us = now_us; rc_tid = Obs.Trace.current_tid ();
       rc_arch = arch; rc_n = n; rc_predicted_us = predicted_us;
-      rc_latency_us = latency_us; rc_outcome = outcome; rc_device = device }
+      rc_latency_us = latency_us; rc_outcome = outcome }
   in
   let cap = Array.length t.ring in
   t.ring.(t.head) <- Some r;
@@ -110,19 +108,16 @@ let last (t : t) : record option =
 
 let record_json (r : record) : Json.t =
   Json.Obj
-    ([
-       ("seq", Json.Num (float_of_int r.rc_seq));
-       ("now_us", Json.Num r.rc_now_us);
-       ("tid", Json.Num (float_of_int r.rc_tid));
-       ("arch", Json.Str r.rc_arch);
-       ("n", Json.Num (float_of_int r.rc_n));
-       ("predicted_us", Json.Num r.rc_predicted_us);
-       ("latency_us", Json.Num r.rc_latency_us);
-       ("outcome", Json.Str r.rc_outcome);
-     ]
-    @ match r.rc_device with
-      | Some d -> [ ("device", Json.Str d) ]
-      | None -> [])
+    [
+      ("seq", Json.Num (float_of_int r.rc_seq));
+      ("now_us", Json.Num r.rc_now_us);
+      ("tid", Json.Num (float_of_int r.rc_tid));
+      ("arch", Json.Str r.rc_arch);
+      ("n", Json.Num (float_of_int r.rc_n));
+      ("predicted_us", Json.Num r.rc_predicted_us);
+      ("latency_us", Json.Num r.rc_latency_us);
+      ("outcome", Json.Str r.rc_outcome);
+    ]
 
 let rec span_json (n : Obs.Trace.node) : Json.t =
   Json.Obj

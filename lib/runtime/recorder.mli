@@ -19,7 +19,6 @@ type record = {
   rc_predicted_us : float;
   rc_latency_us : float;
   rc_outcome : string;  (** ["ok"], ["fault"], ["sdc-caught"], ... *)
-  rc_device : string option;
 }
 
 (** What pulled the handle: an SLO alert, a confirmed silent
@@ -55,8 +54,6 @@ val note :
   predicted_us:float ->
   latency_us:float ->
   outcome:string ->
-  ?device:string ->
-  unit ->
   record
 
 (** Buffered records, oldest first. *)
@@ -86,7 +83,6 @@ val incidents : t -> incident list
 (** Lifetime dump count (retention does not shrink it). *)
 val incidents_dumped : t -> int
 
-val record_json : record -> Obs.Json.t
 val incident_to_string : incident -> string
 
 (** Structural check of one bundle document — schema marker, trigger
@@ -95,8 +91,6 @@ val incident_to_string : incident -> string
 val validate_bundle : Obs.Json.t -> (unit, string) result
 
 val validate_bundle_string : string -> (unit, string) result
-
-val save_incident : incident -> string -> unit
 
 (** Write every retained incident into [dir] (created when missing) as
     [incident-<seq>-<kind>.json]; returns the paths, oldest first. *)

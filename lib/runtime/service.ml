@@ -100,43 +100,11 @@ type breaker = {
   mutable br_open_until : int;  (* service tick; 0 = closed *)
 }
 
-(* The service monitor: windows over the stats registry, burn-rate SLOs
-   and the flight recorder, driven by a serialized virtual clock that
-   advances by each request's observed virtual latency. Optional — a
-   service without one behaves (and reports) exactly as before. *)
-type monitor = {
-  m_recorder : Recorder.t;
-  m_latency_slo : Obs.Slo.t;
-  m_sdc_slo : Obs.Slo.t;
-  m_goodput_slo : Obs.Slo.t;
-  m_latency_mult : float;
-      (* a request is latency-good when its observed virtual time stays
-         within this multiple of the static-cost prediction *)
-  m_interactive_max : int;
-      (* inputs at or below this size feed the latency SLO *)
-  m_snapshot_every : int;  (* metric-snapshot cadence, in requests *)
-  mutable m_now_us : float;  (* serialized virtual clock *)
-  mutable m_requests : int;
-  mutable m_pending_eject : string list;
-      (* ejections land mid-request, before the recorder notes it;
-         deferred so the bundle's trigger request is the right one *)
-  (* what the stats lack: outcomes, virtual latency by class, and the
-     brownout, queue-depth and fleet-active gauges *)
-  m_req_ok : Obs.Metrics.counter;
-  m_req_err : Obs.Metrics.counter;
-  m_lat_interactive : Obs.Metrics.histogram;
-  m_lat_batch : Obs.Metrics.histogram;
-  m_brownout_g : Obs.Metrics.gauge;
-  m_queue_depth : Obs.Metrics.gauge;
-  m_fleet_healthy : Obs.Metrics.gauge;
-}
-
 type t = {
   planner : P.t;
   cache : Plan_cache.t;
   stats : Stats.t;
   candidates : V.t list;
-  exact_threshold : int;
   resilience : resilience;
   guard : Guard.config;
   mutable fault : Fault.t option;
@@ -155,13 +123,13 @@ type t = {
          single-device path below is byte-identical when absent *)
   predicted_cache : (string * string * int * (string * int) list, float) Hashtbl.t;
       (* memoized static-cost predictions keyed by (arch, version, n,
-         tunables) — the health scorer's no-execution baseline *)
-  mutable monitor : monitor option;
+         tunables) — the health scorer's no-execution baseline; cleared
+         when it reaches [predicted_cache_max] entries *)
+  mutable monitor : Monitor.t option;
 }
 
-let create ?capacity ?cache ?candidates ?(exact_threshold = 1 lsl 17)
-    ?(resilience = default_resilience) ?(guard = Guard.default) ?fault
-    ?(jitter_seed = 0) (planner : P.t) : t =
+let create ?capacity ?cache ?candidates ?(resilience = default_resilience)
+    ?(guard = Guard.default) ?fault ?(jitter_seed = 0) (planner : P.t) : t =
   let cache =
     match cache with Some c -> c | None -> Plan_cache.create ?capacity ()
   in
@@ -182,7 +150,6 @@ let create ?capacity ?cache ?candidates ?(exact_threshold = 1 lsl 17)
     cache;
     stats = Stats.create ();
     candidates;
-    exact_threshold;
     resilience;
     guard;
     fault;
@@ -206,17 +173,13 @@ let set_fault t f = t.fault <- f
 let profiling t = t.profile
 let set_profiling t b = t.profile <- b
 
-let mon (t : t) (f : monitor -> unit) : unit =
-  match t.monitor with Some m -> f m | None -> ()
+let monitor t = t.monitor
+let set_monitor t m = t.monitor <- m
 
 let attach_fleet (t : t) (fl : Fleet.t) : unit =
   Fleet.set_stats fl t.stats;
-  (* ejections are deferred into the monitor's pending list: they fire
-     mid-request, and the bundle's trigger request must be the one that
-     actually pushed the device under the threshold *)
   Fleet.set_on_eject fl (fun d ->
-      mon t (fun m ->
-          m.m_pending_eject <- Fleet.label d :: m.m_pending_eject));
+      Option.iter (fun m -> Monitor.eject m (Fleet.label d)) t.monitor);
   t.fleet <- Some fl
 
 let detach_fleet (t : t) : unit = t.fleet <- None
@@ -248,8 +211,8 @@ let set_brownout (t : t) (level : int) : unit =
     t.brownout <- level
   end
 
-let load_cache ?capacity (path : string) : (Plan_cache.t, error) result =
-  match Plan_cache.load_result ?capacity path with
+let load_cache (path : string) : (Plan_cache.t, error) result =
+  match Plan_cache.load_result path with
   | Ok c -> Ok c
   | Error msg -> Error (Cache_corrupt msg)
 
@@ -259,9 +222,12 @@ let now_us () = Unix.gettimeofday () *. 1e6
 let sampled_opts : Gpusim.Interp.options =
   { Gpusim.Interp.max_blocks = Some 12; loop_cap = Some 24; check_uniform = false }
 
-let opts_for (t : t) (input : R.input) : Gpusim.Interp.options =
+(* dense inputs up to this many elements run exact *)
+let exact_threshold = 1 lsl 17
+
+let opts_for (input : R.input) : Gpusim.Interp.options =
   match input with
-  | R.Dense a when Array.length a <= t.exact_threshold -> Gpusim.Interp.exact
+  | R.Dense a when Array.length a <= exact_threshold -> Gpusim.Interp.exact
   | R.Dense _ | R.Synthetic _ -> sampled_opts
 
 let key_of (t : t) (arch : Gpusim.Arch.t) (n : int) : Plan_cache.key =
@@ -467,7 +433,7 @@ let budget_would_exhaust (b : budget) (us : float) : bool =
    fault stream; the copy that serves goes on to verification and
    accounting. *)
 type req_state = {
-  req : request;  (* as submitted: the monitor notes this one *)
+  req : request;  (* as submitted *)
   target : request;  (* [req] re-targeted at the dispatch's device *)
   fault : Fault.t option;  (* the stream the dispatch's runs draw from *)
   budget : budget;  (* one per request, shared by every copy *)
@@ -519,7 +485,7 @@ let attempt_rung (t : t) (r : req_state) ~(fault : Fault.t option)
               (Device_ir.Diag.render (Device_ir.Diag.errors diags))))
   | cp ->
       let req = r.target in
-      let opts = opts_for t req.req_input in
+      let opts = opts_for req.req_input in
       (* each try is its own "attempt" span (it closes on an aborted run
          too), and each transient retry is a "retry" mark — a trace
          accounts for the full retry schedule *)
@@ -668,7 +634,11 @@ let dispatch (t : t) (r : req_state) : dispatch =
    this size, computed without executing anything and memoized per
    (arch, version, n, tunables): the health scorer's baseline and the
    monitor's latency envelope. [None] when the analyzer cannot produce
-   one. *)
+   one. The memo keys on the exact size, so a stream of new sizes would
+   grow it forever: it is cleared once full. A prediction is a pure
+   function of its key, so clearing changes no value. *)
+let predicted_cache_max = 1024
+
 let predicted_us (t : t) (arch : Gpusim.Arch.t) (version : V.t)
     ~(tunables : (string * int) list) ~(n : int) : float option =
   let key = (arch.Gpusim.Arch.name, V.name version, n, tunables) in
@@ -681,6 +651,8 @@ let predicted_us (t : t) (arch : Gpusim.Arch.t) (version : V.t)
           | p -> p
           | exception _ -> Float.nan
         in
+        if Hashtbl.length t.predicted_cache >= predicted_cache_max then
+          Hashtbl.reset t.predicted_cache;
         Hashtbl.replace t.predicted_cache key p;
         p
   in
@@ -984,288 +956,6 @@ let conclude (t : t) (r : req_state) (d : dispatch) : verdict =
   | No_device -> Host (`Fleet_down, None)
 
 (* ------------------------------------------------------------------ *)
-(* Monitoring: windowed metrics, SLO burn rates, flight recorder        *)
-(* ------------------------------------------------------------------ *)
-
-let attach_monitor ?(latency_mult = 3.0) ?(interactive_max = 65536)
-    ?(snapshot_every = 32) ?(capacity = 128) ?(latency_target = 0.97)
-    ?(goodput_target = 0.95) (t : t) : unit =
-  let reg = Stats.metrics t.stats in
-  let m =
-    {
-      m_recorder = Recorder.create ~capacity ();
-      m_latency_slo =
-        Obs.Slo.create
-          (Obs.Slo.objective
-             ~description:
-               "interactive latency within the static-cost envelope"
-             ~target:latency_target "latency");
-      m_sdc_slo =
-        Obs.Slo.create
-          (Obs.Slo.objective
-             ~description:"confirmed silent corruptions (zero budget)"
-             ~target:1.0 "sdc");
-      m_goodput_slo =
-        Obs.Slo.create
-          (Obs.Slo.objective
-             ~description:
-               "requests served exactly, neither degraded nor errored"
-             ~target:goodput_target "goodput");
-      m_latency_mult = latency_mult;
-      m_interactive_max = interactive_max;
-      m_snapshot_every = max 1 snapshot_every;
-      m_now_us = 0.0;
-      m_requests = 0;
-      m_pending_eject = [];
-      m_req_ok =
-        Obs.Metrics.counter reg ~help:"requests answered"
-          ~labels:[ ("outcome", "ok") ]
-          "tangram_monitor_requests_total";
-      m_req_err =
-        Obs.Metrics.counter reg
-          ~labels:[ ("outcome", "error") ]
-          "tangram_monitor_requests_total";
-      m_lat_interactive =
-        Obs.Metrics.histogram reg ~help:"virtual request latency"
-          ~labels:[ ("class", "interactive") ]
-          "tangram_monitor_latency_us";
-      m_lat_batch =
-        Obs.Metrics.histogram reg
-          ~labels:[ ("class", "batch") ]
-          "tangram_monitor_latency_us";
-      m_brownout_g =
-        Obs.Metrics.gauge reg ~help:"active brownout level"
-          "tangram_monitor_brownout_level";
-      m_queue_depth =
-        Obs.Metrics.gauge reg ~help:"admission queue depth"
-          "tangram_monitor_queue_depth";
-      m_fleet_healthy =
-        Obs.Metrics.gauge reg ~help:"devices actively serving"
-          "tangram_monitor_fleet_active";
-    }
-  in
-  t.monitor <- Some m;
-  (* the ring's base snapshot: the first real snapshot diffs against it *)
-  Obs.Metrics.snapshot reg ~now_us:0.0
-
-let detach_monitor (t : t) : unit = t.monitor <- None
-let monitor_attached (t : t) : bool = Option.is_some t.monitor
-
-let monitor_slo_list (m : monitor) : (string * Obs.Slo.t) list =
-  [
-    ("latency", m.m_latency_slo);
-    ("sdc", m.m_sdc_slo);
-    ("goodput", m.m_goodput_slo);
-  ]
-
-let monitor_slos_json (m : monitor) : Obs.Json.t =
-  Obs.Json.Arr
-    (List.map
-       (fun (_, s) -> Obs.Slo.state_json s ~now_us:m.m_now_us)
-       (monitor_slo_list m))
-
-let fleet_table_json (fl : Fleet.t) : Obs.Json.t =
-  Obs.Json.Arr
-    (List.map
-       (fun d ->
-         Obs.Json.Obj
-           [
-             ("device", Obs.Json.Str (Fleet.label d));
-             ("state", Obs.Json.Str (Fleet.state_name (Fleet.dev_state d)));
-             ("health", Obs.Json.Num (Fleet.health d));
-             ("dispatches", Obs.Json.Num (float_of_int (Fleet.dispatches d)));
-           ])
-       (Fleet.devices fl))
-
-let window_json (w : Obs.Metrics.window) : Obs.Json.t =
-  Obs.Json.Obj
-    [
-      ("from_us", Obs.Json.Num w.Obs.Metrics.w_from_us);
-      ("to_us", Obs.Json.Num w.Obs.Metrics.w_to_us);
-      ( "rows",
-        Obs.Json.Arr
-          (List.map
-             (fun (r : Obs.Metrics.window_row) ->
-               Obs.Json.Obj
-                 ([
-                    ("name", Obs.Json.Str r.wr_name);
-                    ("kind", Obs.Json.Str (Obs.Metrics.kind_name r.wr_kind));
-                    ( "labels",
-                      Obs.Json.Obj
-                        (List.map
-                           (fun (k, v) -> (k, Obs.Json.Str v))
-                           r.wr_labels) );
-                    ("value", Obs.Json.Num r.wr_value);
-                  ]
-                 @
-                 if r.wr_kind = Obs.Metrics.Histogram then
-                   [
-                     ("sum", Obs.Json.Num r.wr_sum);
-                     ("p50", Obs.Json.Num r.wr_p50);
-                     ("p95", Obs.Json.Num r.wr_p95);
-                   ]
-                 else []))
-             w.Obs.Metrics.w_rows) );
-    ]
-
-let dump_incident (t : t) (m : monitor) (trigger : Recorder.trigger) : unit =
-  Stats.incident t.stats ~kind:(Recorder.trigger_kind trigger);
-  (* freeze a window boundary so the bundle's metrics run up to the
-     trigger *)
-  let reg = Stats.metrics t.stats in
-  Obs.Metrics.snapshot reg ~now_us:m.m_now_us;
-  let metrics =
-    match List.rev (Obs.Metrics.windows reg) with
-    | w :: _ -> window_json w
-    | [] -> Obs.Json.Null
-  in
-  let fleet =
-    match t.fleet with Some fl -> fleet_table_json fl | None -> Obs.Json.Null
-  in
-  let inc =
-    Recorder.dump m.m_recorder ~now_us:m.m_now_us ~trigger
-      ~slos:(monitor_slos_json m) ~fleet ~brownout:t.brownout ~metrics ()
-  in
-  Obs.Log.warn
-    ~fields:
-      [
-        ("code", "TOBS002");
-        ("trigger", Recorder.trigger_kind trigger);
-        ("seq", string_of_int inc.Recorder.in_seq);
-      ]
-    "flight recorder dumped an incident bundle (trigger %s)"
-    (Recorder.trigger_kind trigger)
-
-let error_kind : error -> string = function
-  | Bad_request _ -> "bad-request"
-  | Transient _ -> "transient"
-  | Version_fault _ -> "version-fault"
-  | Cache_corrupt _ -> "cache-corrupt"
-  | Sdc _ -> "sdc"
-  | Deadline_exceeded _ -> "deadline"
-
-(* The per-request monitoring step, run inside the request's root span
-   (so the recorder captures the right trace id): note the record,
-   settle deferred corruption/ejection verdicts, feed the SLOs, step
-   the alert state machines and snapshot on cadence. *)
-let monitor_note (t : t) (rs : req_state) (result : (response, error) result)
-    : unit =
-  match t.monitor with
-  | None -> ()
-  | Some m ->
-      let req = rs.req in
-      let n = R.input_size req.req_input in
-      let arch = req.req_arch.Gpusim.Arch.name in
-      let caught_sdc = rs.sdc_confirmed > 0 in
-      let latency_us, predicted, outcome =
-        match result with
-        | Ok r ->
-            let predicted =
-              match
-                predicted_us t req.req_arch r.resp_version
-                  ~tunables:r.resp_tunables ~n
-              with
-              | Some p -> p
-              | None -> 0.0
-            in
-            ( r.resp_sim_us,
-              predicted,
-              if caught_sdc then "sdc-caught"
-              else if r.resp_degraded then "degraded"
-              else "ok" )
-        | Error e -> (0.0, 0.0, error_kind e)
-      in
-      m.m_requests <- m.m_requests + 1;
-      m.m_now_us <- m.m_now_us +. Float.max latency_us 1.0;
-      ignore
-        (Recorder.note m.m_recorder ~now_us:m.m_now_us ~arch ~n
-           ~predicted_us:predicted ~latency_us ~outcome ());
-      (* corruption verdicts were deferred to here so the record above
-         is the bundle's trigger request *)
-      if caught_sdc then begin
-        for _ = 1 to rs.sdc_confirmed do
-          Obs.Slo.observe m.m_sdc_slo ~now_us:m.m_now_us ~good:false
-        done;
-        dump_incident t m Recorder.Sdc
-      end
-      else Obs.Slo.observe m.m_sdc_slo ~now_us:m.m_now_us ~good:true;
-      let interactive = n <= m.m_interactive_max in
-      (match result with
-      | Ok r ->
-          Obs.Metrics.inc m.m_req_ok;
-          Obs.Metrics.observe
-            (if interactive then m.m_lat_interactive else m.m_lat_batch)
-            latency_us;
-          if interactive then
-            Obs.Slo.observe m.m_latency_slo ~now_us:m.m_now_us
-              ~good:
-                (predicted <= 0.0
-                || latency_us <= m.m_latency_mult *. predicted);
-          Obs.Slo.observe m.m_goodput_slo ~now_us:m.m_now_us
-            ~good:(not r.resp_degraded)
-      | Error _ ->
-          Obs.Metrics.inc m.m_req_err;
-          Obs.Slo.observe m.m_goodput_slo ~now_us:m.m_now_us ~good:false);
-      Obs.Metrics.set m.m_brownout_g (float_of_int t.brownout);
-      (match t.fleet with
-      | Some fl ->
-          Obs.Metrics.set m.m_fleet_healthy
-            (float_of_int
-               (List.length
-                  (List.filter
-                     (fun d -> Fleet.dev_state d = Fleet.Active)
-                     (Fleet.devices fl))))
-      | None -> ());
-      List.iter
-        (fun (name, slo) ->
-          match Obs.Slo.evaluate slo ~now_us:m.m_now_us with
-          | Some (Obs.Slo.Fired burn) ->
-              Stats.alert t.stats ~slo:name;
-              Obs.Trace.mark ~attrs:[ ("slo", name) ] "slo.fired";
-              Obs.Log.warn
-                ~fields:
-                  [
-                    ("code", "TOBS001");
-                    ("slo", name);
-                    ("fast_burn", Printf.sprintf "%.2f" burn.Obs.Slo.br_fast);
-                    ("slow_burn", Printf.sprintf "%.2f" burn.Obs.Slo.br_slow);
-                  ]
-                "SLO burn-rate alert fired: %s" name;
-              dump_incident t m (Recorder.Alert name)
-          | Some (Obs.Slo.Resolved _) ->
-              Obs.Log.info ~fields:[ ("slo", name) ] "SLO alert resolved: %s"
-                name
-          | None -> ())
-        (monitor_slo_list m);
-      (* ejections recorded mid-request surface as their own bundles
-         once the triggering request is in the ring *)
-      List.iter
-        (fun dev -> dump_incident t m (Recorder.Eject dev))
-        (List.rev m.m_pending_eject);
-      m.m_pending_eject <- [];
-      if m.m_requests mod m.m_snapshot_every = 0 then
-        Obs.Metrics.snapshot (Stats.metrics t.stats) ~now_us:m.m_now_us
-
-let monitor_recorder (t : t) : Recorder.t option =
-  Option.map (fun m -> m.m_recorder) t.monitor
-
-let monitor_slos (t : t) : (string * Obs.Slo.t) list =
-  match t.monitor with Some m -> monitor_slo_list m | None -> []
-
-let monitor_now_us (t : t) : float =
-  match t.monitor with Some m -> m.m_now_us | None -> 0.0
-
-let monitor_snapshot (t : t) : unit =
-  mon t (fun m ->
-      Obs.Metrics.snapshot (Stats.metrics t.stats) ~now_us:m.m_now_us)
-
-(* the admission queue lives above the service; the monitor owns its
-   depth gauge *)
-let monitor_queue_depth (t : t) (depth : int) : unit =
-  mon t (fun m -> Obs.Metrics.set m.m_queue_depth (float_of_int depth))
-
-
-(* ------------------------------------------------------------------ *)
 (* Accounting and the request entry points                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1303,6 +993,36 @@ let host_winner (reason : reason) ~(witness : V.t option) : string option =
       Obs.Log.warn
         "no routable fleet device; serving the host reference (degraded)";
       Some "host-reference (fleet-down)"
+
+let error_kind : error -> string = function
+  | Bad_request _ -> "bad-request"
+  | Transient _ -> "transient"
+  | Version_fault _ -> "version-fault"
+  | Cache_corrupt _ -> "cache-corrupt"
+  | Sdc _ -> "sdc"
+  | Deadline_exceeded _ -> "deadline"
+
+(* The monitor prices the request's latency, and records it, on the
+   architecture it ran on: on a fleet that is the device's, not the one
+   the request asked for. Only a monitored service computes the
+   prediction. *)
+let note_monitor (t : t) (m : Monitor.t) (r : req_state)
+    (result : (response, error) result) : unit =
+  let arch = r.target.req_arch and n = R.input_size r.req.req_input in
+  Monitor.note m ~arch:arch.Gpusim.Arch.name ~n ~sdc_confirmed:r.sdc_confirmed
+    ~brownout:t.brownout ~fleet:t.fleet
+    (match result with
+    | Ok resp ->
+        Monitor.Served
+          {
+            latency_us = resp.resp_sim_us;
+            predicted_us =
+              Option.value ~default:0.0
+                (predicted_us t arch resp.resp_version
+                   ~tunables:resp.resp_tunables ~n);
+            degraded = resp.resp_degraded;
+          }
+    | Error e -> Monitor.Failed (error_kind e))
 
 (* The one accounting point: build the response, record the outcome
    stats (degradation, winner, fallback, the kernel profile) and note
@@ -1378,7 +1098,7 @@ let account (t : t) (r : req_state) (v : verdict) : (response, error) result =
                     lr.Gpusim.Interp.lr_events)
                   ex.ex_outcome.R.launch_results))
   | Host _ | Failed _ -> ());
-  monitor_note t r result;
+  (match t.monitor with Some m -> note_monitor t m r result | None -> ());
   result
 
 let validate (req : request) : (unit, error) result =
@@ -1498,9 +1218,9 @@ let submit_batch_result ?deadline_us (t : t) (reqs : request list) :
         (fun req -> snd (List.find (fun (rep, _) -> same_shape rep req) served))
         reqs
 
-let submit_batch ?deadline_us (t : t) (reqs : request list) : response list =
+let submit_batch (t : t) (reqs : request list) : response list =
   List.map
     (function Ok r -> r | Error e -> raise (Service_error e))
-    (submit_batch_result ?deadline_us t reqs)
+    (submit_batch_result t reqs)
 
 let report (t : t) : string = Stats.report t.stats

@@ -17,7 +17,7 @@
     breakers) → verify (the SDC guard) → account. Accounting is the one
     point that builds the response, records its outcome in {!Stats}
     (winner, fallback, degradation, kernel profile) and notes it to the
-    monitor; events — cache hits and misses, retries, faults,
+    {!Monitor}; events — cache hits and misses, retries, faults,
     quarantines, SDC checks — are recorded where they happen.
 
     The service is fault tolerant. Transient simulator errors are
@@ -135,9 +135,9 @@ type t
     {!Plan_cache.default_capacity}); [cache] starts from a warmed cache
     instead (e.g. {!Plan_cache.load}ed — [capacity] is then ignored);
     [candidates] restricts the versions considered on a cache miss
-    (default: the 30 pruned survivors); dense inputs up to
-    [exact_threshold] elements (default [2^17]) run in exact mode, larger
-    or synthetic inputs in fast sampled mode. [resilience] sets the
+    (default: the 30 pruned survivors); dense inputs up to [2^17]
+    elements run in exact mode, larger or synthetic inputs in fast
+    sampled mode. [resilience] sets the
     retry/quarantine policy, [guard] the silent-data-corruption
     verification policy (default {!Guard.default}: every exact response
     witness-checked), [fault] arms a {!Gpusim.Fault} injection plan
@@ -147,7 +147,6 @@ val create :
   ?capacity:int ->
   ?cache:Plan_cache.t ->
   ?candidates:Synthesis.Version.t list ->
-  ?exact_threshold:int ->
   ?resilience:resilience ->
   ?guard:Guard.config ->
   ?fault:Gpusim.Fault.t ->
@@ -186,56 +185,14 @@ val attach_fleet : t -> Fleet.t -> unit
 (** Return to the single-device path. *)
 val detach_fleet : t -> unit
 
-(** {1 Monitoring: windowed metrics, SLO burn rates, flight recorder}
+(** The attached {!Monitor}, if any. Off by default. *)
+val monitor : t -> Monitor.t option
 
-    An attached monitor drives three layers off a serialized virtual
-    clock (advanced by each request's observed virtual latency):
-    windows over the service's one {!Stats.metrics} registry, to which
-    it adds request outcomes, virtual latency by class and the
-    brownout, queue-depth and fleet-active gauges; multi-window
-    burn-rate SLOs ({!Obs.Slo}); and the black-box {!Recorder}. When an
-    SLO alert fires, a corruption is confirmed or a device is ejected,
-    the recorder freezes the last requests plus the SLO/fleet/metric
-    context into a self-contained incident bundle. A service without a
-    monitor behaves — and reports — exactly as before. *)
-
-(** Attach a fresh monitor. [latency_mult] bounds the latency SLO's
-    good region (observed <= mult x static-cost prediction, default 3);
-    inputs at or below [interactive_max] (default 65536) feed the
-    latency SLO; metrics snapshot every [snapshot_every] requests
-    (default 32); the recorder ring holds [capacity] requests
-    (default 128). [latency_target] (default 0.97) and
-    [goodput_target] (default 0.95) set the SLO targets — the SDC
-    objective is always zero-budget. *)
-val attach_monitor :
-  ?latency_mult:float ->
-  ?interactive_max:int ->
-  ?snapshot_every:int ->
-  ?capacity:int ->
-  ?latency_target:float ->
-  ?goodput_target:float ->
-  t ->
-  unit
-
-val detach_monitor : t -> unit
-val monitor_attached : t -> bool
-
-val monitor_recorder : t -> Recorder.t option
-
-(** The monitor's SLOs as (name, state) rows — empty without a
-    monitor. *)
-val monitor_slos : t -> (string * Obs.Slo.t) list
-
-(** The monitor's virtual clock (0 without a monitor). *)
-val monitor_now_us : t -> float
-
-(** Force a metrics-window boundary at the current virtual time (the
-    replay drivers call this once at the end of a run). *)
-val monitor_snapshot : t -> unit
-
-(** Admission feed: the queue lives above the service, but the monitor
-    owns its depth gauge; a no-op without a monitor. *)
-val monitor_queue_depth : t -> int -> unit
+(** Attach ([Some]) or detach ([None]) a monitor built from this
+    service's {!stats}: every answered request is then noted to it,
+    priced on the architecture it ran on, and fleet ejections reach it
+    as incidents. *)
+val set_monitor : t -> Monitor.t option -> unit
 
 (** The deepest brownout ladder step (4: host path only). *)
 val max_brownout : int
@@ -266,7 +223,7 @@ val quarantined : t -> arch:string -> version:string -> bool
 
 (** Load a persisted plan cache, mapping parse/IO failures to
     [Error (Cache_corrupt _)] so callers can warn and start cold. *)
-val load_cache : ?capacity:int -> string -> (Plan_cache.t, error) result
+val load_cache : string -> (Plan_cache.t, error) result
 
 (** Serve one request. Empty inputs return the operation's identity
     without touching the simulator.
@@ -294,7 +251,7 @@ val submit_batch_result :
 
 (** [submit_batch_result], raising {!Service_error} on the first
     failure. *)
-val submit_batch : ?deadline_us:float -> t -> request list -> response list
+val submit_batch : t -> request list -> response list
 
 (** The {!Stats.report} of this service. *)
 val report : t -> string

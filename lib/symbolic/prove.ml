@@ -56,9 +56,9 @@ type verdict =
           geometry *)
   | Refuted of failure list
 
-(** Input sizes of the default proof matrix: a single element, one block
-    with a dead warp tail, and several blocks with a partial edge block. *)
-let default_sizes = [ 1; 33; 257 ]
+(* Input sizes of the proof matrix: a single element, one block with a
+   dead warp tail, and several blocks with a partial edge block. *)
+let sizes = [ 1; 33; 257 ]
 
 (* The smallest candidate of each tunable, plus (when distinct) the
    second-smallest assignment — a second block width, and a coarsening
@@ -73,8 +73,8 @@ let geometry_tunables (p : Ir.program) : (string * int) list list =
   let a = pick 0 and b = pick 1 in
   if a = b then [ a ] else [ a; b ]
 
-(** The tree-loop reference: the combining operation folded left over the
-    identity and [x_0 .. x_(n-1)]. *)
+(* The tree-loop reference: the combining operation folded left over the
+   identity and [x_0 .. x_(n-1)]. *)
 let reference_term ~(op : Ir.atomic_op) ~(elem : Ir.scalar) ~(n : int) : Term.t =
   let acc =
     ref (Term.Conc (Gpusim.Value.of_float elem (Ir.identity_value op elem)))
@@ -113,8 +113,7 @@ let geometry_name (n : int) (tunables : (string * int) list) : string =
 (** Prove [p] equivalent to the reference reduction of [op] over [elem]
     elements, across the geometry matrix [sizes] x tunable assignments.
     Total: never raises — any escape of the symbolic fragment refutes. *)
-let equiv ?(sizes = default_sizes) ~(op : Ir.atomic_op) ~(elem : Ir.scalar)
-    (p : Ir.program) : verdict =
+let equiv ~(op : Ir.atomic_op) ~(elem : Ir.scalar) (p : Ir.program) : verdict =
   let geometries =
     List.concat_map
       (fun tunables -> List.map (fun n -> (n, tunables)) sizes)

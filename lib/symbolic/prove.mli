@@ -29,19 +29,12 @@ type verdict =
           geometry *)
   | Refuted of failure list
 
-(** Input sizes of the default proof matrix: [1; 33; 257]. *)
-val default_sizes : int list
-
-(** The tree-loop reference: the combining operation folded left over the
-    identity and [x_0 .. x_(n-1)]. *)
-val reference_term :
-  op:Device_ir.Ir.atomic_op -> elem:Device_ir.Ir.scalar -> n:int -> Term.t
-
-(** [equiv ~op ~elem p] proves [p] equivalent to the reference reduction
-    of [op] over [elem] elements across the geometry matrix. Total:
-    any escape of the symbolic fragment refutes rather than raising. *)
+(** [equiv ~op ~elem p] proves [p] equivalent to the tree-loop reference
+    reduction of [op] over [elem] elements — the combining operation
+    folded left over the identity and [x_0 .. x_(n-1)] — across the
+    geometry matrix (input sizes 1, 33 and 257). Total: any escape of
+    the symbolic fragment refutes rather than raising. *)
 val equiv :
-  ?sizes:int list ->
   op:Device_ir.Ir.atomic_op ->
   elem:Device_ir.Ir.scalar ->
   Device_ir.Ir.program ->

@@ -52,7 +52,6 @@ type t =
       (** a value the symbolic semantics cannot represent faithfully, e.g.
           the old-value result of an atomic; poisonous only if used *)
 
-let of_value v = Conc v
 let sym i = Sym i
 let poison why = Poison why
 

@@ -32,7 +32,6 @@ type t =
   | Ext of ext_nf
   | Poison of string  (** unrepresentable; aborts the proof only if used *)
 
-val of_value : Gpusim.Value.t -> t
 val sym : int -> t
 val poison : string -> t
 
@@ -57,9 +56,6 @@ val unop : Device_ir.Ir.unop -> t -> t
 
 (** Fold with an atomic operation's combining function. *)
 val combine : Device_ir.Ir.atomic_op -> t -> t -> t
-
-(** The magnitude bound assumed on every input element (proof domain). *)
-val domain_bound : Device_ir.Ir.scalar -> float
 
 (** Additive canonical form. @raise Unsupported on extremal/poison terms. *)
 val canon_add : t -> add_nf

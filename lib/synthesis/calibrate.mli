@@ -76,5 +76,4 @@ val calibrate_all :
   Version.t list ->
   report list
 
-val report_json : report -> Obs.Json.t
 val reports_json : report list -> Obs.Json.t

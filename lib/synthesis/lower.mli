@@ -21,8 +21,6 @@ val combine_exp :
 val assign_combine :
   Tir.Ast.assign_op -> Device_ir.Ir.exp -> Device_ir.Ir.exp -> Device_ir.Ir.exp
 
-val tir_binop : Tir.Ast.binop -> Device_ir.Ir.binop
-
 (** How the codelet's container parameter is linked to actual data. *)
 type container_binding =
   | C_global of {

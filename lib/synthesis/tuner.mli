@@ -12,9 +12,6 @@ type outcome = {
   sweep : ((string * int) list * float) list;  (** every configuration tried *)
 }
 
-(** The default fast sampled execution mode used for sweeps. *)
-val tuning_opts : Gpusim.Interp.options
-
 (** The default sweep cap: {!tune} refuses Cartesian products larger than
     this (10k configurations) instead of silently enumerating them. *)
 val max_configurations : int
@@ -27,9 +24,6 @@ val configuration_count : (string * int list) list -> int
     monotone counter used by the runtime layer's cache-effectiveness
     tests ("a cache hit must not re-tune"). *)
 val invocations : unit -> int
-
-(** All assignments of the candidate lists. *)
-val cartesian : (string * int list) list -> (string * int) list list
 
 (** Sweep a compiled program's tunables on [arch] for input size [n].
     @raise Invalid_argument when no configuration survives, or when the

@@ -79,8 +79,6 @@ type finisher =
   | F_block_atomic
       (** block-scoped atomic on a per-block global cell (Listing 2) *)
 
-let all_finishers = F_block_atomic :: List.map (fun c -> F_coop c) all_coops
-
 let finisher_name = function
   | F_coop c -> coop_name c
   | F_block_atomic -> "GAb"

@@ -26,26 +26,16 @@ type coop =
           {!register_synthesized}, after the symbolic prover certifies
           the composed version. *)
 
-val all_coops : coop list
-val extension_coops : coop list
-val coop_name : coop -> string
-
 (** The {!Passes.Driver} variant tag implementing each shape.
     @raise Invalid_argument on synthesized exchanges, which have no TIR
     variant. *)
 val coop_variant_name : coop -> string
-
-val coop_uses_shuffle : coop -> bool
-val coop_uses_shared_atomic : coop -> bool
 
 (** How per-thread partials combine within a block (compound schemes). *)
 type finisher =
   | F_coop of coop
   | F_block_atomic
       (** block-scoped atomic on a per-block global cell (Listing 2) *)
-
-val all_finishers : finisher list
-val finisher_name : finisher -> string
 
 type block_scheme =
   | Direct of coop
@@ -66,8 +56,6 @@ type t = {
   block : block_scheme;
 }
 
-val pattern_name : Tir.Ast.access_pattern -> string
-
 (** Stable human-readable name, e.g. ["DT,A/direct:A2s"]. *)
 val name : t -> string
 
@@ -80,17 +68,6 @@ val uses_global_atomic : t -> bool
 val is_original : t -> bool
 
 val needs_second_kernel : t -> bool
-
-(** Block schemes compatible with a grid pattern (direct cooperative
-    schemes require tiled grids). *)
-val block_schemes :
-  ?extensions:bool ->
-  grid_pattern:Tir.Ast.access_pattern ->
-  grid_finish:grid_finish ->
-  unit ->
-  block_scheme list
-
-val all_grid_finishes : grid_finish list
 
 (** The full search space. *)
 val enumerate : ?extensions:bool -> unit -> t list

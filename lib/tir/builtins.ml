@@ -446,6 +446,3 @@ let find_tag (u : (Ast.codelet * Check.info) list) ~(tag : string) :
   match List.find_opt (fun (c, _) -> c.Ast.c_tag = Some tag) u with
   | Some x -> x
   | None -> invalid_arg (Printf.sprintf "no codelet tagged %S" tag)
-
-let all_tags = [ "scalar"; "compound_tiled"; "compound_strided"; "coop_tree";
-                 "shared_v1"; "shared_v2" ]

@@ -13,13 +13,6 @@ val sum_source : string
     atomicMax-generating paths. *)
 val max_source : string
 
-(** An integer sum spectrum over [Array<1,int>], exercising the integer
-    element-type paths. *)
-val int_sum_source : string
-
-(** A [min] reduction spectrum, exercising the atomicMin paths. *)
-val min_source : string
-
 (** Memoised parse + check of a source unit.
     @raise Tir.Parser.Parse_error / {!Check.Check_error} on bad input. *)
 val load : string -> (Ast.codelet * Check.info) list
@@ -33,6 +26,3 @@ val min_unit : unit -> (Ast.codelet * Check.info) list
     @raise Invalid_argument when absent. *)
 val find_tag :
   (Ast.codelet * Check.info) list -> tag:string -> Ast.codelet * Check.info
-
-(** The six tags, in source order. *)
-val all_tags : string list

@@ -31,10 +31,6 @@ type info = {
   ci_vector : string option;
 }
 
-(** Check one codelet against the spectrum names in scope.
-    @raise Check_error with a codelet-qualified message. *)
-val check_codelet : spectra:string list -> Ast.codelet -> info
-
 (** Check a whole unit; codelets may reference any spectrum defined in it
     (including their own, for recursive decomposition), and codelets of
     one spectrum must agree on the signature. *)

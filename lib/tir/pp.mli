@@ -6,12 +6,6 @@
     statements ({!Ast.Shfl_write}, {!Ast.Atomic_write}) print as the CUDA
     they become. *)
 
-val binop_str : Ast.binop -> string
-
-(** Precedence level matching the parser's layering; higher binds
-    tighter. *)
-val binop_prec : Ast.binop -> int
-
 val ty : Ast.ty -> string
 
 (** Print with minimal parenthesisation; [prec] is the surrounding

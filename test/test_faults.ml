@@ -44,7 +44,7 @@ let verdict_trace ~seed ~rate n =
   let f = Fault.create (Fault.plan ~rate ~seed ()) in
   List.init n (fun i ->
       let version = if i mod 2 = 0 then "even-version" else "odd-version" in
-      match Fault.roll f ~arch:"Tesla K40c" ~version with
+      match Fault.roll f ~version with
       | Fault.Pass -> "pass"
       | Fault.Fault k -> Fault.kind_name k)
 
@@ -66,7 +66,7 @@ let determinism_tests =
     Alcotest.test_case "injection counters add up" `Quick (fun () ->
         let f = Fault.create (Fault.plan ~rate:0.5 ~seed:3 ()) in
         for i = 1 to 200 do
-          ignore (Fault.roll f ~arch:"A" ~version:(string_of_int (i mod 4)))
+          ignore (Fault.roll f ~version:(string_of_int (i mod 4)))
         done;
         Alcotest.(check int) "rolls" 200 (Fault.rolls f);
         Alcotest.(check int) "per-kind sums to total" (Fault.injected f)

@@ -409,6 +409,24 @@ let integration_tests =
         ignore (replay svc (sizes 4));
         Alcotest.(check int) "no fleet dispatches after detach" before
           (Stats.fleet_dispatches (Service.stats svc)));
+    Alcotest.test_case "the static-prediction memo runs in fixed memory"
+      `Slow (fun () ->
+        let svc = service () in
+        ignore (attach svc [ active_spec (); active_spec () ]);
+        (* synthetic sizes of one bucket: every request is a new
+           prediction key, and nothing else the service keeps grows *)
+        let pattern = Array.init 64 float_of_int in
+        let serve_new_sizes first =
+          for n = first to first + 1023 do
+            ignore (Service.submit svc (request (R.Synthetic { n; pattern })))
+          done
+        in
+        serve_new_sizes (1 lsl 20);
+        let words = Obj.reachable_words (Obj.repr svc) in
+        (* 1024 more keys: a whole number of memo fills *)
+        serve_new_sizes ((1 lsl 20) + 1024);
+        Alcotest.(check int) "reachable words unchanged" words
+          (Obj.reachable_words (Obj.repr svc)));
   ]
 
 (* -------------------------------------------------------------- *)

@@ -177,19 +177,19 @@ let render_service buf svc =
   |> List.iter (fun line ->
          if line <> "" && not (contains ~needle:"tangram_latency_us" line) then
            Printf.bprintf buf "  %s\n" line);
-  List.iter
-    (fun (name, slo) ->
-      Printf.bprintf buf "slo %s fired %d\n" name (Obs.Slo.fired_count slo))
-    (Service.monitor_slos svc);
-  match Service.monitor_recorder svc with
+  match Service.monitor svc with
   | None -> ()
-  | Some rc ->
+  | Some m ->
+      List.iter
+        (fun (name, slo) ->
+          Printf.bprintf buf "slo %s fired %d\n" name (Obs.Slo.fired_count slo))
+        (Runtime.Monitor.slos m);
       List.iter
         (fun (inc : Runtime.Recorder.incident) ->
           Printf.bprintf buf "incident #%d at %.17g us trigger %s\n"
             inc.Runtime.Recorder.in_seq inc.in_now_us
             (Runtime.Recorder.trigger_kind inc.in_trigger))
-        (Runtime.Recorder.incidents rc)
+        (Runtime.Recorder.incidents (Runtime.Monitor.recorder m))
 
 type submit = string -> ?deadline_us:float -> Service.request -> unit
 
@@ -207,7 +207,9 @@ let sized_requests arch sizes =
 let fleet_scenario ?(monitor = false) buf name =
   let svc = new_service () in
   Service.set_profiling svc true;
-  if monitor then Service.attach_monitor ~snapshot_every:8 svc;
+  if monitor then
+    Service.set_monitor svc
+      (Some (Runtime.Monitor.create ~snapshot_every:8 (Service.stats svc)));
   let fl =
     Fleet.create ~seed:5
       ~config:

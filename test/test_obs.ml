@@ -13,6 +13,7 @@
 module V = Synthesis.Version
 module P = Synthesis.Planner
 module Service = Runtime.Service
+module Monitor = Runtime.Monitor
 module Stats = Runtime.Stats
 module R = Gpusim.Runner
 module Fault = Gpusim.Fault
@@ -871,7 +872,7 @@ let note_n (r : Rec.t) (k : int) =
     last :=
       Some
         (Rec.note r ~now_us:(float_of_int i) ~arch:"Tesla K40c" ~n:1024
-           ~predicted_us:10.0 ~latency_us:12.0 ~outcome:"ok" ())
+           ~predicted_us:10.0 ~latency_us:12.0 ~outcome:"ok")
   done;
   Option.get !last
 
@@ -1035,11 +1036,12 @@ let prometheus_tests =
     Alcotest.test_case "stats exposition appends the monitor's families"
       `Quick (fun () ->
         let svc = Service.create (Lazy.force plan) in
-        Service.attach_monitor svc;
+        let mon = Monitor.create (Service.stats svc) in
+        Service.set_monitor svc (Some mon);
         for _ = 1 to 8 do
           ignore (Service.submit svc (request (dense 1024)))
         done;
-        Service.monitor_snapshot svc;
+        Monitor.snapshot mon;
         let text = Stats.to_prometheus (Service.stats svc) in
         Alcotest.(check bool) "monitor families present" true
           (contains ~needle:"tangram_monitor_requests_total" text);
@@ -1069,29 +1071,33 @@ let monitor_tests =
     Alcotest.test_case "attach, observe, detach" `Quick (fun () ->
         let svc = Service.create (Lazy.force plan) in
         Alcotest.(check bool) "off by default" false
-          (Service.monitor_attached svc);
-        Service.attach_monitor svc;
-        Alcotest.(check bool) "attached" true (Service.monitor_attached svc);
+          (Option.is_some (Service.monitor svc));
+        let mon = Monitor.create (Service.stats svc) in
+        Service.set_monitor svc (Some mon);
+        Alcotest.(check bool) "attached" true
+          (Option.is_some (Service.monitor svc));
         Alcotest.(check int) "three objectives" 3
-          (List.length (Service.monitor_slos svc));
+          (List.length (Monitor.slos mon));
         for _ = 1 to 5 do
           ignore (Service.submit svc (request (dense 1024)))
         done;
         Alcotest.(check bool) "virtual clock advanced" true
-          (Service.monitor_now_us svc > 0.0);
-        (match Service.monitor_recorder svc with
+          (Monitor.now_us mon > 0.0);
+        (match Option.map Monitor.recorder (Service.monitor svc) with
         | Some r -> Alcotest.(check int) "all requests noted" 5
             (List.length (Rec.records r))
         | None -> Alcotest.fail "no recorder");
-        Service.detach_monitor svc;
-        Alcotest.(check bool) "detached" false (Service.monitor_attached svc));
+        Service.set_monitor svc None;
+        Alcotest.(check bool) "detached" false
+          (Option.is_some (Service.monitor svc)));
     Alcotest.test_case "a confirmed SDC dumps an incident bundle" `Slow
       (fun () ->
         let fault =
           Fault.create (Fault.plan ~rate:0.0 ~bitflip_rate:0.2 ~seed:3 ())
         in
         let svc = Service.create ~fault (Lazy.force plan) in
-        Service.attach_monitor svc;
+        let mon = Monitor.create (Service.stats svc) in
+        Service.set_monitor svc (Some mon);
         let stats = Service.stats svc in
         let i = ref 0 in
         while Stats.sdc_catches stats = 0 && !i < 200 do
@@ -1100,7 +1106,7 @@ let monitor_tests =
         done;
         Alcotest.(check bool) "guard caught a corruption" true
           (Stats.sdc_catches stats > 0);
-        let r = Option.get (Service.monitor_recorder svc) in
+        let r = Monitor.recorder mon in
         let kinds =
           List.map
             (fun (inc : Rec.incident) -> Rec.trigger_kind inc.Rec.in_trigger)
@@ -1108,7 +1114,7 @@ let monitor_tests =
         in
         Alcotest.(check bool) "sdc bundle dumped" true (List.mem "sdc" kinds);
         Alcotest.(check bool) "stats counted it" true (Stats.incidents stats > 0);
-        let sdc_slo = List.assoc "sdc" (Service.monitor_slos svc) in
+        let sdc_slo = List.assoc "sdc" (Monitor.slos mon) in
         Alcotest.(check bool) "zero-budget objective fired" true
           (Slo.fired_count sdc_slo >= 1));
     Alcotest.test_case
@@ -1131,7 +1137,11 @@ let monitor_tests =
             in
             Fleet.set_hedging fl false;
             Service.attach_fleet svc fl;
-            Service.attach_monitor ~latency_mult:1.5 ~latency_target:0.99 svc;
+            let mon =
+              Monitor.create ~latency_mult:1.5 ~latency_target:0.99
+                (Service.stats svc)
+            in
+            Service.set_monitor svc (Some mon);
             let spec =
               Runtime.Trace.default ~requests:600 ~seed:42 ~archs:[ pascal ] ()
             in
@@ -1142,10 +1152,10 @@ let monitor_tests =
             Alcotest.(check bool) "fail-slow device ejected" true
               (Stats.fleet_ejects stats >= 1);
             (* ...but the burn-rate alert beat it to the punch *)
-            let lat = List.assoc "latency" (Service.monitor_slos svc) in
+            let lat = List.assoc "latency" (Monitor.slos mon) in
             Alcotest.(check bool) "latency alert fired" true
               (Slo.fired_count lat >= 1);
-            let r = Option.get (Service.monitor_recorder svc) in
+            let r = Monitor.recorder mon in
             let incs = Rec.incidents r in
             let first kind =
               List.fold_left
@@ -1188,6 +1198,30 @@ let monitor_tests =
             | _ -> Alcotest.fail "alert bundle lost the span tree");
             (* deterministic replay: same seeds, same firing moment *)
             Alcotest.(check int) "seeded alert request" 19 alert_seq));
+    Alcotest.test_case "a fleet request is priced on the arch it ran on"
+      `Quick (fun () ->
+        let kepler = Gpusim.Arch.kepler_k40c in
+        let svc = Service.create (Lazy.force plan) in
+        Service.attach_fleet svc
+          (Fleet.create ~seed:1 [ Fleet.spec kepler; Fleet.spec kepler ]);
+        let mon = Monitor.create ~latency_mult:1.5 (Service.stats svc) in
+        Service.set_monitor svc (Some mon);
+        (* P100 requests served by a healthy K40c fleet *)
+        for _ = 1 to 40 do
+          ignore
+            (Service.submit svc
+               { Service.req_arch = Gpusim.Arch.pascal_p100;
+                 req_input = dense 1024 })
+        done;
+        let lat = List.assoc "latency" (Monitor.slos mon) in
+        Alcotest.(check int) "no latency alert" 0 (Slo.fired_count lat);
+        List.iter
+          (fun (r : Rec.record) ->
+            Alcotest.(check string) "recorded on the device's arch"
+              kepler.Gpusim.Arch.name r.Rec.rc_arch;
+            Alcotest.(check bool) "inside the latency envelope" true
+              (r.Rec.rc_latency_us <= 1.5 *. r.Rec.rc_predicted_us))
+          (Rec.records (Monitor.recorder mon)));
   ]
 
 let () =

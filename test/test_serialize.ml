@@ -1,8 +1,6 @@
-(* Serialization tests: S-expression reader edge cases and bit-exact
-   round-tripping of device-IR programs across the whole search space. *)
+(* Serialization tests: S-expression reader edge cases. *)
 
 module S = Device_ir.Serialize
-module Ir = Device_ir.Ir
 
 let sexp_tests =
   let roundtrip name src expected =
@@ -41,64 +39,6 @@ let sexp_tests =
         Alcotest.(check bool) "equal" true (S.parse_sexp (S.sexp_to_string s) = s));
   ]
 
-let plan = lazy (Synthesis.Planner.sum ())
-
-let program_tests =
-  [
-    Alcotest.test_case "all 88 programs round-trip bit-exactly" `Slow (fun () ->
-        let p = Lazy.force plan in
-        List.iter
-          (fun v ->
-            let prog = Synthesis.Planner.program p v in
-            let back = S.program_of_string (S.program_to_string prog) in
-            if not (Ir.equal_program prog back) then
-              Alcotest.failf "%s does not round-trip" (Synthesis.Version.name v))
-          (Synthesis.Version.enumerate ()));
-    Alcotest.test_case "floats round-trip exactly (hex literals)" `Quick (fun () ->
-        let k =
-          { Ir.k_name = "k"; k_params = []; k_arrays = [ ("o", Ir.F32) ];
-            k_shared = [];
-            k_body =
-              [
-                Ir.store_global "o" (Ir.Int 0) (Ir.Float 0.1);
-                Ir.store_global "o" (Ir.Int 1) (Ir.Float neg_infinity);
-                Ir.store_global "o" (Ir.Int 2) (Ir.Float 3.0e38);
-              ];
-          }
-        in
-        let back = S.kernel_of_string (S.kernel_to_string k) in
-        Alcotest.(check bool) "equal" true (Ir.equal_kernel k back));
-    Alcotest.test_case "loaded programs still validate and run" `Quick (fun () ->
-        let p = Lazy.force plan in
-        let prog = Synthesis.Planner.program p (Synthesis.Version.of_figure6 "m") in
-        let back = S.program_of_string (S.program_to_string prog) in
-        let input = Array.init 2000 (fun i -> float_of_int (i mod 7)) in
-        let o =
-          Gpusim.Runner.run ~arch:Gpusim.Arch.maxwell_gtx980
-            ~tunables:[ ("bsize", 128) ] ~input:(Gpusim.Runner.Dense input) back
-        in
-        Alcotest.(check (float 1e-3)) "result"
-          (Array.fold_left ( +. ) 0.0 input)
-          o.Gpusim.Runner.result);
-    Alcotest.test_case "malformed programs are rejected" `Quick (fun () ->
-        List.iter
-          (fun src ->
-            match S.program_of_string src with
-            | _ -> Alcotest.failf "accepted %S" src
-            | exception S.Parse_error _ -> ())
-          [
-            "(program)"; "(kernel x)"; "(program p f32)";
-            "(program p q32 (kernels ()) (buffers ()) (launches ()) (tunables ()) (result r))";
-          ]);
-    Alcotest.test_case "unknown statement heads are rejected" `Quick (fun () ->
-        match
-          S.kernel_of_string
-            "(kernel k (params ()) (arrays ()) (shared ()) (body ((jump x))))"
-        with
-        | _ -> Alcotest.fail "accepted"
-        | exception S.Parse_error _ -> ());
-  ]
-
 let () =
   Alcotest.run "serialize"
-    [ ("s-expressions", sexp_tests); ("programs", program_tests) ]
+    [ ("s-expressions", sexp_tests) ]
