@@ -40,7 +40,15 @@
 
    {v
      dune exec test/test_golden.exe -- --print-tuner > test/golden/tuner_sweeps.txt
-   v} *)
+   v}
+
+   The suite runs from the repository root as well as from its build
+   directory. *)
+
+(* a golden file, relative to the test directory or the repository root *)
+let golden name =
+  let local = Filename.concat "golden" name in
+  if Sys.file_exists local then local else Filename.concat "test/golden" name
 
 let read_file path =
   let ic = open_in_bin path in
@@ -80,8 +88,9 @@ let lint_all planner =
       (Device_ir.Diag.summary diags)
 
 (* show the first diverging line, not a wall of text *)
-let check_golden name path generated =
+let check_golden name file generated =
   Alcotest.test_case name `Quick (fun () ->
+      let path = golden file in
       let expected = read_file path in
       if String.equal expected generated then ()
       else begin
@@ -318,7 +327,7 @@ let service_golden = lazy (service_scenarios ())
 let service_coverage =
   Alcotest.test_case "scenarios reach every host answer and error kind" `Quick
     (fun () ->
-      let text = read_file "golden/service_scenarios.txt" in
+      let text = read_file (golden "service_scenarios.txt") in
       List.iter
         (fun needle ->
           Alcotest.(check bool) needle true (contains ~needle text))
@@ -384,32 +393,32 @@ let () =
       ( "codegen",
         [
           check_golden "Listing 3 structure (version l, CUDA)"
-            "golden/listing3_version_l.cu" (cuda "l");
+            "listing3_version_l.cu" (cuda "l");
           check_golden "Listing 4 structure (version m, CUDA)"
-            "golden/listing4_version_m.cu" (cuda "m");
+            "listing4_version_m.cu" (cuda "m");
           check_golden "Figure 3(b) structure (version o, CUDA)"
-            "golden/listing3b_version_o.cu" (cuda "o");
-          check_golden "version m, PTX" "golden/version_m.ptx" (ptx "m");
-          check_golden "version n, PTX" "golden/version_n.ptx" (ptx "n");
-          check_golden "version a vectorized, CUDA" "golden/version_a_vectorized.cu"
+            "listing3b_version_o.cu" (cuda "o");
+          check_golden "version m, PTX" "version_m.ptx" (ptx "m");
+          check_golden "version n, PTX" "version_n.ptx" (ptx "n");
+          check_golden "version a vectorized, CUDA" "version_a_vectorized.cu"
             (vectorized_cuda "a");
         ] );
       ( "lint",
         [
-          check_golden "every sum version, lint text" "golden/lint_sum.txt"
+          check_golden "every sum version, lint text" "lint_sum.txt"
             (lint_all (Lazy.force plan));
-          check_golden "every max version, lint text" "golden/lint_max.txt"
+          check_golden "every max version, lint text" "lint_max.txt"
             (lint_all (Synthesis.Planner.max_reduction ()));
         ] );
       ( "service",
         [
           check_golden "every request path, deterministic output"
-            "golden/service_scenarios.txt" (Lazy.force service_golden);
+            "service_scenarios.txt" (Lazy.force service_golden);
           service_coverage;
         ] );
       ( "tuner",
         [
           check_golden "every pruned sum version's sweep at three keys"
-            "golden/tuner_sweeps.txt" (tuner_sweeps ());
+            "tuner_sweeps.txt" (tuner_sweeps ());
         ] );
     ]
