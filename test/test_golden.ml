@@ -42,6 +42,14 @@
      dune exec test/test_golden.exe -- --print-tuner > test/golden/tuner_sweeps.txt
    v}
 
+   The prover golden pins the verdict of every version of the four
+   built-in spectra and, for float sum, each proof geometry's input
+   size, tunables and reassociation-certificate depth. Regenerate with
+
+   {v
+     dune exec test/test_golden.exe -- --print-prove > test/golden/prove_certs.txt
+   v}
+
    The suite runs from the repository root as well as from its build
    directory. *)
 
@@ -377,7 +385,45 @@ let tuner_sweeps () : string =
     tuner_keys;
   Buffer.contents buf
 
+(* ------------------------------------------------------------------ *)
+(* The prover's verdicts                                               *)
+(* ------------------------------------------------------------------ *)
+
+let spectra =
+  [
+    ("sum", plan);
+    ("max", lazy (Synthesis.Planner.max_reduction ()));
+    ("min", lazy (Synthesis.Planner.min_reduction ()));
+    ("int", lazy (Synthesis.Planner.int_sum ()));
+  ]
+
+let prove_certs () : string =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (spectrum, planner) ->
+      Printf.bprintf buf "=== %s ===\n" spectrum;
+      List.iter
+        (fun v ->
+          let verdict = Synthesis.Planner.prove (Lazy.force planner) v in
+          Printf.bprintf buf "%s %s\n" (Synthesis.Version.name v)
+            (Symbolic.Prove.describe verdict);
+          match verdict with
+          | Symbolic.Prove.Proved_reassoc certs ->
+              List.iter
+                (fun (c : Symbolic.Prove.cert) ->
+                  Printf.bprintf buf "  n=%d [%s] depth %d\n" c.Symbolic.Prove.c_n
+                    (render_assignment c.c_tunables) c.c_depth)
+                certs
+          | Symbolic.Prove.Proved | Symbolic.Prove.Refuted _ -> ())
+        (Synthesis.Version.enumerate ()))
+    spectra;
+  Buffer.contents buf
+
 let () =
+  if Array.exists (String.equal "--print-prove") Sys.argv then begin
+    print_string (prove_certs ());
+    exit 0
+  end;
   if Array.exists (String.equal "--print-service") Sys.argv then begin
     print_string (Lazy.force service_golden);
     exit 0
@@ -420,5 +466,10 @@ let () =
         [
           check_golden "every pruned sum version's sweep at three keys"
             "tuner_sweeps.txt" (tuner_sweeps ());
+        ] );
+      ( "prove",
+        [
+          check_golden "every version's verdict, sum's certificate depths"
+            "prove_certs.txt" (prove_certs ());
         ] );
     ]
