@@ -44,10 +44,14 @@
 
    The prover golden pins the verdict of every version of the four
    built-in spectra and, for float sum, each proof geometry's input
-   size, tunables and reassociation-certificate depth. Regenerate with
+   size, tunables and reassociation-certificate depth. The slot golden
+   pins, for every kernel of every sum and max version, the register
+   names in the interpreter's slot order, which register bit flips
+   select by. Regenerate with
 
    {v
      dune exec test/test_golden.exe -- --print-prove > test/golden/prove_certs.txt
+     dune exec test/test_golden.exe -- --print-slots > test/golden/register_slots.txt
    v}
 
    The suite runs from the repository root as well as from its build
@@ -386,7 +390,7 @@ let tuner_sweeps () : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* The prover's verdicts                                               *)
+(* The prover's verdicts and the interpreter's register slots          *)
 (* ------------------------------------------------------------------ *)
 
 let spectra =
@@ -419,9 +423,32 @@ let prove_certs () : string =
     spectra;
   Buffer.contents buf
 
+let register_slots () : string =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (spectrum, planner) ->
+      List.iter
+        (fun v ->
+          let p = Synthesis.Planner.program (Lazy.force planner) v in
+          List.iter
+            (fun (k : Device_ir.Ir.kernel) ->
+              let ck = Gpusim.Compiled.compile k in
+              Printf.bprintf buf "%s %s/%s:%s\n" spectrum
+                (Synthesis.Version.name v) k.Device_ir.Ir.k_name
+                (String.concat ""
+                   (List.map (( ^ ) " ") (Array.to_list ck.Gpusim.Compiled.ck_reg_names))))
+            p.Device_ir.Ir.p_kernels)
+        (Synthesis.Version.enumerate ()))
+    (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
+  Buffer.contents buf
+
 let () =
   if Array.exists (String.equal "--print-prove") Sys.argv then begin
     print_string (prove_certs ());
+    exit 0
+  end;
+  if Array.exists (String.equal "--print-slots") Sys.argv then begin
+    print_string (register_slots ());
     exit 0
   end;
   if Array.exists (String.equal "--print-service") Sys.argv then begin
@@ -471,5 +498,10 @@ let () =
         [
           check_golden "every version's verdict, sum's certificate depths"
             "prove_certs.txt" (prove_certs ());
+        ] );
+      ( "slots",
+        [
+          check_golden "every sum and max kernel's register slot order"
+            "register_slots.txt" (register_slots ());
         ] );
     ]
