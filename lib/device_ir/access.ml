@@ -31,7 +31,6 @@
    which loaded cells each register derives from, and widens each loop
    after {!sanitizer_loop_fuel} iterations. *)
 
-module SM = Analysis.SM
 
 let warp_lanes = Lanes.warp_size
 
@@ -269,15 +268,17 @@ let add_counts ?(scale = 1.0) (dst : counts) (src : counts) : unit =
    (unknown when data-dependent) and the barrier epoch of the load *)
 type origin = Ir.space * string * int option * int
 
+(* one warp's registers, by slot *)
 type wstate = {
-  mutable regs : aval SM.t;
-  mutable orig : origin list option array SM.t;
+  mutable regs : aval array;  (* never assigned: [top] *)
+  mutable orig : origin list option array array;
       (* sanitizer walk only: per lane, the cells the register derives
          from; [None] where it holds no load-derived value at all (loop
          iterators, atomic and shuffle results), which a join keeps *)
 }
 
-let snapshot (st : wstate) : wstate = { regs = st.regs; orig = st.orig }
+let snapshot (st : wstate) : wstate =
+  { regs = Array.copy st.regs; orig = Array.copy st.orig }
 
 let restore (st : wstate) (s : wstate) : unit =
   st.regs <- s.regs;
@@ -302,11 +303,11 @@ type access = {
 type trace = { mutable accesses : access list; mutable barriers : string list }
 
 type bctx = {
-  kernel : Ir.kernel;
+  kname : string;
   bid : int;
   bdim : int;
   gdim : int;
-  params : int SM.t;
+  params : aval array;  (* by slot; [top] where unbound *)
   nwarps : int;
   warps : wstate array;
   mutable epoch : int;
@@ -324,8 +325,13 @@ type bctx = {
 let lanes_of (c : bctx) (w : int) : int = Lanes.lanes_in_warp ~nthreads:c.bdim w
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation (per warp)                                    *)
+(* Expressions, compiled per warp                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* an expression's lane vector in one warp of the block, and the slots
+   of the registers it reads, highest name first (the order their load
+   origins combine in) *)
+type aexp = { ev : bctx -> int -> aval; reads : int array }
 
 let binop (op : Ir.binop) (a : aval) (b : aval) : aval =
   if a.unk = all_unknown && b.unk = all_unknown then top
@@ -360,62 +366,95 @@ let select (cv : aval) (a : aval) (b : aval) : aval =
   done;
   { v = out; unk = !unk }
 
-let rec ev (c : bctx) (w : int) (e : Ir.exp) : aval =
+let tid_of_warp w = { v = Array.init warp_lanes (fun l -> (w * warp_lanes) + l); unk = 0 }
+
+(* [tid] in the warps of a 1024-thread block, built once *)
+let tids = Array.init 32 tid_of_warp
+
+let rec ev (e : Resolve.exp) : bctx -> int -> aval =
   match e with
-  | Ir.Int n -> const n
-  | Ir.Float f ->
-      if Float.is_integer f && Float.abs f < 1073741824.0 then const (int_of_float f)
-      else top
-  | Ir.Bool b -> const (if b then 1 else 0)
-  | Ir.Reg r -> ( match SM.find_opt r c.warps.(w).regs with Some v -> v | None -> top)
-  | Ir.Param p -> (
-      match SM.find_opt p c.params with Some v -> const v | None -> top)
-  | Ir.Special s -> (
-      let wbase = w * warp_lanes in
+  | Resolve.Int n ->
+      let a = const n in
+      fun _ _ -> a
+  | Resolve.Float f ->
+      let a =
+        if Float.is_integer f && Float.abs f < 1073741824.0 then const (int_of_float f)
+        else top
+      in
+      fun _ _ -> a
+  | Resolve.Bool b ->
+      let a = const (if b then 1 else 0) in
+      fun _ _ -> a
+  | Resolve.Reg (slot, _) -> fun c w -> c.warps.(w).regs.(slot)
+  | Resolve.Param (slot, _) -> if slot < 0 then fun _ _ -> top else fun c _ -> c.params.(slot)
+  | Resolve.Special s -> (
       match s with
-      | Ir.Thread_idx -> { v = Array.init warp_lanes (fun l -> wbase + l); unk = 0 }
-      | Ir.Block_idx -> const c.bid
-      | Ir.Block_dim -> const c.bdim
-      | Ir.Grid_dim -> const c.gdim
-      | Ir.Warp_size -> const warp_lanes
-      | Ir.Lane_id -> { v = Array.init warp_lanes (fun l -> l); unk = 0 }
-      | Ir.Warp_id -> const w)
-  | Ir.Unop (op, a) ->
-      let a = ev c w a in
+      | Ir.Thread_idx -> fun _ w -> if w < 32 then tids.(w) else tid_of_warp w
+      | Ir.Block_idx -> fun c _ -> const c.bid
+      | Ir.Block_dim -> fun c _ -> const c.bdim
+      | Ir.Grid_dim -> fun c _ -> const c.gdim
+      | Ir.Warp_size ->
+          let a = const warp_lanes in
+          fun _ _ -> a
+      | Ir.Lane_id -> fun _ _ -> tids.(0)
+      | Ir.Warp_id -> fun _ w -> const w)
+  | Resolve.Unop (op, a) ->
+      let a = ev a in
       let f =
         match op with
         | Ir.Neg -> fun v -> -v
         | Ir.Bnot -> lnot
         | Ir.Lnot -> fun v -> if v = 0 then 1 else 0
       in
-      if a.unk = all_unknown then top else { a with v = Array.map f a.v }
-  | Ir.Binop (op, a, b) -> binop op (ev c w a) (ev c w b)
-  | Ir.Select (cnd, a, b) -> select (ev c w cnd) (ev c w a) (ev c w b)
+      fun c w ->
+        let a = a c w in
+        if a.unk = all_unknown then top else { a with v = Array.map f a.v }
+  | Resolve.Binop (op, a, b) ->
+      let a = ev a and b = ev b in
+      fun c w -> binop op (a c w) (b c w)
+  | Resolve.Select (cnd, a, b) ->
+      let cnd = ev cnd and a = ev a and b = ev b in
+      fun c w -> select (cnd c w) (a c w) (b c w)
+
+let compile (e : Resolve.exp) : aexp =
+  let rec reads acc = function
+    | Resolve.Reg (slot, name) -> (name, slot) :: acc
+    | Resolve.Int _ | Resolve.Float _ | Resolve.Bool _ | Resolve.Param _
+    | Resolve.Special _ ->
+        acc
+    | Resolve.Unop (_, a) -> reads acc a
+    | Resolve.Binop (_, a, b) -> reads (reads acc a) b
+    | Resolve.Select (cnd, a, b) -> reads (reads (reads acc cnd) a) b
+  in
+  let by_name = List.sort_uniq (fun x y -> compare y x) (reads [] e) in
+  { ev = ev e; reads = Array.of_list (List.map snd by_name) }
+
+let resolve (k : Ir.kernel) : aexp Resolve.kernel = Resolve.kernel compile k
 
 (* assignment under a lane mask: active lanes take [v], the others keep
    their value (unknown when the register had none) — exact SIMT
    reconvergence *)
-let assign (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : string)
+let assign (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : int)
     (v : aval) : unit =
   let st = c.warps.(w) in
-  let nv =
-    if Lanes.active mask lanes = lanes then v
-    else
-      let o = match SM.find_opt r st.regs with Some o -> o | None -> top in
-      let out = Array.copy o.v and unk = ref o.unk in
-      for l = 0 to lanes - 1 do
-        if mask.(l) then begin
-          out.(l) <- v.v.(l);
-          unk := if known v l then !unk land lnot (1 lsl l) else !unk lor (1 lsl l)
-        end
-      done;
-      { v = out; unk = !unk }
-  in
-  st.regs <- SM.add r nv st.regs
+  st.regs.(r) <-
+    (if Lanes.active mask lanes = lanes then v
+     else
+       let o = st.regs.(r) in
+       let out = Array.copy o.v and unk = ref o.unk in
+       for l = 0 to lanes - 1 do
+         if mask.(l) then begin
+           out.(l) <- v.v.(l);
+           unk := if known v l then !unk land lnot (1 lsl l) else !unk lor (1 lsl l)
+         end
+       done;
+       { v = out; unk = !unk })
 
 (* ------------------------------------------------------------------ *)
 (* Load origins (the sanitizer's walk only)                            *)
 (* ------------------------------------------------------------------ *)
+
+let no_origins : origin list option array = Array.make warp_lanes None
 
 (* first occurrences, at most 8: long accumulation chains only ever
    re-derive the same few cells *)
@@ -427,46 +466,34 @@ let dedup_origins (os : origin list) : origin list =
   let os = go [] os in
   if List.length os > 8 then List.filteri (fun i _ -> i < 8) os else os
 
-let set_origins (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : string)
+let set_origins (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : int)
     (f : int -> origin list option) : unit =
   if c.trace <> None then begin
     let st = c.warps.(w) in
-    let a =
-      match SM.find_opt r st.orig with
-      | Some a -> Array.copy a
-      | None -> Array.make warp_lanes None
-    in
+    let a = Array.copy st.orig.(r) in
     for l = 0 to lanes - 1 do
       if mask.(l) then a.(l) <- f l
     done;
-    st.orig <- SM.add r a st.orig
+    st.orig.(r) <- a
   end
 
 let clear_origins c w mask lanes r = set_origins c w mask lanes r (fun _ -> None)
 
-(* the origin arrays of the registers [e] reads, highest name first *)
-let origin_sources (c : bctx) (w : int) (e : Ir.exp) : origin list option array list =
+let lane_origins (c : bctx) (w : int) (e : aexp) (l : int) : origin list =
   let orig = c.warps.(w).orig in
-  Analysis.SS.fold
-    (fun r acc -> match SM.find_opt r orig with Some a -> a :: acc | None -> acc)
-    (Analysis.exp_uses e) []
+  List.concat_map
+    (fun r -> match orig.(r).(l) with Some os -> os | None -> [])
+    (Array.to_list e.reads)
 
-let lane_origins srcs l =
-  List.concat_map (fun a -> match a.(l) with Some os -> os | None -> []) srcs
-
-let let_origins c w mask lanes r e =
+let let_origins c w mask lanes r (e : aexp) =
   if c.trace <> None then
-    match origin_sources c w e with
-    | [] -> set_origins c w mask lanes r (fun _ -> Some [])
-    | srcs ->
-        set_origins c w mask lanes r (fun l -> Some (dedup_origins (lane_origins srcs l)))
+    set_origins c w mask lanes r (fun l -> Some (dedup_origins (lane_origins c w e l)))
 
 (* bit l: lane l stores a value derived from a same-epoch load of the
    cell it stores to — a lost update when it races *)
-let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : Ir.exp) : int =
+let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : aexp) : int =
   if c.trace = None then 0
   else begin
-    let srcs = origin_sources c w v in
     let rmw = ref 0 in
     for l = 0 to lanes - 1 do
       if mask.(l) then begin
@@ -474,7 +501,7 @@ let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : Ir.exp) : int =
         if
           List.exists
             (fun (sp, ar, i, ep) -> sp = space && ar = arr && ep = c.epoch && i = ix)
-            (lane_origins srcs l)
+            (lane_origins c w v l)
         then rmw := !rmw lor (1 lsl l)
       end
     done;
@@ -510,7 +537,7 @@ let record (c : bctx) (w : int) ~loc ~space ~arr ~kind ~(idx : aval)
       (0, 1)
   | None ->
       let s =
-        find_site c.sites ~kernel:c.kernel.Ir.k_name ~loc ~space ~arr ~kind
+        find_site c.sites ~kernel:c.kname ~loc ~space ~arr ~kind
       in
       let n_active = Lanes.active mask lanes in
       let exact = known_on idx mask lanes in
@@ -611,35 +638,28 @@ let join_arms (st : wstate) ~(arm : wstate) (umask : bool array) (lanes : int) :
             | _ -> None
           else y.(l))
   in
-  st.regs <-
-    SM.merge
-      (fun _ a b ->
-        match (a, b) with Some x, Some y -> Some (join_val x y) | _ -> Some top)
-      arm.regs st.regs;
-  st.orig <-
-    SM.merge
-      (fun _ a b ->
-        match (a, b) with Some x, Some y -> Some (join_orig x y) | _ -> None)
-      arm.orig st.orig
+  st.regs <- Array.map2 join_val arm.regs st.regs;
+  st.orig <- Array.map2 join_orig arm.orig st.orig
 
-let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
-    (s : Ir.stmt) : unit =
+type astmt = aexp Resolve.stmt
+
+let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
   let lanes = lanes_of c w in
   match s with
-  | Ir.Comment _ -> ()
-  | Ir.Let (r, e) ->
-      assign c w mask lanes r (ev c w e);
+  | Resolve.Let (r, e) ->
+      assign c w mask lanes r (e.ev c w);
       let_origins c w mask lanes r e;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_alu <- k.c_alu +. 1.0)
-  | Ir.Load { dst; space; arr; idx } -> (
-      let idxv = ev c w idx in
+  | Resolve.Load { l_arr = { Resolve.a_space = space; a_name = arr; _ }; l_dst; l_idx; l_loc } -> (
+      let idxv = l_idx.ev c w in
       let trans, degree =
-        record c w ~loc ~space ~arr ~kind:Ld ~idx:idxv ~mask ~lanes ~width:1 ~rmw:0
+        record c w ~loc:l_loc ~space ~arr ~kind:Ld ~idx:idxv ~mask ~lanes ~width:1
+          ~rmw:0
       in
-      assign c w mask lanes dst top;
-      set_origins c w mask lanes dst (fun l ->
+      assign c w mask lanes l_dst top;
+      set_origins c w mask lanes l_dst (fun l ->
           Some [ (space, arr, lane_idx idxv l, c.epoch) ]);
       match space with
       | Ir.Global ->
@@ -648,29 +668,31 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
               k.c_gld_ops <- k.c_gld_ops +. 1.0;
               k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
       | Ir.Shared -> chg_shared c w degree)
-  | Ir.Vec_load { dsts; arr; base } ->
-      let width = List.length dsts in
-      let basev = ev c w base in
+  | Resolve.Vec_load { vl_dsts; vl_arr = { Resolve.a_name = arr; _ }; vl_base; vl_loc } ->
+      let width = Array.length vl_dsts in
+      let basev = vl_base.ev c w in
       let trans, _ =
-        record c w ~loc ~space:Ir.Global ~arr ~kind:Vl ~idx:basev ~mask ~lanes
-          ~width ~rmw:0
+        record c w ~loc:vl_loc ~space:Ir.Global ~arr ~kind:Vl ~idx:basev ~mask
+          ~lanes ~width ~rmw:0
       in
-      List.iteri
+      Array.iteri
         (fun j d ->
           assign c w mask lanes d top;
           set_origins c w mask lanes d (fun l ->
               Some
                 [ (Ir.Global, arr, Option.map (( + ) j) (lane_idx basev l), c.epoch) ]))
-        dsts;
+        vl_dsts;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_vec_ops <- k.c_vec_ops +. 1.0;
           k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
-  | Ir.Store { space; arr; idx; v } -> (
-      let idxv = ev c w idx in
-      let rmw = store_rmw c w mask lanes ~space ~arr ~idx:idxv v in
+  | Resolve.Store { st_arr = { Resolve.a_space = space; a_name = arr; _ }; st_idx; st_v; st_loc }
+    -> (
+      let idxv = st_idx.ev c w in
+      let rmw = store_rmw c w mask lanes ~space ~arr ~idx:idxv st_v in
       let trans, degree =
-        record c w ~loc ~space ~arr ~kind:St ~idx:idxv ~mask ~lanes ~width:1 ~rmw
+        record c w ~loc:st_loc ~space ~arr ~kind:St ~idx:idxv ~mask ~lanes ~width:1
+          ~rmw
       in
       match space with
       | Ir.Global ->
@@ -678,15 +700,17 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
               k.c_warp_insts <- k.c_warp_insts +. 1.0;
               k.c_gst_trans <- k.c_gst_trans +. float_of_int trans)
       | Ir.Shared -> chg_shared c w degree)
-  | Ir.Atomic { dst; space; arr; idx; scope; _ } -> (
-      let idxv = ev c w idx in
+  | Resolve.Atomic
+      { at_dst; at_arr = { Resolve.a_space = space; a_name = arr; _ }; at_idx; at_scope; at_loc; _ }
+    -> (
+      let idxv = at_idx.ev c w in
       ignore
-        (record c w ~loc ~space ~arr ~kind:At ~idx:idxv ~mask ~lanes ~width:1 ~rmw:0);
-      (match dst with
-      | Some d ->
-          assign c w mask lanes d top;
-          clear_origins c w mask lanes d
-      | None -> ());
+        (record c w ~loc:at_loc ~space ~arr ~kind:At ~idx:idxv ~mask ~lanes ~width:1
+           ~rmw:0);
+      if at_dst >= 0 then begin
+        assign c w mask lanes at_dst top;
+        clear_origins c w mask lanes at_dst
+      end;
       let n_active = Lanes.active mask lanes in
       let exact = known_on idxv mask lanes in
       if n_active > 0 then
@@ -716,27 +740,27 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
             else if c.trace = None then
               for l = 0 to lanes - 1 do
                 if mask.(l) then begin
-                  let key = (arr, idxv.v.(l), scope) in
+                  let key = (arr, idxv.v.(l), at_scope) in
                   match Hashtbl.find_opt c.heat key with
                   | Some r -> r := !r +. 1.0
                   | None -> Hashtbl.add c.heat key (ref 1.0)
                 end
               done)
-  | Ir.Shfl { dst; _ } ->
-      assign c w mask lanes dst top;
-      clear_origins c w mask lanes dst;
+  | Resolve.Shfl { sh_dst; _ } ->
+      assign c w mask lanes sh_dst top;
+      clear_origins c w mask lanes sh_dst;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_shfl <- k.c_shfl +. 1.0)
-  | Ir.Sync ->
+  | Resolve.Sync _ ->
       (* only reachable through divergent control, which the race
          sanitizer reports *)
       c.approx <- true
-  | Ir.If (cnd, t, e) ->
+  | Resolve.If { if_cond; if_then; if_else; _ } ->
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_branches <- k.c_branches +. 1.0);
-      let cv = ev c w cnd in
+      let cv = if_cond.ev c w in
       let tmask = Array.make warp_lanes false in
       let emask = Array.make warp_lanes false in
       let umask = Array.make warp_lanes false in
@@ -764,36 +788,36 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
         c.approx <- true;
         let st = c.warps.(w) in
         let entry = snapshot st in
-        exec_warp_stmts c w umask (loc ^ ".then") t;
+        exec_body c w umask if_then;
         let arm = snapshot st in
         restore st entry;
-        exec_warp_stmts c w umask (loc ^ ".else") e;
+        exec_body c w umask if_else;
         join_arms st ~arm umask lanes
       end;
-      if !n_t > 0 then exec_warp_stmts c w tmask (loc ^ ".then") t;
-      if !n_e > 0 then exec_warp_stmts c w emask (loc ^ ".else") e
-  | Ir.For { var; init; cond; step; body } ->
-      assign c w mask lanes var (ev c w init);
-      clear_origins c w mask lanes var;
+      if !n_t > 0 then exec_body c w tmask if_then;
+      if !n_e > 0 then exec_body c w emask if_else
+  | Resolve.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
+      assign c w mask lanes f_var (f_init.ev c w);
+      clear_origins c w mask lanes f_var;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_alu <- k.c_alu +. 1.0);
       let step_unknown = Array.make warp_lanes false in
-      warp_loop c w mask lanes (loc ^ ".body") body ~cond ~step_unknown
+      warp_loop c w mask lanes f_body ~cond:f_cond ~step_unknown
         ~widen:(fun wide ->
-          assign c w wide lanes var top;
-          clear_origins c w wide lanes var)
+          assign c w wide lanes f_var top;
+          clear_origins c w wide lanes f_var)
         ~step:(fun live ->
-          let sv = ev c w step in
-          assign c w live lanes var sv;
+          let sv = f_step.ev c w in
+          assign c w live lanes f_var sv;
           chg c w (fun k ->
               k.c_warp_insts <- k.c_warp_insts +. 1.0;
               k.c_alu <- k.c_alu +. 1.0);
           for l = 0 to lanes - 1 do
             if live.(l) && not (known sv l) then step_unknown.(l) <- true
           done)
-  | Ir.While (cnd, body) ->
-      warp_loop c w mask lanes (loc ^ ".body") body ~cond:cnd
+  | Resolve.While { w_cond; w_body; _ } ->
+      warp_loop c w mask lanes w_body ~cond:w_cond
         ~step_unknown:(Array.make warp_lanes false)
         ~widen:(fun _ -> ())
         ~step:(fun _ -> ())
@@ -803,14 +827,14 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (loc : string)
    unknown, or every live lane once the fuel is spent, widens — its
    iterator becomes unknown and the body runs twice more, exposing
    intra- and cross-iteration pairs *)
-and warp_loop c w mask lanes body_loc body ~cond ~step_unknown ~widen ~step =
+and warp_loop c w mask lanes body ~(cond : aexp) ~step_unknown ~widen ~step =
   let live = Array.copy mask in
   let wide = Array.make warp_lanes false in
   let iters = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     chg c w (fun k -> k.c_branches <- k.c_branches +. 1.0);
-    let cv = ev c w cond in
+    let cv = cond.ev c w in
     let spent = !iters >= c.loop_fuel || c.fuel <= 0 in
     let n_live = ref 0 and n_wide = ref 0 in
     for l = 0 to lanes - 1 do
@@ -826,29 +850,26 @@ and warp_loop c w mask lanes body_loc body ~cond ~step_unknown ~widen ~step =
     if !n_wide > 0 then begin
       c.approx <- true;
       widen wide;
-      exec_warp_stmts c w wide body_loc body;
-      exec_warp_stmts c w wide body_loc body;
+      exec_body c w wide body;
+      exec_body c w wide body;
       Array.fill wide 0 warp_lanes false
     end;
     if !n_live = 0 then continue_ := false
     else begin
       incr iters;
       c.fuel <- c.fuel - 1;
-      exec_warp_stmts c w live body_loc body;
+      exec_body c w live body;
       step live
     end
   done
 
-and exec_warp_stmts (c : bctx) (w : int) (mask : bool array) (path : string)
-    (body : Ir.stmt list) : unit =
-  List.iteri
-    (fun i s -> exec_warp c w mask (Printf.sprintf "%s[%d]" path i) s)
-    body
+and exec_body (c : bctx) (w : int) (mask : bool array) (body : astmt array) : unit =
+  Array.iter (exec_warp c w mask) body
 
 (* a block-uniform value: the same known constant in every lane of every
    warp *)
-let uniform_across (c : bctx) (e : Ir.exp) : int option =
-  match List.init c.nwarps (fun w -> uniform_of (ev c w e) (lanes_of c w)) with
+let uniform_across (c : bctx) (e : aexp) : int option =
+  match List.init c.nwarps (fun w -> uniform_of (e.ev c w) (lanes_of c w)) with
   | (Some _ as v) :: rest when List.for_all (( = ) v) rest -> v
   | _ -> None
 
@@ -861,56 +882,55 @@ let each_warp (c : bctx) (f : int -> int -> unit) : unit =
    interpreter's uniform-control path (and its sparser event counting);
    a condition that is not uniformly known runs both arms, a loop whose
    condition is not uniformly known (or whose fuel is spent) widens *)
-let rec exec_block_stmt (c : bctx) (loc : string) (s : Ir.stmt) : unit =
-  if not (Analysis.contains_sync s) then
+let rec exec_block_stmt (c : bctx) (s : astmt) : unit =
+  if not (Resolve.has_sync s) then
     for w = 0 to c.nwarps - 1 do
-      exec_warp c w full_mask loc s
+      exec_warp c w full_mask s
     done
   else
     match s with
-    | Ir.Sync -> barrier c loc
-    | Ir.If (cnd, t, e) -> (
+    | Resolve.Sync loc -> barrier c loc
+    | Resolve.If { if_cond; if_then; if_else; _ } -> (
         c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
-        match uniform_across c cnd with
+        match uniform_across c if_cond with
         | Some v ->
-            if v <> 0 then exec_block_stmts c (loc ^ ".then") t
-            else exec_block_stmts c (loc ^ ".else") e
+            if v <> 0 then exec_block_body c if_then else exec_block_body c if_else
         | None ->
             c.approx <- true;
             let entry = Array.map snapshot c.warps in
-            exec_block_stmts c (loc ^ ".then") t;
+            exec_block_body c if_then;
             let arm = Array.map snapshot c.warps in
             Array.iter2 restore c.warps entry;
-            exec_block_stmts c (loc ^ ".else") e;
+            exec_block_body c if_else;
             each_warp c (fun w lanes ->
                 join_arms c.warps.(w) ~arm:arm.(w) full_mask lanes))
-    | Ir.For { var; init; cond; step; body } ->
+    | Resolve.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
         let set_var f =
           each_warp c (fun w lanes ->
-              assign c w full_mask lanes var (f w);
-              clear_origins c w full_mask lanes var)
+              assign c w full_mask lanes f_var (f w);
+              clear_origins c w full_mask lanes f_var)
         in
-        set_var (fun w -> ev c w init);
-        block_loop c loc body ~cond
+        set_var (f_init.ev c);
+        block_loop c f_body ~cond:f_cond
           ~widen:(fun () -> set_var (fun _ -> top))
           ~step:(fun () ->
             let stepped = ref true in
             each_warp c (fun w lanes ->
-                let sv = ev c w step in
+                let sv = f_step.ev c w in
                 if not (known_on sv full_mask lanes) then stepped := false;
-                assign c w full_mask lanes var sv);
+                assign c w full_mask lanes f_var sv);
             c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
             !stepped)
-    | Ir.While (cnd, body) ->
-        block_loop c loc body ~cond:cnd ~widen:ignore ~step:(fun () -> true)
-    | Ir.Let _ | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _
-    | Ir.Shfl _ | Ir.Comment _ ->
+    | Resolve.While { w_cond; w_body; _ } ->
+        block_loop c w_body ~cond:w_cond ~widen:ignore ~step:(fun () -> true)
+    | Resolve.Let _ | Resolve.Load _ | Resolve.Store _ | Resolve.Vec_load _
+    | Resolve.Atomic _ | Resolve.Shfl _ ->
         assert false
 
 (* a loop at block level runs while its condition is uniformly known
    true; an unknown condition or iterator step, or spent fuel, widens *)
-and block_loop c loc body ~cond ~widen ~step =
-  let run () = exec_block_stmts c (loc ^ ".body") body in
+and block_loop c body ~cond ~widen ~step =
+  let run () = exec_block_body c body in
   let rec go iters =
     match uniform_across c cond with
     | Some 0 -> ()
@@ -927,10 +947,8 @@ and block_loop c loc body ~cond ~widen ~step =
   in
   go 0
 
-and exec_block_stmts (c : bctx) (path : string) (body : Ir.stmt list) : unit =
-  List.iteri
-    (fun i s -> exec_block_stmt c (Printf.sprintf "%s[%d]" path i) s)
-    body
+and exec_block_body (c : bctx) (body : astmt array) : unit =
+  Array.iter (exec_block_stmt c) body
 
 (* ------------------------------------------------------------------ *)
 (* Block / launch / program drivers                                    *)
@@ -944,16 +962,31 @@ type block_profile = {
   bp_heat : ((string * int * Ir.scope) * float) list;
 }
 
-let new_block ~trace ~sites ~params ~bdim ~gdim ~bid (k : Ir.kernel) : bctx =
+(* the scalar parameters by slot: a launch's bindings, [top] where a
+   parameter is unbound *)
+let param_vals (k : aexp Resolve.kernel) (bound : (string * int) list) : aval array =
+  Array.map
+    (fun (name, _) ->
+      (* the last binding of a name wins *)
+      match List.assoc_opt name (List.rev bound) with
+      | Some v -> const v
+      | None -> top)
+    k.Resolve.rk_params
+
+let new_block ~trace ~sites ~params ~bdim ~gdim ~bid (k : aexp Resolve.kernel) :
+    bctx =
   let nwarps = (bdim + warp_lanes - 1) / warp_lanes in
+  let nregs = k.Resolve.rk_nregs in
   {
-    kernel = k;
+    kname = k.Resolve.rk_name;
     bid;
     bdim;
     gdim;
     params;
     nwarps;
-    warps = Array.init nwarps (fun _ -> { regs = SM.empty; orig = SM.empty });
+    warps =
+      Array.init nwarps (fun _ ->
+          { regs = Array.make nregs top; orig = Array.make nregs no_origins });
     epoch = 0;
     epochs = [];
     cur = Array.init nwarps (fun _ -> zero_counts ());
@@ -966,10 +999,10 @@ let new_block ~trace ~sites ~params ~bdim ~gdim ~bid (k : Ir.kernel) : bctx =
     approx = false;
   }
 
-let analyze_block ~(sites : site_table) ~(params : int SM.t) ~(bdim : int)
-    ~(gdim : int) ~(bid : int) (k : Ir.kernel) : block_profile * bool =
+let analyze_block ~(sites : site_table) ~(params : aval array) ~(bdim : int)
+    ~(gdim : int) ~(bid : int) (k : aexp Resolve.kernel) : block_profile * bool =
   let c = new_block ~trace:None ~sites ~params ~bdim ~gdim ~bid k in
-  exec_block_stmts c "body" k.Ir.k_body;
+  exec_block_body c k.Resolve.rk_body;
   c.epochs <- c.cur :: c.epochs;
   let heat = Hashtbl.fold (fun key r acc -> (key, !r) :: acc) c.heat [] in
   ( {
@@ -983,13 +1016,14 @@ let analyze_block ~(sites : site_table) ~(params : int SM.t) ~(bdim : int)
 
 let trace_kernel ~(params : (string * int) list) ~(block : int) ~(grid : int)
     (k : Ir.kernel) : access list * string list =
-  let params = List.fold_left (fun m (p, v) -> SM.add p v m) SM.empty params in
+  let k = resolve k in
+  let params = param_vals k params in
   let sites = new_site_table () in
   let t = { accesses = []; barriers = [] } in
   for bid = 0 to grid - 1 do
-    exec_block_stmts
+    exec_block_body
       (new_block ~trace:(Some t) ~sites ~params ~bdim:block ~gdim:grid ~bid k)
-      "body" k.Ir.k_body
+      k.Resolve.rk_body
   done;
   (List.rev t.accesses, List.rev t.barriers)
 
@@ -1059,7 +1093,11 @@ let site_diags (sites : site list) : Diag.t list =
     sites;
   List.rev !out
 
-let analyze ?n ?tunables (p : Ir.program) : analysis =
+(* each kernel of a program with its resolved form, resolved on first use *)
+let resolve_kernels (p : Ir.program) : (Ir.kernel * aexp Resolve.kernel Lazy.t) list =
+  List.map (fun k -> (k, lazy (resolve k))) p.Ir.p_kernels
+
+let analyze_kernels kernels ?n ?tunables (p : Ir.program) : analysis =
   let n = match n with Some v -> max 1 v | None -> sample_n in
   let tunables =
     match tunables with Some t -> t | None -> fst (Ir.tunable_extremes p)
@@ -1070,11 +1108,9 @@ let analyze ?n ?tunables (p : Ir.program) : analysis =
   let launches =
     List.filter_map
       (fun (ln : Ir.launch) ->
-        match
-          List.find_opt (fun k -> k.Ir.k_name = ln.Ir.ln_kernel) p.Ir.p_kernels
-        with
+        match List.find_opt (fun (k, _) -> k.Ir.k_name = ln.Ir.ln_kernel) kernels with
         | None -> None
-        | Some k -> (
+        | Some (k, rk) -> (
             match (eval ln.Ir.ln_grid, eval ln.Ir.ln_block, eval ln.Ir.ln_shared_elems)
             with
             | exception _ ->
@@ -1083,10 +1119,11 @@ let analyze ?n ?tunables (p : Ir.program) : analysis =
             | grid, block, shared_elems ->
                 let grid = max 1 grid in
                 let block = max 1 (min block 1024) in
+                let rk = Lazy.force rk in
                 let params =
-                  Ir.launch_params k ln (fun h ->
-                      match eval h with v -> Some v | exception _ -> None)
-                  |> List.fold_left (fun m (p, v) -> SM.add p v m) SM.empty
+                  param_vals rk
+                    (Ir.launch_params k ln (fun h ->
+                         match eval h with v -> Some v | exception _ -> None))
                 in
                 let shared_bytes =
                   4
@@ -1100,13 +1137,13 @@ let analyze ?n ?tunables (p : Ir.program) : analysis =
                 in
                 let first, a1 =
                   analyze_block ~sites ~params ~bdim:block ~gdim:grid
-                    ~bid:0 k
+                    ~bid:0 rk
                 in
                 let last, a2 =
                   if grid > 1 then
                     let bp, a =
                       analyze_block ~sites ~params ~bdim:block ~gdim:grid
-                        ~bid:(grid - 1) k
+                        ~bid:(grid - 1) rk
                     in
                     (Some bp, a)
                   else (None, false)
@@ -1173,10 +1210,14 @@ let analyze ?n ?tunables (p : Ir.program) : analysis =
     an_approx = !approx;
   }
 
+let analyze ?n ?tunables (p : Ir.program) : analysis =
+  analyze_kernels (resolve_kernels p) ?n ?tunables p
+
 let check_program (p : Ir.program) : Diag.t list =
   let lo, hi = Ir.tunable_extremes p in
+  let kernels = resolve_kernels p in
   let run tunables =
-    match analyze ~n:sample_n ~tunables p with
+    match analyze_kernels kernels ~n:sample_n ~tunables p with
     | a -> a.an_diags
     | exception _ -> []
   in

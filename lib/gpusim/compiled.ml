@@ -1,15 +1,16 @@
-(* Compilation of named device IR into a slot-indexed form.
+(* The interpreter's instance of the slot-resolved kernel form.
 
    The interpreter executes every statement once per warp per block and
    every expression once per lane; name lookups and a tree walk would
-   dominate its running time. This pass resolves register, parameter and
-   array names to dense integer slots, compiles every expression once
-   into a closure, pre-computes which structured statements contain a
-   barrier (they must then be executed block-wide rather than
-   warp-by-warp), and recognises affine loops whose trip count can be
-   extrapolated under sampled execution. *)
+   dominate its running time. {!Device_ir.Resolve} turns names into
+   dense slots, marks the statements that contain a barrier (they must
+   then be executed block-wide rather than warp-by-warp) and the affine
+   loops whose trip count can be extrapolated under sampled execution;
+   this module compiles every expression once into a closure over the
+   interpreter's frame. *)
 
 module Ir = Device_ir.Ir
+module R = Device_ir.Resolve
 
 (* The state an expression reads: every thread's registers, the scalar
    parameters and the block geometry, boxed once per launch or block,
@@ -148,210 +149,36 @@ let binop (op : Ir.binop) (a : cexp) (b : cexp) : cexp =
         let y = b fr in
         Value.binop op (a fr) y
 
-type array_ref = { a_space : Ir.space; a_slot : int }
-
-(** Affine-loop recognition: [for (v = init; v < bound; v = v + stride)]
-    with a positive constant stride and a loop-invariant bound. Such loops
-    can be cut short under sampling and their remaining iterations
-    extrapolated. *)
-type affine = { af_bound : cexp; af_stride : int }
-
-type cstmt =
-  | CLet of int * cexp
-  | CLoad of { l_arr : array_ref; l_dst : int; l_idx : cexp }
-  | CStore of { st_arr : array_ref; st_idx : cexp; st_v : cexp }
-  | CVec_load of { vl_dsts : int array; vl_arr : int; vl_base : cexp }
-  | CAtomic of {
-      at_dst : int;  (** -1 when the old value is discarded *)
-      at_arr : array_ref;
-      at_op : Ir.atomic_op;
-      at_scope : Ir.scope;
-      at_idx : cexp;
-      at_v : cexp;
-    }
-  | CShfl of {
-      sh_dst : int;
-      sh_mode : Ir.shuffle_mode;
-      sh_v : cexp;
-      sh_lane : cexp;
-      sh_width : int;
-    }
-  | CSync
-  | CIf of { if_cond : cexp; if_then : cstmt array; if_else : cstmt array; if_sync : bool }
-  | CFor of {
-      f_var : int;
-      f_init : cexp;
-      f_cond : cexp;
-      f_step : cexp;
-      f_body : cstmt array;
-      f_sync : bool;
-      f_affine : affine option;
-    }
-  | CWhile of { w_cond : cexp; w_body : cstmt array; w_sync : bool }
-
-type t = {
-  ck_name : string;
-  ck_nregs : int;
-  ck_reg_names : string array;  (** slot -> name, for diagnostics *)
-  ck_params : (string * Ir.scalar) array;
-  ck_arrays : (string * Ir.scalar) array;
-  ck_shared : Ir.shared_decl array;
-  ck_body : cstmt array;
-}
+type cstmt = cexp R.stmt
+type t = cexp R.kernel
 
 exception Compile_error of string
 
+let rec cexp (e : R.exp) : cexp =
+  match e with
+  | R.Int n ->
+      let v = Value.VI n in
+      fun _ -> v
+  | R.Float f ->
+      let v = Value.VF f in
+      fun _ -> v
+  | R.Bool b ->
+      let v = Value.VB b in
+      fun _ -> v
+  | R.Reg (slot, _) -> fun fr -> fr.regs.(fr.tid).(slot)
+  | R.Param (slot, _) -> fun fr -> fr.params.(slot)
+  | R.Special s -> special s
+  | R.Unop (op, a) ->
+      let a = cexp a in
+      fun fr -> Value.unop op (a fr)
+  | R.Binop (op, a, b) -> binop op (cexp a) (cexp b)
+  | R.Select (c, a, b) ->
+      let c = cexp c and a = cexp a and b = cexp b in
+      fun fr -> if truth (c fr) then a fr else b fr
+
 let compile (k : Ir.kernel) : t =
-  let regs : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let reg_names = ref [] in
-  let reg name =
-    match Hashtbl.find_opt regs name with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length regs in
-        Hashtbl.add regs name i;
-        reg_names := name :: !reg_names;
-        i
-  in
-  let params = Array.of_list k.Ir.k_params in
-  let arrays = Array.of_list k.Ir.k_arrays in
-  let shared = Array.of_list k.Ir.k_shared in
-  let find_slot what arr name =
-    let rec go i =
-      if i >= Array.length arr then
-        raise (Compile_error (Printf.sprintf "%s: unknown %s %S" k.Ir.k_name what name))
-      else if fst arr.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let shared_slot name =
-    let rec go i =
-      if i >= Array.length shared then
-        raise
-          (Compile_error (Printf.sprintf "%s: unknown shared array %S" k.Ir.k_name name))
-      else if shared.(i).Ir.sh_name = name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let array_ref space name =
-    match (space : Ir.space) with
-    | Ir.Global -> { a_space = Ir.Global; a_slot = find_slot "global array" arrays name }
-    | Ir.Shared -> { a_space = Ir.Shared; a_slot = shared_slot name }
-  in
-  (* operands compile right to left: registers get their slots in this
-     order, and a register bit flip picks its target by slot *)
-  let rec cexp (e : Ir.exp) : cexp =
-    match e with
-    | Ir.Int n ->
-        let v = Value.VI n in
-        fun _ -> v
-    | Ir.Float f ->
-        let v = Value.VF f in
-        fun _ -> v
-    | Ir.Bool b ->
-        let v = Value.VB b in
-        fun _ -> v
-    | Ir.Reg r ->
-        let slot = reg r in
-        fun fr -> fr.regs.(fr.tid).(slot)
-    | Ir.Param p ->
-        let slot = find_slot "parameter" params p in
-        fun fr -> fr.params.(slot)
-    | Ir.Special s -> special s
-    | Ir.Unop (op, a) ->
-        let a = cexp a in
-        fun fr -> Value.unop op (a fr)
-    | Ir.Binop (op, a, b) ->
-        let b = cexp b in
-        let a = cexp a in
-        binop op a b
-    | Ir.Select (c, a, b) ->
-        let b = cexp b in
-        let a = cexp a in
-        let c = cexp c in
-        fun fr -> if truth (c fr) then a fr else b fr
-  in
-  (* loop-invariance of the bound: no register assigned inside the body
-     occurs in it (the iterator itself included) *)
-  let affine_of ~var ~body (cond : Ir.exp) (step : Ir.exp) : affine option =
-    match (cond, step) with
-    | Ir.Binop (Ir.Lt, Ir.Reg v, bound), Ir.Binop (Ir.Add, Ir.Reg v', Ir.Int s)
-      when v = var && v' = var && s > 0 ->
-        let defs = Device_ir.Analysis.SS.add var (Device_ir.Analysis.all_defs body) in
-        let uses = Device_ir.Analysis.exp_uses bound in
-        if Device_ir.Analysis.SS.is_empty (Device_ir.Analysis.SS.inter defs uses) then
-          Some { af_bound = cexp bound; af_stride = s }
-        else None
-    | _ -> None
-  in
-  let rec cstmt (s : Ir.stmt) : cstmt option =
-    match s with
-    | Ir.Comment _ -> None
-    | Ir.Let (r, e) ->
-        let e = cexp e in
-        Some (CLet (reg r, e))
-    | Ir.Load { dst; space; arr; idx } ->
-        let idx = cexp idx in
-        Some (CLoad { l_arr = array_ref space arr; l_dst = reg dst; l_idx = idx })
-    | Ir.Store { space; arr; idx; v } ->
-        Some (CStore { st_arr = array_ref space arr; st_idx = cexp idx; st_v = cexp v })
-    | Ir.Vec_load { dsts; arr; base } ->
-        let base = cexp base in
-        Some
-          (CVec_load
-             {
-               vl_dsts = Array.of_list (List.map reg dsts);
-               vl_arr = find_slot "global array" arrays arr;
-               vl_base = base;
-             })
-    | Ir.Atomic { dst; space; op; scope; arr; idx; v } ->
-        Some
-          (CAtomic
-             {
-               at_dst = (match dst with Some d -> reg d | None -> -1);
-               at_arr = array_ref space arr;
-               at_op = op;
-               at_scope = scope;
-               at_idx = cexp idx;
-               at_v = cexp v;
-             })
-    | Ir.Shfl { dst; mode; v; lane; width } ->
-        let v = cexp v and lane = cexp lane in
-        Some (CShfl { sh_dst = reg dst; sh_mode = mode; sh_v = v; sh_lane = lane; sh_width = width })
-    | Ir.Sync -> Some CSync
-    | Ir.If (c, t, e) ->
-        let if_cond = cexp c in
-        let if_then = cstmts t and if_else = cstmts e in
-        let if_sync =
-          List.exists Device_ir.Analysis.contains_sync t
-          || List.exists Device_ir.Analysis.contains_sync e
-        in
-        Some (CIf { if_cond; if_then; if_else; if_sync })
-    | Ir.For { var; init; cond; step; body } ->
-        let f_affine = affine_of ~var ~body cond step in
-        let f_init = cexp init in
-        let f_var = reg var in
-        let f_cond = cexp cond and f_step = cexp step in
-        let f_body = cstmts body in
-        let f_sync = List.exists Device_ir.Analysis.contains_sync body in
-        Some (CFor { f_var; f_init; f_cond; f_step; f_body; f_sync; f_affine })
-    | Ir.While (c, body) ->
-        let w_cond = cexp c in
-        let w_body = cstmts body in
-        let w_sync = List.exists Device_ir.Analysis.contains_sync body in
-        Some (CWhile { w_cond; w_body; w_sync })
-  and cstmts (body : Ir.stmt list) : cstmt array =
-    Array.of_list (List.filter_map cstmt body)
-  in
-  let body = cstmts k.Ir.k_body in
-  {
-    ck_name = k.Ir.k_name;
-    ck_nregs = Hashtbl.length regs;
-    ck_reg_names = Array.of_list (List.rev !reg_names);
-    ck_params = params;
-    ck_arrays = arrays;
-    ck_shared = shared;
-    ck_body = body;
-  }
+  R.kernel
+    ~unknown:(fun what name ->
+      raise
+        (Compile_error (Printf.sprintf "%s: unknown %s %S" k.Ir.k_name what name)))
+    cexp k

@@ -1,12 +1,6 @@
-(** Compilation of named device IR into a slot-indexed form.
-
-    The interpreter executes every statement once per warp per block and
-    every expression once per lane; name lookups and a tree walk would
-    dominate its running time. This pass resolves register, parameter
-    and array names to dense integer slots, compiles every expression
-    once into a closure, pre-computes which structured statements contain
-    a barrier, and recognises affine loops whose trip count can be
-    extrapolated under sampled execution. *)
+(** The interpreter's instance of {!Device_ir.Resolve}'s slot-resolved
+    kernel form: every expression compiled once into a closure over the
+    interpreter's frame. *)
 
 (** The state an expression reads: every thread's registers, the scalar
     parameters, the block geometry and the thread evaluating. *)
@@ -25,60 +19,15 @@ type frame = {
     only the arm it takes. *)
 type cexp = frame -> Value.t
 
-type array_ref = { a_space : Device_ir.Ir.space; a_slot : int }
+(** Statements and kernels in the resolver's slot form over compiled
+    expressions. Registers are numbered as {!Device_ir.Resolve.kernel}
+    numbers them; a register bit flip picks its target by slot. *)
+type cstmt = cexp Device_ir.Resolve.stmt
 
-(** Affine-loop recognition: [for (v = init; v < bound; v = v + stride)]
-    with a positive constant stride and a loop-invariant bound. *)
-type affine = { af_bound : cexp; af_stride : int }
-
-type cstmt =
-  | CLet of int * cexp
-  | CLoad of { l_arr : array_ref; l_dst : int; l_idx : cexp }
-  | CStore of { st_arr : array_ref; st_idx : cexp; st_v : cexp }
-  | CVec_load of { vl_dsts : int array; vl_arr : int; vl_base : cexp }
-  | CAtomic of {
-      at_dst : int;  (** -1 when the old value is discarded *)
-      at_arr : array_ref;
-      at_op : Device_ir.Ir.atomic_op;
-      at_scope : Device_ir.Ir.scope;
-      at_idx : cexp;
-      at_v : cexp;
-    }
-  | CShfl of {
-      sh_dst : int;
-      sh_mode : Device_ir.Ir.shuffle_mode;
-      sh_v : cexp;
-      sh_lane : cexp;
-      sh_width : int;
-    }
-  | CSync
-  | CIf of {
-      if_cond : cexp;
-      if_then : cstmt array;
-      if_else : cstmt array;
-      if_sync : bool;
-    }
-  | CFor of {
-      f_var : int;
-      f_init : cexp;
-      f_cond : cexp;
-      f_step : cexp;
-      f_body : cstmt array;
-      f_sync : bool;
-      f_affine : affine option;
-    }
-  | CWhile of { w_cond : cexp; w_body : cstmt array; w_sync : bool }
-
-type t = {
-  ck_name : string;
-  ck_nregs : int;
-  ck_reg_names : string array;  (** slot -> name, for diagnostics *)
-  ck_params : (string * Device_ir.Ir.scalar) array;
-  ck_arrays : (string * Device_ir.Ir.scalar) array;
-  ck_shared : Device_ir.Ir.shared_decl array;
-  ck_body : cstmt array;
-}
+type t = cexp Device_ir.Resolve.kernel
 
 exception Compile_error of string
 
+(** Resolve a kernel and compile its expressions.
+    @raise Compile_error on an undeclared parameter or array. *)
 val compile : Device_ir.Ir.kernel -> t

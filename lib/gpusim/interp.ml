@@ -38,6 +38,7 @@
 module Ir = Device_ir.Ir
 module Lanes = Device_ir.Lanes
 module C = Compiled
+module R = Device_ir.Resolve
 
 exception Sim_error of string
 
@@ -137,15 +138,15 @@ let buffer_set (b : buffer) (i : int) (v : float) : unit =
 let shared_get (ctx : block_ctx) (slot : int) (i : int) : Value.t =
   let a = ctx.shared.(slot) in
   if i < 0 || i >= Array.length a then
-    sim_error "%s: shared array %s: index %d out of bounds (size %d)" ctx.k.C.ck_name
-      ctx.k.C.ck_shared.(slot).Ir.sh_name i (Array.length a)
-  else Value.of_float ctx.k.C.ck_shared.(slot).Ir.sh_ty a.(i)
+    sim_error "%s: shared array %s: index %d out of bounds (size %d)" ctx.k.R.rk_name
+      ctx.k.R.rk_shared.(slot).Ir.sh_name i (Array.length a)
+  else Value.of_float ctx.k.R.rk_shared.(slot).Ir.sh_ty a.(i)
 
 let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : float) : unit =
   let a = ctx.shared.(slot) in
   if i < 0 || i >= Array.length a then
     sim_error "%s: shared array %s: store index %d out of bounds (size %d)"
-      ctx.k.C.ck_name ctx.k.C.ck_shared.(slot).Ir.sh_name i (Array.length a)
+      ctx.k.R.rk_name ctx.k.R.rk_shared.(slot).Ir.sh_name i (Array.length a)
   else a.(i) <- v
 
 (* ------------------------------------------------------------------ *)
@@ -172,7 +173,7 @@ let apply_atomic (ctx : block_ctx) ~(space : Ir.space) ~(slot : int)
       let old = shared_get ctx slot i in
       shared_set ctx slot i
         (to_float
-           (Value.of_float ctx.k.C.ck_shared.(slot).Ir.sh_ty
+           (Value.of_float ctx.k.R.rk_shared.(slot).Ir.sh_ty
               (Ir.combine op (to_float old) v)));
       old
 
@@ -203,7 +204,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
   let a = ctx.arch in
   let fr = ctx.fr in
   match s with
-  | C.CLet (slot, e) ->
+  | R.Let (slot, e) ->
       for l = 0 to lanes - 1 do
         if mask.(l) then
           fr.C.regs.(base + l).(slot) <- lane_value fr (base + l) e
@@ -211,13 +212,13 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
       charge ctx w a.Arch.cyc_alu
-  | C.CLoad { l_arr; l_dst; l_idx } -> (
+  | R.Load { l_arr; l_dst; l_idx; _ } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then scratch_idx.(l) <- lane_int fr (base + l) l_idx
       done;
-      match l_arr.C.a_space with
+      match l_arr.R.a_space with
       | Ir.Global ->
-          let b = ctx.globals.(l_arr.C.a_slot) in
+          let b = ctx.globals.(l_arr.R.a_slot) in
           for l = 0 to lanes - 1 do
             if mask.(l) then
               fr.C.regs.(base + l).(l_dst) <- buffer_get b scratch_idx.(l)
@@ -233,7 +234,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           for l = 0 to lanes - 1 do
             if mask.(l) then
               fr.C.regs.(base + l).(l_dst) <-
-                shared_get ctx l_arr.C.a_slot scratch_idx.(l)
+                shared_get ctx l_arr.R.a_slot scratch_idx.(l)
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -241,16 +242,16 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           ctx.ev.Events.shared_serial <-
             ctx.ev.Events.shared_serial +. float_of_int degree;
           charge ctx w (a.Arch.cyc_shared *. float_of_int degree))
-  | C.CStore { st_arr; st_idx; st_v } -> (
+  | R.Store { st_arr; st_idx; st_v; _ } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           scratch_idx.(l) <- lane_int fr (base + l) st_idx;
           scratch_f.(l) <- to_float (lane_value fr (base + l) st_v)
         end
       done;
-      match st_arr.C.a_space with
+      match st_arr.R.a_space with
       | Ir.Global ->
-          let b = ctx.globals.(st_arr.C.a_slot) in
+          let b = ctx.globals.(st_arr.R.a_slot) in
           for l = 0 to lanes - 1 do
             if mask.(l) then buffer_set b scratch_idx.(l) scratch_f.(l)
           done;
@@ -263,7 +264,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       | Ir.Shared ->
           for l = 0 to lanes - 1 do
             if mask.(l) then
-              shared_set ctx st_arr.C.a_slot scratch_idx.(l) scratch_f.(l)
+              shared_set ctx st_arr.R.a_slot scratch_idx.(l) scratch_f.(l)
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -271,15 +272,15 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           ctx.ev.Events.shared_serial <-
             ctx.ev.Events.shared_serial +. float_of_int degree;
           charge ctx w (a.Arch.cyc_shared *. float_of_int degree))
-  | C.CVec_load { vl_dsts; vl_arr; vl_base } ->
-      let b = ctx.globals.(vl_arr) in
+  | R.Vec_load { vl_dsts; vl_arr; vl_base; _ } ->
+      let b = ctx.globals.(vl_arr.R.a_slot) in
       let width = Array.length vl_dsts in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let base_i = lane_int fr (base + l) vl_base in
           if base_i mod width <> 0 then
             sim_error "%s: misaligned vector load at element %d (width %d)"
-              ctx.k.C.ck_name base_i width;
+              ctx.k.R.rk_name base_i width;
           scratch_idx.(l) <- base_i;
           for j = 0 to width - 1 do
             fr.C.regs.(base + l).(vl_dsts.(j)) <- buffer_get b (base_i + j)
@@ -293,7 +294,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       ctx.ev.Events.bytes_dram <-
         ctx.ev.Events.bytes_dram +. (128.0 *. float_of_int trans);
       charge ctx w (a.Arch.cyc_global *. float_of_int trans)
-  | C.CAtomic { at_dst; at_arr; at_op; at_scope; at_idx; at_v } -> (
+  | R.Atomic { at_dst; at_arr; at_op; at_scope; at_idx; at_v; _ } -> (
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           scratch_idx.(l) <- lane_int fr (base + l) at_idx;
@@ -304,7 +305,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let old =
-            apply_atomic ctx ~space:at_arr.C.a_space ~slot:at_arr.C.a_slot at_op
+            apply_atomic ctx ~space:at_arr.R.a_space ~slot:at_arr.R.a_slot at_op
               scratch_idx.(l) scratch_f.(l)
           in
           if at_dst >= 0 then fr.C.regs.(base + l).(at_dst) <- old
@@ -312,7 +313,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       done;
       let n_active = Lanes.active mask lanes in
       if n_active > 0 then
-        match at_arr.C.a_space with
+        match at_arr.R.a_space with
         | Ir.Shared -> (
             let worst = Lanes.atomic_worst scratch_idx mask lanes in
             ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -342,14 +343,14 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               (not (a.Arch.has_scoped_atomics && at_scope = Ir.Scope_block))
             in
             if device_scope then begin
-              let b_id = ctx.globals.(at_arr.C.a_slot).b_id in
+              let b_id = ctx.globals.(at_arr.R.a_slot).b_id in
               for l = 0 to lanes - 1 do
                 if mask.(l) then
                   Events.heat ctx.ev ~buffer:b_id ~index:scratch_idx.(l) ~by:1.0
               done
             end;
             charge ctx w (a.Arch.cyc_global *. float_of_int distinct))
-  | C.CShfl { sh_dst; sh_mode; sh_v; sh_lane; sh_width } ->
+  | R.Shfl { sh_dst; sh_mode; sh_v; sh_lane; sh_width } ->
       (* publish v from every lane of the warp (inactive lanes publish their
          current register state, deterministically) *)
       let width = sh_width in
@@ -364,7 +365,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           if src = Lanes.out_of_warp then
             sim_error "%s: lane %d of a %s shuffle (lane operand %d, width %d) \
                        reads outside the %d-lane warp"
-              ctx.k.C.ck_name l (Ir.show_shuffle_mode sh_mode) delta width
+              ctx.k.R.rk_name l (Ir.show_shuffle_mode sh_mode) delta width
               warp_lanes;
           fr.C.regs.(base + l).(sh_dst) <- scratch_val.(src)
         end
@@ -372,10 +373,10 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.shfl_insts <- ctx.ev.Events.shfl_insts +. 1.0;
       charge ctx w a.Arch.cyc_shfl
-  | C.CSync -> sim_error "%s: __syncthreads() under divergent control flow" ctx.k.C.ck_name
-  | C.CIf { if_cond; if_then; if_else; if_sync } ->
+  | R.Sync _ -> sim_error "%s: __syncthreads() under divergent control flow" ctx.k.R.rk_name
+  | R.If { if_cond; if_then; if_else; if_sync } ->
       if if_sync then
-        sim_error "%s: barrier inside thread-divergent conditional" ctx.k.C.ck_name;
+        sim_error "%s: barrier inside thread-divergent conditional" ctx.k.R.rk_name;
       let tmask = pool_mask (2 * d) and emask = pool_mask ((2 * d) + 1) in
       let n_t = ref 0 and n_e = ref 0 in
       for l = 0 to lanes - 1 do
@@ -393,9 +394,9 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       end;
       if !n_t > 0 then exec_body ctx (d + 1) w tmask if_then;
       if !n_e > 0 then exec_body ctx (d + 1) w emask if_else
-  | C.CFor { f_var; f_init; f_cond; f_step; f_body; f_sync; f_affine } ->
+  | R.For { f_var; f_init; f_cond; f_step; f_body; f_sync; f_affine } ->
       if f_sync then
-        sim_error "%s: barrier inside thread-divergent loop" ctx.k.C.ck_name;
+        sim_error "%s: barrier inside thread-divergent loop" ctx.k.R.rk_name;
       for l = 0 to lanes - 1 do
         if mask.(l) then
           fr.C.regs.(base + l).(f_var) <- lane_value fr (base + l) f_init
@@ -418,7 +419,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
         if !n_live = 0 then continue_ := false
         else begin
           (match (f_affine, ctx.opts.loop_cap) with
-          | Some { C.af_bound; C.af_stride }, Some cap when !iter >= cap ->
+          | Some { R.af_bound; R.af_stride }, Some cap when !iter >= cap ->
               (* extrapolate: execute one representative iteration and scale
                  everything it recorded by the worst remaining trip count *)
               let remaining = ref 1 in
@@ -462,12 +463,12 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               charge ctx w a.Arch.cyc_alu);
           incr iter;
           if !iter > 100_000_000 then
-            sim_error "%s: loop exceeded 1e8 iterations" ctx.k.C.ck_name
+            sim_error "%s: loop exceeded 1e8 iterations" ctx.k.R.rk_name
         end
       done
-  | C.CWhile { w_cond; w_body; w_sync } ->
+  | R.While { w_cond; w_body; w_sync } ->
       if w_sync then
-        sim_error "%s: barrier inside thread-divergent loop" ctx.k.C.ck_name;
+        sim_error "%s: barrier inside thread-divergent loop" ctx.k.R.rk_name;
       let live = pool_mask (2 * d) in
       Array.blit mask 0 live 0 lanes;
       let continue_ = ref true in
@@ -485,7 +486,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           exec_body ctx (d + 1) w live w_body;
           incr iter;
           if !iter > 100_000_000 then
-            sim_error "%s: while loop exceeded 1e8 iterations" ctx.k.C.ck_name
+            sim_error "%s: while loop exceeded 1e8 iterations" ctx.k.R.rk_name
         end
       done
 
@@ -516,32 +517,23 @@ let check_uniform_cond (ctx : block_ctx) (e : C.cexp) : bool =
     for t = 1 to ctx.nthreads - 1 do
       if lane_bool fr t e <> v0 then
         sim_error "%s: non-uniform condition guards a barrier (thread %d disagrees)"
-          ctx.k.C.ck_name t
+          ctx.k.R.rk_name t
     done;
   v0
 
-let stmt_has_sync (s : C.cstmt) : bool =
-  match s with
-  | C.CSync -> true
-  | C.CIf { if_sync; _ } -> if_sync
-  | C.CFor { f_sync; _ } -> f_sync
-  | C.CWhile { w_sync; _ } -> w_sync
-  | C.CLet _ | C.CLoad _ | C.CStore _ | C.CVec_load _ | C.CAtomic _ | C.CShfl _ ->
-      false
-
 let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
-  if not (stmt_has_sync s) then
+  if not (R.has_sync s) then
     for w = 0 to ctx.nwarps - 1 do
       exec_warp ctx 0 w full_mask s
     done
   else
     match s with
-    | C.CSync -> barrier ctx
-    | C.CIf { if_cond; if_then; if_else; _ } ->
+    | R.Sync _ -> barrier ctx
+    | R.If { if_cond; if_then; if_else; _ } ->
         ctx.ev.Events.branches <- ctx.ev.Events.branches +. float_of_int ctx.nwarps;
         if check_uniform_cond ctx if_cond then Array.iter (exec_block_stmt ctx) if_then
         else Array.iter (exec_block_stmt ctx) if_else
-    | C.CFor { f_var; f_init; f_cond; f_step; f_body; _ } ->
+    | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
         let fr = ctx.fr in
         for t = 0 to ctx.nthreads - 1 do
           fr.C.regs.(t).(f_var) <- lane_value fr t f_init
@@ -558,14 +550,14 @@ let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
           end
           else continue_ := false
         done
-    | C.CWhile { w_cond; w_body; _ } ->
+    | R.While { w_cond; w_body; _ } ->
         let continue_ = ref true in
         while !continue_ do
           if check_uniform_cond ctx w_cond then
             Array.iter (exec_block_stmt ctx) w_body
           else continue_ := false
         done
-    | C.CLet _ | C.CLoad _ | C.CStore _ | C.CVec_load _ | C.CAtomic _ | C.CShfl _ ->
+    | R.Let _ | R.Load _ | R.Store _ | R.Vec_load _ | R.Atomic _ | R.Shfl _ ->
         assert false
 
 (* ------------------------------------------------------------------ *)
@@ -589,7 +581,7 @@ let apply_flip (ctx : block_ctx) (fl : Fault.flip) : unit =
           incr slot
         done;
         let a = ctx.shared.(!slot) in
-        let ty = ctx.k.C.ck_shared.(!slot).Ir.sh_ty in
+        let ty = ctx.k.R.rk_shared.(!slot).Ir.sh_ty in
         a.(!idx) <- Fault.flip_value ty ~bit:fl.Fault.fl_bit a.(!idx)
       end
   | Fault.Register ->
@@ -627,28 +619,28 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
   if arch.Arch.warp_size <> warp_lanes then
     sim_error "architecture warp size %d unsupported (expected 32)"
       arch.Arch.warp_size;
-  if grid < 1 then sim_error "%s: empty grid" k.C.ck_name;
+  if grid < 1 then sim_error "%s: empty grid" k.R.rk_name;
   if block < 1 || block > arch.Arch.max_threads_per_block then
-    sim_error "%s: block size %d out of range [1, %d]" k.C.ck_name block
+    sim_error "%s: block size %d out of range [1, %d]" k.R.rk_name block
       arch.Arch.max_threads_per_block;
-  if Array.length globals <> Array.length k.C.ck_arrays then
-    sim_error "%s: expected %d array bindings, got %d" k.C.ck_name
-      (Array.length k.C.ck_arrays) (Array.length globals);
-  if Array.length params <> Array.length k.C.ck_params then
-    sim_error "%s: expected %d scalar parameters, got %d" k.C.ck_name
-      (Array.length k.C.ck_params) (Array.length params);
+  if Array.length globals <> Array.length k.R.rk_arrays then
+    sim_error "%s: expected %d array bindings, got %d" k.R.rk_name
+      (Array.length k.R.rk_arrays) (Array.length globals);
+  if Array.length params <> Array.length k.R.rk_params then
+    sim_error "%s: expected %d scalar parameters, got %d" k.R.rk_name
+      (Array.length k.R.rk_params) (Array.length params);
   let shared_sizes =
     Array.map
       (fun (d : Ir.shared_decl) ->
         match d.Ir.sh_size with
         | Ir.Static_size n -> n
         | Ir.Dynamic_size -> shared_elems)
-      k.C.ck_shared
+      k.R.rk_shared
   in
   let shared_bytes = 4 * Array.fold_left ( + ) 0 shared_sizes in
   if shared_bytes > arch.Arch.shared_mem_per_block then
     sim_error "%s: shared memory footprint %dB exceeds per-block limit %dB"
-      k.C.ck_name shared_bytes arch.Arch.shared_mem_per_block;
+      k.R.rk_name shared_bytes arch.Arch.shared_mem_per_block;
   let ev = Events.create () in
   let nwarps = (block + warp_lanes - 1) / warp_lanes in
   let ctx =
@@ -660,7 +652,7 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
       fr =
         {
           C.regs =
-            Array.init block (fun _ -> Array.make (max k.C.ck_nregs 1) Value.zero);
+            Array.init block (fun _ -> Array.make (max k.R.rk_nregs 1) Value.zero);
           params;
           block_dim = Value.VI block;
           grid_dim = Value.VI grid;
@@ -689,7 +681,7 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
   (* a shared/register flip lands in one simulated block, after one
      top-level statement boundary of its body — both chosen by the flip's
      site selector *)
-  let nstmts = Array.length k.C.ck_body in
+  let nstmts = Array.length k.R.rk_body in
   let flip_block, flip_stmt =
     match flip with
     | Some fl when fl.Fault.fl_space <> Fault.Global_mem && nstmts > 0 ->
@@ -711,11 +703,11 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
              (fun i s ->
                exec_block_stmt ctx s;
                if i = flip_stmt then apply_flip ctx (Option.get flip))
-             k.C.ck_body
-         else Array.iter (exec_block_stmt ctx) k.C.ck_body;
+             k.R.rk_body
+         else Array.iter (exec_block_stmt ctx) k.R.rk_body;
          cp_total := !cp_total +. Array.fold_left Float.max 0.0 ctx.wcycles)
        block_ids
-   with Value.Trap msg -> sim_error "%s: %s" k.C.ck_name msg);
+   with Value.Trap msg -> sim_error "%s: %s" k.R.rk_name msg);
   ev.Events.launched_blocks <- grid;
   if simulate < grid then
     Events.scale_all ev ~factor:(float_of_int grid /. float_of_int simulate);

@@ -49,58 +49,99 @@ let compile (p : Ir.program) : compiled_program =
     cp_kernels = List.map (fun k -> (k.Ir.k_name, Compiled.compile k)) p.Ir.p_kernels;
   }
 
-let default_tunables (p : Ir.program) : (string * int) list =
-  List.map
-    (fun (name, candidates) ->
-      match candidates with
-      | v :: _ -> (name, v)
-      | [] -> invalid_arg (Printf.sprintf "tunable %S has no candidates" name))
-    p.Ir.p_tunables
+(* The host side of a run, shared with the symbolic evaluator: bind the
+   buffers — the given input and one-cell output, then each temporary
+   [temporary decl size] in declaration order — and run every launch
+   through [launch], its geometry and arguments evaluated just before it
+   runs. Tunables default to each one's first candidate. Returns the
+   launches' results and the result buffer. *)
+let run_host ?(tunables : (string * int) list option) ~(n : int) ~(input : 'b)
+    ~(output : 'b) ~(temporary : Ir.buffer -> int -> 'b)
+    ~(launch :
+       int ->
+       string ->
+       grid:int ->
+       block:int ->
+       shared_elems:int ->
+       globals:'b array ->
+       params:Value.t array ->
+       'r) (p : Ir.program) : 'r list * 'b =
+  let tunables =
+    match tunables with
+    | Some t -> t
+    | None ->
+        List.map
+          (fun (name, candidates) ->
+            match candidates with
+            | v :: _ -> (name, v)
+            | [] -> invalid_arg (Printf.sprintf "tunable %S has no candidates" name))
+          p.Ir.p_tunables
+  in
+  let ev_hexp h = Ir.eval_hexp ~n ~tunables h in
+  let temporaries =
+    List.map
+      (fun (b : Ir.buffer) ->
+        let size = ev_hexp b.Ir.buf_size in
+        if size < 1 then
+          invalid_arg
+            (Printf.sprintf "buffer %S has non-positive size %d" b.Ir.buf_name size);
+        (b.Ir.buf_name, temporary b size))
+      p.Ir.p_buffers
+  in
+  (* a later binding shadows an earlier one of the same name *)
+  let buffers =
+    List.rev_append temporaries [ ("output", output); ("input", input) ]
+  in
+  let find_buffer name =
+    match List.assoc_opt name buffers with
+    | Some b -> b
+    | None -> invalid_arg (Printf.sprintf "unbound buffer %S" name)
+  in
+  let results =
+    List.mapi
+      (fun i (ln : Ir.launch) ->
+        let grid = ev_hexp ln.Ir.ln_grid in
+        let block = ev_hexp ln.Ir.ln_block in
+        let shared_elems = ev_hexp ln.Ir.ln_shared_elems in
+        let globals = ref [] and params = ref [] in
+        List.iter
+          (fun (a : Ir.harg) ->
+            match a with
+            | Ir.Arg_buffer b -> globals := find_buffer b :: !globals
+            | Ir.Arg_scalar h -> params := Value.VI (ev_hexp h) :: !params)
+          ln.Ir.ln_args;
+        launch i ln.Ir.ln_kernel ~grid ~block ~shared_elems
+          ~globals:(Array.of_list (List.rev !globals))
+          ~params:(Array.of_list (List.rev !params)))
+      p.Ir.p_launches
+  in
+  (results, find_buffer p.Ir.p_result)
 
 let run_compiled_raw ?(opts = Interp.exact) ?(flip : Fault.flip option)
     ~(arch : Arch.t) ?(tunables : (string * int) list option) ~(input : input)
     (cp : compiled_program) : outcome =
   let p = cp.cp_program in
-  let tunables =
-    match tunables with Some t -> t | None -> default_tunables p
-  in
   let n = input_size input in
   if n = 0 then invalid_arg "Runner.run: empty input";
-  let ev_hexp h = Ir.eval_hexp ~n ~tunables h in
-  (* Bind buffers: "input" is the caller's (read-only) array, "output" is a
-     single cell, temporaries follow their declarations. *)
-  let next_id = ref 0 in
-  let fresh_id () = let i = !next_id in incr next_id; i in
-  let buffers : (string, Interp.buffer) Hashtbl.t = Hashtbl.create 8 in
-  (match input with
-  | Dense data ->
-      Hashtbl.add buffers "input"
-        (Interp.make_buffer ~read_only:true ~ty:p.Ir.p_elem ~id:(fresh_id ()) data)
-  | Synthetic { n; pattern } ->
-      Hashtbl.add buffers "input"
-        (Interp.make_virtual_buffer ~read_only:true ~ty:p.Ir.p_elem ~id:(fresh_id ())
-           ~n pattern));
-  Hashtbl.add buffers "output"
-    (Interp.make_buffer ~ty:p.Ir.p_elem ~id:(fresh_id ()) (Array.make 1 0.0));
-  let n_inits = ref 0 in
-  List.iter
-    (fun (b : Ir.buffer) ->
-      let size = ev_hexp b.Ir.buf_size in
-      if size < 1 then
-        invalid_arg
-          (Printf.sprintf "buffer %S has non-positive size %d" b.Ir.buf_name size);
-      let init =
-        match b.Ir.buf_init with
-        | Some v -> incr n_inits; v
-        | None -> 0.0
-      in
-      Hashtbl.add buffers b.Ir.buf_name
-        (Interp.make_buffer ~ty:b.Ir.buf_ty ~id:(fresh_id ()) (Array.make size init)))
-    p.Ir.p_buffers;
-  let find_buffer name =
-    match Hashtbl.find_opt buffers name with
-    | Some b -> b
-    | None -> invalid_arg (Printf.sprintf "unbound buffer %S" name)
+  (* "input" is the caller's (read-only) array; buffer ids follow the
+     binding order *)
+  let input =
+    match input with
+    | Dense data -> Interp.make_buffer ~read_only:true ~ty:p.Ir.p_elem ~id:0 data
+    | Synthetic { n; pattern } ->
+        Interp.make_virtual_buffer ~read_only:true ~ty:p.Ir.p_elem ~id:0 ~n pattern
+  in
+  let output = Interp.make_buffer ~ty:p.Ir.p_elem ~id:1 (Array.make 1 0.0) in
+  (* the buffers a kernel can write, in binding order *)
+  let writable = ref [ output ] in
+  let temporary (b : Ir.buffer) size =
+    let init = Option.value b.Ir.buf_init ~default:0.0 in
+    let buf =
+      Interp.make_buffer ~ty:b.Ir.buf_ty ~id:(1 + List.length !writable)
+        (Array.make size init)
+    in
+    writable := !writable @ [ buf ];
+    buf
   in
   (* A global-memory flip lands in one cell of a writable buffer (the
      output cell or a temporary), applied after the flip's launch — a
@@ -108,10 +149,7 @@ let run_compiled_raw ?(opts = Interp.exact) ?(flip : Fault.flip option)
      final result if it lands after the last launch. Buffer order is the
      declaration order, so the target cell is deterministic. *)
   let apply_global_flip (fl : Fault.flip) : unit =
-    let bufs =
-      List.map find_buffer
-        ("output" :: List.map (fun (b : Ir.buffer) -> b.Ir.buf_name) p.Ir.p_buffers)
-    in
+    let bufs = !writable in
     let total = List.fold_left (fun acc b -> acc + b.Interp.b_size) 0 bufs in
     if total > 0 then begin
       let rec go idx = function
@@ -127,46 +165,35 @@ let run_compiled_raw ?(opts = Interp.exact) ?(flip : Fault.flip option)
     end
   in
   let n_launches = List.length p.Ir.p_launches in
-  let launch_results =
-    List.mapi
-      (fun i (ln : Ir.launch) ->
-        let k = List.assoc ln.Ir.ln_kernel cp.cp_kernels in
-        let grid = ev_hexp ln.Ir.ln_grid in
-        let block = ev_hexp ln.Ir.ln_block in
-        let shared_elems = ev_hexp ln.Ir.ln_shared_elems in
-        let globals = ref [] and params = ref [] in
-        List.iter
-          (fun (a : Ir.harg) ->
-            match a with
-            | Ir.Arg_buffer b -> globals := find_buffer b :: !globals
-            | Ir.Arg_scalar h -> params := Value.VI (ev_hexp h) :: !params)
-          ln.Ir.ln_args;
-        let flip_here =
-          match flip with
-          | Some fl when fl.Fault.fl_launch mod n_launches = i -> Some fl
-          | _ -> None
-        in
-        let kernel_flip =
-          match flip_here with
-          | Some fl when fl.Fault.fl_space <> Fault.Global_mem -> Some fl
-          | _ -> None
-        in
-        let r =
-          Interp.run_kernel ?flip:kernel_flip ~arch ~opts k ~grid ~block
-            ~shared_elems
-            ~globals:(Array.of_list (List.rev !globals))
-            ~params:(Array.of_list (List.rev !params))
-        in
-        (match flip_here with
-        | Some fl when fl.Fault.fl_space = Fault.Global_mem ->
-            apply_global_flip fl
-        | _ -> ());
-        r)
-      p.Ir.p_launches
+  let launch i kernel ~grid ~block ~shared_elems ~globals ~params =
+    let k = List.assoc kernel cp.cp_kernels in
+    let flip_here =
+      match flip with
+      | Some fl when fl.Fault.fl_launch mod n_launches = i -> Some fl
+      | _ -> None
+    in
+    let kernel_flip =
+      match flip_here with
+      | Some fl when fl.Fault.fl_space <> Fault.Global_mem -> Some fl
+      | _ -> None
+    in
+    let r =
+      Interp.run_kernel ?flip:kernel_flip ~arch ~opts k ~grid ~block ~shared_elems
+        ~globals ~params
+    in
+    (match flip_here with
+    | Some fl when fl.Fault.fl_space = Fault.Global_mem -> apply_global_flip fl
+    | _ -> ());
+    r
+  in
+  let launch_results, result_buffer =
+    run_host ?tunables ~n ~input ~output ~temporary ~launch p
   in
   let launch_costs = List.map (Cost.of_launch arch) launch_results in
-  let time_us = Cost.of_program arch ~n_inits:!n_inits launch_costs in
-  let result_buffer = find_buffer p.Ir.p_result in
+  let n_inits =
+    List.length (List.filter (fun b -> b.Ir.buf_init <> None) p.Ir.p_buffers)
+  in
+  let time_us = Cost.of_program arch ~n_inits launch_costs in
   {
     result = result_buffer.Interp.data.(0);
     time_us;

@@ -31,6 +31,34 @@ type compiled_program = {
     inputs, tunables and architectures. *)
 val compile : Device_ir.Ir.program -> compiled_program
 
+(** The host side of one run of a program, generic in the buffer
+    representation (the symbolic evaluator binds terms): bind the
+    buffers — [input], the one-cell [output], then each temporary
+    [temporary decl size] in declaration order — and run every launch in
+    order through [launch i kernel], its geometry and arguments evaluated
+    just before it runs. [tunables] defaults to each tunable's first
+    candidate. Returns the launches' results and the program's result
+    buffer.
+    @raise Invalid_argument on an unbound tunable or buffer, a tunable
+    without candidates or a temporary of non-positive size. *)
+val run_host :
+  ?tunables:(string * int) list ->
+  n:int ->
+  input:'b ->
+  output:'b ->
+  temporary:(Device_ir.Ir.buffer -> int -> 'b) ->
+  launch:
+    (int ->
+    string ->
+    grid:int ->
+    block:int ->
+    shared_elems:int ->
+    globals:'b array ->
+    params:Value.t array ->
+    'r) ->
+  Device_ir.Ir.program ->
+  'r list * 'b
+
 (** [fault] injects deterministic faults into this run (see {!Fault}):
     an injected transient fault raises {!Interp.Sim_error}, an injected
     timeout raises {!Fault.Injected}, a stall multiplies [time_us] by the

@@ -31,6 +31,7 @@
    that source a lane outside the 32-lane warp. *)
 
 module Ir = Device_ir.Ir
+module R = Device_ir.Resolve
 module Value = Gpusim.Value
 
 exception Abort of { a_code : string; a_message : string }
@@ -83,10 +84,10 @@ type sbuffer = {
 
 type ctx = {
   kname : string;
-  params : (string, Value.t) Hashtbl.t;
-  globals : (string, gbuffer) Hashtbl.t;
-  shared : (string, sbuffer) Hashtbl.t;
-  regs : (string, Term.t array) Hashtbl.t;  (** register name -> per-thread *)
+  params : Term.t array;  (** by slot *)
+  globals : gbuffer array;  (** by slot *)
+  shared : sbuffer array;  (** by slot *)
+  regs : Term.t array array;  (** [slot][thread] *)
   nthreads : int;
   nwarps : int;
   mutable block_idx : int;
@@ -95,15 +96,13 @@ type ctx = {
   mutable epoch : int;  (** barrier epoch within the current block *)
 }
 
-let find_global (ctx : ctx) (arr : string) : gbuffer =
-  match Hashtbl.find_opt ctx.globals arr with
-  | Some b -> b
-  | None -> abort "TSYM002" "%s: unbound global array %S" ctx.kname arr
+let global_buffer (ctx : ctx) (a : R.array_ref) : gbuffer =
+  if a.R.a_slot < 0 then abort "TSYM002" "%s: unbound global array %S" ctx.kname a.R.a_name
+  else ctx.globals.(a.R.a_slot)
 
-let find_shared (ctx : ctx) (arr : string) : sbuffer =
-  match Hashtbl.find_opt ctx.shared arr with
-  | Some s -> s
-  | None -> abort "TSYM002" "%s: unknown shared array %S" ctx.kname arr
+let shared_buffer (ctx : ctx) (a : R.array_ref) : sbuffer =
+  if a.R.a_slot < 0 then abort "TSYM002" "%s: unknown shared array %S" ctx.kname a.R.a_name
+  else ctx.shared.(a.R.a_slot)
 
 let global_get (ctx : ctx) (b : gbuffer) (i : int) : Term.t =
   if i < 0 || i >= Array.length b.g_cells then
@@ -170,56 +169,59 @@ let note_shared_write (ctx : ctx) (s : sbuffer) (w : int) (i : int)
   else s.sw_atomic.(i) <- atomic
 
 (* ------------------------------------------------------------------ *)
-(* Registers and expressions                                           *)
+(* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let get_reg (ctx : ctx) (tid : int) (r : string) : Term.t =
-  match Hashtbl.find_opt ctx.regs r with
-  | Some a -> a.(tid)
-  | None -> Term.Conc Value.zero  (* interp zero-initialises registers *)
+type term_of = ctx -> int -> Term.t
 
-let reg_array (ctx : ctx) (r : string) : Term.t array =
-  match Hashtbl.find_opt ctx.regs r with
-  | Some a -> a
-  | None ->
-      let a = Array.make ctx.nthreads (Term.Conc Value.zero) in
-      Hashtbl.add ctx.regs r a;
-      a
+(* a compiled expression: its term for one thread and, for a [<]/[<=]/
+   [>]/[>=] comparison, whether its then-side keeps the larger operand,
+   and the two operands, by which a branch on symbolic data is joined *)
+type eexp = { ev : term_of; cmp : (bool * term_of * term_of) option }
 
-let set_reg (ctx : ctx) (tid : int) (r : string) (v : Term.t) : unit =
-  (reg_array ctx r).(tid) <- v
-
-let rec eval (ctx : ctx) (tid : int) (e : Ir.exp) : Term.t =
+let rec ev (e : R.exp) : term_of =
   match e with
-  | Ir.Int n -> Term.Conc (Value.VI n)
-  | Ir.Float f -> Term.Conc (Value.VF f)
-  | Ir.Bool b -> Term.Conc (Value.VB b)
-  | Ir.Reg r -> get_reg ctx tid r
-  | Ir.Param p -> (
-      match Hashtbl.find_opt ctx.params p with
-      | Some v -> Term.Conc v
-      | None -> abort "TSYM002" "%s: unbound parameter %S" ctx.kname p)
-  | Ir.Special s ->
-      Term.Conc
-        (Value.VI
-           (match s with
-           | Ir.Thread_idx -> tid
-           | Ir.Block_idx -> ctx.block_idx
-           | Ir.Block_dim -> ctx.nthreads
-           | Ir.Grid_dim -> ctx.grid_dim
-           | Ir.Warp_size -> warp_lanes
-           | Ir.Lane_id -> tid land (warp_lanes - 1)
-           | Ir.Warp_id -> tid lsr warp_bits))
-  | Ir.Unop (op, a) -> Term.unop op (eval ctx tid a)
-  | Ir.Binop (op, a, b) -> Term.binop op (eval ctx tid a) (eval ctx tid b)
-  | Ir.Select (c, a, b) -> (
+  | R.Int n ->
+      let t = Term.Conc (Value.VI n) in
+      fun _ _ -> t
+  | R.Float f ->
+      let t = Term.Conc (Value.VF f) in
+      fun _ _ -> t
+  | R.Bool b ->
+      let t = Term.Conc (Value.VB b) in
+      fun _ _ -> t
+  | R.Reg (slot, _) -> fun ctx tid -> ctx.regs.(slot).(tid)
+  | R.Param (slot, p) ->
+      if slot < 0 then fun ctx _ -> abort "TSYM002" "%s: unbound parameter %S" ctx.kname p
+      else fun ctx _ -> ctx.params.(slot)
+  | R.Special s ->
+      fun ctx tid ->
+        Term.Conc
+          (Value.VI
+             (match s with
+             | Ir.Thread_idx -> tid
+             | Ir.Block_idx -> ctx.block_idx
+             | Ir.Block_dim -> ctx.nthreads
+             | Ir.Grid_dim -> ctx.grid_dim
+             | Ir.Warp_size -> warp_lanes
+             | Ir.Lane_id -> tid land (warp_lanes - 1)
+             | Ir.Warp_id -> tid lsr warp_bits))
+  | R.Unop (op, a) ->
+      let a = ev a in
+      fun ctx tid -> Term.unop op (a ctx tid)
+  | R.Binop (op, a, b) ->
+      let a = ev a and b = ev b in
+      fun ctx tid ->
+        let y = b ctx tid in
+        Term.binop op (a ctx tid) y
+  | R.Select (c, a, b) -> (
       (* `x < y ? x : y`-shaped ternaries are how the TIR codelets spell
          min/max; recognise the shape so a symbolic comparison still
          normalises instead of aborting. Concrete conditions branch
          normally (and lazily — the untaken arm may be out of bounds). *)
       let minmax =
         match c with
-        | Ir.Binop (cmp, x, y) when (x = a && y = b) || (x = b && y = a) -> (
+        | R.Binop (cmp, x, y) when (x = a && y = b) || (x = b && y = a) -> (
             let swapped = x = b && y = a && not (x = a && y = b) in
             match cmp with
             | Ir.Lt | Ir.Le -> Some (if swapped then Ir.Max else Ir.Min)
@@ -227,164 +229,156 @@ let rec eval (ctx : ctx) (tid : int) (e : Ir.exp) : Term.t =
             | _ -> None)
         | _ -> None
       in
-      let branch () =
-        if
-          Value.to_bool
-            (Term.to_value ~what:"a select condition" (eval ctx tid c))
-        then eval ctx tid a
-        else eval ctx tid b
+      let c = ev c and a = ev a and b = ev b in
+      let branch ctx tid =
+        if Value.to_bool (Term.to_value ~what:"a select condition" (c ctx tid)) then
+          a ctx tid
+        else b ctx tid
       in
       match minmax with
-      | None -> branch ()
+      | None -> branch
       | Some op -> (
           (* prefer the concrete branch (bit-exact float semantics) when
              the comparison concretises *)
-          try branch ()
-          with Term.Unsupported _ ->
-            Term.binop op (eval ctx tid a) (eval ctx tid b)))
+          fun ctx tid ->
+            try branch ctx tid
+            with Term.Unsupported _ ->
+              let y = b ctx tid in
+              Term.binop op (a ctx tid) y))
 
-let eval_int (ctx : ctx) (tid : int) ~(what : string) (e : Ir.exp) : int =
-  Value.to_int (Term.to_value ~what (eval ctx tid e))
+let compile (e : R.exp) : eexp =
+  let cmp =
+    match e with
+    | R.Binop ((Ir.Lt | Ir.Le), a, b) -> Some (false, ev a, ev b)
+    | R.Binop ((Ir.Gt | Ir.Ge), a, b) -> Some (true, ev a, ev b)
+    | _ -> None
+  in
+  { ev = ev e; cmp }
 
-let eval_bool (ctx : ctx) (tid : int) ~(what : string) (e : Ir.exp) : bool =
-  Value.to_bool (Term.to_value ~what (eval ctx tid e))
+let eval_int (ctx : ctx) (tid : int) ~(what : string) (e : eexp) : int =
+  Value.to_int (Term.to_value ~what (e.ev ctx tid))
+
+let eval_bool (ctx : ctx) (tid : int) ~(what : string) (e : eexp) : bool =
+  Value.to_bool (Term.to_value ~what (e.ev ctx tid))
 
 (* ------------------------------------------------------------------ *)
 (* Per-warp execution (mirrors Interp.exec_warp)                       *)
 (* ------------------------------------------------------------------ *)
 
+type estmt = eexp R.stmt
+
 (* branches executed speculatively for a data-dependent condition must
    not touch memory (or communicate across lanes): their effects cannot
    be predicated on a symbolic condition *)
-let rec stmt_writes_memory = function
-  | Ir.Store _ | Ir.Atomic _ | Ir.Sync | Ir.Shfl _ -> true
-  | Ir.If (_, t, e) ->
-      List.exists stmt_writes_memory t || List.exists stmt_writes_memory e
-  | Ir.For { body; _ } | Ir.While (_, body) -> List.exists stmt_writes_memory body
-  | Ir.Let _ | Ir.Load _ | Ir.Vec_load _ | Ir.Comment _ -> false
+let rec writes_memory (s : estmt) : bool =
+  match s with
+  | R.Store _ | R.Atomic _ | R.Sync _ | R.Shfl _ -> true
+  | R.If { if_then; if_else; _ } ->
+      Array.exists writes_memory if_then || Array.exists writes_memory if_else
+  | R.For { f_body = body; _ } | R.While { w_body = body; _ } ->
+      Array.exists writes_memory body
+  | R.Let _ | R.Load _ | R.Vec_load _ -> false
 
-let snapshot_regs (ctx : ctx) : (string * Term.t array) list =
-  Hashtbl.fold (fun k v acc -> (k, Array.copy v) :: acc) ctx.regs []
-
-(* In place: enclosing statements (the For case, join callers) hold
-   references to the live arrays, so the arrays themselves must survive *)
-let restore_regs (ctx : ctx) (snap : (string * Term.t array) list) : unit =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (k, v) ->
-      Hashtbl.replace seen k ();
-      match Hashtbl.find_opt ctx.regs k with
-      | Some cur -> Array.blit v 0 cur 0 (Array.length v)
-      | None -> Hashtbl.add ctx.regs k (Array.copy v))
-    snap;
-  Hashtbl.iter
-    (fun k cur ->
-      if not (Hashtbl.mem seen k) then
-        Array.fill cur 0 (Array.length cur) (Term.Conc Value.zero))
-    ctx.regs
-
-let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit =
+let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : estmt) : unit =
   let lanes = Device_ir.Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   match s with
-  | Ir.Comment _ -> ()
-  | Ir.Let (r, e) ->
-      let a = reg_array ctx r in
+  | R.Let (r, e) ->
+      let a = ctx.regs.(r) in
       for l = 0 to lanes - 1 do
-        if mask.(l) then a.(base + l) <- eval ctx (base + l) e
+        if mask.(l) then a.(base + l) <- e.ev ctx (base + l)
       done
-  | Ir.Load { dst; space; arr; idx } -> (
-      match space with
+  | R.Load { l_dst; l_arr; l_idx; _ } -> (
+      let dst = ctx.regs.(l_dst) in
+      match l_arr.R.a_space with
       | Ir.Global ->
-          let b = find_global ctx arr in
+          let b = global_buffer ctx l_arr in
           for l = 0 to lanes - 1 do
             if mask.(l) then
-              let i = eval_int ctx (base + l) ~what:"a load address" idx in
-              set_reg ctx (base + l) dst (global_get ctx b i)
+              let i = eval_int ctx (base + l) ~what:"a load address" l_idx in
+              dst.(base + l) <- global_get ctx b i
           done
       | Ir.Shared ->
-          let sb = find_shared ctx arr in
+          let sb = shared_buffer ctx l_arr in
           for l = 0 to lanes - 1 do
             if mask.(l) then
-              let i = eval_int ctx (base + l) ~what:"a load address" idx in
-              set_reg ctx (base + l) dst (shared_get ctx sb w i)
+              let i = eval_int ctx (base + l) ~what:"a load address" l_idx in
+              dst.(base + l) <- shared_get ctx sb w i
           done)
-  | Ir.Store { space; arr; idx; v } -> (
-      match space with
+  | R.Store { st_arr; st_idx; st_v; _ } -> (
+      match st_arr.R.a_space with
       | Ir.Global ->
-          let b = find_global ctx arr in
+          let b = global_buffer ctx st_arr in
           for l = 0 to lanes - 1 do
             if mask.(l) then begin
-              let i = eval_int ctx (base + l) ~what:"a store address" idx in
-              let tv = eval ctx (base + l) v in
+              let i = eval_int ctx (base + l) ~what:"a store address" st_idx in
+              let tv = st_v.ev ctx (base + l) in
               note_global_write ctx b i ~atomic:false;
               b.g_cells.(i) <- tv
             end
           done
       | Ir.Shared ->
-          let sb = find_shared ctx arr in
+          let sb = shared_buffer ctx st_arr in
           for l = 0 to lanes - 1 do
             if mask.(l) then begin
-              let i = eval_int ctx (base + l) ~what:"a store address" idx in
-              let tv = eval ctx (base + l) v in
+              let i = eval_int ctx (base + l) ~what:"a store address" st_idx in
+              let tv = st_v.ev ctx (base + l) in
               note_shared_write ctx sb w i ~atomic:false;
               sb.s_cells.(i) <- tv
             end
           done)
-  | Ir.Vec_load { dsts; arr; base = vbase } ->
-      let b = find_global ctx arr in
-      let width = List.length dsts in
+  | R.Vec_load { vl_dsts; vl_arr; vl_base; _ } ->
+      let b = global_buffer ctx vl_arr in
+      let width = Array.length vl_dsts in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let base_i = eval_int ctx (base + l) ~what:"a vector-load base" vbase in
+          let base_i = eval_int ctx (base + l) ~what:"a vector-load base" vl_base in
           if width > 0 && base_i mod width <> 0 then
             abort "TSYM002" "%s: misaligned vector load at element %d (width %d)"
               ctx.kname base_i width;
-          List.iteri
-            (fun j dst -> set_reg ctx (base + l) dst (global_get ctx b (base_i + j)))
-            dsts
+          Array.iteri
+            (fun j dst -> ctx.regs.(dst).(base + l) <- global_get ctx b (base_i + j))
+            vl_dsts
         end
       done
-  | Ir.Atomic { dst; space; op; scope = _; arr; idx; v } ->
+  | R.Atomic { at_dst; at_arr; at_op; at_idx; at_v; _ } ->
       (* lanes apply in lane order: deterministic serialisation *)
       let idxs = Array.make warp_lanes 0 and vals = Array.make warp_lanes (Term.Conc Value.zero) in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          idxs.(l) <- eval_int ctx (base + l) ~what:"an atomic address" idx;
-          vals.(l) <- eval ctx (base + l) v
+          idxs.(l) <- eval_int ctx (base + l) ~what:"an atomic address" at_idx;
+          vals.(l) <- at_v.ev ctx (base + l)
         end
       done;
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let i = idxs.(l) in
-          (match space with
+          (match at_arr.R.a_space with
           | Ir.Global ->
-              let b = find_global ctx arr in
+              let b = global_buffer ctx at_arr in
               if i < 0 || i >= Array.length b.g_cells then
                 abort "TSYM002"
                   "%s: global array %s: atomic index %d out of bounds (size %d)"
                   ctx.kname b.g_name i (Array.length b.g_cells);
               note_global_write ctx b i ~atomic:true;
-              b.g_cells.(i) <- Term.combine op b.g_cells.(i) vals.(l)
+              b.g_cells.(i) <- Term.combine at_op b.g_cells.(i) vals.(l)
           | Ir.Shared ->
-              let sb = find_shared ctx arr in
+              let sb = shared_buffer ctx at_arr in
               if i < 0 || i >= Array.length sb.s_cells then
                 abort "TSYM002"
                   "%s: shared array %s: atomic index %d out of bounds (size %d)"
                   ctx.kname sb.s_name i (Array.length sb.s_cells);
               note_shared_write ctx sb w i ~atomic:true;
-              sb.s_cells.(i) <- Term.combine op sb.s_cells.(i) vals.(l));
-          match dst with
-          | Some r ->
-              (* the pre-update value is interleaving-dependent on real
-                 hardware; representing it would let a proof depend on the
-                 simulator's serialisation order *)
-              set_reg ctx (base + l) r
-                (Term.poison "old value returned by an atomic operation")
-          | None -> ()
+              sb.s_cells.(i) <- Term.combine at_op sb.s_cells.(i) vals.(l));
+          (* the pre-update value is interleaving-dependent on real
+             hardware; representing it would let a proof depend on the
+             simulator's serialisation order *)
+          if at_dst >= 0 then
+            ctx.regs.(at_dst).(base + l) <-
+              Term.poison "old value returned by an atomic operation"
         end
       done
-  | Ir.Shfl { dst; mode; v; lane; width } ->
+  | R.Shfl { sh_dst; sh_mode; sh_v; sh_lane; sh_width = width } ->
       if width < 1 || width > warp_lanes then
         abort "TSYM004"
           "%s: shuffle width %d exceeds the %d-lane warp (sub-warp state is \
@@ -393,26 +387,26 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
       (* every resident lane publishes v; missing tail lanes publish zero *)
       let publish =
         Array.init warp_lanes (fun l ->
-            if l < lanes then eval ctx (base + l) v else Term.Conc Value.zero)
+            if l < lanes then sh_v.ev ctx (base + l) else Term.Conc Value.zero)
       in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let delta = eval_int ctx (base + l) ~what:"a shuffle lane operand" lane in
-          let src = Device_ir.Lanes.shfl_src mode ~lane:l ~delta ~width in
+          let delta = eval_int ctx (base + l) ~what:"a shuffle lane operand" sh_lane in
+          let src = Device_ir.Lanes.shfl_src sh_mode ~lane:l ~delta ~width in
           if src = Device_ir.Lanes.out_of_warp then
             abort "TSYM004"
               "%s: lane %d of a %s shuffle (lane operand %d, width %d) \
                sources a lane outside the %d-lane warp"
               ctx.kname l
-              (Ir.show_shuffle_mode mode)
+              (Ir.show_shuffle_mode sh_mode)
               delta width warp_lanes;
-          set_reg ctx (base + l) dst publish.(src)
+          ctx.regs.(sh_dst).(base + l) <- publish.(src)
         end
       done
-  | Ir.Sync ->
+  | R.Sync _ ->
       abort "TSYM002" "%s: __syncthreads() under divergent control flow"
         ctx.kname
-  | Ir.If (cond, then_, else_) ->
+  | R.If { if_cond; if_then; if_else; _ } ->
       let tmask = Array.make warp_lanes false in
       let emask = Array.make warp_lanes false in
       let smask = Array.make warp_lanes false in
@@ -420,8 +414,7 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
       for l = 0 to lanes - 1 do
         if mask.(l) then
           match
-            Term.to_value ~what:"a branch condition"
-              (eval ctx (base + l) cond)
+            Term.to_value ~what:"a branch condition" (if_cond.ev ctx (base + l))
           with
           | v ->
               if Value.to_bool v then begin
@@ -436,13 +429,13 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
               smask.(l) <- true;
               incr n_s
       done;
-      if !n_t > 0 then List.iter (exec_warp ctx w tmask) then_;
-      if !n_e > 0 then List.iter (exec_warp ctx w emask) else_;
-      if !n_s > 0 then join_branches ctx w smask cond then_ else_
-  | Ir.For { var; init; cond; step; body } ->
-      let a = reg_array ctx var in
+      if !n_t > 0 then Array.iter (exec_warp ctx w tmask) if_then;
+      if !n_e > 0 then Array.iter (exec_warp ctx w emask) if_else;
+      if !n_s > 0 then join_branches ctx w smask if_cond if_then if_else
+  | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
+      let a = ctx.regs.(f_var) in
       for l = 0 to lanes - 1 do
-        if mask.(l) then a.(base + l) <- eval ctx (base + l) init
+        if mask.(l) then a.(base + l) <- f_init.ev ctx (base + l)
       done;
       let live = Array.copy mask in
       let iter = ref 0 in
@@ -451,15 +444,15 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
         let n_live = ref 0 in
         for l = 0 to lanes - 1 do
           if live.(l) then
-            if eval_bool ctx (base + l) ~what:"a loop condition" cond then
+            if eval_bool ctx (base + l) ~what:"a loop condition" f_cond then
               incr n_live
             else live.(l) <- false
         done;
         if !n_live = 0 then continue_ := false
         else begin
-          List.iter (exec_warp ctx w live) body;
+          Array.iter (exec_warp ctx w live) f_body;
           for l = 0 to lanes - 1 do
-            if live.(l) then a.(base + l) <- eval ctx (base + l) step
+            if live.(l) then a.(base + l) <- f_step.ev ctx (base + l)
           done;
           incr iter;
           if !iter > loop_iteration_cap then
@@ -467,7 +460,7 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
               loop_iteration_cap
         end
       done
-  | Ir.While (cond, body) ->
+  | R.While { w_cond; w_body; _ } ->
       let live = Array.copy mask in
       let iter = ref 0 in
       let continue_ = ref true in
@@ -475,13 +468,13 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
         let n_live = ref 0 in
         for l = 0 to lanes - 1 do
           if live.(l) then
-            if eval_bool ctx (base + l) ~what:"a loop condition" cond then
+            if eval_bool ctx (base + l) ~what:"a loop condition" w_cond then
               incr n_live
             else live.(l) <- false
         done;
         if !n_live = 0 then continue_ := false
         else begin
-          List.iter (exec_warp ctx w live) body;
+          Array.iter (exec_warp ctx w live) w_body;
           incr iter;
           if !iter > loop_iteration_cap then
             abort "TSYM002" "%s: while loop exceeded %d iterations" ctx.kname
@@ -499,68 +492,49 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : Ir.stmt) : unit
    aborts the proof only if the register is ever read again (dead branch
    temporaries are re-assigned before use). Branches that write memory or
    shuffle cannot be speculated and abort. *)
-and join_branches (ctx : ctx) (w : int) (smask : bool array) (cond : Ir.exp)
-    (then_ : Ir.stmt list) (else_ : Ir.stmt list) : unit =
+and join_branches (ctx : ctx) (w : int) (smask : bool array) (cond : eexp)
+    (then_ : estmt array) (else_ : estmt array) : unit =
   let lanes = Device_ir.Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
-  if List.exists stmt_writes_memory then_ || List.exists stmt_writes_memory else_
-  then
+  if Array.exists writes_memory then_ || Array.exists writes_memory else_ then
     abort "TSYM002"
       "%s: a memory write (or shuffle) under a branch on symbolic input data"
       ctx.kname;
   (* the comparison shape decides which operand wins in the then-branch *)
-  let then_is_max =
-    match cond with
-    | Ir.Binop ((Ir.Lt | Ir.Le), _, _) -> Some false
-    | Ir.Binop ((Ir.Gt | Ir.Ge), _, _) -> Some true
-    | _ -> None
-  in
   let operands =
-    match cond with
-    | Ir.Binop (_, ca, cb) ->
+    match cond.cmp with
+    | Some (_, ca, cb) ->
         Array.init warp_lanes (fun l ->
             if smask.(l) then
-              try Some (eval ctx (base + l) ca, eval ctx (base + l) cb)
+              try Some (ca ctx (base + l), cb ctx (base + l))
               with Term.Unsupported _ -> None
             else None)
-    | _ -> Array.make warp_lanes None
+    | None -> Array.make warp_lanes None
   in
-  let snap = snapshot_regs ctx in
-  List.iter (exec_warp ctx w smask) then_;
-  let then_state = snapshot_regs ctx in
-  restore_regs ctx snap;
-  List.iter (exec_warp ctx w smask) else_;
+  let entry = Array.map Array.copy ctx.regs in
+  Array.iter (exec_warp ctx w smask) then_;
+  let then_state = Array.map Array.copy ctx.regs in
+  Array.iteri (fun r a -> Array.blit a 0 ctx.regs.(r) 0 (Array.length a)) entry;
+  Array.iter (exec_warp ctx w smask) else_;
   (* registers now hold the else-state; join against the then-state *)
-  let names =
-    List.sort_uniq compare
-      (List.map fst then_state
-      @ Hashtbl.fold (fun k _ acc -> k :: acc) ctx.regs [])
-  in
-  List.iter
-    (fun name ->
-      let then_arr = List.assoc_opt name then_state in
-      let now = reg_array ctx name in
+  Array.iteri
+    (fun r now ->
       for l = 0 to lanes - 1 do
         if smask.(l) then begin
-          let vt =
-            match then_arr with
-            | Some a -> a.(base + l)
-            | None -> Term.Conc Value.zero
-          in
-          let ve = now.(base + l) in
+          let vt = then_state.(r).(base + l) and ve = now.(base + l) in
           if vt <> ve then
             now.(base + l) <-
-              (match (then_is_max, operands.(l)) with
-              | Some maxi, Some (ta, tb) when vt = ta && ve = tb ->
+              (match (cond.cmp, operands.(l)) with
+              | Some (maxi, _, _), Some (ta, tb) when vt = ta && ve = tb ->
                   Term.binop (if maxi then Ir.Max else Ir.Min) ta tb
-              | Some maxi, Some (ta, tb) when vt = tb && ve = ta ->
+              | Some (maxi, _, _), Some (ta, tb) when vt = tb && ve = ta ->
                   Term.binop (if maxi then Ir.Min else Ir.Max) ta tb
               | _ ->
                   Term.poison
                     "a register joined across a branch on symbolic input data")
         end
       done)
-    names
+    ctx.regs
 
 (* ------------------------------------------------------------------ *)
 (* Block-wide execution (barrier-aware; mirrors Interp)                *)
@@ -572,7 +546,7 @@ let barrier (ctx : ctx) : unit = ctx.epoch <- ctx.epoch + 1
 
 (* a condition guarding a barrier must be block-uniform, or the barrier
    deadlocks; symbolically it must also be concrete *)
-let check_uniform_cond (ctx : ctx) (e : Ir.exp) : bool =
+let check_uniform_cond (ctx : ctx) (e : eexp) : bool =
   let what = "a barrier-guarding condition" in
   let v0 = eval_bool ctx 0 ~what e in
   for t = 1 to ctx.nthreads - 1 do
@@ -584,29 +558,29 @@ let check_uniform_cond (ctx : ctx) (e : Ir.exp) : bool =
   done;
   v0
 
-let rec exec_block_stmt (ctx : ctx) (s : Ir.stmt) : unit =
-  if not (Device_ir.Analysis.contains_sync s) then
+let rec exec_block_stmt (ctx : ctx) (s : estmt) : unit =
+  if not (R.has_sync s) then
     for w = 0 to ctx.nwarps - 1 do
       exec_warp ctx w full_mask s
     done
   else
     match s with
-    | Ir.Sync -> barrier ctx
-    | Ir.If (cond, then_, else_) ->
-        if check_uniform_cond ctx cond then List.iter (exec_block_stmt ctx) then_
-        else List.iter (exec_block_stmt ctx) else_
-    | Ir.For { var; init; cond; step; body } ->
-        let a = reg_array ctx var in
+    | R.Sync _ -> barrier ctx
+    | R.If { if_cond; if_then; if_else; _ } ->
+        if check_uniform_cond ctx if_cond then Array.iter (exec_block_stmt ctx) if_then
+        else Array.iter (exec_block_stmt ctx) if_else
+    | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
+        let a = ctx.regs.(f_var) in
         for t = 0 to ctx.nthreads - 1 do
-          a.(t) <- eval ctx t init
+          a.(t) <- f_init.ev ctx t
         done;
         let iter = ref 0 in
         let continue_ = ref true in
         while !continue_ do
-          if check_uniform_cond ctx cond then begin
-            List.iter (exec_block_stmt ctx) body;
+          if check_uniform_cond ctx f_cond then begin
+            Array.iter (exec_block_stmt ctx) f_body;
             for t = 0 to ctx.nthreads - 1 do
-              a.(t) <- eval ctx t step
+              a.(t) <- f_step.ev ctx t
             done;
             incr iter;
             if !iter > loop_iteration_cap then
@@ -615,12 +589,12 @@ let rec exec_block_stmt (ctx : ctx) (s : Ir.stmt) : unit =
           end
           else continue_ := false
         done
-    | Ir.While (cond, body) ->
+    | R.While { w_cond; w_body; _ } ->
         let iter = ref 0 in
         let continue_ = ref true in
         while !continue_ do
-          if check_uniform_cond ctx cond then begin
-            List.iter (exec_block_stmt ctx) body;
+          if check_uniform_cond ctx w_cond then begin
+            Array.iter (exec_block_stmt ctx) w_body;
             incr iter;
             if !iter > loop_iteration_cap then
               abort "TSYM002" "%s: while loop exceeded %d iterations" ctx.kname
@@ -628,64 +602,56 @@ let rec exec_block_stmt (ctx : ctx) (s : Ir.stmt) : unit =
           end
           else continue_ := false
         done
-    | Ir.Let _ | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _
-    | Ir.Shfl _ | Ir.Comment _ ->
+    | R.Let _ | R.Load _ | R.Store _ | R.Vec_load _ | R.Atomic _ | R.Shfl _ ->
         assert false
 
 (* ------------------------------------------------------------------ *)
 (* Kernel launch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_kernel (k : Ir.kernel) ~(grid : int) ~(block : int)
-    ~(shared_elems : int) ~(globals : gbuffer list)
-    ~(params : Value.t list) ~(launch_idx : int) : unit =
-  if grid < 1 then abort "TSYM002" "%s: empty grid" k.Ir.k_name;
+let run_kernel (k : eexp R.kernel) ~(grid : int) ~(block : int)
+    ~(shared_elems : int) ~(globals : gbuffer array) ~(params : Value.t array)
+    ~(launch_idx : int) : unit =
+  let name = k.R.rk_name in
+  if grid < 1 then abort "TSYM002" "%s: empty grid" name;
   if block < 1 || block > max_threads_per_block then
-    abort "TSYM002" "%s: block size %d out of range [1, %d]" k.Ir.k_name block
+    abort "TSYM002" "%s: block size %d out of range [1, %d]" name block
       max_threads_per_block;
-  if List.length globals <> List.length k.Ir.k_arrays then
-    abort "TSYM002" "%s: expected %d array bindings, got %d" k.Ir.k_name
-      (List.length k.Ir.k_arrays) (List.length globals);
-  if List.length params <> List.length k.Ir.k_params then
-    abort "TSYM002" "%s: expected %d scalar parameters, got %d" k.Ir.k_name
-      (List.length k.Ir.k_params) (List.length params);
-  let globals_tbl = Hashtbl.create 8 in
-  List.iter2
-    (fun (name, _ty) b -> Hashtbl.replace globals_tbl name b)
-    k.Ir.k_arrays globals;
-  let params_tbl = Hashtbl.create 8 in
-  List.iter2
-    (fun (name, _ty) v -> Hashtbl.replace params_tbl name v)
-    k.Ir.k_params params;
-  let shared_tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (d : Ir.shared_decl) ->
-      let n =
-        match d.Ir.sh_size with
-        | Ir.Static_size n -> n
-        | Ir.Dynamic_size -> shared_elems
-      in
-      let n = max n 1 in
-      Hashtbl.replace shared_tbl d.Ir.sh_name
+  if Array.length globals <> Array.length k.R.rk_arrays then
+    abort "TSYM002" "%s: expected %d array bindings, got %d" name
+      (Array.length k.R.rk_arrays) (Array.length globals);
+  if Array.length params <> Array.length k.R.rk_params then
+    abort "TSYM002" "%s: expected %d scalar parameters, got %d" name
+      (Array.length k.R.rk_params) (Array.length params);
+  let zero ty = Term.Conc (Value.of_float ty 0.0) in
+  let shared =
+    Array.map
+      (fun (d : Ir.shared_decl) ->
+        let n =
+          match d.Ir.sh_size with
+          | Ir.Static_size n -> n
+          | Ir.Dynamic_size -> shared_elems
+        in
+        let n = max n 1 in
         {
           s_name = d.Ir.sh_name;
           s_ty = d.Ir.sh_ty;
-          s_cells = Array.make n (Term.Conc (Value.of_float d.Ir.sh_ty 0.0));
+          s_cells = Array.make n (zero d.Ir.sh_ty);
           sw_epoch = Array.make n (-1);
           sw_warp = Array.make n (-1);
           sw_atomic = Array.make n false;
         })
-    k.Ir.k_shared;
-  let nwarps = (block + warp_lanes - 1) / warp_lanes in
+      k.R.rk_shared
+  in
   let ctx =
     {
-      kname = k.Ir.k_name;
-      params = params_tbl;
-      globals = globals_tbl;
-      shared = shared_tbl;
-      regs = Hashtbl.create 32;
+      kname = name;
+      params = Array.map (fun v -> Term.Conc v) params;
+      globals;
+      shared;
+      regs = Array.init k.R.rk_nregs (fun _ -> Array.make block (Term.Conc Value.zero));
       nthreads = block;
-      nwarps;
+      nwarps = (block + warp_lanes - 1) / warp_lanes;
       block_idx = 0;
       grid_dim = grid;
       launch_idx;
@@ -695,91 +661,57 @@ let run_kernel (k : Ir.kernel) ~(grid : int) ~(block : int)
   for b = 0 to grid - 1 do
     ctx.block_idx <- b;
     ctx.epoch <- 0;
-    Hashtbl.reset ctx.regs;
-    Hashtbl.iter
-      (fun _ (s : sbuffer) ->
-        Array.fill s.s_cells 0 (Array.length s.s_cells)
-          (Term.Conc (Value.of_float s.s_ty 0.0));
+    (* interp zero-initialises registers *)
+    Array.iter (fun a -> Array.fill a 0 block (Term.Conc Value.zero)) ctx.regs;
+    Array.iter
+      (fun (s : sbuffer) ->
+        Array.fill s.s_cells 0 (Array.length s.s_cells) (zero s.s_ty);
         Array.fill s.sw_epoch 0 (Array.length s.sw_epoch) (-1);
         Array.fill s.sw_warp 0 (Array.length s.sw_warp) (-1);
         Array.fill s.sw_atomic 0 (Array.length s.sw_atomic) false)
       ctx.shared;
-    List.iter (exec_block_stmt ctx) k.Ir.k_body
+    Array.iter (exec_block_stmt ctx) k.R.rk_body
   done
 
 (* ------------------------------------------------------------------ *)
-(* Whole-program execution (mirrors Runner.run_compiled_raw)           *)
+(* Whole-program execution                                             *)
 (* ------------------------------------------------------------------ *)
-
-let first_tunables (p : Ir.program) : (string * int) list =
-  List.map
-    (fun (name, cands) ->
-      match cands with
-      | v :: _ -> (name, v)
-      | [] -> abort "TSYM002" "program %s: tunable %S has no candidates" p.Ir.p_name name)
-    p.Ir.p_tunables
 
 (** Symbolically execute [p] on a fully symbolic input of [n] elements
     (element [i] is {!Term.Sym}[ i]) and return the term left in cell 0
     of the result buffer. Geometry is concrete: [tunables] defaults to
-    the first candidate of each tunable. Execution is always exact —
-    every block of every launch runs.
+    the first candidate of each tunable. Buffers and launches are bound
+    by {!Gpusim.Runner.run_host}, as for a simulated run. Execution is
+    always exact — every block of every launch runs.
     @raise Abort on any shape, hazard or shuffle violation. *)
 let run_program ?(tunables : (string * int) list option) ~(n : int)
     (p : Ir.program) : Term.t =
   if n < 1 then abort "TSYM002" "program %s: empty input" p.Ir.p_name;
-  let tunables =
-    match tunables with Some t -> t | None -> first_tunables p
+  let kernels =
+    List.map (fun k -> (k.Ir.k_name, lazy (R.kernel compile k))) p.Ir.p_kernels
   in
-  let ev_hexp h =
-    try Ir.eval_hexp ~n ~tunables h
-    with Invalid_argument msg -> abort "TSYM002" "program %s: %s" p.Ir.p_name msg
+  let launch launch_idx kernel ~grid ~block ~shared_elems ~globals ~params =
+    let k =
+      match List.assoc_opt kernel kernels with
+      | Some k -> Lazy.force k
+      | None ->
+          invalid_arg (Printf.sprintf "program %s: no kernel %S" p.Ir.p_name kernel)
+    in
+    run_kernel k ~grid ~block ~shared_elems ~globals ~params ~launch_idx
   in
-  let buffers : (string, gbuffer) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.add buffers "input"
-    (make_gbuffer ~read_only:true ~name:"input" (Array.init n Term.sym));
-  Hashtbl.add buffers "output"
-    (make_gbuffer ~name:"output" [| Term.Conc (Value.of_float p.Ir.p_elem 0.0) |]);
-  List.iter
-    (fun (b : Ir.buffer) ->
-      let size = ev_hexp b.Ir.buf_size in
-      if size < 1 then
-        abort "TSYM002" "program %s: buffer %S has non-positive size %d"
-          p.Ir.p_name b.Ir.buf_name size;
-      let init = match b.Ir.buf_init with Some v -> v | None -> 0.0 in
-      Hashtbl.add buffers b.Ir.buf_name
-        (make_gbuffer ~name:b.Ir.buf_name
-           (Array.make size (Term.Conc (Value.of_float b.Ir.buf_ty init)))))
-    p.Ir.p_buffers;
-  let find_buffer name =
-    match Hashtbl.find_opt buffers name with
-    | Some b -> b
-    | None -> abort "TSYM002" "program %s: unbound buffer %S" p.Ir.p_name name
+  let temporary (b : Ir.buffer) size =
+    let init = Option.value b.Ir.buf_init ~default:0.0 in
+    make_gbuffer ~name:b.Ir.buf_name
+      (Array.make size (Term.Conc (Value.of_float b.Ir.buf_ty init)))
   in
-  (try
-     List.iteri
-       (fun i (ln : Ir.launch) ->
-         let k = Ir.find_kernel p ln.Ir.ln_kernel in
-         let grid = ev_hexp ln.Ir.ln_grid in
-         let block = ev_hexp ln.Ir.ln_block in
-         let shared_elems = ev_hexp ln.Ir.ln_shared_elems in
-         let globals = ref [] and params = ref [] in
-         List.iter
-           (fun (a : Ir.harg) ->
-             match a with
-             | Ir.Arg_buffer b -> globals := find_buffer b :: !globals
-             | Ir.Arg_scalar h -> params := Value.VI (ev_hexp h) :: !params)
-           ln.Ir.ln_args;
-         run_kernel k ~grid ~block ~shared_elems
-           ~globals:(List.rev !globals) ~params:(List.rev !params)
-           ~launch_idx:i)
-       p.Ir.p_launches
-   with
-  | Term.Unsupported msg ->
-      abort "TSYM002" "program %s: %s" p.Ir.p_name msg
-  | Value.Trap msg -> abort "TSYM002" "program %s: %s" p.Ir.p_name msg
-  | Invalid_argument msg -> abort "TSYM002" "program %s: %s" p.Ir.p_name msg);
-  let result = find_buffer p.Ir.p_result in
-  if Array.length result.g_cells = 0 then
-    abort "TSYM002" "program %s: empty result buffer" p.Ir.p_name;
-  result.g_cells.(0)
+  match
+    Gpusim.Runner.run_host ?tunables ~n
+      ~input:(make_gbuffer ~read_only:true ~name:"input" (Array.init n Term.sym))
+      ~output:
+        (make_gbuffer ~name:"output" [| Term.Conc (Value.of_float p.Ir.p_elem 0.0) |])
+      ~temporary ~launch p
+  with
+  | _, result -> result.g_cells.(0)
+  | exception Term.Unsupported msg -> abort "TSYM002" "program %s: %s" p.Ir.p_name msg
+  | exception Value.Trap msg -> abort "TSYM002" "program %s: %s" p.Ir.p_name msg
+  | exception Invalid_argument msg -> abort "TSYM002" "program %s: %s" p.Ir.p_name msg
