@@ -61,8 +61,7 @@ let input_for n : R.input =
   else R.Synthetic { n; pattern }
 
 let opts_for n : Gpusim.Interp.options =
-  if n <= 65536 then Gpusim.Interp.exact
-  else { Gpusim.Interp.max_blocks = Some 12; loop_cap = Some 24; check_uniform = false }
+  if n <= 65536 then Gpusim.Interp.exact else Gpusim.Interp.sampled
 
 let archs = Gpusim.Arch.presets
 

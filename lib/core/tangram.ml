@@ -128,10 +128,7 @@ let tuned_parameters ?(n = 1 lsl 24) (t : t) ~(arch : Arch.t) (v : Version.t) :
       Hashtbl.add t.tuned key outcome.Tuner.best;
       outcome.Tuner.best
 
-let size_bucket (n : int) : int =
-  (* one selection per power-of-two size class *)
-  let rec go b k = if k <= 1 then b else go (b + 1) (k lsr 1) in
-  go 0 n
+let size_bucket = Runtime.Plan_cache.bucket_of_size
 
 (** Dynamic version selection: evaluate every pruned version at this size
     class on the simulated architecture (sampled mode) and keep the
@@ -143,14 +140,11 @@ let select (t : t) ~(arch : Arch.t) ~(n : int) : Version.t * (string * int) list
   | None ->
       let pattern = Array.init 1024 (fun i -> float_of_int (i land 7)) in
       let input = Runner.Synthetic { n; pattern } in
-      let opts =
-        { Interp.max_blocks = Some 12; loop_cap = Some 24; check_uniform = false }
-      in
       let best = ref None in
       List.iter
         (fun v ->
           let tunables = tuned_parameters t ~arch v in
-          match Planner.run ~opts ~arch ~tunables t.plan ~input v with
+          match Planner.run ~opts:Interp.sampled ~arch ~tunables t.plan ~input v with
           | o -> (
               match !best with
               | Some (_, _, bt) when bt <= o.Runner.time_us -> ()

@@ -51,7 +51,7 @@ type options = {
 }
 
 let exact = { max_blocks = None; loop_cap = None; check_uniform = true }
-let approximate = { max_blocks = Some 48; loop_cap = Some 48; check_uniform = false }
+let sampled = { max_blocks = Some 12; loop_cap = Some 24; check_uniform = false }
 
 type buffer = {
   data : float array;

@@ -28,8 +28,10 @@ type options = {
     checked. Results are exact. *)
 val exact : options
 
-(** Heavy sampling for timing-only runs; results are meaningless. *)
-val approximate : options
+(** The serving sample: 12 blocks, affine loops cut after 24 iterations,
+    no uniformity check. Cost stays near-constant in the input size;
+    results are meaningless, only the simulated time counts. *)
+val sampled : options
 
 type buffer = {
   data : float array;

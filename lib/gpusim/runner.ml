@@ -8,11 +8,7 @@
      let outcome =
        Runner.run ~arch:Arch.kepler_k40c ~tunables:[ ("p", 256) ]
          ~input program
-   ]}
-
-   In {!Interp.exact} mode the returned [result] is the true value computed
-   by the simulated kernels and can be checked against a reference; in
-   {!Interp.approximate} mode only [time_us] is meaningful. *)
+   ]} *)
 
 module Ir = Device_ir.Ir
 

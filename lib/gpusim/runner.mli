@@ -3,8 +3,8 @@
     into a wall-clock estimate.
 
     In {!Interp.exact} mode the returned [result] is the true value the
-    simulated kernels computed; in {!Interp.approximate} mode only
-    [time_us] is meaningful. *)
+    simulated kernels computed; under sampling only [time_us] is
+    meaningful. *)
 
 type outcome = {
   result : float;  (** element 0 of the program's result buffer *)

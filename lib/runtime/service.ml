@@ -218,17 +218,13 @@ let load_cache (path : string) : (Plan_cache.t, error) result =
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
-(* fast sampled mode for serving: cost is near-constant in the input size *)
-let sampled_opts : Gpusim.Interp.options =
-  { Gpusim.Interp.max_blocks = Some 12; loop_cap = Some 24; check_uniform = false }
-
 (* dense inputs up to this many elements run exact *)
 let exact_threshold = 1 lsl 17
 
 let opts_for (input : R.input) : Gpusim.Interp.options =
   match input with
   | R.Dense a when Array.length a <= exact_threshold -> Gpusim.Interp.exact
-  | R.Dense _ | R.Synthetic _ -> sampled_opts
+  | R.Dense _ | R.Synthetic _ -> Gpusim.Interp.sampled
 
 let key_of (t : t) (arch : Gpusim.Arch.t) (n : int) : Plan_cache.key =
   Plan_cache.key ~arch:arch.Gpusim.Arch.name ~op:(P.op_name t.planner)
