@@ -34,7 +34,7 @@
 
 let warp_lanes = Lanes.warp_size
 
-(* the lint entry point's model input size *)
+(* the input size the lint entry points evaluate host expressions at *)
 let sample_n = 4096
 
 (* loop iterations one analyzed block may run before its loops widen *)

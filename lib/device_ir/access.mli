@@ -147,6 +147,10 @@ type analysis = {
           assumption (data-dependent loop bound, index, or branch) *)
 }
 
+(** The input size, 4096 elements, at which the lint entry points
+    ({!check_program}, {!Race.check_program}) evaluate host expressions. *)
+val sample_n : int
+
 (** Analyze a whole program at a concrete geometry. [n] defaults to
     4096 elements; [tunables] default to each tunable's first candidate.
     Launches whose geometry cannot be evaluated are skipped. *)

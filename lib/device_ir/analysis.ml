@@ -2,13 +2,13 @@
 
    Three analyses are provided:
 
-   - barrier placement ([contains_sync]), used by the simulator to decide
-     whether a statement must be executed block-wide or can be run
-     warp-by-warp;
+   - barrier placement ([contains_sync]), which {!Resolve} records so the
+     walkers know whether a statement must be executed block-wide or can
+     be run warp-by-warp;
    - a thread-uniformity taint analysis ([exp_level]): an expression is
      block-uniform when its value is provably identical for every thread of
      a block. Barriers are only legal under block-uniform control flow;
-   - def/use scans used by the validator. *)
+   - def/use scans used by the resolver and the CUDA emitter. *)
 
 module SS = Set.Make (String)
 
@@ -146,38 +146,3 @@ let rec all_defs (body : Ir.stmt list) : SS.t =
         acc
   in
   List.fold_left one SS.empty body
-
-(** All registers read anywhere in a statement list. *)
-let rec all_uses (body : Ir.stmt list) : SS.t =
-  let one acc (s : Ir.stmt) =
-    match s with
-    | Ir.Let (_, e) -> SS.union acc (exp_uses e)
-    | Ir.Load { idx; _ } -> SS.union acc (exp_uses idx)
-    | Ir.Vec_load { base; _ } -> SS.union acc (exp_uses base)
-    | Ir.Store { idx; v; _ } -> SS.union acc (SS.union (exp_uses idx) (exp_uses v))
-    | Ir.Atomic { idx; v; _ } -> SS.union acc (SS.union (exp_uses idx) (exp_uses v))
-    | Ir.Shfl { v; lane; _ } -> SS.union acc (SS.union (exp_uses v) (exp_uses lane))
-    | Ir.Sync | Ir.Comment _ -> acc
-    | Ir.If (c, t, e) ->
-        SS.union acc (SS.union (exp_uses c) (SS.union (all_uses t) (all_uses e)))
-    | Ir.For { init; cond; step; body; _ } ->
-        SS.union acc
-          (SS.union (exp_uses init)
-             (SS.union (exp_uses cond) (SS.union (exp_uses step) (all_uses body))))
-    | Ir.While (c, body) -> SS.union acc (SS.union (exp_uses c) (all_uses body))
-  in
-  List.fold_left one SS.empty body
-
-(** Global / shared array names referenced by a statement list, by space. *)
-let rec arrays_used (body : Ir.stmt list) : (string * Ir.space) list =
-  let one acc (s : Ir.stmt) =
-    match s with
-    | Ir.Load { arr; space; _ } | Ir.Store { arr; space; _ }
-    | Ir.Atomic { arr; space; _ } ->
-        (arr, space) :: acc
-    | Ir.Vec_load { arr; _ } -> (arr, Ir.Global) :: acc
-    | Ir.If (_, t, e) -> arrays_used t @ arrays_used e @ acc
-    | Ir.For { body; _ } | Ir.While (_, body) -> arrays_used body @ acc
-    | Ir.Let _ | Ir.Shfl _ | Ir.Sync | Ir.Comment _ -> acc
-  in
-  List.sort_uniq compare (List.fold_left one [] body)

@@ -9,9 +9,9 @@
 
 module SS : Set.S with type elt = string
 
-(** Whether a statement is (or contains) a [__syncthreads()]. The
-    simulator uses this to decide whether a statement must execute
-    block-wide. *)
+(** Whether a statement is (or contains) a [__syncthreads()]. {!Resolve}
+    records it on every structured statement: such a statement must
+    execute block-wide. *)
 val contains_sync : Ir.stmt -> bool
 
 (** The divergence lattice, ordered [Block_uniform < Warp_uniform <
@@ -37,10 +37,4 @@ val exp_uses : Ir.exp -> SS.t
 (** All registers defined anywhere in a statement list, including loop
     iterators and nested definitions. *)
 val all_defs : Ir.stmt list -> SS.t
-
-(** All registers read anywhere in a statement list. *)
-val all_uses : Ir.stmt list -> SS.t
-
-(** Global / shared array names referenced by a statement list. *)
-val arrays_used : Ir.stmt list -> (string * Ir.space) list
 

@@ -30,9 +30,6 @@ module SM = Analysis.SM
 let model_block = 64
 let model_grid = 2
 
-(* the input size host expressions are evaluated at *)
-let sample_n = 4096
-
 (* may the two indices ([None]: data-dependent) denote the same location? *)
 let may_alias a b = match (a, b) with Some x, Some y -> x = y | _ -> true
 
@@ -426,7 +423,7 @@ let check_program (p : Ir.program) : Diag.t list =
     match
       List.filter_map
         (fun tunables ->
-          match Ir.eval_hexp ~n:sample_n ~tunables h with
+          match Ir.eval_hexp ~n:Access.sample_n ~tunables h with
           | v -> Some v
           | exception _ -> None)
         [ lo; hi ]

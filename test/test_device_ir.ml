@@ -182,7 +182,7 @@ let analysis_tests =
         Alcotest.(check bool) "sync" true (A.contains_sync Ir.Sync);
         Alcotest.(check bool) "nested" true
           (A.contains_sync (Ir.if_ (Ir.Bool true) [ Ir.Sync ] [])));
-    Alcotest.test_case "all_defs and all_uses" `Quick (fun () ->
+    Alcotest.test_case "all_defs" `Quick (fun () ->
         let body =
           [
             Ir.let_ "a" (Ir.Int 1);
@@ -192,20 +192,8 @@ let analysis_tests =
               [ Ir.let_ "b" Ir.(Reg "a" +: Reg "i") ];
           ]
         in
-        let defs = A.all_defs body and uses = A.all_uses body in
         Alcotest.(check bool) "defs" true
-          (A.SS.equal defs (A.SS.of_list [ "a"; "b"; "i" ]));
-        Alcotest.(check bool) "uses" true
-          (A.SS.equal uses (A.SS.of_list [ "a"; "i" ])));
-    Alcotest.test_case "arrays_used" `Quick (fun () ->
-        let body =
-          [
-            Ir.load_global "x" "g" (Ir.Int 0);
-            Ir.store_shared "s" (Ir.Int 0) (Ir.Reg "x");
-          ]
-        in
-        Alcotest.(check bool) "both" true
-          (A.arrays_used body = [ ("g", Ir.Global); ("s", Ir.Shared) ]));
+          (A.SS.equal (A.all_defs body) (A.SS.of_list [ "a"; "b"; "i" ])));
   ]
 
 (* -------------------------------------------------------------- *)
