@@ -31,7 +31,6 @@
    which loaded cells each register derives from, and widens each loop
    after {!sanitizer_loop_fuel} iterations. *)
 
-
 let warp_lanes = Lanes.warp_size
 
 (* the input size the lint entry points evaluate host expressions at *)
@@ -331,7 +330,7 @@ let lanes_of (c : bctx) (w : int) : int = Lanes.lanes_in_warp ~nthreads:c.bdim w
 (* an expression's lane vector in one warp of the block, and the slots
    of the registers it reads, highest name first (the order their load
    origins combine in) *)
-type aexp = { ev : bctx -> int -> aval; reads : int array }
+type aexp = { ev : bctx -> int -> aval; reads : int list }
 
 let binop (op : Ir.binop) (a : aval) (b : aval) : aval =
   if a.unk = all_unknown && b.unk = all_unknown then top
@@ -427,7 +426,7 @@ let compile (e : Resolve.exp) : aexp =
     | Resolve.Select (cnd, a, b) -> reads (reads (reads acc cnd) a) b
   in
   let by_name = List.sort_uniq (fun x y -> compare y x) (reads [] e) in
-  { ev = ev e; reads = Array.of_list (List.map snd by_name) }
+  { ev = ev e; reads = List.map snd by_name }
 
 let resolve (k : Ir.kernel) : aexp Resolve.kernel = Resolve.kernel compile k
 
@@ -479,21 +478,24 @@ let set_origins (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : int)
 
 let clear_origins c w mask lanes r = set_origins c w mask lanes r (fun _ -> None)
 
-let lane_origins (c : bctx) (w : int) (e : aexp) (l : int) : origin list =
-  let orig = c.warps.(w).orig in
-  List.concat_map
-    (fun r -> match orig.(r).(l) with Some os -> os | None -> [])
-    (Array.to_list e.reads)
+(* the origin arrays of the registers [e] reads *)
+let origin_sources (c : bctx) (w : int) (e : aexp) : origin list option array list =
+  List.map (fun r -> c.warps.(w).orig.(r)) e.reads
+
+let lane_origins srcs l =
+  List.concat_map (fun a -> match a.(l) with Some os -> os | None -> []) srcs
 
 let let_origins c w mask lanes r (e : aexp) =
   if c.trace <> None then
-    set_origins c w mask lanes r (fun l -> Some (dedup_origins (lane_origins c w e l)))
+    let srcs = origin_sources c w e in
+    set_origins c w mask lanes r (fun l -> Some (dedup_origins (lane_origins srcs l)))
 
 (* bit l: lane l stores a value derived from a same-epoch load of the
    cell it stores to — a lost update when it races *)
 let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : aexp) : int =
   if c.trace = None then 0
   else begin
+    let srcs = origin_sources c w v in
     let rmw = ref 0 in
     for l = 0 to lanes - 1 do
       if mask.(l) then begin
@@ -501,7 +503,7 @@ let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : aexp) : int =
         if
           List.exists
             (fun (sp, ar, i, ep) -> sp = space && ar = arr && ep = c.epoch && i = ix)
-            (lane_origins c w v l)
+            (lane_origins srcs l)
         then rmw := !rmw lor (1 lsl l)
       end
     done;
