@@ -1,7 +1,10 @@
 (* Static memory-access analysis: lane-affine abstract interpretation of
    the device IR.
 
-   The analyzer executes each kernel one warp at a time. Every value is
+   The analyzer executes each kernel one warp at a time, on the
+   slot-resolved form {!Resolve} builds once per kernel (registers in
+   slot arrays, locations and barrier flags precomputed), with
+   expressions compiled to closures over lane vectors. Every value is
    a 32-wide lane vector (the exact pointwise concretization of the
    lane-affine normal form base + s_lane*lane + s_tid*tid + s_loop*i:
    tid folds to warp_base + 1*lane, loop iterators to their concrete
