@@ -677,6 +677,13 @@ let run_kernel (k : eexp R.kernel) ~(grid : int) ~(block : int)
 (* Whole-program execution                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* a program whose kernels are resolved once, on their first launch,
+   for every geometry it runs at *)
+type program = { prog : Ir.program; kernels : (string * eexp R.kernel Lazy.t) list }
+
+let resolve (p : Ir.program) : program =
+  { prog = p; kernels = List.map (fun k -> (k.Ir.k_name, lazy (R.kernel compile k))) p.Ir.p_kernels }
+
 (** Symbolically execute [p] on a fully symbolic input of [n] elements
     (element [i] is {!Term.Sym}[ i]) and return the term left in cell 0
     of the result buffer. Geometry is concrete: [tunables] defaults to
@@ -685,11 +692,8 @@ let run_kernel (k : eexp R.kernel) ~(grid : int) ~(block : int)
     always exact — every block of every launch runs.
     @raise Abort on any shape, hazard or shuffle violation. *)
 let run_program ?(tunables : (string * int) list option) ~(n : int)
-    (p : Ir.program) : Term.t =
+    ({ prog = p; kernels } : program) : Term.t =
   if n < 1 then abort "TSYM002" "program %s: empty input" p.Ir.p_name;
-  let kernels =
-    List.map (fun k -> (k.Ir.k_name, lazy (R.kernel compile k))) p.Ir.p_kernels
-  in
   let launch launch_idx kernel ~grid ~block ~shared_elems ~globals ~params =
     let k =
       match List.assoc_opt kernel kernels with

@@ -21,10 +21,15 @@ exception Abort of { a_code : string; a_message : string }
 
 val warp_lanes : int
 
+(** A program with each kernel resolved once ({!Device_ir.Resolve}),
+    to run at several geometries. *)
+type program
+
+val resolve : Device_ir.Ir.program -> program
+
 (** Symbolically execute [p] on a fully symbolic input of [n] elements
     (element [i] is {!Term.Sym}[ i]) and return the term left in cell 0
     of the result buffer. Geometry is concrete: [tunables] defaults to
     the first candidate of each tunable.
     @raise Abort on any shape, hazard or shuffle violation. *)
-val run_program :
-  ?tunables:(string * int) list -> n:int -> Device_ir.Ir.program -> Term.t
+val run_program : ?tunables:(string * int) list -> n:int -> program -> Term.t

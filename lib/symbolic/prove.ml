@@ -120,13 +120,14 @@ let equiv ~(op : Ir.atomic_op) ~(elem : Ir.scalar) (p : Ir.program) : verdict =
       (geometry_tunables p)
   in
   let failures = ref [] and certs = ref [] in
+  let resolved = Eval.resolve p in
   List.iter
     (fun (n, tunables) ->
       let where = geometry_name n tunables in
       let fail code message =
         failures := { f_code = code; f_geometry = where; f_message = message } :: !failures
       in
-      match Eval.run_program ~tunables ~n p with
+      match Eval.run_program ~tunables ~n resolved with
       | exception Eval.Abort { a_code; a_message } -> fail a_code a_message
       | exception e ->
           fail "TSYM002"
