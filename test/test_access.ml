@@ -200,43 +200,6 @@ let bank_tests =
 (* Seeded mutations on the enumerated corpus                           *)
 (* ------------------------------------------------------------------ *)
 
-(* apply [f] over a statement tree; [f] returns a replacement list for
-   the statements it rewrites and [None] to descend *)
-let rec map_stmts (f : Ir.stmt -> Ir.stmt list option) (body : Ir.stmt list) :
-    Ir.stmt list =
-  List.concat_map
-    (fun s ->
-      match f s with
-      | Some repl -> repl
-      | None -> (
-          match s with
-          | Ir.If (c, t, e) -> [ Ir.If (c, map_stmts f t, map_stmts f e) ]
-          | Ir.For r -> [ Ir.For { r with body = map_stmts f r.body } ]
-          | Ir.While (c, b) -> [ Ir.While (c, map_stmts f b) ]
-          | s -> [ s ]))
-    body
-
-let map_first_kernel (p : Ir.program) (f : Ir.stmt -> Ir.stmt list option) :
-    Ir.program =
-  match p.Ir.p_kernels with
-  | [] -> p
-  | k :: rest ->
-      { p with
-        Ir.p_kernels = { k with Ir.k_body = map_stmts f k.Ir.k_body } :: rest }
-
-let stmt_exists (p : Ir.program) (pred : Ir.stmt -> bool) : bool =
-  match p.Ir.p_kernels with
-  | [] -> false
-  | k :: _ ->
-      let found = ref false in
-      ignore
-        (map_stmts
-           (fun s ->
-             if pred s then found := true;
-             None)
-           k.Ir.k_body);
-      !found
-
 let find_version (pred : Ir.program -> bool) : Version.t * Ir.program =
   let p = Lazy.force plan in
   let rec go = function
@@ -252,7 +215,7 @@ let find_version (pred : Ir.program -> bool) : Version.t * Ir.program =
 (* transpose the first shared store's index: stride 1 becomes stride 2 *)
 let transpose_shared (p : Ir.program) : Ir.program =
   let done_ = ref false in
-  map_first_kernel p (function
+  Mutate.map_first_kernel p (function
     | Ir.Store { space = Ir.Shared; arr; idx; v } when not !done_ ->
         done_ := true;
         Some [ Ir.Store { space = Ir.Shared; arr; idx = Ir.(idx *: Int 2); v } ]
@@ -261,7 +224,7 @@ let transpose_shared (p : Ir.program) : Ir.program =
 (* double the first global load's index: breaks coalescing *)
 let stride_global (p : Ir.program) : Ir.program =
   let done_ = ref false in
-  map_first_kernel p (function
+  Mutate.map_first_kernel p (function
     | Ir.Load { dst; space = Ir.Global; arr; idx } when not !done_ ->
         done_ := true;
         Some [ Ir.Load { dst; space = Ir.Global; arr; idx = Ir.(idx *: Int 2) } ]
@@ -271,7 +234,7 @@ let stride_global (p : Ir.program) : Ir.program =
    index becomes data-dependent *)
 let data_dependent_index (p : Ir.program) : Ir.program =
   let done_ = ref false in
-  map_first_kernel p (function
+  Mutate.map_first_kernel p (function
     | Ir.Load { dst; space = Ir.Global; arr; idx } when not !done_ ->
         done_ := true;
         Some
@@ -287,7 +250,7 @@ let mutation_tests =
       (fun () ->
         let _, prog =
           find_version (fun prog ->
-              stmt_exists prog (function
+              Mutate.stmt_exists prog (function
                 | Ir.Store { space = Ir.Shared; _ } -> true
                 | _ -> false)
               && not (has_code "TPERF011" (Access.check_program prog)))
@@ -297,7 +260,7 @@ let mutation_tests =
     Alcotest.test_case "strided global load trips TPERF010" `Quick (fun () ->
         let _, prog =
           find_version (fun prog ->
-              stmt_exists prog (function
+              Mutate.stmt_exists prog (function
                 | Ir.Load { space = Ir.Global; _ } -> true
                 | _ -> false)
               && not (has_code "TPERF010" (Access.check_program prog)))
@@ -307,7 +270,7 @@ let mutation_tests =
     Alcotest.test_case "data-dependent index trips TPERF012" `Quick (fun () ->
         let _, prog =
           find_version (fun prog ->
-              stmt_exists prog (function
+              Mutate.stmt_exists prog (function
                 | Ir.Load { space = Ir.Global; _ } -> true
                 | _ -> false)
               && not (has_code "TPERF012" (Access.check_program prog)))
@@ -355,7 +318,7 @@ let corpus_tests =
           List.filter
             (fun v ->
               let prog = P.program (Lazy.force plan) v in
-              stmt_exists prog (function Ir.Shfl _ -> true | _ -> false))
+              Mutate.stmt_exists prog (function Ir.Shfl _ -> true | _ -> false))
             (Version.enumerate ())
         in
         Alcotest.(check bool) "some variants shuffle" true

@@ -19,99 +19,6 @@ let check_errors name ds =
   | [] -> ()
   | errs -> Alcotest.failf "%s:\n%s" name (Diag.render errs)
 
-(* ------------------------------------------------------------------ *)
-(* Mutation helpers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* apply [f] over a statement tree; [f] returns a replacement list for
-   the statements it rewrites and [None] to descend *)
-let rec map_stmts (f : Ir.stmt -> Ir.stmt list option) (body : Ir.stmt list) :
-    Ir.stmt list =
-  List.concat_map
-    (fun s ->
-      match f s with
-      | Some repl -> repl
-      | None -> (
-          match s with
-          | Ir.If (c, t, e) -> [ Ir.If (c, map_stmts f t, map_stmts f e) ]
-          | Ir.For r -> [ Ir.For { r with body = map_stmts f r.body } ]
-          | Ir.While (c, b) -> [ Ir.While (c, map_stmts f b) ]
-          | s -> [ s ]))
-    body
-
-let map_first_kernel (p : Ir.program) (f : Ir.stmt -> Ir.stmt list option) :
-    Ir.program =
-  match p.Ir.p_kernels with
-  | [] -> p
-  | k :: rest ->
-      { p with Ir.p_kernels = { k with Ir.k_body = map_stmts f k.Ir.k_body } :: rest }
-
-let count_syncs (p : Ir.program) : int =
-  match p.Ir.p_kernels with
-  | [] -> 0
-  | k :: _ ->
-      let n = ref 0 in
-      ignore
-        (map_stmts
-           (fun s ->
-             match s with
-             | Ir.Sync ->
-                 incr n;
-                 Some [ s ]
-             | _ -> None)
-           k.Ir.k_body);
-      !n
-
-(* drop the [n]-th barrier (0-based) of the first kernel *)
-let drop_sync (n : int) (p : Ir.program) : Ir.program =
-  let i = ref (-1) in
-  map_first_kernel p (function
-    | Ir.Sync ->
-        incr i;
-        if !i = n then Some [] else Some [ Ir.Sync ]
-    | _ -> None)
-
-(* first shared-memory atomic becomes a plain load/add/store sequence *)
-let de_atomicize (p : Ir.program) : Ir.program =
-  let done_ = ref false in
-  map_first_kernel p (function
-    | Ir.Atomic { space = Ir.Shared; arr; idx; v; _ } when not !done_ ->
-        done_ := true;
-        Some
-          [
-            Ir.load_shared "mut_old" arr idx;
-            Ir.store_shared arr idx Ir.(Reg "mut_old" +: v);
-          ]
-    | _ -> None)
-
-(* first barrier moves under a lane-divergent guard *)
-let divergent_barrier (p : Ir.program) : Ir.program =
-  let done_ = ref false in
-  map_first_kernel p (function
-    | Ir.Sync when not !done_ ->
-        done_ := true;
-        Some [ Ir.if_ Ir.(lane_id <: Int 1) [ Ir.Sync ] [] ]
-    | _ -> None)
-
-(* every shuffle widens past the warp *)
-let widen_shuffles (p : Ir.program) : Ir.program =
-  map_first_kernel p (function
-    | Ir.Shfl s -> Some [ Ir.Shfl { s with width = 64 } ]
-    | _ -> None)
-
-let stmt_exists (p : Ir.program) (pred : Ir.stmt -> bool) : bool =
-  match p.Ir.p_kernels with
-  | [] -> false
-  | k :: _ ->
-      let found = ref false in
-      ignore
-        (map_stmts
-           (fun s ->
-             if pred s then found := true;
-             None)
-           k.Ir.k_body);
-      !found
-
 let find_version (pred : Ir.program -> bool) : Version.t * Ir.program =
   let p = Lazy.force plan in
   let rec go = function
@@ -162,14 +69,14 @@ let mutation_tests =
            one trailing the last tree iteration) *)
         let _, prog =
           find_version (fun prog ->
-            count_syncs prog >= 2
-            && stmt_exists prog (function
+            Mutate.count_syncs prog >= 2
+            && Mutate.stmt_exists prog (function
                  | Ir.Store { space = Ir.Shared; _ } -> true
                  | _ -> false))
         in
         let fired = ref [] in
-        for i = 0 to count_syncs prog - 1 do
-          fired := error_codes (Race.check_program (drop_sync i prog)) @ !fired
+        for i = 0 to Mutate.count_syncs prog - 1 do
+          fired := error_codes (Race.check_program (Mutate.drop_sync i prog)) @ !fired
         done;
         if
           not
@@ -188,18 +95,18 @@ let mutation_tests =
         let _, prog =
           find_version
             (fun prog ->
-              stmt_exists prog (function
+              Mutate.stmt_exists prog (function
                 | Ir.Atomic { space = Ir.Shared; _ } -> true
                 | _ -> false))
         in
-        let ds = Race.check_program (de_atomicize prog) in
+        let ds = Race.check_program (Mutate.de_atomicize prog) in
         if not (has_code "TSAN003" (Diag.errors ds)) then
           Alcotest.failf "expected TSAN003, got: %s"
             (String.concat ", " (error_codes ds)));
     Alcotest.test_case "divergent barrier is explained, not just rejected"
       `Quick (fun () ->
-        let _, prog = find_version (fun prog -> count_syncs prog >= 1) in
-        let ds = Race.check_program (divergent_barrier prog) in
+        let _, prog = find_version (fun prog -> Mutate.count_syncs prog >= 1) in
+        let ds = Race.check_program (Mutate.divergent_barrier prog) in
         match
           List.find_opt
             (fun (d : Diag.t) -> d.Diag.code = "TSAN004")
@@ -224,9 +131,9 @@ let mutation_tests =
         let _, prog =
           find_version
             (fun prog ->
-              stmt_exists prog (function Ir.Shfl _ -> true | _ -> false))
+              Mutate.stmt_exists prog (function Ir.Shfl _ -> true | _ -> false))
         in
-        let ds = Race.check_program (widen_shuffles prog) in
+        let ds = Race.check_program (Mutate.widen_shuffles prog) in
         if not (has_code "TSAN005" (Diag.errors ds)) then
           Alcotest.failf "expected TSAN005, got: %s"
             (String.concat ", " (error_codes ds)));

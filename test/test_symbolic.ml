@@ -66,89 +66,6 @@ let sweep_tests =
 (* Seeded mutations must refute with the expected TSYM code            *)
 (* ------------------------------------------------------------------ *)
 
-(* apply [f] over a statement tree; [f] returns a replacement list for
-   the statements it rewrites and [None] to descend *)
-let rec map_stmts (f : Ir.stmt -> Ir.stmt list option) (body : Ir.stmt list) :
-    Ir.stmt list =
-  List.concat_map
-    (fun s ->
-      match f s with
-      | Some repl -> repl
-      | None -> (
-          match s with
-          | Ir.If (c, t, e) -> [ Ir.If (c, map_stmts f t, map_stmts f e) ]
-          | Ir.For r -> [ Ir.For { r with body = map_stmts f r.body } ]
-          | Ir.While (c, b) -> [ Ir.While (c, map_stmts f b) ]
-          | s -> [ s ]))
-    body
-
-let map_first_kernel (p : Ir.program) (f : Ir.stmt -> Ir.stmt list option) :
-    Ir.program =
-  match p.Ir.p_kernels with
-  | [] -> p
-  | k :: rest ->
-      { p with
-        Ir.p_kernels = { k with Ir.k_body = map_stmts f k.Ir.k_body } :: rest }
-
-let count_syncs (p : Ir.program) : int =
-  match p.Ir.p_kernels with
-  | [] -> 0
-  | k :: _ ->
-      let n = ref 0 in
-      ignore
-        (map_stmts
-           (fun s ->
-             (match s with Ir.Sync -> incr n | _ -> ());
-             None)
-           k.Ir.k_body);
-      !n
-
-let drop_sync (n : int) (p : Ir.program) : Ir.program =
-  let i = ref (-1) in
-  map_first_kernel p (function
-    | Ir.Sync ->
-        incr i;
-        if !i = n then Some [] else Some [ Ir.Sync ]
-    | _ -> None)
-
-let de_atomicize (p : Ir.program) : Ir.program =
-  let done_ = ref false in
-  map_first_kernel p (function
-    | Ir.Atomic { space = Ir.Shared; arr; idx; v; _ } when not !done_ ->
-        done_ := true;
-        Some
-          [
-            Ir.load_shared "mut_old" arr idx;
-            Ir.store_shared arr idx Ir.(Reg "mut_old" +: v);
-          ]
-    | _ -> None)
-
-let divergent_barrier (p : Ir.program) : Ir.program =
-  let done_ = ref false in
-  map_first_kernel p (function
-    | Ir.Sync when not !done_ ->
-        done_ := true;
-        Some [ Ir.if_ Ir.(lane_id <: Int 1) [ Ir.Sync ] [] ]
-    | _ -> None)
-
-let widen_shuffles (p : Ir.program) : Ir.program =
-  map_first_kernel p (function
-    | Ir.Shfl s -> Some [ Ir.Shfl { s with width = 64 } ]
-    | _ -> None)
-
-let stmt_exists (p : Ir.program) (pred : Ir.stmt -> bool) : bool =
-  match p.Ir.p_kernels with
-  | [] -> false
-  | k :: _ ->
-      let found = ref false in
-      ignore
-        (map_stmts
-           (fun s ->
-             if pred s then found := true;
-             None)
-           k.Ir.k_body);
-      !found
-
 let find_version (pred : Ir.program -> bool) : Ir.program =
   let p = Lazy.force sum_plan in
   let rec go = function
@@ -168,9 +85,9 @@ let mutation_tests =
     Alcotest.test_case "widened shuffle refutes with TSYM004" `Quick (fun () ->
         let prog =
           find_version (fun prog ->
-              stmt_exists prog (function Ir.Shfl _ -> true | _ -> false))
+              Mutate.stmt_exists prog (function Ir.Shfl _ -> true | _ -> false))
         in
-        let verdict = prove_sum (widen_shuffles prog) in
+        let verdict = prove_sum (Mutate.widen_shuffles prog) in
         if Prove.proved verdict then
           Alcotest.fail "out-of-warp shuffle proved";
         Alcotest.(check bool) "TSYM004" true
@@ -179,14 +96,14 @@ let mutation_tests =
       `Quick (fun () ->
         let prog =
           find_version (fun prog ->
-              count_syncs prog >= 2
-              && stmt_exists prog (function
+              Mutate.count_syncs prog >= 2
+              && Mutate.stmt_exists prog (function
                    | Ir.Store { space = Ir.Shared; _ } -> true
                    | _ -> false))
         in
         let fired = ref [] in
-        for i = 0 to count_syncs prog - 1 do
-          fired := Prove.codes (prove_sum (drop_sync i prog)) @ !fired
+        for i = 0 to Mutate.count_syncs prog - 1 do
+          fired := Prove.codes (prove_sum (Mutate.drop_sync i prog)) @ !fired
         done;
         if not (List.mem "TSYM003" !fired) then
           Alcotest.failf "no dropped barrier tripped TSYM003 (codes: %s)"
@@ -195,11 +112,11 @@ let mutation_tests =
       (fun () ->
         let prog =
           find_version (fun prog ->
-              stmt_exists prog (function
+              Mutate.stmt_exists prog (function
                 | Ir.Atomic { space = Ir.Shared; _ } -> true
                 | _ -> false))
         in
-        let verdict = prove_sum (de_atomicize prog) in
+        let verdict = prove_sum (Mutate.de_atomicize prog) in
         if Prove.proved verdict then
           Alcotest.fail "lost shared update proved";
         let codes = Prove.codes verdict in
@@ -207,8 +124,8 @@ let mutation_tests =
           (List.mem "TSYM001" codes || List.mem "TSYM003" codes));
     Alcotest.test_case "divergent barrier refutes with TSYM002" `Quick
       (fun () ->
-        let prog = find_version (fun prog -> count_syncs prog >= 1) in
-        let verdict = prove_sum (divergent_barrier prog) in
+        let prog = find_version (fun prog -> Mutate.count_syncs prog >= 1) in
+        let verdict = prove_sum (Mutate.divergent_barrier prog) in
         if Prove.proved verdict then Alcotest.fail "divergent barrier proved";
         Alcotest.(check bool) "TSYM002" true
           (List.mem "TSYM002" (Prove.codes verdict)));
