@@ -54,6 +54,16 @@
      dune exec test/test_golden.exe -- --print-slots > test/golden/register_slots.txt
    v}
 
+   The race-mutant golden pins the race sanitizer's error diagnostics
+   on every distinct seeded mutant (each barrier dropped in turn, the
+   first shared atomic de-atomicized, the first barrier under a
+   lane-divergent guard, every shuffle widened to 64 lanes) of every sum
+   and max version. Regenerate with
+
+   {v
+     dune exec test/test_golden.exe -- --print-race-mutants > test/golden/race_mutants.txt
+   v}
+
    The suite runs from the repository root as well as from its build
    directory. *)
 
@@ -442,7 +452,50 @@ let register_slots () : string =
     (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
   Buffer.contents buf
 
+(* ------------------------------------------------------------------ *)
+(* The race sanitizer on seeded mutants                                *)
+(* ------------------------------------------------------------------ *)
+
+let race_mutants () : string =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (spectrum, planner) ->
+      Printf.bprintf buf "=== %s ===\n" spectrum;
+      List.iter
+        (fun v ->
+          let p = Synthesis.Planner.program (Lazy.force planner) v in
+          let mutants =
+            List.init (Mutate.count_syncs p) (fun i ->
+                (Printf.sprintf "drop barrier %d" i, Mutate.drop_sync i p))
+            @ [
+                ("de-atomicize", Mutate.de_atomicize p);
+                ("divergent barrier", Mutate.divergent_barrier p);
+                ("widen shuffles", Mutate.widen_shuffles p);
+              ]
+          in
+          (* a rewrite that leaves the program as it is, or as an earlier
+             rewrite left it, is no new mutant *)
+          let seen = ref [ p ] in
+          List.iter
+            (fun (label, m) ->
+              if not (List.exists (fun q -> compare q m = 0) !seen) then begin
+                seen := m :: !seen;
+                let errors = Device_ir.Diag.errors (Device_ir.Race.check_program m) in
+                Printf.bprintf buf "%s %s: %s\n" (Synthesis.Version.name v) label
+                  (Device_ir.Diag.summary errors);
+                if errors <> [] then
+                  Printf.bprintf buf "%s\n" (Device_ir.Diag.render errors)
+              end)
+            mutants)
+        (Synthesis.Version.enumerate ()))
+    (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
+  Buffer.contents buf
+
 let () =
+  if Array.exists (String.equal "--print-race-mutants") Sys.argv then begin
+    print_string (race_mutants ());
+    exit 0
+  end;
   if Array.exists (String.equal "--print-prove") Sys.argv then begin
     print_string (prove_certs ());
     exit 0
@@ -503,5 +556,10 @@ let () =
         [
           check_golden "every sum and max kernel's register slot order"
             "register_slots.txt" (register_slots ());
+        ] );
+      ( "race mutants",
+        [
+          check_golden "every sum and max version's seeded mutants"
+            "race_mutants.txt" (race_mutants ());
         ] );
     ]
