@@ -30,9 +30,8 @@
    arms from the same entry state and join (and set the [approx] flag).
 
    The same walk is the race sanitizer's dynamic phase ({!trace_kernel}):
-   there it reports every warp access instead of pricing it, tracks
-   which loaded cells each register derives from, and widens each loop
-   after {!sanitizer_loop_fuel} iterations. *)
+   there it reports every warp access instead of pricing it and widens
+   each loop after {!sanitizer_loop_fuel} iterations. *)
 
 let warp_lanes = Lanes.warp_size
 
@@ -266,26 +265,6 @@ let add_counts ?(scale = 1.0) (dst : counts) (src : counts) : unit =
 (* Block context                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* a loaded cell a register's value derives from: space, array, index
-   (unknown when data-dependent) and the barrier epoch of the load *)
-type origin = Ir.space * string * int option * int
-
-(* one warp's registers, by slot *)
-type wstate = {
-  mutable regs : aval array;  (* never assigned: [top] *)
-  mutable orig : origin list option array array;
-      (* sanitizer walk only: per lane, the cells the register derives
-         from; [None] where it holds no load-derived value at all (loop
-         iterators, atomic and shuffle results), which a join keeps *)
-}
-
-let snapshot (st : wstate) : wstate =
-  { regs = Array.copy st.regs; orig = Array.copy st.orig }
-
-let restore (st : wstate) (s : wstate) : unit =
-  st.regs <- s.regs;
-  st.orig <- s.orig
-
 type access = {
   a_bid : int;
   a_warp : int;
@@ -297,7 +276,6 @@ type access = {
   a_width : int;
   a_active : int;
   a_idx : aval;
-  a_rmw : int;
 }
 
 (* what the sanitizer's walk collects, newest first: every access, and
@@ -311,7 +289,8 @@ type bctx = {
   gdim : int;
   params : aval array;  (* by slot; [top] where unbound *)
   nwarps : int;
-  warps : wstate array;
+  warps : aval array array;  (* per warp, its registers by slot; never
+                                assigned: [top] *)
   mutable epoch : int;
   mutable epochs : counts array list;  (* completed epochs, newest first *)
   mutable cur : counts array;  (* per-warp counts of the current epoch *)
@@ -330,10 +309,8 @@ let lanes_of (c : bctx) (w : int) : int = Lanes.lanes_in_warp ~nthreads:c.bdim w
 (* Expressions, compiled per warp                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* an expression's lane vector in one warp of the block, and the slots
-   of the registers it reads, highest name first (the order their load
-   origins combine in) *)
-type aexp = { ev : bctx -> int -> aval; reads : int list }
+(* an expression's lane vector in one warp of the block *)
+type aexp = bctx -> int -> aval
 
 let binop (op : Ir.binop) (a : aval) (b : aval) : aval =
   if a.unk = all_unknown && b.unk = all_unknown then top
@@ -373,7 +350,7 @@ let tid_of_warp w = { v = Array.init warp_lanes (fun l -> (w * warp_lanes) + l);
 (* [tid] in the warps of a 1024-thread block, built once *)
 let tids = Array.init 32 tid_of_warp
 
-let rec ev (e : Resolve.exp) : bctx -> int -> aval =
+let rec ev (e : Resolve.exp) : aexp =
   match e with
   | Resolve.Int n ->
       let a = const n in
@@ -387,7 +364,7 @@ let rec ev (e : Resolve.exp) : bctx -> int -> aval =
   | Resolve.Bool b ->
       let a = const (if b then 1 else 0) in
       fun _ _ -> a
-  | Resolve.Reg (slot, _) -> fun c w -> c.warps.(w).regs.(slot)
+  | Resolve.Reg (slot, _) -> fun c w -> c.warps.(w).(slot)
   | Resolve.Param (slot, _) -> if slot < 0 then fun _ _ -> top else fun c _ -> c.params.(slot)
   | Resolve.Special s -> (
       match s with
@@ -418,31 +395,18 @@ let rec ev (e : Resolve.exp) : bctx -> int -> aval =
       let cnd = ev cnd and a = ev a and b = ev b in
       fun c w -> select (cnd c w) (a c w) (b c w)
 
-let compile (e : Resolve.exp) : aexp =
-  let rec reads acc = function
-    | Resolve.Reg (slot, name) -> (name, slot) :: acc
-    | Resolve.Int _ | Resolve.Float _ | Resolve.Bool _ | Resolve.Param _
-    | Resolve.Special _ ->
-        acc
-    | Resolve.Unop (_, a) -> reads acc a
-    | Resolve.Binop (_, a, b) -> reads (reads acc a) b
-    | Resolve.Select (cnd, a, b) -> reads (reads (reads acc cnd) a) b
-  in
-  let by_name = List.sort_uniq (fun x y -> compare y x) (reads [] e) in
-  { ev = ev e; reads = List.map snd by_name }
-
-let resolve (k : Ir.kernel) : aexp Resolve.kernel = Resolve.kernel compile k
+let resolve (k : Ir.kernel) : aexp Resolve.kernel = Resolve.kernel ev k
 
 (* assignment under a lane mask: active lanes take [v], the others keep
    their value (unknown when the register had none) — exact SIMT
    reconvergence *)
 let assign (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : int)
     (v : aval) : unit =
-  let st = c.warps.(w) in
-  st.regs.(r) <-
+  let regs = c.warps.(w) in
+  regs.(r) <-
     (if Lanes.active mask lanes = lanes then v
      else
-       let o = st.regs.(r) in
+       let o = regs.(r) in
        let out = Array.copy o.v and unk = ref o.unk in
        for l = 0 to lanes - 1 do
          if mask.(l) then begin
@@ -453,67 +417,6 @@ let assign (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : int)
        { v = out; unk = !unk })
 
 (* ------------------------------------------------------------------ *)
-(* Load origins (the sanitizer's walk only)                            *)
-(* ------------------------------------------------------------------ *)
-
-let no_origins : origin list option array = Array.make warp_lanes None
-
-(* first occurrences, at most 8: long accumulation chains only ever
-   re-derive the same few cells *)
-let dedup_origins (os : origin list) : origin list =
-  let rec go seen = function
-    | [] -> List.rev seen
-    | o :: tl -> if List.mem o seen then go seen tl else go (o :: seen) tl
-  in
-  let os = go [] os in
-  if List.length os > 8 then List.filteri (fun i _ -> i < 8) os else os
-
-let set_origins (c : bctx) (w : int) (mask : bool array) (lanes : int) (r : int)
-    (f : int -> origin list option) : unit =
-  if c.trace <> None then begin
-    let st = c.warps.(w) in
-    let a = Array.copy st.orig.(r) in
-    for l = 0 to lanes - 1 do
-      if mask.(l) then a.(l) <- f l
-    done;
-    st.orig.(r) <- a
-  end
-
-let clear_origins c w mask lanes r = set_origins c w mask lanes r (fun _ -> None)
-
-(* the origin arrays of the registers [e] reads *)
-let origin_sources (c : bctx) (w : int) (e : aexp) : origin list option array list =
-  List.map (fun r -> c.warps.(w).orig.(r)) e.reads
-
-let lane_origins srcs l =
-  List.concat_map (fun a -> match a.(l) with Some os -> os | None -> []) srcs
-
-let let_origins c w mask lanes r (e : aexp) =
-  if c.trace <> None then
-    let srcs = origin_sources c w e in
-    set_origins c w mask lanes r (fun l -> Some (dedup_origins (lane_origins srcs l)))
-
-(* bit l: lane l stores a value derived from a same-epoch load of the
-   cell it stores to — a lost update when it races *)
-let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : aexp) : int =
-  if c.trace = None then 0
-  else begin
-    let srcs = origin_sources c w v in
-    let rmw = ref 0 in
-    for l = 0 to lanes - 1 do
-      if mask.(l) then begin
-        let ix = lane_idx idx l in
-        if
-          List.exists
-            (fun (sp, ar, i, ep) -> sp = space && ar = arr && ep = c.epoch && i = ix)
-            (lane_origins srcs l)
-        then rmw := !rmw lor (1 lsl l)
-      end
-    done;
-    !rmw
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Access recording                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -521,7 +424,7 @@ let store_rmw c w mask lanes ~space ~arr ~(idx : aval) (v : aexp) : int =
    (transactions, conflict degree) for the interpreter-identical event
    counts; the sanitizer's walk reports it instead *)
 let record (c : bctx) (w : int) ~loc ~space ~arr ~kind ~(idx : aval)
-    ~(mask : bool array) ~(lanes : int) ~(width : int) ~(rmw : int) : int * int =
+    ~(mask : bool array) ~(lanes : int) ~(width : int) : int * int =
   match c.trace with
   | Some t ->
       t.accesses <-
@@ -536,7 +439,6 @@ let record (c : bctx) (w : int) ~loc ~space ~arr ~kind ~(idx : aval)
           a_width = width;
           a_active = bits_of mask lanes;
           a_idx = idx;
-          a_rmw = rmw;
         }
         :: t.accesses;
       (0, 1)
@@ -617,10 +519,11 @@ let barrier (c : bctx) (loc : string) : unit =
   | Some t when c.bid = 0 -> t.barriers <- loc :: t.barriers
   | _ -> ()
 
-(* after both arms of an unknown branch ran from the same entry state:
-   the lanes of [umask] keep what the arms agree on, the others are
-   untouched by either arm *)
-let join_arms (st : wstate) ~(arm : wstate) (umask : bool array) (lanes : int) : unit =
+(* after both arms of an unknown branch ran from the same entry state,
+   warp [w] holding the second arm's registers: the lanes of [umask]
+   keep what the arms agree on, the others are untouched by either arm *)
+let join_arms (c : bctx) (w : int) ~(arm : aval array) (umask : bool array)
+    (lanes : int) : unit =
   let join_val x y =
     if x == y then x
     else begin
@@ -633,18 +536,7 @@ let join_arms (st : wstate) ~(arm : wstate) (umask : bool array) (lanes : int) :
       { v = out; unk = !unk }
     end
   in
-  let join_orig x y =
-    if x == y then x
-    else
-      Array.init warp_lanes (fun l ->
-          if l < lanes && umask.(l) then
-            match (x.(l), y.(l)) with
-            | Some a, Some b -> Some (dedup_origins (a @ b))
-            | _ -> None
-          else y.(l))
-  in
-  st.regs <- Array.map2 join_val arm.regs st.regs;
-  st.orig <- Array.map2 join_orig arm.orig st.orig
+  c.warps.(w) <- Array.map2 join_val arm c.warps.(w)
 
 type astmt = aexp Resolve.stmt
 
@@ -652,20 +544,16 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
   let lanes = lanes_of c w in
   match s with
   | Resolve.Let (r, e) ->
-      assign c w mask lanes r (e.ev c w);
-      let_origins c w mask lanes r e;
+      assign c w mask lanes r (e c w);
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_alu <- k.c_alu +. 1.0)
   | Resolve.Load { l_arr = { Resolve.a_space = space; a_name = arr; _ }; l_dst; l_idx; l_loc } -> (
-      let idxv = l_idx.ev c w in
       let trans, degree =
-        record c w ~loc:l_loc ~space ~arr ~kind:Ld ~idx:idxv ~mask ~lanes ~width:1
-          ~rmw:0
+        record c w ~loc:l_loc ~space ~arr ~kind:Ld ~idx:(l_idx c w) ~mask ~lanes
+          ~width:1
       in
       assign c w mask lanes l_dst top;
-      set_origins c w mask lanes l_dst (fun l ->
-          Some [ (space, arr, lane_idx idxv l, c.epoch) ]);
       match space with
       | Ir.Global ->
           chg c w (fun k ->
@@ -675,29 +563,20 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
       | Ir.Shared -> chg_shared c w degree)
   | Resolve.Vec_load { vl_dsts; vl_arr = { Resolve.a_name = arr; _ }; vl_base; vl_loc } ->
       let width = Array.length vl_dsts in
-      let basev = vl_base.ev c w in
       let trans, _ =
-        record c w ~loc:vl_loc ~space:Ir.Global ~arr ~kind:Vl ~idx:basev ~mask
-          ~lanes ~width ~rmw:0
+        record c w ~loc:vl_loc ~space:Ir.Global ~arr ~kind:Vl ~idx:(vl_base c w)
+          ~mask ~lanes ~width
       in
-      Array.iteri
-        (fun j d ->
-          assign c w mask lanes d top;
-          set_origins c w mask lanes d (fun l ->
-              Some
-                [ (Ir.Global, arr, Option.map (( + ) j) (lane_idx basev l), c.epoch) ]))
-        vl_dsts;
+      Array.iter (fun d -> assign c w mask lanes d top) vl_dsts;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_vec_ops <- k.c_vec_ops +. 1.0;
           k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
-  | Resolve.Store { st_arr = { Resolve.a_space = space; a_name = arr; _ }; st_idx; st_v; st_loc }
+  | Resolve.Store { st_arr = { Resolve.a_space = space; a_name = arr; _ }; st_idx; st_loc; _ }
     -> (
-      let idxv = st_idx.ev c w in
-      let rmw = store_rmw c w mask lanes ~space ~arr ~idx:idxv st_v in
       let trans, degree =
-        record c w ~loc:st_loc ~space ~arr ~kind:St ~idx:idxv ~mask ~lanes ~width:1
-          ~rmw
+        record c w ~loc:st_loc ~space ~arr ~kind:St ~idx:(st_idx c w) ~mask ~lanes
+          ~width:1
       in
       match space with
       | Ir.Global ->
@@ -708,14 +587,10 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
   | Resolve.Atomic
       { at_dst; at_arr = { Resolve.a_space = space; a_name = arr; _ }; at_idx; at_scope; at_loc; _ }
     -> (
-      let idxv = at_idx.ev c w in
+      let idxv = at_idx c w in
       ignore
-        (record c w ~loc:at_loc ~space ~arr ~kind:At ~idx:idxv ~mask ~lanes ~width:1
-           ~rmw:0);
-      if at_dst >= 0 then begin
-        assign c w mask lanes at_dst top;
-        clear_origins c w mask lanes at_dst
-      end;
+        (record c w ~loc:at_loc ~space ~arr ~kind:At ~idx:idxv ~mask ~lanes ~width:1);
+      if at_dst >= 0 then assign c w mask lanes at_dst top;
       let n_active = Lanes.active mask lanes in
       let exact = known_on idxv mask lanes in
       if n_active > 0 then
@@ -753,7 +628,6 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
               done)
   | Resolve.Shfl { sh_dst; _ } ->
       assign c w mask lanes sh_dst top;
-      clear_origins c w mask lanes sh_dst;
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_shfl <- k.c_shfl +. 1.0)
@@ -765,7 +639,7 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_branches <- k.c_branches +. 1.0);
-      let cv = if_cond.ev c w in
+      let cv = if_cond c w in
       let tmask = Array.make warp_lanes false in
       let emask = Array.make warp_lanes false in
       let umask = Array.make warp_lanes false in
@@ -791,29 +665,25 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
         (* data-dependent branch: those lanes run both arms from the same
            entry state and join *)
         c.approx <- true;
-        let st = c.warps.(w) in
-        let entry = snapshot st in
+        let entry = Array.copy c.warps.(w) in
         exec_body c w umask if_then;
-        let arm = snapshot st in
-        restore st entry;
+        let arm = c.warps.(w) in
+        c.warps.(w) <- entry;
         exec_body c w umask if_else;
-        join_arms st ~arm umask lanes
+        join_arms c w ~arm umask lanes
       end;
       if !n_t > 0 then exec_body c w tmask if_then;
       if !n_e > 0 then exec_body c w emask if_else
   | Resolve.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
-      assign c w mask lanes f_var (f_init.ev c w);
-      clear_origins c w mask lanes f_var;
+      assign c w mask lanes f_var (f_init c w);
       chg c w (fun k ->
           k.c_warp_insts <- k.c_warp_insts +. 1.0;
           k.c_alu <- k.c_alu +. 1.0);
       let step_unknown = Array.make warp_lanes false in
       warp_loop c w mask lanes f_body ~cond:f_cond ~step_unknown
-        ~widen:(fun wide ->
-          assign c w wide lanes f_var top;
-          clear_origins c w wide lanes f_var)
+        ~widen:(fun wide -> assign c w wide lanes f_var top)
         ~step:(fun live ->
-          let sv = f_step.ev c w in
+          let sv = f_step c w in
           assign c w live lanes f_var sv;
           chg c w (fun k ->
               k.c_warp_insts <- k.c_warp_insts +. 1.0;
@@ -839,7 +709,7 @@ and warp_loop c w mask lanes body ~(cond : aexp) ~step_unknown ~widen ~step =
   let continue_ = ref true in
   while !continue_ do
     chg c w (fun k -> k.c_branches <- k.c_branches +. 1.0);
-    let cv = cond.ev c w in
+    let cv = cond c w in
     let spent = !iters >= c.loop_fuel || c.fuel <= 0 in
     let n_live = ref 0 and n_wide = ref 0 in
     for l = 0 to lanes - 1 do
@@ -874,7 +744,7 @@ and exec_body (c : bctx) (w : int) (mask : bool array) (body : astmt array) : un
 (* a block-uniform value: the same known constant in every lane of every
    warp *)
 let uniform_across (c : bctx) (e : aexp) : int option =
-  match List.init c.nwarps (fun w -> uniform_of (e.ev c w) (lanes_of c w)) with
+  match List.init c.nwarps (fun w -> uniform_of (e c w) (lanes_of c w)) with
   | (Some _ as v) :: rest when List.for_all (( = ) v) rest -> v
   | _ -> None
 
@@ -902,26 +772,23 @@ let rec exec_block_stmt (c : bctx) (s : astmt) : unit =
             if v <> 0 then exec_block_body c if_then else exec_block_body c if_else
         | None ->
             c.approx <- true;
-            let entry = Array.map snapshot c.warps in
+            let entry = Array.map Array.copy c.warps in
             exec_block_body c if_then;
-            let arm = Array.map snapshot c.warps in
-            Array.iter2 restore c.warps entry;
+            let arm = Array.copy c.warps in
+            Array.blit entry 0 c.warps 0 c.nwarps;
             exec_block_body c if_else;
-            each_warp c (fun w lanes ->
-                join_arms c.warps.(w) ~arm:arm.(w) full_mask lanes))
+            each_warp c (fun w lanes -> join_arms c w ~arm:arm.(w) full_mask lanes))
     | Resolve.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
         let set_var f =
-          each_warp c (fun w lanes ->
-              assign c w full_mask lanes f_var (f w);
-              clear_origins c w full_mask lanes f_var)
+          each_warp c (fun w lanes -> assign c w full_mask lanes f_var (f w))
         in
-        set_var (f_init.ev c);
+        set_var (f_init c);
         block_loop c f_body ~cond:f_cond
           ~widen:(fun () -> set_var (fun _ -> top))
           ~step:(fun () ->
             let stepped = ref true in
             each_warp c (fun w lanes ->
-                let sv = f_step.ev c w in
+                let sv = f_step c w in
                 if not (known_on sv full_mask lanes) then stepped := false;
                 assign c w full_mask lanes f_var sv);
             c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
@@ -989,9 +856,7 @@ let new_block ~trace ~sites ~params ~bdim ~gdim ~bid (k : aexp Resolve.kernel) :
     gdim;
     params;
     nwarps;
-    warps =
-      Array.init nwarps (fun _ ->
-          { regs = Array.make nregs top; orig = Array.make nregs no_origins });
+    warps = Array.init nwarps (fun _ -> Array.make nregs top);
     epoch = 0;
     epochs = [];
     cur = Array.init nwarps (fun _ -> zero_counts ());

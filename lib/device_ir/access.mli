@@ -182,17 +182,13 @@ type access = {
   a_width : int;  (** elements per lane: more than 1 for a vector load *)
   a_active : int;  (** bit [l]: lane [l] is active *)
   a_idx : aval;  (** per-lane index (a vector load's first element) *)
-  a_rmw : int;
-      (** bit [l]: lane [l] stores a value derived from a same-epoch
-          load of the cell it stores to *)
 }
 
 (** Walk every block [0 .. grid-1] of a [block]-thread launch with the
     given scalar parameters (unbound ones are unknown), the way the race
-    sanitizer models the grid: unknowns stay per lane, each register
-    tracks the cells it was loaded from, and each loop widens after 256
-    iterations. Returns every access in walk order and block 0's
-    barrier locations in the order it passed them. *)
+    sanitizer models the grid: unknowns stay per lane and each loop
+    widens after 256 iterations. Returns every access in walk order and
+    block 0's barrier locations in the order it passed them. *)
 val trace_kernel :
   params:(string * int) list -> block:int -> grid:int -> Ir.kernel ->
   access list * string list

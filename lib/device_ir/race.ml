@@ -10,7 +10,9 @@
    - a bounded run of the thread grid on {!Access}'s warp walk
      ({!Access.trace_kernel}), whose every shared/global access carries
      its barrier phase; each warp access becomes one event per thread,
-     and the events are compared pairwise. Values derived from thread
+     a store to a cell its thread loaded earlier in the phase is marked
+     read-modify-write (a lost update when it races), and the events
+     are compared pairwise. Values derived from thread
      coordinates, parameters bound from the host launch, and
      compile-time constants stay concrete; anything data-dependent
      (memory loads, shuffles, unbound parameters) is unknown in the
@@ -51,8 +53,8 @@ type event = {
   ev_idx : int option;
   ev_kind : akind;
   ev_loc : string;
-  ev_rmw : bool;  (* store whose value derives from a same-phase load of
-                     the same cell: a lost update when it races *)
+  ev_rmw : bool;  (* store to a cell its thread loaded earlier in the
+                     same phase: a lost update when it races *)
 }
 
 let warp_of tid = tid / 32
@@ -60,7 +62,9 @@ let warp_of tid = tid / 32
 (* the walk's warp accesses as per-thread events, ordered as a
    thread-by-thread run would emit them — by block, thread and program
    order, newest first — which fixes the witness pair each diagnostic
-   names *)
+   names. Visiting each thread's accesses in program order also marks
+   its read-modify-writes: a store to a cell (space, array, index or
+   data-dependent index, phase) the thread loaded earlier. *)
 let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
     event list =
   let nwarps = (block + 31) / 32 in
@@ -71,16 +75,33 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
       let i = (a.Access.a_bid * nwarps) + a.Access.a_warp in
       by_warp.(i) <- a :: by_warp.(i))
     (List.rev accesses);
+  (* the cells the current thread loaded so far, kept only for warps
+     that store *)
+  let loaded : (Ir.space * string * int option * int, unit) Hashtbl.t =
+    Hashtbl.create 64
+  in
   let evs = ref [] in
   for bid = 0 to grid - 1 do
     for tid = 0 to block - 1 do
+      let accs = by_warp.((bid * nwarps) + (tid / 32)) in
+      let stores = List.exists (fun a -> a.Access.a_kind = Access.St) accs in
+      Hashtbl.reset loaded;
       List.iter
         (fun { Access.a_epoch; a_loc; a_space; a_arr; a_kind; a_width; a_active;
-               a_idx; a_rmw; _ } ->
+               a_idx; _ } ->
           let l = tid mod 32 in
           if a_active land (1 lsl l) <> 0 then
             let base = Access.lane_idx a_idx l in
             for j = 0 to a_width - 1 do
+              let idx = Option.map (( + ) j) base in
+              let kind =
+                match a_kind with
+                | Access.Ld | Access.Vl -> Ld
+                | Access.St -> St
+                | Access.At -> At
+              in
+              let cell = (a_space, a_arr, idx, a_epoch) in
+              if stores && kind = Ld then Hashtbl.replace loaded cell ();
               evs :=
                 {
                   ev_bid = bid;
@@ -88,18 +109,14 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
                   ev_phase = a_epoch;
                   ev_space = a_space;
                   ev_arr = a_arr;
-                  ev_idx = Option.map (( + ) j) base;
-                  ev_kind =
-                    (match a_kind with
-                    | Access.Ld | Access.Vl -> Ld
-                    | Access.St -> St
-                    | Access.At -> At);
+                  ev_idx = idx;
+                  ev_kind = kind;
                   ev_loc = a_loc;
-                  ev_rmw = a_rmw land (1 lsl l) <> 0;
+                  ev_rmw = kind = St && Hashtbl.mem loaded cell;
                 }
                 :: !evs
             done)
-        by_warp.((bid * nwarps) + (tid / 32))
+        accs
     done
   done;
   !evs

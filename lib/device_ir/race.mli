@@ -23,8 +23,11 @@
       an atomic, same phase, no intervening barrier);
     - [TSAN002] — read/write race (a load may observe a half-updated
       location);
-    - [TSAN003] — lost update (non-atomic read-modify-write of a shared
-      or global accumulator reachable by more than one thread);
+    - [TSAN003] — lost update: a racing store to a cell (space, array,
+      index, barrier phase) its own thread loaded earlier in the same
+      phase, a non-atomic read-modify-write of an accumulator reachable
+      by more than one thread. The stored value need not come from that
+      load: a load followed by a store of a constant counts too;
     - [TSAN004] — barrier under thread-divergent control flow (threads
       of one block reach different barrier instances: deadlock);
     - [TSAN005] — out-of-warp or malformed shuffle exchange.

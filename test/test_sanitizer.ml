@@ -200,6 +200,20 @@ let kernel_tests =
         (* the same body with many threads is the classic lost update *)
         Alcotest.(check bool) "TSAN003 at scale" true
           (has_code "TSAN003" (Race.check_kernel k)));
+    Alcotest.test_case "a store to a cell its thread loaded is a lost update"
+      `Quick (fun () ->
+        (* the stored constant does not come from the load, but the load
+           and the store of one cell in one phase still read-modify-write
+           it *)
+        let k =
+          kernel
+            [
+              Ir.load_global "x" "out" (Ir.Int 0);
+              Ir.store_global "out" (Ir.Int 0) (Ir.Float 1.0);
+            ]
+        in
+        Alcotest.(check (list string)) "error codes" [ "TSAN003" ]
+          (List.sort_uniq compare (error_codes (Race.check_kernel k))));
     Alcotest.test_case "back-to-back barriers get TLINT001" `Quick (fun () ->
         let k =
           kernel ~shared:[ sh 128 ]
