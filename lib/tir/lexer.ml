@@ -91,37 +91,37 @@ let token_to_string = function
 
 exception Lex_error of pos * string
 
-let keywords : (string * token) list =
-  [
-    ("__codelet", KW_codelet);
-    ("__coop", KW_coop);
-    ("__tag", KW_tag);
-    ("__shared", KW_shared);
-    ("__tunable", KW_tunable);
-    ("_atomicAdd", KW_atomic Ast.At_add);
-    ("_atomicSub", KW_atomic Ast.At_sub);
-    ("_atomicMin", KW_atomic Ast.At_min);
-    ("_atomicMax", KW_atomic Ast.At_max);
-    ("const", KW_const);
-    ("int", KW_int);
-    ("unsigned", KW_unsigned);
-    ("float", KW_float);
-    ("bool", KW_bool);
-    ("void", KW_void);
-    ("if", KW_if);
-    ("else", KW_else);
-    ("for", KW_for);
-    ("return", KW_return);
-    ("true", KW_true);
-    ("false", KW_false);
-    ("Array", KW_array);
-    ("Vector", KW_vector);
-    ("Sequence", KW_sequence);
-    ("Map", KW_map);
-    ("partition", KW_partition);
-    ("tiled", KW_tiled);
-    ("strided", KW_strided);
-  ]
+(* a word's keyword token, or the identifier *)
+let token_of_word : string -> token = function
+  | "__codelet" -> KW_codelet
+  | "__coop" -> KW_coop
+  | "__tag" -> KW_tag
+  | "__shared" -> KW_shared
+  | "__tunable" -> KW_tunable
+  | "_atomicAdd" -> KW_atomic Ast.At_add
+  | "_atomicSub" -> KW_atomic Ast.At_sub
+  | "_atomicMin" -> KW_atomic Ast.At_min
+  | "_atomicMax" -> KW_atomic Ast.At_max
+  | "const" -> KW_const
+  | "int" -> KW_int
+  | "unsigned" -> KW_unsigned
+  | "float" -> KW_float
+  | "bool" -> KW_bool
+  | "void" -> KW_void
+  | "if" -> KW_if
+  | "else" -> KW_else
+  | "for" -> KW_for
+  | "return" -> KW_return
+  | "true" -> KW_true
+  | "false" -> KW_false
+  | "Array" -> KW_array
+  | "Vector" -> KW_vector
+  | "Sequence" -> KW_sequence
+  | "Map" -> KW_map
+  | "partition" -> KW_partition
+  | "tiled" -> KW_tiled
+  | "strided" -> KW_strided
+  | word -> IDENT word
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -161,11 +161,7 @@ let tokenize (src : string) : (token * pos) list =
       | c when is_ident_start c ->
           let rec scan j = if j < n && is_ident_char src.[j] then scan (j + 1) else j in
           let j = scan i in
-          let word = String.sub src i (j - i) in
-          emit i
-            (match List.assoc_opt word keywords with
-            | Some t -> t
-            | None -> IDENT word);
+          emit i (token_of_word (String.sub src i (j - i)));
           go j
       | c when is_digit c ->
           let rec scan j = if j < n && is_digit src.[j] then scan (j + 1) else j in
