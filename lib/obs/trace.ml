@@ -94,7 +94,10 @@ let clear () : unit =
 let set_capacity (n : int) : unit =
   if n < 1 then invalid_arg "Obs.Trace.set_capacity: capacity must be positive";
   ring.buf <- Array.make n None;
-  clear ()
+  clear ();
+  (* a large ring leaves major-GC work behind; do it now rather than in
+     the first allocation of whatever is traced next *)
+  ignore (Gc.major_slice 0)
 
 let capacity () : int = Array.length ring.buf
 let dropped () : int = ring.dropped

@@ -22,7 +22,9 @@ type event = {
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
-(** Resize the ring (clears all state). Default capacity is 2^18. *)
+(** Resize the ring (clears all state) and run the major-GC slice the
+    new ring calls for, so the next traced work does not pay it.
+    Default capacity is 2^18. *)
 val set_capacity : int -> unit
 
 val capacity : unit -> int
