@@ -17,7 +17,8 @@
      dune exec bench/main.exe sdc             -- silent-data-corruption guard:
                                                  bit-flip detection + overhead
      dune exec bench/main.exe lint            -- race + access analyzer wall
-                                                 time per code version (all 88)
+                                                 time and allocated words per
+                                                 code version (all 88)
      dune exec bench/main.exe access          -- static memory-access analyzer
                                                  calibration vs observed events
      dune exec bench/main.exe obs             -- tracing overhead: disabled vs
@@ -915,26 +916,34 @@ let sdc () =
 
 let lint () =
   print_endline
-    "=== Static-analysis wall time per code version (all 88; lowering \
-     excluded; race and access timed separately) ===";
+    "=== Static-analysis wall time and allocated minor words per code \
+     version (all 88; lowering excluded; race and access measured \
+     separately) ===";
   let plan = P.sum () in
   let versions = V.enumerate () in
-  Printf.printf "%-42s %7s %6s %10s %12s\n" "version" "errors" "warns"
-    "race (ms)" "access (ms)";
+  Printf.printf "%-42s %7s %6s %10s %10s %12s %12s\n" "version" "errors" "warns"
+    "race (ms)" "race (Mw)" "access (ms)" "access (Mw)";
   let race_total = ref 0.0 and access_total = ref 0.0 in
+  let race_mw_total = ref 0.0 and access_mw_total = ref 0.0 in
   let race_worst = ref (0.0, "-") and access_worst = ref (0.0, "-") in
   let errors_total = ref 0 and warns_total = ref 0 in
   List.iter
     (fun v ->
       let program = P.program plan v in
+      let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       let race_diags = Device_ir.Race.check_program program in
       let t1 = Unix.gettimeofday () in
+      let w1 = Gc.minor_words () in
       let access_diags = Device_ir.Access.check_program program in
       let t2 = Unix.gettimeofday () in
+      let w2 = Gc.minor_words () in
       let race_ms = (t1 -. t0) *. 1e3 and access_ms = (t2 -. t1) *. 1e3 in
+      let race_mw = (w1 -. w0) /. 1e6 and access_mw = (w2 -. w1) /. 1e6 in
       race_total := !race_total +. race_ms;
       access_total := !access_total +. access_ms;
+      race_mw_total := !race_mw_total +. race_mw;
+      access_mw_total := !access_mw_total +. access_mw;
       if race_ms > fst !race_worst then race_worst := (race_ms, V.name v);
       if access_ms > fst !access_worst then access_worst := (access_ms, V.name v);
       let diags = race_diags @ access_diags in
@@ -942,16 +951,17 @@ let lint () =
       let warns = List.length (Device_ir.Diag.warnings diags) in
       errors_total := !errors_total + errs;
       warns_total := !warns_total + warns;
-      Printf.printf "%-42s %7d %6d %10.2f %12.2f\n" (V.name v) errs warns
-        race_ms access_ms)
+      Printf.printf "%-42s %7d %6d %10.2f %10.3f %12.2f %12.3f\n" (V.name v) errs
+        warns race_ms race_mw access_ms access_mw)
     versions;
   let n = float_of_int (List.length versions) in
   Printf.printf
-    "\n%d versions: race %.1f ms total (mean %.2f ms, worst %.2f ms on %s); \
-     access %.1f ms total (mean %.2f ms, worst %.2f ms on %s)\n\n"
+    "\n%d versions: race %.1f ms total (mean %.2f ms, worst %.2f ms on %s), \
+     %.1f Mwords; access %.1f ms total (mean %.2f ms, worst %.2f ms on %s), \
+     %.1f Mwords\n\n"
     (List.length versions) !race_total (!race_total /. n) (fst !race_worst)
-    (snd !race_worst) !access_total (!access_total /. n) (fst !access_worst)
-    (snd !access_worst);
+    (snd !race_worst) !race_mw_total !access_total (!access_total /. n)
+    (fst !access_worst) (snd !access_worst) !access_mw_total;
   json_cell ~bench:"lint"
     [
       ("versions", ji (List.length versions));
@@ -1023,35 +1033,41 @@ let access () =
 
 let prove () =
   print_endline
-    "=== Symbolic-prover wall time per code version (all 88, sum spectrum) ===";
+    "=== Symbolic-prover wall time and allocated minor words per code \
+     version (all 88, sum spectrum) ===";
   let plan = P.sum () in
   let versions = V.enumerate () in
-  Printf.printf "%-42s %16s %11s\n" "version" "verdict" "wall (ms)";
-  let total = ref 0.0 in
+  Printf.printf "%-42s %16s %11s %11s\n" "version" "verdict" "wall (ms)"
+    "alloc (Mw)";
+  let total = ref 0.0 and mw_total = ref 0.0 in
   let worst = ref (0.0, "-") in
   let proved = ref 0 and refuted = ref 0 in
   List.iter
     (fun v ->
+      let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       let verdict = P.prove plan v in
       let dt_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let mw = (Gc.minor_words () -. w0) /. 1e6 in
       total := !total +. dt_ms;
+      mw_total := !mw_total +. mw;
       if dt_ms > fst !worst then worst := (dt_ms, V.name v);
       (match verdict with
       | Symbolic.Prove.Proved | Symbolic.Prove.Proved_reassoc _ -> incr proved
       | Symbolic.Prove.Refuted _ -> incr refuted);
-      Printf.printf "%-42s %16s %11.2f\n" (V.name v)
+      Printf.printf "%-42s %16s %11.2f %11.3f\n" (V.name v)
         (match verdict with
         | Symbolic.Prove.Proved -> "exact"
         | Symbolic.Prove.Proved_reassoc _ -> "reassoc"
         | Symbolic.Prove.Refuted _ -> "REFUTED")
-        dt_ms)
+        dt_ms mw)
     versions;
   Printf.printf
-    "\n%d versions proved in %.1f ms total (mean %.2f ms, worst %.2f ms on %s)\n"
+    "\n%d versions proved in %.1f ms total (mean %.2f ms, worst %.2f ms on \
+     %s), %.1f Mwords\n"
     (List.length versions) !total
     (!total /. float_of_int (List.length versions))
-    (fst !worst) (snd !worst);
+    (fst !worst) (snd !worst) !mw_total;
   V.clear_synthesized ();
   let t0 = Unix.gettimeofday () in
   let r = P.synthesize plan in
