@@ -85,7 +85,7 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
     for tid = 0 to block - 1 do
       let accs = by_warp.((bid * nwarps) + (tid / 32)) in
       let stores = List.exists (fun a -> a.Access.a_kind = Access.St) accs in
-      Hashtbl.reset loaded;
+      if stores then Hashtbl.reset loaded;
       List.iter
         (fun { Access.a_epoch; a_loc; a_space; a_arr; a_kind; a_width; a_active;
                a_idx; _ } ->
@@ -100,8 +100,14 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
                 | Access.St -> St
                 | Access.At -> At
               in
-              let cell = (a_space, a_arr, idx, a_epoch) in
-              if stores && kind = Ld then Hashtbl.replace loaded cell ();
+              let rmw =
+                match kind with
+                | Ld when stores ->
+                    Hashtbl.replace loaded (a_space, a_arr, idx, a_epoch) ();
+                    false
+                | St -> Hashtbl.mem loaded (a_space, a_arr, idx, a_epoch)
+                | Ld | At -> false
+              in
               evs :=
                 {
                   ev_bid = bid;
@@ -112,7 +118,7 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
                   ev_idx = idx;
                   ev_kind = kind;
                   ev_loc = a_loc;
-                  ev_rmw = kind = St && Hashtbl.mem loaded cell;
+                  ev_rmw = rmw;
                 }
                 :: !evs
             done)
