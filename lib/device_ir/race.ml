@@ -75,17 +75,12 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
       let i = (a.Access.a_bid * nwarps) + a.Access.a_warp in
       by_warp.(i) <- a :: by_warp.(i))
     (List.rev accesses);
-  (* the cells the current thread loaded so far, kept only for warps
-     that store *)
-  let loaded : (Ir.space * string * int option * int, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  (* the cells the current thread loaded so far *)
+  let loaded = Hashtbl.create 64 in
   let evs = ref [] in
   for bid = 0 to grid - 1 do
     for tid = 0 to block - 1 do
-      let accs = by_warp.((bid * nwarps) + (tid / 32)) in
-      let stores = List.exists (fun a -> a.Access.a_kind = Access.St) accs in
-      if stores then Hashtbl.reset loaded;
+      Hashtbl.reset loaded;
       List.iter
         (fun { Access.a_epoch; a_loc; a_space; a_arr; a_kind; a_width; a_active;
                a_idx; _ } ->
@@ -100,14 +95,8 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
                 | Access.St -> St
                 | Access.At -> At
               in
-              let rmw =
-                match kind with
-                | Ld when stores ->
-                    Hashtbl.replace loaded (a_space, a_arr, idx, a_epoch) ();
-                    false
-                | St -> Hashtbl.mem loaded (a_space, a_arr, idx, a_epoch)
-                | Ld | At -> false
-              in
+              let cell = (a_space, a_arr, idx, a_epoch) in
+              if kind = Ld then Hashtbl.replace loaded cell ();
               evs :=
                 {
                   ev_bid = bid;
@@ -118,11 +107,11 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
                   ev_idx = idx;
                   ev_kind = kind;
                   ev_loc = a_loc;
-                  ev_rmw = rmw;
+                  ev_rmw = kind = St && Hashtbl.mem loaded cell;
                 }
                 :: !evs
             done)
-        accs
+        by_warp.((bid * nwarps) + (tid / 32))
     done
   done;
   !evs

@@ -91,7 +91,6 @@ let token_to_string = function
 
 exception Lex_error of pos * string
 
-(* a word's keyword token, or the identifier *)
 let token_of_word : string -> token = function
   | "__codelet" -> KW_codelet
   | "__coop" -> KW_coop
