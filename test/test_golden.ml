@@ -557,7 +557,7 @@ let () =
           check_golden "every sum and max kernel's register slot order"
             "register_slots.txt" (register_slots ());
         ] );
-      ( "race mutants",
+      ( "race",
         [
           check_golden "every sum and max version's seeded mutants"
             "race_mutants.txt" (race_mutants ());
