@@ -54,6 +54,15 @@
      dune exec test/test_golden.exe -- --print-slots > test/golden/register_slots.txt
    v}
 
+   The exact-run golden pins the exact-mode result and simulated time
+   ([%.17g]) of every sum and max version on the three preset arches at
+   n = 1, 33 and 1000 with default tunables, and of one seeded register
+   bit flip per version. Regenerate with
+
+   {v
+     dune exec test/test_golden.exe -- --print-exact > test/golden/exact_runs.txt
+   v}
+
    The race-mutant golden pins the race sanitizer's error diagnostics
    on every distinct seeded mutant (each barrier dropped in turn, the
    first shared atomic de-atomicized, the first barrier under a
@@ -453,6 +462,65 @@ let register_slots () : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
+(* Exact-mode runs of every version                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* mixed signs and fractions, so float sums round and max sees negatives *)
+let exact_input n =
+  Array.init n (fun i -> (float_of_int ((i * 7919) mod 1000) /. 8.0) -. 60.0)
+
+let render_outcome (o : R.outcome) =
+  Printf.sprintf "result %.17g time_us %.17g" o.R.result o.R.time_us
+
+(* the first seed from [from] whose first drawn flip lands in a register:
+   at bitflip rate 1 the global-memory space always fires first *)
+let register_flip_plan from =
+  let rec go seed =
+    let plan = Fault.plan ~rate:0.0 ~bitflip_rate:0.5 ~seed () in
+    match Fault.roll_flip (Fault.create plan) with
+    | Some { Fault.fl_space = Fault.Register; _ } -> plan
+    | _ -> go (seed + 1)
+  in
+  go from
+
+let exact_runs () : string =
+  let buf = Buffer.create 65536 in
+  let run label f =
+    Printf.bprintf buf "%s %s\n" label
+      (match f () with
+      | o -> render_outcome o
+      | exception e -> "error " ^ Printexc.to_string e)
+  in
+  List.iter
+    (fun (spectrum, planner) ->
+      Printf.bprintf buf "=== %s ===\n" spectrum;
+      List.iteri
+        (fun i v ->
+          let name = Synthesis.Version.name v in
+          let cp = Synthesis.Planner.compiled (Lazy.force planner) v in
+          List.iter
+            (fun (arch : Gpusim.Arch.t) ->
+              List.iter
+                (fun n ->
+                  run
+                    (Printf.sprintf "%s %s n=%d" name arch.Gpusim.Arch.name n)
+                    (fun () ->
+                      R.run_compiled ~arch ~input:(R.Dense (exact_input n)) cp))
+                [ 1; 33; 1000 ])
+            Gpusim.Arch.presets;
+          let arch = List.nth Gpusim.Arch.presets (i mod 3) in
+          let plan = register_flip_plan (100 * i) in
+          run
+            (Printf.sprintf "%s %s n=1000 register flip seed %d" name
+               arch.Gpusim.Arch.name plan.Fault.f_seed)
+            (fun () ->
+              R.run_compiled ~fault:(Fault.create plan) ~arch
+                ~input:(R.Dense (exact_input 1000)) cp))
+        (Synthesis.Version.enumerate ()))
+    (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* The race sanitizer on seeded mutants                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -498,6 +566,10 @@ let () =
   end;
   if Array.exists (String.equal "--print-prove") Sys.argv then begin
     print_string (prove_certs ());
+    exit 0
+  end;
+  if Array.exists (String.equal "--print-exact") Sys.argv then begin
+    print_string (exact_runs ());
     exit 0
   end;
   if Array.exists (String.equal "--print-slots") Sys.argv then begin
@@ -556,6 +628,11 @@ let () =
         [
           check_golden "every sum and max kernel's register slot order"
             "register_slots.txt" register_slots;
+        ] );
+      ( "exact",
+        [
+          check_golden "every sum and max version in exact mode, three arches"
+            "exact_runs.txt" exact_runs;
         ] );
       ( "race",
         [
