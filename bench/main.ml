@@ -21,6 +21,9 @@
                                                  code version (all 88)
      dune exec bench/main.exe access          -- static memory-access analyzer
                                                  calibration vs observed events
+     dune exec bench/main.exe interp          -- interpreter warp instructions,
+                                                 allocated words and wall time
+                                                 per run (warm short lists)
      dune exec bench/main.exe obs             -- tracing overhead: disabled vs
                                                  enabled vs Chrome-trace export
      dune exec bench/main.exe overload        -- goodput vs offered load with
@@ -30,15 +33,15 @@
      dune exec bench/main.exe micro           -- bechamel framework benches
 
    Any invocation accepts --json FILE ("-" for stdout): subcommands with
-   summary cells (service, faults, sdc, lint, access, prove, obs,
-   overload, fleet) also append their machine-readable numbers to FILE
+   summary cells (service, faults, sdc, lint, access, prove, interp,
+   obs, overload, fleet) also append their machine-readable numbers to FILE
    as a JSON array.
 
    --baseline FILE diffs every cell against a committed baseline (see
    BENCH_baseline.json) with per-metric tolerance classes — virtual
    latencies must not regress past 10%, goodput/success must not drop
-   past 10%, zero-bad counters (lost requests, SDC escapes) must not
-   grow at all; host wall-clock numbers are reported but never gated —
+   past 10%, zero-bad counters (lost requests, SDC escapes) and the
+   interpreter's allocated words must not grow at all; host wall-clock numbers are reported but never gated —
    and exits 1 on any regression (TOBS004). --inject-slowdown F
    multiplies the fresh latency-class cells by F before diffing: the
    CI job uses F=2 to prove the gate actually trips.
@@ -151,7 +154,7 @@ let classify (key : string) : tol_class =
     List.mem key
       [
         "lost"; "sdc_escapes"; "escapes"; "false_alarms"; "refuted";
-        "violations"; "errors"; "dead";
+        "violations"; "errors"; "dead"; "minor_words";
       ]
   then Not_worse
   else if
@@ -1087,6 +1090,71 @@ let prove () =
   V.clear_synthesized ()
 
 (* ------------------------------------------------------------------ *)
+(* Interpreter cost: warp instructions, allocation and wall time       *)
+(* ------------------------------------------------------------------ *)
+
+(* The warm workloads' hot loop: their short-listed versions at default
+   tunables, in exact mode at two dense keys and in sampled mode at one
+   paper-scale key. Allocated words repeat exactly from run to run, so
+   they are gated (no growth); wall time is reported only. *)
+let interp () =
+  print_endline
+    "=== Interpreter cost per run: warm short lists at default tunables \
+     ===";
+  let plan = P.sum () in
+  let exact_list = [ "DT,A/direct:V"; "DT,A/direct:Vs"; "DT,A/DS+S>Vs" ] in
+  let sampled_list = [ "DT,A/direct:V"; "DT,A/direct:Vs" ] in
+  let cells =
+    List.concat_map
+      (fun (arch, n) -> List.map (fun name -> (name, arch, n)) exact_list)
+      [ (Gpusim.Arch.kepler_k40c, 16384); (Gpusim.Arch.maxwell_gtx980, 65536) ]
+    @ List.map
+        (fun name -> (name, Gpusim.Arch.maxwell_gtx980, 1 lsl 24))
+        sampled_list
+  in
+  let pruned = V.enumerate_pruned () in
+  let reps = 5 in
+  Printf.printf "%-16s %-16s %9s %8s %12s %14s %10s %10s\n" "version" "arch" "n"
+    "mode" "warp insts" "words/run" "words/inst" "wall (ms)";
+  List.iter
+    (fun (name, (arch : Gpusim.Arch.t), n) ->
+      let cp = P.compiled plan (List.find (fun v -> V.name v = name) pruned) in
+      let opts = opts_for n and input = input_for n in
+      let mode = if n <= 65536 then "exact" else "sampled" in
+      let run () = R.run_compiled ~opts ~arch ~input cp in
+      let o = run () in
+      let insts =
+        List.fold_left
+          (fun acc (lr : Gpusim.Interp.launch_result) ->
+            acc +. lr.Gpusim.Interp.lr_events.Gpusim.Events.warp_insts)
+          0.0 o.R.launch_results
+      in
+      let walls = Array.make reps 0.0 in
+      let w0 = Gc.minor_words () in
+      for i = 0 to reps - 1 do
+        let t0 = Unix.gettimeofday () in
+        ignore (run ());
+        walls.(i) <- (Unix.gettimeofday () -. t0) *. 1e3
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+      Array.sort compare walls;
+      let wall = walls.(reps / 2) in
+      Printf.printf "%-16s %-16s %9d %8s %12.0f %14.0f %10.2f %10.2f\n" name
+        arch.Gpusim.Arch.name n mode insts words (words /. insts) wall;
+      json_cell ~bench:"interp"
+        [
+          ("version", js name);
+          ("arch", js arch.Gpusim.Arch.name);
+          ("n", ji n);
+          ("mode", js mode);
+          ("warp_insts", Printf.sprintf "%.0f" insts);
+          ("minor_words", Printf.sprintf "%.0f" words);
+          ("wall_ms", jf wall);
+        ])
+    cells;
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
 (* Observability: tracing overhead, disabled vs enabled vs exported    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1563,6 +1631,7 @@ let all () =
   lint ();
   access ();
   prove ();
+  interp ();
   obs ();
   overload ();
   fleet_bench ();
@@ -1619,13 +1688,14 @@ let () =
           | "lint" -> lint ()
           | "access" -> access ()
           | "prove" -> prove ()
+          | "interp" -> interp ()
           | "obs" -> obs ()
           | "overload" -> overload ()
           | "fleet" -> fleet_bench ()
           | "micro" -> micro ()
           | other ->
               Printf.eprintf
-                "unknown experiment %S (search-space|versions|listings|fig7|fig8|fig9|fig10|tuning|ablation|service|faults|sdc|lint|access|prove|obs|overload|fleet|micro)\n"
+                "unknown experiment %S (search-space|versions|listings|fig7|fig8|fig9|fig10|tuning|ablation|service|faults|sdc|lint|access|prove|interp|obs|overload|fleet|micro)\n"
                 other;
               exit 1)
         args);
