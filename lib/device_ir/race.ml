@@ -32,9 +32,6 @@ module SM = Analysis.SM
 let model_block = 64
 let model_grid = 2
 
-(* may the two indices ([None]: data-dependent) denote the same location? *)
-let may_alias a b = match (a, b) with Some x, Some y -> x = y | _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Access events                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -241,9 +238,9 @@ let classify a b : (string * string) option =
 
 let space_name = function Ir.Shared -> "shared" | Ir.Global -> "global"
 
-let race_diags (k : Ir.kernel) (events : event list) : Diag.t list =
-  (* group by array: only same-array accesses alias *)
-  let tbl : (Ir.space * string, event list ref) Hashtbl.t = Hashtbl.create 8 in
+(* the events by array: only same-array accesses alias *)
+let by_array (events : event list) : (Ir.space * string, event list ref) Hashtbl.t =
+  let tbl = Hashtbl.create 8 in
   List.iter
     (fun e ->
       let key = (e.ev_space, e.ev_arr) in
@@ -251,6 +248,83 @@ let race_diags (k : Ir.kernel) (events : event list) : Diag.t list =
       | Some l -> l := e :: !l
       | None -> Hashtbl.add tbl key (ref [ e ]))
     events;
+  tbl
+
+(* One array's events indexed by cell, so that an access meets only the
+   events that may alias it: those at its index, and those at a
+   data-dependent one. *)
+type cells = {
+  evs : event array;
+  known : int array;  (* positions with a known index, by index then position *)
+  known_idx : int array;  (* their indices *)
+  unknown : int array;  (* positions with a data-dependent index, increasing *)
+}
+
+let cells_of (evs : event array) : cells =
+  let idx j = match evs.(j).ev_idx with Some i -> i | None -> min_int in
+  let n = Array.length evs in
+  let nk = ref 0 in
+  Array.iter (fun e -> if e.ev_idx <> None then incr nk) evs;
+  let known = Array.make !nk 0 and unknown = Array.make (n - !nk) 0 in
+  let k = ref 0 and u = ref 0 in
+  for j = 0 to n - 1 do
+    if evs.(j).ev_idx <> None then begin
+      known.(!k) <- j;
+      incr k
+    end
+    else begin
+      unknown.(!u) <- j;
+      incr u
+    end
+  done;
+  Array.stable_sort (fun p q -> Int.compare (idx p) (idx q)) known;
+  { evs; known; known_idx = Array.map idx known; unknown }
+
+(* the first position of [known_idx] holding at least [x] *)
+let lower_bound (a : int array) (x : int) : int =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [f j] for every event [j] that may alias index [idx], in increasing
+   [j]; [f] returns false to stop early. Returns whether it ran out. *)
+let for_aliasing (c : cells) (idx : int option) (f : int -> bool) : bool =
+  match idx with
+  | None ->
+      let n = Array.length c.evs in
+      let j = ref 0 in
+      while !j < n && f !j do
+        incr j
+      done;
+      !j >= n
+  | Some x ->
+      (* merge the events at [x] with the data-dependent ones *)
+      let k = ref (lower_bound c.known_idx x) in
+      let k_end = lower_bound c.known_idx (x + 1) in
+      let u = ref 0 and u_end = Array.length c.unknown in
+      let go = ref true in
+      while !go && (!k < k_end || !u < u_end) do
+        let j =
+          if !u >= u_end || (!k < k_end && c.known.(!k) < c.unknown.(!u)) then begin
+            let j = c.known.(!k) in
+            incr k;
+            j
+          end
+          else begin
+            let j = c.unknown.(!u) in
+            incr u;
+            j
+          end
+        in
+        go := f j
+      done;
+      !go
+
+let race_diags (k : Ir.kernel) (events : event list) : Diag.t list =
+  let tbl = by_array events in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let out = ref [] in
   let report code detail w e =
@@ -275,25 +349,22 @@ let race_diags (k : Ir.kernel) (events : event list) : Diag.t list =
   in
   Hashtbl.iter
     (fun _ group ->
-      let evs = Array.of_list !group in
-      let n = Array.length evs in
-      for i = 0 to n - 1 do
-        let a = evs.(i) in
-        if a.ev_kind <> Ld then
-          for j = 0 to n - 1 do
-            if j <> i then begin
-              let b = evs.(j) in
-              (* canonical order so each unordered pair is visited once
-                 when both sides are writes *)
-              if (b.ev_kind = Ld || i < j) && concurrent a b
-                 && may_alias a.ev_idx b.ev_idx
-              then
-                match classify a b with
-                | Some (code, detail) -> report code detail a b
-                | None -> ()
-            end
-          done
-      done)
+      let c = cells_of (Array.of_list !group) in
+      Array.iteri
+        (fun i a ->
+          if a.ev_kind <> Ld then
+            ignore
+              (for_aliasing c a.ev_idx (fun j ->
+                   let b = c.evs.(j) in
+                   (* canonical order so each unordered pair is visited
+                      once when both sides are writes *)
+                   if j <> i && (b.ev_kind = Ld || i < j) && concurrent a b then begin
+                     match classify a b with
+                     | Some (code, detail) -> report code detail a b
+                     | None -> ()
+                   end;
+                   true)))
+        c.evs)
     tbl;
   List.rev !out
 
@@ -324,24 +395,37 @@ let lint_diags (k : Ir.kernel) (events : event list)
      warp — warp-synchronous execution (or a shuffle) already orders
      them, the block-wide barrier is avoidable (paper, Listing 4). Only
      block 0's events matter; barriers order nothing across blocks. *)
-  let b0 = List.filter (fun e -> e.ev_bid = 0) events in
+  let nsyncs = List.length syncs in
+  let by_phase = Array.make (nsyncs + 1) [] in
+  List.iter
+    (fun e ->
+      if e.ev_bid = 0 && e.ev_phase <= nsyncs then
+        by_phase.(e.ev_phase) <- e :: by_phase.(e.ev_phase))
+    events;
   List.iteri
     (fun p (loc, _) ->
-      let before = List.filter (fun e -> e.ev_phase = p) b0 in
-      let after = List.filter (fun e -> e.ev_phase = p + 1) b0 in
-      let pairs = ref [] in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              if
-                a.ev_arr = b.ev_arr && a.ev_space = b.ev_space
-                && (a.ev_kind <> Ld || b.ev_kind <> Ld)
-                && may_alias a.ev_idx b.ev_idx
-              then pairs := (a, b) :: !pairs)
-            after)
-        before;
-      if !pairs <> [] && List.for_all (fun (a, b) -> same_warp a b) !pairs
+      let after = Hashtbl.create 8 in
+      Hashtbl.iter
+        (fun key group -> Hashtbl.replace after key (cells_of (Array.of_list !group)))
+        (by_array by_phase.(p + 1));
+      (* a dependence pair at all, and none across warps *)
+      let paired = ref false in
+      let intra =
+        List.for_all
+          (fun a ->
+            match Hashtbl.find_opt after (a.ev_space, a.ev_arr) with
+            | None -> true
+            | Some c ->
+                for_aliasing c a.ev_idx (fun j ->
+                    let b = c.evs.(j) in
+                    if a.ev_kind <> Ld || b.ev_kind <> Ld then begin
+                      paired := true;
+                      same_warp a b
+                    end
+                    else true))
+          by_phase.(p)
+      in
+      if !paired && intra
       then
         warn ~loc "TLINT002"
           "every producer/consumer dependence across this barrier is \
@@ -351,35 +435,26 @@ let lint_diags (k : Ir.kernel) (events : event list)
   (* TLINT003: an atomic no two distinct threads ever contend on could be
      a plain store. Requires every index to be concrete — a
      data-dependent index may collide for some input. *)
-  let atomics = List.filter (fun e -> e.ev_kind = At) events in
-  let by_arr : (Ir.space * string, event list ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun e ->
-      let key = (e.ev_space, e.ev_arr) in
-      match Hashtbl.find_opt by_arr key with
-      | Some l -> l := e :: !l
-      | None -> Hashtbl.add by_arr key (ref [ e ]))
-    atomics;
   Hashtbl.iter
     (fun (space, arr) group ->
       let evs = !group in
-      let all_known =
-        List.for_all (fun e -> e.ev_idx <> None) evs
-      in
-      let contended =
+      let all_known = List.for_all (fun e -> e.ev_idx <> None) evs in
+      let contended () =
+        let c = cells_of (Array.of_list evs) in
         List.exists
           (fun a ->
-            List.exists
-              (fun b ->
-                (a.ev_bid <> b.ev_bid || a.ev_tid <> b.ev_tid)
-                && (match space with
-                   | Ir.Shared -> a.ev_bid = b.ev_bid
-                   | Ir.Global -> true)
-                && may_alias a.ev_idx b.ev_idx)
-              evs)
+            not
+              (for_aliasing c a.ev_idx (fun j ->
+                   let b = c.evs.(j) in
+                   not
+                     ((a.ev_bid <> b.ev_bid || a.ev_tid <> b.ev_tid)
+                     &&
+                     match space with
+                     | Ir.Shared -> a.ev_bid = b.ev_bid
+                     | Ir.Global -> true))))
           evs
       in
-      if all_known && not contended then
+      if all_known && not (contended ()) then
         let locs =
           List.sort_uniq compare (List.map (fun e -> e.ev_loc) evs)
         in
@@ -391,7 +466,7 @@ let lint_diags (k : Ir.kernel) (events : event list)
                   it touches: a plain store would do and is cheaper"
                  (space_name space) arr))
           locs)
-    by_arr;
+    (by_array (List.filter (fun e -> e.ev_kind = At) events));
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
