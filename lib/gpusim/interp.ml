@@ -25,6 +25,19 @@
    vs native); global atomics additionally heat a per-address map used by
    the cost model for device-wide serialisation.
 
+   Registers
+   ---------
+   Every thread's registers live in the frame of {!Compiled}: float and
+   int (and predicate) slots unboxed in a float and an int bank, slots
+   whose kind the compiler could not infer boxed as [Value.t]. Each
+   slot's writes (a statement's result, a memory cell, a shuffle's
+   source, an affine loop's jump) are compiled once per kernel into the
+   slot's writer, so the statement loops below never dispatch on a
+   register's kind. Only the boxed bank is reset per block: no read
+   reaches a typed slot before its first write. A bound buffer or
+   parameter whose kind differs from its declaration is rejected at
+   launch, since the slot kinds were inferred from the declarations.
+
    Sampling
    --------
    With [options.max_blocks] set, only a sample of blocks executes and
@@ -86,7 +99,9 @@ type block_ctx = {
   arch : Arch.t;
   opts : options;
   ev : Events.t;
-  k : C.t;
+  k : C.cexp R.kernel;
+  writers : C.writer array;  (** each register slot's writes *)
+  slots : C.slot array;
   fr : C.frame;  (** registers, parameters and geometry expressions read *)
   globals : buffer array;
   shared : float array array;
@@ -102,19 +117,21 @@ let warp_lanes = 32
 (* ------------------------------------------------------------------ *)
 
 (* Expressions are closures compiled once per kernel ({!Compiled}),
-   evaluated for the frame's current thread; an index or a condition
-   unboxes the value here. *)
-let[@inline] lane_value (fr : C.frame) (tid : int) (e : C.cexp) : Value.t =
-  fr.C.tid <- tid;
-  e fr
-
+   evaluated for the frame's current thread in the form the statement
+   uses: an index, a stored value or a condition. *)
 let[@inline] lane_int (fr : C.frame) (tid : int) (e : C.cexp) : int =
   fr.C.tid <- tid;
-  match e fr with Value.VI i -> i | v -> Value.to_int v
+  e.C.ci fr
+
+(* stores [e]'s value, as the float a cell holds, into [a.(i)] *)
+let[@inline] lane_float (fr : C.frame) (tid : int) (e : C.cexp) (a : float array)
+    (i : int) : unit =
+  fr.C.tid <- tid;
+  e.C.cf fr a i
 
 let[@inline] lane_bool (fr : C.frame) (tid : int) (e : C.cexp) : bool =
   fr.C.tid <- tid;
-  match e fr with Value.VB b -> b | v -> Value.to_bool v
+  e.C.cb fr
 
 (* ------------------------------------------------------------------ *)
 (* Memory helpers                                                      *)
@@ -123,10 +140,11 @@ let[@inline] lane_bool (fr : C.frame) (tid : int) (e : C.cexp) : bool =
 let buffer_phys (b : buffer) (i : int) : int =
   if b.b_wrap then i land (Array.length b.data - 1) else i
 
-let buffer_get (b : buffer) (i : int) : Value.t =
+(* the physical cell of element [i], bounds-checked for a read *)
+let buffer_cell (b : buffer) (i : int) : int =
   if i < 0 || i >= b.b_size then
     sim_error "global array #%d: index %d out of bounds (size %d)" b.b_id i b.b_size
-  else Value.of_float b.b_ty b.data.(buffer_phys b i)
+  else buffer_phys b i
 
 let buffer_set (b : buffer) (i : int) (v : float) : unit =
   if b.b_read_only then sim_error "global array #%d: write to read-only buffer" b.b_id
@@ -135,12 +153,12 @@ let buffer_set (b : buffer) (i : int) (v : float) : unit =
       b.b_size
   else b.data.(buffer_phys b i) <- v
 
-let shared_get (ctx : block_ctx) (slot : int) (i : int) : Value.t =
+let shared_cell (ctx : block_ctx) (slot : int) (i : int) : int =
   let a = ctx.shared.(slot) in
   if i < 0 || i >= Array.length a then
     sim_error "%s: shared array %s: index %d out of bounds (size %d)" ctx.k.R.rk_name
       ctx.k.R.rk_shared.(slot).Ir.sh_name i (Array.length a)
-  else Value.of_float ctx.k.R.rk_shared.(slot).Ir.sh_ty a.(i)
+  else i
 
 let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : float) : unit =
   let a = ctx.shared.(slot) in
@@ -156,32 +174,36 @@ let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : float) : unit =
 let charge (ctx : block_ctx) (w : int) (cycles : float) : unit =
   ctx.wcycles.(w) <- ctx.wcycles.(w) +. cycles
 
-(* a stored value as the float a cell holds *)
-let[@inline] to_float (v : Value.t) : float =
-  match v with Value.VF f -> f | v -> Value.to_float v
+(* a float as a cell of that type holds it: Value.of_float, back to float *)
+let cell_value (ty : Ir.scalar) (f : float) : float =
+  match ty with
+  | Ir.F32 -> f
+  | Ir.I32 | Ir.U32 -> float_of_int (Value.norm32 (int_of_float f))
+  | Ir.Pred -> if f <> 0.0 then 1.0 else 0.0
 
+(* One lane's atomic on element [i]: the old value goes to [dst] (when
+   the atomic keeps it), the combined one to the cell. *)
 let apply_atomic (ctx : block_ctx) ~(space : Ir.space) ~(slot : int)
-    (op : Ir.atomic_op) (i : int) (v : float) : Value.t =
+    (op : Ir.atomic_op) (dst : C.writer option) (i : int) (v : float) : unit =
+  let fr = ctx.fr in
   match space with
   | Ir.Global ->
       let b = ctx.globals.(slot) in
-      let old = buffer_get b i in
-      buffer_set b i
-        (to_float (Value.of_float b.b_ty (Ir.combine op (to_float old) v)));
-      old
+      let j = buffer_cell b i in
+      let old = cell_value b.b_ty b.data.(j) in
+      (match dst with Some w -> w.C.load fr b.b_ty b.data j | None -> ());
+      buffer_set b i (cell_value b.b_ty (Ir.combine op old v))
   | Ir.Shared ->
-      let old = shared_get ctx slot i in
-      shared_set ctx slot i
-        (to_float
-           (Value.of_float ctx.k.R.rk_shared.(slot).Ir.sh_ty
-              (Ir.combine op (to_float old) v)));
-      old
+      let a = ctx.shared.(slot) and ty = ctx.k.R.rk_shared.(slot).Ir.sh_ty in
+      let j = shared_cell ctx slot i in
+      let old = cell_value ty a.(j) in
+      (match dst with Some w -> w.C.load fr ty a j | None -> ());
+      shared_set ctx slot i (cell_value ty (Ir.combine op old v))
 
-(* per-lane operands of one warp statement: indices, stored values (as
-   the floats memory holds, so no boxed write) and shuffle sources *)
+(* per-lane operands of one warp statement: indices and stored values
+   (as the floats memory holds) *)
 let scratch_idx = Array.make warp_lanes 0
 let scratch_f = Array.make warp_lanes 0.0
-let scratch_val : Value.t array = Array.make warp_lanes Value.zero
 
 (* Lane masks of the structured statements, reused rather than allocated
    per warp: a conditional at nesting depth [d] splits its lanes into
@@ -198,16 +220,19 @@ let pool_mask (i : int) : bool array =
 
 (* [s] runs at nesting depth [d] under [mask] *)
 let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
-    (s : C.cstmt) : unit =
+    (s : C.cexp R.stmt) : unit =
   let lanes = Lanes.lanes_in_warp ~nthreads:ctx.nthreads w in
   let base = w * warp_lanes in
   let a = ctx.arch in
   let fr = ctx.fr in
   match s with
   | R.Let (slot, e) ->
+      let set = ctx.writers.(slot).C.set in
       for l = 0 to lanes - 1 do
-        if mask.(l) then
-          fr.C.regs.(base + l).(slot) <- lane_value fr (base + l) e
+        if mask.(l) then begin
+          fr.C.tid <- base + l;
+          set e fr
+        end
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
@@ -216,12 +241,16 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       for l = 0 to lanes - 1 do
         if mask.(l) then scratch_idx.(l) <- lane_int fr (base + l) l_idx
       done;
+      let load = ctx.writers.(l_dst).C.load in
       match l_arr.R.a_space with
       | Ir.Global ->
           let b = ctx.globals.(l_arr.R.a_slot) in
           for l = 0 to lanes - 1 do
-            if mask.(l) then
-              fr.C.regs.(base + l).(l_dst) <- buffer_get b scratch_idx.(l)
+            if mask.(l) then begin
+              let j = buffer_cell b scratch_idx.(l) in
+              fr.C.tid <- base + l;
+              load fr b.b_ty b.data j
+            end
           done;
           let trans = Lanes.segments scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -231,10 +260,14 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
             ctx.ev.Events.bytes_dram +. (128.0 *. float_of_int trans);
           charge ctx w (a.Arch.cyc_global *. float_of_int trans)
       | Ir.Shared ->
+          let slot = l_arr.R.a_slot in
+          let cells = ctx.shared.(slot) and ty = ctx.k.R.rk_shared.(slot).Ir.sh_ty in
           for l = 0 to lanes - 1 do
-            if mask.(l) then
-              fr.C.regs.(base + l).(l_dst) <-
-                shared_get ctx l_arr.R.a_slot scratch_idx.(l)
+            if mask.(l) then begin
+              let j = shared_cell ctx slot scratch_idx.(l) in
+              fr.C.tid <- base + l;
+              load fr ty cells j
+            end
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
           ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -246,7 +279,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           scratch_idx.(l) <- lane_int fr (base + l) st_idx;
-          scratch_f.(l) <- to_float (lane_value fr (base + l) st_v)
+          lane_float fr (base + l) st_v scratch_f l
         end
       done;
       match st_arr.R.a_space with
@@ -275,6 +308,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
   | R.Vec_load { vl_dsts; vl_arr; vl_base; _ } ->
       let b = ctx.globals.(vl_arr.R.a_slot) in
       let width = Array.length vl_dsts in
+      let loads = Array.map (fun d -> ctx.writers.(d).C.load) vl_dsts in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let base_i = lane_int fr (base + l) vl_base in
@@ -283,7 +317,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               ctx.k.R.rk_name base_i width;
           scratch_idx.(l) <- base_i;
           for j = 0 to width - 1 do
-            fr.C.regs.(base + l).(vl_dsts.(j)) <- buffer_get b (base_i + j)
+            loads.(j) fr b.b_ty b.data (buffer_cell b (base_i + j))
           done
         end
       done;
@@ -298,17 +332,16 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           scratch_idx.(l) <- lane_int fr (base + l) at_idx;
-          scratch_f.(l) <- to_float (lane_value fr (base + l) at_v)
+          lane_float fr (base + l) at_v scratch_f l
         end
       done;
+      let dst = if at_dst >= 0 then Some ctx.writers.(at_dst) else None in
       (* lanes apply in lane order: deterministic serialisation *)
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
-          let old =
-            apply_atomic ctx ~space:at_arr.R.a_space ~slot:at_arr.R.a_slot at_op
-              scratch_idx.(l) scratch_f.(l)
-          in
-          if at_dst >= 0 then fr.C.regs.(base + l).(at_dst) <- old
+          fr.C.tid <- base + l;
+          apply_atomic ctx ~space:at_arr.R.a_space ~slot:at_arr.R.a_slot at_op dst
+            scratch_idx.(l) scratch_f.(l)
         end
       done;
       let n_active = Lanes.active mask lanes in
@@ -354,9 +387,13 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
       (* publish v from every lane of the warp (inactive lanes publish their
          current register state, deterministically) *)
       let width = sh_width in
+      let wr = ctx.writers.(sh_dst) in
       for l = 0 to warp_lanes - 1 do
-        scratch_val.(l) <-
-          (if l < lanes then lane_value fr (base + l) sh_v else Value.zero)
+        if l < lanes then begin
+          fr.C.tid <- base + l;
+          wr.C.publish sh_v fr l
+        end
+        else wr.C.absent l
       done;
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
@@ -367,7 +404,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
                        reads outside the %d-lane warp"
               ctx.k.R.rk_name l (Ir.show_shuffle_mode sh_mode) delta width
               warp_lanes;
-          fr.C.regs.(base + l).(sh_dst) <- scratch_val.(src)
+          wr.C.take fr src
         end
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
@@ -397,9 +434,12 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
   | R.For { f_var; f_init; f_cond; f_step; f_body; f_sync; f_affine } ->
       if f_sync then
         sim_error "%s: barrier inside thread-divergent loop" ctx.k.R.rk_name;
+      let wr = ctx.writers.(f_var) in
       for l = 0 to lanes - 1 do
-        if mask.(l) then
-          fr.C.regs.(base + l).(f_var) <- lane_value fr (base + l) f_init
+        if mask.(l) then begin
+          fr.C.tid <- base + l;
+          wr.C.set f_init fr
+        end
       done;
       ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
       ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
@@ -425,8 +465,8 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               let remaining = ref 1 in
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
-                  let v = Value.to_int (fr.C.regs.(base + l).(f_var)) in
                   let b = lane_int fr (base + l) af_bound in
+                  let v = wr.C.get_int fr in
                   let r = (b - v + af_stride - 1) / af_stride in
                   if r > !remaining then remaining := r
                 end
@@ -447,16 +487,17 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               (* jump the iterator past the bound so the loop exits *)
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
-                  let v = Value.to_int (fr.C.regs.(base + l).(f_var)) in
-                  fr.C.regs.(base + l).(f_var) <-
-                    Value.VI (v + (af_stride * !remaining))
+                  fr.C.tid <- base + l;
+                  wr.C.jump fr (af_stride * !remaining)
                 end
               done
           | _ ->
               exec_body ctx (d + 1) w live f_body;
               for l = 0 to lanes - 1 do
-                if live.(l) then
-                  fr.C.regs.(base + l).(f_var) <- lane_value fr (base + l) f_step
+                if live.(l) then begin
+                  fr.C.tid <- base + l;
+                  wr.C.set f_step fr
+                end
               done;
               ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
               ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
@@ -490,7 +531,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
         end
       done
 
-and exec_body ctx d w mask (body : C.cstmt array) : unit =
+and exec_body ctx d w mask (body : C.cexp R.stmt array) : unit =
   for i = 0 to Array.length body - 1 do
     exec_warp ctx d w mask body.(i)
   done
@@ -521,7 +562,7 @@ let check_uniform_cond (ctx : block_ctx) (e : C.cexp) : bool =
     done;
   v0
 
-let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
+let rec exec_block_stmt (ctx : block_ctx) (s : C.cexp R.stmt) : unit =
   if not (R.has_sync s) then
     for w = 0 to ctx.nwarps - 1 do
       exec_warp ctx 0 w full_mask s
@@ -534,16 +575,18 @@ let rec exec_block_stmt (ctx : block_ctx) (s : C.cstmt) : unit =
         if check_uniform_cond ctx if_cond then Array.iter (exec_block_stmt ctx) if_then
         else Array.iter (exec_block_stmt ctx) if_else
     | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
-        let fr = ctx.fr in
+        let fr = ctx.fr and wr = ctx.writers.(f_var) in
         for t = 0 to ctx.nthreads - 1 do
-          fr.C.regs.(t).(f_var) <- lane_value fr t f_init
+          fr.C.tid <- t;
+          wr.C.set f_init fr
         done;
         let continue_ = ref true in
         while !continue_ do
           if check_uniform_cond ctx f_cond then begin
             Array.iter (exec_block_stmt ctx) f_body;
             for t = 0 to ctx.nthreads - 1 do
-              fr.C.regs.(t).(f_var) <- lane_value fr t f_step
+              fr.C.tid <- t;
+              wr.C.set f_step fr
             done;
             ctx.ev.Events.branches <-
               ctx.ev.Events.branches +. float_of_int ctx.nwarps
@@ -585,17 +628,32 @@ let apply_flip (ctx : block_ctx) (fl : Fault.flip) : unit =
         a.(!idx) <- Fault.flip_value ty ~bit:fl.Fault.fl_bit a.(!idx)
       end
   | Fault.Register ->
-      let regs = ctx.fr.C.regs in
-      let nregs = Array.length regs.(0) in
+      (* a float slot flips as F32, an int slot as I32, a predicate
+         negates: what the flip does to a boxed VF, VI or VB *)
+      let fr = ctx.fr and nregs = Array.length ctx.slots in
       let t = fl.Fault.fl_target mod ctx.nthreads in
-      let slot = fl.Fault.fl_target / ctx.nthreads mod nregs in
-      regs.(t).(slot) <-
-        (match regs.(t).(slot) with
-        | Value.VF f -> Value.VF (Fault.flip_value Ir.F32 ~bit:fl.Fault.fl_bit f)
-        | Value.VI i ->
-            Value.of_float Ir.I32
-              (Fault.flip_value Ir.I32 ~bit:fl.Fault.fl_bit (float_of_int i))
-        | Value.VB b -> Value.VB (not b))
+      let bit = fl.Fault.fl_bit in
+      let flip_int i =
+        Value.norm32 (int_of_float (Fault.flip_value Ir.I32 ~bit (float_of_int i)))
+      in
+      if nregs > 0 then
+        match ctx.slots.(fl.Fault.fl_target / ctx.nthreads mod nregs) with
+        | C.Float_reg i ->
+            let j = (t * fr.C.nf) + i in
+            fr.C.fregs.(j) <- Fault.flip_value Ir.F32 ~bit fr.C.fregs.(j)
+        | C.Int_reg i ->
+            let j = (t * fr.C.ni) + i in
+            fr.C.iregs.(j) <- flip_int fr.C.iregs.(j)
+        | C.Pred_reg i ->
+            let j = (t * fr.C.ni) + i in
+            fr.C.iregs.(j) <- 1 - fr.C.iregs.(j)
+        | C.Boxed_reg i ->
+            let j = (t * fr.C.nv) + i in
+            fr.C.vregs.(j) <-
+              (match fr.C.vregs.(j) with
+              | Value.VF f -> Value.VF (Fault.flip_value Ir.F32 ~bit f)
+              | Value.VI i -> Value.VI (flip_int i)
+              | Value.VB b -> Value.VB (not b))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel launch                                                       *)
@@ -614,8 +672,13 @@ type launch_result = {
     order. Returns per-launch events and the mean per-block critical
     path. *)
 let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
-    (k : C.t) ~(grid : int) ~(block : int) ~(shared_elems : int)
+    (ck : C.t) ~(grid : int) ~(block : int) ~(shared_elems : int)
     ~(globals : buffer array) ~(params : Value.t array) : launch_result =
+  let form =
+    if ck.C.full_warps && block mod warp_lanes <> 0 then Lazy.force ck.C.boxed
+    else ck.C.typed
+  in
+  let k = form.C.kernel in
   if arch.Arch.warp_size <> warp_lanes then
     sim_error "architecture warp size %d unsupported (expected 32)"
       arch.Arch.warp_size;
@@ -629,6 +692,19 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
   if Array.length params <> Array.length k.R.rk_params then
     sim_error "%s: expected %d scalar parameters, got %d" k.R.rk_name
       (Array.length k.R.rk_params) (Array.length params);
+  (* typed slots take their kinds from the declarations *)
+  Array.iteri
+    (fun i (name, ty) ->
+      if C.kind_of_value params.(i) <> C.kind_of_scalar ty then
+        sim_error "%s: scalar parameter %s is declared %s but bound to %s"
+          k.R.rk_name name (Ir.show_scalar ty) (Value.to_string params.(i)))
+    k.R.rk_params;
+  Array.iteri
+    (fun i (name, ty) ->
+      if C.kind_of_scalar globals.(i).b_ty <> C.kind_of_scalar ty then
+        sim_error "%s: array %s is declared %s but bound to a %s buffer" k.R.rk_name
+          name (Ir.show_scalar ty) (Ir.show_scalar globals.(i).b_ty))
+    k.R.rk_arrays;
   let shared_sizes =
     Array.map
       (fun (d : Ir.shared_decl) ->
@@ -649,14 +725,20 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
       opts;
       ev;
       k;
+      writers = form.C.writers;
+      slots = form.C.slots;
       fr =
         {
-          C.regs =
-            Array.init block (fun _ -> Array.make (max k.R.rk_nregs 1) Value.zero);
+          C.fregs = Array.make (block * form.C.nf) 0.0;
+          iregs = Array.make (block * form.C.ni) 0;
+          vregs = Array.make (block * form.C.nv) Value.zero;
+          nf = form.C.nf;
+          ni = form.C.ni;
+          nv = form.C.nv;
           params;
-          block_dim = Value.VI block;
-          grid_dim = Value.VI grid;
-          block_idx = Value.zero;
+          block_dim = block;
+          grid_dim = grid;
+          block_idx = 0;
           tid = 0;
         };
       globals;
@@ -692,11 +774,10 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
      Array.iteri
        (fun pos b ->
          Events.begin_block ev;
-         ctx.fr.C.block_idx <- Value.VI b;
+         ctx.fr.C.block_idx <- b;
          Array.iter (fun sh -> Array.fill sh 0 (Array.length sh) 0.0) ctx.shared;
-         Array.iter
-           (fun r -> Array.fill r 0 (Array.length r) Value.zero)
-           ctx.fr.C.regs;
+         (* no read reaches a typed slot before its first write *)
+         Array.fill ctx.fr.C.vregs 0 (Array.length ctx.fr.C.vregs) Value.zero;
          Array.fill ctx.wcycles 0 nwarps 0.0;
          if pos = flip_block then
            Array.iteri

@@ -66,7 +66,9 @@ type launch_result = {
 
 (** Execute a compiled kernel on [arch]. [globals] binds each kernel array
     slot to a buffer (in declaration order); [params] are the scalar
-    arguments in declaration order. *)
+    arguments in declaration order. Each buffer's element type and each
+    parameter must have the kind (int, float or predicate) its
+    declaration has, or the launch fails with {!Sim_error}. *)
 val run_kernel :
   ?flip:Fault.flip ->
   arch:Arch.t ->

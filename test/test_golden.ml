@@ -455,7 +455,8 @@ let register_slots () : string =
               Printf.bprintf buf "%s %s/%s:%s\n" spectrum
                 (Synthesis.Version.name v) k.Device_ir.Ir.k_name
                 (String.concat ""
-                   (List.map (( ^ ) " ") (Array.to_list ck.Device_ir.Resolve.rk_reg_names))))
+                   (List.map (( ^ ) " ") (Array.to_list
+                      ck.Gpusim.Compiled.typed.kernel.Device_ir.Resolve.rk_reg_names))))
             p.Device_ir.Ir.p_kernels)
         (Synthesis.Version.enumerate ()))
     (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);

@@ -619,6 +619,114 @@ let sampling_tests =
         | exception Invalid_argument _ -> ());
   ]
 
+(* -------------------------------------------------------------- *)
+(* Register kinds                                                  *)
+(* -------------------------------------------------------------- *)
+
+let slot_of (ck : Gpusim.Compiled.t) name =
+  let f = ck.Gpusim.Compiled.typed in
+  let names = f.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names in
+  let rec find i = if names.(i) = name then i else find (i + 1) in
+  f.Gpusim.Compiled.slots.(find 0)
+
+let kind_tests =
+  [
+    Alcotest.test_case "a register with two kinds keeps the boxed path" `Quick
+      (fun () ->
+        (* x holds an int, then a float; s is an int in lanes 0-15 and a
+           float in the others: each Div follows its operands' kinds *)
+        let k =
+          kernel ~arrays:[ ("out", Ir.F32) ]
+            [
+              Ir.let_ "x" (Ir.Int 7);
+              Ir.let_ "q" Ir.(Reg "x" /: Int 2);
+              Ir.let_ "x" (Ir.Float 7.0);
+              Ir.let_ "r" Ir.(Reg "x" /: Int 2);
+              Ir.let_ "s" Ir.(select (tid <: Int 16) (Int 1) (Float 2.5));
+              Ir.let_ "t" Ir.(Reg "s" /: Int 2);
+              Ir.store_global "out" Ir.tid Ir.(Reg "q" +: Reg "r" +: Reg "t");
+            ]
+        in
+        let out, _ = run ~block:32 ~out_size:32 k in
+        Alcotest.check fa "3 + 3.5, plus 1/2 = 0 or 2.5/2 = 1.25"
+          (Array.init 32 (fun t -> if t < 16 then 6.5 else 7.75))
+          out;
+        let ck = Gpusim.Compiled.compile k in
+        List.iter
+          (fun r ->
+            match slot_of ck r with
+            | Gpusim.Compiled.Boxed_reg _ -> ()
+            | _ -> Alcotest.failf "%s should be boxed" r)
+          [ "x"; "q"; "r"; "s"; "t" ]);
+    Alcotest.test_case "single-kind registers are typed" `Quick (fun () ->
+        let k =
+          kernel ~arrays:[ ("out", Ir.F32) ]
+            [
+              Ir.let_ "i" Ir.(tid +: Int 1);
+              Ir.let_ "f" Ir.(Float 0.5 *: Reg "i");
+              Ir.let_ "p" Ir.(Reg "f" <: Float 4.0);
+              Ir.if_ (Ir.Reg "p") [ Ir.store_global "out" Ir.tid (Ir.Reg "f") ] [];
+            ]
+        in
+        let out, _ = run ~block:8 ~out_size:8 k in
+        Alcotest.check fa "f where f < 4"
+          [| 0.5; 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 0.0 |]
+          out;
+        let ck = Gpusim.Compiled.compile k in
+        (match (slot_of ck "i", slot_of ck "f", slot_of ck "p") with
+        | Gpusim.Compiled.Int_reg _, Gpusim.Compiled.Float_reg _, Gpusim.Compiled.Pred_reg _ ->
+            ()
+        | _ -> Alcotest.fail "expected int, float and predicate slots"));
+    Alcotest.test_case "a read before the first write keeps the boxed zero" `Quick
+      (fun () ->
+        (* the first iteration reads acc before any write: the int 0,
+           so acc stays boxed *)
+        let k =
+          kernel ~arrays:[ ("out", Ir.F32) ]
+            [
+              Ir.for_ "i" ~init:(Ir.Int 0) ~cond:Ir.(Reg "i" <: Int 2)
+                ~step:Ir.(Reg "i" +: Int 1)
+                [ Ir.let_ "acc" Ir.(Reg "acc" +: Float 1.5) ];
+              Ir.store_global "out" Ir.tid (Ir.Reg "acc");
+            ]
+        in
+        let out, _ = run ~block:1 ~out_size:1 k in
+        Alcotest.check fa "two iterations" [| 3.0 |] out;
+        match slot_of (Gpusim.Compiled.compile k) "acc" with
+        | Gpusim.Compiled.Boxed_reg _ -> ()
+        | _ -> Alcotest.fail "acc should be boxed");
+    Alcotest.test_case "lanes past a partial warp publish the int zero" `Quick
+      (fun () ->
+        (* in a block of 20, lanes 4-15 shuffle down from lanes 20-31,
+           which do not exist and publish the boxed int 0: negated it
+           stays +0, where a float zero would give -0 *)
+        let k =
+          kernel ~arrays:[ ("out", Ir.F32) ]
+            [
+              Ir.let_ "x" (Ir.Float 1.5);
+              Ir.shfl_down "y" (Ir.Reg "x") (Ir.Int 16) ~width:32;
+              Ir.store_global "out" Ir.tid (Ir.Unop (Ir.Neg, Ir.Reg "y"));
+            ]
+        in
+        Alcotest.(check bool) "needs full warps" true
+          (Gpusim.Compiled.compile k).Gpusim.Compiled.full_warps;
+        let out, _ = run ~block:20 ~out_size:20 k in
+        Array.iteri
+          (fun t v ->
+            let expected = if t >= 4 && t < 16 then infinity else -.(1.0 /. 1.5) in
+            Alcotest.(check (float 0.0)) (Printf.sprintf "1 / out.(%d)" t) expected
+              (1.0 /. v))
+          out);
+    expect_trap "a buffer of another kind than its declaration is rejected" (fun () ->
+        run ~block:1 ~out_size:1
+          (kernel ~arrays:[ ("out", Ir.I32) ] [ Ir.store_global "out" Ir.tid Ir.tid ]));
+    expect_trap "a parameter of another kind than its declaration is rejected"
+      (fun () ->
+        run ~block:1 ~out_size:1 ~params:[| Gpusim.Value.VF 1.0 |]
+          (kernel ~params:[ ("n", Ir.I32) ] ~arrays:[ ("out", Ir.F32) ]
+             [ Ir.store_global "out" Ir.tid (Ir.Param "n") ]));
+  ]
+
 let () =
   Alcotest.run "interp"
     [
@@ -628,4 +736,5 @@ let () =
       ("events", event_tests);
       ("barriers and traps", sync_tests);
       ("sampling", sampling_tests);
+      ("register kinds", kind_tests);
     ]
