@@ -77,7 +77,7 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
   let evs = ref [] in
   for bid = 0 to grid - 1 do
     for tid = 0 to block - 1 do
-      Hashtbl.reset loaded;
+      Hashtbl.clear loaded;
       List.iter
         (fun { Access.a_epoch; a_loc; a_space; a_arr; a_kind; a_width; a_active;
                a_idx; _ } ->
@@ -85,15 +85,21 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
           if a_active land (1 lsl l) <> 0 then
             let base = Access.lane_idx a_idx l in
             for j = 0 to a_width - 1 do
-              let idx = Option.map (( + ) j) base in
+              let idx = match base with Some b -> Some (b + j) | None -> None in
               let kind =
                 match a_kind with
                 | Access.Ld | Access.Vl -> Ld
                 | Access.St -> St
                 | Access.At -> At
               in
-              let cell = (a_space, a_arr, idx, a_epoch) in
-              if kind = Ld then Hashtbl.replace loaded cell ();
+              let rmw =
+                match kind with
+                | Ld ->
+                    Hashtbl.replace loaded (a_space, a_arr, idx, a_epoch) ();
+                    false
+                | St -> Hashtbl.mem loaded (a_space, a_arr, idx, a_epoch)
+                | At -> false
+              in
               evs :=
                 {
                   ev_bid = bid;
@@ -104,7 +110,7 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
                   ev_idx = idx;
                   ev_kind = kind;
                   ev_loc = a_loc;
-                  ev_rmw = kind = St && Hashtbl.mem loaded cell;
+                  ev_rmw = rmw;
                 }
                 :: !evs
             done)
@@ -238,6 +244,9 @@ let classify a b : (string * string) option =
 
 let space_name = function Ir.Shared -> "shared" | Ir.Global -> "global"
 
+(* may the two indices ([None]: data-dependent) denote the same location? *)
+let may_alias a b = match (a, b) with Some x, Some y -> x = y | _ -> true
+
 (* the events by array: only same-array accesses alias *)
 let by_array (events : event list) : (Ir.space * string, event list ref) Hashtbl.t =
   let tbl = Hashtbl.create 8 in
@@ -252,74 +261,66 @@ let by_array (events : event list) : (Ir.space * string, event list ref) Hashtbl
 
 (* One array's events indexed by cell, so that an access meets only the
    events that may alias it: those at its index, and those at a
-   data-dependent one. *)
-type cells = {
-  evs : event array;
-  known : int array;  (* positions with a known index, by index then position *)
-  known_idx : int array;  (* their indices *)
-  unknown : int array;  (* positions with a data-dependent index, increasing *)
-}
+   data-dependent one. [order] holds the positions of [evs], the
+   data-dependent ones first ([n_unknown] of them), then by index; each
+   run by position. *)
+type cells = { evs : event array; order : int array; n_unknown : int }
 
 let cells_of (evs : event array) : cells =
-  let idx j = match evs.(j).ev_idx with Some i -> i | None -> min_int in
-  let n = Array.length evs in
-  let nk = ref 0 in
-  Array.iter (fun e -> if e.ev_idx <> None then incr nk) evs;
-  let known = Array.make !nk 0 and unknown = Array.make (n - !nk) 0 in
-  let k = ref 0 and u = ref 0 in
-  for j = 0 to n - 1 do
-    if evs.(j).ev_idx <> None then begin
-      known.(!k) <- j;
-      incr k
-    end
-    else begin
-      unknown.(!u) <- j;
-      incr u
-    end
-  done;
-  Array.stable_sort (fun p q -> Int.compare (idx p) (idx q)) known;
-  { evs; known; known_idx = Array.map idx known; unknown }
+  let order = Array.init (Array.length evs) Fun.id in
+  (* stable: positions stay increasing within a run *)
+  Array.stable_sort
+    (fun p q ->
+      match (evs.(p).ev_idx, evs.(q).ev_idx) with
+      | None, Some _ -> -1
+      | Some _, None -> 1
+      | None, None -> 0
+      | Some x, Some y -> Int.compare x y)
+    order;
+  let n_unknown = ref 0 in
+  Array.iter (fun e -> if e.ev_idx = None then incr n_unknown) evs;
+  { evs; order; n_unknown = !n_unknown }
 
-(* the first position of [known_idx] holding at least [x] *)
-let lower_bound (a : int array) (x : int) : int =
-  let lo = ref 0 and hi = ref (Array.length a) in
+(* the first position of [c.order], past the data-dependent ones, whose
+   index is at least [x] *)
+let lower_bound (c : cells) (x : int) : int =
+  let lo = ref c.n_unknown and hi = ref (Array.length c.order) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
+    match c.evs.(c.order.(mid)).ev_idx with
+    | Some y when y < x -> lo := mid + 1
+    | _ -> hi := mid
   done;
   !lo
 
-(* [f j] for every event [j] that may alias index [idx], in increasing
+(* [f i j] for every event [j] that may alias event [i], in increasing
    [j]; [f] returns false to stop early. Returns whether it ran out. *)
-let for_aliasing (c : cells) (idx : int option) (f : int -> bool) : bool =
-  match idx with
+let for_aliasing (c : cells) (i : int) (f : int -> int -> bool) : bool =
+  match c.evs.(i).ev_idx with
   | None ->
       let n = Array.length c.evs in
       let j = ref 0 in
-      while !j < n && f !j do
+      while !j < n && f i !j do
         incr j
       done;
       !j >= n
   | Some x ->
       (* merge the events at [x] with the data-dependent ones *)
-      let k = ref (lower_bound c.known_idx x) in
-      let k_end = lower_bound c.known_idx (x + 1) in
-      let u = ref 0 and u_end = Array.length c.unknown in
+      let k = ref (lower_bound c x) and k_end = lower_bound c (x + 1) in
+      let u = ref 0 in
       let go = ref true in
-      while !go && (!k < k_end || !u < u_end) do
+      while !go && (!k < k_end || !u < c.n_unknown) do
         let j =
-          if !u >= u_end || (!k < k_end && c.known.(!k) < c.unknown.(!u)) then begin
-            let j = c.known.(!k) in
+          if !u >= c.n_unknown || (!k < k_end && c.order.(!k) < c.order.(!u)) then begin
             incr k;
-            j
+            c.order.(!k - 1)
           end
           else begin
-            let j = c.unknown.(!u) in
             incr u;
-            j
+            c.order.(!u - 1)
           end
         in
-        go := f j
+        go := f i j
       done;
       !go
 
@@ -350,21 +351,20 @@ let race_diags (k : Ir.kernel) (events : event list) : Diag.t list =
   Hashtbl.iter
     (fun _ group ->
       let c = cells_of (Array.of_list !group) in
-      Array.iteri
-        (fun i a ->
-          if a.ev_kind <> Ld then
-            ignore
-              (for_aliasing c a.ev_idx (fun j ->
-                   let b = c.evs.(j) in
-                   (* canonical order so each unordered pair is visited
-                      once when both sides are writes *)
-                   if j <> i && (b.ev_kind = Ld || i < j) && concurrent a b then begin
-                     match classify a b with
-                     | Some (code, detail) -> report code detail a b
-                     | None -> ()
-                   end;
-                   true)))
-        c.evs)
+      let visit i j =
+        let a = c.evs.(i) and b = c.evs.(j) in
+        (* canonical order so each unordered pair is visited once when
+           both sides are writes *)
+        if j <> i && (b.ev_kind = Ld || i < j) && concurrent a b then begin
+          match classify a b with
+          | Some (code, detail) -> report code detail a b
+          | None -> ()
+        end;
+        true
+      in
+      for i = 0 to Array.length c.evs - 1 do
+        if c.evs.(i).ev_kind <> Ld then ignore (for_aliasing c i visit)
+      done)
     tbl;
   List.rev !out
 
@@ -404,29 +404,23 @@ let lint_diags (k : Ir.kernel) (events : event list)
     events;
   List.iteri
     (fun p (loc, _) ->
-      let after = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun key group -> Hashtbl.replace after key (cells_of (Array.of_list !group)))
-        (by_array by_phase.(p + 1));
       (* a dependence pair at all, and none across warps *)
-      let paired = ref false in
-      let intra =
-        List.for_all
-          (fun a ->
-            match Hashtbl.find_opt after (a.ev_space, a.ev_arr) with
-            | None -> true
-            | Some c ->
-                for_aliasing c a.ev_idx (fun j ->
-                    let b = c.evs.(j) in
-                    if a.ev_kind <> Ld || b.ev_kind <> Ld then begin
-                      paired := true;
-                      same_warp a b
-                    end
-                    else true))
-          by_phase.(p)
-      in
-      if !paired && intra
-      then
+      let paired = ref false and intra = ref true in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if
+                !intra && a.ev_arr = b.ev_arr && a.ev_space = b.ev_space
+                && (a.ev_kind <> Ld || b.ev_kind <> Ld)
+                && may_alias a.ev_idx b.ev_idx
+              then begin
+                paired := true;
+                if not (same_warp a b) then intra := false
+              end)
+            by_phase.(p + 1))
+        by_phase.(p);
+      if !paired && !intra then
         warn ~loc "TLINT002"
           "every producer/consumer dependence across this barrier is \
            intra-warp: lockstep warp execution (or a __shfl exchange) \
@@ -441,18 +435,15 @@ let lint_diags (k : Ir.kernel) (events : event list)
       let all_known = List.for_all (fun e -> e.ev_idx <> None) evs in
       let contended () =
         let c = cells_of (Array.of_list evs) in
-        List.exists
-          (fun a ->
-            not
-              (for_aliasing c a.ev_idx (fun j ->
-                   let b = c.evs.(j) in
-                   not
-                     ((a.ev_bid <> b.ev_bid || a.ev_tid <> b.ev_tid)
-                     &&
-                     match space with
-                     | Ir.Shared -> a.ev_bid = b.ev_bid
-                     | Ir.Global -> true))))
-          evs
+        (* false once two distinct threads contend *)
+        let apart i j =
+          let a = c.evs.(i) and b = c.evs.(j) in
+          not
+            ((a.ev_bid <> b.ev_bid || a.ev_tid <> b.ev_tid)
+            && match space with Ir.Shared -> a.ev_bid = b.ev_bid | Ir.Global -> true)
+        in
+        let rec from i = i < Array.length c.evs && ((not (for_aliasing c i apart)) || from (i + 1)) in
+        from 0
       in
       if all_known && not (contended ()) then
         let locs =
