@@ -105,6 +105,40 @@ let has_sync (s : 'e stmt) : bool =
   | While { w_sync; _ } -> w_sync
   | Let _ | Load _ | Store _ | Vec_load _ | Atomic _ | Shfl _ -> false
 
+(** The kernel with every compiled expression mapped through [f]. *)
+let map (f : 'a -> 'b) (k : 'a kernel) : 'b kernel =
+  let rec stmt (s : 'a stmt) : 'b stmt =
+    match s with
+    | Let (d, e) -> Let (d, f e)
+    | Load { l_arr; l_dst; l_idx; l_loc } -> Load { l_arr; l_dst; l_idx = f l_idx; l_loc }
+    | Store { st_arr; st_idx; st_v; st_loc } ->
+        Store { st_arr; st_idx = f st_idx; st_v = f st_v; st_loc }
+    | Vec_load { vl_dsts; vl_arr; vl_base; vl_loc } ->
+        Vec_load { vl_dsts; vl_arr; vl_base = f vl_base; vl_loc }
+    | Atomic { at_dst; at_arr; at_op; at_scope; at_idx; at_v; at_loc } ->
+        Atomic { at_dst; at_arr; at_op; at_scope; at_idx = f at_idx; at_v = f at_v; at_loc }
+    | Shfl { sh_dst; sh_mode; sh_v; sh_lane; sh_width } ->
+        Shfl { sh_dst; sh_mode; sh_v = f sh_v; sh_lane = f sh_lane; sh_width }
+    | Sync loc -> Sync loc
+    | If { if_cond; if_then; if_else; if_sync } ->
+        If { if_cond = f if_cond; if_then = body if_then; if_else = body if_else; if_sync }
+    | For { f_var; f_init; f_cond; f_step; f_body; f_sync; f_affine } ->
+        For
+          {
+            f_var;
+            f_init = f f_init;
+            f_cond = f f_cond;
+            f_step = f f_step;
+            f_body = body f_body;
+            f_sync;
+            f_affine =
+              Option.map (fun a -> { af_bound = f a.af_bound; af_stride = a.af_stride }) f_affine;
+          }
+    | While { w_cond; w_body; w_sync } ->
+        While { w_cond = f w_cond; w_body = body w_body; w_sync }
+  and body (ss : 'a stmt array) : 'b stmt array = Array.map stmt ss in
+  { k with rk_body = body k.rk_body }
+
 (** Resolve a kernel, compiling every expression with [compile].
     [unknown what name] gives the slot of an undeclared ["parameter"],
     ["global array"] or ["shared array"]; it defaults to -1, and may

@@ -172,75 +172,72 @@ let read_before_write (rk : R.exp R.kernel) : bool array =
         reads written b
     | R.Int _ | R.Float _ | R.Bool _ | R.Param _ | R.Special _ -> ()
   in
-  let write written s =
-    let w = Array.copy written in
-    w.(s) <- true;
-    w
-  in
-  let both a b = Array.map2 ( && ) a b in
-  (* [root]: what every thread had written when the warp-level
+  (* [written] is updated in place; a branch or loop body works on a
+     copy. [root]: what every thread had written when the warp-level
      statement around [s] started *)
-  let rec warp root written (s : R.exp R.stmt) : bool array =
+  let rec warp root written (s : R.exp R.stmt) : unit =
     match s with
     | R.Let (d, e) ->
         reads written e;
-        write written d
+        written.(d) <- true
     | R.Load { l_dst; l_idx; _ } ->
         reads written l_idx;
-        write written l_dst
+        written.(l_dst) <- true
     | R.Store { st_idx; st_v; _ } ->
         reads written st_idx;
-        reads written st_v;
-        written
+        reads written st_v
     | R.Vec_load { vl_dsts; vl_base; _ } ->
         reads written vl_base;
-        Array.fold_left write written vl_dsts
+        Array.iter (fun d -> written.(d) <- true) vl_dsts
     | R.Atomic { at_dst; at_idx; at_v; _ } ->
         reads written at_idx;
         reads written at_v;
-        if at_dst >= 0 then write written at_dst else written
+        if at_dst >= 0 then written.(at_dst) <- true
     | R.Shfl { sh_dst; sh_v; sh_lane; _ } ->
         reads root sh_v;
         reads written sh_lane;
-        write written sh_dst
-    | R.Sync _ -> written
+        written.(sh_dst) <- true
+    | R.Sync _ -> ()
     | R.If { if_cond; if_then; if_else; _ } ->
         reads written if_cond;
-        both (Array.fold_left (warp root) written if_then)
-          (Array.fold_left (warp root) written if_else)
+        branches (warp root) written if_then if_else
     | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
         reads written f_init;
-        let written = write written f_var in
+        written.(f_var) <- true;
         reads written f_cond;
-        reads (Array.fold_left (warp root) written f_body) f_step;
-        written
+        reads (run (warp root) written f_body) f_step
     | R.While { w_cond; w_body; _ } ->
         reads written w_cond;
-        ignore (Array.fold_left (warp root) written w_body);
-        written
+        ignore (run (warp root) written w_body)
+  (* a body run on a copy: what it writes may not happen *)
+  and run step written body =
+    let w = Array.copy written in
+    Array.iter (step w) body;
+    w
+  and branches step written t e =
+    let wt = run step written t and we = run step written e in
+    Array.iteri (fun i x -> written.(i) <- x && we.(i)) wt
   (* block-wide statements run every thread along one path *)
-  and block written (s : R.exp R.stmt) : bool array =
-    if not (R.has_sync s) then warp written written s
+  and block written (s : R.exp R.stmt) : unit =
+    if not (R.has_sync s) then warp (Array.copy written) written s
     else
       match s with
       | R.If { if_cond; if_then; if_else; _ } ->
           reads written if_cond;
-          both (Array.fold_left block written if_then) (Array.fold_left block written if_else)
+          branches block written if_then if_else
       | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
           reads written f_init;
-          let written = write written f_var in
+          written.(f_var) <- true;
           reads written f_cond;
-          reads (Array.fold_left block written f_body) f_step;
-          written
+          reads (run block written f_body) f_step
       | R.While { w_cond; w_body; _ } ->
           reads written w_cond;
-          ignore (Array.fold_left block written w_body);
-          written
+          ignore (run block written w_body)
       | R.Sync _ | R.Let _ | R.Load _ | R.Store _ | R.Vec_load _ | R.Atomic _
       | R.Shfl _ ->
-          written
+          ()
   in
-  ignore (Array.fold_left block (Array.make rk.R.rk_nregs false) rk.R.rk_body);
+  Array.iter (block (Array.make rk.R.rk_nregs false)) rk.R.rk_body;
   early
 
 (* Each slot's kind: the join of its definitions' kinds, to a fixpoint.
@@ -656,15 +653,8 @@ let writer (s : slot) : writer =
 (* Kernels                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let resolve (compile : R.exp -> 'e) (k : Ir.kernel) : 'e R.kernel =
-  R.kernel
-    ~unknown:(fun what name ->
-      raise
-        (Compile_error (Printf.sprintf "%s: unknown %s %S" k.Ir.k_name what name)))
-    compile k
-
 (* each slot numbered densely within its bank *)
-let form_of (rk : R.exp R.kernel) (kinds : skind array) (k : Ir.kernel) : form =
+let form_of (rk : R.exp R.kernel) (kinds : skind array) : form =
   let nf = ref 0 and ni = ref 0 and nv = ref 0 in
   let next r =
     let i = !r in
@@ -682,7 +672,7 @@ let form_of (rk : R.exp R.kernel) (kinds : skind array) (k : Ir.kernel) : form =
       kinds
   in
   {
-    kernel = resolve (fun e -> views (texp rk slots e)) k;
+    kernel = R.map (fun e -> views (texp rk slots e)) rk;
     slots;
     writers = Array.map writer slots;
     nf = !nf;
@@ -691,8 +681,14 @@ let form_of (rk : R.exp R.kernel) (kinds : skind array) (k : Ir.kernel) : form =
   }
 
 let compile (k : Ir.kernel) : t =
-  let rk = resolve (fun e -> e) k in
-  let typed = form_of rk (infer rk) k in
+  let rk =
+    R.kernel
+      ~unknown:(fun what name ->
+        raise
+          (Compile_error (Printf.sprintf "%s: unknown %s %S" k.Ir.k_name what name)))
+      (fun e -> e) k
+  in
+  let typed = form_of rk (infer rk) in
   (* lanes past a block's last thread publish the boxed zero, an int *)
   let full_warps = ref false in
   iter_stmts
@@ -707,5 +703,5 @@ let compile (k : Ir.kernel) : t =
   {
     typed;
     full_warps = !full_warps;
-    boxed = lazy (form_of rk (Array.make rk.R.rk_nregs Top) k);
+    boxed = lazy (form_of rk (Array.make rk.R.rk_nregs Top));
   }

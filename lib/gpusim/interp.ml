@@ -205,6 +205,17 @@ let apply_atomic (ctx : block_ctx) ~(space : Ir.space) ~(slot : int)
 let scratch_idx = Array.make warp_lanes 0
 let scratch_f = Array.make warp_lanes 0.0
 
+(* The register banks, reused from launch to launch rather than
+   allocated per launch: no read reaches a typed slot before its first
+   write in a block, and the boxed bank is reset per block. *)
+let fbank = ref [||]
+let ibank = ref [||]
+let vbank = ref [||]
+
+let bank (pool : 'a array ref) (n : int) (zero : 'a) : 'a array =
+  if Array.length !pool < n then pool := Array.make n zero;
+  !pool
+
 (* Lane masks of the structured statements, reused rather than allocated
    per warp: a conditional at nesting depth [d] splits its lanes into
    masks [2d] and [2d+1], a loop keeps its live lanes in mask [2d]. *)
@@ -729,9 +740,9 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
       slots = form.C.slots;
       fr =
         {
-          C.fregs = Array.make (block * form.C.nf) 0.0;
-          iregs = Array.make (block * form.C.ni) 0;
-          vregs = Array.make (block * form.C.nv) Value.zero;
+          C.fregs = bank fbank (block * form.C.nf) 0.0;
+          iregs = bank ibank (block * form.C.ni) 0;
+          vregs = bank vbank (block * form.C.nv) Value.zero;
           nf = form.C.nf;
           ni = form.C.ni;
           nv = form.C.nv;
@@ -776,8 +787,7 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
          Events.begin_block ev;
          ctx.fr.C.block_idx <- b;
          Array.iter (fun sh -> Array.fill sh 0 (Array.length sh) 0.0) ctx.shared;
-         (* no read reaches a typed slot before its first write *)
-         Array.fill ctx.fr.C.vregs 0 (Array.length ctx.fr.C.vregs) Value.zero;
+         Array.fill ctx.fr.C.vregs 0 (block * form.C.nv) Value.zero;
          Array.fill ctx.wcycles 0 nwarps 0.0;
          if pos = flip_block then
            Array.iteri
