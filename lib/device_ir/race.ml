@@ -32,6 +32,9 @@ module SM = Analysis.SM
 let model_block = 64
 let model_grid = 2
 
+(* may the two indices ([None]: data-dependent) denote the same location? *)
+let may_alias a b = match (a, b) with Some x, Some y -> x = y | _ -> true
+
 (* ------------------------------------------------------------------ *)
 (* Access events                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -243,9 +246,6 @@ let classify a b : (string * string) option =
            observe an intermediate accumulator value" )
 
 let space_name = function Ir.Shared -> "shared" | Ir.Global -> "global"
-
-(* may the two indices ([None]: data-dependent) denote the same location? *)
-let may_alias a b = match (a, b) with Some x, Some y -> x = y | _ -> true
 
 (* the events by array: only same-array accesses alias *)
 let by_array (events : event list) : (Ir.space * string, event list ref) Hashtbl.t =

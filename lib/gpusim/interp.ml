@@ -319,7 +319,6 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
   | R.Vec_load { vl_dsts; vl_arr; vl_base; _ } ->
       let b = ctx.globals.(vl_arr.R.a_slot) in
       let width = Array.length vl_dsts in
-      let loads = Array.map (fun d -> ctx.writers.(d).C.load) vl_dsts in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
           let base_i = lane_int fr (base + l) vl_base in
@@ -328,7 +327,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               ctx.k.R.rk_name base_i width;
           scratch_idx.(l) <- base_i;
           for j = 0 to width - 1 do
-            loads.(j) fr b.b_ty b.data (buffer_cell b (base_i + j))
+            ctx.writers.(vl_dsts.(j)).C.load fr b.b_ty b.data (buffer_cell b (base_i + j))
           done
         end
       done;
