@@ -1139,8 +1139,12 @@ let interp () =
       let words = (Gc.minor_words () -. w0) /. float_of_int reps in
       Array.sort compare walls;
       let wall = walls.(reps / 2) in
-      Printf.printf "%-16s %-16s %9d %8s %12.0f %14.0f %10.2f %10.2f\n" name
-        arch.Gpusim.Arch.name n mode insts words (words /. insts) wall;
+      (* a sampled run's instruction count is extrapolated to the grid *)
+      let per_inst =
+        if mode = "exact" then Printf.sprintf "%.2f" (words /. insts) else "-"
+      in
+      Printf.printf "%-16s %-16s %9d %8s %12.0f %14.0f %10s %10.2f\n" name
+        arch.Gpusim.Arch.name n mode insts words per_inst wall;
       json_cell ~bench:"interp"
         [
           ("version", js name);
