@@ -288,14 +288,13 @@ let lower_block (ctx : context) (v : Version.t) : block_piece =
 (* ------------------------------------------------------------------ *)
 
 let second_kernel (ctx : context) (sk : Version.second_kernel) : Ir.kernel * int =
-  let ident = identity ctx in
   match sk with
   | Version.SK_serial ->
       (* one thread walks all partials *)
       let acc = fresh ctx "acc" and i = fresh ctx "i" and x = fresh ctx "x" in
       let body =
         [
-          Ir.let_ acc (Ir.Float ident);
+          Ir.let_ acc (Lower.identity_exp ctx.op ctx.elem);
           Ir.for_ i ~init:(Ir.Int 0)
             ~cond:Ir.(Reg i <: Param "NumPartials")
             ~step:Ir.(Reg i +: Int 1)
@@ -322,7 +321,7 @@ let second_kernel (ctx : context) (sk : Version.second_kernel) : Ir.kernel * int
       let gi = fresh ctx "gi" in
       let serial =
         [
-          Ir.let_ acc (Ir.Float ident);
+          Ir.let_ acc (Lower.identity_exp ctx.op ctx.elem);
           Ir.for_ i ~init:(Ir.Int 0)
             ~cond:Ir.(Reg i <: Param "Trip")
             ~step:Ir.(Reg i +: Int 1)

@@ -106,10 +106,13 @@ let figure6_tests =
 let correctness_tests =
   [
     Alcotest.test_case "all 88 versions validate" `Slow (fun () ->
-        let p = Lazy.force plan in
+        (* every spectrum: the int one's finishers must not mix kinds *)
         List.iter
-          (fun v -> Device_ir.Validate.check_program_exn (P.program p v))
-          (V.enumerate ()));
+          (fun p ->
+            List.iter
+              (fun v -> Device_ir.Validate.check_program_exn (P.program p v))
+              (V.enumerate ()))
+          [ Lazy.force plan; Lazy.force max_plan; P.min_reduction (); P.int_sum () ]);
     Alcotest.test_case "all 88 versions compute the sum (Maxwell)" `Slow (fun () ->
         let p = Lazy.force plan in
         let input = input_n 3000 in
