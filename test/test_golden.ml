@@ -54,6 +54,17 @@
      dune exec test/test_golden.exe -- --print-slots > test/golden/register_slots.txt
    v}
 
+   The kind golden pins, for every kernel of every version of the four
+   built-in spectra and of the CUB and Kokkos baselines, each register's
+   kind (int, float or predicate) in slot order. The interpreter and
+   both code emitters take their register kinds from one analysis, and
+   a refactor of it must leave the golden byte-identical. Regenerate
+   with
+
+   {v
+     dune exec test/test_golden.exe -- --print-kinds > test/golden/register_kinds.txt
+   v}
+
    The exact-run golden pins the exact-mode result and simulated time
    ([%.17g]) of every sum and max version on the three preset arches at
    n = 1, 33 and 1000 with default tunables, and of one seeded register
@@ -462,6 +473,44 @@ let register_slots () : string =
     (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
   Buffer.contents buf
 
+(* every kernel of the four spectra and of the CUB and Kokkos
+   baselines, with each register's kind in the interpreter's slot order *)
+let register_kinds () : string =
+  let buf = Buffer.create 131072 in
+  let kernel label (k : Device_ir.Ir.kernel) =
+    let ck = Gpusim.Compiled.compile k in
+    let form = ck.Gpusim.Compiled.typed in
+    Printf.bprintf buf "%s/%s:" label k.Device_ir.Ir.k_name;
+    Array.iteri
+      (fun i name ->
+        Printf.bprintf buf " %s:%s" name
+          (match form.Gpusim.Compiled.slots.(i) with
+          | Gpusim.Compiled.Int_reg _ -> "int"
+          | Gpusim.Compiled.Float_reg _ -> "float"
+          | Gpusim.Compiled.Pred_reg _ -> "pred"
+          | Gpusim.Compiled.Boxed_reg _ -> "boxed"))
+      form.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names;
+    Buffer.add_char buf '\n'
+  in
+  List.iter
+    (fun (spectrum, planner) ->
+      List.iter
+        (fun v ->
+          let p = Synthesis.Planner.program (Lazy.force planner) v in
+          List.iter
+            (kernel (spectrum ^ " " ^ Synthesis.Version.name v))
+            p.Device_ir.Ir.p_kernels)
+        (Synthesis.Version.enumerate ()))
+    spectra;
+  List.iter
+    (fun (name, (p : Device_ir.Ir.program)) ->
+      List.iter (kernel name) p.Device_ir.Ir.p_kernels)
+    [
+      ("cub", Baselines.Cub.program Gpusim.Arch.maxwell_gtx980);
+      ("kokkos", Baselines.Kokkos.program Gpusim.Arch.maxwell_gtx980);
+    ];
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Exact-mode runs of every version                                    *)
 (* ------------------------------------------------------------------ *)
@@ -577,6 +626,10 @@ let () =
     print_string (register_slots ());
     exit 0
   end;
+  if Array.exists (String.equal "--print-kinds") Sys.argv then begin
+    print_string (register_kinds ());
+    exit 0
+  end;
   if Array.exists (String.equal "--print-service") Sys.argv then begin
     print_string (service_scenarios ());
     exit 0
@@ -629,6 +682,11 @@ let () =
         [
           check_golden "every sum and max kernel's register slot order"
             "register_slots.txt" register_slots;
+        ] );
+      ( "kinds",
+        [
+          check_golden "every spectrum and baseline kernel's register kinds"
+            "register_kinds.txt" register_kinds;
         ] );
       ( "exact",
         [
