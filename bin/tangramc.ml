@@ -50,9 +50,7 @@ let load_unit spectrum source =
       | `Int -> Tangram.Builtins.int_sum_unit ())
 
 (* the codelet unit, planned over the spectrum's element type *)
-let load_planner spectrum source =
-  let elem = if spectrum = `Int then Tangram.Ir.I32 else Tangram.Ir.F32 in
-  Tangram.Planner.create ~elem (load_unit spectrum source)
+let load_planner spectrum source = Tangram.Planner.create (load_unit spectrum source)
 
 let handle_frontend_errors f =
   try f () with

@@ -32,14 +32,28 @@ type t = {
 
 exception Plan_error of string
 
-(** Build a planner for a checked unit. The element type defaults to [F32];
-    the combining operation is inferred from the unit's autonomous codelet
-    (addition if inference fails, which matches CUDA's default atomic). *)
-let create ?(elem = Ir.F32) (unit_info : (Ast.codelet * Check.info) list) : t =
-  (match unit_info with
-  | [] -> raise (Plan_error "empty codelet unit")
-  | _ -> ());
-  let spectrum = (fst (List.hd unit_info)).Ast.c_name in
+(** Build a planner for a checked unit. The element type is the primary
+    codelet's return type; the combining operation is inferred from the
+    unit's autonomous codelet (addition if inference fails, which matches
+    CUDA's default atomic). *)
+let create (unit_info : (Ast.codelet * Check.info) list) : t =
+  let primary =
+    match unit_info with
+    | [] -> raise (Plan_error "empty codelet unit")
+    | (c, _) :: _ -> c
+  in
+  let spectrum = primary.Ast.c_name in
+  let elem =
+    match primary.Ast.c_ret with
+    | Ast.TFloat -> Ir.F32
+    | Ast.TInt -> Ir.I32
+    | Ast.TUnsigned -> Ir.U32
+    | Ast.TBool | Ast.TVoid | Ast.TArray _ ->
+        raise
+          (Plan_error
+             (Printf.sprintf "spectrum %S returns %s, not a scalar to reduce" spectrum
+                (Ast.show_ty primary.Ast.c_ret)))
+  in
   let variants = Passes.Driver.all_variants unit_info in
   (* the combiner is whatever spectrum the primary's compound codelets call
      on their Map's partial results *)
@@ -80,7 +94,7 @@ let create ?(elem = Ir.F32) (unit_info : (Ast.codelet * Check.info) list) : t =
 let sum () = create (Builtins.sum_unit ())
 let max_reduction () = create (Builtins.max_unit ())
 let min_reduction () = create (Builtins.min_unit ())
-let int_sum () = create ~elem:Ir.I32 (Builtins.int_sum_unit ())
+let int_sum () = create (Builtins.int_sum_unit ())
 
 (** The device-IR program implementing [v] (uncompiled). *)
 let program (t : t) (v : Version.t) : Ir.program =

@@ -20,10 +20,11 @@ type t = {
 
 exception Plan_error of string
 
-(** Build a planner for a checked unit. The element type defaults to
-    [F32]; the combining operation defaults to addition when inference
-    fails. @raise Plan_error on an empty unit. *)
-val create : ?elem:Device_ir.Ir.scalar -> (Tir.Ast.codelet * Tir.Check.info) list -> t
+(** Build a planner for a checked unit. The element type is the primary
+    (first) codelet's return type; the combining operation defaults to
+    addition when inference fails. @raise Plan_error on an empty unit,
+    and when the primary codelet returns no int, unsigned or float. *)
+val create : (Tir.Ast.codelet * Tir.Check.info) list -> t
 
 (** Planner over the built-in [sum] spectrum. *)
 val sum : unit -> t
