@@ -8,7 +8,11 @@
    - a thread-uniformity taint analysis ([exp_level]): an expression is
      block-uniform when its value is provably identical for every thread of
      a block. Barriers are only legal under block-uniform control flow;
-   - def/use scans used by the resolver and the CUDA emitter. *)
+   - def/use scans used by the resolver and the CUDA emitter;
+   - register kinds ([registers]): the one rule by which the validator,
+     the interpreter's compiler and both code emitters give every
+     register its kind, and reject a register with two kinds or a read
+     that no definition reaches. *)
 
 module SS = Set.Make (String)
 
@@ -146,3 +150,141 @@ let rec all_defs (body : Ir.stmt list) : SS.t =
         acc
   in
   List.fold_left one SS.empty body
+
+(* ------------------------------------------------------------------ *)
+(* Register kinds                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type kind = Int | Float | Pred
+
+let kind_of_scalar (t : Ir.scalar) : kind =
+  match t with Ir.F32 -> Float | Ir.I32 | Ir.U32 -> Int | Ir.Pred -> Pred
+
+let show_kind (k : kind) : string =
+  match k with Int -> "int" | Float -> "float" | Pred -> "predicate"
+
+(* The interpreter's promotion (Gpusim.Value.binop): comparisons and
+   Land/Lor give a predicate; int with int and predicate with predicate
+   compute as ints; anything else (a float, or a predicate with an int)
+   as floats. *)
+let binop_kind (op : Ir.binop) (a : kind) (b : kind) : kind =
+  match op with
+  | Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Land | Ir.Lor -> Pred
+  | Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Rem | Ir.Min | Ir.Max | Ir.And | Ir.Or
+  | Ir.Xor | Ir.Shl | Ir.Shr -> (
+      match (a, b) with Int, Int | Pred, Pred -> Int | _ -> Float)
+
+let unop_kind (op : Ir.unop) (a : kind) : kind =
+  match (op, a) with
+  | Ir.Bnot, _ -> Int
+  | Ir.Lnot, _ -> Pred
+  | Ir.Neg, Pred -> Float
+  | Ir.Neg, k -> k
+
+(* One walk in statement order. [defined] holds the registers every path
+   so far defines: a branch's definitions count only when both branches
+   make them, and a loop body's never escape. Every read a definition
+   reaches has met that definition earlier in the walk, so a register's
+   first definition fixes its kind. *)
+let registers (k : Ir.kernel) : kind SM.t * string list =
+  let kinds = ref SM.empty and errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let declared (decls : (string * Ir.scalar) list) name =
+    match List.assoc_opt name decls with Some t -> kind_of_scalar t | None -> Int
+  in
+  let array (space : Ir.space) arr =
+    match space with
+    | Ir.Global -> declared k.Ir.k_arrays arr
+    | Ir.Shared ->
+        declared (List.map (fun d -> (d.Ir.sh_name, d.Ir.sh_ty)) k.Ir.k_shared) arr
+  in
+  let def r kd =
+    match SM.find_opt r !kinds with
+    | None -> kinds := SM.add r kd !kinds
+    | Some k0 ->
+        if k0 <> kd then
+          err "register %S is defined as %s and as %s" r (show_kind k0) (show_kind kd)
+  in
+  (* [dst]: the register the expression defines, named when a select's
+     arms differ *)
+  let rec exp ?dst defined (e : Ir.exp) : kind =
+    match e with
+    | Ir.Int _ | Ir.Special _ -> Int
+    | Ir.Float _ -> Float
+    | Ir.Bool _ -> Pred
+    | Ir.Param p -> declared k.Ir.k_params p
+    | Ir.Reg r ->
+        if not (SS.mem r defined) then err "register %S used before definition" r;
+        Option.value (SM.find_opt r !kinds) ~default:Int
+    | Ir.Unop (op, a) -> unop_kind op (exp defined a)
+    | Ir.Binop (op, a, b) ->
+        let ka = exp defined a in
+        binop_kind op ka (exp defined b)
+    | Ir.Select (c, a, b) ->
+        ignore (exp defined c);
+        let ka = exp ?dst defined a in
+        let kb = exp ?dst defined b in
+        if ka <> kb then begin
+          match dst with
+          | Some r ->
+              err "register %S is defined as %s and as %s by a select" r (show_kind ka)
+                (show_kind kb)
+          | None -> err "a select's arms are %s and %s" (show_kind ka) (show_kind kb)
+        end;
+        ka
+  in
+  let rec stmts defined body = List.fold_left stmt defined body
+  and stmt defined (s : Ir.stmt) : SS.t =
+    match s with
+    | Ir.Let (r, e) ->
+        def r (exp ~dst:r defined e);
+        SS.add r defined
+    | Ir.Load { dst; space; arr; idx } ->
+        ignore (exp defined idx);
+        def dst (array space arr);
+        SS.add dst defined
+    | Ir.Store { idx; v; _ } ->
+        ignore (exp defined idx);
+        ignore (exp defined v);
+        defined
+    | Ir.Vec_load { dsts; arr; base } ->
+        ignore (exp defined base);
+        List.fold_left
+          (fun d r ->
+            def r (array Ir.Global arr);
+            SS.add r d)
+          defined dsts
+    | Ir.Atomic { dst; space; arr; idx; v; _ } -> (
+        ignore (exp defined idx);
+        ignore (exp defined v);
+        match dst with
+        | Some d ->
+            def d (array space arr);
+            SS.add d defined
+        | None -> defined)
+    | Ir.Shfl { dst; v; lane; _ } ->
+        let kv = exp ~dst defined v in
+        ignore (exp defined lane);
+        def dst kv;
+        SS.add dst defined
+    | Ir.Sync | Ir.Comment _ -> defined
+    | Ir.If (c, t, e) ->
+        ignore (exp defined c);
+        SS.inter (stmts defined t) (stmts defined e)
+    | Ir.For { var; init; cond; step; body } ->
+        (* an iterator is an int: the sampled interpreter's extrapolation
+           jump stores one into it *)
+        def var Int;
+        def var (exp ~dst:var defined init);
+        let defined' = SS.add var defined in
+        ignore (exp defined' cond);
+        def var (exp ~dst:var defined' step);
+        ignore (stmts defined' body);
+        defined
+    | Ir.While (c, body) ->
+        ignore (exp defined c);
+        ignore (stmts defined body);
+        defined
+  in
+  ignore (stmts SS.empty k.Ir.k_body);
+  (!kinds, List.rev !errs)

@@ -1,5 +1,5 @@
 (** Static analyses over the device IR: barrier placement, a
-    thread-divergence taint analysis, and def/use scans.
+    thread-divergence taint analysis, def/use scans and register kinds.
 
     The divergence analysis classifies values and control-flow contexts on
     a three-point lattice: block-uniform (identical across the block),
@@ -38,3 +38,40 @@ val exp_uses : Ir.exp -> SS.t
     iterators and nested definitions. *)
 val all_defs : Ir.stmt list -> SS.t
 
+
+(** {1 Register kinds}
+
+    The device IR is weakly typed, like PTX virtual registers, but every
+    register holds one kind of value. The validator, the interpreter's
+    compiler ([Gpusim.Compiled]) and both code emitters ({!Ptx},
+    {!Cuda}) take each register's kind from {!registers}. *)
+
+type kind = Int | Float | Pred
+
+val kind_of_scalar : Ir.scalar -> kind
+val show_kind : kind -> string
+
+(** The kind of an operator's result, following the interpreter's
+    promotion ([Gpusim.Value.binop] and [unop]): int with int gives int,
+    any float operand gives float, a predicate with an int gives float,
+    two predicates give int, and comparisons, [Land] and [Lor] give a
+    predicate. [Neg] of a predicate is a float, [Bnot] an int and [Lnot]
+    a predicate. *)
+val binop_kind : Ir.binop -> kind -> kind -> kind
+
+val unop_kind : Ir.unop -> kind -> kind
+
+(** Each register's kind, and the register errors in statement order.
+    A register has the kind of its definitions: an expression's kind by
+    {!binop_kind} and {!unop_kind}, a load's, vector load's or atomic's
+    from the array's declared type, a parameter's from its declaration,
+    and a [For] iterator is an int. Two kinds of error:
+    - a register defined at two kinds; a select whose arms differ counts
+      (named by the register it defines, if any);
+    - a read that no definition reaches on every path: a definition in
+      one branch of an [If] reaches only when the other branch makes one
+      too, and a loop body's definitions reach nothing after the loop.
+
+    Undeclared names are the validator's to report; here they read as
+    ints. A register with two kinds keeps its first definition's. *)
+val registers : Ir.kernel -> kind SM.t * string list

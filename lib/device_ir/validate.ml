@@ -1,8 +1,9 @@
 (* Well-formedness checks for device-IR kernels and programs.
 
    The validator runs before either back end touches a program. It rejects:
-   - references to undeclared arrays, parameters or registers;
-   - a register used before any possible definition;
+   - references to undeclared arrays or parameters;
+   - the register errors of {!Analysis.registers}: a register defined at
+     two kinds, and a read that no definition reaches on every path;
    - barriers under thread-divergent control flow (the classic CUDA
      deadlock), using the taint analysis of {!Analysis};
    - malformed shuffles (bad sub-warp width) and vector loads (bad arity);
@@ -47,88 +48,70 @@ let check_kernel (k : Ir.kernel) : error list =
         if not (SS.mem arr sarrays) then
           err (Printf.sprintf "undeclared shared array %S" arr)
   in
-  (* [defined] tracks registers definitely defined on every path so far;
-     definitions inside one branch of an If only count when both branches
-     define the register. *)
-  let rec check_exp ~defined (e : Ir.exp) =
+  let rec check_exp (e : Ir.exp) =
     match e with
-    | Ir.Int _ | Ir.Float _ | Ir.Bool _ | Ir.Special _ -> ()
+    | Ir.Int _ | Ir.Float _ | Ir.Bool _ | Ir.Special _ | Ir.Reg _ -> ()
     | Ir.Param p ->
         if not (SS.mem p params) then err (Printf.sprintf "undeclared parameter %S" p)
-    | Ir.Reg r ->
-        if not (SS.mem r defined) then
-          err (Printf.sprintf "register %S used before definition" r)
-    | Ir.Unop (_, a) -> check_exp ~defined a
-    | Ir.Binop (_, a, b) -> check_exp ~defined a; check_exp ~defined b
-    | Ir.Select (c, a, b) ->
-        check_exp ~defined c; check_exp ~defined a; check_exp ~defined b
+    | Ir.Unop (_, a) -> check_exp a
+    | Ir.Binop (_, a, b) -> check_exp a; check_exp b
+    | Ir.Select (c, a, b) -> check_exp c; check_exp a; check_exp b
   in
-  let rec check_stmts ~defined ~tainted ~ctrl (body : Ir.stmt list) : SS.t =
-    List.fold_left (check_stmt ~tainted ~ctrl) defined body
-  and check_stmt ~tainted ~ctrl defined (s : Ir.stmt) : SS.t =
+  let rec check_stmts ~tainted ~ctrl (body : Ir.stmt list) : unit =
+    List.iter (check_stmt ~tainted ~ctrl) body
+  and check_stmt ~tainted ~ctrl (s : Ir.stmt) : unit =
     match s with
-    | Ir.Let (r, e) -> check_exp ~defined e; SS.add r defined
-    | Ir.Load { dst; space; arr; idx } ->
-        check_arr space arr; check_exp ~defined idx; SS.add dst defined
-    | Ir.Store { space; arr; idx; v } ->
-        check_arr space arr; check_exp ~defined idx; check_exp ~defined v; defined
+    | Ir.Let (_, e) -> check_exp e
+    | Ir.Load { space; arr; idx; _ } -> check_arr space arr; check_exp idx
+    | Ir.Store { space; arr; idx; v } -> check_arr space arr; check_exp idx; check_exp v
     | Ir.Vec_load { dsts; arr; base } ->
         check_arr Ir.Global arr;
-        check_exp ~defined base;
+        check_exp base;
         if not (valid_vec_arity (List.length dsts)) then
-          err "vector load arity must be 2 or 4";
-        List.fold_left (fun d r -> SS.add r d) defined dsts
-    | Ir.Atomic { dst; space; arr; idx; v; _ } ->
-        check_arr space arr;
-        check_exp ~defined idx;
-        check_exp ~defined v;
-        (match dst with Some d -> SS.add d defined | None -> defined)
-    | Ir.Shfl { dst; v; lane; width; _ } ->
-        check_exp ~defined v;
-        check_exp ~defined lane;
+          err "vector load arity must be 2 or 4"
+    | Ir.Atomic { space; arr; idx; v; _ } ->
+        check_arr space arr; check_exp idx; check_exp v
+    | Ir.Shfl { v; lane; width; _ } ->
+        check_exp v;
+        check_exp lane;
         if not (valid_shfl_width width) then
           err (Printf.sprintf "invalid shuffle width %d" width);
         if ctrl = Analysis.Divergent then
-          err "warp shuffle under lane-divergent control flow";
-        SS.add dst defined
+          err "warp shuffle under lane-divergent control flow"
     | Ir.Sync ->
         if ctrl <> Analysis.Block_uniform then
-          err "__syncthreads() under thread-divergent control flow";
-        defined
-    | Ir.Comment _ -> defined
+          err "__syncthreads() under thread-divergent control flow"
+    | Ir.Comment _ -> ()
     | Ir.If (c, t, e) ->
-        check_exp ~defined c;
+        check_exp c;
         let branch_ctrl =
           Analysis.join_level ctrl (Analysis.exp_level ~tainted c)
         in
-        let dt = check_stmts ~defined ~tainted ~ctrl:branch_ctrl t in
-        let de = check_stmts ~defined ~tainted ~ctrl:branch_ctrl e in
-        SS.inter dt de
+        check_stmts ~tainted ~ctrl:branch_ctrl t;
+        check_stmts ~tainted ~ctrl:branch_ctrl e
     | Ir.For { var; init; cond; step; body } ->
-        check_exp ~defined init;
-        let defined' = SS.add var defined in
-        check_exp ~defined:defined' cond;
-        check_exp ~defined:defined' step;
+        check_exp init;
+        check_exp cond;
+        check_exp step;
         let loop_ctrl =
           Analysis.join_level ctrl
             (Analysis.join_level
                (Analysis.exp_level ~tainted init)
                (Analysis.exp_level ~tainted:(Analysis.SM.remove var tainted) cond))
         in
-        (* the loop body may not execute at all: defs inside don't escape *)
-        ignore (check_stmts ~defined:defined' ~tainted ~ctrl:loop_ctrl body);
-        defined
+        check_stmts ~tainted ~ctrl:loop_ctrl body
     | Ir.While (c, body) ->
-        check_exp ~defined c;
+        check_exp c;
         let loop_ctrl = Analysis.join_level ctrl (Analysis.exp_level ~tainted c) in
-        ignore (check_stmts ~defined ~tainted ~ctrl:loop_ctrl body);
-        defined
+        check_stmts ~tainted ~ctrl:loop_ctrl body
   in
   (* Divergence levels are computed over the whole body once (a sound
      over-approximation of any program point), then used to judge the
      control level of conditions. *)
   let tainted = Analysis.level_stmts Analysis.SM.empty k.Ir.k_body in
-  ignore (check_stmts ~defined:SS.empty ~tainted ~ctrl:Analysis.Block_uniform k.Ir.k_body);
+  check_stmts ~tainted ~ctrl:Analysis.Block_uniform k.Ir.k_body;
+  (* a register with two kinds, or a read no definition reaches *)
+  List.iter err (snd (Analysis.registers k));
   List.rev !errs
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,9 @@
 (** Well-formedness checks for device-IR kernels and programs.
 
-    Rejects references to undeclared names, registers used before every
-    path defines them, barriers outside block-uniform control flow,
+    Rejects references to undeclared names, the register errors of
+    {!Analysis.registers} (a register defined at two kinds, a read that
+    no definition reaches on every path), barriers outside block-uniform
+    control flow,
     shuffles under lane-divergent control flow, malformed shuffles and
     vector loads, and host-side launch mistakes (unknown kernels, argument
     mismatches, undeclared buffers/tunables). *)

@@ -27,16 +27,19 @@
 
    Registers
    ---------
-   Every thread's registers live in the frame of {!Compiled}: float and
-   int (and predicate) slots unboxed in a float and an int bank, slots
-   whose kind the compiler could not infer boxed as [Value.t]. Each
-   slot's writes (a statement's result, a memory cell, a shuffle's
-   source, an affine loop's jump) are compiled once per kernel into the
-   slot's writer, so the statement loops below never dispatch on a
-   register's kind. Only the boxed bank is reset per block: no read
-   reaches a typed slot before its first write. A bound buffer or
-   parameter whose kind differs from its declaration is rejected at
-   launch, since the slot kinds were inferred from the declarations.
+   Every thread's registers live in the frame of {!Compiled}: float
+   slots unboxed in a float bank, int and predicate slots in an int
+   bank, each slot of the one kind {!Device_ir.Analysis.registers}
+   gives its register. Each slot's writes (a statement's result, a
+   memory cell, a shuffle's source, an affine loop's jump) are compiled
+   once per kernel into the slot's writer, so the statement loops below
+   never dispatch on a register's kind. The banks are not reset between
+   blocks or launches: a kernel compiles only when a definition reaches
+   every read, and a shuffle lane outside the mask or past the block
+   publishes the destination kind's zero, not a register it never
+   wrote. A bound buffer or parameter whose kind differs from its
+   declaration is rejected at launch, since the slot kinds were taken
+   from the declarations.
 
    Sampling
    --------
@@ -191,13 +194,13 @@ let apply_atomic (ctx : block_ctx) ~(space : Ir.space) ~(slot : int)
       let b = ctx.globals.(slot) in
       let j = buffer_cell b i in
       let old = cell_value b.b_ty b.data.(j) in
-      (match dst with Some w -> w.C.load fr b.b_ty b.data j | None -> ());
+      (match dst with Some w -> w.C.load fr b.data j | None -> ());
       buffer_set b i (cell_value b.b_ty (Ir.combine op old v))
   | Ir.Shared ->
       let a = ctx.shared.(slot) and ty = ctx.k.R.rk_shared.(slot).Ir.sh_ty in
       let j = shared_cell ctx slot i in
       let old = cell_value ty a.(j) in
-      (match dst with Some w -> w.C.load fr ty a j | None -> ());
+      (match dst with Some w -> w.C.load fr a j | None -> ());
       shared_set ctx slot i (cell_value ty (Ir.combine op old v))
 
 (* per-lane operands of one warp statement: indices and stored values
@@ -206,11 +209,10 @@ let scratch_idx = Array.make warp_lanes 0
 let scratch_f = Array.make warp_lanes 0.0
 
 (* The register banks, reused from launch to launch rather than
-   allocated per launch: no read reaches a typed slot before its first
-   write in a block, and the boxed bank is reset per block. *)
+   allocated per launch: no read reaches a slot before its first write
+   in a block. *)
 let fbank = ref [||]
 let ibank = ref [||]
-let vbank = ref [||]
 
 let bank (pool : 'a array ref) (n : int) (zero : 'a) : 'a array =
   if Array.length !pool < n then pool := Array.make n zero;
@@ -260,7 +262,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
             if mask.(l) then begin
               let j = buffer_cell b scratch_idx.(l) in
               fr.C.tid <- base + l;
-              load fr b.b_ty b.data j
+              load fr b.data j
             end
           done;
           let trans = Lanes.segments scratch_idx mask lanes in
@@ -272,12 +274,12 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           charge ctx w (a.Arch.cyc_global *. float_of_int trans)
       | Ir.Shared ->
           let slot = l_arr.R.a_slot in
-          let cells = ctx.shared.(slot) and ty = ctx.k.R.rk_shared.(slot).Ir.sh_ty in
+          let cells = ctx.shared.(slot) in
           for l = 0 to lanes - 1 do
             if mask.(l) then begin
               let j = shared_cell ctx slot scratch_idx.(l) in
               fr.C.tid <- base + l;
-              load fr ty cells j
+              load fr cells j
             end
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
@@ -327,7 +329,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               ctx.k.R.rk_name base_i width;
           scratch_idx.(l) <- base_i;
           for j = 0 to width - 1 do
-            ctx.writers.(vl_dsts.(j)).C.load fr b.b_ty b.data (buffer_cell b (base_i + j))
+            ctx.writers.(vl_dsts.(j)).C.load fr b.data (buffer_cell b (base_i + j))
           done
         end
       done;
@@ -394,12 +396,12 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
             end;
             charge ctx w (a.Arch.cyc_global *. float_of_int distinct))
   | R.Shfl { sh_dst; sh_mode; sh_v; sh_lane; sh_width } ->
-      (* publish v from every lane of the warp (inactive lanes publish their
-         current register state, deterministically) *)
+      (* every active lane publishes v; a lane outside the mask or past
+         the block publishes the destination kind's zero *)
       let width = sh_width in
       let wr = ctx.writers.(sh_dst) in
       for l = 0 to warp_lanes - 1 do
-        if l < lanes then begin
+        if l < lanes && mask.(l) then begin
           fr.C.tid <- base + l;
           wr.C.publish sh_v fr l
         end
@@ -639,7 +641,7 @@ let apply_flip (ctx : block_ctx) (fl : Fault.flip) : unit =
       end
   | Fault.Register ->
       (* a float slot flips as F32, an int slot as I32, a predicate
-         negates: what the flip does to a boxed VF, VI or VB *)
+         negates *)
       let fr = ctx.fr and nregs = Array.length ctx.slots in
       let t = fl.Fault.fl_target mod ctx.nthreads in
       let bit = fl.Fault.fl_bit in
@@ -657,13 +659,6 @@ let apply_flip (ctx : block_ctx) (fl : Fault.flip) : unit =
         | C.Pred_reg i ->
             let j = (t * fr.C.ni) + i in
             fr.C.iregs.(j) <- 1 - fr.C.iregs.(j)
-        | C.Boxed_reg i ->
-            let j = (t * fr.C.nv) + i in
-            fr.C.vregs.(j) <-
-              (match fr.C.vregs.(j) with
-              | Value.VF f -> Value.VF (Fault.flip_value Ir.F32 ~bit f)
-              | Value.VI i -> Value.VI (flip_int i)
-              | Value.VB b -> Value.VB (not b))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel launch                                                       *)
@@ -684,11 +679,7 @@ type launch_result = {
 let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
     (ck : C.t) ~(grid : int) ~(block : int) ~(shared_elems : int)
     ~(globals : buffer array) ~(params : Value.t array) : launch_result =
-  let form =
-    if ck.C.full_warps && block mod warp_lanes <> 0 then Lazy.force ck.C.boxed
-    else ck.C.typed
-  in
-  let k = form.C.kernel in
+  let k = ck.C.kernel in
   if arch.Arch.warp_size <> warp_lanes then
     sim_error "architecture warp size %d unsupported (expected 32)"
       arch.Arch.warp_size;
@@ -702,16 +693,17 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
   if Array.length params <> Array.length k.R.rk_params then
     sim_error "%s: expected %d scalar parameters, got %d" k.R.rk_name
       (Array.length k.R.rk_params) (Array.length params);
-  (* typed slots take their kinds from the declarations *)
+  (* slots take their kinds from the declarations *)
   Array.iteri
     (fun i (name, ty) ->
-      if C.kind_of_value params.(i) <> C.kind_of_scalar ty then
+      if C.kind_of_value params.(i) <> Device_ir.Analysis.kind_of_scalar ty then
         sim_error "%s: scalar parameter %s is declared %s but bound to %s"
           k.R.rk_name name (Ir.show_scalar ty) (Value.to_string params.(i)))
     k.R.rk_params;
   Array.iteri
     (fun i (name, ty) ->
-      if C.kind_of_scalar globals.(i).b_ty <> C.kind_of_scalar ty then
+      let kind = Device_ir.Analysis.kind_of_scalar in
+      if kind globals.(i).b_ty <> kind ty then
         sim_error "%s: array %s is declared %s but bound to a %s buffer" k.R.rk_name
           name (Ir.show_scalar ty) (Ir.show_scalar globals.(i).b_ty))
     k.R.rk_arrays;
@@ -735,16 +727,14 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
       opts;
       ev;
       k;
-      writers = form.C.writers;
-      slots = form.C.slots;
+      writers = ck.C.writers;
+      slots = ck.C.slots;
       fr =
         {
-          C.fregs = bank fbank (block * form.C.nf) 0.0;
-          iregs = bank ibank (block * form.C.ni) 0;
-          vregs = bank vbank (block * form.C.nv) Value.zero;
-          nf = form.C.nf;
-          ni = form.C.ni;
-          nv = form.C.nv;
+          C.fregs = bank fbank (block * ck.C.nf) 0.0;
+          iregs = bank ibank (block * ck.C.ni) 0;
+          nf = ck.C.nf;
+          ni = ck.C.ni;
           params;
           block_dim = block;
           grid_dim = grid;
@@ -786,7 +776,6 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
          Events.begin_block ev;
          ctx.fr.C.block_idx <- b;
          Array.iter (fun sh -> Array.fill sh 0 (Array.length sh) 0.0) ctx.shared;
-         Array.fill ctx.fr.C.vregs 0 (block * form.C.nv) Value.zero;
          Array.fill ctx.wcycles 0 nwarps 0.0;
          if pos = flip_block then
            Array.iteri

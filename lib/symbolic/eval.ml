@@ -88,6 +88,9 @@ type ctx = {
   globals : gbuffer array;  (** by slot *)
   shared : sbuffer array;  (** by slot *)
   regs : Term.t array array;  (** [slot][thread] *)
+  zeros : Term.t array;
+      (** by slot: the zero of the register's kind, which a shuffle lane
+          past the block publishes *)
   nthreads : int;
   nwarps : int;
   mutable block_idx : int;
@@ -384,10 +387,11 @@ let rec exec_warp (ctx : ctx) (w : int) (mask : bool array) (s : estmt) : unit =
           "%s: shuffle width %d exceeds the %d-lane warp (sub-warp state is \
            undefined beyond the hardware warp)"
           ctx.kname width warp_lanes;
-      (* every resident lane publishes v; missing tail lanes publish zero *)
+      (* every resident lane publishes v; missing tail lanes publish the
+         zero of the destination's kind *)
       let publish =
         Array.init warp_lanes (fun l ->
-            if l < lanes then sh_v.ev ctx (base + l) else Term.Conc Value.zero)
+            if l < lanes then sh_v.ev ctx (base + l) else ctx.zeros.(sh_dst))
       in
       for l = 0 to lanes - 1 do
         if mask.(l) then begin
@@ -609,7 +613,7 @@ let rec exec_block_stmt (ctx : ctx) (s : estmt) : unit =
 (* Kernel launch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_kernel (k : eexp R.kernel) ~(grid : int) ~(block : int)
+let run_kernel ((k, zeros) : eexp R.kernel * Term.t array) ~(grid : int) ~(block : int)
     ~(shared_elems : int) ~(globals : gbuffer array) ~(params : Value.t array)
     ~(launch_idx : int) : unit =
   let name = k.R.rk_name in
@@ -650,6 +654,7 @@ let run_kernel (k : eexp R.kernel) ~(grid : int) ~(block : int)
       globals;
       shared;
       regs = Array.init k.R.rk_nregs (fun _ -> Array.make block (Term.Conc Value.zero));
+      zeros;
       nthreads = block;
       nwarps = (block + warp_lanes - 1) / warp_lanes;
       block_idx = 0;
@@ -678,11 +683,29 @@ let run_kernel (k : eexp R.kernel) ~(grid : int) ~(block : int)
 (* ------------------------------------------------------------------ *)
 
 (* a program whose kernels are resolved once, on their first launch,
-   for every geometry it runs at *)
-type program = { prog : Ir.program; kernels : (string * eexp R.kernel Lazy.t) list }
+   for every geometry it runs at, each with its registers' zeros *)
+type program = {
+  prog : Ir.program;
+  kernels : (string * (eexp R.kernel * Term.t array) Lazy.t) list;
+}
+
+let resolve_kernel (k : Ir.kernel) : eexp R.kernel * Term.t array =
+  let rk = R.kernel compile k in
+  let kinds = fst (Device_ir.Analysis.registers k) in
+  let zero r =
+    Term.Conc
+      (match Device_ir.Analysis.SM.find_opt r kinds with
+      | Some Device_ir.Analysis.Float -> Value.VF 0.0
+      | Some Device_ir.Analysis.Pred -> Value.VB false
+      | Some Device_ir.Analysis.Int | None -> Value.zero)
+  in
+  (rk, Array.map zero rk.R.rk_reg_names)
 
 let resolve (p : Ir.program) : program =
-  { prog = p; kernels = List.map (fun k -> (k.Ir.k_name, lazy (R.kernel compile k))) p.Ir.p_kernels }
+  {
+    prog = p;
+    kernels = List.map (fun k -> (k.Ir.k_name, lazy (resolve_kernel k))) p.Ir.p_kernels;
+  }
 
 (** Symbolically execute [p] on a fully symbolic input of [n] elements
     (element [i] is {!Term.Sym}[ i]) and return the term left in cell 0

@@ -467,7 +467,7 @@ let register_slots () : string =
                 (Synthesis.Version.name v) k.Device_ir.Ir.k_name
                 (String.concat ""
                    (List.map (( ^ ) " ") (Array.to_list
-                      ck.Gpusim.Compiled.typed.kernel.Device_ir.Resolve.rk_reg_names))))
+                      ck.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names))))
             p.Device_ir.Ir.p_kernels)
         (Synthesis.Version.enumerate ()))
     (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
@@ -479,17 +479,15 @@ let register_kinds () : string =
   let buf = Buffer.create 131072 in
   let kernel label (k : Device_ir.Ir.kernel) =
     let ck = Gpusim.Compiled.compile k in
-    let form = ck.Gpusim.Compiled.typed in
     Printf.bprintf buf "%s/%s:" label k.Device_ir.Ir.k_name;
     Array.iteri
       (fun i name ->
         Printf.bprintf buf " %s:%s" name
-          (match form.Gpusim.Compiled.slots.(i) with
+          (match ck.Gpusim.Compiled.slots.(i) with
           | Gpusim.Compiled.Int_reg _ -> "int"
           | Gpusim.Compiled.Float_reg _ -> "float"
-          | Gpusim.Compiled.Pred_reg _ -> "pred"
-          | Gpusim.Compiled.Boxed_reg _ -> "boxed"))
-      form.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names;
+          | Gpusim.Compiled.Pred_reg _ -> "pred"))
+      ck.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names;
     Buffer.add_char buf '\n'
   in
   List.iter

@@ -200,6 +200,30 @@ let shuffle_tests =
         Alcotest.check fa "warp sums" [| 496.; 496. |] out;
         Alcotest.(check (float 0.0)) "shuffles counted" 10.0
           lr.I.lr_events.Gpusim.Events.shfl_insts);
+    Alcotest.test_case "a lane-divergent shuffle repeats from launch to launch" `Quick
+      (fun () ->
+        (* lanes 0-15 read z from lanes 16-31, which are outside the
+           mask and have not written z yet in this launch: they publish
+           the float zero, not what the previous launch left in their
+           slot *)
+        let k =
+          kernel ~arrays:[ ("out", Ir.F32) ]
+            [
+              Ir.if_ Ir.(lane_id <: Int 16)
+                [
+                  Ir.let_ "z" Ir.(Float 2.0 *: tid);
+                  Ir.shfl_down "y" (Ir.Reg "z") (Ir.Int 16) ~width:32;
+                  Ir.store_global "out" Ir.tid (Ir.Reg "y");
+                ]
+                [];
+              Ir.let_ "z" Ir.(Float 5.0 +: tid);
+            ]
+        in
+        Alcotest.(check bool) "lane-divergent" true (Device_ir.Validate.check_kernel k <> []);
+        let first, _ = run ~block:32 ~out_size:32 k in
+        let second, _ = run ~block:32 ~out_size:32 k in
+        Alcotest.check fa "zeros" (Array.make 32 0.0) first;
+        Alcotest.check fa "same output" first second);
   ]
 
 (* -------------------------------------------------------------- *)
@@ -624,40 +648,38 @@ let sampling_tests =
 (* -------------------------------------------------------------- *)
 
 let slot_of (ck : Gpusim.Compiled.t) name =
-  let f = ck.Gpusim.Compiled.typed in
-  let names = f.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names in
+  let names = ck.Gpusim.Compiled.kernel.Device_ir.Resolve.rk_reg_names in
   let rec find i = if names.(i) = name then i else find (i + 1) in
-  f.Gpusim.Compiled.slots.(find 0)
+  ck.Gpusim.Compiled.slots.(find 0)
+
+(* the kernel does not compile, and the message names [reg] *)
+let rejected name ~reg k =
+  Alcotest.test_case name `Quick (fun () ->
+      match Gpusim.Compiled.compile k with
+      | _ -> Alcotest.fail "expected Compile_error"
+      | exception Gpusim.Compiled.Compile_error msg ->
+          let quoted = Printf.sprintf "%S" reg in
+          let n = String.length quoted in
+          let rec names i =
+            i + n <= String.length msg && (String.sub msg i n = quoted || names (i + 1))
+          in
+          if not (names 0) then Alcotest.failf "%S does not name %s" msg reg)
 
 let kind_tests =
   [
-    Alcotest.test_case "a register with two kinds keeps the boxed path" `Quick
-      (fun () ->
-        (* x holds an int, then a float; s is an int in lanes 0-15 and a
-           float in the others: each Div follows its operands' kinds *)
-        let k =
-          kernel ~arrays:[ ("out", Ir.F32) ]
-            [
-              Ir.let_ "x" (Ir.Int 7);
-              Ir.let_ "q" Ir.(Reg "x" /: Int 2);
-              Ir.let_ "x" (Ir.Float 7.0);
-              Ir.let_ "r" Ir.(Reg "x" /: Int 2);
-              Ir.let_ "s" Ir.(select (tid <: Int 16) (Int 1) (Float 2.5));
-              Ir.let_ "t" Ir.(Reg "s" /: Int 2);
-              Ir.store_global "out" Ir.tid Ir.(Reg "q" +: Reg "r" +: Reg "t");
-            ]
-        in
-        let out, _ = run ~block:32 ~out_size:32 k in
-        Alcotest.check fa "3 + 3.5, plus 1/2 = 0 or 2.5/2 = 1.25"
-          (Array.init 32 (fun t -> if t < 16 then 6.5 else 7.75))
-          out;
-        let ck = Gpusim.Compiled.compile k in
-        List.iter
-          (fun r ->
-            match slot_of ck r with
-            | Gpusim.Compiled.Boxed_reg _ -> ()
-            | _ -> Alcotest.failf "%s should be boxed" r)
-          [ "x"; "q"; "r"; "s"; "t" ]);
+    rejected "a register with two kinds is rejected" ~reg:"x"
+      (kernel ~arrays:[ ("out", Ir.F32) ]
+         [
+           Ir.let_ "x" (Ir.Int 7);
+           Ir.let_ "x" (Ir.Float 7.0);
+           Ir.store_global "out" Ir.tid (Ir.Reg "x");
+         ]);
+    rejected "a select whose arms differ in kind is rejected" ~reg:"s"
+      (kernel ~arrays:[ ("out", Ir.F32) ]
+         [
+           Ir.let_ "s" Ir.(select (tid <: Int 16) (Int 1) (Float 2.5));
+           Ir.store_global "out" Ir.tid (Ir.Reg "s");
+         ]);
     Alcotest.test_case "single-kind registers are typed" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("out", Ir.F32) ]
@@ -677,29 +699,20 @@ let kind_tests =
         | Gpusim.Compiled.Int_reg _, Gpusim.Compiled.Float_reg _, Gpusim.Compiled.Pred_reg _ ->
             ()
         | _ -> Alcotest.fail "expected int, float and predicate slots"));
-    Alcotest.test_case "a read before the first write keeps the boxed zero" `Quick
-      (fun () ->
-        (* the first iteration reads acc before any write: the int 0,
-           so acc stays boxed *)
-        let k =
-          kernel ~arrays:[ ("out", Ir.F32) ]
-            [
-              Ir.for_ "i" ~init:(Ir.Int 0) ~cond:Ir.(Reg "i" <: Int 2)
-                ~step:Ir.(Reg "i" +: Int 1)
-                [ Ir.let_ "acc" Ir.(Reg "acc" +: Float 1.5) ];
-              Ir.store_global "out" Ir.tid (Ir.Reg "acc");
-            ]
-        in
-        let out, _ = run ~block:1 ~out_size:1 k in
-        Alcotest.check fa "two iterations" [| 3.0 |] out;
-        match slot_of (Gpusim.Compiled.compile k) "acc" with
-        | Gpusim.Compiled.Boxed_reg _ -> ()
-        | _ -> Alcotest.fail "acc should be boxed");
-    Alcotest.test_case "lanes past a partial warp publish the int zero" `Quick
+    (* the first iteration reads acc before any write *)
+    rejected "a read before the first write is rejected" ~reg:"acc"
+      (kernel ~arrays:[ ("out", Ir.F32) ]
+         [
+           Ir.for_ "i" ~init:(Ir.Int 0) ~cond:Ir.(Reg "i" <: Int 2)
+             ~step:Ir.(Reg "i" +: Int 1)
+             [ Ir.let_ "acc" Ir.(Reg "acc" +: Float 1.5) ];
+           Ir.store_global "out" Ir.tid (Ir.Int 0);
+         ]);
+    Alcotest.test_case "lanes past a partial warp publish the typed zero" `Quick
       (fun () ->
         (* in a block of 20, lanes 4-15 shuffle down from lanes 20-31,
-           which do not exist and publish the boxed int 0: negated it
-           stays +0, where a float zero would give -0 *)
+           which do not exist and publish y's kind's zero, the float
+           +0.0: negated it gives -0.0 *)
         let k =
           kernel ~arrays:[ ("out", Ir.F32) ]
             [
@@ -708,12 +721,10 @@ let kind_tests =
               Ir.store_global "out" Ir.tid (Ir.Unop (Ir.Neg, Ir.Reg "y"));
             ]
         in
-        Alcotest.(check bool) "needs full warps" true
-          (Gpusim.Compiled.compile k).Gpusim.Compiled.full_warps;
         let out, _ = run ~block:20 ~out_size:20 k in
         Array.iteri
           (fun t v ->
-            let expected = if t >= 4 && t < 16 then infinity else -.(1.0 /. 1.5) in
+            let expected = if t >= 4 && t < 16 then neg_infinity else -.(1.0 /. 1.5) in
             Alcotest.(check (float 0.0)) (Printf.sprintf "1 / out.(%d)" t) expected
               (1.0 /. v))
           out);
