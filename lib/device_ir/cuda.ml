@@ -96,62 +96,27 @@ let shfl_c (opts : options) (mode : Ir.shuffle_mode) ~v ~lane ~width : string =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Registers are declared at first definition. CUDA C scoping follows the
-   IR's structure, but a register first assigned inside a branch and used
-   afterwards must be hoisted; we conservatively declare every register at
-   kernel top, which mirrors what the paper's listings do ("int val = 0;"
-   at the top). The element scalar type of the kernel is used for value
-   registers; loop iterators and index-like registers are typed [int]. *)
-
-let emit_stmts (opts : options) ~(elem : Ir.scalar) (k : Ir.kernel) : string =
+(* Every register is declared at kernel top, which mirrors what the
+   paper's listings do ("int val = 0;" at the top) and covers a register
+   first assigned inside a branch and used after it. Its C type is its
+   kind from {!Analysis.registers}, the rule the validator and the
+   interpreter follow. *)
+let emit_stmts (opts : options) (k : Ir.kernel) : string =
   let buf = Buffer.create 1024 in
   let pad lvl = String.make (lvl * opts.indent) ' ' in
   let line lvl s = Buffer.add_string buf (pad lvl); Buffer.add_string buf s;
                    Buffer.add_char buf '\n' in
-  (* Heuristic typing of registers: iterators of For loops and registers
-     whose name starts with "i_"/"idx" are ints; everything else carries the
-     kernel element type. This is sufficient for the reduction family where
-     values and indices never mix. *)
-  let int_regs = ref Analysis.SS.empty in
-  let rec collect_int_regs (s : Ir.stmt) =
-    match s with
-    | Ir.For { var; body; _ } ->
-        int_regs := Analysis.SS.add var !int_regs;
-        List.iter collect_int_regs body
-    | Ir.If (_, t, e) -> List.iter collect_int_regs t; List.iter collect_int_regs e
-    | Ir.While (_, body) -> List.iter collect_int_regs body
-    | Ir.Let (r, e) ->
-        (* index arithmetic: an integer-valued expression built only from
-           specials, ints and other int registers *)
-        let rec is_int_exp (e : Ir.exp) =
-          match e with
-          | Ir.Int _ -> true
-          | Ir.Float _ | Ir.Bool _ -> false
-          | Ir.Special _ -> true
-          | Ir.Reg r -> Analysis.SS.mem r !int_regs
-          | Ir.Param _ -> true
-          | Ir.Unop (_, a) -> is_int_exp a
-          | Ir.Binop ((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Land | Ir.Lor), _, _) ->
-              false
-          | Ir.Binop (_, a, b) -> is_int_exp a && is_int_exp b
-          | Ir.Select (_, a, b) -> is_int_exp a && is_int_exp b
-        in
-        if is_int_exp e then int_regs := Analysis.SS.add r !int_regs
-    | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _ | Ir.Shfl _ | Ir.Sync
-    | Ir.Comment _ ->
-        ()
-  in
-  List.iter collect_int_regs k.Ir.k_body;
-  let declared = ref Analysis.SS.empty in
-  let reg_decl lvl r =
-    if not (Analysis.SS.mem r !declared) then begin
-      declared := Analysis.SS.add r !declared;
-      let ty = if Analysis.SS.mem r !int_regs then "int" else scalar_c elem in
-      line lvl (Printf.sprintf "%s %s;" ty r)
-    end
-  in
-  (* declare all registers up front, like the paper's listings *)
-  Analysis.SS.iter (fun r -> reg_decl 1 r) (Analysis.all_defs k.Ir.k_body);
+  let kinds = fst (Analysis.registers k) in
+  Analysis.SS.iter
+    (fun r ->
+      let ty =
+        match Analysis.SM.find r kinds with
+        | Analysis.Int -> "int"
+        | Analysis.Float -> "float"
+        | Analysis.Pred -> "bool"
+      in
+      line 1 (Printf.sprintf "%s %s;" ty r))
+    (Analysis.all_defs k.Ir.k_body);
   let rec stmt lvl (s : Ir.stmt) =
     match s with
     | Ir.Comment c -> line lvl ("// " ^ c)
@@ -213,8 +178,7 @@ let emit_stmts (opts : options) ~(elem : Ir.scalar) (k : Ir.kernel) : string =
 (* Kernels                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let emit_kernel ?(options = default_options) ~(elem : Ir.scalar) (k : Ir.kernel) :
-    string =
+let emit_kernel ?(options = default_options) (k : Ir.kernel) : string =
   let buf = Buffer.create 2048 in
   let arr_params =
     List.map (fun (n, t) -> Printf.sprintf "%s *%s" (scalar_c t) n) k.Ir.k_arrays
@@ -239,7 +203,7 @@ let emit_kernel ?(options = default_options) ~(elem : Ir.scalar) (k : Ir.kernel)
             (Printf.sprintf "  extern __shared__ %s %s[];\n" (scalar_c d.Ir.sh_ty)
                d.Ir.sh_name))
     k.Ir.k_shared;
-  Buffer.add_string buf (emit_stmts options ~elem k);
+  Buffer.add_string buf (emit_stmts options k);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
@@ -289,7 +253,7 @@ let emit_program ?(options = default_options) (p : Ir.program) : string =
   Buffer.add_char buf '\n';
   List.iter
     (fun k ->
-      Buffer.add_string buf (emit_kernel ~options ~elem k);
+      Buffer.add_string buf (emit_kernel ~options k);
       Buffer.add_char buf '\n')
     p.Ir.p_kernels;
   Buffer.add_string buf

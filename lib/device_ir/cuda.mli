@@ -11,9 +11,10 @@ type options = {
 
 val default_options : options
 
-(** Render one kernel as a [__global__] function. [elem] types the value
-    registers. *)
-val emit_kernel : ?options:options -> elem:Ir.scalar -> Ir.kernel -> string
+(** Render one kernel as a [__global__] function. Every register is
+    declared at the top, as [int], [float] or [bool] by its kind from
+    {!Analysis.registers}. *)
+val emit_kernel : ?options:options -> Ir.kernel -> string
 
 (** Render a whole program as one .cu translation unit: tunable macros,
     the kernels, and a host entry point performing the allocations,

@@ -9,11 +9,9 @@
    syntactically faithful PTX (loads/stores with parameter-space address
    arithmetic, setp/selp, shfl, atom/red, bar.sync) targeted at sm_60.
 
-   Register typing is inferred: loads type their destination from the
-   array's element type; expressions propagate types bottom-up
-   (comparisons and logical operators produce predicates, any float
-   operand makes an arithmetic result f32); a two-pass fixed point covers
-   loop-carried registers. *)
+   Each IR register's class is its kind from {!Analysis.registers}, the
+   rule the validator and the interpreter follow: an int register is
+   s32, a float one f32 and a predicate pred. *)
 
 type rty = S32 | F32 | Pred
 
@@ -24,11 +22,8 @@ type emitter = {
   buf : Buffer.t;
   mutable next : int array;  (** per-class virtual register counters *)
   mutable next_label : int;
-  reg_types : (string, rty) Hashtbl.t;  (** IR register -> class *)
+  kinds : Analysis.kind Analysis.SM.t;  (** IR register -> kind *)
   reg_homes : (string, string) Hashtbl.t;  (** IR register -> virtual reg *)
-  arrays : (string * Ir.scalar) list;  (** global arrays, declaration order *)
-  params : (string * Ir.scalar) list;
-  shared : Ir.shared_decl list;
   kname : string;
 }
 
@@ -58,84 +53,21 @@ let label (e : emitter) (l : string) =
   Buffer.add_string e.buf ":\n"
 
 (* ------------------------------------------------------------------ *)
-(* Register type inference                                             *)
-(* ------------------------------------------------------------------ *)
-
-let scalar_rty (t : Ir.scalar) : rty =
-  match t with Ir.F32 -> F32 | Ir.I32 | Ir.U32 -> S32 | Ir.Pred -> Pred
-
-let rec exp_rty (types : (string, rty) Hashtbl.t) (e : Ir.exp) : rty =
-  match e with
-  | Ir.Int _ -> S32
-  | Ir.Float _ -> F32
-  | Ir.Bool _ -> Pred
-  | Ir.Param _ -> S32
-  | Ir.Special _ -> S32
-  | Ir.Reg r -> ( match Hashtbl.find_opt types r with Some t -> t | None -> S32)
-  | Ir.Unop (Ir.Lnot, _) -> Pred
-  | Ir.Unop (_, a) -> exp_rty types a
-  | Ir.Binop ((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Land | Ir.Lor), _, _)
-    ->
-      Pred
-  | Ir.Binop (_, a, b) -> (
-      match (exp_rty types a, exp_rty types b) with
-      | F32, _ | _, F32 -> F32
-      | Pred, Pred -> Pred
-      | _ -> S32)
-  | Ir.Select (_, a, b) -> (
-      match (exp_rty types a, exp_rty types b) with
-      | F32, _ | _, F32 -> F32
-      | _ -> S32)
-
-let infer_types (k : Ir.kernel) : (string, rty) Hashtbl.t =
-  let types : (string, rty) Hashtbl.t = Hashtbl.create 32 in
-  let arr_ty name =
-    match List.assoc_opt name k.Ir.k_arrays with
-    | Some t -> scalar_rty t
-    | None -> (
-        match
-          List.find_opt (fun d -> d.Ir.sh_name = name) k.Ir.k_shared
-        with
-        | Some d -> scalar_rty d.Ir.sh_ty
-        | None -> S32)
-  in
-  let assign r ty =
-    (* floats are sticky: once f32, always f32 *)
-    match Hashtbl.find_opt types r with
-    | Some F32 -> ()
-    | _ -> Hashtbl.replace types r ty
-  in
-  let rec stmt (s : Ir.stmt) =
-    match s with
-    | Ir.Let (r, e) -> assign r (exp_rty types e)
-    | Ir.Load { dst; arr; _ } -> assign dst (arr_ty arr)
-    | Ir.Vec_load { dsts; arr; _ } -> List.iter (fun d -> assign d (arr_ty arr)) dsts
-    | Ir.Atomic { dst = Some d; arr; _ } -> assign d (arr_ty arr)
-    | Ir.Shfl { dst; v; _ } -> assign dst (exp_rty types v)
-    | Ir.For { var; body; _ } ->
-        assign var S32;
-        List.iter stmt body
-    | Ir.If (_, t, e) -> List.iter stmt t; List.iter stmt e
-    | Ir.While (_, body) -> List.iter stmt body
-    | Ir.Atomic { dst = None; _ } | Ir.Store _ | Ir.Sync | Ir.Comment _ -> ()
-  in
-  (* two passes reach the loop-carried fixed point *)
-  List.iter stmt k.Ir.k_body;
-  List.iter stmt k.Ir.k_body;
-  types
-
-(* ------------------------------------------------------------------ *)
 (* Expression lowering                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* an IR register's class; one no definition gave a kind is s32 *)
+let reg_rty (e : emitter) (r : string) : rty =
+  match Analysis.SM.find_opt r e.kinds with
+  | Some Analysis.Float -> F32
+  | Some Analysis.Pred -> Pred
+  | Some Analysis.Int | None -> S32
 
 let home (e : emitter) (r : string) : string =
   match Hashtbl.find_opt e.reg_homes r with
   | Some v -> v
   | None ->
-      let ty =
-        match Hashtbl.find_opt e.reg_types r with Some t -> t | None -> S32
-      in
-      let v = fresh e ty in
+      let v = fresh e (reg_rty e r) in
       Hashtbl.add e.reg_homes r v;
       v
 
@@ -157,11 +89,7 @@ let rec lower_exp (e : emitter) (x : Ir.exp) : string * rty =
       let r = fresh e Pred in
       ins e "setp.eq.s32 \t%s, %d, 1;" r (if b then 1 else 0);
       (r, Pred)
-  | Ir.Reg r -> (
-      let v = home e r in
-      match Hashtbl.find_opt e.reg_types r with
-      | Some t -> (v, t)
-      | None -> (v, S32))
+  | Ir.Reg r -> (home e r, reg_rty e r)
   | Ir.Param p ->
       let r = fresh e S32 in
       ins e "ld.param.u32 \t%s, [%s_param_%s];" r e.kname p;
@@ -379,9 +307,7 @@ let rec lower_stmt (e : emitter) (s : Ir.stmt) : unit =
   | Ir.Let (r, x) ->
       let v, t = lower_exp e x in
       let dst = home e r in
-      let want =
-        match Hashtbl.find_opt e.reg_types r with Some ty -> ty | None -> t
-      in
+      let want = reg_rty e r in
       let v = coerce e (v, t) want in
       (match want with
       | Pred -> ins e "and.pred \t%s, %s, %s;" dst v v
@@ -390,10 +316,9 @@ let rec lower_stmt (e : emitter) (s : Ir.stmt) : unit =
   | Ir.Load { dst; space; arr; idx } ->
       let rd = address e ~space arr idx in
       let d = home e dst in
-      let t = match Hashtbl.find_opt e.reg_types dst with Some t -> t | None -> S32 in
       ins e "ld.%s.%s \t%s, [%s];"
         (match space with Ir.Global -> "global" | Ir.Shared -> "shared")
-        (ld_suffix t) d rd
+        (ld_suffix (reg_rty e dst)) d rd
   | Ir.Store { space; arr; idx; v } ->
       let rv, tv = lower_exp e v in
       let rd = address e ~space arr idx in
@@ -482,17 +407,13 @@ let rec lower_stmt (e : emitter) (s : Ir.stmt) : unit =
 (** Render one kernel as a PTX [.entry]. Dynamic shared arrays become
     [.extern .shared] declarations. *)
 let emit_kernel (k : Ir.kernel) : string =
-  let types = infer_types k in
   let e =
     {
       buf = Buffer.create 4096;
       next = [| 1; 1; 1; 1 |];
       next_label = 0;
-      reg_types = types;
+      kinds = fst (Analysis.registers k);
       reg_homes = Hashtbl.create 32;
-      arrays = k.Ir.k_arrays;
-      params = k.Ir.k_params;
-      shared = k.Ir.k_shared;
       kname = k.Ir.k_name;
     }
   in

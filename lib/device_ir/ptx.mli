@@ -6,16 +6,10 @@
     front end would produce — useful for inspecting the instruction mix
     (shuffles, atomics with scopes, barriers) the synthesis decided on. *)
 
-(** Register classes: 32-bit integer ([%r]), 32-bit float ([%f]) and
-    predicates ([%p]); addresses use a fourth, 64-bit class ([%rd]). *)
-type rty = S32 | F32 | Pred
-
-(** Infer each IR register's class (loads type their destination from the
-    array element type; comparisons produce predicates; floats are
-    sticky). *)
-val infer_types : Ir.kernel -> (string, rty) Hashtbl.t
-
-(** Render one kernel as a [.visible .entry]. *)
+(** Render one kernel as a [.visible .entry]. Every IR register is
+    declared in the class of its kind from {!Analysis.registers}: 32-bit
+    integer ([%r]), 32-bit float ([%f]) or predicate ([%p]); addresses
+    use a fourth, 64-bit class ([%rd]). *)
 val emit_kernel : Ir.kernel -> string
 
 (** Render a whole program's kernels as one PTX module. *)

@@ -223,6 +223,17 @@ let invalid name ~containing k =
 
 let sh name size = { Ir.sh_name = name; sh_ty = Ir.F32; sh_size = size }
 
+(* exactly one diagnostic, a TVAL001 error naming register [reg] *)
+let one_register_error name ~reg k =
+  Alcotest.test_case name `Quick (fun () ->
+      match V.to_diags (V.check_kernel k) with
+      | [ d ] ->
+          Alcotest.(check string) "code" "TVAL001" d.Device_ir.Diag.code;
+          let quoted = Printf.sprintf "%S" reg in
+          if not (string_contains d.Device_ir.Diag.message quoted) then
+            Alcotest.failf "%S does not name %s" d.Device_ir.Diag.message quoted
+      | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds))
+
 let validator_tests =
   [
     valid "well-formed kernel"
@@ -260,6 +271,28 @@ let validator_tests =
              ~step:Ir.(Reg "i" +: Int 1)
              [ Ir.let_ "x" (Ir.Int 1) ];
            Ir.let_ "y" (Ir.Reg "x");
+         ]);
+    one_register_error "a register defined as int and then as float" ~reg:"x"
+      (kernel
+         [ Ir.let_ "x" (Ir.Int 1); Ir.let_ "x" (Ir.Float 1.0); Ir.store_global "g" Ir.tid (Ir.Reg "x") ]);
+    one_register_error "a select whose arms differ in kind" ~reg:"s"
+      (kernel
+         [
+           Ir.let_ "s" Ir.(select (tid <: Int 16) (Int 1) (Float 2.5));
+           Ir.store_global "g" Ir.tid (Ir.Reg "s");
+         ]);
+    one_register_error "a loop iterator that starts at a float" ~reg:"i"
+      (kernel
+         [
+           Ir.for_ "i" ~init:(Ir.Float 0.0) ~cond:Ir.(Reg "i" <: Int 4)
+             ~step:Ir.(Reg "i" +: Int 1)
+             [ Ir.store_global "g" (Ir.Reg "i") (Ir.Float 1.0) ];
+         ]);
+    one_register_error "a read before any definition" ~reg:"acc"
+      (kernel
+         [
+           Ir.let_ "acc" Ir.(Reg "acc" +: Float 1.0);
+           Ir.store_global "g" Ir.tid (Ir.Reg "acc");
          ]);
     invalid "sync under divergent if" ~containing:"__syncthreads"
       (kernel [ Ir.if_ Ir.(tid =: Int 0) [ Ir.Sync ] [] ]);
@@ -351,7 +384,7 @@ let program_tests =
 (* -------------------------------------------------------------- *)
 
 let cuda_tests =
-  let emit ?options k = Device_ir.Cuda.emit_kernel ?options ~elem:Ir.F32 k in
+  let emit ?options k = Device_ir.Cuda.emit_kernel ?options k in
   let has name snippet k =
     Alcotest.test_case name `Quick (fun () ->
         let src = emit k in

@@ -138,7 +138,15 @@ let instruction_tests =
         check_labels unrolled);
   ]
 
+(* the emitter declares each register in the class of its kind from
+   the analysis the validator and the interpreter share *)
 let inference_tests =
+  let module A = Device_ir.Analysis in
+  let kinds k =
+    let kinds, errs = A.registers k in
+    Alcotest.(check (list string)) "no register errors" [] errs;
+    kinds
+  in
   [
     Alcotest.test_case "loads type their destinations" `Quick (fun () ->
         let k =
@@ -148,9 +156,13 @@ let inference_tests =
               [ Ir.load_global "a" "f" (Ir.Int 0); Ir.load_global "b" "i" (Ir.Int 0) ];
           }
         in
-        let types = Ptx.infer_types k in
-        Alcotest.(check bool) "a is f32" true (Hashtbl.find types "a" = Ptx.F32);
-        Alcotest.(check bool) "b is s32" true (Hashtbl.find types "b" = Ptx.S32));
+        let kinds = kinds k in
+        Alcotest.(check bool) "a is float" true (A.SM.find "a" kinds = A.Float);
+        Alcotest.(check bool) "b is int" true (A.SM.find "b" kinds = A.Int);
+        let src = Ptx.emit_kernel k in
+        Alcotest.(check bool) "a loads into %f1" true
+          (string_contains src "ld.global.f32 \t%f1");
+        Alcotest.(check bool) "b loads into %r" true (string_contains src "ld.global.u32 \t%r"));
     Alcotest.test_case "comparisons are predicates" `Quick (fun () ->
         let k =
           { Ir.k_name = "k"; k_params = []; k_arrays = [];
@@ -158,11 +170,10 @@ let inference_tests =
             k_body = [ Ir.let_ "p" Ir.(tid <: Int 3) ];
           }
         in
-        Alcotest.(check bool) "pred" true
-          (Hashtbl.find (Ptx.infer_types k) "p" = Ptx.Pred));
-    Alcotest.test_case "float contamination is sticky across loops" `Quick (fun () ->
-        (* acc starts as an int-looking zero but accumulates floats inside
-           the loop: the second inference pass must make it f32 *)
+        Alcotest.(check bool) "pred" true (A.SM.find "p" (kinds k) = A.Pred));
+    Alcotest.test_case "float contamination is rejected" `Quick (fun () ->
+        (* acc starts as an int zero but accumulates floats inside the
+           loop: a register defined at two kinds *)
         let k =
           { Ir.k_name = "k"; k_params = []; k_arrays = [ ("f", Ir.F32) ];
             k_shared = [];
@@ -179,8 +190,10 @@ let inference_tests =
               ];
           }
         in
-        Alcotest.(check bool) "acc is f32" true
-          (Hashtbl.find (Ptx.infer_types k) "acc" = Ptx.F32));
+        match A.registers k with
+        | _, [ e ] ->
+            Alcotest.(check bool) "names acc" true (string_contains e "\"acc\"")
+        | _, errs -> Alcotest.failf "expected one error, got %d" (List.length errs));
   ]
 
 let () =
