@@ -137,6 +137,7 @@ let () =
     (fun arch ->
       let version, _ = Tangram.select ctx ~arch ~n:(Array.length input) in
       let o = Tangram.reduce_outcome ctx ~arch input in
+      let ok = Float.abs (o.Tangram.Runner.result -. expected) < 1e-2 in
       Printf.printf "  %-8s picks %s%s : %.4f (host %.4f) in %.2f us  %s\n"
         arch.Tangram.Arch.generation
         (match Tangram.Version.figure6_label version with
@@ -144,6 +145,6 @@ let () =
         | None -> "")
         (Tangram.Version.name version) o.Tangram.Runner.result expected
         o.Tangram.Runner.time_us
-        (if Float.abs (o.Tangram.Runner.result -. expected) < 1e-2 then "OK"
-         else "WRONG"))
+        (if ok then "OK" else "WRONG");
+      assert ok)
     Tangram.Arch.presets

@@ -93,9 +93,9 @@ let () =
       in
       let cost = Tangram.Cost.of_launch arch lr in
       let result = out.Tangram.Interp.data.(0) in
+      let ok = Float.abs (result -. !reference) < 1e-2 *. (1.0 +. Float.abs !reference) in
       Printf.printf "%-10s dot = %.6f (reference %.6f)  %.2f us  %s\n"
         arch.Tangram.Arch.generation result !reference cost.Tangram.Cost.time_us
-        (if Float.abs (result -. !reference) < 1e-2 *. (1.0 +. Float.abs !reference)
-         then "OK"
-         else "WRONG"))
+        (if ok then "OK" else "WRONG");
+      assert ok)
     Tangram.Arch.presets
