@@ -192,11 +192,9 @@ let registers (k : Ir.kernel) : kind SM.t * string list =
   let declared (decls : (string * Ir.scalar) list) name =
     match List.assoc_opt name decls with Some t -> kind_of_scalar t | None -> Int
   in
+  let shared = List.map (fun d -> (d.Ir.sh_name, d.Ir.sh_ty)) k.Ir.k_shared in
   let array (space : Ir.space) arr =
-    match space with
-    | Ir.Global -> declared k.Ir.k_arrays arr
-    | Ir.Shared ->
-        declared (List.map (fun d -> (d.Ir.sh_name, d.Ir.sh_ty)) k.Ir.k_shared) arr
+    declared (match space with Ir.Global -> k.Ir.k_arrays | Ir.Shared -> shared) arr
   in
   let def r kd =
     match SM.find_opt r !kinds with

@@ -49,7 +49,6 @@ val all_defs : Ir.stmt list -> SS.t
 type kind = Int | Float | Pred
 
 val kind_of_scalar : Ir.scalar -> kind
-val show_kind : kind -> string
 
 (** The kind of an operator's result, following the interpreter's
     promotion ([Gpusim.Value.binop] and [unop]): int with int gives int,

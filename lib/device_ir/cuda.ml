@@ -106,17 +106,16 @@ let emit_stmts (opts : options) (k : Ir.kernel) : string =
   let pad lvl = String.make (lvl * opts.indent) ' ' in
   let line lvl s = Buffer.add_string buf (pad lvl); Buffer.add_string buf s;
                    Buffer.add_char buf '\n' in
-  let kinds = fst (Analysis.registers k) in
-  Analysis.SS.iter
-    (fun r ->
+  Analysis.SM.iter
+    (fun r kind ->
       let ty =
-        match Analysis.SM.find r kinds with
+        match kind with
         | Analysis.Int -> "int"
         | Analysis.Float -> "float"
         | Analysis.Pred -> "bool"
       in
       line 1 (Printf.sprintf "%s %s;" ty r))
-    (Analysis.all_defs k.Ir.k_body);
+    (fst (Analysis.registers k));
   let rec stmt lvl (s : Ir.stmt) =
     match s with
     | Ir.Comment c -> line lvl ("// " ^ c)

@@ -23,7 +23,6 @@
 
 module Ir = Device_ir.Ir
 module R = Device_ir.Resolve
-
 module A = Device_ir.Analysis
 
 (* The state an expression reads: the register banks of every thread,
@@ -59,8 +58,6 @@ type writer = {
   publish : cexp -> frame -> int -> unit;
   absent : int -> unit;
   take : frame -> int -> unit;
-  get_int : frame -> int;
-  jump : frame -> int -> unit;
 }
 
 type t = {
@@ -370,8 +367,6 @@ let views (t : texp) : cexp =
 let shfl_f = Array.make 32 0.0
 let shfl_i = Array.make 32 0
 
-let no_jump _ _ = invalid_arg "Compiled: affine iterator in a float or predicate slot"
-
 let writer (s : slot) : writer =
   match s with
   | Float_reg i ->
@@ -381,8 +376,6 @@ let writer (s : slot) : writer =
         publish = (fun e fr l -> e.cf fr shfl_f l);
         absent = (fun l -> shfl_f.(l) <- 0.0);
         take = (fun fr src -> fr.fregs.((fr.tid * fr.nf) + i) <- shfl_f.(src));
-        get_int = (fun fr -> Value.norm32 (int_of_float fr.fregs.((fr.tid * fr.nf) + i)));
-        jump = no_jump;
       }
   | Int_reg i ->
       {
@@ -392,11 +385,6 @@ let writer (s : slot) : writer =
         publish = (fun e fr l -> shfl_i.(l) <- e.ci fr);
         absent = (fun l -> shfl_i.(l) <- 0);
         take = (fun fr src -> fr.iregs.((fr.tid * fr.ni) + i) <- shfl_i.(src));
-        get_int = (fun fr -> fr.iregs.((fr.tid * fr.ni) + i));
-        jump =
-          (fun fr d ->
-            let j = (fr.tid * fr.ni) + i in
-            fr.iregs.(j) <- fr.iregs.(j) + d);
       }
   | Pred_reg i ->
       {
@@ -405,8 +393,6 @@ let writer (s : slot) : writer =
         publish = (fun e fr l -> shfl_i.(l) <- Bool.to_int (e.cb fr));
         absent = (fun l -> shfl_i.(l) <- 0);
         take = (fun fr src -> fr.iregs.((fr.tid * fr.ni) + i) <- shfl_i.(src));
-        get_int = (fun fr -> fr.iregs.((fr.tid * fr.ni) + i));
-        jump = no_jump;
       }
 
 (* ------------------------------------------------------------------ *)

@@ -7,10 +7,10 @@
     rule the validator and both code emitters follow: it follows
     {!Value.binop} and {!Value.unop}, takes parameter and array kinds
     from the kernel's declarations, and makes a [For] iterator an int
-    (the sampled interpreter's extrapolation jump stores one). Each slot
-    lives unboxed in the frame's float or int bank. A kernel with a
-    register defined at two kinds, or with a read that no definition
-    reaches on every path, does not compile. *)
+    (the sampled interpreter's extrapolation jump adds to its int slot
+    in place). Each slot lives unboxed in the frame's float or int bank.
+    A kernel with a register defined at two kinds, or with a read that
+    no definition reaches on every path, does not compile. *)
 
 (** The state an expression reads: the register banks of every thread,
     the scalar parameters, the block geometry and the thread
@@ -60,10 +60,6 @@ type writer = {
       (** lane [l] is outside the shuffle's mask or past the block's
           last thread: it publishes the slot kind's zero *)
   take : frame -> int -> unit;  (** store what lane [src] published *)
-  get_int : frame -> int;  (** the value as {!Value.to_int} *)
-  jump : frame -> int -> unit;
-      (** add to an int slot without wrapping: an affine loop's
-          extrapolation jump (iterators are never float or predicate) *)
 }
 
 (** A compiled kernel. Registers are numbered as

@@ -31,15 +31,15 @@
    slots unboxed in a float bank, int and predicate slots in an int
    bank, each slot of the one kind {!Device_ir.Analysis.registers}
    gives its register. Each slot's writes (a statement's result, a
-   memory cell, a shuffle's source, an affine loop's jump) are compiled
-   once per kernel into the slot's writer, so the statement loops below
-   never dispatch on a register's kind. The banks are not reset between
-   blocks or launches: a kernel compiles only when a definition reaches
-   every read, and a shuffle lane outside the mask or past the block
-   publishes the destination kind's zero, not a register it never
-   wrote. A bound buffer or parameter whose kind differs from its
-   declaration is rejected at launch, since the slot kinds were taken
-   from the declarations.
+   memory cell, a shuffle's source) are compiled once per kernel into
+   the slot's writer, so the statement loops below never dispatch on a
+   register's kind; a loop iterator is always an int slot. The banks
+   are not reset between blocks or launches: a kernel compiles only
+   when a definition reaches every read, and a shuffle lane outside the
+   mask or past the block publishes the destination kind's zero, not a
+   register it never wrote. A bound buffer or parameter whose kind
+   differs from its declaration is rejected at launch, since the slot
+   kinds were taken from the declarations.
 
    Sampling
    --------
@@ -176,6 +176,12 @@ let shared_set (ctx : block_ctx) (slot : int) (i : int) (v : float) : unit =
 
 let charge (ctx : block_ctx) (w : int) (cycles : float) : unit =
   ctx.wcycles.(w) <- ctx.wcycles.(w) +. cycles
+
+(* the int-bank cell of loop iterator [slot] for the frame's thread *)
+let iterator_cell (ctx : block_ctx) (slot : int) : int =
+  match ctx.slots.(slot) with
+  | C.Int_reg i -> (ctx.fr.C.tid * ctx.fr.C.ni) + i
+  | C.Float_reg _ | C.Pred_reg _ -> invalid_arg "Interp: a loop iterator that is not an int"
 
 (* a float as a cell of that type holds it: Value.of_float, back to float *)
 let cell_value (ty : Ir.scalar) (f : float) : float =
@@ -478,7 +484,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
                   let b = lane_int fr (base + l) af_bound in
-                  let v = wr.C.get_int fr in
+                  let v = fr.C.iregs.(iterator_cell ctx f_var) in
                   let r = (b - v + af_stride - 1) / af_stride in
                   if r > !remaining then remaining := r
                 end
@@ -500,7 +506,8 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               for l = 0 to lanes - 1 do
                 if live.(l) then begin
                   fr.C.tid <- base + l;
-                  wr.C.jump fr (af_stride * !remaining)
+                  let j = iterator_cell ctx f_var in
+                  fr.C.iregs.(j) <- fr.C.iregs.(j) + (af_stride * !remaining)
                 end
               done
           | _ ->

@@ -702,10 +702,7 @@ let resolve_kernel (k : Ir.kernel) : eexp R.kernel * Term.t array =
   (rk, Array.map zero rk.R.rk_reg_names)
 
 let resolve (p : Ir.program) : program =
-  {
-    prog = p;
-    kernels = List.map (fun k -> (k.Ir.k_name, lazy (resolve_kernel k))) p.Ir.p_kernels;
-  }
+  { prog = p; kernels = List.map (fun k -> (k.Ir.k_name, lazy (resolve_kernel k))) p.Ir.p_kernels }
 
 (** Symbolically execute [p] on a fully symbolic input of [n] elements
     (element [i] is {!Term.Sym}[ i]) and return the term left in cell 0
