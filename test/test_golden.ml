@@ -74,6 +74,18 @@
      dune exec test/test_golden.exe -- --print-exact > test/golden/exact_runs.txt
    v}
 
+   The counter golden pins every kernel counter ([%.17g]) of every sum
+   and max version on the three preset arches: an exact dense run at
+   n = 1000 with default tunables, and a sampled run at n = 2^22 under
+   the tuner's sampling (8 blocks, loops capped at 12 iterations) at
+   each tunable's middle candidate. It also pins the access analyzer's
+   per-launch prediction at n = 1000 under the same counter names, and
+   its static cost on each preset. Regenerate with
+
+   {v
+     dune exec test/test_golden.exe -- --print-counts > test/golden/event_counts.txt
+   v}
+
    The race-mutant golden pins the race sanitizer's error diagnostics
    on every distinct seeded mutant (each barrier dropped in turn, the
    first shared atomic de-atomicized, the first barrier under a
@@ -569,6 +581,116 @@ let exact_runs () : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
+(* Observed and predicted kernel counters                              *)
+(* ------------------------------------------------------------------ *)
+
+let render_fields fields =
+  String.concat " "
+    (List.map (fun (name, v) -> Printf.sprintf "%s=%.17g" name v) fields)
+
+let render_totals (o : R.outcome) =
+  render_fields
+    (Gpusim.Events.totals_fields
+       (Gpusim.Events.totals_of_list
+          (List.map
+             (fun (lr : Gpusim.Interp.launch_result) -> lr.Gpusim.Interp.lr_events)
+             o.R.launch_results)))
+
+(* the analyzer's per-launch prediction under the observed counters'
+   names: block-uniform branches count as branches, every transaction
+   as 128 DRAM bytes *)
+let render_prediction (lp : Device_ir.Access.launch_pred) =
+  let c = lp.Device_ir.Access.lp_totals in
+  let module A = Device_ir.Access in
+  render_fields
+    [
+      ("launches", 1.0);
+      ("warp_insts", c.A.c_warp_insts);
+      ("alu_insts", c.A.c_alu);
+      ("gld_warp_ops", c.A.c_gld_ops);
+      ("gld_trans", c.A.c_gld_trans);
+      ("gst_trans", c.A.c_gst_trans);
+      ("bytes_dram", 128.0 *. (c.A.c_gld_trans +. c.A.c_gst_trans));
+      ("shared_ops", c.A.c_shared_ops);
+      ("shared_serial", c.A.c_shared_serial);
+      ("shfl_insts", c.A.c_shfl);
+      ("syncs", c.A.c_syncs);
+      ("branches", c.A.c_branches +. c.A.c_blk_branches);
+      ("divergent_branches", c.A.c_divergent);
+      ("atomic_global_ops", c.A.c_atomic_global_ops);
+      ("atomic_global_trans", c.A.c_atomic_global_trans);
+      ("atomic_shared_ops", c.A.c_atomic_shared_ops);
+      ("atomic_shared_serial", c.A.c_atomic_shared_serial);
+      ("vec_load_ops", c.A.c_vec_ops);
+      ("max_heat", lp.A.lp_max_heat);
+    ]
+
+(* the tuner's sampling at each tunable's middle candidate *)
+let sampled_opts =
+  { Gpusim.Interp.max_blocks = Some 8; loop_cap = Some 12; check_uniform = false }
+
+let middle_tunables (p : Device_ir.Ir.program) =
+  List.map
+    (fun (name, cands) -> (name, List.nth cands (List.length cands / 2)))
+    p.Device_ir.Ir.p_tunables
+
+let event_counts () : string =
+  let buf = Buffer.create 65536 in
+  let line label f =
+    Printf.bprintf buf "%s %s\n" label
+      (match f () with s -> s | exception e -> "error " ^ Printexc.to_string e)
+  in
+  let sampled_n = 1 lsl 22 in
+  let pattern = Array.init 1024 (fun i -> float_of_int (i land 15)) in
+  List.iter
+    (fun (spectrum, planner) ->
+      Printf.bprintf buf "=== %s ===\n" spectrum;
+      List.iter
+        (fun v ->
+          let name = Synthesis.Version.name v in
+          let p = Synthesis.Planner.program (Lazy.force planner) v in
+          let cp = Synthesis.Planner.compiled (Lazy.force planner) v in
+          let middle = middle_tunables p in
+          List.iter
+            (fun (arch : Gpusim.Arch.t) ->
+              let arch_name = arch.Gpusim.Arch.name in
+              line (Printf.sprintf "%s %s exact n=1000:" name arch_name) (fun () ->
+                  render_totals
+                    (R.run_compiled ~arch ~input:(R.Dense (exact_input 1000)) cp));
+              line
+                (Printf.sprintf "%s %s sampled n=%d [%s]:" name arch_name sampled_n
+                   (render_assignment middle))
+                (fun () ->
+                  render_totals
+                    (R.run_compiled ~opts:sampled_opts ~arch ~tunables:middle
+                       ~input:(R.Synthetic { n = sampled_n; pattern })
+                       cp)))
+            Gpusim.Arch.presets;
+          let an = Device_ir.Access.analyze ~n:1000 p in
+          List.iter
+            (fun (lp : Device_ir.Access.launch_pred) ->
+              line
+                (Printf.sprintf "%s predicted n=1000 %s:" name
+                   lp.Device_ir.Access.lp_kernel)
+                (fun () -> render_prediction lp))
+            an.Device_ir.Access.an_launches;
+          let n_inits =
+            List.length
+              (List.filter
+                 (fun (b : Device_ir.Ir.buffer) -> b.Device_ir.Ir.buf_init <> None)
+                 p.Device_ir.Ir.p_buffers)
+          in
+          List.iter
+            (fun (arch : Gpusim.Arch.t) ->
+              Printf.bprintf buf "%s %s static n=1000: time_us=%.17g\n" name
+                arch.Gpusim.Arch.name
+                (Gpusim.Cost.of_static_program arch ~n_inits an))
+            Gpusim.Arch.presets)
+        (Synthesis.Version.enumerate ()))
+    (List.filter (fun (s, _) -> s = "sum" || s = "max") spectra);
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* The race sanitizer on seeded mutants                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -618,6 +740,10 @@ let () =
   end;
   if Array.exists (String.equal "--print-exact") Sys.argv then begin
     print_string (exact_runs ());
+    exit 0
+  end;
+  if Array.exists (String.equal "--print-counts") Sys.argv then begin
+    print_string (event_counts ());
     exit 0
   end;
   if Array.exists (String.equal "--print-slots") Sys.argv then begin
@@ -695,5 +821,10 @@ let () =
         [
           check_golden "every sum and max version's seeded mutants"
             "race_mutants.txt" race_mutants;
+        ] );
+      ( "counts",
+        [
+          check_golden "every sum and max version's observed and predicted counters"
+            "event_counts.txt" event_counts;
         ] );
     ]
