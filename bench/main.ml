@@ -666,7 +666,7 @@ let ablation () =
       let insts o =
         List.fold_left
           (fun acc (lr : Gpusim.Interp.launch_result) ->
-            acc +. lr.Gpusim.Interp.lr_events.Gpusim.Events.warp_insts)
+            acc +. lr.Gpusim.Interp.lr_events.Gpusim.Events.counts.Gpusim.Events.t_warp_insts)
           0.0 o.R.launch_results
       in
       Printf.printf "%-10s %12.3f %12.3f %11.0f%%\n" arch.Gpusim.Arch.generation
@@ -1126,7 +1126,7 @@ let interp () =
       let insts =
         List.fold_left
           (fun acc (lr : Gpusim.Interp.launch_result) ->
-            acc +. lr.Gpusim.Interp.lr_events.Gpusim.Events.warp_insts)
+            acc +. lr.Gpusim.Interp.lr_events.Gpusim.Events.counts.Gpusim.Events.t_warp_insts)
           0.0 o.R.launch_results
       in
       let walls = Array.make reps 0.0 in

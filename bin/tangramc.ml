@@ -1030,11 +1030,11 @@ let access_cmd =
                   Printf.printf
                     "%-34s %10.0f %10.0f %6.2f %9.0f %9.0f %6.2f %10.2f %10.2f %s\n"
                     (Tangram.Version.name row.Tangram.Calibrate.r_version)
-                    row.Tangram.Calibrate.r_pred_trans
-                    row.Tangram.Calibrate.r_obs_trans
+                    (Tangram.Calibrate.global_trans row.Tangram.Calibrate.r_pred)
+                    (Tangram.Calibrate.global_trans row.Tangram.Calibrate.r_obs)
                     (row.Tangram.Calibrate.r_trans_err *. 100.0)
-                    row.Tangram.Calibrate.r_pred_serial
-                    row.Tangram.Calibrate.r_obs_serial
+                    row.Tangram.Calibrate.r_pred.Tangram.Events.t_shared_serial
+                    row.Tangram.Calibrate.r_obs.Tangram.Events.t_shared_serial
                     (row.Tangram.Calibrate.r_serial_err *. 100.0)
                     row.Tangram.Calibrate.r_static_us
                     row.Tangram.Calibrate.r_obs_us notes)

@@ -14,8 +14,8 @@
    lane geometry, so they stay exact; the affine *fit* over the lane
    vector recovers (base, stride) for classification and rendering.
 
-   Two invariants keep the static predictions comparable with observed
-   {!Gpusim.Events} counters:
+   Two invariants keep the static predictions, a {!Counters} record,
+   comparable with the interpreter's observed one:
 
    - the segment, bank and atomic-conflict rules are {!Lanes}', the
      same ones the interpreter charges;
@@ -197,71 +197,6 @@ let find_site t ~kernel ~loc ~space ~arr ~kind =
       s
 
 (* ------------------------------------------------------------------ *)
-(* Event counts (mirrors Gpusim.Events charging)                       *)
-(* ------------------------------------------------------------------ *)
-
-type counts = {
-  mutable c_warp_insts : float;
-  mutable c_alu : float;
-  mutable c_branches : float;
-  mutable c_blk_branches : float;
-  mutable c_divergent : float;
-  mutable c_gld_ops : float;
-  mutable c_gld_trans : float;
-  mutable c_gst_trans : float;
-  mutable c_shared_ops : float;
-  mutable c_shared_serial : float;
-  mutable c_shfl : float;
-  mutable c_vec_ops : float;
-  mutable c_syncs : float;
-  mutable c_atomic_global_ops : float;
-  mutable c_atomic_global_trans : float;
-  mutable c_atomic_shared_ops : float;
-  mutable c_atomic_shared_serial : float;
-}
-
-let zero_counts () =
-  {
-    c_warp_insts = 0.0;
-    c_alu = 0.0;
-    c_branches = 0.0;
-    c_blk_branches = 0.0;
-    c_divergent = 0.0;
-    c_gld_ops = 0.0;
-    c_gld_trans = 0.0;
-    c_gst_trans = 0.0;
-    c_shared_ops = 0.0;
-    c_shared_serial = 0.0;
-    c_shfl = 0.0;
-    c_vec_ops = 0.0;
-    c_syncs = 0.0;
-    c_atomic_global_ops = 0.0;
-    c_atomic_global_trans = 0.0;
-    c_atomic_shared_ops = 0.0;
-    c_atomic_shared_serial = 0.0;
-  }
-
-let add_counts ?(scale = 1.0) (dst : counts) (src : counts) : unit =
-  let add d x = d +. (x *. scale) in
-  dst.c_warp_insts <- add dst.c_warp_insts src.c_warp_insts;
-  dst.c_alu <- add dst.c_alu src.c_alu;
-  dst.c_branches <- add dst.c_branches src.c_branches;
-  dst.c_blk_branches <- add dst.c_blk_branches src.c_blk_branches;
-  dst.c_divergent <- add dst.c_divergent src.c_divergent;
-  dst.c_gld_ops <- add dst.c_gld_ops src.c_gld_ops;
-  dst.c_gld_trans <- add dst.c_gld_trans src.c_gld_trans;
-  dst.c_gst_trans <- add dst.c_gst_trans src.c_gst_trans;
-  dst.c_shared_ops <- add dst.c_shared_ops src.c_shared_ops;
-  dst.c_shared_serial <- add dst.c_shared_serial src.c_shared_serial;
-  dst.c_shfl <- add dst.c_shfl src.c_shfl;
-  dst.c_vec_ops <- add dst.c_vec_ops src.c_vec_ops;
-  dst.c_syncs <- add dst.c_syncs src.c_syncs;
-  dst.c_atomic_global_ops <- add dst.c_atomic_global_ops src.c_atomic_global_ops;
-  dst.c_atomic_global_trans <- add dst.c_atomic_global_trans src.c_atomic_global_trans;
-  dst.c_atomic_shared_ops <- add dst.c_atomic_shared_ops src.c_atomic_shared_ops;
-  dst.c_atomic_shared_serial <- add dst.c_atomic_shared_serial src.c_atomic_shared_serial
-
-(* ------------------------------------------------------------------ *)
 (* Block context                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -292,9 +227,9 @@ type bctx = {
   warps : aval array array;  (* per warp, its registers by slot; never
                                 assigned: [top] *)
   mutable epoch : int;
-  mutable epochs : counts array list;  (* completed epochs, newest first *)
-  mutable cur : counts array;  (* per-warp counts of the current epoch *)
-  tot : counts;
+  mutable epochs : Counters.t array list;  (* completed epochs, newest first *)
+  mutable cur : Counters.t array;  (* per-warp counts of the current epoch *)
+  blk : Counters.t;  (* barriers and block-uniform branches *)
   heat : (string * int * Ir.scope, float ref) Hashtbl.t;
   sites : site_table;
   mutable fuel : int;  (* loop iterations left to the whole block *)
@@ -496,24 +431,31 @@ let record (c : bctx) (w : int) ~loc ~space ~arr ~kind ~(idx : aval)
 
 let full_mask = Array.make warp_lanes true
 
-(* charge an event to both the current-epoch per-warp record and the
-   block totals (the interpreter's warp-level charging point) *)
-let chg (c : bctx) (w : int) (f : counts -> unit) : unit =
-  f c.cur.(w);
-  f c.tot
+(* Warp-level events (the interpreter's warp-level charging points) go
+   to the warp's record of the current epoch, [c.cur.(w)]; barriers and
+   block-uniform branches go to [c.blk]. *)
 
 (* a shared load or store: one warp instruction, replayed [degree] times *)
-let chg_shared (c : bctx) (w : int) (degree : int) : unit =
-  chg c w (fun k ->
-      k.c_warp_insts <- k.c_warp_insts +. 1.0;
-      k.c_shared_ops <- k.c_shared_ops +. 1.0;
-      k.c_shared_serial <- k.c_shared_serial +. float_of_int degree)
+let count_shared (k : Counters.t) (degree : int) : unit =
+  k.t_warp_insts <- k.t_warp_insts +. 1.0;
+  k.t_shared_ops <- k.t_shared_ops +. 1.0;
+  k.t_shared_serial <- k.t_shared_serial +. float_of_int degree
+
+(* a global load, vector load or store of [trans] transactions: its
+   instruction and DRAM bytes; the caller counts the transactions *)
+let count_global (k : Counters.t) (trans : int) : unit =
+  k.t_warp_insts <- k.t_warp_insts +. 1.0;
+  k.t_bytes_dram <- k.t_bytes_dram +. (128.0 *. float_of_int trans)
+
+let count_alu (k : Counters.t) : unit =
+  k.t_warp_insts <- k.t_warp_insts +. 1.0;
+  k.t_alu_insts <- k.t_alu_insts +. 1.0
 
 let barrier (c : bctx) (loc : string) : unit =
   c.epochs <- c.cur :: c.epochs;
-  c.cur <- Array.init c.nwarps (fun _ -> zero_counts ());
-  c.tot.c_syncs <- c.tot.c_syncs +. float_of_int c.nwarps;
-  c.tot.c_warp_insts <- c.tot.c_warp_insts +. float_of_int c.nwarps;
+  c.cur <- Array.init c.nwarps (fun _ -> Counters.zero ());
+  c.blk.t_syncs <- c.blk.t_syncs +. float_of_int c.nwarps;
+  c.blk.t_warp_insts <- c.blk.t_warp_insts +. float_of_int c.nwarps;
   c.epoch <- c.epoch + 1;
   match c.trace with
   | Some t when c.bid = 0 -> t.barriers <- loc :: t.barriers
@@ -545,22 +487,20 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
   match s with
   | Resolve.Let (r, e) ->
       assign c w mask lanes r (e c w);
-      chg c w (fun k ->
-          k.c_warp_insts <- k.c_warp_insts +. 1.0;
-          k.c_alu <- k.c_alu +. 1.0)
+      count_alu c.cur.(w)
   | Resolve.Load { l_arr = { Resolve.a_space = space; a_name = arr; _ }; l_dst; l_idx; l_loc } -> (
       let trans, degree =
         record c w ~loc:l_loc ~space ~arr ~kind:Ld ~idx:(l_idx c w) ~mask ~lanes
           ~width:1
       in
       assign c w mask lanes l_dst top;
+      let k = c.cur.(w) in
       match space with
       | Ir.Global ->
-          chg c w (fun k ->
-              k.c_warp_insts <- k.c_warp_insts +. 1.0;
-              k.c_gld_ops <- k.c_gld_ops +. 1.0;
-              k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
-      | Ir.Shared -> chg_shared c w degree)
+          count_global k trans;
+          k.t_gld_warp_ops <- k.t_gld_warp_ops +. 1.0;
+          k.t_gld_trans <- k.t_gld_trans +. float_of_int trans
+      | Ir.Shared -> count_shared k degree)
   | Resolve.Vec_load { vl_dsts; vl_arr = { Resolve.a_name = arr; _ }; vl_base; vl_loc } ->
       let width = Array.length vl_dsts in
       let trans, _ =
@@ -568,22 +508,22 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
           ~mask ~lanes ~width
       in
       Array.iter (fun d -> assign c w mask lanes d top) vl_dsts;
-      chg c w (fun k ->
-          k.c_warp_insts <- k.c_warp_insts +. 1.0;
-          k.c_vec_ops <- k.c_vec_ops +. 1.0;
-          k.c_gld_trans <- k.c_gld_trans +. float_of_int trans)
+      let k = c.cur.(w) in
+      count_global k trans;
+      k.t_vec_load_ops <- k.t_vec_load_ops +. 1.0;
+      k.t_gld_trans <- k.t_gld_trans +. float_of_int trans
   | Resolve.Store { st_arr = { Resolve.a_space = space; a_name = arr; _ }; st_idx; st_loc; _ }
     -> (
       let trans, degree =
         record c w ~loc:st_loc ~space ~arr ~kind:St ~idx:(st_idx c w) ~mask ~lanes
           ~width:1
       in
+      let k = c.cur.(w) in
       match space with
       | Ir.Global ->
-          chg c w (fun k ->
-              k.c_warp_insts <- k.c_warp_insts +. 1.0;
-              k.c_gst_trans <- k.c_gst_trans +. float_of_int trans)
-      | Ir.Shared -> chg_shared c w degree)
+          count_global k trans;
+          k.t_gst_trans <- k.t_gst_trans +. float_of_int trans
+      | Ir.Shared -> count_shared k degree)
   | Resolve.Atomic
       { at_dst; at_arr = { Resolve.a_space = space; a_name = arr; _ }; at_idx; at_scope; at_loc; _ }
     -> (
@@ -593,6 +533,7 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
       if at_dst >= 0 then assign c w mask lanes at_dst top;
       let n_active = Lanes.active mask lanes in
       let exact = known_on idxv mask lanes in
+      let k = c.cur.(w) in
       if n_active > 0 then
         (* unknown addresses count worst both ways *)
         match space with
@@ -600,22 +541,16 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
             let worst =
               if exact then Lanes.atomic_worst idxv.v mask lanes else n_active
             in
-            chg c w (fun k ->
-                k.c_warp_insts <- k.c_warp_insts +. 1.0;
-                k.c_atomic_shared_ops <-
-                  k.c_atomic_shared_ops +. float_of_int n_active;
-                k.c_atomic_shared_serial <-
-                  k.c_atomic_shared_serial +. float_of_int worst)
+            k.t_warp_insts <- k.t_warp_insts +. 1.0;
+            k.t_atomic_shared_ops <- k.t_atomic_shared_ops +. float_of_int n_active;
+            k.t_atomic_shared_serial <- k.t_atomic_shared_serial +. float_of_int worst
         | Ir.Global ->
             let distinct =
               if exact then Lanes.atomic_distinct idxv.v mask lanes else n_active
             in
-            chg c w (fun k ->
-                k.c_warp_insts <- k.c_warp_insts +. 1.0;
-                k.c_atomic_global_ops <-
-                  k.c_atomic_global_ops +. float_of_int n_active;
-                k.c_atomic_global_trans <-
-                  k.c_atomic_global_trans +. float_of_int distinct);
+            k.t_warp_insts <- k.t_warp_insts +. 1.0;
+            k.t_atomic_global_ops <- k.t_atomic_global_ops +. float_of_int n_active;
+            k.t_atomic_global_trans <- k.t_atomic_global_trans +. float_of_int distinct;
             if not exact then c.approx <- true
             else if c.trace = None then
               for l = 0 to lanes - 1 do
@@ -628,17 +563,17 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
               done)
   | Resolve.Shfl { sh_dst; _ } ->
       assign c w mask lanes sh_dst top;
-      chg c w (fun k ->
-          k.c_warp_insts <- k.c_warp_insts +. 1.0;
-          k.c_shfl <- k.c_shfl +. 1.0)
+      let k = c.cur.(w) in
+      k.t_warp_insts <- k.t_warp_insts +. 1.0;
+      k.t_shfl_insts <- k.t_shfl_insts +. 1.0
   | Resolve.Sync _ ->
       (* only reachable through divergent control, which the race
          sanitizer reports *)
       c.approx <- true
   | Resolve.If { if_cond; if_then; if_else; _ } ->
-      chg c w (fun k ->
-          k.c_warp_insts <- k.c_warp_insts +. 1.0;
-          k.c_branches <- k.c_branches +. 1.0);
+      let k = c.cur.(w) in
+      k.t_warp_insts <- k.t_warp_insts +. 1.0;
+      k.t_branches <- k.t_branches +. 1.0;
       let cv = if_cond c w in
       let tmask = Array.make warp_lanes false in
       let emask = Array.make warp_lanes false in
@@ -660,7 +595,7 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
           end
       done;
       if (!n_t > 0 && !n_e > 0) || !n_u > 0 then
-        chg c w (fun k -> k.c_divergent <- k.c_divergent +. 1.0);
+        k.t_divergent_branches <- k.t_divergent_branches +. 1.0;
       if !n_u > 0 then begin
         (* data-dependent branch: those lanes run both arms from the same
            entry state and join *)
@@ -676,18 +611,14 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
       if !n_e > 0 then exec_body c w emask if_else
   | Resolve.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
       assign c w mask lanes f_var (f_init c w);
-      chg c w (fun k ->
-          k.c_warp_insts <- k.c_warp_insts +. 1.0;
-          k.c_alu <- k.c_alu +. 1.0);
+      count_alu c.cur.(w);
       let step_unknown = Array.make warp_lanes false in
       warp_loop c w mask lanes f_body ~cond:f_cond ~step_unknown
         ~widen:(fun wide -> assign c w wide lanes f_var top)
         ~step:(fun live ->
           let sv = f_step c w in
           assign c w live lanes f_var sv;
-          chg c w (fun k ->
-              k.c_warp_insts <- k.c_warp_insts +. 1.0;
-              k.c_alu <- k.c_alu +. 1.0);
+          count_alu c.cur.(w);
           for l = 0 to lanes - 1 do
             if live.(l) && not (known sv l) then step_unknown.(l) <- true
           done)
@@ -708,7 +639,8 @@ and warp_loop c w mask lanes body ~(cond : aexp) ~step_unknown ~widen ~step =
   let iters = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    chg c w (fun k -> k.c_branches <- k.c_branches +. 1.0);
+    let k = c.cur.(w) in
+    k.t_branches <- k.t_branches +. 1.0;
     let cv = cond c w in
     let spent = !iters >= c.loop_fuel || c.fuel <= 0 in
     let n_live = ref 0 and n_wide = ref 0 in
@@ -766,7 +698,7 @@ let rec exec_block_stmt (c : bctx) (s : astmt) : unit =
     match s with
     | Resolve.Sync loc -> barrier c loc
     | Resolve.If { if_cond; if_then; if_else; _ } -> (
-        c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
+        c.blk.t_branches <- c.blk.t_branches +. float_of_int c.nwarps;
         match uniform_across c if_cond with
         | Some v ->
             if v <> 0 then exec_block_body c if_then else exec_block_body c if_else
@@ -791,7 +723,7 @@ let rec exec_block_stmt (c : bctx) (s : astmt) : unit =
                 let sv = f_step c w in
                 if not (known_on sv full_mask lanes) then stepped := false;
                 assign c w full_mask lanes f_var sv);
-            c.tot.c_blk_branches <- c.tot.c_blk_branches +. float_of_int c.nwarps;
+            c.blk.t_branches <- c.blk.t_branches +. float_of_int c.nwarps;
             !stepped)
     | Resolve.While { w_cond; w_body; _ } ->
         block_loop c w_body ~cond:w_cond ~widen:ignore ~step:(fun () -> true)
@@ -829,8 +761,8 @@ and exec_block_body (c : bctx) (body : astmt array) : unit =
 type block_profile = {
   bp_bid : int;
   bp_warps : int;
-  bp_epochs : counts array list;
-  bp_tot : counts;
+  bp_epochs : Counters.t array list;
+  bp_tot : Counters.t;
   bp_heat : ((string * int * Ir.scope) * float) list;
 }
 
@@ -859,8 +791,8 @@ let new_block ~trace ~sites ~params ~bdim ~gdim ~bid (k : aexp Resolve.kernel) :
     warps = Array.init nwarps (fun _ -> Array.make nregs top);
     epoch = 0;
     epochs = [];
-    cur = Array.init nwarps (fun _ -> zero_counts ());
-    tot = zero_counts ();
+    cur = Array.init nwarps (fun _ -> Counters.zero ());
+    blk = Counters.zero ();
     heat = Hashtbl.create 8;
     sites;
     fuel = (if trace = None then block_fuel else max_int);
@@ -873,13 +805,15 @@ let analyze_block ~(sites : site_table) ~(params : aval array) ~(bdim : int)
     ~(gdim : int) ~(bid : int) (k : aexp Resolve.kernel) : block_profile * bool =
   let c = new_block ~trace:None ~sites ~params ~bdim ~gdim ~bid k in
   exec_block_body c k.Resolve.rk_body;
-  c.epochs <- c.cur :: c.epochs;
+  let epochs = List.rev (c.cur :: c.epochs) in
+  (* every count is a whole number, so the order of the sum is exact *)
+  List.iter (Array.iter (Counters.add c.blk)) epochs;
   let heat = Hashtbl.fold (fun key r acc -> (key, !r) :: acc) c.heat [] in
   ( {
       bp_bid = bid;
       bp_warps = c.nwarps;
-      bp_epochs = List.rev c.epochs;
-      bp_tot = c.tot;
+      bp_epochs = epochs;
+      bp_tot = c.blk;
       bp_heat = List.sort compare heat;
     },
     c.approx )
@@ -904,8 +838,7 @@ type launch_pred = {
   lp_shared_bytes : int;
   lp_first : block_profile;
   lp_last : block_profile option;
-  lp_totals : counts;
-  lp_max_heat : float;
+  lp_totals : Counters.t;
   lp_max_heat_scoped : float;
 }
 
@@ -1019,12 +952,12 @@ let analyze_kernels kernels ?n ?tunables (p : Ir.program) : analysis =
                   else (None, false)
                 in
                 if a1 || a2 then approx := true;
-                let totals = zero_counts () in
+                let totals = Counters.zero () in
                 (match last with
-                | None -> add_counts totals first.bp_tot
+                | None -> Counters.add totals first.bp_tot
                 | Some l ->
-                    add_counts ~scale:(float_of_int (grid - 1)) totals first.bp_tot;
-                    add_counts totals l.bp_tot);
+                    Counters.add ~scale:(float_of_int (grid - 1)) totals first.bp_tot;
+                    Counters.add totals l.bp_tot);
                 (* per-address heat over the whole grid: middle blocks
                    behave like block 0. An address the last block ALSO
                    heats is block-invariant (every block piles onto it:
@@ -1055,6 +988,8 @@ let analyze_kernels kernels ?n ?tunables (p : Ir.program) : analysis =
                         if scope = Ir.Scope_block then ms else Float.max ms !r ))
                     heat_tbl (0.0, 0.0)
                 in
+                totals.Counters.t_launches <- 1.0;
+                totals.Counters.t_max_heat <- max_heat;
                 Some
                   {
                     lp_kernel = k.Ir.k_name;
@@ -1064,7 +999,6 @@ let analyze_kernels kernels ?n ?tunables (p : Ir.program) : analysis =
                     lp_first = first;
                     lp_last = last;
                     lp_totals = totals;
-                    lp_max_heat = max_heat;
                     lp_max_heat_scoped = max_heat_scoped;
                   }))
       p.Ir.p_launches

@@ -21,9 +21,9 @@
     (memory loads, shuffle results, atomic return values) becomes ⊤ in
     the lanes it reaches. Classification uses the interpreter's
     arithmetic ({!Lanes}' segment and bank rules), which is what makes
-    the static transaction/replay predictions comparable with observed
-    {!Gpusim.Events} counters — the calibration harness behind
-    [tangramc access].
+    the static predictions the same {!Counters} record the interpreter
+    fills — the calibration harness behind [tangramc access] compares
+    the two.
 
     Four consumers:
     + {!check_program} emits warn-severity diagnostics ([TPERF010]
@@ -72,46 +72,21 @@ type site = {
           the differential-testing hook *)
 }
 
-(** Arch-independent event counts, mirroring the {!Gpusim.Events}
-    charging rules statement for statement (same fields, same units), so
-    a static prediction and an observed run subtract cleanly.
-    [divergent_branches] excludes Kepler lock-loop replays (those are
-    arch-dependent and added by the cost model, not the analysis). *)
-type counts = {
-  mutable c_warp_insts : float;
-  mutable c_alu : float;
-  mutable c_branches : float;  (** warp-level (cycle-charged) branches *)
-  mutable c_blk_branches : float;  (** block-uniform branches (no charge) *)
-  mutable c_divergent : float;
-  mutable c_gld_ops : float;
-  mutable c_gld_trans : float;
-  mutable c_gst_trans : float;
-  mutable c_shared_ops : float;
-  mutable c_shared_serial : float;
-  mutable c_shfl : float;
-  mutable c_vec_ops : float;
-  mutable c_syncs : float;
-  mutable c_atomic_global_ops : float;
-  mutable c_atomic_global_trans : float;
-  mutable c_atomic_shared_ops : float;
-  mutable c_atomic_shared_serial : float;
-}
-
-val zero_counts : unit -> counts
-
-(** [add_counts ~scale dst src] adds [scale] (default 1) times [src] to
-    [dst]. *)
-val add_counts : ?scale:float -> counts -> counts -> unit
-
 (** Execution profile of one analyzed block: per-warp counts split at
     barrier epochs (the cost model folds these into a critical path:
     within an epoch warps run independently, a barrier raises every warp
-    to the slowest). *)
+    to the slowest). The counts mirror the interpreter's charging rules
+    statement for statement, so a prediction and an observed run
+    subtract cleanly; [t_divergent_branches] excludes Kepler lock-loop
+    replays, which the cost model prices from the shared-atomic
+    serialisation instead. *)
 type block_profile = {
   bp_bid : int;
   bp_warps : int;
-  bp_epochs : counts array list;  (** chronological; [.(w)] = warp w *)
-  bp_tot : counts;  (** whole-block totals incl. barrier/block-level events *)
+  bp_epochs : Counters.t array list;
+      (** chronological; [.(w)] = warp w; warp-level events only *)
+  bp_tot : Counters.t;
+      (** whole-block totals, barriers and block-uniform branches included *)
   bp_heat : ((string * int * Ir.scope) * float) list;
       (** global-atomic pressure per (array, index, scope) *)
 }
@@ -127,9 +102,10 @@ type launch_pred = {
   lp_shared_bytes : int;
   lp_first : block_profile;  (** block 0 *)
   lp_last : block_profile option;  (** block [grid-1] when [grid > 1] *)
-  lp_totals : counts;  (** extrapolated whole-launch totals *)
-  lp_max_heat : float;
-      (** hottest global-atomic address, all scopes (the pre-Pascal view) *)
+  lp_totals : Counters.t;
+      (** extrapolated whole-launch totals, [t_launches] 1; [t_max_heat]
+          is the hottest global-atomic address over all scopes (the
+          pre-Pascal view) *)
   lp_max_heat_scoped : float;
       (** hottest address excluding [Scope_block] atomics, for
           architectures whose block-scoped atomics stay out of the L2 *)

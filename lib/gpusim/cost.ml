@@ -57,21 +57,30 @@ let stream_efficiency (arch : Arch.t) = function
   | Vector_loads -> arch.Arch.vector_stream_efficiency
   | Staged_loads -> arch.Arch.staged_stream_efficiency
 
-(* the four-term model, whatever measured or predicted its inputs *)
-let price (arch : Arch.t) ~(style : stream_style) ~(grid : int) ~(block : int)
-    ~(shared_bytes : int) ~(block_cp : float) ~(warp_insts : float)
-    ~(bytes_dram : float) ~(max_heat : float) : t =
+(* the four-term model over observed or predicted counters: only the
+   geometry, the critical path and the heat come from elsewhere. [style]
+   defaults to vectorized iff the kernel issued vector loads *)
+let price ?(style : stream_style option) (arch : Arch.t) ~(grid : int) ~(block : int)
+    ~(shared_bytes : int) ~(block_cp : float) ~(max_heat : float)
+    (c : Device_ir.Counters.t) : t =
+  let style =
+    match style with
+    | Some s -> s
+    | None -> if c.Events.t_vec_load_ops > 0.0 then Vector_loads else Scalar_loads
+  in
   let resident = occupancy arch ~block ~shared_bytes in
   let concurrent = arch.Arch.sms * resident in
   let waves = (grid + concurrent - 1) / concurrent in
-  let cycles_to_us c = c /. (arch.Arch.clock_ghz *. 1000.0) in
+  let cycles_to_us cyc = cyc /. (arch.Arch.clock_ghz *. 1000.0) in
   let critical_path_us = cycles_to_us (float_of_int waves *. block_cp) in
   let busy_sms = min arch.Arch.sms grid in
   let issue_us =
-    cycles_to_us (warp_insts /. (arch.Arch.issue_rate *. float_of_int busy_sms))
+    cycles_to_us
+      (c.Events.t_warp_insts /. (arch.Arch.issue_rate *. float_of_int busy_sms))
   in
   let dram_us =
-    bytes_dram /. (arch.Arch.dram_bw_gbs *. stream_efficiency arch style *. 1000.0)
+    c.Events.t_bytes_dram
+    /. (arch.Arch.dram_bw_gbs *. stream_efficiency arch style *. 1000.0)
   in
   let atomic_us = max_heat *. arch.Arch.global_atomic_ns /. 1000.0 in
   let launch_us = arch.Arch.launch_overhead_us in
@@ -97,24 +106,15 @@ let price (arch : Arch.t) ~(style : stream_style) ~(grid : int) ~(block : int)
     waves;
   }
 
-(* vectorized iff the kernel issued vector loads, unless the caller says *)
-let style_of (style : stream_style option) ~(vec_ops : float) : stream_style =
-  match style with
-  | Some s -> s
-  | None -> if vec_ops > 0.0 then Vector_loads else Scalar_loads
-
 (** Cost one launch. [style] defaults to vectorized iff the kernel issued
     vector loads; baselines that stage through L2 pass [Staged_loads]
     explicitly. *)
 let of_launch ?(style : stream_style option) (arch : Arch.t)
     (lr : Interp.launch_result) : t =
-  let ev = lr.Interp.lr_events in
-  price arch
-    ~style:(style_of style ~vec_ops:ev.Events.vec_load_ops)
-    ~grid:lr.Interp.lr_grid ~block:lr.Interp.lr_block
+  let c = lr.Interp.lr_events.Events.counts in
+  price ?style arch ~grid:lr.Interp.lr_grid ~block:lr.Interp.lr_block
     ~shared_bytes:lr.Interp.lr_shared_bytes ~block_cp:lr.Interp.lr_block_cp
-    ~warp_insts:ev.Events.warp_insts ~bytes_dram:ev.Events.bytes_dram
-    ~max_heat:(Events.max_heat ev)
+    ~max_heat:c.Events.t_max_heat c
 
 (** Cost a whole program execution: per-launch costs, plus the dependent
     kernel gap between consecutive launches and a host-side initialisation
@@ -135,21 +135,21 @@ module Access = Device_ir.Access
    applying exactly the interpreter's charging coefficients; the shared
    atomic term picks the lock-loop vs native-unit cost here, which is
    where the Kepler/Maxwell asymmetry enters the static model *)
-let static_cycles (arch : Arch.t) (c : Access.counts) : float =
+let static_cycles (arch : Arch.t) (c : Device_ir.Counters.t) : float =
   let shared_atomic_cyc =
     match arch.Arch.shared_atomic with
     | Arch.Lock_update_unlock -> arch.Arch.cyc_lock_iteration
     | Arch.Native -> arch.Arch.cyc_shared_atomic
   in
-  (c.Access.c_alu *. arch.Arch.cyc_alu)
-  +. (c.Access.c_branches *. arch.Arch.cyc_branch)
-  +. (c.Access.c_divergent *. arch.Arch.cyc_divergence)
-  +. ((c.Access.c_gld_trans +. c.Access.c_gst_trans
-      +. c.Access.c_atomic_global_trans)
+  (c.Events.t_alu_insts *. arch.Arch.cyc_alu)
+  +. (c.Events.t_branches *. arch.Arch.cyc_branch)
+  +. (c.Events.t_divergent_branches *. arch.Arch.cyc_divergence)
+  +. ((c.Events.t_gld_trans +. c.Events.t_gst_trans
+      +. c.Events.t_atomic_global_trans)
      *. arch.Arch.cyc_global)
-  +. (c.Access.c_shared_serial *. arch.Arch.cyc_shared)
-  +. (c.Access.c_shfl *. arch.Arch.cyc_shfl)
-  +. (c.Access.c_atomic_shared_serial *. shared_atomic_cyc)
+  +. (c.Events.t_shared_serial *. arch.Arch.cyc_shared)
+  +. (c.Events.t_shfl_insts *. arch.Arch.cyc_shfl)
+  +. (c.Events.t_atomic_shared_serial *. shared_atomic_cyc)
 
 (* block critical path: within an epoch warps run independently, a
    barrier raises every warp to the slowest and adds cyc_sync — the same
@@ -177,14 +177,12 @@ let of_static ?(style : stream_style option) (arch : Arch.t)
         ((cp_first *. float_of_int (grid - 1)) +. static_block_cp arch last)
         /. float_of_int grid
   in
-  price arch
-    ~style:(style_of style ~vec_ops:tot.Access.c_vec_ops)
-    ~grid ~block:lp.Access.lp_block ~shared_bytes:lp.Access.lp_shared_bytes
-    ~block_cp ~warp_insts:tot.Access.c_warp_insts
-    ~bytes_dram:(128.0 *. (tot.Access.c_gld_trans +. tot.Access.c_gst_trans))
+  price ?style arch ~grid ~block:lp.Access.lp_block
+    ~shared_bytes:lp.Access.lp_shared_bytes ~block_cp
     ~max_heat:
       (if arch.Arch.has_scoped_atomics then lp.Access.lp_max_heat_scoped
-       else lp.Access.lp_max_heat)
+       else tot.Events.t_max_heat)
+    tot
 
 (** Price a whole statically-analyzed program: {!of_static} per launch
     folded through the same gap/init charges as {!of_program}. *)

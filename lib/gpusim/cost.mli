@@ -31,9 +31,9 @@ type stream_style = Scalar_loads | Vector_loads | Staged_loads
     block slots, warps, shared memory); at least 1. *)
 val occupancy : Arch.t -> block:int -> shared_bytes:int -> int
 
-(** Cost one launch. [style] defaults to vectorized iff the kernel issued
-    vector loads; baselines that stage through the L2 pass [Staged_loads]
-    explicitly. *)
+(** Cost one launch from its counters and its [t_max_heat]. [style]
+    defaults to vectorized iff the kernel issued vector loads; baselines
+    that stage through the L2 pass [Staged_loads] explicitly. *)
 val of_launch : ?style:stream_style -> Arch.t -> Interp.launch_result -> t
 
 (** Aggregate a whole program: per-launch costs, the dependent-kernel gap
@@ -45,7 +45,11 @@ val of_program : Arch.t -> n_inits:int -> t list -> float
 
     The same four-term model fed by {!Device_ir.Access} predictions
     instead of an executed launch — planning can price transactions and
-    replays without running the kernel. *)
+    replays without running the kernel. Both paths read warp
+    instructions, DRAM bytes and vector loads from one
+    {!Device_ir.Counters} record; only the geometry, the critical path
+    and the hottest address's heat come from the prediction instead of
+    the run. *)
 
 (** Price one launch from a static prediction. [style] defaults to
     vectorized iff the analyzer saw vector loads. *)

@@ -55,6 +55,7 @@ module Ir = Device_ir.Ir
 module Lanes = Device_ir.Lanes
 module C = Compiled
 module R = Device_ir.Resolve
+module Counters = Device_ir.Counters
 
 exception Sim_error of string
 
@@ -102,6 +103,7 @@ type block_ctx = {
   arch : Arch.t;
   opts : options;
   ev : Events.t;
+  cnt : Events.totals;  (** [ev]'s counters *)
   k : C.cexp R.kernel;
   writers : C.writer array;  (** each register slot's writes *)
   slots : C.slot array;
@@ -253,8 +255,8 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           set e fr
         end
       done;
-      ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-      ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
+      ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+      ctx.cnt.Events.t_alu_insts <- ctx.cnt.Events.t_alu_insts +. 1.0;
       charge ctx w a.Arch.cyc_alu
   | R.Load { l_arr; l_dst; l_idx; _ } -> (
       for l = 0 to lanes - 1 do
@@ -272,11 +274,11 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
             end
           done;
           let trans = Lanes.segments scratch_idx mask lanes in
-          ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-          ctx.ev.Events.gld_warp_ops <- ctx.ev.Events.gld_warp_ops +. 1.0;
-          ctx.ev.Events.gld_trans <- ctx.ev.Events.gld_trans +. float_of_int trans;
-          ctx.ev.Events.bytes_dram <-
-            ctx.ev.Events.bytes_dram +. (128.0 *. float_of_int trans);
+          ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+          ctx.cnt.Events.t_gld_warp_ops <- ctx.cnt.Events.t_gld_warp_ops +. 1.0;
+          ctx.cnt.Events.t_gld_trans <- ctx.cnt.Events.t_gld_trans +. float_of_int trans;
+          ctx.cnt.Events.t_bytes_dram <-
+            ctx.cnt.Events.t_bytes_dram +. (128.0 *. float_of_int trans);
           charge ctx w (a.Arch.cyc_global *. float_of_int trans)
       | Ir.Shared ->
           let slot = l_arr.R.a_slot in
@@ -289,10 +291,10 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
             end
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
-          ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-          ctx.ev.Events.shared_ops <- ctx.ev.Events.shared_ops +. 1.0;
-          ctx.ev.Events.shared_serial <-
-            ctx.ev.Events.shared_serial +. float_of_int degree;
+          ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+          ctx.cnt.Events.t_shared_ops <- ctx.cnt.Events.t_shared_ops +. 1.0;
+          ctx.cnt.Events.t_shared_serial <-
+            ctx.cnt.Events.t_shared_serial +. float_of_int degree;
           charge ctx w (a.Arch.cyc_shared *. float_of_int degree))
   | R.Store { st_arr; st_idx; st_v; _ } -> (
       for l = 0 to lanes - 1 do
@@ -308,10 +310,10 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
             if mask.(l) then buffer_set b scratch_idx.(l) scratch_f.(l)
           done;
           let trans = Lanes.segments scratch_idx mask lanes in
-          ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-          ctx.ev.Events.gst_trans <- ctx.ev.Events.gst_trans +. float_of_int trans;
-          ctx.ev.Events.bytes_dram <-
-            ctx.ev.Events.bytes_dram +. (128.0 *. float_of_int trans);
+          ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+          ctx.cnt.Events.t_gst_trans <- ctx.cnt.Events.t_gst_trans +. float_of_int trans;
+          ctx.cnt.Events.t_bytes_dram <-
+            ctx.cnt.Events.t_bytes_dram +. (128.0 *. float_of_int trans);
           charge ctx w (a.Arch.cyc_global *. float_of_int trans)
       | Ir.Shared ->
           for l = 0 to lanes - 1 do
@@ -319,10 +321,10 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
               shared_set ctx st_arr.R.a_slot scratch_idx.(l) scratch_f.(l)
           done;
           let degree = Lanes.bank_degree scratch_idx mask lanes in
-          ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-          ctx.ev.Events.shared_ops <- ctx.ev.Events.shared_ops +. 1.0;
-          ctx.ev.Events.shared_serial <-
-            ctx.ev.Events.shared_serial +. float_of_int degree;
+          ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+          ctx.cnt.Events.t_shared_ops <- ctx.cnt.Events.t_shared_ops +. 1.0;
+          ctx.cnt.Events.t_shared_serial <-
+            ctx.cnt.Events.t_shared_serial +. float_of_int degree;
           charge ctx w (a.Arch.cyc_shared *. float_of_int degree))
   | R.Vec_load { vl_dsts; vl_arr; vl_base; _ } ->
       let b = ctx.globals.(vl_arr.R.a_slot) in
@@ -340,11 +342,11 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
         end
       done;
       let trans = Lanes.vec_segments scratch_idx mask lanes ~width in
-      ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-      ctx.ev.Events.vec_load_ops <- ctx.ev.Events.vec_load_ops +. 1.0;
-      ctx.ev.Events.gld_trans <- ctx.ev.Events.gld_trans +. float_of_int trans;
-      ctx.ev.Events.bytes_dram <-
-        ctx.ev.Events.bytes_dram +. (128.0 *. float_of_int trans);
+      ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+      ctx.cnt.Events.t_vec_load_ops <- ctx.cnt.Events.t_vec_load_ops +. 1.0;
+      ctx.cnt.Events.t_gld_trans <- ctx.cnt.Events.t_gld_trans +. float_of_int trans;
+      ctx.cnt.Events.t_bytes_dram <-
+        ctx.cnt.Events.t_bytes_dram +. (128.0 *. float_of_int trans);
       charge ctx w (a.Arch.cyc_global *. float_of_int trans)
   | R.Atomic { at_dst; at_arr; at_op; at_scope; at_idx; at_v; _ } -> (
       for l = 0 to lanes - 1 do
@@ -367,28 +369,28 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
         match at_arr.R.a_space with
         | Ir.Shared -> (
             let worst = Lanes.atomic_worst scratch_idx mask lanes in
-            ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-            ctx.ev.Events.atomic_shared_ops <-
-              ctx.ev.Events.atomic_shared_ops +. float_of_int n_active;
-            ctx.ev.Events.atomic_shared_serial <-
-              ctx.ev.Events.atomic_shared_serial +. float_of_int worst;
+            ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+            ctx.cnt.Events.t_atomic_shared_ops <-
+              ctx.cnt.Events.t_atomic_shared_ops +. float_of_int n_active;
+            ctx.cnt.Events.t_atomic_shared_serial <-
+              ctx.cnt.Events.t_atomic_shared_serial +. float_of_int worst;
             match a.Arch.shared_atomic with
             | Arch.Lock_update_unlock ->
                 (* each lock round retires one lane per contended address and
                    replays the rest: [worst] rounds, every round a divergent
                    branch *)
-                ctx.ev.Events.divergent_branches <-
-                  ctx.ev.Events.divergent_branches +. float_of_int worst;
+                ctx.cnt.Events.t_divergent_branches <-
+                  ctx.cnt.Events.t_divergent_branches +. float_of_int worst;
                 charge ctx w (a.Arch.cyc_lock_iteration *. float_of_int worst)
             | Arch.Native ->
                 charge ctx w (a.Arch.cyc_shared_atomic *. float_of_int worst))
         | Ir.Global ->
             let distinct = Lanes.atomic_distinct scratch_idx mask lanes in
-            ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-            ctx.ev.Events.atomic_global_ops <-
-              ctx.ev.Events.atomic_global_ops +. float_of_int n_active;
-            ctx.ev.Events.atomic_global_trans <-
-              ctx.ev.Events.atomic_global_trans +. float_of_int distinct;
+            ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+            ctx.cnt.Events.t_atomic_global_ops <-
+              ctx.cnt.Events.t_atomic_global_ops +. float_of_int n_active;
+            ctx.cnt.Events.t_atomic_global_trans <-
+              ctx.cnt.Events.t_atomic_global_trans +. float_of_int distinct;
             (* block-scoped atomics don't reach the device-wide L2 units *)
             let device_scope =
               (not (a.Arch.has_scoped_atomics && at_scope = Ir.Scope_block))
@@ -425,8 +427,8 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           wr.C.take fr src
         end
       done;
-      ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-      ctx.ev.Events.shfl_insts <- ctx.ev.Events.shfl_insts +. 1.0;
+      ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+      ctx.cnt.Events.t_shfl_insts <- ctx.cnt.Events.t_shfl_insts +. 1.0;
       charge ctx w a.Arch.cyc_shfl
   | R.Sync _ -> sim_error "%s: __syncthreads() under divergent control flow" ctx.k.R.rk_name
   | R.If { if_cond; if_then; if_else; if_sync } ->
@@ -440,11 +442,11 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
         emask.(l) <- mask.(l) && not t;
         if t then incr n_t else if mask.(l) then incr n_e
       done;
-      ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-      ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
+      ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+      ctx.cnt.Events.t_branches <- ctx.cnt.Events.t_branches +. 1.0;
       charge ctx w a.Arch.cyc_branch;
       if !n_t > 0 && !n_e > 0 then begin
-        ctx.ev.Events.divergent_branches <- ctx.ev.Events.divergent_branches +. 1.0;
+        ctx.cnt.Events.t_divergent_branches <- ctx.cnt.Events.t_divergent_branches +. 1.0;
         charge ctx w a.Arch.cyc_divergence
       end;
       if !n_t > 0 then exec_body ctx (d + 1) w tmask if_then;
@@ -459,8 +461,8 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           wr.C.set f_init fr
         end
       done;
-      ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-      ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
+      ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+      ctx.cnt.Events.t_alu_insts <- ctx.cnt.Events.t_alu_insts +. 1.0;
       charge ctx w a.Arch.cyc_alu;
       let live = pool_mask (2 * d) in
       Array.blit mask 0 live 0 lanes;
@@ -472,7 +474,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           if live.(l) then
             if lane_bool fr (base + l) f_cond then incr n_live else live.(l) <- false
         done;
-        ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
+        ctx.cnt.Events.t_branches <- ctx.cnt.Events.t_branches +. 1.0;
         charge ctx w a.Arch.cyc_branch;
         if !n_live = 0 then continue_ := false
         else begin
@@ -489,18 +491,18 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
                   if r > !remaining then remaining := r
                 end
               done;
-              let snap = Events.snapshot ctx.ev in
+              let snap = Counters.copy ctx.cnt in
               let cyc0 = ctx.wcycles.(w) in
               exec_body ctx (d + 1) w live f_body;
               let factor = float_of_int !remaining in
-              Events.scale_from ctx.ev snap ~factor;
+              Counters.scale_from ctx.cnt snap ~factor;
               ctx.wcycles.(w) <- cyc0 +. ((ctx.wcycles.(w) -. cyc0) *. factor);
               (* the skipped iterations would also have paid the loop
                  condition and iterator update *)
               let skipped = factor -. 1.0 in
-              ctx.ev.Events.branches <- ctx.ev.Events.branches +. skipped;
-              ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. skipped;
-              ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. (2.0 *. skipped);
+              ctx.cnt.Events.t_branches <- ctx.cnt.Events.t_branches +. skipped;
+              ctx.cnt.Events.t_alu_insts <- ctx.cnt.Events.t_alu_insts +. skipped;
+              ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. (2.0 *. skipped);
               charge ctx w (skipped *. (a.Arch.cyc_branch +. a.Arch.cyc_alu));
               (* jump the iterator past the bound so the loop exits *)
               for l = 0 to lanes - 1 do
@@ -518,8 +520,8 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
                   wr.C.set f_step fr
                 end
               done;
-              ctx.ev.Events.warp_insts <- ctx.ev.Events.warp_insts +. 1.0;
-              ctx.ev.Events.alu_insts <- ctx.ev.Events.alu_insts +. 1.0;
+              ctx.cnt.Events.t_warp_insts <- ctx.cnt.Events.t_warp_insts +. 1.0;
+              ctx.cnt.Events.t_alu_insts <- ctx.cnt.Events.t_alu_insts +. 1.0;
               charge ctx w a.Arch.cyc_alu);
           incr iter;
           if !iter > 100_000_000 then
@@ -539,7 +541,7 @@ let rec exec_warp (ctx : block_ctx) (d : int) (w : int) (mask : bool array)
           if live.(l) then
             if lane_bool fr (base + l) w_cond then incr n_live else live.(l) <- false
         done;
-        ctx.ev.Events.branches <- ctx.ev.Events.branches +. 1.0;
+        ctx.cnt.Events.t_branches <- ctx.cnt.Events.t_branches +. 1.0;
         charge ctx w a.Arch.cyc_branch;
         if !n_live = 0 then continue_ := false
         else begin
@@ -566,9 +568,9 @@ let barrier (ctx : block_ctx) : unit =
   for w = 0 to ctx.nwarps - 1 do
     ctx.wcycles.(w) <- worst +. ctx.arch.Arch.cyc_sync
   done;
-  ctx.ev.Events.syncs <- ctx.ev.Events.syncs +. float_of_int ctx.nwarps;
-  ctx.ev.Events.warp_insts <-
-    ctx.ev.Events.warp_insts +. float_of_int ctx.nwarps
+  ctx.cnt.Events.t_syncs <- ctx.cnt.Events.t_syncs +. float_of_int ctx.nwarps;
+  ctx.cnt.Events.t_warp_insts <-
+    ctx.cnt.Events.t_warp_insts +. float_of_int ctx.nwarps
 
 let check_uniform_cond (ctx : block_ctx) (e : C.cexp) : bool =
   let fr = ctx.fr in
@@ -590,7 +592,7 @@ let rec exec_block_stmt (ctx : block_ctx) (s : C.cexp R.stmt) : unit =
     match s with
     | R.Sync _ -> barrier ctx
     | R.If { if_cond; if_then; if_else; _ } ->
-        ctx.ev.Events.branches <- ctx.ev.Events.branches +. float_of_int ctx.nwarps;
+        ctx.cnt.Events.t_branches <- ctx.cnt.Events.t_branches +. float_of_int ctx.nwarps;
         if check_uniform_cond ctx if_cond then Array.iter (exec_block_stmt ctx) if_then
         else Array.iter (exec_block_stmt ctx) if_else
     | R.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
@@ -607,8 +609,8 @@ let rec exec_block_stmt (ctx : block_ctx) (s : C.cexp R.stmt) : unit =
               fr.C.tid <- t;
               wr.C.set f_step fr
             done;
-            ctx.ev.Events.branches <-
-              ctx.ev.Events.branches +. float_of_int ctx.nwarps
+            ctx.cnt.Events.t_branches <-
+              ctx.cnt.Events.t_branches +. float_of_int ctx.nwarps
           end
           else continue_ := false
         done
@@ -733,6 +735,7 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
       arch;
       opts;
       ev;
+      cnt = ev.Events.counts;
       k;
       writers = ck.C.writers;
       slots = ck.C.slots;
@@ -794,9 +797,10 @@ let run_kernel ?(flip : Fault.flip option) ~(arch : Arch.t) ~(opts : options)
          cp_total := !cp_total +. Array.fold_left Float.max 0.0 ctx.wcycles)
        block_ids
    with Value.Trap msg -> sim_error "%s: %s" k.R.rk_name msg);
-  ev.Events.launched_blocks <- grid;
   if simulate < grid then
     Events.scale_all ev ~factor:(float_of_int grid /. float_of_int simulate);
+  ev.Events.counts.Events.t_launches <- 1.0;
+  ev.Events.counts.Events.t_max_heat <- Events.max_heat ev;
   {
     lr_grid = grid;
     lr_block = block;

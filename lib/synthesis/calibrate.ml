@@ -8,15 +8,12 @@
    version. *)
 
 module Access = Device_ir.Access
+module Counters = Device_ir.Counters
 
 type row = {
   r_version : Version.t;
-  r_pred_trans : float;
-  r_obs_trans : float;
-  r_pred_serial : float;
-  r_obs_serial : float;
-  r_pred_insts : float;
-  r_obs_insts : float;
+  r_pred : Counters.t;
+  r_obs : Counters.t;
   r_static_us : float;
   r_obs_us : float;
   r_trans_err : float;
@@ -47,11 +44,7 @@ type report = {
 
 let rel_err pred obs = Float.abs (pred -. obs) /. Float.max obs 1.0
 
-(* whole-program predicted totals: sum of per-launch extrapolations *)
-let program_totals (an : Access.analysis) : Access.counts =
-  let t = Access.zero_counts () in
-  List.iter (fun lp -> Access.add_counts t lp.Access.lp_totals) an.Access.an_launches;
-  t
+let global_trans (c : Counters.t) : float = c.Counters.t_gld_trans +. c.Counters.t_gst_trans
 
 let calibrate ?(n = 16384) ?(margin = 0.1) ~(arch : Gpusim.Arch.t)
     (plan : Planner.t) (versions : Version.t list) : report =
@@ -78,7 +71,9 @@ let calibrate ?(n = 16384) ?(margin = 0.1) ~(arch : Gpusim.Arch.t)
         (o, an, static_us)
       with
       | o, an, static_us ->
-          let tot = program_totals an in
+          let pred =
+            Counters.sum (List.map (fun lp -> lp.Access.lp_totals) an.Access.an_launches)
+          in
           let obs =
             Gpusim.Events.totals_of_list
               (List.map
@@ -86,28 +81,17 @@ let calibrate ?(n = 16384) ?(margin = 0.1) ~(arch : Gpusim.Arch.t)
                    lr.Gpusim.Interp.lr_events)
                  o.Gpusim.Runner.launch_results)
           in
-          let pred_trans = tot.Access.c_gld_trans +. tot.Access.c_gst_trans in
-          let obs_trans =
-            obs.Gpusim.Events.t_gld_trans +. obs.Gpusim.Events.t_gst_trans
-          in
-          let pred_serial = tot.Access.c_shared_serial in
-          let obs_serial = obs.Gpusim.Events.t_shared_serial in
-          let pred_insts = tot.Access.c_warp_insts in
-          let obs_insts = obs.Gpusim.Events.t_warp_insts in
+          let err f = rel_err (f pred) (f obs) in
           rows :=
             {
               r_version = v;
-              r_pred_trans = pred_trans;
-              r_obs_trans = obs_trans;
-              r_pred_serial = pred_serial;
-              r_obs_serial = obs_serial;
-              r_pred_insts = pred_insts;
-              r_obs_insts = obs_insts;
+              r_pred = pred;
+              r_obs = obs;
               r_static_us = static_us;
               r_obs_us = o.Gpusim.Runner.time_us;
-              r_trans_err = rel_err pred_trans obs_trans;
-              r_serial_err = rel_err pred_serial obs_serial;
-              r_insts_err = rel_err pred_insts obs_insts;
+              r_trans_err = err global_trans;
+              r_serial_err = err (fun c -> c.Counters.t_shared_serial);
+              r_insts_err = err (fun c -> c.Counters.t_warp_insts);
               r_approx = an.Access.an_approx;
               r_diags = an.Access.an_diags;
             }
@@ -174,12 +158,12 @@ let row_json (r : row) : Obs.Json.t =
   Obs.Json.Obj
     [
       ("version", Obs.Json.Str (Version.name r.r_version));
-      ("pred_trans", Obs.Json.Num r.r_pred_trans);
-      ("obs_trans", Obs.Json.Num r.r_obs_trans);
-      ("pred_serial", Obs.Json.Num r.r_pred_serial);
-      ("obs_serial", Obs.Json.Num r.r_obs_serial);
-      ("pred_insts", Obs.Json.Num r.r_pred_insts);
-      ("obs_insts", Obs.Json.Num r.r_obs_insts);
+      ("pred_trans", Obs.Json.Num (global_trans r.r_pred));
+      ("obs_trans", Obs.Json.Num (global_trans r.r_obs));
+      ("pred_serial", Obs.Json.Num r.r_pred.Counters.t_shared_serial);
+      ("obs_serial", Obs.Json.Num r.r_obs.Counters.t_shared_serial);
+      ("pred_insts", Obs.Json.Num r.r_pred.Counters.t_warp_insts);
+      ("obs_insts", Obs.Json.Num r.r_obs.Counters.t_warp_insts);
       ("static_us", Obs.Json.Num r.r_static_us);
       ("obs_us", Obs.Json.Num r.r_obs_us);
       ("trans_err", Obs.Json.Num r.r_trans_err);

@@ -16,12 +16,8 @@
 
 type row = {
   r_version : Version.t;
-  r_pred_trans : float;  (** predicted global transactions (ld + st) *)
-  r_obs_trans : float;
-  r_pred_serial : float;  (** predicted shared-memory replays *)
-  r_obs_serial : float;
-  r_pred_insts : float;  (** predicted warp instructions *)
-  r_obs_insts : float;
+  r_pred : Device_ir.Counters.t;  (** predicted counters, launches summed *)
+  r_obs : Device_ir.Counters.t;  (** observed counters, launches summed *)
   r_static_us : float;  (** static program cost on this arch *)
   r_obs_us : float;  (** simulated program cost on this arch *)
   r_trans_err : float;  (** |pred-obs| / max(obs,1) *)
@@ -30,6 +26,10 @@ type row = {
   r_approx : bool;  (** the analyzer hit ⊤ somewhere load-bearing *)
   r_diags : Device_ir.Diag.t list;  (** TPERF findings for this version *)
 }
+
+(** Global transactions, loads plus stores: the counter the calibration
+    compares first. *)
+val global_trans : Device_ir.Counters.t -> float
 
 (** One statically-misranked version pair: static pricing puts
     [fl_fast] ahead of [fl_slow] by more than the margin while observed

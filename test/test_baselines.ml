@@ -31,7 +31,7 @@ let cub_tests =
         let o = Baselines.Cub.run ~arch (R.Dense (input_n 100_000)) in
         let lr = List.hd o.R.launch_results in
         Alcotest.(check bool) "vec ops" true
-          (lr.Gpusim.Interp.lr_events.Gpusim.Events.vec_load_ops > 0.0));
+          (lr.Gpusim.Interp.lr_events.Gpusim.Events.counts.t_vec_load_ops > 0.0));
     Alcotest.test_case "cub pays the two-phase API overhead" `Quick (fun () ->
         let o = Baselines.Cub.run ~arch (R.Dense (input_n 64)) in
         let launches =

@@ -29,11 +29,11 @@ let occupancy_tests =
           (C.occupancy arch ~block:1024 ~shared_bytes:(48 * 1024)));
   ]
 
-(* a synthetic launch result with chosen event values *)
+(* a synthetic launch result with chosen counter values *)
 let launch_result ?(grid = 64) ?(block = 256) ?(shared_bytes = 0) ?(cp = 1000.0)
     ~patch () : I.launch_result =
   let ev = Gpusim.Events.create () in
-  patch ev;
+  patch ev.Gpusim.Events.counts;
   {
     I.lr_grid = grid;
     lr_block = block;
@@ -53,7 +53,7 @@ let term_tests =
     Alcotest.test_case "huge traffic is dram-bound" `Quick (fun () ->
         let lr =
           launch_result ~grid:4096
-            ~patch:(fun ev -> ev.Gpusim.Events.bytes_dram <- 1e9)
+            ~patch:(fun c -> c.Gpusim.Events.t_bytes_dram <- 1e9)
             ()
         in
         let c = C.of_launch arch lr in
@@ -64,8 +64,7 @@ let term_tests =
     Alcotest.test_case "hot atomics are atomic-bound" `Quick (fun () ->
         let lr =
           launch_result ~grid:4096
-            ~patch:(fun ev ->
-              Gpusim.Events.heat ev ~buffer:0 ~index:0 ~by:1_000_000.0)
+            ~patch:(fun c -> c.Gpusim.Events.t_max_heat <- 1_000_000.0)
             ()
         in
         let c = C.of_launch arch lr in
@@ -78,9 +77,9 @@ let term_tests =
     Alcotest.test_case "vector loads select the vector efficiency" `Quick (fun () ->
         let mk vec =
           launch_result ~grid:4096
-            ~patch:(fun ev ->
-              ev.Gpusim.Events.bytes_dram <- 1e9;
-              if vec then ev.Gpusim.Events.vec_load_ops <- 10.0)
+            ~patch:(fun c ->
+              c.Gpusim.Events.t_bytes_dram <- 1e9;
+              if vec then c.Gpusim.Events.t_vec_load_ops <- 10.0)
             ()
         in
         let scalar = C.of_launch arch (mk false) in
@@ -93,7 +92,7 @@ let term_tests =
     Alcotest.test_case "staged style overrides the heuristic" `Quick (fun () ->
         let lr =
           launch_result ~grid:4096
-            ~patch:(fun ev -> ev.Gpusim.Events.bytes_dram <- 1e9)
+            ~patch:(fun c -> c.Gpusim.Events.t_bytes_dram <- 1e9)
             ()
         in
         let staged = C.of_launch ~style:C.Staged_loads arch lr in
@@ -104,7 +103,7 @@ let term_tests =
         let t bytes =
           let lr =
             launch_result ~grid:4096
-              ~patch:(fun ev -> ev.Gpusim.Events.bytes_dram <- bytes)
+              ~patch:(fun c -> c.Gpusim.Events.t_bytes_dram <- bytes)
               ()
           in
           (C.of_launch arch lr).C.time_us
@@ -168,35 +167,83 @@ let arch_tests =
              Gpusim.Arch.presets));
   ]
 
+(* every counter, in [totals_fields] order: the profile table, the
+   Prometheus exposition and [Stats.to_json] all take these names *)
+let counter_names =
+  [
+    "launches"; "warp_insts"; "alu_insts"; "gld_warp_ops"; "gld_trans";
+    "gst_trans"; "bytes_dram"; "shared_ops"; "shared_serial"; "shfl_insts";
+    "syncs"; "branches"; "divergent_branches"; "atomic_global_ops";
+    "atomic_global_trans"; "atomic_shared_ops"; "atomic_shared_serial";
+    "vec_load_ops"; "max_heat";
+  ]
+
+(* a record whose counters all differ: the [i]th name reads [f i] *)
+let counters f =
+  Gpusim.Events.totals_of_fields (fun name ->
+      let rec index i = function
+        | [] -> Alcotest.failf "unknown counter %s" name
+        | n :: rest -> if n = name then i else index (i + 1) rest
+      in
+      f (index 0 counter_names))
+
+(* check every counter of [c] by name against [expected i] *)
+let check_counters label expected c =
+  List.iteri
+    (fun i (name, v) ->
+      Alcotest.(check string) (label ^ " order") (List.nth counter_names i) name;
+      Alcotest.(check (float 0.0)) (label ^ " " ^ name) (expected i) v)
+    (Gpusim.Events.totals_fields c);
+  Alcotest.(check int) (label ^ " count") (List.length counter_names)
+    (List.length (Gpusim.Events.totals_fields c))
+
 let events_tests =
   let module E = Gpusim.Events in
+  let module N = Device_ir.Counters in
   [
     Alcotest.test_case "scale_from multiplies only the delta" `Quick (fun () ->
-        let ev = E.create () in
-        ev.E.gld_trans <- 10.0;
-        let snap = E.snapshot ev in
-        ev.E.gld_trans <- 14.0;
-        E.scale_from ev snap ~factor:5.0;
+        let c = N.zero () in
+        c.E.t_gld_trans <- 10.0;
+        let snap = N.copy c in
+        c.E.t_gld_trans <- 14.0;
+        N.scale_from c snap ~factor:5.0;
         (* 10 + 5 * (14 - 10) *)
-        Alcotest.(check (float 1e-9)) "scaled" 30.0 ev.E.gld_trans);
+        Alcotest.(check (float 1e-9)) "scaled" 30.0 c.E.t_gld_trans);
     Alcotest.test_case "scale_from touches every scalar counter" `Quick (fun () ->
-        let ev = E.create () in
-        let snap = E.snapshot ev in
-        ev.E.warp_insts <- 1.0;
-        ev.E.shfl_insts <- 2.0;
-        ev.E.atomic_shared_serial <- 3.0;
-        E.scale_from ev snap ~factor:2.0;
-        Alcotest.(check (float 1e-9)) "warp" 2.0 ev.E.warp_insts;
-        Alcotest.(check (float 1e-9)) "shfl" 4.0 ev.E.shfl_insts;
-        Alcotest.(check (float 1e-9)) "serial" 6.0 ev.E.atomic_shared_serial);
+        let snap = counters (fun i -> float_of_int i) in
+        let c = counters (fun i -> float_of_int (3 * i + 1)) in
+        N.scale_from c snap ~factor:2.0;
+        (* x + (2 - 1)(x - s) with x = 3i + 1, s = i *)
+        check_counters "scaled" (fun i -> float_of_int (5 * i + 2)) c);
+    Alcotest.test_case "add sums every counter and keeps the hotter launch"
+      `Quick (fun () ->
+        let hot = List.length counter_names - 1 in
+        let a = counters (fun i -> float_of_int (i + 1)) in
+        let b = counters (fun i -> if i = hot then 40.0 else float_of_int (10 * i)) in
+        N.add ~scale:3.0 a b;
+        check_counters "a + 3b"
+          (fun i -> if i = hot then 40.0 else float_of_int (i + 1 + (30 * i)))
+          a;
+        (* max_heat does not sum: the aggregate keeps the worst launch *)
+        let cool = counters (fun _ -> 1.0) in
+        N.add cool (counters (fun i -> if i = hot then 7.0 else 0.0));
+        Alcotest.(check (float 0.0)) "hotter source wins" 7.0 cool.E.t_max_heat;
+        N.add cool (counters (fun i -> if i = hot then 2.0 else 0.0));
+        Alcotest.(check (float 0.0)) "cooler source loses" 7.0 cool.E.t_max_heat);
+    Alcotest.test_case "totals_of_fields inverts totals_fields" `Quick (fun () ->
+        let c = counters (fun i -> float_of_int (i * i) +. 0.5) in
+        let fields = E.totals_fields c in
+        check_counters "round trip"
+          (fun i -> float_of_int (i * i) +. 0.5)
+          (E.totals_of_fields (fun name -> List.assoc name fields)));
     Alcotest.test_case "scale_all scales address heat too" `Quick (fun () ->
         let ev = E.create () in
         E.heat ev ~buffer:0 ~index:0 ~by:4.0;
         E.heat ev ~buffer:0 ~index:1 ~by:1.0;
-        ev.E.bytes_dram <- 100.0;
+        ev.E.counts.E.t_bytes_dram <- 100.0;
         E.scale_all ev ~factor:3.0;
         Alcotest.(check (float 1e-9)) "heat" 12.0 (E.max_heat ev);
-        Alcotest.(check (float 1e-9)) "bytes" 300.0 ev.E.bytes_dram);
+        Alcotest.(check (float 1e-9)) "bytes" 300.0 ev.E.counts.E.t_bytes_dram);
     Alcotest.test_case "max_heat of no atomics is zero" `Quick (fun () ->
         Alcotest.(check (float 0.0)) "zero" 0.0 (E.max_heat (E.create ())));
     Alcotest.test_case "heat accumulates per address" `Quick (fun () ->

@@ -561,7 +561,7 @@ let unroll_tests =
               ~globals:[| Gpusim.Interp.make_buffer ~ty:Ir.F32 ~id:0 out |]
               ~params:[||]
           in
-          (out.(0), lr.Gpusim.Interp.lr_events.Gpusim.Events.branches)
+          (out.(0), lr.Gpusim.Interp.lr_events.Gpusim.Events.counts.t_branches)
         in
         let r0, b0 = run k and r1, b1 = run k' in
         Alcotest.(check (float 0.0)) "same result" r0 r1;

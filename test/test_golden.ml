@@ -596,35 +596,6 @@ let render_totals (o : R.outcome) =
              (fun (lr : Gpusim.Interp.launch_result) -> lr.Gpusim.Interp.lr_events)
              o.R.launch_results)))
 
-(* the analyzer's per-launch prediction under the observed counters'
-   names: block-uniform branches count as branches, every transaction
-   as 128 DRAM bytes *)
-let render_prediction (lp : Device_ir.Access.launch_pred) =
-  let c = lp.Device_ir.Access.lp_totals in
-  let module A = Device_ir.Access in
-  render_fields
-    [
-      ("launches", 1.0);
-      ("warp_insts", c.A.c_warp_insts);
-      ("alu_insts", c.A.c_alu);
-      ("gld_warp_ops", c.A.c_gld_ops);
-      ("gld_trans", c.A.c_gld_trans);
-      ("gst_trans", c.A.c_gst_trans);
-      ("bytes_dram", 128.0 *. (c.A.c_gld_trans +. c.A.c_gst_trans));
-      ("shared_ops", c.A.c_shared_ops);
-      ("shared_serial", c.A.c_shared_serial);
-      ("shfl_insts", c.A.c_shfl);
-      ("syncs", c.A.c_syncs);
-      ("branches", c.A.c_branches +. c.A.c_blk_branches);
-      ("divergent_branches", c.A.c_divergent);
-      ("atomic_global_ops", c.A.c_atomic_global_ops);
-      ("atomic_global_trans", c.A.c_atomic_global_trans);
-      ("atomic_shared_ops", c.A.c_atomic_shared_ops);
-      ("atomic_shared_serial", c.A.c_atomic_shared_serial);
-      ("vec_load_ops", c.A.c_vec_ops);
-      ("max_heat", lp.A.lp_max_heat);
-    ]
-
 (* the tuner's sampling at each tunable's middle candidate *)
 let sampled_opts =
   { Gpusim.Interp.max_blocks = Some 8; loop_cap = Some 12; check_uniform = false }
@@ -672,7 +643,8 @@ let event_counts () : string =
               line
                 (Printf.sprintf "%s predicted n=1000 %s:" name
                    lp.Device_ir.Access.lp_kernel)
-                (fun () -> render_prediction lp))
+                (fun () ->
+                  render_fields (Device_ir.Counters.fields lp.Device_ir.Access.lp_totals)))
             an.Device_ir.Access.an_launches;
           let n_inits =
             List.length

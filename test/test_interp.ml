@@ -199,7 +199,7 @@ let shuffle_tests =
         let out, lr = run ~block:64 ~out_size:2 k in
         Alcotest.check fa "warp sums" [| 496.; 496. |] out;
         Alcotest.(check (float 0.0)) "shuffles counted" 10.0
-          lr.I.lr_events.Gpusim.Events.shfl_insts);
+          lr.I.lr_events.Gpusim.Events.counts.t_shfl_insts);
     Alcotest.test_case "a lane-divergent shuffle repeats from launch to launch" `Quick
       (fun () ->
         (* lanes 0-15 read z from lanes 16-31, which are outside the
@@ -308,7 +308,7 @@ let atomic_tests =
         let out, lr = run ~block:64 ~out_size:1 k in
         Alcotest.(check (float 0.0)) "count" 64.0 out.(0);
         Alcotest.(check (float 0.0)) "serialisation" 64.0
-          lr.I.lr_events.Gpusim.Events.atomic_shared_serial);
+          lr.I.lr_events.Gpusim.Events.counts.t_atomic_shared_serial);
     Alcotest.test_case "lock-update-unlock costs more on Kepler" `Quick (fun () ->
         let k =
           kernel
@@ -330,8 +330,8 @@ let atomic_tests =
         Alcotest.(check bool) "kepler pays more cycles" true
           (lr_k.I.lr_block_cp > lr_m.I.lr_block_cp);
         Alcotest.(check bool) "kepler diverges" true
-          (lr_k.I.lr_events.Gpusim.Events.divergent_branches
-          > lr_m.I.lr_events.Gpusim.Events.divergent_branches));
+          (lr_k.I.lr_events.Gpusim.Events.counts.t_divergent_branches
+          > lr_m.I.lr_events.Gpusim.Events.counts.t_divergent_branches));
   ]
 
 (* -------------------------------------------------------------- *)
@@ -348,7 +348,7 @@ let event_tests =
         let a = buf ~read_only:true (Array.init 32 float_of_int) in
         let _, lr = run ~block:32 ~out_size:32 ~inputs:[ a ] k in
         Alcotest.(check (float 0.0)) "1 transaction" 1.0
-          lr.I.lr_events.Gpusim.Events.gld_trans);
+          lr.I.lr_events.Gpusim.Events.counts.t_gld_trans);
     Alcotest.test_case "strided warp load = 32 transactions" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("a", Ir.F32); ("out", Ir.F32) ]
@@ -360,7 +360,7 @@ let event_tests =
         let a = buf ~read_only:true (Array.make 1024 1.0) in
         let _, lr = run ~block:32 ~out_size:32 ~inputs:[ a ] k in
         Alcotest.(check (float 0.0)) "32 transactions" 32.0
-          lr.I.lr_events.Gpusim.Events.gld_trans);
+          lr.I.lr_events.Gpusim.Events.counts.t_gld_trans);
     Alcotest.test_case "same-address warp load broadcasts" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("a", Ir.F32); ("out", Ir.F32) ]
@@ -372,7 +372,7 @@ let event_tests =
         let a = buf ~read_only:true (Array.make 32 3.0) in
         let _, lr = run ~block:32 ~out_size:32 ~inputs:[ a ] k in
         Alcotest.(check (float 0.0)) "1 transaction" 1.0
-          lr.I.lr_events.Gpusim.Events.gld_trans);
+          lr.I.lr_events.Gpusim.Events.counts.t_gld_trans);
     Alcotest.test_case "conflict-free shared access" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("out", Ir.F32) ]
@@ -384,9 +384,9 @@ let event_tests =
             ]
         in
         let _, lr = run ~block:32 ~out_size:32 k in
-        Alcotest.(check (float 0.0)) "ops" 2.0 lr.I.lr_events.Gpusim.Events.shared_ops;
+        Alcotest.(check (float 0.0)) "ops" 2.0 lr.I.lr_events.Gpusim.Events.counts.t_shared_ops;
         Alcotest.(check (float 0.0)) "serial" 2.0
-          lr.I.lr_events.Gpusim.Events.shared_serial);
+          lr.I.lr_events.Gpusim.Events.counts.t_shared_serial);
     Alcotest.test_case "stride-2 shared store has 2-way conflicts" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("out", Ir.F32) ]
@@ -398,7 +398,7 @@ let event_tests =
         in
         let _, lr = run ~block:32 ~out_size:32 k in
         Alcotest.(check (float 0.0)) "degree 2" 2.0
-          lr.I.lr_events.Gpusim.Events.shared_serial);
+          lr.I.lr_events.Gpusim.Events.counts.t_shared_serial);
     Alcotest.test_case "vectorized load events" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("a", Ir.F32); ("out", Ir.F32) ]
@@ -413,9 +413,9 @@ let event_tests =
         let out, lr = run ~block:32 ~out_size:32 ~inputs:[ a ] k in
         Alcotest.(check (float 0.0)) "t0 sum" 6.0 out.(0);
         Alcotest.(check (float 0.0)) "one vec op" 1.0
-          lr.I.lr_events.Gpusim.Events.vec_load_ops;
+          lr.I.lr_events.Gpusim.Events.counts.t_vec_load_ops;
         Alcotest.(check (float 0.0)) "4 transactions" 4.0
-          lr.I.lr_events.Gpusim.Events.gld_trans);
+          lr.I.lr_events.Gpusim.Events.counts.t_gld_trans);
     Alcotest.test_case "divergent branches are counted" `Quick (fun () ->
         let k =
           kernel ~arrays:[ ("out", Ir.F32) ]
@@ -427,7 +427,7 @@ let event_tests =
         in
         let _, lr = run ~block:32 ~out_size:32 k in
         Alcotest.(check (float 0.0)) "one divergent branch" 1.0
-          lr.I.lr_events.Gpusim.Events.divergent_branches);
+          lr.I.lr_events.Gpusim.Events.counts.t_divergent_branches);
     Alcotest.test_case "uniform branch is not divergent" `Quick (fun () ->
         let k =
           kernel ~params:[ ("n", Ir.I32) ] ~arrays:[ ("out", Ir.F32) ]
@@ -439,7 +439,7 @@ let event_tests =
         in
         let _, lr = run ~block:32 ~out_size:32 ~params:[| Gpusim.Value.VI 5 |] k in
         Alcotest.(check (float 0.0)) "no divergence" 0.0
-          lr.I.lr_events.Gpusim.Events.divergent_branches);
+          lr.I.lr_events.Gpusim.Events.counts.t_divergent_branches);
   ]
 
 (* -------------------------------------------------------------- *)
@@ -469,7 +469,7 @@ let sync_tests =
         Alcotest.(check (float 0.0)) "cross warp" 630.0 out.(0);
         Alcotest.(check (float 0.0)) "t63" 0.0 out.(63);
         Alcotest.(check bool) "syncs counted" true
-          (lr.I.lr_events.Gpusim.Events.syncs > 0.0));
+          (lr.I.lr_events.Gpusim.Events.counts.t_syncs > 0.0));
     expect_trap "barrier under divergent control traps" (fun () ->
         run ~block:32 ~out_size:1
           (kernel ~arrays:[ ("out", Ir.F32) ]
@@ -552,7 +552,7 @@ let sampling_tests =
           (run_with { I.max_blocks = Some 16; loop_cap = None; check_uniform = false })
             .I.lr_events
         in
-        let ratio = s.Gpusim.Events.gld_trans /. e.Gpusim.Events.gld_trans in
+        let ratio = s.Gpusim.Events.counts.t_gld_trans /. e.Gpusim.Events.counts.t_gld_trans in
         Alcotest.(check bool) "within 2%" true (ratio > 0.98 && ratio < 1.02);
         Alcotest.(check int) "simulated a subset" 16 s.Gpusim.Events.simulated_blocks);
     Alcotest.test_case "block sampling scales only grid-shared atomic heat" `Quick
@@ -613,7 +613,7 @@ let sampling_tests =
         let ratio = s.I.lr_block_cp /. e.I.lr_block_cp in
         Alcotest.(check bool) "cycles within 5%" true (ratio > 0.95 && ratio < 1.05);
         let er =
-          s.I.lr_events.Gpusim.Events.gld_trans /. e.I.lr_events.Gpusim.Events.gld_trans
+          s.I.lr_events.Gpusim.Events.counts.t_gld_trans /. e.I.lr_events.Gpusim.Events.counts.t_gld_trans
         in
         Alcotest.(check bool) "transactions within 5%" true (er > 0.95 && er < 1.05));
     Alcotest.test_case "virtual buffers wrap their pattern" `Quick (fun () ->

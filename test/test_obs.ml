@@ -448,7 +448,7 @@ let profiler_tests =
         let (_, _), (requests, totals) = List.hd rows in
         Alcotest.(check int) "one request aggregated" 1 requests;
         Alcotest.(check bool) "launches counted" true
-          (totals.Gpusim.Events.t_launches >= 1));
+          (totals.Gpusim.Events.t_launches >= 1.0));
     Alcotest.test_case "aggregation sums requests per (arch, version)" `Quick
       (fun () ->
         let svc = Service.create (Lazy.force plan) in
@@ -496,7 +496,7 @@ let profiler_tests =
           shuffle.Gpusim.Events.t_shfl_insts
           (List.assoc "shfl_insts" fields);
         Alcotest.(check (float 0.0)) "launches lead the field list"
-          (float_of_int shuffle.Gpusim.Events.t_launches)
+          shuffle.Gpusim.Events.t_launches
           (List.assoc "launches" fields));
   ]
 
