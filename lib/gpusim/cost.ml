@@ -62,7 +62,7 @@ let stream_efficiency (arch : Arch.t) = function
    defaults to vectorized iff the kernel issued vector loads *)
 let price ?(style : stream_style option) (arch : Arch.t) ~(grid : int) ~(block : int)
     ~(shared_bytes : int) ~(block_cp : float) ~(max_heat : float)
-    (c : Device_ir.Counters.t) : t =
+    (c : Events.totals) : t =
   let style =
     match style with
     | Some s -> s
@@ -135,7 +135,7 @@ module Access = Device_ir.Access
    applying exactly the interpreter's charging coefficients; the shared
    atomic term picks the lock-loop vs native-unit cost here, which is
    where the Kepler/Maxwell asymmetry enters the static model *)
-let static_cycles (arch : Arch.t) (c : Device_ir.Counters.t) : float =
+let static_cycles (arch : Arch.t) (c : Events.totals) : float =
   let shared_atomic_cyc =
     match arch.Arch.shared_atomic with
     | Arch.Lock_update_unlock -> arch.Arch.cyc_lock_iteration

@@ -44,7 +44,8 @@ type report = {
 
 let rel_err pred obs = Float.abs (pred -. obs) /. Float.max obs 1.0
 
-let global_trans (c : Counters.t) : float = c.Counters.t_gld_trans +. c.Counters.t_gst_trans
+let global_trans (c : Counters.t) : float =
+  c.Counters.t_gld_trans +. c.Counters.t_gst_trans
 
 let calibrate ?(n = 16384) ?(margin = 0.1) ~(arch : Gpusim.Arch.t)
     (plan : Planner.t) (versions : Version.t list) : report =
@@ -72,7 +73,8 @@ let calibrate ?(n = 16384) ?(margin = 0.1) ~(arch : Gpusim.Arch.t)
       with
       | o, an, static_us ->
           let pred =
-            Counters.sum (List.map (fun lp -> lp.Access.lp_totals) an.Access.an_launches)
+            Counters.sum
+              (List.map (fun lp -> lp.Access.lp_totals) an.Access.an_launches)
           in
           let obs =
             Gpusim.Events.totals_of_list

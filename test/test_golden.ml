@@ -640,11 +640,9 @@ let event_counts () : string =
           let an = Device_ir.Access.analyze ~n:1000 p in
           List.iter
             (fun (lp : Device_ir.Access.launch_pred) ->
-              line
-                (Printf.sprintf "%s predicted n=1000 %s:" name
-                   lp.Device_ir.Access.lp_kernel)
-                (fun () ->
-                  render_fields (Device_ir.Counters.fields lp.Device_ir.Access.lp_totals)))
+              Printf.bprintf buf "%s predicted n=1000 %s: %s\n" name
+                lp.Device_ir.Access.lp_kernel
+                (render_fields (Device_ir.Counters.fields lp.Device_ir.Access.lp_totals)))
             an.Device_ir.Access.an_launches;
           let n_inits =
             List.length
