@@ -19,9 +19,13 @@
 
    - the segment, bank and atomic-conflict rules are {!Lanes}', the
      same ones the interpreter charges;
-   - event counting mirrors the interpreter's charging points statement
-     for statement, including the block-level/warp-level split for
-     statements that contain a barrier.
+   - each warp event is charged through the {!Counters} function that
+     names it, the one the interpreter calls, at the interpreter's
+     charging points statement for statement, including the
+     block-level/warp-level split for statements that contain a barrier.
+     What stays the analyzer's own is which lanes count: an unknown
+     address is worst case, and a branch whose condition is unknown in
+     some lane is divergent.
 
    Divergence is exact per lane: the lanes whose branch condition is
    known run their arm under complementary masks, and register
@@ -433,29 +437,13 @@ let full_mask = Array.make warp_lanes true
 
 (* Warp-level events (the interpreter's warp-level charging points) go
    to the warp's record of the current epoch, [c.cur.(w)]; barriers and
-   block-uniform branches go to [c.blk]. *)
-
-(* a shared load or store: one warp instruction, replayed [degree] times *)
-let count_shared (k : Counters.t) (degree : int) : unit =
-  k.t_warp_insts <- k.t_warp_insts +. 1.0;
-  k.t_shared_ops <- k.t_shared_ops +. 1.0;
-  k.t_shared_serial <- k.t_shared_serial +. float_of_int degree
-
-(* a global load, vector load or store of [trans] transactions: its
-   instruction and DRAM bytes; the caller counts the transactions *)
-let count_global (k : Counters.t) (trans : int) : unit =
-  k.t_warp_insts <- k.t_warp_insts +. 1.0;
-  k.t_bytes_dram <- k.t_bytes_dram +. (128.0 *. float_of_int trans)
-
-let count_alu (k : Counters.t) : unit =
-  k.t_warp_insts <- k.t_warp_insts +. 1.0;
-  k.t_alu_insts <- k.t_alu_insts +. 1.0
+   block-uniform branches go to [c.blk]. Both are charged through
+   {!Counters}' event functions, the ones the interpreter calls. *)
 
 let barrier (c : bctx) (loc : string) : unit =
   c.epochs <- c.cur :: c.epochs;
   c.cur <- Array.init c.nwarps (fun _ -> Counters.zero ());
-  c.blk.t_syncs <- c.blk.t_syncs +. float_of_int c.nwarps;
-  c.blk.t_warp_insts <- c.blk.t_warp_insts +. float_of_int c.nwarps;
+  Counters.barrier c.blk ~warps:c.nwarps;
   c.epoch <- c.epoch + 1;
   match c.trace with
   | Some t when c.bid = 0 -> t.barriers <- loc :: t.barriers
@@ -487,20 +475,16 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
   match s with
   | Resolve.Let (r, e) ->
       assign c w mask lanes r (e c w);
-      count_alu c.cur.(w)
+      Counters.alu c.cur.(w)
   | Resolve.Load { l_arr = { Resolve.a_space = space; a_name = arr; _ }; l_dst; l_idx; l_loc } -> (
       let trans, degree =
         record c w ~loc:l_loc ~space ~arr ~kind:Ld ~idx:(l_idx c w) ~mask ~lanes
           ~width:1
       in
       assign c w mask lanes l_dst top;
-      let k = c.cur.(w) in
       match space with
-      | Ir.Global ->
-          count_global k trans;
-          k.t_gld_warp_ops <- k.t_gld_warp_ops +. 1.0;
-          k.t_gld_trans <- k.t_gld_trans +. float_of_int trans
-      | Ir.Shared -> count_shared k degree)
+      | Ir.Global -> Counters.global_load c.cur.(w) ~trans
+      | Ir.Shared -> Counters.shared_access c.cur.(w) ~degree)
   | Resolve.Vec_load { vl_dsts; vl_arr = { Resolve.a_name = arr; _ }; vl_base; vl_loc } ->
       let width = Array.length vl_dsts in
       let trans, _ =
@@ -508,22 +492,16 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
           ~mask ~lanes ~width
       in
       Array.iter (fun d -> assign c w mask lanes d top) vl_dsts;
-      let k = c.cur.(w) in
-      count_global k trans;
-      k.t_vec_load_ops <- k.t_vec_load_ops +. 1.0;
-      k.t_gld_trans <- k.t_gld_trans +. float_of_int trans
+      Counters.vector_load c.cur.(w) ~trans
   | Resolve.Store { st_arr = { Resolve.a_space = space; a_name = arr; _ }; st_idx; st_loc; _ }
     -> (
       let trans, degree =
         record c w ~loc:st_loc ~space ~arr ~kind:St ~idx:(st_idx c w) ~mask ~lanes
           ~width:1
       in
-      let k = c.cur.(w) in
       match space with
-      | Ir.Global ->
-          count_global k trans;
-          k.t_gst_trans <- k.t_gst_trans +. float_of_int trans
-      | Ir.Shared -> count_shared k degree)
+      | Ir.Global -> Counters.global_store c.cur.(w) ~trans
+      | Ir.Shared -> Counters.shared_access c.cur.(w) ~degree)
   | Resolve.Atomic
       { at_dst; at_arr = { Resolve.a_space = space; a_name = arr; _ }; at_idx; at_scope; at_loc; _ }
     -> (
@@ -533,7 +511,6 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
       if at_dst >= 0 then assign c w mask lanes at_dst top;
       let n_active = Lanes.active mask lanes in
       let exact = known_on idxv mask lanes in
-      let k = c.cur.(w) in
       if n_active > 0 then
         (* unknown addresses count worst both ways *)
         match space with
@@ -541,16 +518,12 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
             let worst =
               if exact then Lanes.atomic_worst idxv.v mask lanes else n_active
             in
-            k.t_warp_insts <- k.t_warp_insts +. 1.0;
-            k.t_atomic_shared_ops <- k.t_atomic_shared_ops +. float_of_int n_active;
-            k.t_atomic_shared_serial <- k.t_atomic_shared_serial +. float_of_int worst
+            Counters.shared_atomic c.cur.(w) ~active:n_active ~worst
         | Ir.Global ->
             let distinct =
               if exact then Lanes.atomic_distinct idxv.v mask lanes else n_active
             in
-            k.t_warp_insts <- k.t_warp_insts +. 1.0;
-            k.t_atomic_global_ops <- k.t_atomic_global_ops +. float_of_int n_active;
-            k.t_atomic_global_trans <- k.t_atomic_global_trans +. float_of_int distinct;
+            Counters.global_atomic c.cur.(w) ~active:n_active ~distinct;
             if not exact then c.approx <- true
             else if c.trace = None then
               for l = 0 to lanes - 1 do
@@ -563,17 +536,12 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
               done)
   | Resolve.Shfl { sh_dst; _ } ->
       assign c w mask lanes sh_dst top;
-      let k = c.cur.(w) in
-      k.t_warp_insts <- k.t_warp_insts +. 1.0;
-      k.t_shfl_insts <- k.t_shfl_insts +. 1.0
+      Counters.shuffle c.cur.(w)
   | Resolve.Sync _ ->
       (* only reachable through divergent control, which the race
          sanitizer reports *)
       c.approx <- true
   | Resolve.If { if_cond; if_then; if_else; _ } ->
-      let k = c.cur.(w) in
-      k.t_warp_insts <- k.t_warp_insts +. 1.0;
-      k.t_branches <- k.t_branches +. 1.0;
       let cv = if_cond c w in
       let tmask = Array.make warp_lanes false in
       let emask = Array.make warp_lanes false in
@@ -594,8 +562,8 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
             incr n_e
           end
       done;
-      if (!n_t > 0 && !n_e > 0) || !n_u > 0 then
-        k.t_divergent_branches <- k.t_divergent_branches +. 1.0;
+      (* lanes whose condition is unknown count as divergent *)
+      Counters.branch c.cur.(w) ~divergent:((!n_t > 0 && !n_e > 0) || !n_u > 0);
       if !n_u > 0 then begin
         (* data-dependent branch: those lanes run both arms from the same
            entry state and join *)
@@ -611,14 +579,14 @@ let rec exec_warp (c : bctx) (w : int) (mask : bool array) (s : astmt) : unit =
       if !n_e > 0 then exec_body c w emask if_else
   | Resolve.For { f_var; f_init; f_cond; f_step; f_body; _ } ->
       assign c w mask lanes f_var (f_init c w);
-      count_alu c.cur.(w);
+      Counters.alu c.cur.(w);
       let step_unknown = Array.make warp_lanes false in
       warp_loop c w mask lanes f_body ~cond:f_cond ~step_unknown
         ~widen:(fun wide -> assign c w wide lanes f_var top)
         ~step:(fun live ->
           let sv = f_step c w in
           assign c w live lanes f_var sv;
-          count_alu c.cur.(w);
+          Counters.alu c.cur.(w);
           for l = 0 to lanes - 1 do
             if live.(l) && not (known sv l) then step_unknown.(l) <- true
           done)
@@ -639,8 +607,7 @@ and warp_loop c w mask lanes body ~(cond : aexp) ~step_unknown ~widen ~step =
   let iters = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    let k = c.cur.(w) in
-    k.t_branches <- k.t_branches +. 1.0;
+    Counters.loop_test c.cur.(w);
     let cv = cond c w in
     let spent = !iters >= c.loop_fuel || c.fuel <= 0 in
     let n_live = ref 0 and n_wide = ref 0 in
@@ -698,7 +665,7 @@ let rec exec_block_stmt (c : bctx) (s : astmt) : unit =
     match s with
     | Resolve.Sync loc -> barrier c loc
     | Resolve.If { if_cond; if_then; if_else; _ } -> (
-        c.blk.t_branches <- c.blk.t_branches +. float_of_int c.nwarps;
+        Counters.block_branch c.blk ~warps:c.nwarps;
         match uniform_across c if_cond with
         | Some v ->
             if v <> 0 then exec_block_body c if_then else exec_block_body c if_else
@@ -723,7 +690,7 @@ let rec exec_block_stmt (c : bctx) (s : astmt) : unit =
                 let sv = f_step c w in
                 if not (known_on sv full_mask lanes) then stepped := false;
                 assign c w full_mask lanes f_var sv);
-            c.blk.t_branches <- c.blk.t_branches +. float_of_int c.nwarps;
+            Counters.block_branch c.blk ~warps:c.nwarps;
             !stepped)
     | Resolve.While { w_cond; w_body; _ } ->
         block_loop c w_body ~cond:w_cond ~widen:ignore ~step:(fun () -> true)
@@ -930,13 +897,10 @@ let analyze_kernels kernels ?n ?tunables (p : Ir.program) : analysis =
                 in
                 let shared_bytes =
                   4
-                  * List.fold_left
-                      (fun acc (d : Ir.shared_decl) ->
-                        acc
-                        + (match d.Ir.sh_size with
-                          | Ir.Static_size s -> s
-                          | Ir.Dynamic_size -> max 0 shared_elems))
-                      0 k.Ir.k_shared
+                  * Array.fold_left
+                      (fun acc d ->
+                        acc + Resolve.shared_size ~shared_elems:(max 0 shared_elems) d)
+                      0 rk.Resolve.rk_shared
                 in
                 let first, a1 =
                   analyze_block ~sites ~params ~bdim:block ~gdim:grid

@@ -32,6 +32,31 @@ val exp_level : tainted:level SM.t -> Ir.exp -> level
     divergent. *)
 val level_stmts : level SM.t -> Ir.stmt list -> level SM.t
 
+(** {1 Control levels and locations} *)
+
+(** Location paths name a statement: the [i]th statement (comments
+    count) of the list at [path] is [stmt_loc path i], ["path[i]"]; the
+    kernel body's path is {!body_path}, and a statement at [loc] holds
+    its lists at [arm_path loc arm]: [loc.then], [loc.else] or
+    [loc.body]. {!Resolve}'s access and barrier locations and the race
+    sanitizer's static diagnostics all come from here. *)
+
+type arm = Then | Else | Loop_body
+
+val body_path : string
+val stmt_loc : string -> int -> string
+val arm_path : string -> arm -> string
+
+(** [iter_control k f] calls [f ~ctrl ~loc s] on every statement [s] of
+    [k]'s body in program order, a statement before those it contains.
+    [loc] is its location path and [ctrl] the control level it runs
+    under: [Block_uniform] at the top, raised under an [If] by its
+    condition's level, under a [For] by its init's and its condition's
+    (the iterator itself aside), and under a [While] by its condition's.
+    Register levels are {!level_stmts} over the whole body, a sound
+    over-approximation at every program point. *)
+val iter_control : Ir.kernel -> (ctrl:level -> loc:string -> Ir.stmt -> unit) -> unit
+
 val exp_uses : Ir.exp -> SS.t
 
 (** All registers defined anywhere in a statement list, including loop

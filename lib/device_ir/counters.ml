@@ -1,6 +1,8 @@
 (* Kernel event counters: observed by the interpreter, predicted by the
    access analyzer, summed by the service. An all-float record is stored
-   flat, so the hot-path updates of both walkers stay unboxed. *)
+   flat, so the hot-path updates of both walkers stay unboxed. Both
+   walkers charge a warp event through the one function below that
+   names it, so a prediction counts what an observation counts. *)
 
 type t = {
   mutable t_launches : float;
@@ -127,3 +129,67 @@ let scale_from (t : t) (s : t) ~(factor : float) : unit =
   t.t_atomic_shared_serial <- scale t.t_atomic_shared_serial s.t_atomic_shared_serial;
   t.t_vec_load_ops <- scale t.t_vec_load_ops s.t_vec_load_ops;
   t.t_max_heat <- scale t.t_max_heat s.t_max_heat
+
+(* ------------------------------------------------------------------ *)
+(* Warp events                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Each event changes exactly the fields it names. Labelled ints and
+   bools only: a call allocates nothing. *)
+
+let alu (c : t) : unit =
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_alu_insts <- c.t_alu_insts +. 1.0
+
+let shuffle (c : t) : unit =
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_shfl_insts <- c.t_shfl_insts +. 1.0
+
+let global_load (c : t) ~(trans : int) : unit =
+  let trans = float_of_int trans in
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_gld_warp_ops <- c.t_gld_warp_ops +. 1.0;
+  c.t_gld_trans <- c.t_gld_trans +. trans;
+  c.t_bytes_dram <- c.t_bytes_dram +. (128.0 *. trans)
+
+let vector_load (c : t) ~(trans : int) : unit =
+  let trans = float_of_int trans in
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_vec_load_ops <- c.t_vec_load_ops +. 1.0;
+  c.t_gld_trans <- c.t_gld_trans +. trans;
+  c.t_bytes_dram <- c.t_bytes_dram +. (128.0 *. trans)
+
+let global_store (c : t) ~(trans : int) : unit =
+  let trans = float_of_int trans in
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_gst_trans <- c.t_gst_trans +. trans;
+  c.t_bytes_dram <- c.t_bytes_dram +. (128.0 *. trans)
+
+let shared_access (c : t) ~(degree : int) : unit =
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_shared_ops <- c.t_shared_ops +. 1.0;
+  c.t_shared_serial <- c.t_shared_serial +. float_of_int degree
+
+let shared_atomic (c : t) ~(active : int) ~(worst : int) : unit =
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_atomic_shared_ops <- c.t_atomic_shared_ops +. float_of_int active;
+  c.t_atomic_shared_serial <- c.t_atomic_shared_serial +. float_of_int worst
+
+let global_atomic (c : t) ~(active : int) ~(distinct : int) : unit =
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_atomic_global_ops <- c.t_atomic_global_ops +. float_of_int active;
+  c.t_atomic_global_trans <- c.t_atomic_global_trans +. float_of_int distinct
+
+let branch (c : t) ~(divergent : bool) : unit =
+  c.t_warp_insts <- c.t_warp_insts +. 1.0;
+  c.t_branches <- c.t_branches +. 1.0;
+  if divergent then c.t_divergent_branches <- c.t_divergent_branches +. 1.0
+
+let loop_test (c : t) : unit = c.t_branches <- c.t_branches +. 1.0
+
+let barrier (c : t) ~(warps : int) : unit =
+  c.t_syncs <- c.t_syncs +. float_of_int warps;
+  c.t_warp_insts <- c.t_warp_insts +. float_of_int warps
+
+let block_branch (c : t) ~(warps : int) : unit =
+  c.t_branches <- c.t_branches +. float_of_int warps

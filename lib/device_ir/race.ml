@@ -2,10 +2,10 @@
 
    Two cooperating analyses:
 
-   - a static walk (mirroring {!Validate}'s control-level computation via
-     {!Analysis.level_stmts} / {!Analysis.join_level}) that reports
-     barriers under divergent control (TSAN004) and malformed or
-     out-of-warp shuffles (TSAN005);
+   - a static walk ({!Analysis.iter_control}, the control levels and
+     locations {!Validate} and {!Resolve} use too) that reports barriers
+     under divergent control (TSAN004) and malformed or out-of-warp
+     shuffles (TSAN005);
 
    - a bounded run of the thread grid on {!Access}'s warp walk
      ({!Access.trace_kernel}), whose every shared/global access carries
@@ -26,8 +26,6 @@
    per the pre-Volta warp-synchronous model the codelets target
    (shuffle-based variants deliberately drop intra-warp barriers,
    Section III.C / Listing 4 of the paper). *)
-
-module SM = Analysis.SM
 
 let model_block = 64
 let model_grid = 2
@@ -127,7 +125,6 @@ let events_of ~(block : int) ~(grid : int) (accesses : Access.access list) :
 (* ------------------------------------------------------------------ *)
 
 let static_diags (k : Ir.kernel) : Diag.t list =
-  let tainted = Analysis.level_stmts SM.empty k.Ir.k_body in
   let out = ref [] in
   let add ~loc code msg =
     out := Diag.make ~loc ~code ~severity:Diag.Error ~kernel:k.Ir.k_name msg :: !out
@@ -137,56 +134,34 @@ let static_diags (k : Ir.kernel) : Diag.t list =
     | Analysis.Warp_uniform -> "warp-uniform"
     | Analysis.Divergent -> "thread-divergent"
   in
-  let rec walk ctrl path body =
-    List.iteri (fun i s -> stmt ctrl (Printf.sprintf "%s[%d]" path i) s) body
-  and stmt ctrl loc = function
-    | Ir.Sync ->
-        if ctrl <> Analysis.Block_uniform then
-          add ~loc "TSAN004"
-            (Printf.sprintf
-               "__syncthreads() under %s control flow: threads of one block \
-                can reach different barrier instances (or skip the barrier \
-                entirely), which deadlocks the block on real hardware"
-               (level_name ctrl))
-    | Ir.Shfl { width; _ } ->
-        if width > 32 then
-          add ~loc "TSAN005"
-            (Printf.sprintf
-               "shuffle width %d exceeds the warp: lanes cannot exchange \
-                registers across warps, the exchange reads undefined data"
-               width)
-        else if not (Validate.valid_shfl_width width) then
-          add ~loc "TSAN005"
-            (Printf.sprintf "invalid shuffle width %d (must be 2/4/8/16/32)"
-               width)
-        else if ctrl = Analysis.Divergent then
-          add ~loc "TSAN005"
-            "warp shuffle under lane-divergent control flow: inactive source \
-             lanes make the exchanged value undefined"
-    | Ir.If (cnd, t, e) ->
-        let branch_ctrl =
-          Analysis.join_level ctrl (Analysis.exp_level ~tainted cnd)
-        in
-        walk branch_ctrl (loc ^ ".then") t;
-        walk branch_ctrl (loc ^ ".else") e
-    | Ir.For { var; init; cond; body; _ } ->
-        let loop_ctrl =
-          Analysis.join_level ctrl
-            (Analysis.join_level
-               (Analysis.exp_level ~tainted init)
-               (Analysis.exp_level ~tainted:(SM.remove var tainted) cond))
-        in
-        walk loop_ctrl (loc ^ ".body") body
-    | Ir.While (cnd, body) ->
-        let loop_ctrl =
-          Analysis.join_level ctrl (Analysis.exp_level ~tainted cnd)
-        in
-        walk loop_ctrl (loc ^ ".body") body
-    | Ir.Let _ | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _
-    | Ir.Comment _ ->
-        ()
-  in
-  walk Analysis.Block_uniform "body" k.Ir.k_body;
+  Analysis.iter_control k (fun ~ctrl ~loc (s : Ir.stmt) ->
+      match s with
+      | Ir.Sync ->
+          if ctrl <> Analysis.Block_uniform then
+            add ~loc "TSAN004"
+              (Printf.sprintf
+                 "__syncthreads() under %s control flow: threads of one block \
+                  can reach different barrier instances (or skip the barrier \
+                  entirely), which deadlocks the block on real hardware"
+                 (level_name ctrl))
+      | Ir.Shfl { width; _ } ->
+          if width > 32 then
+            add ~loc "TSAN005"
+              (Printf.sprintf
+                 "shuffle width %d exceeds the warp: lanes cannot exchange \
+                  registers across warps, the exchange reads undefined data"
+                 width)
+          else if not (Validate.valid_shfl_width width) then
+            add ~loc "TSAN005"
+              (Printf.sprintf "invalid shuffle width %d (must be 2/4/8/16/32)"
+                 width)
+          else if ctrl = Analysis.Divergent then
+            add ~loc "TSAN005"
+              "warp shuffle under lane-divergent control flow: inactive source \
+               lanes make the exchanged value undefined"
+      | Ir.If _ | Ir.For _ | Ir.While _ | Ir.Let _ | Ir.Load _ | Ir.Store _
+      | Ir.Vec_load _ | Ir.Atomic _ | Ir.Comment _ ->
+          ());
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

@@ -13,12 +13,17 @@
      slots, or whatever [unknown] answers for an undeclared name;
    - each structured statement records whether it contains a barrier;
    - each memory access and barrier carries its location path
-     (["body[3].then[0]"], counting comments, which are dropped);
+     (["body[3].then[0]"], counting comments, which are dropped), named
+     by {!Analysis.stmt_loc} and {!Analysis.arm_path} as the race
+     sanitizer's static diagnostics name it;
    - loops [for (v = init; v < bound; v = v + stride)] with a positive
      constant stride and a loop-invariant bound are marked affine.
 
    Expressions come out in slot form too and go through the walker's
-   own compiler; execution stays with each walker. *)
+   own compiler; execution stays with each walker. The two executors,
+   the interpreter and the symbolic evaluator, also take a launch's
+   shape check ({!launch_error}) and shared-array sizing
+   ({!shared_size}) from here. *)
 
 (** An expression with its names resolved to slots; [Reg] and [Param]
     keep the name beside the slot. *)
@@ -244,8 +249,8 @@ let kernel ?(unknown = fun _ _ -> -1) (compile : exp -> 'e) (k : Ir.kernel) :
     | Ir.Sync -> Some (Sync loc)
     | Ir.If (c, t, e) ->
         let if_cond = cexp c in
-        let if_then = stmts (loc ^ ".then") t in
-        let if_else = stmts (loc ^ ".else") e in
+        let if_then = stmts (Analysis.arm_path loc Analysis.Then) t in
+        let if_else = stmts (Analysis.arm_path loc Analysis.Else) e in
         Some (If { if_cond; if_then; if_else; if_sync = syncs t || syncs e })
     | Ir.For { var; init; cond; step; body } ->
         let f_affine = affine ~var ~body cond step in
@@ -253,11 +258,11 @@ let kernel ?(unknown = fun _ _ -> -1) (compile : exp -> 'e) (k : Ir.kernel) :
         let f_var = reg var in
         let f_cond = cexp cond in
         let f_step = cexp step in
-        let f_body = stmts (loc ^ ".body") body in
+        let f_body = stmts (Analysis.arm_path loc Analysis.Loop_body) body in
         Some (For { f_var; f_init; f_cond; f_step; f_body; f_sync = syncs body; f_affine })
     | Ir.While (c, body) ->
         let w_cond = cexp c in
-        let w_body = stmts (loc ^ ".body") body in
+        let w_body = stmts (Analysis.arm_path loc Analysis.Loop_body) body in
         Some (While { w_cond; w_body; w_sync = syncs body })
   and stmts (path : string) (body : Ir.stmt list) : 'e stmt array =
     let i = ref (-1) in
@@ -265,10 +270,10 @@ let kernel ?(unknown = fun _ _ -> -1) (compile : exp -> 'e) (k : Ir.kernel) :
       (List.filter_map
          (fun s ->
            incr i;
-           stmt (Printf.sprintf "%s[%d]" path !i) s)
+           stmt (Analysis.stmt_loc path !i) s)
          body)
   in
-  let body = stmts "body" k.Ir.k_body in
+  let body = stmts Analysis.body_path k.Ir.k_body in
   {
     rk_name = k.Ir.k_name;
     rk_nregs = Hashtbl.length regs;
@@ -278,3 +283,28 @@ let kernel ?(unknown = fun _ _ -> -1) (compile : exp -> 'e) (k : Ir.kernel) :
     rk_shared = shared;
     rk_body = body;
   }
+
+(** The launch-shape error the interpreter and the symbolic evaluator
+    both report, or [None]: a grid of at least one block, a block of 1
+    to [max_block] threads, and [arrays] array bindings and [params]
+    scalar parameters for the kernel's declarations. *)
+let launch_error (k : 'e kernel) ~(grid : int) ~(block : int) ~(max_block : int)
+    ~(arrays : int) ~(params : int) : string option =
+  let name = k.rk_name in
+  if grid < 1 then Some (Printf.sprintf "%s: empty grid" name)
+  else if block < 1 || block > max_block then
+    Some (Printf.sprintf "%s: block size %d out of range [1, %d]" name block max_block)
+  else if arrays <> Array.length k.rk_arrays then
+    Some
+      (Printf.sprintf "%s: expected %d array bindings, got %d" name
+         (Array.length k.rk_arrays) arrays)
+  else if params <> Array.length k.rk_params then
+    Some
+      (Printf.sprintf "%s: expected %d scalar parameters, got %d" name
+         (Array.length k.rk_params) params)
+  else None
+
+(** A shared array's element count at a launch that passes
+    [shared_elems] dynamic elements. *)
+let shared_size ~(shared_elems : int) (d : Ir.shared_decl) : int =
+  match d.Ir.sh_size with Ir.Static_size n -> n | Ir.Dynamic_size -> shared_elems

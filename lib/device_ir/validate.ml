@@ -5,7 +5,8 @@
    - the register errors of {!Analysis.registers}: a register defined at
      two kinds, and a read that no definition reaches on every path;
    - barriers under thread-divergent control flow (the classic CUDA
-     deadlock), using the taint analysis of {!Analysis};
+     deadlock), and shuffles under lane-divergent control, at the
+     control level {!Analysis.iter_control} gives each statement;
    - malformed shuffles (bad sub-warp width) and vector loads (bad arity);
    - host-side launches of unknown kernels, argument-count mismatches and
      references to undeclared buffers. *)
@@ -57,59 +58,34 @@ let check_kernel (k : Ir.kernel) : error list =
     | Ir.Binop (_, a, b) -> check_exp a; check_exp b
     | Ir.Select (c, a, b) -> check_exp c; check_exp a; check_exp b
   in
-  let rec check_stmts ~tainted ~ctrl (body : Ir.stmt list) : unit =
-    List.iter (check_stmt ~tainted ~ctrl) body
-  and check_stmt ~tainted ~ctrl (s : Ir.stmt) : unit =
-    match s with
-    | Ir.Let (_, e) -> check_exp e
-    | Ir.Load { space; arr; idx; _ } -> check_arr space arr; check_exp idx
-    | Ir.Store { space; arr; idx; v } -> check_arr space arr; check_exp idx; check_exp v
-    | Ir.Vec_load { dsts; arr; base } ->
-        check_arr Ir.Global arr;
-        check_exp base;
-        if not (valid_vec_arity (List.length dsts)) then
-          err "vector load arity must be 2 or 4"
-    | Ir.Atomic { space; arr; idx; v; _ } ->
-        check_arr space arr; check_exp idx; check_exp v
-    | Ir.Shfl { v; lane; width; _ } ->
-        check_exp v;
-        check_exp lane;
-        if not (valid_shfl_width width) then
-          err (Printf.sprintf "invalid shuffle width %d" width);
-        if ctrl = Analysis.Divergent then
-          err "warp shuffle under lane-divergent control flow"
-    | Ir.Sync ->
-        if ctrl <> Analysis.Block_uniform then
-          err "__syncthreads() under thread-divergent control flow"
-    | Ir.Comment _ -> ()
-    | Ir.If (c, t, e) ->
-        check_exp c;
-        let branch_ctrl =
-          Analysis.join_level ctrl (Analysis.exp_level ~tainted c)
-        in
-        check_stmts ~tainted ~ctrl:branch_ctrl t;
-        check_stmts ~tainted ~ctrl:branch_ctrl e
-    | Ir.For { var; init; cond; step; body } ->
-        check_exp init;
-        check_exp cond;
-        check_exp step;
-        let loop_ctrl =
-          Analysis.join_level ctrl
-            (Analysis.join_level
-               (Analysis.exp_level ~tainted init)
-               (Analysis.exp_level ~tainted:(Analysis.SM.remove var tainted) cond))
-        in
-        check_stmts ~tainted ~ctrl:loop_ctrl body
-    | Ir.While (c, body) ->
-        check_exp c;
-        let loop_ctrl = Analysis.join_level ctrl (Analysis.exp_level ~tainted c) in
-        check_stmts ~tainted ~ctrl:loop_ctrl body
-  in
-  (* Divergence levels are computed over the whole body once (a sound
-     over-approximation of any program point), then used to judge the
-     control level of conditions. *)
-  let tainted = Analysis.level_stmts Analysis.SM.empty k.Ir.k_body in
-  check_stmts ~tainted ~ctrl:Analysis.Block_uniform k.Ir.k_body;
+  Analysis.iter_control k (fun ~ctrl ~loc:_ (s : Ir.stmt) ->
+      match s with
+      | Ir.Let (_, e) -> check_exp e
+      | Ir.Load { space; arr; idx; _ } -> check_arr space arr; check_exp idx
+      | Ir.Store { space; arr; idx; v } -> check_arr space arr; check_exp idx; check_exp v
+      | Ir.Vec_load { dsts; arr; base } ->
+          check_arr Ir.Global arr;
+          check_exp base;
+          if not (valid_vec_arity (List.length dsts)) then
+            err "vector load arity must be 2 or 4"
+      | Ir.Atomic { space; arr; idx; v; _ } ->
+          check_arr space arr; check_exp idx; check_exp v
+      | Ir.Shfl { v; lane; width; _ } ->
+          check_exp v;
+          check_exp lane;
+          if not (valid_shfl_width width) then
+            err (Printf.sprintf "invalid shuffle width %d" width);
+          if ctrl = Analysis.Divergent then
+            err "warp shuffle under lane-divergent control flow"
+      | Ir.Sync ->
+          if ctrl <> Analysis.Block_uniform then
+            err "__syncthreads() under thread-divergent control flow"
+      | Ir.Comment _ -> ()
+      | Ir.If (c, _, _) | Ir.While (c, _) -> check_exp c
+      | Ir.For { init; cond; step; _ } ->
+          check_exp init;
+          check_exp cond;
+          check_exp step);
   (* a register with two kinds, or a read no definition reaches *)
   List.iter err (snd (Analysis.registers k));
   List.rev !errs

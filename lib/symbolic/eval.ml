@@ -617,26 +617,14 @@ let run_kernel ((k, zeros) : eexp R.kernel * Term.t array) ~(grid : int) ~(block
     ~(shared_elems : int) ~(globals : gbuffer array) ~(params : Value.t array)
     ~(launch_idx : int) : unit =
   let name = k.R.rk_name in
-  if grid < 1 then abort "TSYM002" "%s: empty grid" name;
-  if block < 1 || block > max_threads_per_block then
-    abort "TSYM002" "%s: block size %d out of range [1, %d]" name block
-      max_threads_per_block;
-  if Array.length globals <> Array.length k.R.rk_arrays then
-    abort "TSYM002" "%s: expected %d array bindings, got %d" name
-      (Array.length k.R.rk_arrays) (Array.length globals);
-  if Array.length params <> Array.length k.R.rk_params then
-    abort "TSYM002" "%s: expected %d scalar parameters, got %d" name
-      (Array.length k.R.rk_params) (Array.length params);
+  Option.iter (abort "TSYM002" "%s")
+    (R.launch_error k ~grid ~block ~max_block:max_threads_per_block
+       ~arrays:(Array.length globals) ~params:(Array.length params));
   let zero ty = Term.Conc (Value.of_float ty 0.0) in
   let shared =
     Array.map
       (fun (d : Ir.shared_decl) ->
-        let n =
-          match d.Ir.sh_size with
-          | Ir.Static_size n -> n
-          | Ir.Dynamic_size -> shared_elems
-        in
-        let n = max n 1 in
+        let n = max (R.shared_size ~shared_elems d) 1 in
         {
           s_name = d.Ir.sh_name;
           s_ty = d.Ir.sh_ty;

@@ -244,6 +244,46 @@ let events_tests =
         E.scale_all ev ~factor:3.0;
         Alcotest.(check (float 1e-9)) "heat" 12.0 (E.max_heat ev);
         Alcotest.(check (float 1e-9)) "bytes" 300.0 ev.E.counts.E.t_bytes_dram);
+    Alcotest.test_case "each warp event charges exactly the fields it names" `Quick
+      (fun () ->
+        (* [event] applied to a zero record reads [named] and 0 elsewhere *)
+        let charges label event named =
+          let c = N.zero () in
+          event c;
+          check_counters label
+            (fun i ->
+              Option.value ~default:0.0 (List.assoc_opt (List.nth counter_names i) named))
+            c
+        in
+        charges "alu" N.alu [ ("warp_insts", 1.0); ("alu_insts", 1.0) ];
+        charges "shuffle" N.shuffle [ ("warp_insts", 1.0); ("shfl_insts", 1.0) ];
+        charges "global_load"
+          (N.global_load ~trans:3)
+          [ ("warp_insts", 1.0); ("gld_warp_ops", 1.0); ("gld_trans", 3.0); ("bytes_dram", 384.0) ];
+        charges "vector_load"
+          (N.vector_load ~trans:2)
+          [ ("warp_insts", 1.0); ("vec_load_ops", 1.0); ("gld_trans", 2.0); ("bytes_dram", 256.0) ];
+        charges "global_store"
+          (N.global_store ~trans:5)
+          [ ("warp_insts", 1.0); ("gst_trans", 5.0); ("bytes_dram", 640.0) ];
+        charges "shared_access"
+          (N.shared_access ~degree:4)
+          [ ("warp_insts", 1.0); ("shared_ops", 1.0); ("shared_serial", 4.0) ];
+        charges "shared_atomic"
+          (N.shared_atomic ~active:32 ~worst:7)
+          [ ("warp_insts", 1.0); ("atomic_shared_ops", 32.0); ("atomic_shared_serial", 7.0) ];
+        charges "global_atomic"
+          (N.global_atomic ~active:20 ~distinct:3)
+          [ ("warp_insts", 1.0); ("atomic_global_ops", 20.0); ("atomic_global_trans", 3.0) ];
+        charges "uniform branch"
+          (N.branch ~divergent:false)
+          [ ("warp_insts", 1.0); ("branches", 1.0) ];
+        charges "divergent branch"
+          (N.branch ~divergent:true)
+          [ ("warp_insts", 1.0); ("branches", 1.0); ("divergent_branches", 1.0) ];
+        charges "loop_test" N.loop_test [ ("branches", 1.0) ];
+        charges "barrier" (N.barrier ~warps:8) [ ("syncs", 8.0); ("warp_insts", 8.0) ];
+        charges "block_branch" (N.block_branch ~warps:8) [ ("branches", 8.0) ]);
     Alcotest.test_case "max_heat of no atomics is zero" `Quick (fun () ->
         Alcotest.(check (float 0.0)) "zero" 0.0 (E.max_heat (E.create ())));
     Alcotest.test_case "heat accumulates per address" `Quick (fun () ->

@@ -182,6 +182,89 @@ let analysis_tests =
         Alcotest.(check bool) "sync" true (A.contains_sync Ir.Sync);
         Alcotest.(check bool) "nested" true
           (A.contains_sync (Ir.if_ (Ir.Bool true) [ Ir.Sync ] [])));
+    Alcotest.test_case "iter_control levels and locations" `Quick (fun () ->
+        let k =
+          {
+            Ir.k_name = "k";
+            k_params = [];
+            k_arrays = [ ("g", Ir.F32) ];
+            k_shared = [ { Ir.sh_name = "s"; sh_ty = Ir.F32; sh_size = Ir.Static_size 64 } ];
+            k_body =
+              [
+                Ir.let_ "x" Ir.tid;
+                Ir.if_
+                  Ir.(warp_id =: Int 0)
+                  [
+                    Ir.load_shared "y" "s" Ir.tid;
+                    Ir.for_ "i" ~init:(Ir.Int 0)
+                      ~cond:Ir.(Reg "i" <: Int 4)
+                      ~step:Ir.(Reg "i" +: Int 1)
+                      [ Ir.store_global "g" (Ir.Reg "i") (Ir.Reg "y") ];
+                  ]
+                  [
+                    Ir.Comment "counts in the index";
+                    Ir.While (Ir.(Reg "x" <: Int 3), [ Ir.let_ "x" Ir.(Reg "x" +: Int 1) ]);
+                  ];
+                Ir.Sync;
+                Ir.for_ "j" ~init:Ir.lane_id
+                  ~cond:Ir.(Reg "j" <: Int 32)
+                  ~step:Ir.(Reg "j" +: Int 32)
+                  [
+                    Ir.if_
+                      Ir.(Reg "j" =: Int 0)
+                      [ Ir.atomic ~space:Ir.Global ~op:Ir.A_add "g" (Ir.Int 0) (Ir.Reg "y") ]
+                      [];
+                  ];
+              ];
+          }
+        in
+        let seen = ref [] and accesses = ref [] in
+        A.iter_control k (fun ~ctrl ~loc s ->
+            seen := (loc, ctrl) :: !seen;
+            match s with
+            | Ir.Load _ | Ir.Store _ | Ir.Vec_load _ | Ir.Atomic _ | Ir.Sync ->
+                accesses := loc :: !accesses
+            | _ -> ());
+        let level = function
+          | A.Block_uniform -> "block"
+          | A.Warp_uniform -> "warp"
+          | A.Divergent -> "divergent"
+        in
+        Alcotest.(check (list (pair string string)))
+          "program order, each under its control level"
+          [
+            ("body[0]", "block");
+            ("body[1]", "block");
+            ("body[1].then[0]", "warp");
+            ("body[1].then[1]", "warp");
+            ("body[1].then[1].body[0]", "warp");
+            ("body[1].else[0]", "warp");
+            ("body[1].else[1]", "warp");
+            ("body[1].else[1].body[0]", "divergent");
+            ("body[2]", "block");
+            ("body[3]", "block");
+            ("body[3].body[0]", "divergent");
+            ("body[3].body[0].then[0]", "divergent");
+          ]
+          (List.rev_map (fun (loc, l) -> (loc, level l)) !seen);
+        (* the resolver names the same accesses and barriers the same way *)
+        let module R = Device_ir.Resolve in
+        let rec locs (body : unit R.stmt array) =
+          Array.to_list body
+          |> List.concat_map (fun (s : unit R.stmt) ->
+                 match s with
+                 | R.Load { l_loc = l; _ }
+                 | R.Store { st_loc = l; _ }
+                 | R.Vec_load { vl_loc = l; _ }
+                 | R.Atomic { at_loc = l; _ }
+                 | R.Sync l ->
+                     [ l ]
+                 | R.If { if_then; if_else; _ } -> locs if_then @ locs if_else
+                 | R.For { f_body = b; _ } | R.While { w_body = b; _ } -> locs b
+                 | R.Let _ | R.Shfl _ -> [])
+        in
+        Alcotest.(check (list string)) "resolver locations" (List.rev !accesses)
+          (locs (R.kernel (fun _ -> ()) k).R.rk_body));
     Alcotest.test_case "all_defs" `Quick (fun () ->
         let body =
           [
