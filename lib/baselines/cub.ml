@@ -20,10 +20,6 @@ module Ir = Device_ir.Ir
 let block = 256
 let vec = 4
 
-let fresh_counter () =
-  let c = ref 0 in
-  fun base -> incr c; Printf.sprintf "%s_%d" base !c
-
 (* grid: even-share over the device, capped to keep per-thread work >= one
    vector; never grows beyond 16 blocks per SM *)
 let grid_hexp (arch : Gpusim.Arch.t) : Ir.hexp =
@@ -34,7 +30,7 @@ let grid_hexp (arch : Gpusim.Arch.t) : Ir.hexp =
     )
 
 let upsweep_kernel () : Ir.kernel =
-  let fresh = fresh_counter () in
+  let fresh = Blocks.fresh_counter () in
   let acc = fresh "acc" and it = fresh "i" in
   let vbase = fresh "vbase" in
   let vs = List.init vec (fun k -> Printf.sprintf "v%d" k) in
@@ -81,44 +77,17 @@ let upsweep_kernel () : Ir.kernel =
     k_body = body;
   }
 
-let downsweep_kernel () : Ir.kernel =
-  let fresh = fresh_counter () in
-  let acc = fresh "acc" and it = fresh "i" in
-  let reduce_stmts, shared = Blocks.block_reduce ~fresh acc in
-  let body =
-    [
-      Ir.let_ acc (Ir.Float 0.0);
-      Ir.for_ it ~init:(Ir.Int 0)
-        ~cond:Ir.(Reg it <: Param "Trip")
-        ~step:Ir.(Reg it +: Int 1)
-        (Blocks.guarded_accum ~fresh ~arr:"partials_in" ~bound:(Ir.Param "NumPartials")
-           acc
-           Ir.(tid +: (Reg it *: Int block)));
-    ]
-    @ reduce_stmts
-    @ [ Ir.if_ Ir.(tid =: Int 0) [ Ir.store_global "final_out" (Ir.Int 0) (Ir.Reg acc) ] [] ]
-  in
-  {
-    Ir.k_name = "cub_downsweep";
-    k_params = [ ("NumPartials", Ir.I32); ("Trip", Ir.I32) ];
-    k_arrays = [ ("partials_in", Ir.F32); ("final_out", Ir.F32) ];
-    k_shared = [ shared ];
-    k_body = body;
-  }
-
 let program (arch : Gpusim.Arch.t) : Ir.program =
   let grid = grid_hexp arch in
   let trip1 = Ir.hceil Ir.hsize (Ir.H_mul (grid, Ir.H_int (block * vec))) in
-  let trip2 = Ir.hceil grid (Ir.H_int block) in
+  let downsweep, buffers, downsweep_launch =
+    Blocks.combine ~name:"cub_downsweep" ~block ~grid
+  in
   {
     Ir.p_name = "cub";
     p_elem = Ir.F32;
-    p_kernels = [ upsweep_kernel (); downsweep_kernel () ];
-    p_buffers =
-      [
-        { Ir.buf_name = "partials"; buf_ty = Ir.F32; buf_size = grid; buf_init = Some 0.0 };
-        { Ir.buf_name = "final"; buf_ty = Ir.F32; buf_size = Ir.H_int 1; buf_init = None };
-      ];
+    p_kernels = [ upsweep_kernel (); downsweep ];
+    p_buffers = buffers;
     p_launches =
       [
         {
@@ -132,17 +101,7 @@ let program (arch : Gpusim.Arch.t) : Ir.program =
               Ir.Arg_scalar trip1;
             ];
         };
-        {
-          Ir.ln_kernel = "cub_downsweep";
-          ln_grid = Ir.H_int 1;
-          ln_block = Ir.H_int block;
-          ln_shared_elems = Ir.H_int 0;
-          ln_args =
-            [
-              Ir.Arg_buffer "partials"; Ir.Arg_buffer "final"; Ir.Arg_scalar grid;
-              Ir.Arg_scalar trip2;
-            ];
-        };
+        downsweep_launch;
       ];
     p_tunables = [];
     p_result = "final";
@@ -154,16 +113,7 @@ let program (arch : Gpusim.Arch.t) : Ir.program =
 let api_overhead_us (arch : Gpusim.Arch.t) : float =
   arch.Gpusim.Arch.launch_overhead_us +. (2.0 *. arch.Gpusim.Arch.init_overhead_us)
 
-let compiled_cache : (string, Gpusim.Runner.compiled_program) Hashtbl.t =
-  Hashtbl.create 4
-
-let compiled (arch : Gpusim.Arch.t) : Gpusim.Runner.compiled_program =
-  match Hashtbl.find_opt compiled_cache arch.Gpusim.Arch.name with
-  | Some cp -> cp
-  | None ->
-      let cp = Gpusim.Runner.compile (program arch) in
-      Hashtbl.add compiled_cache arch.Gpusim.Arch.name cp;
-      cp
+let compiled = Blocks.compiled_per_arch program
 
 let run ?(opts = Gpusim.Interp.exact) ~(arch : Gpusim.Arch.t)
     (input : Gpusim.Runner.input) : Gpusim.Runner.outcome =

@@ -22,10 +22,6 @@ module Ir = Device_ir.Ir
 
 let block = 256
 
-let fresh_counter () =
-  let c = ref 0 in
-  fun base -> incr c; Printf.sprintf "%s_%d" base !c
-
 let grid_hexp (arch : Gpusim.Arch.t) : Ir.hexp =
   Ir.H_max
     ( Ir.H_int 1,
@@ -49,7 +45,7 @@ let setup_kernel () : Ir.kernel =
   }
 
 let main_kernel () : Ir.kernel =
-  let fresh = fresh_counter () in
+  let fresh = Blocks.fresh_counter () in
   let acc = fresh "acc" and it = fresh "i" in
   let i = fresh "gi" and x = fresh "x" in
   let j0 = fresh "j0" and j1 = fresh "j1" and j2 = fresh "j2" in
@@ -83,45 +79,17 @@ let main_kernel () : Ir.kernel =
     k_body = body;
   }
 
-let final_kernel () : Ir.kernel =
-  let fresh = fresh_counter () in
-  let acc = fresh "acc" and it = fresh "i" in
-  let reduce_stmts, shared = Blocks.block_reduce ~fresh acc in
-  let body =
-    [
-      Ir.let_ acc (Ir.Float 0.0);
-      Ir.for_ it ~init:(Ir.Int 0)
-        ~cond:Ir.(Reg it <: Param "Trip")
-        ~step:Ir.(Reg it +: Int 1)
-        (Blocks.guarded_accum ~fresh ~arr:"partials_in" ~bound:(Ir.Param "NumPartials")
-           acc
-           Ir.(tid +: (Reg it *: Int block)));
-    ]
-    @ reduce_stmts
-    @ [ Ir.if_ Ir.(tid =: Int 0) [ Ir.store_global "final_out" (Ir.Int 0) (Ir.Reg acc) ] [] ]
-  in
-  {
-    Ir.k_name = "kokkos_final";
-    k_params = [ ("NumPartials", Ir.I32); ("Trip", Ir.I32) ];
-    k_arrays = [ ("partials_in", Ir.F32); ("final_out", Ir.F32) ];
-    k_shared = [ shared ];
-    k_body = body;
-  }
-
 let program (arch : Gpusim.Arch.t) : Ir.program =
   let grid = grid_hexp arch in
   let trip1 = Ir.hceil Ir.hsize (Ir.H_mul (grid, Ir.H_int block)) in
-  let trip2 = Ir.hceil grid (Ir.H_int block) in
+  let final, buffers, final_launch = Blocks.combine ~name:"kokkos_final" ~block ~grid in
   {
     Ir.p_name = "kokkos";
     p_elem = Ir.F32;
-    p_kernels = [ setup_kernel (); main_kernel (); final_kernel () ];
+    p_kernels = [ setup_kernel (); main_kernel (); final ];
     p_buffers =
-      [
-        { Ir.buf_name = "scratch"; buf_ty = Ir.F32; buf_size = Ir.H_int 32; buf_init = None };
-        { Ir.buf_name = "partials"; buf_ty = Ir.F32; buf_size = grid; buf_init = Some 0.0 };
-        { Ir.buf_name = "final"; buf_ty = Ir.F32; buf_size = Ir.H_int 1; buf_init = None };
-      ];
+      { Ir.buf_name = "scratch"; buf_ty = Ir.F32; buf_size = Ir.H_int 32; buf_init = None }
+      :: buffers;
     p_launches =
       [
         {
@@ -142,32 +110,13 @@ let program (arch : Gpusim.Arch.t) : Ir.program =
               Ir.Arg_scalar trip1;
             ];
         };
-        {
-          Ir.ln_kernel = "kokkos_final";
-          ln_grid = Ir.H_int 1;
-          ln_block = Ir.H_int block;
-          ln_shared_elems = Ir.H_int 0;
-          ln_args =
-            [
-              Ir.Arg_buffer "partials"; Ir.Arg_buffer "final"; Ir.Arg_scalar grid;
-              Ir.Arg_scalar trip2;
-            ];
-        };
+        final_launch;
       ];
     p_tunables = [];
     p_result = "final";
   }
 
-let compiled_cache : (string, Gpusim.Runner.compiled_program) Hashtbl.t =
-  Hashtbl.create 4
-
-let compiled (arch : Gpusim.Arch.t) : Gpusim.Runner.compiled_program =
-  match Hashtbl.find_opt compiled_cache arch.Gpusim.Arch.name with
-  | Some cp -> cp
-  | None ->
-      let cp = Gpusim.Runner.compile (program arch) in
-      Hashtbl.add compiled_cache arch.Gpusim.Arch.name cp;
-      cp
+let compiled = Blocks.compiled_per_arch program
 
 (** Run the Kokkos baseline; the main kernel's memory traffic is re-priced
     at the staged (L2-resident) stream efficiency, per the paper's
